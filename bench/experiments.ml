@@ -661,10 +661,13 @@ let build_flat_universe ~n_points ~n_vrps =
   in
   (universe, ta, children)
 
+(* Run [f] and return its result with the elapsed wall-clock time in ms,
+   read from bechamel's monotonic clock (not process CPU time, which
+   excludes waits and sums over Domains). *)
 let time_ms f =
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   let r = f () in
-  (r, (Sys.time () -. t0) *. 1000.)
+  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e6)
 
 let sync_incremental () =
   header "Incremental sync: cold full validation vs. warm tick (1 point touched)";

@@ -87,13 +87,30 @@ let bench_bgp () =
   let prefix = V4.p "63.174.16.0/20" in
   let idx = Origin_validation.build [ Vrp.make ~max_len:20 prefix victim ] in
   let anns = [ { Rpki_bgp.Propagation.prefix; origin = victim } ] in
+  (* a data plane of one /16 per tier-1 plus the victim's /20 under a /24
+     sub-prefix hijack: a cold build propagates every prefix, a rebuild
+     from it with unchanged validity reuses every RIB *)
+  let topo = g.Rpki_bgp.Topo_gen.topo in
+  let policy_of _ = Rpki_bgp.Policy.Drop_invalid in
+  let validity_of = Origin_validation.classify idx in
+  let plane_anns =
+    Rpki_bgp.Hijack.announcements ~victim_prefix:prefix ~victim_as:victim
+      ~attacker_as:(List.nth g.Rpki_bgp.Topo_gen.stub_asns 1)
+      (Rpki_bgp.Hijack.Subprefix_hijack (V4.p "63.174.23.0/24"))
+    @ List.mapi
+        (fun i origin -> { Rpki_bgp.Propagation.prefix = V4.Prefix.make ((20 + i) lsl 24) 16; origin })
+        g.Rpki_bgp.Topo_gen.tier1_asns
+  in
+  let warm = Rpki_bgp.Data_plane.build ~topo ~policy_of ~validity_of plane_anns in
   Test.make_grouped ~name:"bgp"
     [ Test.make ~name:"propagate-124-as"
         (Staged.stage (fun () ->
-             Rpki_bgp.Propagation.compute ~topo:g.Rpki_bgp.Topo_gen.topo
-               ~policy_of:(fun _ -> Rpki_bgp.Policy.Drop_invalid)
-               ~validity_of:(Origin_validation.classify idx)
-               anns)) ]
+             Rpki_bgp.Propagation.compute ~topo ~policy_of ~validity_of anns));
+      Test.make ~name:"data-plane-build-cold"
+        (Staged.stage (fun () -> Rpki_bgp.Data_plane.build ~topo ~policy_of ~validity_of plane_anns));
+      Test.make ~name:"data-plane-rebuild-unchanged"
+        (Staged.stage (fun () ->
+             Rpki_bgp.Data_plane.build ~prev:warm ~topo ~policy_of ~validity_of plane_anns)) ]
 
 let bench_attack () =
   let m = Rpki_repo.Model.build () in

@@ -5,47 +5,92 @@
    route") and where the paper's reachability questions (Table 6, Section 6)
    are answered. *)
 
+open Rpki_core
 open Rpki_ip
+
+(* One announced prefix: its announcements in list order, each paired with
+   its origin-validation state, and the RIB they produced.  Together with
+   the topology and the policy vector, [inputs] is everything
+   [Propagation.compute_classified] reads, so equal inputs mean an
+   identical RIB. *)
+type slot = {
+  prefix : V4.Prefix.t;
+  inputs : (Propagation.announcement * Origin_validation.state) list;
+  rib : Propagation.rib;
+}
 
 type network = {
   topo : Topology.t;
-  ribs : (V4.Prefix.t * Propagation.rib) list; (* one rib per announced prefix *)
+  version : int;             (* Topology.version at build time *)
+  policy : Policy.t array;   (* per AS, ascending ASN *)
+  slots : slot list;         (* one per announced prefix, ascending *)
+  recomputed : int;          (* RIBs this build computed rather than reused *)
 }
 
-(* Compute RIBs for every distinct announced prefix. *)
-let build ~topo ~policy_of ~validity_of (anns : Propagation.announcement list) =
-  let prefixes =
-    List.sort_uniq V4.Prefix.compare (List.map (fun a -> a.Propagation.prefix) anns)
+(* The announcements grouped by prefix, ascending, each group in list
+   order: one stable sort, one pass. *)
+let group_by_prefix (classified : (Propagation.announcement * Origin_validation.state) list) =
+  let prefix_of ((a : Propagation.announcement), _) = a.prefix in
+  List.stable_sort (fun x y -> V4.Prefix.compare (prefix_of x) (prefix_of y)) classified
+  |> List.fold_left
+       (fun groups x ->
+         match groups with
+         | (p, run) :: rest when V4.Prefix.equal p (prefix_of x) -> (p, x :: run) :: rest
+         | _ -> (prefix_of x, [ x ]) :: groups)
+       []
+  |> List.rev_map (fun (p, run) -> (p, List.rev run))
+
+(* Compute RIBs for every distinct announced prefix.  With [prev] built
+   over the same topology (same object, same version) and the same policy
+   vector, a prefix whose classified announcements are unchanged keeps
+   [prev]'s RIB: a RIB is a pure function of exactly those inputs. *)
+let build ?prev ~topo ~policy_of ~validity_of (anns : Propagation.announcement list) =
+  let version = Topology.version topo in
+  let policy = Propagation.policy_vector ~topo ~policy_of in
+  let reusable =
+    match prev with
+    | Some p when p.topo == topo && p.version = version && p.policy = policy -> p.slots
+    | _ -> []
   in
-  let ribs =
-    List.map
-      (fun prefix ->
-        let relevant = List.filter (fun a -> V4.Prefix.equal a.Propagation.prefix prefix) anns in
-        (prefix, Propagation.compute ~topo ~policy_of ~validity_of relevant))
-      prefixes
+  let recomputed = ref 0 in
+  (* walk the prefix groups alongside [prev]'s slots, both ascending *)
+  let rec skip_below prefix = function
+    | s :: rest when V4.Prefix.compare s.prefix prefix < 0 -> skip_below prefix rest
+    | old -> old
   in
-  { topo; ribs }
+  let rec go old = function
+    | [] -> []
+    | (prefix, inputs) :: groups ->
+      let old = skip_below prefix old in
+      let rib =
+        match old with
+        | s :: _ when V4.Prefix.equal s.prefix prefix && s.inputs = inputs -> s.rib
+        | _ ->
+          incr recomputed;
+          Propagation.compute_classified ~topo ~policy inputs
+      in
+      { prefix; inputs; rib } :: go old groups
+  in
+  let slots = go reusable (group_by_prefix (Propagation.classify ~validity_of anns)) in
+  { topo; version; policy; slots; recomputed = !recomputed }
+
+let recomputed net = net.recomputed
 
 (* The forwarding decision of [asn] for destination [addr]: the entry of the
    longest prefix covering [addr] for which the AS holds a route. *)
 let forwarding_entry net ~asn ~addr =
-  let candidates =
-    List.filter_map
-      (fun (prefix, rib) ->
-        if V4.Prefix.contains_addr prefix addr then
-          Option.map (fun e -> (prefix, e)) (Propagation.route rib asn)
-        else None)
-      net.ribs
+  let longer s = function
+    | Some (bp, _) -> V4.Prefix.len s.prefix > V4.Prefix.len bp
+    | None -> true
   in
-  match candidates with
-  | [] -> None
-  | _ ->
-    Some
-      (List.fold_left
-         (fun best c ->
-           let (bp, _) = best and (cp, _) = c in
-           if V4.Prefix.len cp > V4.Prefix.len bp then c else best)
-         (List.hd candidates) (List.tl candidates))
+  List.fold_left
+    (fun best s ->
+      if V4.Prefix.contains_addr s.prefix addr && longer s best then
+        match Propagation.route s.rib asn with
+        | Some e -> Some (s.prefix, e)
+        | None -> best
+      else best)
+    None net.slots
 
 type delivery =
   | Delivered of { origin : int; hops : int list } (* reached the origin AS *)

@@ -7,18 +7,30 @@
 open Rpki_core
 open Rpki_ip
 
-type network = {
-  topo : Topology.t;
-  ribs : (V4.Prefix.t * Propagation.rib) list; (** one RIB per announced prefix *)
-}
+type network
+(** Per-prefix RIBs over one topology snapshot.  Immutable: a network built
+    with [~prev] shares the RIBs it reused with [prev]. *)
 
 val build :
+  ?prev:network ->
   topo:Topology.t ->
   policy_of:(int -> Policy.t) ->
   validity_of:(Route.t -> Origin_validation.state) ->
   Propagation.announcement list ->
   network
-(** Compute RIBs for every distinct announced prefix. *)
+(** Compute RIBs for every distinct announced prefix.  A prefix's RIB is a
+    pure function of the topology (its identity and {!Topology.version}),
+    the per-AS policy vector, and the prefix's announcements in list order
+    each paired with its origin-validation state.  When [prev] was built
+    over the same topology object at the same version with the same policy
+    vector, every prefix whose announcements and validity states are
+    unchanged reuses [prev]'s RIB; the result equals a build without
+    [prev]. *)
+
+val recomputed : network -> int
+(** How many RIBs {!build} computed for this network rather than reused
+    from [prev]: every prefix on a build without [prev], only the prefixes
+    whose inputs changed on one with it.  Deterministic. *)
 
 val forwarding_entry :
   network -> asn:int -> addr:Addr.V4.t -> (V4.Prefix.t * Propagation.entry) option

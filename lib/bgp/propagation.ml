@@ -65,8 +65,6 @@ let exports (e : entry) ~(to_ : Topology.rel) =
   | (From_peer | From_provider), Topology.Customer -> true
   | (From_peer | From_provider), (Topology.Peer | Topology.Provider) -> false
 
-type rib = (int, entry) Hashtbl.t (* asn -> best route for the prefix *)
-
 (* A compact adjacency index over a topology snapshot: ASNs are renumbered
    to dense indices and every AS's neighbour list is one immutable array.
    The fixpoint below touches neighbour lists many times per AS; rebuilding
@@ -97,9 +95,9 @@ let build_adjacency (topo : Topology.t) : adjacency =
   in
   { adj_version; index_of; asn_of; neigh }
 
-(* A few adjacencies are memoized, keyed by physical topology identity: the
-   loop recomputes a data plane (one [compute] per announced prefix) every
-   tick over the same topology object. *)
+(* A few adjacencies are memoized, keyed by physical topology identity: a
+   data plane build runs one [compute_classified] per changed prefix, and
+   the loop builds one every tick over the same topology object. *)
 let adjacency_memo : (Topology.t * adjacency) list ref = ref []
 
 let adjacency_of (topo : Topology.t) : adjacency =
@@ -111,18 +109,31 @@ let adjacency_of (topo : Topology.t) : adjacency =
     adjacency_memo := (topo, adj) :: List.filteri (fun i _ -> i < 3) others;
     adj
 
-(* Compute every AS's best route for one prefix.
+(* Every AS's best route for one prefix, by dense index.  Immutable once
+   computed: successive data planes share unchanged RIBs. *)
+type rib = {
+  index_of : (int, int) Hashtbl.t;  (* the adjacency's asn -> index map *)
+  best : entry option array;
+}
+
+(* Every AS's policy, by dense index (ascending ASN). *)
+let policy_vector ~(topo : Topology.t) ~(policy_of : int -> Policy.t) =
+  Array.map policy_of (adjacency_of topo).asn_of
+
+(* Compute every AS's best route for one prefix, from its announcements
+   paired with their origin-validation states.
 
    Worklist fixpoint: only ASes whose entry just improved re-export, instead
    of sweeping every AS each round.  Each replacement strictly improves the
    holder's preference key and paths are loop-free, so the monotone process
    terminates at the same fixpoint the full sweep reached. *)
-let compute ~(topo : Topology.t) ~(policy_of : int -> Policy.t)
-    ~(validity_of : Route.t -> Origin_validation.state) (anns : announcement list) : rib =
+let compute_classified ~(topo : Topology.t) ~(policy : Policy.t array)
+    (classified : (announcement * Origin_validation.state) list) : rib =
   let adj = adjacency_of topo in
   let n = Array.length adj.asn_of in
+  if Array.length policy <> n then
+    invalid_arg "Propagation.compute_classified: policy vector size";
   let best : entry option array = Array.make n None in
-  let policy = Array.map policy_of adj.asn_of in
   let queue = Queue.create () in
   let queued = Array.make n false in
   let enqueue i =
@@ -133,14 +144,11 @@ let compute ~(topo : Topology.t) ~(policy_of : int -> Policy.t)
   in
   (* seed self-originations *)
   List.iter
-    (fun ann ->
+    (fun (ann, validity) ->
       match Hashtbl.find_opt adj.index_of ann.origin with
       | None -> ()
       | Some i ->
-        let e =
-          { ann; path = [ ann.origin ]; learned = Self_originated;
-            validity = validity_of (Route.make ann.prefix ann.origin) }
-        in
+        let e = { ann; path = [ ann.origin ]; learned = Self_originated; validity } in
         if admissible ~policy:policy.(i) e then begin
           match best.(i) with
           | Some cur when not (better ~policy:policy.(i) e cur) -> ()
@@ -148,7 +156,7 @@ let compute ~(topo : Topology.t) ~(policy_of : int -> Policy.t)
             best.(i) <- Some e;
             enqueue i
         end)
-    anns;
+    classified;
   (* drain: the popped AS re-exports its (possibly improved) route *)
   let steps = ref 0 in
   let limit = 4 * n * (n + 2) in
@@ -188,12 +196,15 @@ let compute ~(topo : Topology.t) ~(policy_of : int -> Policy.t)
           end)
         adj.neigh.(i)
   done;
-  let rib : rib = Hashtbl.create (2 * n) in
-  Array.iteri
-    (fun i e -> match e with None -> () | Some e -> Hashtbl.replace rib adj.asn_of.(i) e)
-    best;
-  rib
+  { index_of = adj.index_of; best }
 
-let route rib asn = Hashtbl.find_opt rib asn
+let classify ~validity_of anns =
+  List.map (fun ann -> (ann, validity_of (Route.make ann.prefix ann.origin))) anns
+
+let compute ~topo ~policy_of ~validity_of anns =
+  compute_classified ~topo ~policy:(policy_vector ~topo ~policy_of) (classify ~validity_of anns)
+
+let route rib asn =
+  match Hashtbl.find_opt rib.index_of asn with None -> None | Some i -> rib.best.(i)
 
 let next_hop (e : entry) = match e.path with _ :: n :: _ -> Some n | _ -> None

@@ -36,8 +36,9 @@ val exports : entry -> to_:Topology.rel -> bool
 (** Gao-Rexford export predicate; [to_] is the neighbour's relationship as
     seen by the route holder. *)
 
-type rib = (int, entry) Hashtbl.t
-(** Best route per AS, for one prefix. *)
+type rib
+(** Best route per AS, for one prefix.  Immutable: successive data planes
+    share the RIBs of prefixes whose inputs did not change. *)
 
 val compute :
   topo:Topology.t ->
@@ -48,6 +49,24 @@ val compute :
 (** Fixpoint propagation of one prefix's announcements through the
     topology.  Raises [Failure] if no convergence (cannot happen on
     valley-free topologies). *)
+
+val policy_vector : topo:Topology.t -> policy_of:(int -> Policy.t) -> Policy.t array
+(** Every AS's policy, in ascending ASN order ({!Topology.asns}). *)
+
+val classify :
+  validity_of:(Route.t -> Origin_validation.state) ->
+  announcement list ->
+  (announcement * Origin_validation.state) list
+(** Pair each announcement with its origin-validation state, in list order. *)
+
+val compute_classified :
+  topo:Topology.t ->
+  policy:Policy.t array ->
+  (announcement * Origin_validation.state) list ->
+  rib
+(** {!compute} from a {!policy_vector} and {!classify}d announcements — the
+    complete input a RIB depends on besides the topology.  Raises
+    [Invalid_argument] if [policy] does not cover the topology. *)
 
 val route : rib -> int -> entry option
 val next_hop : entry -> int option

@@ -460,8 +460,11 @@ let step t ~now =
      applied — so the data plane is classified from the cache's view *)
   let rtr_index = Origin_validation.build (Rpki_rtr.Session.cache_vrps (rtr_cache t)) in
   let validity_of r = Origin_validation.classify rtr_index r in
+  (* only prefixes whose announcements' validity changed since the previous
+     tick are propagated again; the rest keep the previous tick's RIBs *)
   let net =
-    Data_plane.build ~topo:t.topo ~policy_of:(fun _ -> t.policy) ~validity_of t.announcements
+    Data_plane.build ?prev:t.net ~topo:t.topo ~policy_of:(fun _ -> t.policy) ~validity_of
+      t.announcements
   in
   t.net <- Some net;
   let probe_results =

@@ -216,8 +216,9 @@ val point_reachable : t -> Pub_point.t -> bool
 
 val step : t -> now:Rtime.t -> tick_record
 (** One tick: refresh mirrors, sync the RP over the previous data plane
-    (incrementally), push the VRP diff into the RTR cache, recompute the
-    data plane, run the probes. *)
+    (incrementally), push the VRP diff into the RTR cache, rebuild the
+    data plane from the previous one (only prefixes whose route validity
+    changed are propagated again), run the probes. *)
 
 val history : t -> tick_record list
 val pp_record : Format.formatter -> tick_record -> unit

@@ -250,6 +250,200 @@ let test_table6 () =
   Alcotest.(check bool) "depref/hijack" false (table6_cell Policy.Depref_invalid `Subprefix_hijack);
   Alcotest.(check bool) "depref/manip" true (table6_cell Policy.Depref_invalid `Rpki_manipulation)
 
+(* --- incremental data plane ---------------------------------------------- *)
+
+(* A chain of [Data_plane.build ~prev] over a random small world must agree
+   with a fresh build at every step, and recompute exactly the prefixes
+   whose announcements changed validity — all of them after a topology or
+   policy change in the middle of the chain. *)
+
+type chain_case = {
+  spec : As_graph.spec;
+  seed : int;       (* announcements, VRP sets and policies *)
+  steps : int;      (* VRP sets in the chain *)
+  event : [ `None | `Link | `Policy_flip ];
+  event_at : int;   (* the step the event precedes *)
+}
+
+let chain_gen =
+  QCheck.Gen.(
+    let* ases = int_range 8 40 in
+    let* tier1 = int_range 2 4 in
+    let* attach = int_range 1 2 in
+    let* peer_fraction = float_bound_inclusive 0.2 in
+    let* graph_seed = int_range 0 1_000_000 in
+    let* seed = int_range 0 1_000_000 in
+    let* steps = int_range 2 7 in
+    let* event = oneofl [ `None; `Link; `Policy_flip ] in
+    let* event_at = int_range 1 (steps - 1) in
+    return
+      { spec = { As_graph.ases; tier1; attach; peer_fraction; seed = graph_seed; first_asn = 1 };
+        seed; steps; event; event_at })
+
+let chain_print c =
+  Printf.sprintf
+    "{ases=%d; tier1=%d; attach=%d; peer_fraction=%.3f; graph_seed=%d; seed=%d; steps=%d; event=%s@%d}"
+    c.spec.As_graph.ases c.spec.As_graph.tier1 c.spec.As_graph.attach
+    c.spec.As_graph.peer_fraction c.spec.As_graph.seed c.seed c.steps
+    (match c.event with `None -> "none" | `Link -> "link" | `Policy_flip -> "policy-flip")
+    c.event_at
+
+let chain_arb = QCheck.make ~print:chain_print chain_gen
+
+(* A customer-provider edge the graph does not have yet: a tier-1 over a
+   non-tier-1 AS (tier-1s have no providers, so no cycle can form), or a
+   fresh AS when every such pair is already linked. *)
+let new_link g =
+  let topo = As_graph.topology g in
+  let tier1s = As_graph.tier1s g in
+  let pairs =
+    List.concat_map
+      (fun c ->
+        if List.mem c tier1s then []
+        else
+          List.filter_map
+            (fun p -> if List.mem p (Topology.providers topo c) then None else Some (p, c))
+            tier1s)
+      (As_graph.asns g)
+  in
+  match pairs with
+  | pc :: _ -> pc
+  | [] -> (List.hd tier1s, 1 + List.fold_left max 0 (As_graph.asns g))
+
+let prop_incremental_equals_fresh =
+  QCheck.Test.make ~name:"build ~prev agrees with a fresh build" ~count:150 chain_arb (fun c ->
+      let g = As_graph.generate c.spec in
+      let topo = As_graph.topology g in
+      let asns = Array.of_list (As_graph.asns g) in
+      let rng = Random.State.make [| c.seed |] in
+      let pick_as () = asns.(Random.State.int rng (Array.length asns)) in
+      (* up to three /16s with one to three origins each (a multi-origin
+         prefix), half of them under a /24 sub-prefix hijack *)
+      let bases =
+        List.init (1 + Random.State.int rng 3) (fun k -> V4.Prefix.make ((10 lsl 24) lor (k lsl 16)) 16)
+      in
+      let subs =
+        List.filter_map
+          (fun base ->
+            if Random.State.bool rng then
+              Some (V4.Prefix.make (V4.Prefix.addr base lor (Random.State.int rng 256 lsl 8)) 24)
+            else None)
+          bases
+      in
+      let anns =
+        List.concat_map
+          (fun base ->
+            List.init (1 + Random.State.int rng 3) (fun _ ->
+                { Propagation.prefix = base; origin = pick_as () }))
+          bases
+        @ List.map (fun sub -> { Propagation.prefix = sub; origin = pick_as () }) subs
+      in
+      let prefixes = List.sort_uniq V4.Prefix.compare (List.map (fun a -> a.Propagation.prefix) anns) in
+      (* the VRP pool: per /16, one for an announced origin (maxLength 16 or
+         24) and one for a random AS; each step draws a subset, or repeats
+         the previous step's set so that quiet steps occur *)
+      let pool =
+        List.concat_map
+          (fun base ->
+            let owner = List.find (fun a -> V4.Prefix.equal a.Propagation.prefix base) anns in
+            [ Vrp.make ~max_len:(if Random.State.bool rng then 16 else 24) base
+                owner.Propagation.origin;
+              Vrp.make ~max_len:16 base (pick_as ()) ])
+          bases
+      in
+      let draw () = List.filter (fun _ -> Random.State.bool rng) pool in
+      let vrp_sets =
+        let rec go prev i =
+          if i = c.steps then []
+          else
+            let set = if Random.State.int rng 3 = 0 then prev else draw () in
+            set :: go set (i + 1)
+        in
+        go (draw ()) 0
+      in
+      let base_policy = Hashtbl.create 64 in
+      Array.iter
+        (fun asn -> Hashtbl.replace base_policy asn (List.nth Policy.all (Random.State.int rng 3)))
+        asns;
+      let flip_asn = pick_as () in
+      let flipped = ref false in
+      let policy_of asn =
+        let p = Option.value ~default:Policy.Ignore_rpki (Hashtbl.find_opt base_policy asn) in
+        if !flipped && asn = flip_asn then
+          match p with
+          | Policy.Drop_invalid -> Policy.Depref_invalid
+          | Policy.Depref_invalid -> Policy.Ignore_rpki
+          | Policy.Ignore_rpki -> Policy.Drop_invalid
+        else p
+      in
+      let probes =
+        V4.addr_of_string_exn "192.0.2.1"
+        :: List.map (fun p -> V4.Prefix.addr p lor 0x0101) bases
+        @ List.map (fun p -> V4.Prefix.addr p lor 1) subs
+      in
+      let validity_in vrps =
+        let idx = Origin_validation.build vrps in
+        fun (a : Propagation.announcement) ->
+          Origin_validation.classify idx (Route.make a.Propagation.prefix a.Propagation.origin)
+      in
+      let changed_prefixes before after =
+        List.length
+          (List.filter
+             (fun p ->
+               List.exists
+                 (fun a ->
+                   V4.Prefix.equal a.Propagation.prefix p
+                   && not (Origin_validation.equal_state (before a) (after a)))
+                 anns)
+             prefixes)
+      in
+      let all = List.length prefixes in
+      let _ =
+        List.fold_left
+          (fun (i, prev, prev_validity) vrps ->
+            let event = i = c.event_at && c.event <> `None in
+            if event then begin
+              match c.event with
+              | `Link ->
+                let provider, customer = new_link g in
+                Topology.link topo ~provider ~customer
+              | `Policy_flip -> flipped := true
+              | `None -> ()
+            end;
+            let validity = validity_in vrps in
+            let validity_of (r : Route.t) =
+              validity { Propagation.prefix = r.Route.prefix; origin = r.Route.origin }
+            in
+            let fresh = Data_plane.build ~topo ~policy_of ~validity_of anns in
+            let chained = Data_plane.build ?prev ~topo ~policy_of ~validity_of anns in
+            if Data_plane.recomputed fresh <> all then
+              QCheck.Test.fail_reportf "step %d: fresh build computed %d of %d RIBs" i
+                (Data_plane.recomputed fresh) all;
+            let expected =
+              match prev_validity with
+              | None -> all
+              | Some _ when event -> all
+              | Some before -> changed_prefixes before validity
+            in
+            if Data_plane.recomputed chained <> expected then
+              QCheck.Test.fail_reportf "step %d: chained build computed %d RIBs, expected %d" i
+                (Data_plane.recomputed chained) expected;
+            List.iter
+              (fun src ->
+                List.iter
+                  (fun addr ->
+                    if Data_plane.forwarding_entry chained ~asn:src ~addr
+                       <> Data_plane.forwarding_entry fresh ~asn:src ~addr
+                    then QCheck.Test.fail_reportf "step %d: forwarding entry differs at AS%d" i src;
+                    if Data_plane.trace chained ~src ~addr <> Data_plane.trace fresh ~src ~addr then
+                      QCheck.Test.fail_reportf "step %d: trace differs from AS%d" i src)
+                  probes)
+              (Topology.asns topo);
+            (i + 1, Some chained, Some validity))
+          (0, None, None) vrp_sets
+      in
+      true)
+
 let () =
   Alcotest.run "bgp"
     [ ( "topology",
@@ -264,7 +458,8 @@ let () =
           Alcotest.test_case "depref picks valid" `Quick test_depref_prefers_valid ] );
       ( "data-plane",
         [ Alcotest.test_case "LPM forwarding" `Quick test_lpm_forwarding;
-          Alcotest.test_case "no route" `Quick test_no_route ] );
+          Alcotest.test_case "no route" `Quick test_no_route;
+          QCheck_alcotest.to_alcotest prop_incremental_equals_fresh ] );
       ("hijack", [ Alcotest.test_case "validation" `Quick test_hijack_validation ]);
       ("topo-gen", [ Alcotest.test_case "generated topology" `Quick test_topo_gen ]);
       ("table-6", [ Alcotest.test_case "policy tradeoff" `Quick test_table6 ]) ]

@@ -103,6 +103,93 @@ let test_deployment_deterministic () =
   let b = Deployment.run_once Deployment.default_spec in
   Alcotest.(check int) "same flips" a.Deployment.flips b.Deployment.flips
 
+(* --- incremental data plane --- *)
+
+let small_world =
+  { Rpki_world.Synthesis.default_spec with
+    Rpki_world.Synthesis.graph = { As_graph.default_spec with As_graph.ases = 120; seed = 3 };
+    ca_min_cone = 10 }
+
+(* The loop's data plane, rebuilt each tick from the previous one, must
+   route exactly like a fresh build from the RTR cache's VRPs: the same
+   probe verdicts, and the same trace from every vantage to every
+   publication point.  Returns (RIBs recomputed by the loop, by a fresh
+   build). *)
+let check_against_fresh (t : Loop.t) ~now =
+  let net = Option.get t.Loop.net in
+  let idx =
+    Rpki_core.Origin_validation.build
+      (Rpki_rtr.Session.cache_vrps (Rpki_rtr.Server.cache (Loop.rtr_server t)))
+  in
+  let fresh =
+    Data_plane.build ~topo:t.Loop.topo ~policy_of:(fun _ -> t.Loop.policy)
+      ~validity_of:(Rpki_core.Origin_validation.classify idx) t.Loop.announcements
+  in
+  let rp_asn = Rpki_repo.Relying_party.asn t.Loop.rp in
+  List.iter
+    (fun (p : Loop.probe) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "t%d probe %s" now p.Loop.label)
+        (Data_plane.reaches fresh ~src:rp_asn ~addr:p.Loop.addr ~expected:p.Loop.expected_origin)
+        (Data_plane.reaches net ~src:rp_asn ~addr:p.Loop.addr ~expected:p.Loop.expected_origin))
+    t.Loop.probes;
+  let sources =
+    List.sort_uniq Int.compare
+      (rp_asn
+      :: List.map
+           (fun v -> Rpki_repo.Relying_party.asn v.Rpki_repo.Gossip.v_rp)
+           t.Loop.vantages)
+  in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun pp ->
+          let addr = Rpki_repo.Pub_point.addr pp in
+          if Data_plane.trace net ~src ~addr <> Data_plane.trace fresh ~src ~addr then
+            Alcotest.failf "t%d: trace AS%d -> %s differs from a fresh build" now src
+              (Rpki_repo.Pub_point.uri pp))
+        (Rpki_repo.Universe.points t.Loop.universe))
+    sources;
+  (Data_plane.recomputed net, Data_plane.recomputed fresh)
+
+(* The first tick builds every RIB; some later tick rebuilds only a part. *)
+let check_reuse = function
+  | [] -> ()
+  | (first, all) :: later ->
+    Alcotest.(check int) "first tick builds every RIB" all first;
+    Alcotest.(check bool) "a validity change rebuilds only its prefixes" true
+      (List.exists (fun (n, _) -> n > 0 && n < all) later)
+
+let test_incremental_split_view () =
+  (* grace 0: the forked-away ROA's route changes validity at once.  No
+     monitors: a gossip hold lands on the RTR cache after the tick's data
+     plane was built, so the cache would no longer describe it. *)
+  let rig = Loop.world_scenario ~monitors:0 ~grace:0 ~world:small_world () in
+  let t = rig.Loop.wr_sim in
+  let tick now =
+    ignore (Loop.step t ~now);
+    check_against_fresh t ~now
+  in
+  let t1 = tick 1 in
+  let t2 = tick 2 in
+  Rpki_attack.Split_view.apply
+    (Rpki_attack.Split_view.plan ~authority:rig.Loop.wr_target_authority
+       ~target_filename:rig.Loop.wr_target_filename ())
+    (Loop.transport t);
+  Alcotest.(check int) "quiet second tick reuses every RIB" 0 (fst t2);
+  check_reuse (t1 :: t2 :: List.map tick [ 3; 4; 5; 6; 7; 8 ])
+
+let test_incremental_fault_mix () =
+  let rig = Loop.fault_mix_scenario ~world:small_world ~rate:0.5 ~seed:7 () in
+  let counts =
+    List.map
+      (fun now ->
+        ignore (Loop.fault_mix_step rig ~now);
+        check_against_fresh rig.Loop.fm_sim ~now)
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  check_reuse counts
+
 let () =
   Alcotest.run "sim"
     [ ( "side-effect-7",
@@ -117,4 +204,7 @@ let () =
           Alcotest.test_case "no invalid before" `Quick test_se5_no_invalid_before;
           Alcotest.test_case "provider routes valid" `Quick test_se5_provider_routes_always_fine;
           Alcotest.test_case "ordering ablation" `Quick test_ordering_ablation;
-          Alcotest.test_case "deterministic" `Quick test_deployment_deterministic ] ) ]
+          Alcotest.test_case "deterministic" `Quick test_deployment_deterministic ] );
+      ( "incremental-data-plane",
+        [ Alcotest.test_case "split view on a world" `Quick test_incremental_split_view;
+          Alcotest.test_case "fault mix on a world" `Quick test_incremental_fault_mix ] ) ]
