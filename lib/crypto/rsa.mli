@@ -9,14 +9,21 @@
 open Rpki_bignum
 
 type public = { n : Nat.t; e : Nat.t }
-type private_ = { pub : public; d : Nat.t; p : Nat.t; q : Nat.t }
+
+type private_
+(** A private key in CRT form: the primes [p] and [q] with
+    [d mod (p-1)], [d mod (q-1)] and [q{^-1} mod p], derived once by
+    {!generate}.  Abstract, so the CRT values cannot disagree with the
+    primes. *)
+
 type keypair = { public : public; private_ : private_ }
 
 val default_bits : int
 (** 512. *)
 
 val min_bits : int
-(** The smallest modulus that can carry PKCS#1 v1.5 + SHA-256 DigestInfo. *)
+(** The smallest modulus that can carry PKCS#1 v1.5 + SHA-256 DigestInfo:
+    496 bits. *)
 
 val modulus_bytes : public -> int
 (** Signature width in bytes. *)
@@ -27,10 +34,14 @@ val generate : ?bits:int -> Rpki_util.Rng.t -> keypair
 
 val sign : key:private_ -> string -> string
 (** Sign the SHA-256 digest of the message; the result is exactly
-    [modulus_bytes] long. *)
+    [modulus_bytes] long.  Two half-width exponentiations (CRT); the
+    signature is the unique one for the key and message, identical to
+    [em{^d} mod n]. *)
 
 val verify : key:public -> signature:string -> string -> bool
-(** Verify a signature over a message. Never raises. *)
+(** Verify a signature over a message.  Never raises: a modulus shorter
+    than [min_bits / 8] bytes cannot hold the padded digest and rejects
+    every signature. *)
 
 val verification_count : unit -> int
 (** Number of {!verify} calls executed since process start — a monotonic

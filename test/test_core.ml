@@ -169,6 +169,17 @@ let test_roa_revoked_ee () =
   check_fails "ee revoked" "revoked"
     (Validation.validate_roa ~now:100 ~parent:(Lazy.force ta_cert) ~crl r)
 
+(* A CA certificate's key is whatever integers it encodes.  Under a 256-bit
+   modulus the EE signature, even one cut to the modulus width, is a typed
+   failure, not an exception. *)
+let test_roa_narrow_parent_key () =
+  let module Nat = Rpki_bignum.Nat in
+  let narrow = { Rsa.n = Nat.succ (Nat.shift_left Nat.one 255); e = Nat.of_int 65537 } in
+  let parent = { (Lazy.force ta_cert) with Cert.public_key = narrow } in
+  let r = issue_roa () in
+  let r = { r with Roa.ee = { r.Roa.ee with Cert.signature = String.make 32 '\x01' } } in
+  check_fails "256-bit CA key" "bad signature" (Validation.validate_roa ~now:100 ~parent r)
+
 let test_roa_entry_maxlen () =
   Alcotest.check_raises "maxlen < len" (Invalid_argument "Roa.entry: bad max_len") (fun () ->
       ignore (Roa.entry ~max_len:19 (V4.p "10.1.0.0/20")));
@@ -405,6 +416,7 @@ let () =
           Alcotest.test_case "validates to VRPs" `Quick test_roa_validates;
           Alcotest.test_case "content tamper" `Quick test_roa_tamper;
           Alcotest.test_case "revoked EE" `Quick test_roa_revoked_ee;
+          Alcotest.test_case "256-bit CA key" `Quick test_roa_narrow_parent_key;
           Alcotest.test_case "maxlen bounds" `Quick test_roa_entry_maxlen;
           Alcotest.test_case "dual-stack (IPv6)" `Quick test_roa_v6 ] );
       ( "manifest-crl",

@@ -1,6 +1,7 @@
 (* Tests for SHA-256, HMAC, HMAC-DRBG and RSA against published vectors. *)
 
 open Rpki_crypto
+module Nat = Rpki_bignum.Nat
 
 (* --- SHA-256 (FIPS 180-4 / NIST CAVP vectors) --- *)
 
@@ -131,13 +132,49 @@ let test_rsa_min_bits () =
        false
      with Invalid_argument _ -> true)
 
+(* Keys of 512 and 496, 521, 640 bits: odd widths give primes of unequal
+   size (|q| = |p| + 1).  RSA signatures are unique for a key and a
+   message, so one that verifies is the full-width [em^d mod n]. *)
+let keys_of_several_widths =
+  lazy
+    (Lazy.force keypair
+    :: List.map
+         (fun bits -> Rsa.generate ~bits (Drbg.to_rng (Drbg.create ~seed:"rsa-widths")))
+         [ 496; 521; 640 ])
+
 let prop_rsa_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:25 ~name:"sign/verify roundtrip"
        QCheck.(string_of_size (Gen.int_bound 200))
        (fun msg ->
-         let kp = Lazy.force keypair in
-         Rsa.verify ~key:kp.Rsa.public ~signature:(Rsa.sign ~key:kp.Rsa.private_ msg) msg))
+         List.for_all
+           (fun kp ->
+             Rsa.verify ~key:kp.Rsa.public ~signature:(Rsa.sign ~key:kp.Rsa.private_ msg) msg)
+           (Lazy.force keys_of_several_widths)))
+
+(* This digest of one signature, taken from the full-width [em^d mod n]
+   signer, pins the bytes every certificate, ROA, manifest, CRL and tree
+   head carries. *)
+let test_rsa_known_answer () =
+  let kp = Lazy.force keypair in
+  Alcotest.(check string) "sha256 of the signature"
+    "4a80efcaa55cf2ad49ffa2ac85e28af4abcafe737d4b61c7aced6824137a2cd4"
+    (Sha256.hexdigest (Rsa.sign ~key:kp.Rsa.private_ "RPKI signed object, known-answer"))
+
+(* Key decoders accept any integers.  A modulus too narrow for the padded
+   digest rejects every signature of its width instead of raising. *)
+let test_rsa_narrow_modulus () =
+  List.iter
+    (fun bits ->
+      let n = if bits = 1 then Nat.one else Nat.succ (Nat.shift_left Nat.one (bits - 1)) in
+      let key = { Rsa.n; e = Nat.of_int 65537 } in
+      let len = Rsa.modulus_bytes key in
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) (Printf.sprintf "%d-bit modulus" bits) false
+            (Rsa.verify ~key ~signature:(Nat.to_bytes_be_padded s len) "msg"))
+        [ Nat.zero; Nat.pred n ])
+    [ 1; 8; 256; 488 ]
 
 let () =
   Alcotest.run "crypto"
@@ -159,4 +196,6 @@ let () =
           Alcotest.test_case "wrong key" `Quick test_rsa_wrong_key;
           Alcotest.test_case "deterministic keygen" `Quick test_rsa_deterministic_keygen;
           Alcotest.test_case "minimum modulus" `Quick test_rsa_min_bits;
+          Alcotest.test_case "known answer" `Quick test_rsa_known_answer;
+          Alcotest.test_case "narrow modulus rejects" `Quick test_rsa_narrow_modulus;
           prop_rsa_roundtrip ] ) ]

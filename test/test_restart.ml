@@ -126,6 +126,30 @@ let test_persisted_victim_detects () =
     Alcotest.(check bool) "evidence hold active at the end" true (last.Loop.rtr_holds > 0)
   | [] -> Alcotest.fail "no history")
 
+(* A bundle's embedded keys are whatever integers its exporter wrote.  One
+   that gives every vantage a 256-bit key and cuts each head signature to
+   that width must be rejected, not crash the verifier. *)
+let test_hostile_bundle_rejected () =
+  let _rig, t, _ = run ~persist:true () in
+  let module Nat = Rpki_bignum.Nat in
+  let narrow =
+    { Rpki_crypto.Rsa.n = Nat.succ (Nat.shift_left Nat.one 255); e = Nat.of_int 65537 }
+  in
+  let cut (a : Gossip.attested) =
+    { a with Gossip.att_head = { a.Gossip.att_head with Tlog.sh_sig = String.make 32 '\x01' } }
+  in
+  let hostile =
+    match Gossip.rollbacks (Option.get (Loop.gossip_mesh t)) with
+    | Gossip.Rollback r :: _ ->
+      Gossip.Rollback { r with rb_earlier = cut r.rb_earlier; rb_later = cut r.rb_later }
+    | _ -> Alcotest.fail "persisted run raised no rollback"
+  in
+  match Evidence.export ~key_of:(fun _ -> Some narrow) hostile with
+  | Error why -> Alcotest.fail ("evidence export failed: " ^ why)
+  | Ok bundle ->
+    Alcotest.(check bool) "hostile bundle rejected" true
+      (Result.is_error (Evidence.verify bundle))
+
 (* Persistence off: the identical run restarts with no baseline — the
    rollback is silent and the revoked VRP is back in the routers. *)
 let test_fresh_start_misses () =
@@ -217,7 +241,9 @@ let () =
            test_persisted_victim_detects;
          Alcotest.test_case "fresh-start victim misses it" `Quick test_fresh_start_misses;
          Alcotest.test_case "disk faults degrade explicitly" `Quick
-           test_disk_faults_explicit ]);
+           test_disk_faults_explicit;
+         Alcotest.test_case "hostile evidence bundle rejected" `Quick
+           test_hostile_bundle_rejected ]);
       ("cache-loss-vs-restart",
        [ Alcotest.test_case "flush_cache keeps the log" `Quick
            test_flush_cache_keeps_history;
