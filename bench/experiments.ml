@@ -10,6 +10,7 @@ open Rpki_bgp
 open Rpki_attack
 open Rpki_ip
 module Table = Rpki_util.Table
+module Scenario = Rpki_sim.Scenario
 
 let header title =
   Printf.printf "\n==== %s ====\n\n" title
@@ -385,7 +386,7 @@ let se6 () =
 let se7 () =
   header "Side Effect 7 / Section 6: transient fault -> persistent failure";
   let timeline policy label =
-    let _, hist = Rpki_sim.Loop.run_section6 ~policy () in
+    let _, hist = Scenario.run_section6 { Scenario.section6 with policy } in
     Printf.printf "\npolicy: %s\n" label;
     let t =
       Table.create
@@ -422,9 +423,13 @@ let se7 () =
       (if probe 4 then "up" else "DOWN")
       (if probe 7 then "up" else "DOWN")
   in
-  let _, plain = Rpki_sim.Loop.run_section6 ~policy:Policy.Drop_invalid () in
-  let _, mirrored = Rpki_sim.Loop.run_section6 ~policy:Policy.Drop_invalid ~mirrored:true () in
-  let _, graced = Rpki_sim.Loop.run_section6 ~policy:Policy.Drop_invalid ~grace:10 () in
+  let _, plain = Scenario.run_section6 Scenario.section6 in
+  let _, mirrored =
+    Scenario.run_section6
+      { Scenario.section6 with
+        source = Scenario.Section6 { Scenario.canned with mirrored = true } }
+  in
+  let _, graced = Scenario.run_section6 { Scenario.section6 with grace = 10 } in
   summarize "no mitigation" plain;
   summarize "mirrored publication point (ref [16])" mirrored;
   summarize "Suspenders-style 10-tick grace (ref [25])" graced;
@@ -732,21 +737,26 @@ let stall () =
   in
   let victim_route = Route.make (V4.p "63.174.16.0/20") Model.as_continental in
   let run_cell ~policy ~intensity =
-    let sc =
-      Rpki_sim.Loop.section6_scenario ~mirrored:true ~rrdp:true ~validity ~refresh_interval ()
+    let rig =
+      Scenario.build
+        { Scenario.section6 with
+          source =
+            Scenario.Section6
+              { Scenario.mirrored = true; rrdp = true; validity = Some validity;
+                refresh_interval = Some refresh_interval };
+          fetch_policy = Some policy }
     in
-    let sim = sc.Rpki_sim.Loop.sim in
-    Rpki_sim.Loop.set_fetch_policy sim policy;
+    let sim = rig.Scenario.sim in
     let plan =
       if intensity = 0 then None
-      else Some (Stall.plan_against ~victim:sc.Rpki_sim.Loop.model.Model.continental ~intensity)
+      else Some (Stall.plan_against ~victim:rig.Scenario.victim_ca ~intensity)
     in
-    let continental_uri = Pub_point.uri sc.Rpki_sim.Loop.continental_repo in
+    let continental_uri = Pub_point.uri (Authority.pub rig.Scenario.victim_ca) in
     List.init ticks (fun i ->
         let now = i + 1 in
         if now = attack_at then
           Option.iter (fun p -> Stall.apply p (Rpki_sim.Loop.transport sim)) plan;
-        Authority.maintain sc.Rpki_sim.Loop.model.Model.arin ~now;
+        Authority.maintain rig.Scenario.root ~now;
         let r = Rpki_sim.Loop.step sim ~now in
         let result = Option.get (Relying_party.last_result sim.Rpki_sim.Loop.rp) in
         let state = Origin_validation.classify result.Relying_party.index victim_route in
@@ -880,11 +890,11 @@ let transparency () =
     if !quick then [ Split_view.Stealthy ] else [ Split_view.Stealthy; Split_view.Overt ]
   in
   let run_cell ~monitors ~period ~stealth =
-    let sv = Rpki_sim.Loop.split_view_scenario ~monitors ~grace ~gossip_period:period () in
-    let sim = sv.Rpki_sim.Loop.sv_sim in
+    let sv = Scenario.build { Scenario.default with monitors; grace; gossip_period = period } in
+    let sim = sv.Scenario.sim in
     let atk =
-      Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
-        ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth ()
+      Split_view.plan ~authority:sv.Scenario.victim_ca
+        ~target_filename:sv.Scenario.victim_roa ~stealth ()
     in
     for now = 1 to ticks do
       if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
@@ -1019,10 +1029,10 @@ let restart () =
   let victim = "victim-rp" in
   let target_prefix = V4.p "63.174.25.0/24" in
   let run_cell ~persist ~fault ~restart_at =
-    let rig = Rpki_sim.Loop.restart_scenario ~persist ~grace:0 ~monitors:2 ~gossip_period:1 () in
-    let sv = rig.Rpki_sim.Loop.rr_sv in
-    let sim = sv.Rpki_sim.Loop.sv_sim in
-    let model = sv.Rpki_sim.Loop.sv_model in
+    let rig = Scenario.build { Scenario.default with persist; grace = 0 } in
+    let sim = rig.Scenario.sim in
+    let rtr_cache = Rpki_rtr.Server.cache (Rpki_sim.Loop.rtr_server sim) in
+    let model = Option.get rig.Scenario.model in
     let atk = Rollback.plan ~authority:model.Model.continental in
     let serial_at_kill = ref 0 in
     let recovery = ref None in
@@ -1032,16 +1042,18 @@ let restart () =
       (* arm the one-shot disk fault so it fires on the victim's *last*
          pre-crash snapshot write (the primary saves first each tick) *)
       if now = kill_after then
-        Option.iter (Rpki_persist.Disk.inject rig.Rpki_sim.Loop.rr_disk) fault;
+        Option.iter
+          (fun disk -> Option.iter (Rpki_persist.Disk.inject disk) fault)
+          rig.Scenario.disk;
       if now = restart_at then
         recovery :=
           Some
             (Rpki_sim.Loop.restart_vantage sim ~name:victim ~now
-               ~make:rig.Rpki_sim.Loop.rr_respawn);
+               ~make:rig.Scenario.respawn);
       ignore (Rpki_sim.Loop.step sim ~now);
       if now = capture_at then Rollback.capture atk ~now;
       if now = kill_after then begin
-        serial_at_kill := Rpki_rtr.Session.cache_serial (Rpki_sim.Loop.rtr_cache sim);
+        serial_at_kill := Rpki_rtr.Session.cache_serial rtr_cache;
         Rpki_sim.Loop.kill_vantage sim ~name:victim;
         Rollback.apply atk (Rpki_sim.Loop.transport sim)
       end
@@ -1071,7 +1083,7 @@ let restart () =
       List.exists (fun (v : Vrp.t) -> V4.Prefix.equal v.Vrp.prefix target_prefix) l
     in
     let router_visible =
-      vrp_present (Rpki_rtr.Session.cache_vrps (Rpki_sim.Loop.rtr_cache sim))
+      vrp_present (Rpki_rtr.Session.cache_vrps rtr_cache)
     in
     let victim_believes = vrp_present (Relying_party.vrps sim.Rpki_sim.Loop.rp) in
     let restart_rec =
@@ -1236,13 +1248,15 @@ let multivantage () =
   let counts = if !quick then [ 4; 32 ] else [ 4; 32; 128; 256 ] in
   let run_cell ~vantages ~cache =
     let sv =
-      Rpki_sim.Loop.split_view_scenario ~monitors:(vantages - 1)
-        ~gossip_period:(ticks + 1) ~refresh_interval:1 ~valcache:cache ()
+      Scenario.build
+        { Scenario.default with
+          source = Scenario.Section6 { Scenario.canned with refresh_interval = Some 1 };
+          monitors = vantages - 1; gossip_period = ticks + 1; valcache = cache }
     in
-    let sim = sv.Rpki_sim.Loop.sv_sim in
+    let sim = sv.Scenario.sim in
     let per_tick = ref [] in
     for now = 1 to ticks do
-      Authority.maintain sv.Rpki_sim.Loop.sv_model.Model.arin ~now;
+      Authority.maintain sv.Scenario.root ~now;
       let record, ms = time_ms (fun () -> Rpki_sim.Loop.step sim ~now) in
       per_tick := (record, ms) :: !per_tick
     done;
@@ -1305,12 +1319,12 @@ let multivantage () =
   let detect_ticks = 8 and attack_at = 3 in
   let detection_run ~cache =
     let sv =
-      Rpki_sim.Loop.split_view_scenario ~monitors:3 ~grace:4 ~gossip_period:1 ~valcache:cache ()
+      Scenario.build { Scenario.default with monitors = 3; valcache = cache }
     in
-    let sim = sv.Rpki_sim.Loop.sv_sim in
+    let sim = sv.Scenario.sim in
     let atk =
-      Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
-        ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth:Split_view.Stealthy ()
+      Split_view.plan ~authority:sv.Scenario.victim_ca
+        ~target_filename:sv.Scenario.victim_roa ~stealth:Split_view.Stealthy ()
     in
     for now = 1 to detect_ticks do
       if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
@@ -1619,22 +1633,20 @@ let detection_trace history =
   in
   String.concat "\n" (List.rev_map line history)
 
-(* Flip the endurance knobs on a running sim: [on] is the segmented /
-   evicting / compacting configuration, [off] the pre-refactor baseline
-   (full snapshots, no eviction, no compaction). *)
-let set_endurance sim ~on =
-  sim.Rpki_sim.Loop.valcache_evict <- on;
-  sim.Rpki_sim.Loop.compact_every <- (if on then 4 else 0);
-  sim.Rpki_sim.Loop.save_full <- not on
+(* The persisted split-view setting with the endurance knobs: [on] is the
+   segmented / evicting / compacting configuration, [off] the pre-refactor
+   baseline (full snapshots, no eviction, no compaction). *)
+let endurance_spec ~on =
+  { Scenario.default with
+    persist = true; valcache_evict = on; compact_every = (if on then 4 else 0);
+    save_full = not on }
 
 let soak_split_view_trace ~endurance =
-  let rig = Rpki_sim.Loop.restart_scenario ~persist:true ~grace:4 ~monitors:2 ~gossip_period:1 () in
-  let sv = rig.Rpki_sim.Loop.rr_sv in
-  let sim = sv.Rpki_sim.Loop.sv_sim in
-  set_endurance sim ~on:endurance;
+  let sv = Scenario.build (endurance_spec ~on:endurance) in
+  let sim = sv.Scenario.sim in
   let atk =
-    Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
-      ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ()
+    Split_view.plan ~authority:sv.Scenario.victim_ca
+      ~target_filename:sv.Scenario.victim_roa ()
   in
   for now = 1 to 10 do
     if now = 3 then Split_view.apply atk (Rpki_sim.Loop.transport sim);
@@ -1643,11 +1655,9 @@ let soak_split_view_trace ~endurance =
   detection_trace (Rpki_sim.Loop.history sim)
 
 let soak_restart_trace ~endurance =
-  let rig = Rpki_sim.Loop.restart_scenario ~persist:true ~grace:0 ~monitors:2 ~gossip_period:1 () in
-  let sv = rig.Rpki_sim.Loop.rr_sv in
-  let sim = sv.Rpki_sim.Loop.sv_sim in
-  let model = sv.Rpki_sim.Loop.sv_model in
-  set_endurance sim ~on:endurance;
+  let rig = Scenario.build { (endurance_spec ~on:endurance) with grace = 0 } in
+  let sim = rig.Scenario.sim in
+  let model = Option.get rig.Scenario.model in
   let atk = Rollback.plan ~authority:model.Model.continental in
   for now = 1 to 12 do
     if now = 3 then
@@ -1655,7 +1665,7 @@ let soak_restart_trace ~endurance =
     if now = 6 then
       ignore
         (Rpki_sim.Loop.restart_vantage sim ~name:"victim-rp" ~now
-           ~make:rig.Rpki_sim.Loop.rr_respawn);
+           ~make:rig.Scenario.respawn);
     ignore (Rpki_sim.Loop.step sim ~now);
     if now = 2 then Rollback.capture atk ~now;
     if now = 5 then begin
@@ -1673,39 +1683,38 @@ let soak () =
      shorter baseline run UNDERSTATES it: the reported ratio is a
      conservative lower bound (and the quick arms are same-length) *)
   let full_ticks = if !quick then 400 else 1000 in
+  let soak_spec = Scenario.default_soak.Scenario.sk_spec in
   let base_cfg =
-    { Rpki_sim.Loop.default_soak with
-      Rpki_sim.Loop.sk_ticks = ticks; sk_churn_every = 6; sk_monitors = 1;
-      sk_compact_every = (if !quick then 64 else 256);
-      sk_sample_every = max 1 (ticks / 10) }
+    { Scenario.sk_ticks = ticks; sk_churn_every = 6; sk_sample_every = max 1 (ticks / 10);
+      sk_spec = { soak_spec with Scenario.compact_every = (if !quick then 64 else 256) } }
   in
   Printf.printf "running segmented arm (%d ticks)...\n%!" ticks;
-  let seg = Rpki_sim.Loop.run_soak ~config:base_cfg () in
+  let seg = Scenario.run_soak ~config:base_cfg () in
   Printf.printf "running full-snapshot baseline (%d ticks)...\n%!" full_ticks;
   let full =
-    Rpki_sim.Loop.run_soak
+    Scenario.run_soak
       ~config:
         { base_cfg with
-          Rpki_sim.Loop.sk_ticks = full_ticks; sk_full_snapshots = true;
-          sk_compact_every = 0; sk_sample_every = max 1 (full_ticks / 10) }
+          Scenario.sk_ticks = full_ticks; sk_sample_every = max 1 (full_ticks / 10);
+          sk_spec = { soak_spec with Scenario.save_full = true; compact_every = 0 } }
       ()
   in
-  let ratio = full.Rpki_sim.Loop.so_bytes_per_save /. Float.max 1.0 seg.Rpki_sim.Loop.so_bytes_per_save in
+  let ratio = full.Scenario.so_bytes_per_save /. Float.max 1.0 seg.Scenario.so_bytes_per_save in
   let t =
     Table.create
       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
       [ "mode"; "ticks"; "saves"; "bytes/save"; "final snap B"; "final chain B" ]
   in
-  let last r = List.nth r.Rpki_sim.Loop.so_samples (List.length r.Rpki_sim.Loop.so_samples - 1) in
+  let last r = List.nth r.Scenario.so_samples (List.length r.Scenario.so_samples - 1) in
   List.iter
-    (fun (name, (r : Rpki_sim.Loop.soak_report)) ->
+    (fun (name, (r : Scenario.soak_report)) ->
       let s = last r in
       Table.add_row t
-        [ name; string_of_int r.Rpki_sim.Loop.so_config.Rpki_sim.Loop.sk_ticks;
-          string_of_int r.Rpki_sim.Loop.so_saves;
-          Printf.sprintf "%.0f" r.Rpki_sim.Loop.so_bytes_per_save;
-          string_of_int s.Rpki_sim.Loop.so_snapshot_bytes;
-          string_of_int s.Rpki_sim.Loop.so_chain_bytes ])
+        [ name; string_of_int r.Scenario.so_config.Scenario.sk_ticks;
+          string_of_int r.Scenario.so_saves;
+          Printf.sprintf "%.0f" r.Scenario.so_bytes_per_save;
+          string_of_int s.Scenario.so_snapshot_bytes;
+          string_of_int s.Scenario.so_chain_bytes ])
     [ ("segmented+compact", seg); ("full snapshots", full) ];
   Table.print t;
   Printf.printf
@@ -1722,39 +1731,46 @@ let soak () =
       (Printf.sprintf "soak: segmented saves only %.1fx cheaper (need >= %.0fx)" ratio min_ratio);
   (* Gc flatness across the segmented run: the last sample's live words
      must not have drifted far above the first post-warmup sample's. *)
-  (match seg.Rpki_sim.Loop.so_samples with
+  (match seg.Scenario.so_samples with
   | warm :: _ :: _ ->
     let final = last seg in
     let growth =
-      float_of_int final.Rpki_sim.Loop.so_live_words
-      /. float_of_int (max 1 warm.Rpki_sim.Loop.so_live_words)
+      float_of_int final.Scenario.so_live_words
+      /. float_of_int (max 1 warm.Scenario.so_live_words)
     in
     Printf.printf "Gc live words: %d (t%d) -> %d (t%d), growth %.2fx\n"
-      warm.Rpki_sim.Loop.so_live_words warm.Rpki_sim.Loop.so_tick
-      final.Rpki_sim.Loop.so_live_words final.Rpki_sim.Loop.so_tick growth
+      warm.Scenario.so_live_words warm.Scenario.so_tick
+      final.Scenario.so_live_words final.Scenario.so_tick growth
   | _ -> ());
   (* --- arm 2: Valcache residency under churn, eviction on vs off --- *)
   let res_ticks = if !quick then 300 else 360 in
   let res_cfg =
-    { Rpki_sim.Loop.default_soak with
-      Rpki_sim.Loop.sk_ticks = res_ticks; sk_churn_every = 1; sk_monitors = 1;
-      sk_validity = Some 48; sk_refresh_interval = Some 48;
-      sk_sample_every = max 1 (res_ticks / 6) }
+    { Scenario.sk_ticks = res_ticks; sk_churn_every = 1;
+      sk_sample_every = max 1 (res_ticks / 6);
+      sk_spec =
+        { soak_spec with
+          Scenario.source =
+            Scenario.Section6
+              { Scenario.canned with validity = Some 48; refresh_interval = Some 48 } } }
   in
   Printf.printf "\nrunning residency arm (2 x %d churned ticks)...\n%!" res_ticks;
-  let evict_on = Rpki_sim.Loop.run_soak ~config:res_cfg () in
+  let evict_on = Scenario.run_soak ~config:res_cfg () in
   let evict_off =
-    Rpki_sim.Loop.run_soak ~config:{ res_cfg with Rpki_sim.Loop.sk_evict = false } ()
+    Scenario.run_soak
+      ~config:
+        { res_cfg with
+          Scenario.sk_spec = { res_cfg.Scenario.sk_spec with Scenario.valcache_evict = false } }
+      ()
   in
-  let resident (r : Rpki_sim.Loop.soak_report) =
+  let resident (r : Scenario.soak_report) =
     List.filter_map
-      (fun (s : Rpki_sim.Loop.soak_sample) ->
+      (fun (s : Scenario.soak_sample) ->
         Option.map
           (fun (rs : Valcache.residency) ->
-            (s.Rpki_sim.Loop.so_tick, rs.Valcache.rs_verdicts + rs.Valcache.rs_outcomes,
+            (s.Scenario.so_tick, rs.Valcache.rs_verdicts + rs.Valcache.rs_outcomes,
              rs.Valcache.rs_verdicts_evicted + rs.Valcache.rs_outcomes_evicted))
-          s.Rpki_sim.Loop.so_residency)
-      r.Rpki_sim.Loop.so_samples
+          s.Scenario.so_residency)
+      r.Scenario.so_samples
   in
   let on_curve = resident evict_on and off_curve = resident evict_off in
   let t =
@@ -1797,15 +1813,15 @@ let soak () =
     "Detection traces byte-identical with endurance knobs on/off:\n\
      split-view arm (%d trace bytes), restart arm (%d trace bytes).\n"
     (String.length sv_on) (String.length rs_on);
-  let sample_json (s : Rpki_sim.Loop.soak_sample) =
+  let sample_json (s : Scenario.soak_sample) =
     Printf.sprintf
       "{\"tick\":%d,\"live_words\":%d,\"snapshot_bytes\":%d,\"chain_bytes\":%d,\
        \"segments\":%d,\"save_bytes\":%d,\"log_size\":%d%s}"
-      s.Rpki_sim.Loop.so_tick s.Rpki_sim.Loop.so_live_words
-      s.Rpki_sim.Loop.so_snapshot_bytes s.Rpki_sim.Loop.so_chain_bytes
-      s.Rpki_sim.Loop.so_segments s.Rpki_sim.Loop.so_save_bytes
-      s.Rpki_sim.Loop.so_log_size
-      (match s.Rpki_sim.Loop.so_residency with
+      s.Scenario.so_tick s.Scenario.so_live_words
+      s.Scenario.so_snapshot_bytes s.Scenario.so_chain_bytes
+      s.Scenario.so_segments s.Scenario.so_save_bytes
+      s.Scenario.so_log_size
+      (match s.Scenario.so_residency with
       | None -> ""
       | Some rs ->
         Printf.sprintf
@@ -1813,19 +1829,19 @@ let soak () =
           (rs.Valcache.rs_verdicts + rs.Valcache.rs_outcomes)
           (rs.Valcache.rs_verdicts_evicted + rs.Valcache.rs_outcomes_evicted))
   in
-  let report_json (r : Rpki_sim.Loop.soak_report) =
+  let report_json (r : Scenario.soak_report) =
     Printf.sprintf
       "{\"ticks\":%d,\"churn_every\":%d,\"compact_every\":%d,\"evict\":%b,\
        \"full_snapshots\":%b,\"saves\":%d,\"total_save_bytes\":%d,\
        \"bytes_per_save\":%.1f,\"samples\":[%s]}"
-      r.Rpki_sim.Loop.so_config.Rpki_sim.Loop.sk_ticks
-      r.Rpki_sim.Loop.so_config.Rpki_sim.Loop.sk_churn_every
-      r.Rpki_sim.Loop.so_config.Rpki_sim.Loop.sk_compact_every
-      r.Rpki_sim.Loop.so_config.Rpki_sim.Loop.sk_evict
-      r.Rpki_sim.Loop.so_config.Rpki_sim.Loop.sk_full_snapshots
-      r.Rpki_sim.Loop.so_saves r.Rpki_sim.Loop.so_total_save_bytes
-      r.Rpki_sim.Loop.so_bytes_per_save
-      (String.concat "," (List.map sample_json r.Rpki_sim.Loop.so_samples))
+      r.Scenario.so_config.Scenario.sk_ticks
+      r.Scenario.so_config.Scenario.sk_churn_every
+      r.Scenario.so_config.Scenario.sk_spec.Scenario.compact_every
+      r.Scenario.so_config.Scenario.sk_spec.Scenario.valcache_evict
+      r.Scenario.so_config.Scenario.sk_spec.Scenario.save_full
+      r.Scenario.so_saves r.Scenario.so_total_save_bytes
+      r.Scenario.so_bytes_per_save
+      (String.concat "," (List.map sample_json r.Scenario.so_samples))
   in
   write_json ~name:"soak"
     (Printf.sprintf
@@ -1866,13 +1882,14 @@ let scale () =
     let stats = As_graph.degree_stats g in
     let rig, rig_ms =
       time_ms (fun () ->
-          Rpki_sim.Loop.world_scenario ~monitors ~grace
-            ~placement:Placement.By_degree ~gossip_period:1 ~world:spec ())
+          Scenario.build
+            { Scenario.default with
+              source = Scenario.World w0; monitors; grace; placement = Placement.By_degree })
     in
-    let sim = rig.Rpki_sim.Loop.wr_sim in
+    let sim = rig.Scenario.sim in
     let atk =
-      Split_view.plan ~authority:rig.Rpki_sim.Loop.wr_target_authority
-        ~target_filename:rig.Rpki_sim.Loop.wr_target_filename ()
+      Split_view.plan ~authority:rig.Scenario.victim_ca
+        ~target_filename:rig.Scenario.victim_roa ()
     in
     let tick_ms = ref [] in
     for now = 1 to ticks do
@@ -1993,14 +2010,19 @@ let faultmix () =
   in
   (* --- the downgrade grid ------------------------------------------ *)
   let run_cell ~unsafe ~fetch_policy =
-    let rig = Rpki_sim.Loop.fault_mix_scenario ~unsafe ~fetch_policy ~rate:0. () in
-    let sim = rig.Rpki_sim.Loop.fm_sim in
+    let rig =
+      Scenario.build
+        { Scenario.section6 with
+          fetch_policy = Some { fetch_policy with Relying_party.unsafe } }
+    in
+    let sim = rig.Scenario.sim in
     List.init ticks (fun i ->
         let now = i + 1 in
         if now = outage_at then
           Transport.set_fault (Rpki_sim.Loop.transport sim)
-            ~uri:rig.Rpki_sim.Loop.fm_victim_uri Transport.Unreachable;
-        let _, r = Rpki_sim.Loop.fault_mix_step rig ~now in
+            ~uri:(Pub_point.uri (Authority.pub rig.Scenario.victim_ca))
+            Transport.Unreachable;
+        let r = Rpki_sim.Loop.step sim ~now in
         let result = Option.get (Relying_party.last_result sim.Rpki_sim.Loop.rp) in
         ( now,
           Origin_validation.classify result.Relying_party.index legit,
@@ -2078,14 +2100,14 @@ let faultmix () =
              r.Rpki_sim.Loop.unsafe_count r.Rpki_sim.Loop.budget_exhausted)
          records)
   in
-  let rig0 = Rpki_sim.Loop.fault_mix_scenario ~rate:0. () in
-  let with_engine =
-    List.init ticks (fun i -> snd (Rpki_sim.Loop.fault_mix_step rig0 ~now:(i + 1)))
+  let rig0 =
+    Scenario.build
+      { Scenario.section6 with
+        fault_mix = Some { Scenario.seed = 0x5eed; rate = 0.; repair_after = None } }
   in
-  let sc = Rpki_sim.Loop.section6_scenario () in
-  let without_engine =
-    List.init ticks (fun i -> Rpki_sim.Loop.step sc.Rpki_sim.Loop.sim ~now:(i + 1))
-  in
+  let with_engine = List.init ticks (fun i -> snd (Scenario.step rig0 ~now:(i + 1))) in
+  let sim0 = (Scenario.build Scenario.section6).Scenario.sim in
+  let without_engine = List.init ticks (fun i -> Rpki_sim.Loop.step sim0 ~now:(i + 1)) in
   let rate0_identical = trace_of with_engine = trace_of without_engine in
   if not rate0_identical then
     failwith "faultmix: rate-0 engine run diverged from the engine-less run";
@@ -2099,13 +2121,14 @@ let faultmix () =
      the cache *)
   let run_mix ~rate ~unsafe =
     let rig =
-      Rpki_sim.Loop.fault_mix_scenario ~seed:7 ~rate ~unsafe
-        ~fetch_policy:(List.assoc "no-stale" fetch_policies) ()
+      Scenario.build
+        { Scenario.section6 with
+          fetch_policy =
+            Some { (List.assoc "no-stale" fetch_policies) with Relying_party.unsafe };
+          fault_mix = Some { Scenario.seed = 7; rate; repair_after = None } }
     in
-    let records =
-      List.init mix_ticks (fun i -> snd (Rpki_sim.Loop.fault_mix_step rig ~now:(i + 1)))
-    in
-    let engine = rig.Rpki_sim.Loop.fm_engine in
+    let records = List.init mix_ticks (fun i -> snd (Scenario.step rig ~now:(i + 1))) in
+    let engine = Option.get rig.Scenario.engine in
     let sum f = List.fold_left (fun acc r -> acc + f r) 0 records in
     let issues = sum (fun r -> r.Rpki_sim.Loop.issue_count) in
     let max_unsafe =
@@ -2292,14 +2315,14 @@ let gossip () =
   in
   let run_overlay_cell ~n ~overlay =
     let sv =
-      Rpki_sim.Loop.split_view_scenario ~monitors:(n - 1) ~gossip_period:(ticks + 1)
-        ~overlay ()
+      Scenario.build
+        { Scenario.default with monitors = n - 1; gossip_period = ticks + 1; overlay }
     in
-    let sim = sv.Rpki_sim.Loop.sv_sim in
+    let sim = sv.Scenario.sim in
     let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
     let atk =
-      Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
-        ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth:Split_view.Stealthy ()
+      Split_view.plan ~authority:sv.Scenario.victim_ca
+        ~target_filename:sv.Scenario.victim_roa ~stealth:Split_view.Stealthy ()
     in
     (* round 1 pays the one-time lazy keygen for every vantage's log — the
        same n signatures under any overlay — so it is reported apart from
@@ -2422,19 +2445,19 @@ let gossip () =
   let byz_attack_at = 1 in
   let run_byz_cell ~overlay ~f =
     let sv =
-      Rpki_sim.Loop.split_view_scenario ~monitors:(byz_n - 1) ~gossip_period:1 ~overlay ()
+      Scenario.build { Scenario.default with monitors = byz_n - 1; overlay }
     in
-    let sim = sv.Rpki_sim.Loop.sv_sim in
-    let model = sv.Rpki_sim.Loop.sv_model in
+    let sim = sv.Scenario.sim in
+    let model = Option.get sv.Scenario.model in
     let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
     (* one fixed shuffle, first f: the Byzantine sets are nested, so the
        sweep reads as a threshold *)
     let byz =
-      take f (Rpki_util.Rng.shuffle (Rpki_util.Rng.create 0xb12a) sv.Rpki_sim.Loop.sv_monitors)
+      take f (Rpki_util.Rng.shuffle (Rpki_util.Rng.create 0xb12a) sv.Scenario.monitor_names)
     in
     let atk =
       Split_view.plan ~authority:model.Model.continental
-        ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth:Split_view.Stealthy ()
+        ~target_filename:sv.Scenario.victim_roa ~stealth:Split_view.Stealthy ()
     in
     let eqs =
       List.map
@@ -2530,13 +2553,18 @@ let gossip () =
       List.map
         (fun overlay ->
           let rig =
-            Rpki_sim.Loop.world_scenario ~monitors ~gossip_period:(ticks + 1) ~overlay ()
+            Scenario.build
+              { Scenario.default with
+                source =
+                  Scenario.World
+                    (Rpki_world.Synthesis.build Rpki_world.Synthesis.default_spec);
+                monitors; gossip_period = ticks + 1; overlay }
           in
-          let sim = rig.Rpki_sim.Loop.wr_sim in
+          let sim = rig.Scenario.sim in
           let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
           let atk =
-            Split_view.plan ~authority:rig.Rpki_sim.Loop.wr_target_authority
-              ~target_filename:rig.Rpki_sim.Loop.wr_target_filename ()
+            Split_view.plan ~authority:rig.Scenario.victim_ca
+              ~target_filename:rig.Scenario.victim_roa ()
           in
           let reports = ref [] and cold = ref 0. and warm = ref 0. and fork = ref None in
           for now = 1 to ticks do

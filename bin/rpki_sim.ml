@@ -17,6 +17,7 @@ open Cmdliner
 open Rpki_core
 open Rpki_repo
 open Rpki_ip
+module Scenario = Rpki_sim.Scenario
 
 (* --- shared arguments --- *)
 
@@ -208,9 +209,9 @@ let sim_cmd =
          & info [ "policy" ] ~doc:"Relying-party policy: drop, depref or ignore.")
   in
   let run policy =
-    let sc, hist = Rpki_sim.Loop.run_section6 ~policy () in
+    let rig, hist = Scenario.run_section6 { Scenario.section6 with policy } in
     List.iter (fun r -> Format.printf "%a@." Rpki_sim.Loop.pp_record r) hist;
-    match Relying_party.last_result sc.Rpki_sim.Loop.sim.Rpki_sim.Loop.rp with
+    match Relying_party.last_result rig.Scenario.sim.Rpki_sim.Loop.rp with
     | None -> ()
     | Some result -> (
       match Relying_party.issue_counts result.Relying_party.issues with
@@ -251,10 +252,15 @@ let faultmix_cmd =
          & info [ "unsafe" ] ~doc:"Unsafe-VRP policy: accept, warn or reject.")
   in
   let run rate ticks seed unsafe =
-    let rig = Rpki_sim.Loop.fault_mix_scenario ~seed ~rate ~unsafe () in
+    let rig =
+      Scenario.build
+        { Scenario.section6 with
+          fetch_policy = Some { Relying_party.default_policy with Relying_party.unsafe };
+          fault_mix = Some { Scenario.seed; rate; repair_after = None } }
+    in
     let all_issues = ref [] in
     for now = 1 to ticks do
-      let injections, r = Rpki_sim.Loop.fault_mix_step rig ~now in
+      let injections, r = Scenario.step rig ~now in
       List.iter
         (fun (inj : Fault_mix.injection) ->
           Printf.printf "t%d inject %s: %s\n" now
@@ -263,11 +269,11 @@ let faultmix_cmd =
         injections;
       Format.printf "%a (unsafe %d)@." Rpki_sim.Loop.pp_record r
         r.Rpki_sim.Loop.unsafe_count;
-      match Relying_party.last_result rig.Rpki_sim.Loop.fm_sim.Rpki_sim.Loop.rp with
+      match Relying_party.last_result rig.Scenario.sim.Rpki_sim.Loop.rp with
       | Some result -> all_issues := result.Relying_party.issues @ !all_issues
       | None -> ()
     done;
-    let engine = rig.Rpki_sim.Loop.fm_engine in
+    let engine = Option.get rig.Scenario.engine in
     Printf.printf "injected %d, repaired %d, still active %d\n"
       (Fault_mix.injected engine) (Fault_mix.repaired engine)
       (List.length (Fault_mix.active engine));
@@ -346,16 +352,17 @@ let transparency_cmd =
   let run monitors period grace overt vantages no_valcache overlay =
     let monitors = match vantages with Some n -> n - 1 | None -> monitors in
     let sv =
-      Rpki_sim.Loop.split_view_scenario ~monitors ~grace ~gossip_period:period
-        ~valcache:(not no_valcache) ~overlay ()
+      Scenario.build
+        { Scenario.default with
+          monitors; grace; gossip_period = period; valcache = not no_valcache; overlay }
     in
-    let t = sv.Rpki_sim.Loop.sv_sim in
+    let t = sv.Scenario.sim in
     let stealth =
       if overt then Rpki_attack.Split_view.Overt else Rpki_attack.Split_view.Stealthy
     in
     let atk =
-      Rpki_attack.Split_view.plan ~authority:sv.Rpki_sim.Loop.sv_model.Model.continental
-        ~target_filename:sv.Rpki_sim.Loop.sv_target_filename ~stealth ()
+      Rpki_attack.Split_view.plan ~authority:sv.Scenario.victim_ca
+        ~target_filename:sv.Scenario.victim_roa ~stealth ()
     in
     for now = 1 to 10 do
       if now = 3 then begin
@@ -438,18 +445,19 @@ let gossip_cmd =
       | x :: tl -> x :: take (k - 1) tl
     in
     let sv =
-      Rpki_sim.Loop.split_view_scenario ~monitors:(n - 1) ~gossip_period:period ~overlay ()
+      Scenario.build
+        { Scenario.default with monitors = n - 1; gossip_period = period; overlay }
     in
-    let t = sv.Rpki_sim.Loop.sv_sim in
-    let model = sv.Rpki_sim.Loop.sv_model in
+    let t = sv.Scenario.sim in
+    let model = Option.get sv.Scenario.model in
     let g = Option.get (Rpki_sim.Loop.gossip_mesh t) in
     let byz =
       take f
-        (Rpki_util.Rng.shuffle (Rpki_util.Rng.create 0xb12a) sv.Rpki_sim.Loop.sv_monitors)
+        (Rpki_util.Rng.shuffle (Rpki_util.Rng.create 0xb12a) sv.Scenario.monitor_names)
     in
     let atk =
       Rpki_attack.Split_view.plan ~authority:model.Model.continental
-        ~target_filename:sv.Rpki_sim.Loop.sv_target_filename
+        ~target_filename:sv.Scenario.victim_roa
         ~stealth:Rpki_attack.Split_view.Stealthy ()
     in
     let eqs =
@@ -596,12 +604,11 @@ let restart_cmd =
       let persist = not no_persist in
       let monitors = match vantages with Some n -> n - 1 | None -> 2 in
       let rig =
-        Rpki_sim.Loop.restart_scenario ~persist ~grace:0 ~monitors
-          ~valcache:(not no_valcache) ()
+        Scenario.build
+          { Scenario.default with persist; grace = 0; monitors; valcache = not no_valcache }
       in
-      let sv = rig.Rpki_sim.Loop.rr_sv in
-      let t = sv.Rpki_sim.Loop.sv_sim in
-      let model = sv.Rpki_sim.Loop.sv_model in
+      let t = rig.Scenario.sim in
+      let model = Option.get rig.Scenario.model in
       let atk = Rpki_attack.Rollback.plan ~authority:model.Model.continental in
       let victim = "victim-rp" in
       for now = 1 to max 10 (restart_at + 3) do
@@ -610,10 +617,13 @@ let restart_cmd =
             Model.as_continental;
           Authority.revoke_roa model.Model.continental ~filename:model.Model.roa_cb_25 ~now
         end;
-        if now = 5 then Option.iter (Rpki_persist.Disk.inject rig.Rpki_sim.Loop.rr_disk) fault;
+        if now = 5 then
+          Option.iter
+            (fun disk -> Option.iter (Rpki_persist.Disk.inject disk) fault)
+            rig.Scenario.disk;
         if now = restart_at then begin
           let r =
-            Rpki_sim.Loop.restart_vantage t ~name:victim ~now ~make:rig.Rpki_sim.Loop.rr_respawn
+            Rpki_sim.Loop.restart_vantage t ~name:victim ~now ~make:rig.Scenario.respawn
           in
           Printf.printf "t%d: victim restarts: %s\n" now (Relying_party.recovery_to_string r)
         end;
@@ -755,42 +765,46 @@ let soak_cmd =
   let run ticks churn no_compact no_evict full_snapshots =
     if ticks < 1 then failwith "soak: --ticks must be >= 1";
     if churn < 0 then failwith "soak: --churn must be >= 0";
-    let module Loop = Rpki_sim.Loop in
-    let config =
-      { Loop.default_soak with
-        Loop.sk_ticks = ticks; sk_churn_every = churn;
-        sk_compact_every = (if no_compact then 0 else Loop.default_soak.Loop.sk_compact_every);
-        sk_evict = not no_evict; sk_full_snapshots = full_snapshots;
-        sk_sample_every = max 1 (ticks / 10) }
+    let spec = Scenario.default_soak.Scenario.sk_spec in
+    let spec =
+      { spec with
+        Scenario.compact_every = (if no_compact then 0 else spec.Scenario.compact_every);
+        valcache_evict = not no_evict; save_full = full_snapshots }
     in
     Printf.printf
       "soak: %d ticks, churn every %s, %s saves, compaction %s, eviction %s\n\n"
       ticks
       (if churn = 0 then "never" else Printf.sprintf "%d ticks" churn)
       (if full_snapshots then "full-snapshot" else "segmented")
-      (if config.Loop.sk_compact_every = 0 then "off"
-       else Printf.sprintf "every %d ticks" config.Loop.sk_compact_every)
+      (if spec.Scenario.compact_every = 0 then "off"
+       else Printf.sprintf "every %d ticks" spec.Scenario.compact_every)
       (if no_evict then "off" else "on");
-    let r = Loop.run_soak ~config () in
+    let r =
+      Scenario.run_soak
+        ~config:
+          { Scenario.sk_ticks = ticks; sk_churn_every = churn;
+            sk_sample_every = max 1 (ticks / 10); sk_spec = spec }
+        ()
+    in
     Printf.printf
       "%6s %12s %10s %10s %9s %12s %8s %10s %9s\n"
       "tick" "live words" "snap B" "chain B" "segments" "save B" "log" "resident" "evicted";
     List.iter
-      (fun (s : Loop.soak_sample) ->
+      (fun (s : Scenario.soak_sample) ->
         let resident, evicted =
-          match s.Loop.so_residency with
+          match s.Scenario.so_residency with
           | None -> ("-", "-")
           | Some rs ->
             ( string_of_int (rs.Valcache.rs_verdicts + rs.Valcache.rs_outcomes),
               string_of_int (rs.Valcache.rs_verdicts_evicted + rs.Valcache.rs_outcomes_evicted) )
         in
         Printf.printf "%6d %12d %10d %10d %9d %12d %8d %10s %9s\n"
-          s.Loop.so_tick s.Loop.so_live_words s.Loop.so_snapshot_bytes
-          s.Loop.so_chain_bytes s.Loop.so_segments s.Loop.so_save_bytes
-          s.Loop.so_log_size resident evicted)
-      r.Loop.so_samples;
+          s.Scenario.so_tick s.Scenario.so_live_words s.Scenario.so_snapshot_bytes
+          s.Scenario.so_chain_bytes s.Scenario.so_segments s.Scenario.so_save_bytes
+          s.Scenario.so_log_size resident evicted)
+      r.Scenario.so_samples;
     Printf.printf "\n%d saves, %d bytes written, %.1f bytes/save\n"
-      r.Loop.so_saves r.Loop.so_total_save_bytes r.Loop.so_bytes_per_save
+      r.Scenario.so_saves r.Scenario.so_total_save_bytes r.Scenario.so_bytes_per_save
   in
   Cmd.v
     (Cmd.info "soak"
@@ -841,15 +855,19 @@ let scale_cmd =
         World.graph =
           { Rpki_bgp.As_graph.default_spec with Rpki_bgp.As_graph.ases; seed } }
     in
-    let rig = Loop.world_scenario ~monitors ~placement ~world:spec () in
-    print_endline (World.summary rig.Loop.wr_world);
+    let world = World.build spec in
+    let rig =
+      Scenario.build
+        { Scenario.default with source = Scenario.World world; monitors; placement }
+    in
+    print_endline (World.summary world);
     Printf.printf "monitors (%s): %s\n\n"
       (Placement.policy_to_string placement)
-      (String.concat ", " rig.Loop.wr_monitors);
-    let sim = rig.Loop.wr_sim in
+      (String.concat ", " rig.Scenario.monitor_names);
+    let sim = rig.Scenario.sim in
     let atk =
-      Rpki_attack.Split_view.plan ~authority:rig.Loop.wr_target_authority
-        ~target_filename:rig.Loop.wr_target_filename ()
+      Rpki_attack.Split_view.plan ~authority:rig.Scenario.victim_ca
+        ~target_filename:rig.Scenario.victim_roa ()
     in
     for now = 1 to ticks do
       if now = attack_at then begin

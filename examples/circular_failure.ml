@@ -13,7 +13,7 @@ open Rpki_sim
 
 let show policy =
   Printf.printf "\n=== relying party policy: %s ===\n" (Policy.to_string policy);
-  let _, hist = Loop.run_section6 ~policy () in
+  let _, hist = Scenario.run_section6 { Scenario.section6 with policy } in
   List.iter
     (fun (r : Loop.tick_record) ->
       let mark =

@@ -212,14 +212,15 @@ let trace records =
 
 let test_rate0_identical () =
   let ticks = 6 in
-  let rig = Rpki_sim.Loop.fault_mix_scenario ~rate:0. () in
-  let with_engine =
-    List.init ticks (fun i -> snd (Rpki_sim.Loop.fault_mix_step rig ~now:(i + 1)))
+  let module Scenario = Rpki_sim.Scenario in
+  let rig =
+    Scenario.build
+      { Scenario.section6 with
+        fault_mix = Some { Scenario.seed = 0x5eed; rate = 0.; repair_after = None } }
   in
-  let sc = Rpki_sim.Loop.section6_scenario () in
-  let without_engine =
-    List.init ticks (fun i -> Rpki_sim.Loop.step sc.Rpki_sim.Loop.sim ~now:(i + 1))
-  in
+  let with_engine = List.init ticks (fun i -> snd (Scenario.step rig ~now:(i + 1))) in
+  let sim = (Scenario.build Scenario.section6).Scenario.sim in
+  let without_engine = List.init ticks (fun i -> Rpki_sim.Loop.step sim ~now:(i + 1)) in
   Alcotest.(check string) "rate-0 trace equals engine-less trace"
     (trace without_engine) (trace with_engine)
 

@@ -74,8 +74,8 @@ let test_verify_count_drop () =
   let monitors = 7 in
   let n = monitors + 1 in
   (* park the loop's own gossip; drive rounds by hand *)
-  let sv = Loop.split_view_scenario ~monitors ~gossip_period:99 () in
-  let t = sv.Loop.sv_sim in
+  let sv = Scenario.build { Scenario.default with monitors; gossip_period = 99 } in
+  let t = sv.Scenario.sim in
   let g = Option.get (Loop.gossip_mesh t) in
   ignore (Loop.step t ~now:1);
   ignore (Gossip.round g ~now:1);
@@ -93,11 +93,14 @@ let test_verify_count_drop () =
 
 let test_pulls_skipped () =
   let monitors = 3 in
-  let sv = Loop.split_view_scenario ~monitors ~gossip_period:99 ~overlay:(K_regular 2) () in
-  let t = sv.Loop.sv_sim in
+  let sv =
+    Scenario.build
+      { Scenario.default with monitors; gossip_period = 99; overlay = K_regular 2 }
+  in
+  let t = sv.Scenario.sim in
   let g = Option.get (Loop.gossip_mesh t) in
   ignore (Loop.step t ~now:1);
-  let quiet = List.hd sv.Loop.sv_monitors in
+  let quiet = List.hd sv.Scenario.monitor_names in
   Gossip.set_server g ~name:quiet (fun ~receiver:_ -> (Loop.vantage t ~name:quiet).Gossip.v_rp);
   let rep = Gossip.round g ~now:1 in
   (* a Byzantine receiver pulls nothing: its out-edges are skipped, not run *)
@@ -116,11 +119,11 @@ let fork_keys g =
        (Gossip.alarms g))
 
 let run_split ~overlay ~overlay_seed =
-  let sv = Loop.split_view_scenario ~monitors:5 ~gossip_period:1 ~overlay ~overlay_seed () in
-  let t = sv.Loop.sv_sim in
+  let sv = Scenario.build { Scenario.default with monitors = 5; overlay; overlay_seed } in
+  let t = sv.Scenario.sim in
   let atk =
-    Rpki_attack.Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
-      ~target_filename:sv.Loop.sv_target_filename ~stealth:Rpki_attack.Split_view.Stealthy ()
+    Rpki_attack.Split_view.plan ~authority:sv.Scenario.victim_ca
+      ~target_filename:sv.Scenario.victim_roa ~stealth:Rpki_attack.Split_view.Stealthy ()
   in
   for now = 1 to 6 do
     if now = 3 then Rpki_attack.Split_view.apply atk (Loop.transport t);
@@ -156,13 +159,13 @@ let prop_observational seed =
 (* A scenario with the fork running from the victim's first sync, the given
    monitors turned Byzantine (mirroring shadows), under the given overlay. *)
 let run_byzantine ~overlay ~byz ~attack_at ~ticks =
-  let sv = Loop.split_view_scenario ~monitors:3 ~gossip_period:1 ~overlay () in
-  let t = sv.Loop.sv_sim in
-  let model = sv.Loop.sv_model in
+  let sv = Scenario.build { Scenario.default with monitors = 3; overlay } in
+  let t = sv.Scenario.sim in
+  let model = Option.get sv.Scenario.model in
   let g = Option.get (Loop.gossip_mesh t) in
   let atk =
     Rpki_attack.Split_view.plan ~authority:model.Model.continental
-      ~target_filename:sv.Loop.sv_target_filename ~stealth:Rpki_attack.Split_view.Stealthy ()
+      ~target_filename:sv.Scenario.victim_roa ~stealth:Rpki_attack.Split_view.Stealthy ()
   in
   let eqs =
     List.map
@@ -188,7 +191,9 @@ let run_byzantine ~overlay ~byz ~attack_at ~ticks =
   done;
   (t, g, eqs)
 
-let hub_of sv = [ List.nth sv.Loop.sv_monitors (List.length sv.Loop.sv_monitors - 1) ]
+let hub_of sv =
+  let names = sv.Scenario.monitor_names in
+  [ List.nth names (List.length names - 1) ]
 
 let test_equivocator_eclipse () =
   (* star:1 with a Byzantine hub: nobody honest ever examines the victim's

@@ -6,7 +6,6 @@
 open Rpki_core
 open Rpki_repo
 open Rpki_sim
-open Rpki_bgp
 open Rpki_ip
 
 let sync (m : Model.t) rp ~now = Relying_party.sync rp ~now ~universe:m.Model.universe ()
@@ -111,8 +110,12 @@ let test_mirror_breaks_se7 () =
   let probe hist t =
     List.assoc "continental-repo" (List.nth hist (t - 1)).Loop.probe_results
   in
-  let _, plain = Loop.run_section6 ~policy:Policy.Drop_invalid () in
-  let _, mirrored = Loop.run_section6 ~policy:Policy.Drop_invalid ~mirrored:true () in
+  let _, plain = Scenario.run_section6 Scenario.section6 in
+  let _, mirrored =
+    Scenario.run_section6
+      { Scenario.section6 with
+        source = Scenario.Section6 { Scenario.canned with mirrored = true } }
+  in
   Alcotest.(check bool) "plain: stuck at t7" false (probe plain 7);
   Alcotest.(check bool) "mirrored: down during the fault" false (probe mirrored 3);
   Alcotest.(check bool) "mirrored: recovered at t4" true (probe mirrored 4);
@@ -152,7 +155,7 @@ let test_grace_prevents_se7 () =
   let probe hist t =
     List.assoc "continental-repo" (List.nth hist (t - 1)).Loop.probe_results
   in
-  let _, hist = Loop.run_section6 ~policy:Policy.Drop_invalid ~grace:10 () in
+  let _, hist = Scenario.run_section6 { Scenario.section6 with grace = 10 } in
   (* the held VRP keeps the repository route valid through the fault, so the
      RP re-fetches the repaired ROA before the hold expires *)
   List.iter (fun t -> Alcotest.(check bool) "up" true (probe hist t)) [ 1; 3; 4; 7 ]

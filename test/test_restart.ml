@@ -38,10 +38,9 @@ let ticks = 9
 
 (* The bench's run_cell, reduced to what the assertions need. *)
 let run ~persist ?fault () =
-  let rig = Loop.restart_scenario ~persist ~grace:0 ~monitors:2 ~gossip_period:1 () in
-  let sv = rig.Loop.rr_sv in
-  let t = sv.Loop.sv_sim in
-  let model = sv.Loop.sv_model in
+  let rig = Scenario.build { Scenario.default with persist; grace = 0 } in
+  let t = rig.Scenario.sim in
+  let model = Option.get rig.Scenario.model in
   let atk = Rollback.plan ~authority:model.Model.continental in
   let recovery = ref None in
   for now = 1 to ticks do
@@ -49,10 +48,12 @@ let run ~persist ?fault () =
       Authority.revoke_roa model.Model.continental ~filename:model.Model.roa_cb_25 ~now;
     (* one-shot: fires on the victim's last pre-crash snapshot write *)
     if now = kill_after then
-      Option.iter (Rpki_persist.Disk.inject rig.Loop.rr_disk) fault;
+      Option.iter
+        (fun disk -> Option.iter (Rpki_persist.Disk.inject disk) fault)
+        rig.Scenario.disk;
     if now = restart_at then
       recovery :=
-        Some (Loop.restart_vantage t ~name:victim ~now ~make:rig.Loop.rr_respawn);
+        Some (Loop.restart_vantage t ~name:victim ~now ~make:rig.Scenario.respawn);
     ignore (Loop.step t ~now);
     if now = capture_at then Rollback.capture atk ~now;
     if now = kill_after then begin
@@ -66,7 +67,7 @@ let vrp_present vrps =
   List.exists (fun (v : Vrp.t) -> V4.Prefix.equal v.Vrp.prefix target_prefix) vrps
 
 let router_sees_replay t =
-  vrp_present (Rpki_rtr.Session.cache_vrps (Loop.rtr_cache t))
+  vrp_present (Rpki_rtr.Session.cache_vrps (Rpki_rtr.Server.cache (Loop.rtr_server t)))
 
 let key_of_mesh t =
   let g = Option.get (Loop.gossip_mesh t) in

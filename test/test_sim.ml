@@ -13,7 +13,7 @@ let probe hist label t =
 (* --- Side Effect 7 --- *)
 
 let test_se7_drop_invalid_persists () =
-  let _, hist = Loop.run_section6 ~policy:Policy.Drop_invalid () in
+  let _, hist = Scenario.run_section6 Scenario.section6 in
   Alcotest.(check int) "seven ticks" 7 (List.length hist);
   (* healthy before the fault *)
   Alcotest.(check bool) "t1 up" true (probe hist "continental-repo" 1);
@@ -27,21 +27,23 @@ let test_se7_drop_invalid_persists () =
   List.iter (fun t -> Alcotest.(check bool) "sprint up" true (probe hist "sprint-repo" t)) [ 1; 7 ]
 
 let test_se7_depref_recovers () =
-  let _, hist = Loop.run_section6 ~policy:Policy.Depref_invalid () in
+  let _, hist =
+    Scenario.run_section6 { Scenario.section6 with policy = Policy.Depref_invalid }
+  in
   (* under depref the repo stays reachable (the invalid route is depreffed
      but still selected), so the corrupt ROA is refetched after repair *)
   Alcotest.(check bool) "t4 recovered" true (probe hist "continental-repo" 4);
   Alcotest.(check bool) "t7 up" true (probe hist "continental-repo" 7)
 
 let test_se7_vrp_counts () =
-  let _, hist = Loop.run_section6 ~policy:Policy.Drop_invalid () in
+  let _, hist = Scenario.run_section6 Scenario.section6 in
   let vrps t = (List.nth hist (t - 1)).Loop.vrp_count in
   Alcotest.(check int) "nine before" 9 (vrps 2);
   Alcotest.(check int) "eight during" 8 (vrps 3);
   Alcotest.(check int) "still eight after repair" 8 (vrps 7)
 
 let test_se7_fetch_failures_recorded () =
-  let _, hist = Loop.run_section6 ~policy:Policy.Drop_invalid () in
+  let _, hist = Scenario.run_section6 Scenario.section6 in
   let r4 = List.nth hist 3 in
   Alcotest.(check bool) "continental fetch failed at t4" true
     (List.mem "rsync://rpki.continental.net/repo" r4.Loop.fetch_failures)
@@ -49,11 +51,24 @@ let test_se7_fetch_failures_recorded () =
 let test_se7_flush_cache_does_not_rescue () =
   (* the paper: recovery needs a manual fix; merely dropping the stale cache
      does not help because the repository is still unreachable *)
-  let _, hist = Loop.run_section6 ~policy:Policy.Drop_invalid ~flush_cache_at:(Some 6) () in
+  let _, hist = Scenario.run_section6 ~flush_cache_at:6 Scenario.section6 in
   Alcotest.(check bool) "t7 still down" false (probe hist "continental-repo" 7)
 
+let test_se7_flush_lands_on_its_tick () =
+  (* the flush happens just before the named tick's step, so an earlier
+     flush shows up in that tick's record, not at t6 *)
+  let vrps hist t = (List.nth hist (t - 1)).Loop.vrp_count in
+  let _, plain = Scenario.run_section6 Scenario.section6 in
+  let _, flushed = Scenario.run_section6 ~flush_cache_at:4 Scenario.section6 in
+  Alcotest.(check int) "t3 untouched" (vrps plain 3) (vrps flushed 3);
+  Alcotest.(check bool)
+    (Printf.sprintf "t4 record shows the flush (%d -> %d VRPs)" (vrps plain 4)
+       (vrps flushed 4))
+    true
+    (vrps flushed 4 < vrps plain 4)
+
 let test_se7_ignore_rpki_immune () =
-  let _, hist = Loop.run_section6 ~policy:Policy.Ignore_rpki () in
+  let _, hist = Scenario.run_section6 { Scenario.section6 with policy = Policy.Ignore_rpki } in
   List.iter
     (fun t -> Alcotest.(check bool) "always up" true (probe hist "continental-repo" t))
     [ 1; 3; 4; 7 ]
@@ -164,8 +179,13 @@ let test_incremental_split_view () =
   (* grace 0: the forked-away ROA's route changes validity at once.  No
      monitors: a gossip hold lands on the RTR cache after the tick's data
      plane was built, so the cache would no longer describe it. *)
-  let rig = Loop.world_scenario ~monitors:0 ~grace:0 ~world:small_world () in
-  let t = rig.Loop.wr_sim in
+  let rig =
+    Scenario.build
+      { Scenario.default with
+        source = Scenario.World (Rpki_world.Synthesis.build small_world); grace = 0;
+        monitors = 0 }
+  in
+  let t = rig.Scenario.sim in
   let tick now =
     ignore (Loop.step t ~now);
     check_against_fresh t ~now
@@ -173,19 +193,25 @@ let test_incremental_split_view () =
   let t1 = tick 1 in
   let t2 = tick 2 in
   Rpki_attack.Split_view.apply
-    (Rpki_attack.Split_view.plan ~authority:rig.Loop.wr_target_authority
-       ~target_filename:rig.Loop.wr_target_filename ())
+    (Rpki_attack.Split_view.plan ~authority:rig.Scenario.victim_ca
+       ~target_filename:rig.Scenario.victim_roa ())
     (Loop.transport t);
   Alcotest.(check int) "quiet second tick reuses every RIB" 0 (fst t2);
   check_reuse (t1 :: t2 :: List.map tick [ 3; 4; 5; 6; 7; 8 ])
 
 let test_incremental_fault_mix () =
-  let rig = Loop.fault_mix_scenario ~world:small_world ~rate:0.5 ~seed:7 () in
+  let rig =
+    Scenario.build
+      { Scenario.default with
+        source = Scenario.World (Rpki_world.Synthesis.build small_world); monitors = 0;
+        fetch_policy = Some Rpki_repo.Relying_party.default_policy;
+        fault_mix = Some { Scenario.seed = 7; rate = 0.5; repair_after = None } }
+  in
   let counts =
     List.map
       (fun now ->
-        ignore (Loop.fault_mix_step rig ~now);
-        check_against_fresh rig.Loop.fm_sim ~now)
+        ignore (Scenario.step rig ~now);
+        check_against_fresh rig.Scenario.sim ~now)
       [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
   check_reuse counts
@@ -198,6 +224,8 @@ let () =
           Alcotest.test_case "vrp counts" `Quick test_se7_vrp_counts;
           Alcotest.test_case "fetch failures" `Quick test_se7_fetch_failures_recorded;
           Alcotest.test_case "cache flush does not rescue" `Quick test_se7_flush_cache_does_not_rescue;
+          Alcotest.test_case "cache flush lands on its tick" `Quick
+            test_se7_flush_lands_on_its_tick;
           Alcotest.test_case "ignore-rpki immune" `Quick test_se7_ignore_rpki_immune ] );
       ( "side-effect-5",
         [ Alcotest.test_case "monotone in adoption" `Quick test_se5_monotone;

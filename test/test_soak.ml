@@ -12,50 +12,51 @@
      everything — so a clear can never masquerade as eviction. *)
 
 open Rpki_repo
-module Loop = Rpki_sim.Loop
+module Scenario = Rpki_sim.Scenario
 
-let resident (s : Loop.soak_sample) =
-  match s.Loop.so_residency with
+let resident (s : Scenario.soak_sample) =
+  match s.Scenario.so_residency with
   | None -> 0
   | Some rs -> rs.Valcache.rs_verdicts + rs.Valcache.rs_outcomes
 
-let evicted (s : Loop.soak_sample) =
-  match s.Loop.so_residency with
+let evicted (s : Scenario.soak_sample) =
+  match s.Scenario.so_residency with
   | None -> 0
   | Some rs -> rs.Valcache.rs_verdicts_evicted + rs.Valcache.rs_outcomes_evicted
 
 (* The satellite smoke: >= 2000 ticks under `dune runtest`, asserting the
    growth curves the refactor flattens actually stay flat. *)
 let test_soak_flat_memory () =
-  let r = Loop.run_soak () in
-  let samples = r.Loop.so_samples in
+  let r = Scenario.run_soak () in
+  let samples = r.Scenario.so_samples in
   Alcotest.(check bool) "sampled the whole run" true (List.length samples >= 10);
   let first = List.hd samples in
   let final = List.nth samples (List.length samples - 1) in
-  Alcotest.(check bool) "ran >= 2000 ticks" true (final.Loop.so_tick >= 2000);
+  Alcotest.(check bool) "ran >= 2000 ticks" true (final.Scenario.so_tick >= 2000);
   (* flat memory: the last sample's live words must stay within a small
      factor of the first sample's, 1900 ticks earlier (the compaction
      sawtooth makes them drift within a cycle, never across cycles) *)
   Alcotest.(check bool)
-    (Printf.sprintf "live words flat (%d -> %d)" first.Loop.so_live_words
-       final.Loop.so_live_words)
+    (Printf.sprintf "live words flat (%d -> %d)" first.Scenario.so_live_words
+       final.Scenario.so_live_words)
     true
-    (final.Loop.so_live_words <= 2 * first.Loop.so_live_words);
+    (final.Scenario.so_live_words <= 2 * first.Scenario.so_live_words);
   (* O(delta) saves: without churn the per-save disk cost is small and the
      base snapshot does not grow with tick count *)
   Alcotest.(check bool)
-    (Printf.sprintf "bytes per save bounded (%.0f)" r.Loop.so_bytes_per_save)
-    true (r.Loop.so_bytes_per_save < 5000.);
+    (Printf.sprintf "bytes per save bounded (%.0f)" r.Scenario.so_bytes_per_save)
+    true (r.Scenario.so_bytes_per_save < 5000.);
   Alcotest.(check bool)
-    (Printf.sprintf "snapshot bytes flat (%d -> %d)" first.Loop.so_snapshot_bytes
-       final.Loop.so_snapshot_bytes)
+    (Printf.sprintf "snapshot bytes flat (%d -> %d)" first.Scenario.so_snapshot_bytes
+       final.Scenario.so_snapshot_bytes)
     true
-    (final.Loop.so_snapshot_bytes <= 2 * max 1 first.Loop.so_snapshot_bytes);
+    (final.Scenario.so_snapshot_bytes <= 2 * max 1 first.Scenario.so_snapshot_bytes);
   (* compaction keeps the chain a restart must replay short *)
   Alcotest.(check bool) "segment chain bounded by the compaction period" true
     (List.for_all
-       (fun (s : Loop.soak_sample) ->
-         s.Loop.so_segments <= Loop.default_soak.Loop.sk_compact_every)
+       (fun (s : Scenario.soak_sample) ->
+         s.Scenario.so_segments
+         <= Scenario.default_soak.Scenario.sk_spec.Scenario.compact_every)
        samples)
 
 (* Epoch eviction under churn: with per-tick re-issuance and short validity
@@ -63,20 +64,30 @@ let test_soak_flat_memory () =
    non-evicting run grows without bound. *)
 let test_eviction_flattens_residency () =
   let config =
-    { Loop.default_soak with
-      Loop.sk_ticks = 160; sk_churn_every = 1; sk_compact_every = 32;
-      sk_validity = Some 24; sk_refresh_interval = Some 24; sk_sample_every = 32 }
+    { Scenario.sk_ticks = 160; sk_churn_every = 1; sk_sample_every = 32;
+      sk_spec =
+        { Scenario.default_soak.Scenario.sk_spec with
+          Scenario.source =
+            Scenario.Section6
+              { Scenario.canned with validity = Some 24; refresh_interval = Some 24 };
+          compact_every = 32 } }
   in
-  let on = Loop.run_soak ~config () in
-  let off = Loop.run_soak ~config:{ config with Loop.sk_evict = false } () in
+  let on = Scenario.run_soak ~config () in
+  let off =
+    Scenario.run_soak
+      ~config:
+        { config with
+          Scenario.sk_spec = { config.Scenario.sk_spec with Scenario.valcache_evict = false } }
+      ()
+  in
   let last r =
-    List.nth r.Loop.so_samples (List.length r.Loop.so_samples - 1)
+    List.nth r.Scenario.so_samples (List.length r.Scenario.so_samples - 1)
   in
-  let mid r = List.nth r.Loop.so_samples (List.length r.Loop.so_samples / 2) in
+  let mid r = List.nth r.Scenario.so_samples (List.length r.Scenario.so_samples / 2) in
   Alcotest.(check bool) "eviction dropped entries" true (evicted (last on) > 0);
   Alcotest.(check bool)
     (Printf.sprintf "evicting run flat after warmup (%d @t%d vs %d final)"
-       (resident (mid on)) (mid on).Loop.so_tick (resident (last on)))
+       (resident (mid on)) (mid on).Scenario.so_tick (resident (last on)))
     true
     (resident (last on) <= resident (mid on) + resident (mid on) / 4);
   Alcotest.(check bool)
@@ -90,7 +101,7 @@ let test_eviction_flattens_residency () =
     true
     (resident (last on) < resident (last off))
 
-(* Soak on a generated world: [sk_world] swaps the canned split-view rig
+(* Soak on a generated world: a [World] source swaps the canned rig
    for a synthesized one (world churn re-signs the generated root's
    subtree) without disturbing any endurance invariant. *)
 let test_soak_on_generated_world () =
@@ -102,19 +113,21 @@ let test_soak_on_generated_world () =
       ca_min_cone = 8 }
   in
   let config =
-    { Loop.default_soak with
-      Loop.sk_ticks = 120; sk_churn_every = 8; sk_compact_every = 32;
-      sk_sample_every = 24; sk_world = Some wspec }
+    { Scenario.sk_ticks = 120; sk_churn_every = 8; sk_sample_every = 24;
+      sk_spec =
+        { Scenario.default_soak.Scenario.sk_spec with
+          Scenario.source = Scenario.World (World.build wspec);
+          compact_every = 32 } }
   in
-  let r = Loop.run_soak ~config () in
-  let samples = r.Loop.so_samples in
+  let r = Scenario.run_soak ~config () in
+  let samples = r.Scenario.so_samples in
   let final = List.nth samples (List.length samples - 1) in
-  Alcotest.(check bool) "ran the full soak" true (final.Loop.so_tick >= 120);
-  Alcotest.(check bool) "saves happened" true (r.Loop.so_saves > 0);
+  Alcotest.(check bool) "ran the full soak" true (final.Scenario.so_tick >= 120);
+  Alcotest.(check bool) "saves happened" true (r.Scenario.so_saves > 0);
   Alcotest.(check bool) "segmented saves stay O(delta)" true
-    (r.Loop.so_bytes_per_save < 20000.);
+    (r.Scenario.so_bytes_per_save < 20000.);
   Alcotest.(check bool) "compaction bounds the chain" true
-    (List.for_all (fun (s : Loop.soak_sample) -> s.Loop.so_segments <= 32) samples)
+    (List.for_all (fun (s : Scenario.soak_sample) -> s.Scenario.so_segments <= 32) samples)
 
 (* --- clear vs evict ----------------------------------------------------- *)
 

@@ -22,13 +22,13 @@ let probe_up r label =
   | None -> Alcotest.fail ("no probe " ^ label)
 
 let run_with_attack ~monitors ~grace ~gossip_period ~ticks =
-  let sv = Loop.split_view_scenario ~monitors ~grace ~gossip_period () in
-  let t = sv.Loop.sv_sim in
+  let sv = Scenario.build { Scenario.default with monitors; grace; gossip_period } in
+  let t = sv.Scenario.sim in
   ignore (Loop.step t ~now:1);
   ignore (Loop.step t ~now:2);
   let atk =
-    Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
-      ~target_filename:sv.Loop.sv_target_filename ()
+    Split_view.plan ~authority:sv.Scenario.victim_ca
+      ~target_filename:sv.Scenario.victim_roa ()
   in
   Split_view.apply atk (Loop.transport t);
   for now = 3 to ticks do
@@ -81,7 +81,7 @@ let test_detected_before_invalid () =
         (Gossip.verify_fork ~key_of a))
     forks;
   (* and the fork names the right publication point *)
-  let continental_uri = Pub_point.uri (Authority.pub sv.Loop.sv_model.Model.continental) in
+  let continental_uri = Pub_point.uri (Authority.pub sv.Scenario.victim_ca) in
   List.iter
     (fun a ->
       match a with
@@ -122,12 +122,12 @@ let test_single_vantage_misses_it () =
 (* An overt fork (file dropped, honest manifest kept) is locally visible:
    the victim's own validation flags the manifest mismatch. *)
 let test_overt_fork_is_locally_visible () =
-  let sv = Loop.split_view_scenario ~monitors:0 ~grace:4 () in
-  let t = sv.Loop.sv_sim in
+  let sv = Scenario.build { Scenario.default with monitors = 0 } in
+  let t = sv.Scenario.sim in
   ignore (Loop.step t ~now:1);
   let atk =
-    Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
-      ~target_filename:sv.Loop.sv_target_filename ~stealth:Split_view.Overt ()
+    Split_view.plan ~authority:sv.Scenario.victim_ca
+      ~target_filename:sv.Scenario.victim_roa ~stealth:Split_view.Overt ()
   in
   Split_view.apply atk (Loop.transport t);
   let r = Loop.step t ~now:2 in
@@ -148,8 +148,8 @@ let test_overt_fork_is_locally_visible () =
 let test_lift_heals () =
   let sv, t = run_with_attack ~monitors:2 ~grace:8 ~gossip_period:1 ~ticks:4 in
   let atk =
-    Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
-      ~target_filename:sv.Loop.sv_target_filename ()
+    Split_view.plan ~authority:sv.Scenario.victim_ca
+      ~target_filename:sv.Scenario.victim_roa ()
   in
   Split_view.lift atk (Loop.transport t);
   let before = List.length (Gossip.alarms (Option.get (Loop.gossip_mesh t))) in
@@ -170,10 +170,12 @@ let test_lift_heals () =
    vantages, Slow and Stalling faults on repository points — a full run
    raises no alarm of any kind. *)
 let test_no_false_positives_under_faulty_transport () =
-  let sv = Loop.split_view_scenario ~monitors:3 ~grace:2 ~gossip_period:1 () in
-  let t = sv.Loop.sv_sim in
-  let continental_uri = Pub_point.uri (Authority.pub sv.Loop.sv_model.Model.continental) in
-  let sprint_uri = Pub_point.uri (Authority.pub sv.Loop.sv_model.Model.sprint) in
+  let sv = Scenario.build { Scenario.default with monitors = 3; grace = 2 } in
+  let t = sv.Scenario.sim in
+  let continental_uri = Pub_point.uri (Authority.pub sv.Scenario.victim_ca) in
+  let sprint_uri =
+    Pub_point.uri (Authority.pub (Option.get sv.Scenario.model).Model.sprint)
+  in
   ignore (Loop.step t ~now:1);
   (* degrade different vantages differently: the victim's view of
      Continental crawls, one monitor's view of Sprint stalls outright *)
@@ -216,9 +218,9 @@ let test_gossip_period_trades_latency () =
    side's VRP-set hash — so both last-good and the RTR hold freeze at
    honest data, not at the absorbed tainted view. *)
 let test_late_fork_rolls_back_last_good () =
-  let sv = Loop.split_view_scenario ~monitors:2 ~grace:6 ~gossip_period:2 () in
-  let t = sv.Loop.sv_sim in
-  let uri = Pub_point.uri (Authority.pub sv.Loop.sv_model.Model.continental) in
+  let sv = Scenario.build { Scenario.default with grace = 6; gossip_period = 2 } in
+  let t = sv.Scenario.sim in
+  let uri = Pub_point.uri (Authority.pub sv.Scenario.victim_ca) in
   let target =
     Rpki_core.Vrp.make ~max_len:20 (Rpki_ip.V4.p "63.174.16.0/20") 17054
   in
@@ -231,8 +233,8 @@ let test_late_fork_rolls_back_last_good () =
   Alcotest.(check bool) "honest last-good carries the target VRP" true
     (has_target honest);
   let atk =
-    Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
-      ~target_filename:sv.Loop.sv_target_filename ()
+    Split_view.plan ~authority:sv.Scenario.victim_ca
+      ~target_filename:sv.Scenario.victim_roa ()
   in
   Split_view.apply atk (Loop.transport t);
   (* t3 is an off-round tick (period 2): the tainted view is validated and
@@ -261,7 +263,8 @@ let test_late_fork_rolls_back_last_good () =
   let final = List.nth (Loop.history t) (List.length (Loop.history t) - 1) in
   Alcotest.(check bool) "hold active" true (final.Loop.rtr_holds > 0);
   Alcotest.(check bool) "suppressed VRP pinned at the honest state" true
-    (has_target (Rpki_rtr.Session.cache_vrps (Loop.rtr_cache t)))
+    (has_target
+       (Rpki_rtr.Session.cache_vrps (Rpki_rtr.Server.cache (Loop.rtr_server t))))
 
 (* The equivocation alarm, driven for real: a hand-built vantage pair where
    the "equivocator" gossips one signed tree head, then is swapped for a

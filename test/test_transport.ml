@@ -244,8 +244,7 @@ let test_policy_without_fallbacks () =
 (* --- the sim loop prices fetches off its own data plane --- *)
 
 let test_loop_latency_circularity () =
-  let sc = Rpki_sim.Loop.section6_scenario () in
-  let sim = sc.Rpki_sim.Loop.sim in
+  let sim = (Rpki_sim.Scenario.build Rpki_sim.Scenario.section6).Rpki_sim.Scenario.sim in
   let r1 = Rpki_sim.Loop.step sim ~now:1 in
   (* before the first tick everything is priced at zero; afterwards each
      fetch costs per-hop time over the routed path *)
@@ -305,17 +304,16 @@ let test_staleness_alerts () =
 (* --- RTR surfaces data staleness next to its serial --- *)
 
 let test_rtr_data_age () =
-  let sc = Rpki_sim.Loop.section6_scenario () in
-  let sim = sc.Rpki_sim.Loop.sim in
+  let sim = (Rpki_sim.Scenario.build Rpki_sim.Scenario.section6).Rpki_sim.Scenario.sim in
   ignore (Rpki_sim.Loop.step sim ~now:1);
-  let cache = Rpki_sim.Loop.rtr_cache sim in
+  let cache = Rpki_rtr.Server.cache (Rpki_sim.Loop.rtr_server sim) in
   Alcotest.(check int) "fresh data age" 0 (Rpki_rtr.Session.cache_data_age cache);
   (* stall every repository: the RP serves pure cache from now on *)
   List.iter
     (fun pp ->
       Rpki_repo.Transport.set_fault (Rpki_sim.Loop.transport sim)
         ~uri:(Pub_point.uri pp) Rpki_repo.Transport.Unreachable)
-    (Universe.points sc.Rpki_sim.Loop.model.Model.universe);
+    (Universe.points sim.Rpki_sim.Loop.universe);
   ignore (Rpki_sim.Loop.step sim ~now:5);
   Alcotest.(check int) "serial data now 4 ticks old" 4
     (Rpki_rtr.Session.cache_data_age cache)

@@ -64,23 +64,23 @@ let sync_view (res : Relying_party.sync_result) =
 
 let run ~valcache (k : knobs) =
   let sv =
-    Loop.split_view_scenario ~monitors:k.monitors ~grace:k.grace ~gossip_period:1
-      ~valcache ()
+    Scenario.build
+      { Scenario.default with monitors = k.monitors; grace = k.grace; valcache }
   in
-  let t = sv.Loop.sv_sim in
+  let t = sv.Scenario.sim in
   if k.slow then
     Transport.set_fault (Loop.transport t)
-      ~uri:(Pub_point.uri (Authority.pub sv.Loop.sv_model.Model.continental))
+      ~uri:(Pub_point.uri (Authority.pub sv.Scenario.victim_ca))
       (Transport.Slow 2);
   let atk =
     lazy
-      (Split_view.plan ~authority:sv.Loop.sv_model.Model.continental
-         ~target_filename:sv.Loop.sv_target_filename
+      (Split_view.plan ~authority:sv.Scenario.victim_ca
+         ~target_filename:sv.Scenario.victim_roa
          ~stealth:(if k.attack = Overt then Split_view.Overt else Split_view.Stealthy)
          ())
   in
   for now = 1 to k.ticks do
-    if k.churn then Authority.maintain sv.Loop.sv_model.Model.arin ~now;
+    if k.churn then Authority.maintain sv.Scenario.root ~now;
     if k.attack <> No_attack && now = k.attack_at then
       Split_view.apply (Lazy.force atk) (Loop.transport t);
     ignore (Loop.step t ~now)

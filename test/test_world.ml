@@ -18,6 +18,7 @@ open Rpki_bgp
 module Synthesis = Rpki_world.Synthesis
 module Placement = Rpki_world.Placement
 module Loop = Rpki_sim.Loop
+module Scenario = Rpki_sim.Scenario
 
 let all_valid (_ : Route.t) = Origin_validation.Valid
 
@@ -234,18 +235,20 @@ let test_synthesis_invariants () =
 
 let run_split_view ~monitors =
   let rig =
-    Loop.world_scenario ~monitors ~placement:Placement.By_degree ~grace:4
-      ~world:small_world_spec ()
+    Scenario.build
+      { Scenario.default with
+        source = Scenario.World (Synthesis.build small_world_spec); monitors;
+        placement = Placement.By_degree }
   in
-  let t = rig.Loop.wr_sim in
+  let t = rig.Scenario.sim in
   ignore (Loop.step t ~now:1);
   ignore (Loop.step t ~now:2);
   let r2 = List.hd (Loop.history t |> List.rev) in
   Alcotest.(check bool) "victim probe up before the attack" true
     (List.assoc "victim-prefix" r2.Loop.probe_results);
   let sv =
-    Rpki_attack.Split_view.plan ~authority:rig.Loop.wr_target_authority
-      ~target_filename:rig.Loop.wr_target_filename ()
+    Rpki_attack.Split_view.plan ~authority:rig.Scenario.victim_ca
+      ~target_filename:rig.Scenario.victim_roa ()
   in
   Rpki_attack.Split_view.apply sv (Loop.transport t);
   for now = 3 to 10 do
@@ -261,7 +264,7 @@ let test_split_view_detected_on_world () =
     Alcotest.(check bool)
       (Printf.sprintf "fork detected within grace (tick %d)" tick)
       true (tick <= 3 + 4));
-  Alcotest.(check int) "three monitors registered" 3 (List.length rig.Loop.wr_monitors)
+  Alcotest.(check int) "three monitors registered" 3 (List.length rig.Scenario.monitor_names)
 
 let test_split_view_missed_without_mesh () =
   let _, fork = run_split_view ~monitors:0 in
@@ -276,9 +279,12 @@ let test_stall_on_world () =
       Synthesis.validity = Some 5; refresh_interval = Some 3 }
   in
   (* grace 0: expired VRPs drop immediately instead of being held *)
-  let rig = Loop.world_scenario ~monitors:0 ~grace:0 ~world:wspec () in
-  let t = rig.Loop.wr_sim in
-  let w = rig.Loop.wr_world in
+  let w = Synthesis.build wspec in
+  let rig =
+    Scenario.build
+      { Scenario.default with source = Scenario.World w; monitors = 0; grace = 0 }
+  in
+  let t = rig.Scenario.sim in
   let churn ~now = Rpki_repo.Authority.maintain (Synthesis.root w) ~now in
   churn ~now:1;
   ignore (Loop.step t ~now:1);
@@ -315,9 +321,11 @@ let test_stall_on_world () =
    verified snapshot restore plus an unchanged VRP view. *)
 let test_restart_on_world () =
   let rig =
-    Loop.world_scenario ~monitors:2 ~persist:true ~world:small_world_spec ()
+    Scenario.build
+      { Scenario.default with
+        source = Scenario.World (Synthesis.build small_world_spec); persist = true }
   in
-  let t = rig.Loop.wr_sim in
+  let t = rig.Scenario.sim in
   for now = 1 to 4 do
     ignore (Loop.step t ~now)
   done;
@@ -326,7 +334,7 @@ let test_restart_on_world () =
   ignore (Loop.step t ~now:5);
   let recovery =
     Loop.restart_vantage t ~name:"victim-rp" ~now:6
-      ~make:(Option.get rig.Loop.wr_respawn)
+      ~make:rig.Scenario.respawn
   in
   Alcotest.(check bool)
     (Printf.sprintf "snapshot restore succeeded (%s)"
