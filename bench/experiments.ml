@@ -1415,7 +1415,8 @@ let multivantage () =
    [Rpki_rtr.Server] at increasing session counts, checks after every
    batched notify that all sessions converged to the cache's exact VRP set
    (a mid-run hold included), and closes with a per-session baseline arm
-   and a Domain sweep that must not change a single accounting byte. *)
+   and a Domain sweep that must not change a single accounting byte and
+   times [flush ~domains:1/2/4] on a mid-sized cell and on the largest. *)
 let rtr () =
   header "RTR serving plane: encode-once deltas, batched notify (sessions x churn)";
   let module Server = Rpki_rtr.Server in
@@ -1424,7 +1425,7 @@ let rtr () =
   let ticks = if !quick then 8 else 20 in
   let universe = if !quick then 200 else 1000 in
   let session_counts = if !quick then [ 16; 128 ] else [ 16; 64; 256; 1024; 4096 ] in
-  let churn_levels = if !quick then [ 8 ] else [ 8; 64 ] in
+  let churn_levels = [ 8; 64 ] in
   (* tick [t]'s VRP set: a stable universe where the first [churn] prefixes
      re-originate every tick — each serial is churn announcements plus churn
      withdrawals, the steady drip of a production cache *)
@@ -1556,28 +1557,55 @@ let rtr () =
   if reduction < 50. then
     failwith
       (Printf.sprintf "rtr: only %.1fx encode reduction at %d sessions" reduction big);
-  (* Domains must be invisible in the accounting: same stats to the byte *)
+  (* Domains must be invisible in the accounting: same stats to the byte.
+     The sweep also times them, on a mid-sized cell and on the largest. *)
   let domain_counts = [ 1; 2; 4 ] in
-  let dstats =
+  let last l = List.nth l (List.length l - 1) in
+  let sweep_cells = [ (min big 256, churn0); (last session_counts, last churn_levels) ] in
+  let sweep =
     List.map
-      (fun domains ->
-        let st, _ = run_cell ~sessions:(min big 256) ~churn:churn0 ~domains in
-        (domains, st))
-      domain_counts
+      (fun (sessions, churn) ->
+        let runs =
+          List.map (fun domains -> run_cell ~sessions ~churn ~domains) domain_counts
+        in
+        let st1, _ = List.hd runs in
+        List.iter2
+          (fun domains (st, _) ->
+            if st <> st1 then
+              failwith
+                (Printf.sprintf "rtr: accounting changed under %d domains (%d sessions, churn %d)"
+                   domains sessions churn))
+          domain_counts runs;
+        let ms_per_batch =
+          List.map
+            (fun ((st : Server.stats), ms) ->
+              ms /. float_of_int (max 1 st.Server.notify_batches))
+            runs
+        in
+        (sessions, churn, ms_per_batch))
+      sweep_cells
   in
-  let _, st1 = List.hd dstats in
+  let dt =
+    Table.create
+      ~aligns:(List.init (2 + List.length domain_counts) (fun _ -> Table.Right))
+      ("sessions" :: "churn"
+       :: List.map (Printf.sprintf "ms/batch @%d dom") domain_counts)
+  in
   List.iter
-    (fun (domains, st) ->
-      if st <> st1 then
-        failwith (Printf.sprintf "rtr: accounting changed under %d domains" domains))
-    dstats;
-  Printf.printf "domain sweep (%s): accounting identical to the byte\n"
+    (fun (sessions, churn, ms) ->
+      Table.add_row dt
+        (string_of_int sessions :: string_of_int churn
+         :: List.map (Printf.sprintf "%.2f") ms))
+    sweep;
+  Printf.printf "\ndomain sweep (%s): accounting identical to the byte\n\n"
     (String.concat "/" (List.map string_of_int domain_counts));
+  Table.print dt;
   write_json ~name:"rtr"
     (Printf.sprintf
        "{\"experiment\":\"rtr\",\"ticks\":%d,\"universe\":%d,\"cells\":[%s],\
         \"baseline\":{\"sessions\":%d,\"bytes_encoded\":%d,\"server_bytes_encoded\":%d,\
-        \"reduction\":%.1f},\"domain_sweep\":{\"domains\":[%s],\"identical\":true}}"
+        \"reduction\":%.1f},\"domain_sweep\":{\"domains\":[%s],\"identical\":true,\
+        \"cells\":[%s]}}"
        ticks universe
        (String.concat ","
           (List.map
@@ -1595,7 +1623,14 @@ let rtr () =
                  (float_of_int (sessions * batches) /. (max 1e-6 ms /. 1000.)))
              cells))
        big baseline_bytes server_bytes reduction
-       (String.concat "," (List.map string_of_int domain_counts)))
+       (String.concat "," (List.map string_of_int domain_counts))
+       (String.concat ","
+          (List.map
+             (fun (sessions, churn, ms) ->
+               Printf.sprintf "{\"sessions\":%d,\"churn\":%d,\"ms_per_batch\":[%s]}"
+                 sessions churn
+                 (String.concat "," (List.map (Printf.sprintf "%.3f") ms)))
+             sweep)))
 
 (* ------------------------------------------------------------------ *)
 (* Soak: long-run endurance                                            *)

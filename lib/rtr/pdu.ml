@@ -105,6 +105,11 @@ let get_u8 s off = Char.code s.[off]
 let get_u16 s off = (get_u8 s off lsl 8) lor get_u8 s (off + 1)
 let get_u32 s off = (get_u16 s off lsl 16) lor get_u16 s (off + 2)
 
+(* Every type but Error Report has exactly one length (RFC 6810 section 5);
+   checking it first is what keeps the fixed-offset reads inside the PDU. *)
+let expect_length name want length =
+  if length <> want then raise (Parse_error (Printf.sprintf "bad %s PDU length" name))
+
 (* Decode one PDU from [s] starting at [off]; returns (pdu, bytes consumed). *)
 let decode_at s off =
   if String.length s - off < 8 then raise (Parse_error "truncated header");
@@ -117,12 +122,20 @@ let decode_at s off =
   if length < 8 || String.length s - off < length then raise (Parse_error "truncated PDU");
   let pdu =
     match pdu_type with
-    | 0 -> Serial_notify { session_id = session; serial = get_u32 s (off + 8) }
-    | 1 -> Serial_query { session_id = session; serial = get_u32 s (off + 8) }
-    | 2 -> Reset_query
-    | 3 -> Cache_response { session_id = session }
+    | 0 ->
+      expect_length "Serial Notify" 12 length;
+      Serial_notify { session_id = session; serial = get_u32 s (off + 8) }
+    | 1 ->
+      expect_length "Serial Query" 12 length;
+      Serial_query { session_id = session; serial = get_u32 s (off + 8) }
+    | 2 ->
+      expect_length "Reset Query" 8 length;
+      Reset_query
+    | 3 ->
+      expect_length "Cache Response" 8 length;
+      Cache_response { session_id = session }
     | 4 ->
-      if length <> 20 then raise (Parse_error "bad IPv4 prefix PDU length");
+      expect_length "IPv4 prefix" 20 length;
       let flags = if get_u8 s (off + 8) land 1 = 1 then Announce else Withdraw in
       let plen = get_u8 s (off + 9) in
       let max_len = get_u8 s (off + 10) in
@@ -132,7 +145,7 @@ let decode_at s off =
       Ipv4_prefix { flags; prefix = Rpki_ip.V4.Prefix.make addr plen; max_len;
                     asn = get_u32 s (off + 16) }
     | 6 ->
-      if length <> 32 then raise (Parse_error "bad IPv6 prefix PDU length");
+      expect_length "IPv6 prefix" 32 length;
       let flags = if get_u8 s (off + 8) land 1 = 1 then Announce else Withdraw in
       let plen = get_u8 s (off + 9) in
       let max_len = get_u8 s (off + 10) in
@@ -143,11 +156,23 @@ let decode_at s off =
       let l = Int64.logor (Int64.shift_left (w 2) 32) (w 3) in
       Ipv6_prefix { flags; prefix6 = Rpki_ip.V6.Prefix.make (h, l) plen; max_len;
                     asn = get_u32 s (off + 28) }
-    | 7 -> End_of_data { session_id = session; serial = get_u32 s (off + 8) }
-    | 8 -> Cache_reset
+    | 7 ->
+      expect_length "End of Data" 12 length;
+      End_of_data { session_id = session; serial = get_u32 s (off + 8) }
+    | 8 ->
+      expect_length "Cache Reset" 8 length;
+      Cache_reset
     | 10 ->
-      let msg_len = get_u32 s (off + 12) in
-      Error_report { error_code = session; message = String.sub s (off + 16) msg_len }
+      (* RFC 6810 section 5.10: the encapsulated PDU and then the text,
+         each behind its 32-bit length, filling the PDU exactly *)
+      let bad () = raise (Parse_error "bad Error Report PDU length") in
+      if length < 16 then bad ();
+      let pdu_len = get_u32 s (off + 8) in
+      if 16 + pdu_len > length then bad ();
+      let text_len = get_u32 s (off + 12 + pdu_len) in
+      if 16 + pdu_len + text_len <> length then bad ();
+      Error_report
+        { error_code = session; message = String.sub s (off + 16 + pdu_len) text_len }
     | n -> raise (Parse_error (Printf.sprintf "unsupported PDU type %d" n))
   in
   (pdu, length)

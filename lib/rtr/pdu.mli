@@ -43,7 +43,10 @@ exception Parse_error of string
 val encode : t -> string
 
 val decode_at : string -> int -> t * int
-(** Decode one PDU at an offset; returns it and the bytes consumed. *)
+(** Decode one PDU at an offset; returns it and the bytes consumed.  Every
+    type but Error Report must carry exactly its RFC 6810 length, and an
+    Error Report's encapsulated PDU and text must fill it exactly.  Any
+    malformed input raises {!Parse_error} and nothing else. *)
 
 val decode : string -> t
 (** Exactly one PDU; trailing bytes raise {!Parse_error}. *)

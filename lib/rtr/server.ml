@@ -51,6 +51,8 @@ type t = {
   mutable dirty : bool;             (* router-visible state changed since the
                                        last flush *)
   mutable bumps_pending : int;      (* serial bumps since the last flush *)
+  mutable reset_all : bool;         (* a restore moved the serial line: every
+                                       session starts over at the next flush *)
   mutable publishes : int;
   mutable serial_bumps : int;
   mutable notify_batches : int;
@@ -67,7 +69,7 @@ type t = {
 let of_cache cache =
   { cache; sessions = []; buffers = Hashtbl.create 32; snapshot = None;
     reset_bytes = Pdu.encode Pdu.Cache_reset; dirty = false; bumps_pending = 0;
-    publishes = 0;
+    reset_all = false; publishes = 0;
     serial_bumps = 0; notify_batches = 0; coalesced = 0; encode_calls = 0;
     bytes_encoded = 0; bytes_sent = 0; bytes_received = 0; replays = 0; resets = 0;
     unsafe_count = 0 }
@@ -121,9 +123,19 @@ let hold t ~prefix ~vrps = mutating t (fun () -> Session.hold t.cache ~prefix ~v
 let release t ~prefix = mutating t (fun () -> Session.release t.cache ~prefix)
 
 (* A restore can land on the very serial it left off at, so the bump check
-   cannot be trusted: force the next flush to renotify everybody. *)
+   cannot be trusted: force the next flush to renotify everybody.  Unless
+   the restore kept both the serial and the set, a session's serial no
+   longer names what it holds (a session at the restored serial may hold
+   another set, and the next delta would not apply to it), so every session
+   takes a Cache Reset at the next flush. *)
 let restore t ~serial ~vrps =
-  mutating ~force:true t (fun () -> Session.restore t.cache ~serial ~vrps)
+  let serial_before = Session.cache_serial t.cache in
+  let vrps_before = Session.cache_vrps t.cache in
+  mutating ~force:true t (fun () -> Session.restore t.cache ~serial ~vrps);
+  if
+    Session.cache_serial t.cache <> serial_before
+    || not (List.equal Vrp.equal (Session.cache_vrps t.cache) vrps_before)
+  then t.reset_all <- true
 
 (* --- sessions --- *)
 
@@ -144,10 +156,7 @@ let session_tx_bytes s = s.tx
 let session_rx_bytes s = s.rx
 let session_resets (s : session) = s.resets
 
-let session_synced t s =
-  s.live
-  && Session.router_session s.router = Some (Session.cache_session_id t.cache)
-  && Session.router_serial s.router = Session.cache_serial t.cache
+let session_synced t s = s.live && Session.router_in_sync s.router t.cache
 
 (* --- the notify batch --- *)
 
@@ -223,7 +232,7 @@ let flush ?(domains = 1) t =
     Array.map
       (fun s ->
         match Session.router_session s.router with
-        | Some rsid when rsid = sid ->
+        | Some rsid when rsid = sid && not t.reset_all ->
           let base = Session.router_serial s.router in
           if base = current then Skip
           else (match changes base with Some _ -> Delta base | None -> Reset_stale)
@@ -381,15 +390,10 @@ let flush ?(domains = 1) t =
     let fr_coalesced = max 0 (t.bumps_pending - 1) in
     t.bumps_pending <- 0;
     t.dirty <- false;
+    t.reset_all <- false;
     { fr_serial = current; fr_notified = (if notifying then n else 0);
       fr_advanced = !advanced; fr_resets = !reset_count; fr_skipped = !skipped;
       fr_coalesced }
   end
 
-let all_synced t =
-  let want = Session.cache_vrps t.cache in
-  List.for_all
-    (fun s ->
-      Session.router_serial s.router = Session.cache_serial t.cache
-      && List.equal Vrp.equal (Session.router_vrps s.router) want)
-    t.sessions
+let all_synced t = List.for_all (session_synced t) t.sessions

@@ -76,9 +76,12 @@ val hold : t -> prefix:V4.Prefix.t -> vrps:Vrp.t list -> unit
 val release : t -> prefix:V4.Prefix.t -> unit
 
 val restore : t -> serial:int -> vrps:Vrp.t list -> unit
-(** Rehydrate after a restart ({!Session.restore}).  Every session takes
-    one Cache Reset at the next flush unless its serial happens to match;
-    the next flush always notifies. *)
+(** Rehydrate after a restart ({!Session.restore}); the next flush always
+    notifies.  A restore that keeps both the cache's serial and its
+    router-visible set resets nobody.  Any other restore gives every
+    session one Cache Reset at the next flush, so each ends it on the
+    restored set — a session at the restored serial may hold a different
+    set, and the next delta would not apply to it. *)
 
 (** {2 Sessions} *)
 
@@ -94,7 +97,8 @@ val session_count : t -> int
 val session_serial : session -> int
 
 val session_synced : t -> session -> bool
-(** Attached and at the cache's current serial. *)
+(** Attached, on the cache's session and serial, and holding exactly the
+    cache's current VRP set ({!Session.router_in_sync}). *)
 
 val session_vrps : session -> Vrp.t list
 
@@ -137,7 +141,7 @@ val flush : ?domains:int -> t -> flush_report
     every session's state are identical whatever [domains] is. *)
 
 val all_synced : t -> bool
-(** Every attached session holds exactly the cache's current VRP set. *)
+(** Every attached session is {!session_synced}. *)
 
 (** {2 Accounting} *)
 

@@ -184,64 +184,149 @@ let serve cache (request_bytes : string) =
 
 (* --- router (client) side --- *)
 
+(* A router's table is a sorted ([Vrp.compare]), duplicate-free array: one
+   word per VRP, searched by bisection.  A response is checked against it
+   and merged in once, at End of Data, into a fresh array, so a response
+   that fails leaves the table as it was. *)
 type router = {
   mutable r_session : int option;
   mutable r_serial : int;
-  mutable r_vrps : Vrp.t list;
+  mutable r_vrps : Vrp.t array;
 }
 
-let create_router () = { r_session = None; r_serial = 0; r_vrps = [] }
+let create_router () = { r_session = None; r_serial = 0; r_vrps = [||] }
 
 (* The client side of acting on a Cache Reset: forget everything and start
    over with a Reset Query. *)
 let reset_router router =
   router.r_session <- None;
   router.r_serial <- 0;
-  router.r_vrps <- []
+  router.r_vrps <- [||]
 
 let router_session router = router.r_session
 let router_serial router = router.r_serial
-let router_vrps router = router.r_vrps
+let router_vrps router = Array.to_list router.r_vrps
+
+let router_in_sync router cache =
+  router.r_session = Some cache.session_id
+  && router.r_serial = cache.serial
+  &&
+  let table = router.r_vrps in
+  let rec same i = function
+    | [] -> i = Array.length table
+    | v :: rest -> i < Array.length table && Vrp.equal table.(i) v && same (i + 1) rest
+  in
+  same 0 cache.current
 
 exception Protocol_error of string
 
+(* The first position in [table] whose VRP is not below [v]. *)
+let lower_bound table v =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else begin
+      let mid = (lo + hi) lsr 1 in
+      if Vrp.compare table.(mid) v < 0 then go (mid + 1) hi else go lo mid
+    end
+  in
+  go 0 (Array.length table)
+
+(* The net effect on [table] of a response's prefix PDUs [ops] ((VRP,
+   announce?) in PDU order): ascending [(position, Some v)] additions and
+   [(position, None)] removals, and the size of the patched table.  A
+   stable sort groups each VRP's PDUs in order (a snapshot arrives sorted
+   and skips it); a group starts from the table's bisected answer, so a
+   withdrawal is checked against the table and the earlier PDUs of its
+   own response. *)
+let net_changes table ops =
+  let ops = Array.of_list ops in
+  let n = Array.length ops in
+  let cmp (a, _) (b, _) = Vrp.compare a b in
+  let rec sorted i = i >= n || (cmp ops.(i - 1) ops.(i) <= 0 && sorted (i + 1)) in
+  if not (sorted 1) then Array.stable_sort cmp ops;
+  let rec group i changes size =
+    if i >= n then (List.rev changes, size)
+    else begin
+      let v = fst ops.(i) in
+      let p = lower_bound table v in
+      let held = p < Array.length table && Vrp.equal table.(p) v in
+      (* apply the group's PDUs from [j] on; returns where the next group
+         starts and whether [v] is held after this one *)
+      let rec apply j present =
+        let present =
+          if snd ops.(j) then true
+          else if present then false
+          else raise (Protocol_error "withdrawal of unknown VRP")
+        in
+        if j + 1 < n && Vrp.equal (fst ops.(j + 1)) v then apply (j + 1) present
+        else (j + 1, present)
+      in
+      let next, present = apply i held in
+      if present && not held then group next ((p, Some v) :: changes) (size + 1)
+      else if held && not present then group next ((p, None) :: changes) (size - 1)
+      else group next changes size
+    end
+  in
+  group 0 [] (Array.length table)
+
+(* [table] with [net_changes] applied, as a fresh array of [size]: the runs
+   between change positions are blitted across.  Every slot is written, so
+   any VRP at hand fills the array first. *)
+let patch table changes size =
+  let out =
+    Array.make size (match changes with (_, Some v) :: _ -> v | _ -> table.(0))
+  in
+  let blit src dst len = if len > 0 then Array.blit table src out dst len in
+  let rec go src dst = function
+    | [] -> blit src dst (Array.length table - src)
+    | (p, change) :: rest -> (
+      let run = p - src in
+      blit src dst run;
+      match change with
+      | Some v ->
+        out.(dst + run) <- v;
+        go p (dst + run + 1) rest
+      | None -> go (p + 1) (dst + run) rest)
+  in
+  go 0 0 changes;
+  out
+
 (* Apply a cache response to the router state. *)
 let apply_response router (bytes : string) =
-  let pdus = Pdu.decode_all bytes in
-  let go pdus =
-    match pdus with
-    | Pdu.Cache_reset :: _ ->
-      (* full resynchronisation required *)
-      router.r_session <- None;
-      `Reset_required
-    | Pdu.Cache_response { session_id } :: rest ->
-      (match router.r_session with
-      | Some s when s <> session_id -> raise (Protocol_error "session mismatch")
-      | _ -> router.r_session <- Some session_id);
-      let rec consume acc = function
-        | [ Pdu.End_of_data { serial; session_id = sid } ] ->
-          if Some sid <> router.r_session then raise (Protocol_error "session mismatch at EOD");
-          router.r_serial <- serial;
-          router.r_vrps <- List.sort_uniq Vrp.compare acc;
-          `Synced
-        | Pdu.Ipv4_prefix { flags = Pdu.Announce; prefix; max_len; asn } :: rest ->
-          consume (Vrp.make ~max_len prefix asn :: acc) rest
-        | Pdu.Ipv4_prefix { flags = Pdu.Withdraw; prefix; max_len; asn } :: rest ->
-          let v = Vrp.make ~max_len prefix asn in
-          if not (List.exists (Vrp.equal v) acc) then
-            raise (Protocol_error "withdrawal of unknown VRP");
-          consume (List.filter (fun x -> not (Vrp.equal x v)) acc) rest
-        | Pdu.Ipv6_prefix _ :: rest -> consume acc rest (* carried but unindexed *)
-        | [] -> raise (Protocol_error "missing End of Data")
-        | p :: _ -> raise (Protocol_error ("unexpected " ^ Pdu.to_string p))
-      in
-      consume router.r_vrps rest
-    | Pdu.Error_report { error_code; message } :: _ ->
-      raise (Protocol_error (Printf.sprintf "cache error %d: %s" error_code message))
-    | p :: _ -> raise (Protocol_error ("unexpected " ^ Pdu.to_string p))
-    | [] -> raise (Protocol_error "empty response")
-  in
-  go pdus
+  match Pdu.decode_all bytes with
+  | Pdu.Cache_reset :: _ ->
+    (* full resynchronisation required *)
+    router.r_session <- None;
+    `Reset_required
+  | Pdu.Cache_response { session_id } :: rest ->
+    (match router.r_session with
+    | Some s when s <> session_id -> raise (Protocol_error "session mismatch")
+    | _ -> router.r_session <- Some session_id);
+    (* the prefix PDUs before End of Data, and how the response ends; any
+       structural error comes after every collected PDU *)
+    let rec collect ops = function
+      | [ Pdu.End_of_data { serial; session_id = sid } ] ->
+        (ops, if Some sid <> router.r_session then Error "session mismatch at EOD" else Ok serial)
+      | Pdu.Ipv4_prefix { flags; prefix; max_len; asn } :: rest ->
+        collect ((Vrp.make ~max_len prefix asn, flags = Pdu.Announce) :: ops) rest
+      | Pdu.Ipv6_prefix _ :: rest -> collect ops rest (* carried but unindexed *)
+      | [] -> (ops, Error "missing End of Data")
+      | p :: _ -> (ops, Error ("unexpected " ^ Pdu.to_string p))
+    in
+    let ops, ending = collect [] rest in
+    let changes, size = net_changes router.r_vrps (List.rev ops) in
+    (match ending with
+    | Error msg -> raise (Protocol_error msg)
+    | Ok serial ->
+      router.r_serial <- serial;
+      (match changes with
+      | [] -> ()
+      | _ -> router.r_vrps <- patch router.r_vrps changes size);
+      `Synced)
+  | Pdu.Error_report { error_code; message } :: _ ->
+    raise (Protocol_error (Printf.sprintf "cache error %d: %s" error_code message))
+  | p :: _ -> raise (Protocol_error ("unexpected " ^ Pdu.to_string p))
+  | [] -> raise (Protocol_error "empty response")
 
 (* One synchronisation round against a cache: incremental when possible,
    falling back to reset.  Returns the router's resulting VRP set. *)
@@ -252,18 +337,14 @@ let synchronize router cache =
       Pdu.encode (Pdu.Serial_query { session_id = sid; serial = router.r_serial })
     | _ ->
       (* new or different cache: start a fresh session from nothing *)
-      router.r_vrps <- [];
-      router.r_serial <- 0;
-      router.r_session <- None;
+      reset_router router;
       Pdu.encode Pdu.Reset_query
   in
   match apply_response router (serve cache query) with
-  | `Synced -> router.r_vrps
+  | `Synced -> router_vrps router
   | `Reset_required -> (
     (* the incremental window closed: start over from scratch *)
-    router.r_vrps <- [];
-    router.r_serial <- 0;
-    router.r_session <- None;
+    reset_router router;
     match apply_response router (serve cache (Pdu.encode Pdu.Reset_query)) with
-    | `Synced -> router.r_vrps
+    | `Synced -> router_vrps router
     | `Reset_required -> raise (Protocol_error "reset loop"))

@@ -110,7 +110,12 @@ val serve : cache -> string -> string
 (** {2 Router (client) side} *)
 
 type router
-(** Opaque router state: (session, serial) plus the VRPs it holds. *)
+(** Opaque router state: (session, serial) plus the VRP table it holds.
+    The table is a sorted ({!Vrp.compare}), duplicate-free array, one word
+    per VRP, searched by bisection and replaced whole at each End of Data
+    that changes it.  Each router decodes its own bytes into its own VRP
+    records, so routers share nothing and can be driven from different
+    Domains. *)
 
 val create_router : unit -> router
 
@@ -122,12 +127,37 @@ val reset_router : router -> unit
 
 val router_session : router -> int option
 val router_serial : router -> int
+
 val router_vrps : router -> Vrp.t list
+(** The table as a normalized list (sorted, duplicate-free). *)
+
+val router_in_sync : router -> cache -> bool
+(** On the cache's session and serial, holding exactly its current VRP
+    set. *)
 
 exception Protocol_error of string
 
 val apply_response : router -> string -> [ `Synced | `Reset_required ]
-(** Apply an encoded cache response to the router state. *)
+(** Apply an encoded cache response to the router state.
+
+    The PDUs apply in order: an announce of a VRP already held is a no-op,
+    and a withdrawal of a VRP not held — counting the earlier PDUs of the
+    same response — raises [Protocol_error "withdrawal of unknown VRP"] at
+    that PDU, before any later error.  IPv6 prefixes are carried and
+    ignored.  A Cache Response sets the router's session; serial and table
+    change only at a good End of Data, so a response that raises leaves
+    them as they were.  A Cache Reset clears the session and answers
+    [`Reset_required].
+
+    Raises {!Pdu.Parse_error} on bytes that do not decode and
+    {!Protocol_error} on a response that breaks the protocol; nothing
+    else.
+
+    Cost, for Δ prefix PDUs against a table of V VRPs: O(Δ log Δ + Δ log V)
+    to check them and O(V + Δ) to build the new table, which happens only
+    when the response changes it.  PDUs that arrive sorted, as a snapshot
+    from this cache does, skip the sort, so a full snapshot into an empty
+    table costs O(V) once decoded and O(V log V) at worst. *)
 
 val synchronize : router -> cache -> Vrp.t list
 (** One synchronisation round: incremental when the session and serial

@@ -57,6 +57,55 @@ let test_decode_all () =
   let stream = Pdu.encode Pdu.Reset_query ^ Pdu.encode Pdu.Cache_reset in
   Alcotest.(check int) "two pdus" 2 (List.length (Pdu.decode_all stream))
 
+let expect_parse_error what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Parse_error" what
+  | exception Pdu.Parse_error _ -> ()
+
+(* A fixed-size PDU declaring any length but its own used to be read past
+   its end. *)
+let test_short_fixed_size () =
+  let short_query = "\x00\x01\x00\x00\x00\x00\x00\x08" in
+  expect_parse_error "8-byte Serial Query" (fun () -> Pdu.decode short_query);
+  expect_parse_error "8-byte Serial Notify" (fun () ->
+      Pdu.decode "\x00\x00\x00\x00\x00\x00\x00\x08");
+  let short_eod = "\x00\x07\x00\x00\x00\x00\x00\x08" in
+  expect_parse_error "8-byte End of Data" (fun () -> Pdu.decode short_eod);
+  expect_parse_error "Reset Query with a body" (fun () ->
+      Pdu.decode "\x00\x02\x00\x00\x00\x00\x00\x0c\x00\x00\x00\x00");
+  (* a router's malformed query must not crash the cache *)
+  let cache = Session.create_cache () in
+  Session.publish cache [ Vrp.make (V4.p "10.0.0.0/8") 1 ];
+  (match Pdu.decode_all (Session.serve cache short_query) with
+  | [ Pdu.Error_report { error_code; _ } ] ->
+    Alcotest.(check int) "corrupt data" Pdu.err_corrupt_data error_code
+  | _ -> Alcotest.fail "expected an Error Report");
+  (* and a cache's malformed End of Data must not crash the router *)
+  let router = Session.create_router () in
+  expect_parse_error "response ending in a short End of Data" (fun () ->
+      Session.apply_response router
+        (Pdu.encode (Pdu.Cache_response { session_id = 1 }) ^ short_eod))
+
+let test_error_report_lengths () =
+  expect_parse_error "text length past the PDU" (fun () ->
+      Pdu.decode "\x00\x0a\x00\x00\x00\x00\x00\x10\x00\x00\x00\x00\x00\x00\xff\xff");
+  expect_parse_error "encapsulated length past the PDU" (fun () ->
+      Pdu.decode "\x00\x0a\x00\x00\x00\x00\x00\x10\x00\x00\x01\x00\x00\x00\x00\x00");
+  expect_parse_error "shorter than its two lengths" (fun () ->
+      Pdu.decode "\x00\x0a\x00\x00\x00\x00\x00\x0c\x00\x00\x00\x00");
+  expect_parse_error "text shorter than the PDU" (fun () ->
+      Pdu.decode "\x00\x0a\x00\x00\x00\x00\x00\x12\x00\x00\x00\x00\x00\x00\x00\x01ab");
+  (* RFC 6810 section 5.10: the text follows the encapsulated PDU *)
+  let inner = Pdu.encode Pdu.Reset_query in
+  let b = Buffer.create 32 in
+  Buffer.add_string b "\x00\x0a\x00\x03\x00\x00\x00\x1b";
+  Buffer.add_string b "\x00\x00\x00\x08";
+  Buffer.add_string b inner;
+  Buffer.add_string b "\x00\x00\x00\x03bad";
+  Alcotest.check pdu "text after the encapsulated PDU"
+    (Pdu.Error_report { error_code = 3; message = "bad" })
+    (Pdu.decode (Buffer.contents b))
+
 (* --- session state machines --- *)
 
 let v1 = Vrp.make ~max_len:24 (V4.p "63.174.16.0/20") 17054
@@ -154,13 +203,218 @@ let prop_converges =
              List.length got = List.length want && List.for_all2 Vrp.equal got want)
            sets))
 
+(* --- hostile bytes --- *)
+
+let u32_gen = QCheck.Gen.int_bound 0xffff_ffff
+
+let pdu_gen =
+  QCheck.Gen.(
+    let sid = int_bound 0xffff in
+    let flags = map (fun a -> if a then Pdu.Announce else Pdu.Withdraw) bool in
+    frequency
+      [ (1, map2 (fun session_id serial -> Pdu.Serial_notify { session_id; serial }) sid u32_gen);
+        (1, map2 (fun session_id serial -> Pdu.Serial_query { session_id; serial }) sid u32_gen);
+        (1, return Pdu.Reset_query);
+        (1, map (fun session_id -> Pdu.Cache_response { session_id }) sid);
+        ( 4,
+          map3
+            (fun flags (addr, len, extra) asn ->
+              Pdu.Ipv4_prefix
+                { flags; prefix = V4.Prefix.make addr len; max_len = min 32 (len + extra); asn })
+            flags
+            (triple u32_gen (int_bound 32) (int_bound 8))
+            u32_gen );
+        ( 1,
+          map2
+            (fun flags max_len ->
+              Pdu.Ipv6_prefix { flags; prefix6 = V6.p "2001:db8::/32"; max_len; asn = 65001 })
+            flags (int_range 32 128) );
+        (1, map2 (fun session_id serial -> Pdu.End_of_data { session_id; serial }) sid u32_gen);
+        (1, return Pdu.Cache_reset);
+        ( 1,
+          map2
+            (fun error_code message -> Pdu.Error_report { error_code; message })
+            (int_bound 7) (string_size (int_bound 12)) ) ])
+
+(* Valid streams: arbitrary PDU sequences, and response-shaped ones that get
+   past the first PDU of [apply_response]. *)
+let stream_gen =
+  QCheck.Gen.(
+    map
+      (fun pdus -> String.concat "" (List.map Pdu.encode pdus))
+      (frequency
+         [ (1, list_size (int_range 1 6) pdu_gen);
+           ( 2,
+             map2
+               (fun body eod ->
+                 (Pdu.Cache_response { session_id = 1 } :: body)
+                 @ [ Pdu.End_of_data { session_id = 1; serial = eod } ])
+               (list_size (int_bound 6) pdu_gen) (int_bound 9) ) ]))
+
+let hostile_gen =
+  QCheck.Gen.(
+    let header ty len =
+      Printf.sprintf "\x00%c\x00\x00\x00\x00\x00%c" (Char.chr ty) (Char.chr len)
+    in
+    frequency
+      [ (1, string_size (int_bound 48));
+        (* a version-0 header of any type and a length near the body's *)
+        ( 2,
+          map3 (fun ty len body -> header ty len ^ body) (int_bound 11) (int_bound 48)
+            (string_size (int_bound 40)) );
+        (3, map2 (fun s k -> String.sub s 0 (k mod (String.length s + 1))) stream_gen nat);
+        ( 3,
+          map2
+            (fun s flips ->
+              let b = Bytes.of_string s in
+              List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) flips;
+              Bytes.to_string b)
+            stream_gen
+            (list_size (int_range 1 3) (pair nat char)) ) ])
+
+(* Whatever the bytes: decoding raises only Parse_error, the cache answers
+   every request, and a router raises only Parse_error or Protocol_error. *)
+let prop_hostile_bytes =
+  let cache = Session.create_cache ~session_id:1 () in
+  Session.publish cache [ v1; v2 ];
+  Session.publish cache [ v2; v3 ];
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:3000 ~name:"hostile bytes raise only typed errors"
+       (QCheck.make ~print:(Printf.sprintf "%S") hostile_gen)
+       (fun s ->
+         (match Pdu.decode_all s with _ -> () | exception Pdu.Parse_error _ -> ());
+         ignore (Session.serve cache s);
+         let synced = Session.create_router () in
+         ignore (Session.synchronize synced cache);
+         List.iter
+           (fun router ->
+             match Session.apply_response router s with
+             | `Synced | `Reset_required -> ()
+             | exception (Pdu.Parse_error _ | Session.Protocol_error _) -> ())
+           [ Session.create_router (); synced ];
+         true))
+
+(* --- the router table against a reference model --- *)
+
+module Vs = Set.Make (Vrp)
+
+(* [apply_response] as a Set-based fold: each PDU in order, stopping at the
+   first bad one.  Returns the outcome and the (session, serial, set) after
+   it. *)
+let model (session, serial, set) pdus =
+  let fail session m = (Error m, (session, serial, set)) in
+  match pdus with
+  | Pdu.Cache_reset :: _ -> (Ok `Reset_required, (None, serial, set))
+  | Pdu.Cache_response { session_id } :: rest -> (
+    match session with
+    | Some s when s <> session_id -> fail session "session mismatch"
+    | _ ->
+      let session = Some session_id in
+      let rec go acc = function
+        | [ Pdu.End_of_data { session_id = sid; serial } ] ->
+          if Some sid <> session then fail session "session mismatch at EOD"
+          else (Ok `Synced, (session, serial, acc))
+        | Pdu.Ipv4_prefix { flags; prefix; max_len; asn } :: rest ->
+          let v = Vrp.make ~max_len prefix asn in
+          if flags = Pdu.Announce then go (Vs.add v acc) rest
+          else if Vs.mem v acc then go (Vs.remove v acc) rest
+          else fail session "withdrawal of unknown VRP"
+        | Pdu.Ipv6_prefix _ :: rest -> go acc rest
+        | [] -> fail session "missing End of Data"
+        | p :: _ -> fail session ("unexpected " ^ Pdu.to_string p)
+      in
+      go set rest)
+  | Pdu.Error_report { error_code; message } :: _ ->
+    fail session (Printf.sprintf "cache error %d: %s" error_code message)
+  | p :: _ -> fail session ("unexpected " ^ Pdu.to_string p)
+  | [] -> fail session "empty response"
+
+(* A small pool, so announces and withdrawals of one VRP collide. *)
+let vrp_pool =
+  [| v1; v2; v3; Vrp.make (V4.p "10.0.0.0/8") 1; Vrp.make (V4.p "10.0.0.0/8") 2;
+     Vrp.make ~max_len:16 (V4.p "10.0.0.0/8") 1 |]
+
+let response_gen =
+  QCheck.Gen.(
+    let sid = frequency [ (6, return 1); (1, return 2) ] in
+    let prefix =
+      frequency
+        [ ( 12,
+            map2
+              (fun i announce ->
+                Pdu.of_vrp ~flags:(if announce then Pdu.Announce else Pdu.Withdraw) vrp_pool.(i))
+              (int_bound (Array.length vrp_pool - 1))
+              (frequency [ (3, return true); (2, return false) ]) );
+          ( 1,
+            map
+              (fun announce ->
+                Pdu.Ipv6_prefix
+                  { flags = (if announce then Pdu.Announce else Pdu.Withdraw);
+                    prefix6 = V6.p "2001:db8::/32"; max_len = 48; asn = 65001 })
+              bool );
+          (1, oneofl [ Pdu.Reset_query; Pdu.Cache_response { session_id = 1 }; Pdu.Cache_reset ]) ]
+    in
+    let ending =
+      frequency
+        [ (10, map2 (fun session_id serial -> [ Pdu.End_of_data { session_id; serial } ]) sid
+                 (int_bound 20));
+          (1, return []);
+          (1, return [ Pdu.End_of_data { session_id = 1; serial = 3 }; Pdu.Cache_reset ]) ]
+    in
+    frequency
+      [ ( 12,
+          map3
+            (fun session_id body ending -> (Pdu.Cache_response { session_id } :: body) @ ending)
+            sid (list_size (int_bound 10) prefix) ending );
+        (1, return [ Pdu.Cache_reset ]);
+        (1, return [ Pdu.Error_report { error_code = Pdu.err_no_data_available; message = "none" } ]);
+        (1, return []) ])
+
+let prop_router_table_model =
+  let print rs =
+    String.concat "\n" (List.map (fun r -> String.concat " " (List.map Pdu.to_string r)) rs)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"router table == Set-based reference"
+       (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 12) response_gen))
+       (fun responses ->
+         let router = Session.create_router () in
+         let outcome = function
+           | Ok `Synced -> "synced" | Ok `Reset_required -> "reset" | Error m -> m
+         in
+         ignore
+           (List.fold_left
+              (fun state pdus ->
+                let bytes = String.concat "" (List.map Pdu.encode pdus) in
+                let want, ((session, serial, set) as state) = model state (Pdu.decode_all bytes) in
+                let got =
+                  match Session.apply_response router bytes with
+                  | r -> Ok r
+                  | exception Session.Protocol_error m -> Error m
+                in
+                if outcome got <> outcome want then
+                  QCheck.Test.fail_reportf "outcome %s, model %s" (outcome got) (outcome want);
+                if Session.router_session router <> session then
+                  QCheck.Test.fail_reportf "session differs from the model";
+                if Session.router_serial router <> serial then
+                  QCheck.Test.fail_reportf "serial %d, model %d" (Session.router_serial router)
+                    serial;
+                if not (List.equal Vrp.equal (Session.router_vrps router) (Vs.elements set)) then
+                  QCheck.Test.fail_reportf "VRPs differ from the model";
+                state)
+              (None, 0, Vs.empty) responses);
+         true))
+
 let () =
   Alcotest.run "rtr"
     [ ( "pdu",
         [ Alcotest.test_case "roundtrips" `Quick test_roundtrips;
           Alcotest.test_case "wire layout" `Quick test_wire_layout;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
-          Alcotest.test_case "decode_all" `Quick test_decode_all ] );
+          Alcotest.test_case "decode_all" `Quick test_decode_all;
+          Alcotest.test_case "short fixed-size PDUs" `Quick test_short_fixed_size;
+          Alcotest.test_case "error report lengths" `Quick test_error_report_lengths;
+          prop_hostile_bytes ] );
       ( "session",
         [ Alcotest.test_case "initial sync" `Quick test_initial_sync;
           Alcotest.test_case "incremental" `Quick test_incremental_add_remove;
@@ -169,4 +423,5 @@ let () =
           Alcotest.test_case "session mismatch" `Quick test_session_mismatch_resets;
           Alcotest.test_case "notify" `Quick test_notify;
           Alcotest.test_case "garbage request" `Quick test_cache_serves_error_on_garbage;
-          prop_converges ] ) ]
+          prop_converges;
+          prop_router_table_model ] ) ]

@@ -248,6 +248,33 @@ let test_restore_resets_sessions () =
       Alcotest.check vrp_list "restored set" [ v "10.0.0.0/8" 5 ] (Server.session_vrps s))
     ss
 
+(* A restore onto the serial a session is at, with another set: the session
+   must end the next flush on the restored set, or it stays stale and the
+   next delta withdraws a VRP it never held. *)
+let test_restore_onto_session_serial () =
+  let server = Server.create () in
+  let s = Server.attach server in
+  Server.publish server [ v "10.0.0.0/8" 1 ];
+  ignore (Server.flush server);
+  Server.hold server ~prefix:(V4.p "10.0.0.0/8") ~vrps:[ v "10.0.0.0/8" 99 ];
+  ignore (Server.flush server);
+  Alcotest.(check int) "held at serial 2" 2 (Server.session_serial s);
+  Server.restore server ~serial:2 ~vrps:[ v "10.0.0.0/8" 1 ];
+  Alcotest.(check bool) "stale session is not synced" false (Server.session_synced server s);
+  let rep = Server.flush server in
+  Alcotest.(check int) "reset" 1 rep.Server.fr_resets;
+  Alcotest.check vrp_list "restored set" [ v "10.0.0.0/8" 1 ] (Server.session_vrps s);
+  Alcotest.(check bool) "synced" true (Server.all_synced server);
+  Server.publish server [];
+  ignore (Server.flush server);
+  Alcotest.check vrp_list "next delta applies" [] (Server.session_vrps s);
+  Alcotest.(check bool) "still synced" true (Server.all_synced server);
+  (* the same set onto the same serial resets nobody *)
+  Server.restore server ~serial:(Server.session_serial s) ~vrps:[];
+  let rep = Server.flush server in
+  Alcotest.(check int) "no reset" 0 rep.Server.fr_resets;
+  Alcotest.(check int) "skipped" 1 rep.Server.fr_skipped
+
 let test_domains_parity () =
   (* the same schedule on 1 domain and on 4 must leave identical stats and
      identical session states — the fan-out is an implementation detail *)
@@ -275,5 +302,7 @@ let () =
           Alcotest.test_case "base mismatch" `Quick test_base_mismatch;
           Alcotest.test_case "detach" `Quick test_detach;
           Alcotest.test_case "restore resets sessions" `Quick test_restore_resets_sessions;
+          Alcotest.test_case "restore onto a session's serial" `Quick
+            test_restore_onto_session_serial;
           Alcotest.test_case "domains parity" `Quick test_domains_parity ] );
       ("property", [ prop_identity; prop_identity_domains ]) ]
