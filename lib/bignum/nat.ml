@@ -5,9 +5,13 @@
    intermediate product/carry below 2^62, safely inside OCaml's 63-bit native
    int on 64-bit platforms.
 
-   The implementation favours clarity over micro-optimisation; the only
-   algorithmically interesting parts are Knuth's Algorithm D for division and
-   Karatsuba multiplication above a fixed threshold. *)
+   Most of the module favours clarity over speed.  The exception is the
+   Montgomery kernel behind [pow_mod], where RSA key generation, signing and
+   verification spend nearly all their time: it works in scratch the caller
+   owns, squares with each cross product computed once, and skips bounds
+   checks in its three inner loops.  The other algorithmically interesting
+   parts are Knuth's Algorithm D for division and Karatsuba multiplication
+   above a fixed threshold. *)
 
 let limb_bits = 30
 let base = 1 lsl limb_bits
@@ -310,8 +314,26 @@ let pow_mod_simple ~base:g ~exp ~modulus:m =
    R = (2^30)^n.  A Montgomery product computes a·b·R^-1 mod m with plain
    limb arithmetic and shifts — no division — so a modular exponentiation
    pays for one real division (computing R^2 mod m) up front and none in
-   the loop.  The CIOS inner products stay below 2^62: a_i·b_j + t_j + c
-   <= (2^30-1)^2 + 2·(2^30-1). *)
+   the loop.
+
+   Each product is separated operand scanning (SOS): form the whole 2n-limb
+   a·b in a caller-owned scratch [t] of 2n+1 limbs, then [redc] folds it
+   down.  A square needs each cross product a_i·a_j (i < j) only once: sum
+   them, double the sum and add the diagonal a_i², for n(n+1)/2 + n² limb
+   products (reduction included) instead of 2n².  Results go into an array
+   the caller passes in, written only after the scratch holds the whole
+   product, so the output may be an input: an exponentiation allocates its
+   scratch, one accumulator and its window table, and nothing per product.
+
+   Carry bound: with 30-bit limbs every intermediate stays below 2^62.  A
+   multiply-accumulate step is at most (2^30-1)^2 + 2·(2^30-1) = 2^60 - 1,
+   so its carry stays below 2^30; the doubling step adds at most
+   2·(2^30-1) + (2^30-1)^2 + (2^30+1) < 2^61, carrying at most 2^30 + 1.
+
+   The three inner loops (product, cross products, reduction) skip bounds
+   checks.  Index invariant: [t] has 2n+1 limbs and every index into it is
+   i + j <= 2n - 2; operands and the modulus have n limbs (made by [fixed],
+   by [mont_init] or by the kernel itself) and are read at j < n. *)
 
 type mont = {
   mm : int array; (* modulus, fixed width, mn limbs *)
@@ -341,79 +363,114 @@ let mont_init (m_nat : t) =
   let r2 = rem (shift_left one (2 * limb_bits * mn)) m_nat in
   { mm = Array.copy m_nat; mn; m'; r2 = fixed r2 mn }
 
-(* CIOS Montgomery product: a·b·R^-1 mod m, fixed-width in and out. *)
-let mont_mul ctx (a : int array) (b : int array) =
+(* [r] <- t·R^-1 mod m for the 2n-limb t < m·R held in [t] (t[2n] = 0).
+   Row i adds u·m·B^i with u chosen so limb i cancels; the carry out of the
+   row's top limb is held in [c2] and added with the next row, so no carry
+   ever ripples further.  Destroys [t]. *)
+let redc ctx (t : int array) (r : int array) =
   let n = ctx.mn and m = ctx.mm and m' = ctx.m' in
-  let t = Array.make (n + 2) 0 in
+  let c2 = ref 0 in
+  for i = 0 to n - 1 do
+    let u = (t.(i) * m') land mask in
+    let c = ref 0 in
+    for j = 0 to n - 1 do
+      let s = Array.unsafe_get t (i + j) + (u * Array.unsafe_get m j) + !c in
+      Array.unsafe_set t (i + j) (s land mask);
+      c := s lsr limb_bits
+    done;
+    let s = t.(i + n) + !c + !c2 in
+    t.(i + n) <- s land mask;
+    c2 := s lsr limb_bits
+  done;
+  t.(2 * n) <- !c2;
+  (* t[n..2n] = (t + U·m)/R < 2m: one conditional subtract restores the
+     range. *)
+  let ge_m =
+    t.(2 * n) <> 0
+    ||
+    let rec go i =
+      if i < 0 then true else if t.(n + i) <> m.(i) then t.(n + i) > m.(i) else go (i - 1)
+    in
+    go (n - 1)
+  in
+  if ge_m then begin
+    let borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let d = t.(n + i) - m.(i) - !borrow in
+      r.(i) <- d land mask;
+      borrow := if d < 0 then 1 else 0
+    done
+  end
+  else Array.blit t n r 0 n
+
+(* [r] <- a·b·R^-1 mod m, for fixed-width a, b < m. *)
+let mont_mul ctx t (a : int array) (b : int array) (r : int array) =
+  let n = ctx.mn in
+  Array.fill t 0 ((2 * n) + 1) 0;
   for i = 0 to n - 1 do
     let ai = a.(i) in
     let c = ref 0 in
     for j = 0 to n - 1 do
-      let s = t.(j) + (ai * b.(j)) + !c in
-      t.(j) <- s land mask;
+      let s = Array.unsafe_get t (i + j) + (ai * Array.unsafe_get b j) + !c in
+      Array.unsafe_set t (i + j) (s land mask);
       c := s lsr limb_bits
     done;
-    let s = t.(n) + !c in
-    t.(n) <- s land mask;
-    t.(n + 1) <- t.(n + 1) + (s lsr limb_bits);
-    (* fold in u·m with u chosen so the low limb cancels *)
-    let u = (t.(0) * m') land mask in
-    let c = ref ((t.(0) + (u * m.(0))) lsr limb_bits) in
-    for j = 1 to n - 1 do
-      let s = t.(j) + (u * m.(j)) + !c in
-      t.(j - 1) <- s land mask;
-      c := s lsr limb_bits
-    done;
-    let s = t.(n) + !c in
-    t.(n - 1) <- s land mask;
-    let s2 = t.(n + 1) + (s lsr limb_bits) in
-    t.(n) <- s2 land mask;
-    t.(n + 1) <- s2 lsr limb_bits
+    t.(i + n) <- !c
   done;
-  (* t[0..n] < 2m: one conditional subtract restores the range. *)
-  let ge_m =
-    if t.(n) <> 0 then true
-    else begin
-      let rec go i =
-        if i < 0 then true else if t.(i) <> m.(i) then t.(i) > m.(i) else go (i - 1)
-      in
-      go (n - 1)
-    end
-  in
-  let r = Array.make n 0 in
-  if ge_m then begin
-    let borrow = ref 0 in
-    for i = 0 to n - 1 do
-      let d = t.(i) - m.(i) - !borrow in
-      if d < 0 then begin
-        r.(i) <- d + base;
-        borrow := 1
-      end else begin
-        r.(i) <- d;
-        borrow := 0
-      end
-    done
-  end else Array.blit t 0 r 0 n;
-  r
+  redc ctx t r
+
+(* [r] <- a²·R^-1 mod m, for a fixed-width a < m. *)
+let mont_sqr ctx t (a : int array) (r : int array) =
+  let n = ctx.mn in
+  Array.fill t 0 ((2 * n) + 1) 0;
+  for i = 0 to n - 2 do
+    let ai = a.(i) in
+    let c = ref 0 in
+    for j = i + 1 to n - 1 do
+      let s = Array.unsafe_get t (i + j) + (ai * Array.unsafe_get a j) + !c in
+      Array.unsafe_set t (i + j) (s land mask);
+      c := s lsr limb_bits
+    done;
+    t.(i + n) <- !c
+  done;
+  (* double the cross sum and add the diagonal; a² < B^2n, so no carry is
+     left over *)
+  let c = ref 0 in
+  for i = 0 to n - 1 do
+    let ai = a.(i) in
+    let s = (t.(2 * i) lsl 1) + (ai * ai) + !c in
+    t.(2 * i) <- s land mask;
+    let s = (t.((2 * i) + 1) lsl 1) + (s lsr limb_bits) in
+    t.((2 * i) + 1) <- s land mask;
+    c := s lsr limb_bits
+  done;
+  redc ctx t r
 
 (* 4-bit sliding-window exponentiation over Montgomery products.  Requires
    an odd modulus > 1. *)
 let pow_mod_mont ~base:g ~exp ~modulus:m_nat =
   let ctx = mont_init m_nat in
   let n = ctx.mn in
-  let gm = mont_mul ctx (fixed (rem g m_nat) n) ctx.r2 in
+  let t = Array.make ((2 * n) + 1) 0 in
+  let product a b =
+    let r = Array.make n 0 in
+    mont_mul ctx t a b r;
+    r
+  in
+  let gm = product (fixed (rem g m_nat) n) ctx.r2 in
   (* odd powers g^1, g^3, ..., g^15 in Montgomery form *)
-  let g2 = mont_mul ctx gm gm in
+  let g2 = Array.make n 0 in
+  mont_sqr ctx t gm g2;
   let table = Array.make 8 gm in
   for k = 1 to 7 do
-    table.(k) <- mont_mul ctx table.(k - 1) g2
+    table.(k) <- product table.(k - 1) g2
   done;
   let one_f = fixed one n in
-  let result = ref (mont_mul ctx ctx.r2 one_f) (* R mod m, i.e. 1 in-domain *) in
+  let acc = product ctx.r2 one_f (* R mod m, i.e. 1 in-domain *) in
   let i = ref (num_bits exp - 1) in
   while !i >= 0 do
     if not (testbit exp !i) then begin
-      result := mont_mul ctx !result !result;
+      mont_sqr ctx t acc acc;
       decr i
     end else begin
       (* widest window of <= 4 bits ending on a set bit *)
@@ -424,13 +481,14 @@ let pow_mod_mont ~base:g ~exp ~modulus:m_nat =
         w := (!w lsl 1) lor (if testbit exp j then 1 else 0)
       done;
       for _ = !l to !i do
-        result := mont_mul ctx !result !result
+        mont_sqr ctx t acc acc
       done;
-      result := mont_mul ctx !result table.((!w - 1) / 2);
+      mont_mul ctx t acc table.((!w - 1) / 2) acc;
       i := !l - 1
     end
   done;
-  normalize (mont_mul ctx !result one_f)
+  mont_mul ctx t acc one_f acc;
+  normalize acc
 
 let pow_mod ~base:g ~exp ~modulus:m =
   if is_zero m then raise Division_by_zero;

@@ -50,7 +50,9 @@ let is_probably_prime ?(rounds = 40) rng n =
       let rec trial k =
         if k = 0 then true
         else begin
-          (* a uniform in [2, n-2] *)
+          (* a uniform in [2, n-1].  The textbook range stops at n-2, but
+             n-1 is merely a wasted round (it never witnesses), and
+             narrowing the draw would change every key ever generated *)
           let a = Nat.add (Nat.random rng ~bound:(Nat.succ n3)) Nat.two in
           if miller_rabin_witness n ~d ~s a then false else trial (k - 1)
         end

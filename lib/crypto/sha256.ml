@@ -24,22 +24,23 @@ type ctx = {
   buf : Bytes.t;            (* pending partial block *)
   mutable buf_len : int;
   mutable total : int;      (* total bytes fed so far *)
+  w : int32 array;          (* message schedule: per context, so Domains
+                               hashing at once never share scratch *)
 }
 
 let init () =
   { h0 = 0x6a09e667l; h1 = 0xbb67ae85l; h2 = 0x3c6ef372l; h3 = 0xa54ff53al;
     h4 = 0x510e527fl; h5 = 0x9b05688cl; h6 = 0x1f83d9abl; h7 = 0x5be0cd19l;
-    buf = Bytes.create 64; buf_len = 0; total = 0 }
+    buf = Bytes.create 64; buf_len = 0; total = 0; w = Array.make 64 0l }
 
 let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
 let ( +% ) = Int32.add
 let ( ^% ) = Int32.logxor
 let ( &% ) = Int32.logand
 
-let w = Array.make 64 0l
-
 (* Process one 64-byte block starting at [off] in [block]. *)
 let compress ctx block off =
+  let w = ctx.w in
   for t = 0 to 15 do
     let i = off + (4 * t) in
     w.(t) <-

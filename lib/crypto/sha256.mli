@@ -1,4 +1,7 @@
-(** SHA-256 (FIPS 180-4), vector-tested against the NIST examples. *)
+(** SHA-256 (FIPS 180-4), vector-tested against the NIST examples.
+
+    Every context owns all of its scratch state, so digests may run on
+    several Domains at once. *)
 
 type ctx
 (** Streaming hash state. *)

@@ -79,12 +79,40 @@ let republish t ~now =
 let default_validity = Rtime.year
 let default_refresh = Rtime.day * 14
 
-let create_trust_anchor ~name ~resources ~uri ~addr ~host_asn ~now ~universe
-    ?(key_bits = Rsa.default_bits) ?(validity = default_validity)
-    ?(refresh_interval = default_refresh) () =
+(* An authority's key material depends on nothing but its name and the
+   modulus width, so it can be made ahead of time, on any Domain. *)
+type keys = {
+  k_name : string;
+  k_bits : int;
+  k_rng : Rpki_util.Rng.t; (* the DRBG-derived stream, positioned after
+                              both key pairs *)
+  k_key : Rsa.keypair;
+  k_ee_key : Rsa.keypair;
+}
+
+let make_keys ~name ~key_bits =
   let rng = Drbg.to_rng (Drbg.create ~seed:("authority:" ^ name)) in
   let key = Rsa.generate ~bits:key_bits rng in
   let ee_key = Rsa.generate ~bits:key_bits rng in
+  { k_name = name; k_bits = key_bits; k_rng = rng; k_key = key; k_ee_key = ee_key }
+
+(* The keys [create_*] would make.  Given keys must have been made for the
+   same name and width, so passing them never changes a result; the stream
+   is copied, so one [keys] value may serve more than once. *)
+let keys_for ?keys ~name ~key_bits () =
+  match keys with
+  | None -> make_keys ~name ~key_bits
+  | Some k when String.equal k.k_name name && k.k_bits = key_bits ->
+    { k with k_rng = Rpki_util.Rng.copy k.k_rng }
+  | Some k ->
+    invalid_arg
+      (Printf.sprintf "Authority: keys made for %s (%d bits), not %s (%d bits)" k.k_name
+         k.k_bits name key_bits)
+
+let create_trust_anchor ~name ~resources ~uri ~addr ~host_asn ~now ~universe
+    ?(key_bits = Rsa.default_bits) ?keys ?(validity = default_validity)
+    ?(refresh_interval = default_refresh) () =
+  let { k_rng = rng; k_key = key; k_ee_key = ee_key; _ } = keys_for ?keys ~name ~key_bits () in
   let cert =
     Cert.self_signed ~key ~subject:name ~resources ~not_before:now
       ~not_after:(Rtime.add now validity) ~repo_uri:uri ~manifest_uri:(name ^ ".mft") ()
@@ -107,13 +135,11 @@ let tal t =
 
 (* Issue a child CA with its own key, certificate and publication point. *)
 let create_child parent ~name ~resources ~uri ~addr ~host_asn ~now ~universe
-    ?key_bits ?validity ?refresh_interval () =
+    ?key_bits ?keys ?validity ?refresh_interval () =
   let key_bits = Option.value key_bits ~default:parent.key_bits in
   let validity = Option.value validity ~default:parent.validity in
   let refresh_interval = Option.value refresh_interval ~default:parent.refresh_interval in
-  let rng = Drbg.to_rng (Drbg.create ~seed:("authority:" ^ name)) in
-  let key = Rsa.generate ~bits:key_bits rng in
-  let ee_key = Rsa.generate ~bits:key_bits rng in
+  let { k_rng = rng; k_key = key; k_ee_key = ee_key; _ } = keys_for ?keys ~name ~key_bits () in
   let serial = fresh_serial parent in
   let cert =
     Cert.issue ~issuer_key:parent.key.Rsa.private_ ~serial ~issuer:parent.name ~subject:name

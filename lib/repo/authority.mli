@@ -43,6 +43,15 @@ val cert_filename : string -> string
 val default_validity : int
 val default_refresh : int
 
+type keys
+(** An authority's key pairs (CA and EE) and the DRBG-derived stream it
+    keeps drawing from, made ahead of creation. *)
+
+val make_keys : name:string -> key_bits:int -> keys
+(** Exactly the keys [create_*] makes for an authority named [name]: they
+    depend on nothing else (the DRBG is seeded with the name), so they may
+    be made on any Domain, in any order, and come out byte-identical. *)
+
 val create_trust_anchor :
   name:string ->
   resources:Resources.t ->
@@ -52,6 +61,7 @@ val create_trust_anchor :
   now:Rtime.t ->
   universe:Universe.t ->
   ?key_bits:int ->
+  ?keys:keys ->
   ?validity:int ->
   ?refresh_interval:int ->
   unit ->
@@ -72,11 +82,16 @@ val create_child :
   now:Rtime.t ->
   universe:Universe.t ->
   ?key_bits:int ->
+  ?keys:keys ->
   ?validity:int ->
   ?refresh_interval:int ->
   unit ->
   t
-(** Issue a child CA with its own key, certificate and publication point. *)
+(** Issue a child CA with its own key, certificate and publication point.
+    [keys], when given, must come from {!make_keys} with this [name] and
+    the effective [key_bits] (the parent's by default), and the result is
+    the same as without; otherwise [Invalid_argument] is raised.  The same
+    holds for {!create_trust_anchor}. *)
 
 val issue_roa :
   t ->

@@ -301,6 +301,15 @@ let create ?(timeout = 32) ?(overlay = Overlay.Full_mesh)
   let names = List.map (fun v -> v.v_name) vantages in
   if List.length (List.sort_uniq compare names) <> List.length names then
     invalid_arg "Gossip.create: duplicate vantage names";
+  (* every pulled vantage signs a tree head in round 1: make the signing
+     keys now, on every core.  Each depends only on its RP's name, and RPs
+     are deduplicated by identity so no two Domains fill the same one. *)
+  let rps =
+    List.fold_left
+      (fun acc v -> if List.memq v.v_rp acc then acc else v.v_rp :: acc)
+      [] vantages
+  in
+  ignore (Rpki_util.Par.map Relying_party.transparency_key (Array.of_list rps));
   { vantages; timeout; overlay; overlay_seed; servers = Hashtbl.create 4;
     last_seen = Hashtbl.create 16; best_serial = Hashtbl.create 32;
     alarm_log = []; reported = Hashtbl.create 16 }

@@ -307,7 +307,10 @@ let point_vrps t ~uri =
   |> List.sort_uniq Vrp.compare
 
 (* The vantage's tree-head signing key, generated on first use (keygen is
-   too costly to pay at [create] for the many RPs that never gossip). *)
+   too costly to pay at [create] for the many RPs that never gossip).
+   [Gossip.create] forces it for every vantage it meshes, on several
+   Domains; the key depends only on the name, so when it is made never
+   changes it. *)
 let transparency_keypair t =
   match t.tkey with
   | Some k -> k

@@ -193,20 +193,6 @@ let fresh_acct () =
   { a_sent = 0; a_received = 0; a_replays = 0; a_resets = 0; a_advanced = 0;
     a_reset_count = 0; a_skipped = 0 }
 
-(* Run [f lo hi] over [0, n) in [domains] chunks; with one domain (or one
-   chunk) this degenerates to a plain call on the current domain. *)
-let par_chunks ~domains n f =
-  let d = max 1 (min domains n) in
-  if d <= 1 then [ f 0 n ]
-  else begin
-    let chunk = (n + d - 1) / d in
-    let spawned =
-      List.init d (fun i ->
-          Domain.spawn (fun () -> f (i * chunk) (min n ((i + 1) * chunk))))
-    in
-    List.map Domain.join spawned
-  end
-
 let encode_response pdus = String.concat "" (List.map Pdu.encode pdus)
 
 let flush ?(domains = 1) t =
@@ -262,25 +248,25 @@ let flush ?(domains = 1) t =
     let encoded =
       (* distinct bases are rare (most sessions share one), but a restart
          storm can leave many: the encode pipeline itself fans out *)
-      par_chunks ~domains (Array.length bases) (fun lo hi ->
-          Array.init (hi - lo) (fun i ->
-              let base = bases.(lo + i) in
-              let announced, withdrawn =
-                match changes base with Some aw -> aw | None -> assert false
-              in
-              let body =
-                (Pdu.Cache_response { session_id = sid }
-                 :: List.map (Pdu.of_vrp ~flags:Pdu.Announce) announced)
-                @ List.map (Pdu.of_vrp ~flags:Pdu.Withdraw) withdrawn
-                @ [ Pdu.End_of_data { session_id = sid; serial = current } ]
-              in
-              (base, encode_response body)))
+      Rpki_util.Par.map ~domains
+        (fun base ->
+          let announced, withdrawn =
+            match changes base with Some aw -> aw | None -> assert false
+          in
+          let body =
+            (Pdu.Cache_response { session_id = sid }
+             :: List.map (Pdu.of_vrp ~flags:Pdu.Announce) announced)
+            @ List.map (Pdu.of_vrp ~flags:Pdu.Withdraw) withdrawn
+            @ [ Pdu.End_of_data { session_id = sid; serial = current } ]
+          in
+          (base, encode_response body))
+        bases
     in
-    List.iter
-      (Array.iter (fun (base, bytes) ->
-           Hashtbl.replace t.buffers base bytes;
-           t.encode_calls <- t.encode_calls + 1;
-           t.bytes_encoded <- t.bytes_encoded + String.length bytes))
+    Array.iter
+      (fun (base, bytes) ->
+        Hashtbl.replace t.buffers base bytes;
+        t.encode_calls <- t.encode_calls + 1;
+        t.bytes_encoded <- t.bytes_encoded + String.length bytes)
       encoded;
     if !need_snapshot && t.snapshot = None then begin
       let body =
@@ -364,16 +350,22 @@ let flush ?(domains = 1) t =
         expect_synced (Session.apply_response s.router resp);
         acct.a_reset_count <- acct.a_reset_count + 1
     in
+    (* one contiguous chunk of sessions per Domain, each with its own
+       accounts; with one Domain this is a plain loop *)
+    let chunks = max 1 (min domains n) in
+    let size = (n + chunks - 1) / chunks in
     let accts =
-      par_chunks ~domains n (fun lo hi ->
+      Rpki_util.Par.map ~domains
+        (fun c ->
           let acct = fresh_acct () in
-          for i = lo to hi - 1 do
+          for i = c * size to min n ((c + 1) * size) - 1 do
             serve_one acct sessions.(i) plans.(i)
           done;
           acct)
+        (Array.init chunks Fun.id)
     in
     let advanced = ref 0 and reset_count = ref 0 and skipped = ref 0 in
-    List.iter
+    Array.iter
       (fun a ->
         t.bytes_sent <- t.bytes_sent + a.a_sent;
         t.bytes_received <- t.bytes_received + a.a_received;

@@ -184,48 +184,64 @@ let build ?(now = Rtime.epoch) (spec : spec) : world =
   let refresh_interval =
     Option.value spec.refresh_interval ~default:Authority.default_refresh
   in
+  (* CAs: every tier-1, plus transits with a big enough subtree, listed in
+     preorder (so parents come first) with the ASN of the nearest CA above
+     (None: the trust anchor) *)
+  let is_ca asn =
+    List.mem asn tier1s
+    || (As_graph.role g asn = As_graph.Transit && subtree_size asn >= spec.ca_min_cone)
+  in
+  let plan = ref [] in
+  let rec walk asn parent_ca =
+    let parent_ca =
+      if is_ca asn then begin
+        plan := (asn, parent_ca) :: !plan;
+        Some asn
+      end
+      else parent_ca
+    in
+    List.iter (fun c -> walk c parent_ca) (children_of asn)
+  in
+  List.iter (fun t1 -> walk t1 None) tier1s;
+  let plan = List.rev !plan in
+  let ca_name asn = Printf.sprintf "AS%d" asn in
+  (* every key depends only on its owner's name: make them all up front, on
+     every core, root first *)
+  let keys =
+    Rpki_util.Par.map
+      (fun name -> Authority.make_keys ~name ~key_bits)
+      (Array.of_list ("RIR" :: List.map (fun (asn, _) -> ca_name asn) plan))
+  in
   let root =
     Authority.create_trust_anchor ~name:"RIR"
       ~resources:(Resources.of_v4_strings [ "10.0.0.0/8" ])
       ~uri:"rsync://rir.world/repo"
       ~addr:(addr_of ~slot:(Hashtbl.find slot root_host) ~host:10)
-      ~host_asn:root_host ~now ~universe ~key_bits ~validity ~refresh_interval ()
+      ~host_asn:root_host ~now ~universe ~key_bits ~keys:keys.(0) ~validity ~refresh_interval ()
   in
-  (* CAs: every tier-1, plus transits with a big enough subtree; created in
-     preorder so parents exist first *)
-  let is_ca asn =
-    List.mem asn tier1s
-    || (As_graph.role g asn = As_graph.Transit && subtree_size asn >= spec.ca_min_cone)
+  let made = Hashtbl.create 64 in
+  List.iteri
+    (fun i (asn, parent_ca) ->
+      let lo, hi = Hashtbl.find range asn in
+      let res =
+        Resources.make
+          ~v4:
+            (Rpki_ip.V4.Set.of_range
+               (Rpki_ip.V4.Range.make (addr_of ~slot:lo ~host:0) (addr_of ~slot:hi ~host:255)))
+          ()
+      in
+      let parent_ca = Option.fold ~none:root ~some:(Hashtbl.find made) parent_ca in
+      Hashtbl.replace made asn
+        (Authority.create_child parent_ca ~name:(ca_name asn) ~resources:res
+           ~uri:(Printf.sprintf "rsync://as%d.world/repo" asn)
+           ~addr:(addr_of ~slot:(Hashtbl.find slot asn) ~host:10)
+           ~host_asn:asn ~now ~universe ~key_bits ~keys:keys.(i + 1) ~validity
+           ~refresh_interval ()))
+    plan;
+  let cas =
+    List.map (fun (asn, _) -> (asn, Hashtbl.find made asn)) plan
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
-  let cas = ref [] in
-  let rec grow_cas asn (parent_ca : Authority.t) =
-    let parent_ca =
-      if is_ca asn then begin
-        let lo, hi = Hashtbl.find range asn in
-        let res =
-          Resources.make
-            ~v4:
-              (Rpki_ip.V4.Set.of_range
-                 (Rpki_ip.V4.Range.make (addr_of ~slot:lo ~host:0)
-                    (addr_of ~slot:hi ~host:255)))
-            ()
-        in
-        let ca =
-          Authority.create_child parent_ca ~name:(Printf.sprintf "AS%d" asn)
-            ~resources:res
-            ~uri:(Printf.sprintf "rsync://as%d.world/repo" asn)
-            ~addr:(addr_of ~slot:(Hashtbl.find slot asn) ~host:10)
-            ~host_asn:asn ~now ~universe ~key_bits ~validity ~refresh_interval ()
-        in
-        cas := (asn, ca) :: !cas;
-        ca
-      end
-      else parent_ca
-    in
-    List.iter (fun c -> grow_cas c parent_ca) (children_of asn)
-  in
-  List.iter (fun t1 -> grow_cas t1 root) tier1s;
-  let cas = List.sort (fun (a, _) (b, _) -> Int.compare a b) !cas in
   let nearest_ca asn =
     let rec go asn =
       match List.assoc_opt asn cas with

@@ -137,6 +137,29 @@ let test_pow_mod_variants () =
   Alcotest.check_raises "zero modulus simple" Division_by_zero (fun () ->
       ignore (Nat.pow_mod_simple ~base:Nat.one ~exp:Nat.one ~modulus:Nat.zero))
 
+(* Moduli whose limbs are all 2^30-1 (m = 2^(30k) - 1, so R = m + 1 and
+   every residue is its own Montgomery form) with bases next to m drive the
+   carries of the squaring, its doubling and the reduction to their maxima,
+   which random inputs almost never do.  Exponents 2^j - 1 take the widest
+   window every time; 2^j are all squarings. *)
+let test_pow_mod_carry_edges () =
+  for k = 1 to 40 do
+    let m = Nat.pred (Nat.shift_left Nat.one (30 * k)) in
+    List.iter
+      (fun g ->
+        List.iter
+          (fun j ->
+            List.iter
+              (fun e ->
+                check_eq
+                  (Printf.sprintf "k=%d g=%s e=%s" k (Nat.to_hex g) (Nat.to_hex e))
+                  (Nat.pow_mod_simple ~base:g ~exp:e ~modulus:m)
+                  (Nat.pow_mod ~base:g ~exp:e ~modulus:m))
+              [ Nat.pred (Nat.shift_left Nat.one j); Nat.shift_left Nat.one j ])
+          [ 7; 8; 15; 16; 30; 31; 61; 128; 599; 600 ])
+      [ Nat.zero; Nat.one; Nat.sub m Nat.two; Nat.pred m ]
+  done
+
 let test_gcd () =
   check_eq "gcd" (Nat.of_int 6) (Nat.gcd (Nat.of_int 48) (Nat.of_int 18));
   check_eq "gcd with zero" (Nat.of_int 5) (Nat.gcd (Nat.of_int 5) Nat.zero);
@@ -172,6 +195,33 @@ let test_primes () =
   Alcotest.(check bool) "generated is prime" true (Prime.is_probably_prime rng p)
 
 (* --- properties --- *)
+
+(* Odd moduli of 1 to 70 limbs, each limb 0, 2^30 - 1 or random, so runs of
+   saturated limbs (the carry edge cases) are common. *)
+let arb_mont =
+  let limb_max = (1 lsl 30) - 1 in
+  let limbs n =
+    QCheck.Gen.(
+      list_repeat n
+        (frequency [ (1, return 0); (2, return limb_max); (2, int_bound limb_max) ]))
+  in
+  let of_limbs l =
+    List.fold_right (fun x acc -> Nat.add (Nat.shift_left acc 30) (Nat.of_int x)) l Nat.zero
+  in
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 70 in
+      let* low = limbs (n - 1) in
+      let* top = int_range 1 limb_max in
+      let* g = limbs n in
+      let* e = gen_nat_bits 160 in
+      let m = of_limbs (List.mapi (fun i x -> if i = 0 then x lor 1 else x) (low @ [ top ])) in
+      return (of_limbs g, Nat.add e (Nat.of_int 128), m))
+  in
+  QCheck.make
+    ~print:(fun (g, e, m) ->
+      Printf.sprintf "g=%s e=%s m=%s" (Nat.to_hex g) (Nat.to_hex e) (Nat.to_hex m))
+    gen
 
 let prop name arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:200 ~name arb f)
 
@@ -227,7 +277,13 @@ let props =
         let m = if Nat.testbit m 0 then m else Nat.succ m in
         Nat.equal
           (Nat.pow_mod ~base:g ~exp:e ~modulus:m)
-          (Nat.pow_mod_simple ~base:g ~exp:e ~modulus:m)) ]
+          (Nat.pow_mod_simple ~base:g ~exp:e ~modulus:m));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100 ~name:"pow_mod on saturated-limb odd moduli" arb_mont
+         (fun (g, e, m) ->
+           Nat.equal
+             (Nat.pow_mod ~base:g ~exp:e ~modulus:m)
+             (Nat.pow_mod_simple ~base:g ~exp:e ~modulus:m))) ]
 
 let () =
   Alcotest.run "bignum"
@@ -242,6 +298,7 @@ let () =
           Alcotest.test_case "string conversions" `Quick test_strings;
           Alcotest.test_case "pow_mod" `Quick test_pow_mod;
           Alcotest.test_case "pow_mod montgomery edges" `Quick test_pow_mod_variants;
+          Alcotest.test_case "pow_mod carry edges" `Quick test_pow_mod_carry_edges;
           Alcotest.test_case "gcd" `Quick test_gcd ] );
       ( "zint-unit",
         [ Alcotest.test_case "signed arithmetic" `Quick test_zint;

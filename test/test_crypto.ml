@@ -176,6 +176,66 @@ let test_rsa_narrow_modulus () =
         [ Nat.zero; Nat.pred n ])
     [ 1; 8; 256; 488 ]
 
+(* --- Domains --- *)
+
+(* SHA-256, HMAC and a DRBG stream computed on two Domains at once must equal
+   the sequential results: no hashing state is shared between contexts. *)
+let test_two_domains () =
+  let inputs =
+    Array.init 2000 (fun i -> String.make (i mod 150) (Char.chr (i land 0xff)) ^ string_of_int i)
+  in
+  let work () =
+    let drbg = Drbg.create ~seed:"two domains" in
+    Array.map
+      (fun s -> (Sha256.digest s, Hmac.sha256 ~key:s "message", Drbg.generate drbg 48))
+      inputs
+  in
+  let expect = work () in
+  let there = Domain.spawn work in
+  let here = work () in
+  let there = Domain.join there in
+  let wrong got =
+    Array.fold_left ( + ) 0 (Array.map2 (fun a b -> if a = b then 0 else 1) expect got)
+  in
+  Alcotest.(check int) "wrong results on this Domain" 0 (wrong here);
+  Alcotest.(check int) "wrong results on the other Domain" 0 (wrong there)
+
+let test_par_map_is_array_map () =
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun n ->
+          let a = Array.init n (fun i -> (i * 7919) mod 101) in
+          let f x = Sha256.hexdigest (string_of_int x) in
+          Alcotest.(check (array string))
+            (Printf.sprintf "%d Domains, length %d" domains n)
+            (Array.map f a) (Rpki_util.Par.map ~domains f a))
+        [ 0; 1; 100 ])
+    [ 1; 2; 4 ]
+
+(* The lowest failing index wins, as with [Array.map], and no call of [f]
+   is still running when the exception reaches the caller. *)
+let test_par_map_raises () =
+  List.iter
+    (fun domains ->
+      let running = Atomic.make 0 in
+      let f i =
+        Atomic.incr running;
+        Fun.protect
+          ~finally:(fun () -> Atomic.decr running)
+          (fun () ->
+            (* uneven work, so helpers are mid-call when a failure lands *)
+            ignore (Sha256.digest (String.make ((i mod 5) * 20_000) 'x'));
+            if i mod 7 = 3 then failwith (string_of_int i);
+            i)
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "%d Domains" domains)
+        (Failure "3")
+        (fun () -> ignore (Rpki_util.Par.map ~domains f (Array.init 100 Fun.id)));
+      Alcotest.(check int) "every helper joined" 0 (Atomic.get running))
+    [ 1; 2; 4 ]
+
 let () =
   Alcotest.run "crypto"
     [ ( "sha256",
@@ -198,4 +258,8 @@ let () =
           Alcotest.test_case "minimum modulus" `Quick test_rsa_min_bits;
           Alcotest.test_case "known answer" `Quick test_rsa_known_answer;
           Alcotest.test_case "narrow modulus rejects" `Quick test_rsa_narrow_modulus;
-          prop_rsa_roundtrip ] ) ]
+          prop_rsa_roundtrip ] );
+      ( "domains",
+        [ Alcotest.test_case "hashing on two Domains at once" `Quick test_two_domains;
+          Alcotest.test_case "Par.map equals Array.map" `Quick test_par_map_is_array_map;
+          Alcotest.test_case "Par.map re-raises the lowest index" `Quick test_par_map_raises ] ) ]

@@ -267,6 +267,43 @@ let test_certify_key () =
   let r = sync m rp in
   Alcotest.(check int) "continental survives via reissue" 8 (List.length r.Relying_party.vrps)
 
+(* --- keys made ahead of time --- *)
+
+let test_make_keys_on_domains () =
+  let names = Array.init 8 (Printf.sprintf "K%d") in
+  let make name = Authority.make_keys ~name ~key_bits:Rpki_crypto.Rsa.default_bits in
+  Alcotest.(check bool) "4 Domains = one" true
+    (Array.map make names = Rpki_util.Par.map ~domains:4 make names)
+
+let test_keys_change_nothing () =
+  let made name = Authority.make_keys ~name ~key_bits:Rpki_crypto.Rsa.default_bits in
+  let build ?ta_keys ?child_keys () =
+    let universe = Universe.create () in
+    let ta =
+      Authority.create_trust_anchor ~name:"TA" ~resources:(Resources.of_v4_strings [ "20.0.0.0/8" ])
+        ~uri:"rsync://ta/repo" ~addr:1 ~host_asn:1 ~now:0 ~universe ?keys:ta_keys ()
+    in
+    let child =
+      Authority.create_child ta ~name:"Child"
+        ~resources:(Resources.of_v4_strings [ "20.1.0.0/16" ])
+        ~uri:"rsync://child/repo" ~addr:2 ~host_asn:2 ~now:0 ~universe ?keys:child_keys ()
+    in
+    (* the ROA's EE certificate draws from the authority's stream *)
+    ignore
+      (Authority.issue_simple_roa child ~asid:2
+         ~prefix:(V4.Prefix.of_string_exn "20.1.0.0/24") ~now:0 ());
+    List.concat_map (fun a -> Pub_point.files (Authority.pub a)) [ ta; child ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "same bytes" (build ())
+    (build ~ta_keys:(made "TA") ~child_keys:(made "Child") ());
+  Alcotest.check_raises "keys for another name"
+    (Invalid_argument "Authority: keys made for Other (512 bits), not Child (512 bits)") (fun () ->
+      ignore (build ~child_keys:(made "Other") ()));
+  Alcotest.check_raises "keys of another width"
+    (Invalid_argument "Authority: keys made for Child (520 bits), not Child (512 bits)") (fun () ->
+      ignore (build ~child_keys:(Authority.make_keys ~name:"Child" ~key_bits:520) ()))
+
 let () =
   Alcotest.run "repo"
     [ ( "mechanics",
@@ -294,4 +331,7 @@ let () =
         [ Alcotest.test_case "stale cache" `Quick test_unreachable_uses_stale_cache;
           Alcotest.test_case "no stale policy" `Quick test_unreachable_without_cache;
           Alcotest.test_case "flush cache" `Quick test_flush_cache ] );
-      ("make-before-break", [ Alcotest.test_case "certify_key" `Quick test_certify_key ]) ]
+      ("make-before-break", [ Alcotest.test_case "certify_key" `Quick test_certify_key ]);
+      ( "keys",
+        [ Alcotest.test_case "make_keys on 4 Domains" `Quick test_make_keys_on_domains;
+          Alcotest.test_case "given keys change nothing" `Quick test_keys_change_nothing ] ) ]

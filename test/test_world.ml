@@ -231,6 +231,38 @@ let test_synthesis_invariants () =
   Alcotest.(check string) "synthesis deterministic" (Synthesis.summary w)
     (Synthesis.summary w2)
 
+(* Every byte a 200-AS world publishes, hashed in a fixed order: each
+   point's URI, then each file's name and contents, points and files
+   sorted.  The literal pins key generation, signing and synthesis order:
+   making keys ahead of time, on several Domains, must not move a byte. *)
+let world_digest w =
+  let module Sha256 = Rpki_crypto.Sha256 in
+  let module Pub_point = Rpki_repo.Pub_point in
+  let ctx = Sha256.init () in
+  let field s =
+    Sha256.feed ctx (Printf.sprintf "%d:" (String.length s));
+    Sha256.feed ctx s
+  in
+  Rpki_repo.Universe.points (Synthesis.universe w)
+  |> List.sort (fun a b -> String.compare (Pub_point.uri a) (Pub_point.uri b))
+  |> List.iter (fun p ->
+         field (Pub_point.uri p);
+         List.iter
+           (fun (name, bytes) ->
+             field name;
+             field bytes)
+           (List.sort (fun (a, _) (b, _) -> String.compare a b) (Pub_point.files p)));
+  Rpki_util.Hex.of_string (Sha256.finish ctx)
+
+let test_golden_world () =
+  let spec =
+    { Synthesis.default_spec with
+      Synthesis.graph = { As_graph.default_spec with As_graph.ases = 200; seed = 11 } }
+  in
+  Alcotest.(check string) "200-AS world, seed 11"
+    "0110cacb61fea546320f59728a53653cdf196ca6e912814937e8502ed18cf93f"
+    (world_digest (Synthesis.build spec))
+
 (* --- end-to-end: split-view detection on a generated world -------------- *)
 
 let run_split_view ~monitors =
@@ -367,7 +399,8 @@ let () =
         [ Alcotest.test_case "degree / role / random policies" `Quick test_placement ] );
       ( "synthesis",
         [ Alcotest.test_case "allocation and CA-hierarchy invariants" `Quick
-            test_synthesis_invariants ] );
+            test_synthesis_invariants;
+          Alcotest.test_case "golden digest of a 200-AS world" `Quick test_golden_world ] );
       ( "end-to-end",
         [ Alcotest.test_case "split view detected on a generated world" `Slow
             test_split_view_detected_on_world;
