@@ -444,13 +444,6 @@ let se7 () =
 let campaign () =
   header "Extension: a coerced RIR silences a country (Section 3.2, executed)";
   let records = Rpki_juris.Dataset.paper_fixture () in
-  let universe, rir_tas, _ = Campaign.hierarchy_of_dataset records in
-  let arin = List.assoc Rpki_juris.Country.ARIN rir_tas in
-  let rp =
-    Relying_party.create ~name:"rp" ~asn:1
-      ~tals:(List.map (fun (_, ta) -> Relying_party.tal_of_authority ta) rir_tas)
-      ()
-  in
   let t =
     Table.create
       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
@@ -481,7 +474,6 @@ let campaign () =
           string_of_int (List.length collateral) ])
     [ "CO"; "FR"; "GB"; "MX" ];
   Table.print t;
-  ignore (universe, arin, rp);
   Printf.printf
     "\nEach row is out-of-jurisdiction coercion: none of these countries is in ARIN's\n\
      service region, yet every one of their ROAs is whackable with zero collateral.\n"
@@ -891,15 +883,8 @@ let transparency () =
   in
   let run_cell ~monitors ~period ~stealth =
     let sv = Scenario.build { Scenario.default with monitors; grace; gossip_period = period } in
+    ignore (Scenario.run_split_view ~stealth ~attack_at ~ticks sv);
     let sim = sv.Scenario.sim in
-    let atk =
-      Split_view.plan ~authority:sv.Scenario.victim_ca
-        ~target_filename:sv.Scenario.victim_roa ~stealth ()
-    in
-    for now = 1 to ticks do
-      if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
-      ignore (Rpki_sim.Loop.step sim ~now)
-    done;
     let history = Rpki_sim.Loop.history sim in
     let fork_tick = Rpki_sim.Loop.first_fork_tick sim in
     let invalid_tick =
@@ -1003,13 +988,12 @@ let transparency () =
 (* Restart: durable state x disk faults x the rollback adversary       *)
 (* ------------------------------------------------------------------ *)
 
-(* Timeline per cell: two healthy ticks (the adversary captures the
-   authority's state at the end of t2), a ROA revocation at t3 (the honest
-   change the rollback will undo — (63.174.25.0/24, AS 17054), chosen so the
-   repository's own route is untouched), convergence and snapshots through
-   t5, then the victim is killed right after its (possibly fault-corrupted)
-   last save and the frozen t2 state is installed as its per-client view.
-   The victim restarts at [restart_at] and the run continues to [ticks].
+(* Timeline per cell: [Scenario.run_rollback].  The adversary captures the
+   authority's state at the end of t2, the authority revokes a ROA at t3
+   (the honest change the rollback will undo), and the victim is killed
+   right after its (possibly fault-corrupted) t5 save with the frozen t2
+   state installed as its per-client view.  The victim restarts at
+   [restart_at] and the run continues to [ticks].
 
    Measured per cell: the typed recovery outcome, whether and when the
    served rollback was detected (own restored history, or a gossip Rollback
@@ -1030,35 +1014,16 @@ let restart () =
   let target_prefix = V4.p "63.174.25.0/24" in
   let run_cell ~persist ~fault ~restart_at =
     let rig = Scenario.build { Scenario.default with persist; grace = 0 } in
+    let { Scenario.recovery; _ } =
+      Scenario.run_rollback ?disk_fault:fault ~restart_at ~ticks rig
+    in
     let sim = rig.Scenario.sim in
     let rtr_cache = Rpki_rtr.Server.cache (Rpki_sim.Loop.rtr_server sim) in
-    let model = Option.get rig.Scenario.model in
-    let atk = Rollback.plan ~authority:model.Model.continental in
-    let serial_at_kill = ref 0 in
-    let recovery = ref None in
-    for now = 1 to ticks do
-      if now = revoke_at then
-        Authority.revoke_roa model.Model.continental ~filename:model.Model.roa_cb_25 ~now;
-      (* arm the one-shot disk fault so it fires on the victim's *last*
-         pre-crash snapshot write (the primary saves first each tick) *)
-      if now = kill_after then
-        Option.iter
-          (fun disk -> Option.iter (Rpki_persist.Disk.inject disk) fault)
-          rig.Scenario.disk;
-      if now = restart_at then
-        recovery :=
-          Some
-            (Rpki_sim.Loop.restart_vantage sim ~name:victim ~now
-               ~make:rig.Scenario.respawn);
-      ignore (Rpki_sim.Loop.step sim ~now);
-      if now = capture_at then Rollback.capture atk ~now;
-      if now = kill_after then begin
-        serial_at_kill := Rpki_rtr.Session.cache_serial rtr_cache;
-        Rpki_sim.Loop.kill_vantage sim ~name:victim;
-        Rollback.apply atk (Rpki_sim.Loop.transport sim)
-      end
-    done;
     let history = Rpki_sim.Loop.history sim in
+    let record_at tk =
+      List.find_opt (fun (r : Rpki_sim.Loop.tick_record) -> r.Rpki_sim.Loop.time = tk) history
+    in
+    let serial_of = function Some r -> r.Rpki_sim.Loop.rtr_serial | None -> 0 in
     let detect = Rpki_sim.Loop.first_rollback_tick sim in
     let local_detect =
       List.exists
@@ -1086,18 +1051,11 @@ let restart () =
       vrp_present (Rpki_rtr.Session.cache_vrps rtr_cache)
     in
     let victim_believes = vrp_present (Relying_party.vrps sim.Rpki_sim.Loop.rp) in
-    let restart_rec =
-      List.find_opt
-        (fun (r : Rpki_sim.Loop.tick_record) -> r.Rpki_sim.Loop.time = restart_at)
-        history
-    in
+    let restart_rec = record_at restart_at in
     let restart_diff =
       match restart_rec with
       | Some r -> Vrp.diff_size r.Rpki_sim.Loop.vrp_diff
       | None -> 0
-    in
-    let serial_after =
-      match restart_rec with Some r -> r.Rpki_sim.Loop.rtr_serial | None -> 0
     in
     let final_holds =
       match List.rev history with
@@ -1109,9 +1067,9 @@ let restart () =
         Rpki_persist.Store.snapshot_bytes (Rpki_sim.Loop.vantage_store sim ~name:victim)
       else 0
     in
-    ( Option.get !recovery, detect, local_detect, gossip_rollback, log_resets,
-      router_visible, victim_believes, restart_diff, !serial_at_kill, serial_after,
-      final_holds, snapshot_bytes )
+    ( recovery, detect, local_detect, gossip_rollback, log_resets, router_visible,
+      victim_believes, restart_diff, serial_of (record_at kill_after),
+      serial_of restart_rec, final_holds, snapshot_bytes )
   in
   let fault_name = function
     | None -> "none"
@@ -1321,15 +1279,8 @@ let multivantage () =
     let sv =
       Scenario.build { Scenario.default with monitors = 3; valcache = cache }
     in
+    ignore (Scenario.run_split_view ~attack_at ~ticks:detect_ticks sv);
     let sim = sv.Scenario.sim in
-    let atk =
-      Split_view.plan ~authority:sv.Scenario.victim_ca
-        ~target_filename:sv.Scenario.victim_roa ~stealth:Split_view.Stealthy ()
-    in
-    for now = 1 to detect_ticks do
-      if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
-      ignore (Rpki_sim.Loop.step sim ~now)
-    done;
     let trace =
       List.map
         (fun (r : Rpki_sim.Loop.tick_record) ->
@@ -1351,15 +1302,9 @@ let multivantage () =
         match Gossip.forks g with
         | [] -> ""
         | alarm :: _ -> (
-          let key_of name =
-            List.find_map
-              (fun (v : Gossip.vantage) ->
-                if String.equal v.Gossip.v_name name then
-                  Some (Relying_party.transparency_key v.Gossip.v_rp)
-                else None)
-              (Gossip.vantages g)
-          in
-          match Evidence.export ~key_of alarm with Ok bytes -> bytes | Error _ -> ""))
+          match Evidence.export ~key_of:(Gossip.key_of g) alarm with
+          | Ok bytes -> bytes
+          | Error _ -> ""))
     in
     (Rpki_sim.Loop.first_fork_tick sim, trace, evidence, checks)
   in
@@ -1678,37 +1623,13 @@ let endurance_spec ~on =
 
 let soak_split_view_trace ~endurance =
   let sv = Scenario.build (endurance_spec ~on:endurance) in
-  let sim = sv.Scenario.sim in
-  let atk =
-    Split_view.plan ~authority:sv.Scenario.victim_ca
-      ~target_filename:sv.Scenario.victim_roa ()
-  in
-  for now = 1 to 10 do
-    if now = 3 then Split_view.apply atk (Rpki_sim.Loop.transport sim);
-    ignore (Rpki_sim.Loop.step sim ~now)
-  done;
-  detection_trace (Rpki_sim.Loop.history sim)
+  ignore (Scenario.run_split_view ~attack_at:3 ~ticks:10 sv);
+  detection_trace (Rpki_sim.Loop.history sv.Scenario.sim)
 
 let soak_restart_trace ~endurance =
   let rig = Scenario.build { (endurance_spec ~on:endurance) with grace = 0 } in
-  let sim = rig.Scenario.sim in
-  let model = Option.get rig.Scenario.model in
-  let atk = Rollback.plan ~authority:model.Model.continental in
-  for now = 1 to 12 do
-    if now = 3 then
-      Authority.revoke_roa model.Model.continental ~filename:model.Model.roa_cb_25 ~now;
-    if now = 6 then
-      ignore
-        (Rpki_sim.Loop.restart_vantage sim ~name:"victim-rp" ~now
-           ~make:rig.Scenario.respawn);
-    ignore (Rpki_sim.Loop.step sim ~now);
-    if now = 2 then Rollback.capture atk ~now;
-    if now = 5 then begin
-      Rpki_sim.Loop.kill_vantage sim ~name:"victim-rp";
-      Rollback.apply atk (Rpki_sim.Loop.transport sim)
-    end
-  done;
-  detection_trace (Rpki_sim.Loop.history sim)
+  ignore (Scenario.run_rollback ~restart_at:6 ~ticks:12 rig);
+  detection_trace (Rpki_sim.Loop.history rig.Scenario.sim)
 
 let soak () =
   header "Soak: long-run endurance (segments vs snapshots, eviction, traces)";
@@ -1943,15 +1864,9 @@ let scale () =
         match Gossip.forks gm with
         | [] -> ""
         | alarm :: _ -> (
-          let key_of name =
-            List.find_map
-              (fun (v : Gossip.vantage) ->
-                if String.equal v.Gossip.v_name name then
-                  Some (Relying_party.transparency_key v.Gossip.v_rp)
-                else None)
-              (Gossip.vantages gm)
-          in
-          match Evidence.export ~key_of alarm with Ok bytes -> bytes | Error _ -> ""))
+          match Evidence.export ~key_of:(Gossip.key_of gm) alarm with
+          | Ok bytes -> bytes
+          | Error _ -> ""))
     in
     (* the acceptance bar: degree-placed monitors must catch the fork at
        every size, with exportable proof *)
@@ -2321,11 +2236,6 @@ type gossip_cell = {
 let gossip () =
   header "Gossip at scale: overlays, round caching, Byzantine equivocators";
   let ticks = 6 and attack_at = 3 in
-  let rec take k = function
-    | [] -> []
-    | _ when k <= 0 -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
   let overlay_label = Gossip.Overlay.to_string in
   let fork_delta = function None -> "-" | Some tk -> string_of_int (tk - attack_at) in
   (* --- arm 1: overlay x n on the canned scenario ------------------- *)
@@ -2337,31 +2247,18 @@ let gossip () =
       [ Gossip.Overlay.Full_mesh; Gossip.Overlay.K_regular 2; Gossip.Overlay.K_regular 4;
         Gossip.Overlay.Star 3; Gossip.Overlay.Random_peers 3 ]
   in
-  let cell_of_reports ~n ~overlay reports ~cold_ms ~warm_ms fork =
-    let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
-    { gc_n = n; gc_overlay = overlay;
-      gc_pulls = (match List.rev reports with last :: _ -> last.Gossip.r_pulls | [] -> 0);
-      gc_cold_ms = cold_ms; gc_ms = warm_ms; gc_fork = fork;
-      gc_verifies = sum (fun r -> r.Gossip.r_verifies);
-      gc_verifies_saved = sum (fun r -> r.Gossip.r_verifies_saved);
-      gc_proofs_built = sum (fun r -> r.Gossip.r_proofs_built);
-      gc_proofs_reused = sum (fun r -> r.Gossip.r_proofs_reused);
-      gc_proof_bytes = sum (fun r -> r.Gossip.r_proof_bytes) }
-  in
-  let run_overlay_cell ~n ~overlay =
-    let sv =
-      Scenario.build
-        { Scenario.default with monitors = n - 1; gossip_period = ticks + 1; overlay }
-    in
+  (* The split view at [attack_at] with the loop's own gossip parked past
+     the horizon, so each round is run and timed here.  Round 1 pays the
+     one-time lazy keygen for every vantage's log — the same n signatures
+     under any overlay — so it is reported apart from the warm rounds the
+     steady-state claim is about. *)
+  let run_overlay_cell ~overlay spec =
+    let sv = Scenario.build { spec with Scenario.gossip_period = ticks + 1; overlay } in
     let sim = sv.Scenario.sim in
     let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
     let atk =
-      Split_view.plan ~authority:sv.Scenario.victim_ca
-        ~target_filename:sv.Scenario.victim_roa ~stealth:Split_view.Stealthy ()
+      Split_view.plan ~authority:sv.Scenario.victim_ca ~target_filename:sv.Scenario.victim_roa ()
     in
-    (* round 1 pays the one-time lazy keygen for every vantage's log — the
-       same n signatures under any overlay — so it is reported apart from
-       the warm rounds the steady-state claim is about *)
     let reports = ref [] and cold = ref 0. and warm = ref 0. and fork = ref None in
     for now = 1 to ticks do
       if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
@@ -2371,11 +2268,22 @@ let gossip () =
       if !fork = None && List.exists Gossip.is_fork rep.Gossip.r_alarms then fork := Some now;
       reports := rep :: !reports
     done;
-    cell_of_reports ~n ~overlay (List.rev !reports) ~cold_ms:!cold ~warm_ms:!warm !fork
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 !reports in
+    { gc_n = spec.Scenario.monitors + 1; gc_overlay = overlay;
+      gc_pulls = (match !reports with last :: _ -> last.Gossip.r_pulls | [] -> 0);
+      gc_cold_ms = !cold; gc_ms = !warm; gc_fork = !fork;
+      gc_verifies = sum (fun r -> r.Gossip.r_verifies);
+      gc_verifies_saved = sum (fun r -> r.Gossip.r_verifies_saved);
+      gc_proofs_built = sum (fun r -> r.Gossip.r_proofs_built);
+      gc_proofs_reused = sum (fun r -> r.Gossip.r_proofs_reused);
+      gc_proof_bytes = sum (fun r -> r.Gossip.r_proof_bytes) }
   in
   let grid =
     List.concat_map
-      (fun n -> List.map (fun overlay -> run_overlay_cell ~n ~overlay) overlays)
+      (fun n ->
+        List.map
+          (fun overlay -> run_overlay_cell ~overlay { Scenario.default with monitors = n - 1 })
+          overlays)
       counts
   in
   let t =
@@ -2482,57 +2390,18 @@ let gossip () =
     let sv =
       Scenario.build { Scenario.default with monitors = byz_n - 1; overlay }
     in
-    let sim = sv.Scenario.sim in
-    let model = Option.get sv.Scenario.model in
-    let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
     (* one fixed shuffle, first f: the Byzantine sets are nested, so the
        sweep reads as a threshold *)
     let byz =
-      take f (Rpki_util.Rng.shuffle (Rpki_util.Rng.create 0xb12a) sv.Scenario.monitor_names)
+      List.filteri
+        (fun i _ -> i < f)
+        (Rpki_util.Rng.shuffle (Rpki_util.Rng.create 0xb12a) sv.Scenario.monitor_names)
     in
-    let atk =
-      Split_view.plan ~authority:model.Model.continental
-        ~target_filename:sv.Scenario.victim_roa ~stealth:Split_view.Stealthy ()
+    let equivocators = Scenario.equivocators sv byz in
+    let { Scenario.honest_adjacent; _ } =
+      Scenario.run_split_view ~equivocators ~attack_at:byz_attack_at ~ticks:byz_ticks sv
     in
-    let eqs =
-      List.map
-        (fun name ->
-          let v = Rpki_sim.Loop.vantage sim ~name in
-          let shadow =
-            Model.relying_party ~name ~asn:(Relying_party.asn v.Gossip.v_rp) model
-          in
-          let eq =
-            Equivocator.plan ~universe:model.Model.universe ~name ~shadow
-              ~fork_to:(fun r -> String.equal r "victim-rp") ()
-          in
-          Equivocator.apply eq g;
-          eq)
-        byz
-    in
-    for now = 1 to byz_ticks do
-      if now = byz_attack_at then begin
-        (* the victim's view forks — and every shadow forks with it, so the
-           logs served to the victim keep mirroring what the victim sees *)
-        Split_view.apply atk (Rpki_sim.Loop.transport sim);
-        List.iter (fun eq -> Split_view.apply atk (Equivocator.shadow_transport eq)) eqs
-      end;
-      ignore (Rpki_sim.Loop.step sim ~now)
-    done;
-    let detected = Rpki_sim.Loop.first_fork_tick sim in
-    let names = List.map (fun (v : Gossip.vantage) -> v.Gossip.v_name) (Gossip.vantages g) in
-    let honest_edge (a, b) =
-      let honest x = not (List.mem x byz) in
-      (String.equal a "victim-rp" && honest b && not (String.equal b "victim-rp"))
-      || (String.equal b "victim-rp" && honest a && not (String.equal a "victim-rp"))
-    in
-    let honest_adjacent =
-      List.exists
-        (fun now ->
-          List.exists honest_edge
-            (Gossip.Overlay.pulls overlay ~seed:Gossip.Overlay.default_seed ~round:now names))
-        (List.init (byz_ticks - byz_attack_at + 1) (fun i -> byz_attack_at + i))
-    in
-    (f, overlay, byz, detected, honest_adjacent)
+    (f, overlay, byz, Rpki_sim.Loop.first_fork_tick sv.Scenario.sim, honest_adjacent)
   in
   let byz_cells =
     List.concat_map
@@ -2584,35 +2453,13 @@ let gossip () =
   let world_cells =
     if !quick then []
     else begin
-      let monitors = 32 in
       List.map
         (fun overlay ->
-          let rig =
-            Scenario.build
-              { Scenario.default with
-                source =
-                  Scenario.World
-                    (Rpki_world.Synthesis.build Rpki_world.Synthesis.default_spec);
-                monitors; gossip_period = ticks + 1; overlay }
-          in
-          let sim = rig.Scenario.sim in
-          let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
-          let atk =
-            Split_view.plan ~authority:rig.Scenario.victim_ca
-              ~target_filename:rig.Scenario.victim_roa ()
-          in
-          let reports = ref [] and cold = ref 0. and warm = ref 0. and fork = ref None in
-          for now = 1 to ticks do
-            if now = attack_at then Split_view.apply atk (Rpki_sim.Loop.transport sim);
-            ignore (Rpki_sim.Loop.step sim ~now);
-            let rep, ms = time_ms (fun () -> Gossip.round g ~now) in
-            if now = 1 then cold := ms else warm := !warm +. ms;
-            if !fork = None && List.exists Gossip.is_fork rep.Gossip.r_alarms then
-              fork := Some now;
-            reports := rep :: !reports
-          done;
-          cell_of_reports ~n:(monitors + 1) ~overlay (List.rev !reports) ~cold_ms:!cold
-            ~warm_ms:!warm !fork)
+          run_overlay_cell ~overlay
+            { Scenario.default with
+              source =
+                Scenario.World (Rpki_world.Synthesis.build Rpki_world.Synthesis.default_spec);
+              monitors = 32 })
         [ Gossip.Overlay.Full_mesh; Gossip.Overlay.K_regular 4 ]
     end
   in

@@ -108,15 +108,10 @@ let () =
   let report = Gossip.round mesh ~now:4 in
   print_alerts "what one round of tree-head gossip reports"
     (Rpki_monitor.Monitor.gossip_alerts report.Gossip.r_alarms);
-  let key_of name =
-    List.find_opt (fun (v : Gossip.vantage) -> String.equal v.Gossip.v_name name)
-      (Gossip.vantages mesh)
-    |> Option.map (fun (v : Gossip.vantage) -> Relying_party.transparency_key v.Gossip.v_rp)
-  in
   List.iter
     (fun a ->
       Printf.printf "  fork evidence re-verified from scratch: %b\n"
-        (Gossip.verify_fork ~key_of a))
+        (Gossip.verify_fork ~key_of:(Gossip.key_of mesh) a))
     (Gossip.forks mesh);
   print_endline "\nthe split view defeated both the content diff and staleness accounting;";
   print_endline "Merkle-logged observations plus gossip made it detectable — with proof."

@@ -316,6 +316,16 @@ let create ?(timeout = 32) ?(overlay = Overlay.Full_mesh)
 
 let vantages t = t.vantages
 let overlay t = t.overlay
+
+let key_of t name =
+  List.find_map
+    (fun v ->
+      if String.equal v.v_name name then Some (Relying_party.transparency_key v.v_rp) else None)
+    t.vantages
+
+let round_pulls t ~round =
+  Overlay.pulls t.overlay ~seed:t.overlay_seed ~round (List.map (fun v -> v.v_name) t.vantages)
+
 let alarms t = List.rev t.alarm_log
 let forks t = List.filter is_fork (alarms t)
 let rollbacks t = List.filter is_rollback (alarms t)
@@ -601,8 +611,7 @@ let round ?(alive = fun _ -> true) t ~now =
         | Some { srv_refresh = Some f; _ } -> f ~now
         | _ -> ())
     t.vantages;
-  let names = List.map (fun v -> v.v_name) t.vantages in
-  let by_name = Hashtbl.create (List.length names) in
+  let by_name = Hashtbl.create (List.length t.vantages) in
   List.iter (fun v -> Hashtbl.replace by_name v.v_name v) t.vantages;
   let ctx = new_round_ctx () in
   let exchanges = ref [] and alarms = ref [] in
@@ -625,7 +634,7 @@ let round ?(alive = fun _ -> true) t ~now =
         exchanges := ex :: !exchanges;
         alarms := !alarms @ al
       end)
-    (Overlay.pulls t.overlay ~seed:t.overlay_seed ~round:now names);
+    (round_pulls t ~round:now);
   let exchanges = List.rev !exchanges in
   { r_at = now;
     r_exchanges = exchanges;

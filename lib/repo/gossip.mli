@@ -229,6 +229,15 @@ val vantages : t -> vantage list
 
 val overlay : t -> Overlay.spec
 
+val key_of : t -> string -> Rsa.public option
+(** The named vantage's transparency-log key: the [key_of] that
+    {!verify_fork} and [Evidence.export] take.  [None] for a name outside
+    the mesh. *)
+
+val round_pulls : t -> round:int -> (string * string) list
+(** The (receiver, peer) pulls the mesh's overlay selects for [round],
+    before dead endpoints and Byzantine receivers are skipped. *)
+
 val set_server :
   t -> name:string -> ?refresh:(now:Rtime.t -> unit) ->
   (receiver:string -> Relying_party.t) -> unit

@@ -325,7 +325,6 @@ val sync :
   t ->
   now:Rtime.t ->
   universe:Universe.t ->
-  ?reachable:(Pub_point.t -> bool) ->
   ?transport:Transport.t ->
   ?policy:fetch_policy ->
   ?valcache:Valcache.t ->
@@ -337,12 +336,8 @@ val sync :
     updated origin-validation index, the VRP diff since the previous sync,
     and the per-point transport accounting.
 
-    Fetching goes through [transport] under [policy] (default
-    {!default_policy}).  When no [transport] is given one is built: from
-    [reachable] as a zero-latency {!Transport.of_oracle} when that is
-    supplied (the PR-1 behaviour, kept for compatibility), otherwise
-    {!Transport.instant}.  [reachable] is ignored when [transport] is
-    given.
+    Fetching goes through [transport] (default {!Transport.instant}) under
+    [policy] (default {!default_policy}).
 
     [valcache], when given, attaches the shared cross-vantage validation
     plane: signature checks route through its verdict memo and

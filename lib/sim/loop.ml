@@ -334,13 +334,6 @@ let install_hold t ~uri =
     if prefixes <> [] then t.held_uris <- (uri, prefixes) :: t.held_uris
   end
 
-let release_hold t ~uri =
-  match List.assoc_opt uri t.held_uris with
-  | None -> ()
-  | Some prefixes ->
-    List.iter (fun prefix -> Rpki_rtr.Server.release t.rtr ~prefix) prefixes;
-    t.held_uris <- List.remove_assoc uri t.held_uris
-
 let regression_uri = function
   | Relying_party.Serial_regression { rg_uri; _ }
   | Relying_party.Content_equivocation { rg_uri; _ } -> rg_uri
@@ -452,17 +445,10 @@ let step t ~now =
   (* cross-vantage evidence (fork or served rollback) that re-verifies from
      scratch under the vantages' own keys also triggers a hold; it lands on
      the next tick's data plane, gossip having run after this one's *)
-  (match gossip_report with
-  | None -> ()
-  | Some rep ->
-    let key_of vname =
-      List.find_map
-        (fun v ->
-          if String.equal v.Gossip.v_name vname then
-            Some (Relying_party.transparency_key v.Gossip.v_rp)
-          else None)
-        t.vantages
-    in
+  (match (gossip_report, t.gossip) with
+  | None, _ | _, None -> ()
+  | Some rep, Some g ->
+    let key_of = Gossip.key_of g in
     (* the proven-honest side of an evidence bundle: for a fork involving
        the primary, the attested record from the *other* vantage; for a
        served rollback, the state recorded earlier under the higher

@@ -258,7 +258,3 @@ val restart_vantage :
     from its persisted peer heads; otherwise its gossip memory starts
     empty (and peers will raise {!Gossip.alarm.Log_reset}).  Raises
     [Invalid_argument] unless the vantage is down. *)
-
-val release_hold : t -> uri:string -> unit
-(** Operator override: drop the evidence-triggered hold installed for a
-    publication point. *)

@@ -1,11 +1,14 @@
-(* Scenario rigs for the closed loop: one spec, one rig, one build.
+(* Scenario rigs for the closed loop: one spec, one rig, one build, and
+   the timelines that run on it.
 
    The paper's Section 6 loop is rerun with different rigging by every
    experiment: split view, rollback and restart, generated worlds, the
    Stalloris stall, the corpus fault mix and the soak.  A spec names the
    rigging along its axes (world source x vantages x persistence x fault
    mix); [build] wires it the same way for every source, applying every
-   loop knob through [Loop.configure]. *)
+   loop knob through [Loop.configure].  Each attack timeline is staged here
+   once, so the bench, the CLI and the tests agree on which tick captures,
+   revokes, kills and restarts. *)
 
 open Rpki_core
 open Rpki_repo
@@ -13,6 +16,9 @@ open Rpki_bgp
 open Rpki_ip
 module World = Rpki_world.Synthesis
 module Placement = Rpki_world.Placement
+module Split_view = Rpki_attack.Split_view
+module Rollback = Rpki_attack.Rollback
+module Equivocator = Rpki_attack.Equivocator
 
 type section6 = {
   mirrored : bool;
@@ -198,6 +204,8 @@ let world_site w ~monitors ~placement =
 
 (* --- build --- *)
 
+let victim = "victim-rp"
+
 let build spec =
   if spec.monitors < 0 then invalid_arg "Scenario.build: negative monitors";
   let site, model, world, root, authorities, victim_ca, victim_roa, victim_prefix,
@@ -216,8 +224,7 @@ let build spec =
   in
   let tals = [ Relying_party.tal_of_authority root ] in
   let respawn ~log_epoch =
-    Relying_party.create ~name:"victim-rp" ~asn:site.rp_asn ~tals ~grace:spec.grace
-      ~log_epoch ()
+    Relying_party.create ~name:victim ~asn:site.rp_asn ~tals ~grace:spec.grace ~log_epoch ()
   in
   let sim =
     Loop.create ~universe:site.universe ~topo:site.topo ~policy:spec.policy
@@ -286,6 +293,102 @@ let run_section6 ?flush_cache_at spec =
   (* ticks 4-7: ...but can the RP see the repair? *)
   List.iter tick [ 4; 5; 6; 7 ];
   (rig, Loop.history rig.sim)
+
+let section6_model rig ~caller =
+  match rig.model with
+  | Some m -> m
+  | None -> invalid_arg (caller ^ ": the rig has no Section 6 model")
+
+(* Shadows are planned from the Section 6 model under each monitor's own
+   name and AS, so their tree heads verify under the monitor's real key. *)
+let equivocators rig names =
+  let model = section6_model rig ~caller:"Scenario.equivocators" in
+  List.iter
+    (fun name ->
+      if not (List.mem name rig.monitor_names) then
+        invalid_arg ("Scenario.equivocators: unknown monitor " ^ name))
+    names;
+  List.map
+    (fun name ->
+      let asn = Relying_party.asn (Loop.vantage rig.sim ~name).Gossip.v_rp in
+      let eq =
+        Equivocator.plan ~universe:model.Model.universe ~name
+          ~shadow:(Model.relying_party ~name ~asn model)
+          ~fork_to:(String.equal victim) ()
+      in
+      Equivocator.apply eq (Option.get (Loop.gossip_mesh rig.sim));
+      eq)
+    names
+
+type split_view = {
+  attack : Split_view.t;
+  honest_adjacent : bool;
+}
+
+let run_split_view ?stealth ?(equivocators = []) ~attack_at ~ticks rig =
+  let attack =
+    Split_view.plan ~authority:rig.victim_ca ~target_filename:rig.victim_roa ?stealth ()
+  in
+  for now = 1 to ticks do
+    if now = attack_at then begin
+      Split_view.apply attack (Loop.transport rig.sim);
+      (* every shadow forks with the victim, so the logs served to the
+         victim keep mirroring what the victim sees *)
+      List.iter
+        (fun eq -> Split_view.apply attack (Equivocator.shadow_transport eq))
+        equivocators
+    end;
+    ignore (step rig ~now)
+  done;
+  let honest_adjacent =
+    match Loop.gossip_mesh rig.sim with
+    | Some g when attack_at >= 1 ->
+      let traitors = List.map Equivocator.name equivocators in
+      let honest x = not (String.equal x victim || List.mem x traitors) in
+      let honest_edge (a, b) =
+        (String.equal a victim && honest b) || (String.equal b victim && honest a)
+      in
+      List.exists
+        (fun round -> List.exists honest_edge (Gossip.round_pulls g ~round))
+        (List.init (max 0 (ticks - attack_at + 1)) (fun i -> attack_at + i))
+    | _ -> false
+  in
+  { attack; honest_adjacent }
+
+type rollback = {
+  plan : Rollback.t;
+  recovery : Relying_party.recovery;
+}
+
+(* Capture the victim CA's honest state after t2, revoke (63.174.25.0/24,
+   AS 17054) at t3 — chosen so the repository's own route is untouched —
+   and kill the victim right after its t5 snapshot, replaying the capture
+   to it until it restarts. *)
+let run_rollback ?disk_fault ~restart_at ~ticks rig =
+  let model = section6_model rig ~caller:"Scenario.run_rollback" in
+  if restart_at <= 5 then
+    invalid_arg "Scenario.run_rollback: the victim restarts after the t5 kill";
+  if ticks < restart_at then invalid_arg "Scenario.run_rollback: ticks end before the restart";
+  if disk_fault <> None && rig.disk = None then
+    invalid_arg "Scenario.run_rollback: a disk fault needs a rig that persists";
+  let plan = Rollback.plan ~authority:rig.victim_ca in
+  let recovery = ref None in
+  for now = 1 to ticks do
+    if now = 3 then Authority.revoke_roa rig.victim_ca ~filename:model.Model.roa_cb_25 ~now;
+    (* arm the one-shot disk fault so it fires on the victim's last
+       pre-crash snapshot write (the primary saves first each tick) *)
+    if now = 5 then
+      Option.iter (fun disk -> Option.iter (Rpki_persist.Disk.inject disk) disk_fault) rig.disk;
+    if now = restart_at then
+      recovery := Some (Loop.restart_vantage rig.sim ~name:victim ~now ~make:rig.respawn);
+    ignore (step rig ~now);
+    if now = 2 then Rollback.capture plan ~now;
+    if now = 5 then begin
+      Loop.kill_vantage rig.sim ~name:victim;
+      Rollback.apply plan (Loop.transport rig.sim)
+    end
+  done;
+  { plan; recovery = Option.get !recovery }
 
 type soak_config = {
   sk_ticks : int;

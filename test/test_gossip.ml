@@ -120,16 +120,8 @@ let fork_keys g =
 
 let run_split ~overlay ~overlay_seed =
   let sv = Scenario.build { Scenario.default with monitors = 5; overlay; overlay_seed } in
-  let t = sv.Scenario.sim in
-  let atk =
-    Rpki_attack.Split_view.plan ~authority:sv.Scenario.victim_ca
-      ~target_filename:sv.Scenario.victim_roa ~stealth:Rpki_attack.Split_view.Stealthy ()
-  in
-  for now = 1 to 6 do
-    if now = 3 then Rpki_attack.Split_view.apply atk (Loop.transport t);
-    ignore (Loop.step t ~now)
-  done;
-  Option.get (Loop.gossip_mesh t)
+  ignore (Scenario.run_split_view ~attack_at:3 ~ticks:6 sv);
+  Option.get (Loop.gossip_mesh sv.Scenario.sim)
 
 let prop_observational seed =
   let mesh = run_split ~overlay:Gossip.Overlay.Full_mesh ~overlay_seed:seed in
@@ -139,68 +131,29 @@ let prop_observational seed =
   if mk <> rk then
     QCheck.Test.fail_reportf "k:2 fork keys differ from the mesh (seed %d)" seed;
   (* the sparse overlay's evidence is as portable as the mesh's *)
-  let key_of g name =
-    List.find_map
-      (fun (v : Gossip.vantage) ->
-        if String.equal v.Gossip.v_name name then
-          Some (Relying_party.transparency_key v.Gossip.v_rp)
-        else None)
-      (Gossip.vantages g)
-  in
   List.iter
     (fun a ->
-      if Gossip.is_fork a && not (Gossip.verify_fork ~key_of:(key_of ring) a) then
+      if Gossip.is_fork a && not (Gossip.verify_fork ~key_of:(Gossip.key_of ring) a) then
         QCheck.Test.fail_reportf "k:2 fork evidence failed re-verification (seed %d)" seed)
     (Gossip.alarms ring);
   true
 
 (* --- Byzantine equivocators ------------------------------------------ *)
 
-(* A scenario with the fork running from the victim's first sync, the given
-   monitors turned Byzantine (mirroring shadows), under the given overlay. *)
-let run_byzantine ~overlay ~byz ~attack_at ~ticks =
+(* A scenario with the star hub — the last monitor — turned Byzantine
+   (a mirroring shadow), under the given overlay. *)
+let run_byzantine ~overlay ~attack_at ~ticks =
   let sv = Scenario.build { Scenario.default with monitors = 3; overlay } in
-  let t = sv.Scenario.sim in
-  let model = Option.get sv.Scenario.model in
-  let g = Option.get (Loop.gossip_mesh t) in
-  let atk =
-    Rpki_attack.Split_view.plan ~authority:model.Model.continental
-      ~target_filename:sv.Scenario.victim_roa ~stealth:Rpki_attack.Split_view.Stealthy ()
-  in
-  let eqs =
-    List.map
-      (fun name ->
-        let v = Loop.vantage t ~name in
-        let shadow = Model.relying_party ~name ~asn:(Relying_party.asn v.Gossip.v_rp) model in
-        let eq =
-          Rpki_attack.Equivocator.plan ~universe:model.Model.universe ~name ~shadow
-            ~fork_to:(fun r -> String.equal r "victim-rp") ()
-        in
-        Rpki_attack.Equivocator.apply eq g;
-        eq)
-      (byz sv)
-  in
-  for now = 1 to ticks do
-    if now = attack_at then begin
-      Rpki_attack.Split_view.apply atk (Loop.transport t);
-      List.iter
-        (fun eq -> Rpki_attack.Split_view.apply atk (Rpki_attack.Equivocator.shadow_transport eq))
-        eqs
-    end;
-    ignore (Loop.step t ~now)
-  done;
-  (t, g, eqs)
-
-let hub_of sv =
-  let names = sv.Scenario.monitor_names in
-  [ List.nth names (List.length names - 1) ]
+  let hub = List.nth sv.Scenario.monitor_names 2 in
+  let equivocators = Scenario.equivocators sv [ hub ] in
+  let run = Scenario.run_split_view ~equivocators ~attack_at ~ticks sv in
+  (sv.Scenario.sim, Option.get (Loop.gossip_mesh sv.Scenario.sim), equivocators, run)
 
 let test_equivocator_eclipse () =
   (* star:1 with a Byzantine hub: nobody honest ever examines the victim's
      log, the hub mirrors the victim's fork back at it — total eclipse *)
-  let t, g, eqs =
-    run_byzantine ~overlay:(Star 1) ~byz:hub_of ~attack_at:1 ~ticks:5
-  in
+  let t, g, eqs, run = run_byzantine ~overlay:(Star 1) ~attack_at:1 ~ticks:5 in
+  Alcotest.(check bool) "no honest neighbor" false run.Scenario.honest_adjacent;
   Alcotest.(check bool) "no detection" true (Loop.first_fork_tick t = None);
   Alcotest.(check bool) "no alarms at all" true (Gossip.alarms g = []);
   let eq = List.hd eqs in
@@ -212,9 +165,8 @@ let test_equivocator_eclipse () =
 let test_equivocator_honest_neighbor () =
   (* full mesh, one traitor: any honest monitor pulling the victim sees the
      fork on the first round *)
-  let t, _, _ =
-    run_byzantine ~overlay:Gossip.Overlay.Full_mesh ~byz:hub_of ~attack_at:1 ~ticks:3
-  in
+  let t, _, _, run = run_byzantine ~overlay:Gossip.Overlay.Full_mesh ~attack_at:1 ~ticks:3 in
+  Alcotest.(check bool) "an honest neighbor" true run.Scenario.honest_adjacent;
   Alcotest.(check (option int)) "caught on round one" (Some 1) (Loop.first_fork_tick t)
 
 let test_mirror_self_betrayal () =
@@ -222,9 +174,32 @@ let test_mirror_self_betrayal () =
      first-seen record conflicts with the mirrored shadow's delta and the
      victim raises the Fork itself — equivocation is self-defeating
      against a victim that holds honest history *)
-  let t, _, _ = run_byzantine ~overlay:(Star 1) ~byz:hub_of ~attack_at:3 ~ticks:5 in
+  let t, _, _, _ = run_byzantine ~overlay:(Star 1) ~attack_at:3 ~ticks:5 in
   Alcotest.(check (option int)) "the victim betrays the mirror" (Some 3)
     (Loop.first_fork_tick t)
+
+(* Turning monitors Byzantine needs the Section 6 model and real monitor
+   names; anything else is refused before the mesh is touched. *)
+let test_equivocators_misuse () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.fail (what ^ ": no Invalid_argument")
+    | exception Invalid_argument _ -> ()
+  in
+  let sv = Scenario.build { Scenario.default with monitors = 2 } in
+  raises "unknown monitor" (fun () -> Scenario.equivocators sv [ "monitor-nowhere" ]);
+  raises "the victim is no monitor" (fun () -> Scenario.equivocators sv [ "victim-rp" ]);
+  Alcotest.(check (list string)) "mesh left honest" []
+    (Gossip.server_names (Option.get (Loop.gossip_mesh sv.Scenario.sim)));
+  let world =
+    Rpki_world.Synthesis.build
+      { Rpki_world.Synthesis.default_spec with
+        Rpki_world.Synthesis.graph =
+          { Rpki_bgp.As_graph.default_spec with Rpki_bgp.As_graph.ases = 60; seed = 3 } }
+  in
+  let rig = Scenario.build { Scenario.default with source = Scenario.World world } in
+  raises "no Section 6 model" (fun () ->
+      Scenario.equivocators rig [ List.hd rig.Scenario.monitor_names ])
 
 let () =
   Alcotest.run "gossip"
@@ -244,4 +219,5 @@ let () =
           Alcotest.test_case "one honest neighbor suffices" `Quick
             test_equivocator_honest_neighbor;
           Alcotest.test_case "mirrored shadow betrayed by honest history" `Quick
-            test_mirror_self_betrayal ] ) ]
+            test_mirror_self_betrayal;
+          Alcotest.test_case "equivocators refuses misuse" `Quick test_equivocators_misuse ] ) ]

@@ -72,7 +72,8 @@ let test_mirror_serves_when_primary_down () =
   let rp = Model.relying_party ~use_stale:false m in
   let unreachable (pp : Pub_point.t) = (Pub_point.uri pp) <> (Pub_point.uri primary) in
   let r =
-    Relying_party.sync rp ~now:1 ~universe:m.Model.universe ~reachable:unreachable ()
+    Relying_party.sync rp ~now:1 ~universe:m.Model.universe
+      ~transport:(Transport.of_oracle unreachable) ()
   in
   Alcotest.(check int) "all VRPs via mirror" 8 (List.length r.Relying_party.vrps);
   Alcotest.(check bool) "mirror fetch recorded" true

@@ -25,57 +25,22 @@ open Rpki_core
 open Rpki_repo
 open Rpki_sim
 open Rpki_ip
-module Rollback = Rpki_attack.Rollback
 module Tlog = Rpki_transparency.Log
 
 let victim = "victim-rp"
 let target_prefix = V4.p "63.174.25.0/24"
-let revoke_at = 3
-let capture_at = 2
-let kill_after = 5
 let restart_at = 6
-let ticks = 9
 
-(* The bench's run_cell, reduced to what the assertions need. *)
-let run ~persist ?fault () =
+let run ~persist ?fault ?(ticks = 9) () =
   let rig = Scenario.build { Scenario.default with persist; grace = 0 } in
-  let t = rig.Scenario.sim in
-  let model = Option.get rig.Scenario.model in
-  let atk = Rollback.plan ~authority:model.Model.continental in
-  let recovery = ref None in
-  for now = 1 to ticks do
-    if now = revoke_at then
-      Authority.revoke_roa model.Model.continental ~filename:model.Model.roa_cb_25 ~now;
-    (* one-shot: fires on the victim's last pre-crash snapshot write *)
-    if now = kill_after then
-      Option.iter
-        (fun disk -> Option.iter (Rpki_persist.Disk.inject disk) fault)
-        rig.Scenario.disk;
-    if now = restart_at then
-      recovery :=
-        Some (Loop.restart_vantage t ~name:victim ~now ~make:rig.Scenario.respawn);
-    ignore (Loop.step t ~now);
-    if now = capture_at then Rollback.capture atk ~now;
-    if now = kill_after then begin
-      Loop.kill_vantage t ~name:victim;
-      Rollback.apply atk (Loop.transport t)
-    end
-  done;
-  (rig, t, Option.get !recovery)
+  let r = Scenario.run_rollback ?disk_fault:fault ~restart_at ~ticks rig in
+  (rig, rig.Scenario.sim, r.Scenario.recovery)
 
 let vrp_present vrps =
   List.exists (fun (v : Vrp.t) -> V4.Prefix.equal v.Vrp.prefix target_prefix) vrps
 
 let router_sees_replay t =
   vrp_present (Rpki_rtr.Session.cache_vrps (Rpki_rtr.Server.cache (Loop.rtr_server t)))
-
-let key_of_mesh t =
-  let g = Option.get (Loop.gossip_mesh t) in
-  fun name ->
-    List.find_opt
-      (fun (v : Gossip.vantage) -> String.equal v.Gossip.v_name name)
-      (Gossip.vantages g)
-    |> Option.map (fun (v : Gossip.vantage) -> Relying_party.transparency_key v.Gossip.v_rp)
 
 (* Persistence on: the restored baseline catches the replay within one
    gossip round, with from-scratch-verifiable evidence, and the hold keeps
@@ -107,7 +72,7 @@ let test_persisted_victim_detects () =
   let g = Option.get (Loop.gossip_mesh t) in
   let rollbacks = Gossip.rollbacks g in
   Alcotest.(check bool) "gossip Rollback raised" true (rollbacks <> []);
-  let key_of = key_of_mesh t in
+  let key_of = Gossip.key_of g in
   List.iter
     (fun a ->
       Alcotest.(check bool) "rollback evidence verifies from scratch" true
@@ -126,6 +91,50 @@ let test_persisted_victim_detects () =
   | last :: _ ->
     Alcotest.(check bool) "evidence hold active at the end" true (last.Loop.rtr_holds > 0)
   | [] -> Alcotest.fail "no history")
+
+(* The bundle `rpki_sim restart --evidence` writes, pinned byte for byte:
+   the first rollback alarm of the CLI's default run (ten ticks). *)
+let test_evidence_bundle_pinned () =
+  let _rig, t, _ = run ~persist:true ~ticks:10 () in
+  let g = Option.get (Loop.gossip_mesh t) in
+  match Gossip.rollbacks g with
+  | [] -> Alcotest.fail "persisted run raised no rollback"
+  | alarm :: _ -> (
+    match Evidence.export ~key_of:(Gossip.key_of g) alarm with
+    | Error why -> Alcotest.fail ("evidence export failed: " ^ why)
+    | Ok bundle ->
+      Alcotest.(check string) "bundle SHA-256"
+        "b64e8634f751dae381dbf7f61809a5bb43df6163466e621f0112480132b84877"
+        (Rpki_crypto.Sha256.hexdigest bundle))
+
+(* The driver refuses a timeline it cannot stage. *)
+let test_run_rollback_misuse () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.fail (what ^ ": no Invalid_argument")
+    | exception Invalid_argument _ -> ()
+  in
+  let section6 ?(persist = true) () =
+    Scenario.build { Scenario.default with persist; monitors = 0; grace = 0 }
+  in
+  raises "restart before the t5 kill" (fun () ->
+      Scenario.run_rollback ~restart_at:5 ~ticks:9 (section6 ()));
+  raises "ticks end before the restart" (fun () ->
+      Scenario.run_rollback ~restart_at:8 ~ticks:7 (section6 ()));
+  raises "disk fault without a disk" (fun () ->
+      Scenario.run_rollback ~disk_fault:Rpki_persist.Disk.Torn_write ~restart_at:6 ~ticks:9
+        (section6 ~persist:false ()));
+  let world =
+    Rpki_world.Synthesis.build
+      { Rpki_world.Synthesis.default_spec with
+        Rpki_world.Synthesis.graph =
+          { Rpki_bgp.As_graph.default_spec with Rpki_bgp.As_graph.ases = 60; seed = 3 } }
+  in
+  raises "no Section 6 model" (fun () ->
+      Scenario.run_rollback ~restart_at:6 ~ticks:9
+        (Scenario.build
+           { Scenario.default with source = Scenario.World world; persist = true;
+                                   monitors = 0 }))
 
 (* A bundle's embedded keys are whatever integers its exporter wrote.  One
    that gives every vantage a 256-bit key and cuts each head signature to
@@ -244,7 +253,9 @@ let () =
          Alcotest.test_case "disk faults degrade explicitly" `Quick
            test_disk_faults_explicit;
          Alcotest.test_case "hostile evidence bundle rejected" `Quick
-           test_hostile_bundle_rejected ]);
+           test_hostile_bundle_rejected;
+         Alcotest.test_case "CLI evidence bundle pinned" `Quick test_evidence_bundle_pinned;
+         Alcotest.test_case "run_rollback refuses misuse" `Quick test_run_rollback_misuse ]);
       ("cache-loss-vs-restart",
        [ Alcotest.test_case "flush_cache keeps the log" `Quick
            test_flush_cache_keeps_history;

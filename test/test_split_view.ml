@@ -23,18 +23,8 @@ let probe_up r label =
 
 let run_with_attack ~monitors ~grace ~gossip_period ~ticks =
   let sv = Scenario.build { Scenario.default with monitors; grace; gossip_period } in
-  let t = sv.Scenario.sim in
-  ignore (Loop.step t ~now:1);
-  ignore (Loop.step t ~now:2);
-  let atk =
-    Split_view.plan ~authority:sv.Scenario.victim_ca
-      ~target_filename:sv.Scenario.victim_roa ()
-  in
-  Split_view.apply atk (Loop.transport t);
-  for now = 3 to ticks do
-    ignore (Loop.step t ~now)
-  done;
-  (sv, t)
+  let run = Scenario.run_split_view ~attack_at:3 ~ticks sv in
+  (sv, sv.Scenario.sim, run.Scenario.attack)
 
 (* With >= 2 gossiping vantages: fork alarm, verifiable, strictly inside the
    grace window — and the verified evidence now freezes the affected
@@ -43,7 +33,7 @@ let run_with_attack ~monitors ~grace ~gossip_period ~ticks =
 let test_detected_before_invalid () =
   let grace = 4 in
   let attack_at = 3 in
-  let sv, t = run_with_attack ~monitors:2 ~grace ~gossip_period:1 ~ticks:10 in
+  let sv, t, _ = run_with_attack ~monitors:2 ~grace ~gossip_period:1 ~ticks:10 in
   let fork_tick =
     match Loop.first_fork_tick t with
     | Some tk -> tk
@@ -69,16 +59,12 @@ let test_detected_before_invalid () =
   (* the alarm's evidence stands on its own: re-verified from scratch
      against the vantages' public keys *)
   let g = Option.get (Loop.gossip_mesh t) in
-  let key_of name =
-    List.find_opt (fun (v : Gossip.vantage) -> String.equal v.Gossip.v_name name) (Gossip.vantages g)
-    |> Option.map (fun (v : Gossip.vantage) -> Relying_party.transparency_key v.Gossip.v_rp)
-  in
   let forks = Gossip.forks g in
   Alcotest.(check bool) "at least one fork alarm" true (forks <> []);
   List.iter
     (fun a ->
       Alcotest.(check bool) "fork evidence verifies from scratch" true
-        (Gossip.verify_fork ~key_of a))
+        (Gossip.verify_fork ~key_of:(Gossip.key_of g) a))
     forks;
   (* and the fork names the right publication point *)
   let continental_uri = Pub_point.uri (Authority.pub sv.Scenario.victim_ca) in
@@ -94,7 +80,7 @@ let test_detected_before_invalid () =
    no fork alarm (there is no mesh), and no new validation issue beyond the
    grace bookkeeping note. *)
 let test_single_vantage_misses_it () =
-  let _, t = run_with_attack ~monitors:0 ~grace:4 ~gossip_period:1 ~ticks:6 in
+  let _, t, _ = run_with_attack ~monitors:0 ~grace:4 ~gossip_period:1 ~ticks:6 in
   Alcotest.(check bool) "no gossip mesh" true (Loop.gossip_mesh t = None);
   Alcotest.(check bool) "no fork tick" true (Loop.first_fork_tick t = None);
   List.iter
@@ -124,13 +110,8 @@ let test_single_vantage_misses_it () =
 let test_overt_fork_is_locally_visible () =
   let sv = Scenario.build { Scenario.default with monitors = 0 } in
   let t = sv.Scenario.sim in
-  ignore (Loop.step t ~now:1);
-  let atk =
-    Split_view.plan ~authority:sv.Scenario.victim_ca
-      ~target_filename:sv.Scenario.victim_roa ~stealth:Split_view.Overt ()
-  in
-  Split_view.apply atk (Loop.transport t);
-  let r = Loop.step t ~now:2 in
+  ignore (Scenario.run_split_view ~stealth:Split_view.Overt ~attack_at:2 ~ticks:2 sv);
+  let r = List.nth (Loop.history t) 1 in
   Alcotest.(check bool) "manifest violation surfaces" true (r.Loop.issue_count > 0);
   match Relying_party.last_result (Loop.vantage t ~name:"victim-rp").Gossip.v_rp with
   | None -> Alcotest.fail "no sync result"
@@ -146,11 +127,7 @@ let test_overt_fork_is_locally_visible () =
 (* Lifting the fork heals the victim: the honest view returns and no new
    alarms are raised after the lift. *)
 let test_lift_heals () =
-  let sv, t = run_with_attack ~monitors:2 ~grace:8 ~gossip_period:1 ~ticks:4 in
-  let atk =
-    Split_view.plan ~authority:sv.Scenario.victim_ca
-      ~target_filename:sv.Scenario.victim_roa ()
-  in
+  let _, t, atk = run_with_attack ~monitors:2 ~grace:8 ~gossip_period:1 ~ticks:4 in
   Split_view.lift atk (Loop.transport t);
   let before = List.length (Gossip.alarms (Option.get (Loop.gossip_mesh t))) in
   for now = 5 to 8 do
@@ -201,7 +178,7 @@ let test_no_false_positives_under_faulty_transport () =
 let test_gossip_period_trades_latency () =
   List.iter
     (fun period ->
-      let _, t = run_with_attack ~monitors:2 ~grace:6 ~gossip_period:period ~ticks:10 in
+      let _, t, _ = run_with_attack ~monitors:2 ~grace:6 ~gossip_period:period ~ticks:10 in
       match Loop.first_fork_tick t with
       | None -> Alcotest.fail (Printf.sprintf "period %d: fork missed" period)
       | Some tk ->

@@ -273,19 +273,10 @@ let run_split_view ~monitors =
         placement = Placement.By_degree }
   in
   let t = rig.Scenario.sim in
-  ignore (Loop.step t ~now:1);
-  ignore (Loop.step t ~now:2);
-  let r2 = List.hd (Loop.history t |> List.rev) in
+  ignore (Scenario.run_split_view ~attack_at:3 ~ticks:10 rig);
+  let r2 = List.nth (Loop.history t) 1 in
   Alcotest.(check bool) "victim probe up before the attack" true
     (List.assoc "victim-prefix" r2.Loop.probe_results);
-  let sv =
-    Rpki_attack.Split_view.plan ~authority:rig.Scenario.victim_ca
-      ~target_filename:rig.Scenario.victim_roa ()
-  in
-  Rpki_attack.Split_view.apply sv (Loop.transport t);
-  for now = 3 to 10 do
-    ignore (Loop.step t ~now)
-  done;
   (rig, Loop.first_fork_tick t)
 
 let test_split_view_detected_on_world () =
