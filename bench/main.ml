@@ -157,12 +157,30 @@ let bench_rtr () =
              let router = Rpki_rtr.Session.create_router () in
              Rpki_rtr.Session.synchronize router cache)) ]
 
+(* a log larger than any the closed-loop benchmark grows: roots and proofs
+   read stored complete subtrees and hash only the ragged right edge, so
+   each costs O(log n) node hashes at any size *)
+let bench_transparency () =
+  let module Merkle = Rpki_transparency.Merkle in
+  let tree = Merkle.create () in
+  for i = 0 to 4095 do
+    ignore (Merkle.add tree (Printf.sprintf "leaf-%d" i))
+  done;
+  Test.make_grouped ~name:"transparency"
+    [ Test.make ~name:"merkle-root-4096" (Staged.stage (fun () -> Merkle.root tree));
+      Test.make ~name:"merkle-root-at-4095"
+        (Staged.stage (fun () -> Merkle.root_at tree ~size:4095));
+      Test.make ~name:"merkle-inclusion-4095"
+        (Staged.stage (fun () -> Merkle.inclusion_proof tree ~index:1234 ~size:4095));
+      Test.make ~name:"merkle-consistency-1000-4095"
+        (Staged.stage (fun () -> Merkle.consistency_proof tree ~old_size:1000 ~size:4095)) ]
+
 let run_perf () =
   Printf.printf "\n==== Microbenchmarks (Bechamel, monotonic clock) ====\n\n";
   let tests =
     Test.make_grouped ~name:"rpki-mra"
       [ bench_crypto (); bench_objects (); bench_origin_validation (); bench_bgp ();
-        bench_attack (); bench_rp (); bench_rtr (); bench_rrdp () ]
+        bench_attack (); bench_rp (); bench_rtr (); bench_rrdp (); bench_transparency () ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

@@ -550,7 +550,7 @@ let restart_cmd =
                    evidence bundle to $(docv).")
   in
   let verify =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some non_dir_file) None
          & info [ "verify" ] ~docv:"FILE"
              ~doc:"Do not simulate: load the DER evidence bundle $(docv) and \
                    re-verify it offline under its embedded keys.")

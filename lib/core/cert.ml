@@ -35,7 +35,7 @@ let opt_of_der = function
 let der_of_key (k : Rsa.public) = Der.Sequence [ Der.Integer k.Rsa.n; Der.Integer k.Rsa.e ]
 
 let key_of_der = function
-  | Der.Sequence [ Der.Integer n; Der.Integer e ] -> { Rsa.n; e }
+  | Der.Sequence [ Der.Integer n; Der.Integer e ] -> Rsa.public ~n ~e
   | _ -> Der.decode_error "bad public key"
 
 (* The to-be-signed portion; the signature is computed over these bytes. *)

@@ -8,7 +8,14 @@
 
 open Rpki_bignum
 
-type public = { n : Nat.t; e : Nat.t }
+(* [id] is the key's stable identifier, made once with the key: SHA-256 of
+   its canonical encoding, analogous to the RPKI's Subject Key Identifier. *)
+type public = { n : Nat.t; e : Nat.t; id : string }
+
+let public ~n ~e =
+  let nb = Nat.to_bytes_be n and eb = Nat.to_bytes_be e in
+  let encoding = Printf.sprintf "%d:%s:%d:%s" (String.length nb) nb (String.length eb) eb in
+  { n; e; id = Sha256.digest encoding }
 
 (* The CRT form of the private exponent d: signing works mod p and mod q
    separately, so d itself is never stored. *)
@@ -55,7 +62,7 @@ let generate ?(bits = default_bits) rng =
       | Some d ->
         if Nat.num_bits n <> bits then go ()
         else begin
-          let pub = { n; e } in
+          let pub = public ~n ~e in
           (* distinct primes are coprime, so q always has an inverse mod p *)
           let qinv = Option.get (Zint.mod_inverse q ~modulus:p) in
           let dp = Nat.rem d (Nat.pred p) and dq = Nat.rem d (Nat.pred q) in
@@ -107,11 +114,7 @@ let verify ~key ~signature msg =
     end
   end
 
-(* Stable identifier for a public key: SHA-256 of its canonical encoding,
-   analogous to the RPKI's Subject Key Identifier. *)
-let key_id pub =
-  let nb = Nat.to_bytes_be pub.n and eb = Nat.to_bytes_be pub.e in
-  Sha256.digest (Printf.sprintf "%d:%s:%d:%s" (String.length nb) nb (String.length eb) eb)
+let key_id pub = pub.id
 
 let pp_public fmt pub =
   Format.fprintf fmt "rsa-%d:%s" (Nat.num_bits pub.n) (Rpki_util.Hex.abbrev (key_id pub))

@@ -8,7 +8,12 @@
 
 open Rpki_bignum
 
-type public = { n : Nat.t; e : Nat.t }
+type public = private { n : Nat.t; e : Nat.t; id : string }
+(** A public key.  [id] is {!key_id}, computed once by {!public}; the type
+    is private so the two cannot disagree. *)
+
+val public : n:Nat.t -> e:Nat.t -> public
+(** The public key with modulus [n] and exponent [e], and its id. *)
 
 type private_
 (** A private key in CRT form: the primes [p] and [q] with
@@ -50,7 +55,9 @@ val verification_count : unit -> int
 
 val key_id : public -> string
 (** A stable 32-byte identifier for a public key (the profile's analogue of
-    the Subject Key Identifier). *)
+    the Subject Key Identifier): SHA-256 of ["len:n:len:e"], with [n] and
+    [e] as minimal big-endian bytes and each length in decimal.  Reads the
+    field {!public} filled in; hashes nothing. *)
 
 val pp_public : Format.formatter -> public -> unit
 

@@ -83,8 +83,7 @@ let key_to_der (vantage, (key : Rsa.public)) =
 
 let key_of_der = function
   | Der.Sequence [ Der.Utf8 vantage; Der.Octet_string n; Der.Octet_string e ] ->
-    ( vantage,
-      { Rsa.n = Rpki_bignum.Nat.of_bytes_be n; Rsa.e = Rpki_bignum.Nat.of_bytes_be e } )
+    (vantage, Rsa.public ~n:(Rpki_bignum.Nat.of_bytes_be n) ~e:(Rpki_bignum.Nat.of_bytes_be e))
   | _ -> bad "key record is not the expected triple"
 
 (* The two attested sides and headline (uri, serial, kind) of an alarm, if

@@ -354,10 +354,9 @@ let flush_cache t =
   Hashtbl.reset t.memo;
   Hashtbl.reset t.vrp_memory
 
-let cert_fp cert = Rpki_crypto.Sha256.digest (Cert.encode cert)
-
 (* Canonical digest of a point's VRP contribution — one of the
-   content-addressed fields of a transparency observation. *)
+   content-addressed fields of a transparency observation.  Taken once per
+   validation, into the outcome's [o_vrp_hash]. *)
 let vrp_set_hash vrps =
   Rpki_crypto.Sha256.digest
     (String.concat "\n" (List.map Vrp.to_string (List.sort_uniq Vrp.compare vrps)))
@@ -595,8 +594,9 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
             Some (files, fp)
           | None -> stale attribution)))
   in
-  (* Validate and walk one CA's publication point. *)
-  let rec process_ca (ca_cert : Cert.t) =
+  (* Validate and walk one CA's publication point.  [parent_fp] is the
+     SHA-256 of the bytes [ca_cert] was decoded from. *)
+  let rec process_ca ((ca_cert : Cert.t), parent_fp) =
     let key = Cert.key_id ca_cert in
     if Hashtbl.mem seen_keys key then ()
     else begin
@@ -616,7 +616,6 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
           note_failed ca_cert.Cert.resources
         | Some (snapshot, snap_fp) ->
           let memo_key = uri ^ "\x00" ^ key in
-          let parent_fp = cert_fp ca_cert in
           let entry =
             match Hashtbl.find_opt t.memo memo_key with
             | Some e
@@ -663,7 +662,7 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
             { Rpki_transparency.Log.ob_uri = uri;
               ob_serial = entry.Valcache.o_mft_number;
               ob_manifest_hash = entry.Valcache.o_mft_hash;
-              ob_vrp_hash = vrp_set_hash entry.Valcache.o_vrps;
+              ob_vrp_hash = entry.Valcache.o_vrp_hash;
               ob_snapshot_fp = snap_fp;
               ob_at = now }
           in
@@ -840,7 +839,11 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
           | None -> ()
           | Some (Obj.Cert c) -> (
             match Validation.validate_cert ?verify ~now ~parent:ca_cert ?crl c with
-            | Ok () -> if c.Cert.is_ca then children := c :: !children
+            | Ok () ->
+              if c.Cert.is_ca then
+                (* the bytes [decode_file] read: the child point's parent_fp *)
+                let bytes = List.assoc filename snapshot in
+                children := (c, Rpki_crypto.Sha256.digest bytes) :: !children
             | Error f ->
               (* a child CA that fails here is a CA we cannot descend into:
                  whatever it would have spoken for is dark, so its claimed
@@ -863,6 +866,7 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
       o_boundaries = !boundaries;
       o_subject = ca_cert.Cert.subject;
       o_vrps = !local_vrps;
+      o_vrp_hash = vrp_set_hash !local_vrps;
       o_issues = List.rev !local_issues;
       o_failed_resources = !failed;
       o_children = List.rev !children;
@@ -884,7 +888,7 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
             problem ~uri:tal.ta_uri ~filename:tal.ta_cert_filename Validation.Ik_malformed e
           | Ok cert -> (
             match Validation.validate_trust_anchor ?verify ~now ~expected_key:tal.ta_key cert with
-            | Ok () -> process_ca cert
+            | Ok () -> process_ca (cert, Rpki_crypto.Sha256.digest bytes)
             | Error f ->
               problem ~uri:tal.ta_uri ~filename:tal.ta_cert_filename
                 (Validation.failure_kind f) (Validation.failure_to_string f)))))

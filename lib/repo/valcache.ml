@@ -6,13 +6,16 @@
    - RSA verdicts: (issuer key id, SHA-256 of signature + message) -> bool.
      Sound because RSA verification is a pure function of its inputs; a
      verdict computed for one vantage is the verdict for every vantage.
+     The key id is a field of the key, made when the key was.
 
    - Publication-point outcomes: (issuing certificate digest, listing
-     fingerprint) -> the full validation outcome (VRPs, issues, child CAs,
-     manifest identity), together with every validity-window boundary the
-     validation consulted.  An outcome is replayable at a different [now]
-     exactly when [now] sits on the same side of every recorded boundary —
-     the same rule the per-vantage memo uses.
+     fingerprint) -> the full validation outcome (VRPs and their digest,
+     issues, child CAs with the digests of their bytes, manifest identity),
+     together with every validity-window boundary the validation consulted.
+     The certificate digest is of the bytes it was served as, taken once
+     when the parent point was validated.  An outcome is replayable at a
+     different [now] exactly when [now] sits on the same side of every
+     recorded boundary — the same rule the per-vantage memo uses.
 
    Split-view safety is structural, not policed: a misbehaving authority
    that serves a forked manifest to one vantage necessarily changes that
@@ -30,18 +33,22 @@
 open Rpki_core
 
 type outcome = {
-  o_parent_fp : string;          (* digest of the issuing cert's encoding *)
+  o_parent_fp : string;          (* SHA-256 of the bytes the issuing cert
+                                    was decoded from *)
   o_snap_fp : string;            (* fingerprint of the listing validated *)
   o_at : Rtime.t;                (* when it was validated *)
   o_boundaries : Rtime.t list;   (* every validity boundary consulted *)
   o_subject : string;
   o_vrps : Vrp.t list;           (* the point's direct VRP contribution *)
+  o_vrp_hash : string;           (* canonical digest of [o_vrps] *)
   o_issues : (string option * Validation.issue_kind * string) list;
                                  (* filename, kind, reason — no URI *)
   o_failed_resources : Resources.t;
                                  (* resources claimed by child CA certs that
                                     failed validation here — unsafe-VRP input *)
-  o_children : Cert.t list;      (* validated child CA certs, in file order *)
+  o_children : (Cert.t * string) list;
+                                 (* validated child CA certs, in file order,
+                                    each with the SHA-256 of its bytes *)
   o_mft_number : int;            (* manifest number as served; 0 if none *)
   o_mft_hash : string;           (* SHA-256 of the manifest bytes; "" if none *)
 }

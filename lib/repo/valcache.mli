@@ -30,12 +30,21 @@ val clear : t -> unit
 (** {2 Publication-point outcomes} *)
 
 type outcome = {
-  o_parent_fp : string;     (** digest of the issuing cert's encoding *)
+  o_parent_fp : string;
+      (** SHA-256 of the bytes the issuing certificate was decoded from: the
+          parent outcome's [o_children] entry, or the trust anchor's
+          fetched file.  For canonical DER that is the digest of
+          [Cert.encode]; an encoding the decoder accepts but would not
+          write gets a cache line of its own: a finer key, so still sound *)
   o_snap_fp : string;       (** fingerprint of the listing validated *)
   o_at : Rtime.t;           (** when it was validated *)
   o_boundaries : Rtime.t list;  (** every validity boundary consulted *)
   o_subject : string;
   o_vrps : Vrp.t list;      (** the point's direct VRP contribution *)
+  o_vrp_hash : string;
+      (** the canonical digest of [o_vrps] (sorted, deduplicated), made once
+          by the validation that produced the outcome; transparency
+          observations and gossip evidence carry it *)
   o_issues : (string option * Validation.issue_kind * string) list;
       (** (filename, kind, reason) — deliberately URI-free: the outcome is a
           function of content only, and each relying party re-attaches its
@@ -44,7 +53,9 @@ type outcome = {
       (** resources claimed by child CA certificates that failed validation
           at this point — the unsafe-VRP analysis' per-point contribution,
           a pure function of content like everything else here *)
-  o_children : Cert.t list; (** validated child CA certs, in file order *)
+  o_children : (Cert.t * string) list;
+      (** validated child CA certs, in file order, each with the SHA-256 of
+          the bytes it was decoded from — the child point's [o_parent_fp] *)
   o_mft_number : int;       (** manifest number as served; 0 if none *)
   o_mft_hash : string;      (** SHA-256 of the manifest bytes; "" if none *)
 }

@@ -36,44 +36,44 @@ let encode_observation o =
   encode_field b (string_of_int o.ob_at);
   Buffer.contents b
 
-let decode_observation s =
-  let magic = "rpki-obs-v1\n" in
+(* The one reader both decoders share: [magic], then exactly [count]
+   fields, each an eight-ASCII-digit length, a colon and that many bytes,
+   and nothing after.  Never raises. *)
+let decode_fields ~magic ~count s =
   let n = String.length s in
-  let pos = ref 0 in
-  let fail = ref false in
-  let expect m =
-    let l = String.length m in
-    if !pos + l <= n && String.sub s !pos l = m then pos := !pos + l else fail := true
-  in
-  let field () =
-    if !fail then ""
-    else if !pos + 9 > n then (fail := true; "")
+  let rec len_at pos k acc =
+    if k = 8 then Some acc
     else
-      let len_s = String.sub s !pos 8 in
-      match int_of_string_opt len_s with
-      | None -> fail := true; ""
-      | Some len ->
-        if s.[!pos + 8] <> ':' || !pos + 9 + len > n then (fail := true; "")
-        else begin
-          let v = String.sub s (!pos + 9) len in
-          pos := !pos + 9 + len;
-          v
-        end
+      match s.[pos + k] with
+      | '0' .. '9' as c -> len_at pos (k + 1) ((10 * acc) + Char.code c - Char.code '0')
+      | _ -> None
   in
-  let int_field () =
-    match int_of_string_opt (field ()) with
-    | Some i -> i
-    | None -> fail := true; 0
+  let rec fields pos k acc =
+    if k = 0 then if pos = n then Some (List.rev acc) else None
+    else if pos + 9 > n || s.[pos + 8] <> ':' then None
+    else
+      match len_at pos 0 0 with
+      | Some len when pos + 9 + len <= n ->
+        fields (pos + 9 + len) (k - 1) (String.sub s (pos + 9) len :: acc)
+      | _ -> None
   in
-  expect magic;
-  let ob_uri = field () in
-  let ob_serial = int_field () in
-  let ob_manifest_hash = field () in
-  let ob_vrp_hash = field () in
-  let ob_snapshot_fp = field () in
-  let ob_at = int_field () in
-  if !fail || !pos <> n then None
-  else Some { ob_uri; ob_serial; ob_manifest_hash; ob_vrp_hash; ob_snapshot_fp; ob_at }
+  let m = String.length magic in
+  if n >= m && String.equal (String.sub s 0 m) magic then fields m count [] else None
+
+(* A decode stands only if encoding its result gives back the input, so
+   every accepted encoding is the canonical one (no "+1", "01" or "0x1"
+   in an integer field). *)
+let canonical encode s v = if String.equal (encode v) s then Some v else None
+
+let decode_observation s =
+  match decode_fields ~magic:"rpki-obs-v1\n" ~count:6 s with
+  | Some [ ob_uri; serial; ob_manifest_hash; ob_vrp_hash; ob_snapshot_fp; at ] -> (
+    match (int_of_string_opt serial, int_of_string_opt at) with
+    | Some ob_serial, Some ob_at ->
+      canonical encode_observation s
+        { ob_uri; ob_serial; ob_manifest_hash; ob_vrp_hash; ob_snapshot_fp; ob_at }
+    | _ -> None)
+  | _ -> None
 
 (* State equality: everything but the observation time. *)
 let observation_equal a b =
@@ -148,40 +148,12 @@ let encode_head h =
   Buffer.contents b
 
 let decode_head s =
-  let magic = "rpki-sth-v1\n" in
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail = ref false in
-  let expect m =
-    let l = String.length m in
-    if !pos + l <= n && String.sub s !pos l = m then pos := !pos + l else fail := true
-  in
-  let field () =
-    if !fail then ""
-    else if !pos + 9 > n then (fail := true; "")
-    else
-      let len_s = String.sub s !pos 8 in
-      match int_of_string_opt len_s with
-      | None -> fail := true; ""
-      | Some len ->
-        if s.[!pos + 8] <> ':' || !pos + 9 + len > n then (fail := true; "")
-        else begin
-          let v = String.sub s (!pos + 9) len in
-          pos := !pos + 9 + len;
-          v
-        end
-  in
-  let int_field () =
-    match int_of_string_opt (field ()) with
-    | Some i -> i
-    | None -> fail := true; 0
-  in
-  expect magic;
-  let h_log_id = field () in
-  let h_size = int_field () in
-  let h_root = field () in
-  let h_at = int_field () in
-  if !fail || !pos <> n then None else Some { h_log_id; h_size; h_root; h_at }
+  match decode_fields ~magic:"rpki-sth-v1\n" ~count:4 s with
+  | Some [ h_log_id; size; h_root; at ] -> (
+    match (int_of_string_opt size, int_of_string_opt at) with
+    | Some h_size, Some h_at -> canonical encode_head s { h_log_id; h_size; h_root; h_at }
+    | _ -> None)
+  | _ -> None
 
 let head_to_string h =
   Printf.sprintf "%s[%d]=%s @t%d" h.h_log_id h.h_size (short h.h_root) h.h_at

@@ -38,7 +38,8 @@ val encode_observation : observation -> string
 (** Canonical length-prefixed leaf encoding; what the Merkle tree hashes. *)
 
 val decode_observation : string -> observation option
-(** Inverse of {!encode_observation}; [None] on malformed input. *)
+(** Inverse of {!encode_observation}: [Some o] exactly when the input is
+    [encode_observation o], [None] on anything else.  Never raises. *)
 
 val observation_equal : observation -> observation -> bool
 (** Equality of the observed {e state} — everything but [ob_at]. *)
@@ -85,7 +86,8 @@ val head : t -> at:int -> head
 val encode_head : head -> string
 
 val decode_head : string -> head option
-(** Inverse of {!encode_head}; [None] on malformed input.  What the
+(** Inverse of {!encode_head}: [Some h] exactly when the input is
+    [encode_head h], [None] on anything else.  Never raises.  What the
     persistence layer stores and rehydrates. *)
 
 val head_to_string : head -> string

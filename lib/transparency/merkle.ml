@@ -2,10 +2,15 @@
 
    Domain-separated hashing (section 2.1): H(0x00 || leaf) for leaves,
    H(0x01 || l || r) for interior nodes, split at the largest power of two
-   strictly below the subtree size.  Proof generation recomputes subtree
-   roots from the stored leaf hashes — O(n) time, O(log n) proof size; at
-   simulation scale the simplicity is worth more than cached interior
-   nodes. *)
+   strictly below the subtree size.
+
+   In an append-only tree a complete subtree never changes, so each one is
+   hashed once, when its last leaf arrives, and kept: level 0 holds the leaf
+   hashes, level j the root of every complete subtree of 2^j leaves aligned
+   at a multiple of 2^j.  The RFC recursion only ever asks for a
+   power-of-two range at a multiple of its size, so it reads those from the
+   levels and splits only along the ragged right edge: roots and proofs at
+   any past size cost O(log n) node hashes. *)
 
 module Sha256 = Rpki_crypto.Sha256
 
@@ -21,42 +26,62 @@ let split_point n =
   !k
 
 type t = {
-  mutable leaves : string array;      (* raw leaf data *)
-  mutable hashes : string array;      (* H(0x00 || leaf), same order *)
+  mutable levels : string array array;  (* levels.(j).(i): leaves [i·2^j, (i+1)·2^j) *)
   mutable count : int;
 }
 
-let create () = { leaves = Array.make 16 ""; hashes = Array.make 16 ""; count = 0 }
+let create () = { levels = [||]; count = 0 }
 
 let size t = t.count
 
-let leaf t i =
-  if i < 0 || i >= t.count then invalid_arg "Merkle.leaf: index out of range";
-  t.leaves.(i)
-
-let add t l =
-  if t.count = Array.length t.leaves then begin
-    let grow a = Array.init (2 * Array.length a) (fun i -> if i < t.count then a.(i) else "") in
-    t.leaves <- grow t.leaves;
-    t.hashes <- grow t.hashes
+(* Store [h] as node [i] of level [j], growing the level (or the level
+   array) by doubling. *)
+let store t j i h =
+  if j = Array.length t.levels then t.levels <- Array.append t.levels [| Array.make 8 "" |];
+  let a = t.levels.(j) in
+  if i = Array.length a then begin
+    let b = Array.make (2 * i) "" in
+    Array.blit a 0 b 0 i;
+    t.levels.(j) <- b
   end;
+  t.levels.(j).(i) <- h
+
+(* Leaf [i] completes one subtree per trailing one bit of [i]: while the
+   node just stored is a right child, hash it with its left sibling into
+   their parent. *)
+let add t l =
   let i = t.count in
-  t.leaves.(i) <- l;
-  t.hashes.(i) <- leaf_hash l;
+  store t 0 i (leaf_hash l);
+  let j = ref 0 and k = ref i in
+  while !k land 1 = 1 do
+    let level = t.levels.(!j) in
+    let parent = node_hash level.(!k - 1) level.(!k) in
+    incr j;
+    k := !k lsr 1;
+    store t !j !k parent
+  done;
   t.count <- i + 1;
   i
 
-(* MTH over hashes[lo, lo+n). *)
-let rec mth hashes lo n =
+let log2 n =
+  let j = ref 0 in
+  while 1 lsl !j < n do
+    incr j
+  done;
+  !j
+
+(* MTH over leaves [lo, lo+n).  A power-of-two range is always aligned here
+   (lo is a multiple of n), so it is a stored complete subtree. *)
+let rec mth t lo n =
   if n = 0 then Sha256.digest ""
-  else if n = 1 then hashes.(lo)
+  else if n land (n - 1) = 0 then t.levels.(log2 n).(lo / n)
   else
     let k = split_point n in
-    node_hash (mth hashes lo k) (mth hashes (lo + k) (n - k))
+    node_hash (mth t lo k) (mth t (lo + k) (n - k))
 
 let root_at t ~size =
   if size < 0 || size > t.count then invalid_arg "Merkle.root_at: size out of range";
-  mth t.hashes 0 size
+  mth t 0 size
 
 let root t = root_at t ~size:t.count
 
@@ -65,17 +90,17 @@ type proof = string list
 let proof_bytes p = 32 * List.length p
 
 (* PATH(m, D[lo, lo+n)), leaf-to-root order. *)
-let rec path hashes m lo n =
+let rec path t m lo n =
   if n <= 1 then []
   else
     let k = split_point n in
-    if m < k then path hashes m lo k @ [ mth hashes (lo + k) (n - k) ]
-    else path hashes (m - k) (lo + k) (n - k) @ [ mth hashes lo k ]
+    if m < k then path t m lo k @ [ mth t (lo + k) (n - k) ]
+    else path t (m - k) (lo + k) (n - k) @ [ mth t lo k ]
 
 let inclusion_proof t ~index ~size =
   if size < 1 || size > t.count then invalid_arg "Merkle.inclusion_proof: size out of range";
   if index < 0 || index >= size then invalid_arg "Merkle.inclusion_proof: index out of range";
-  path t.hashes index 0 size
+  path t index 0 size
 
 (* RFC 6962 section 2.1.1 verification: walk the path combining left or
    right according to the index bits, tracking the subtree extent. *)
@@ -106,18 +131,18 @@ let verify_inclusion ~leaf ~index ~size ~root proof =
   end
 
 (* SUBPROOF(m, D[lo, lo+n), flag), RFC 6962 section 2.1.2. *)
-let rec subproof hashes m lo n flag =
-  if m = n then if flag then [] else [ mth hashes lo n ]
+let rec subproof t m lo n flag =
+  if m = n then if flag then [] else [ mth t lo n ]
   else
     let k = split_point n in
-    if m <= k then subproof hashes m lo k flag @ [ mth hashes (lo + k) (n - k) ]
-    else subproof hashes (m - k) (lo + k) (n - k) false @ [ mth hashes lo k ]
+    if m <= k then subproof t m lo k flag @ [ mth t (lo + k) (n - k) ]
+    else subproof t (m - k) (lo + k) (n - k) false @ [ mth t lo k ]
 
 let consistency_proof t ~old_size ~size =
   if size > t.count then invalid_arg "Merkle.consistency_proof: size out of range";
   if old_size < 1 || old_size > size then
     invalid_arg "Merkle.consistency_proof: old_size out of range";
-  if old_size = size then [] else subproof t.hashes old_size 0 size true
+  if old_size = size then [] else subproof t old_size 0 size true
 
 (* RFC 6962 section 2.1.2 / RFC 9162 section 2.1.4.2 verification. *)
 let verify_consistency ~old_size ~old_root ~size ~root proof =

@@ -11,9 +11,11 @@
     and the split point of a tree of size n is the largest power of two
     strictly below n.  The empty tree hashes to [H("")].
 
-    Proof {e generation} walks the leaf array (O(n) time — fine at
-    simulation scale); proof {e size} is what the experiments report, and
-    that is O(log n) by construction. *)
+    The tree keeps the hash of every complete, aligned power-of-two subtree
+    (each hashed once, when its last leaf is appended), not the leaves
+    themselves.  A root, an inclusion proof or a consistency proof at any
+    past size reads those and hashes only along the ragged right edge:
+    O(log n) node hashes, and O(log n) proof size. *)
 
 type t
 (** A mutable append-only tree. *)
@@ -21,12 +23,10 @@ type t
 val create : unit -> t
 
 val add : t -> string -> int
-(** Append a leaf (raw bytes); returns its index. *)
+(** Append a leaf (raw bytes); returns its index.  Hashes the leaf and
+    every subtree it completes: one node hash per append, amortised. *)
 
 val size : t -> int
-
-val leaf : t -> int -> string
-(** The leaf data at an index.  Raises [Invalid_argument] out of range. *)
 
 val leaf_hash : string -> string
 (** [H(0x00 || leaf)]. *)

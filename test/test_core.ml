@@ -174,7 +174,7 @@ let test_roa_revoked_ee () =
    failure, not an exception. *)
 let test_roa_narrow_parent_key () =
   let module Nat = Rpki_bignum.Nat in
-  let narrow = { Rsa.n = Nat.succ (Nat.shift_left Nat.one 255); e = Nat.of_int 65537 } in
+  let narrow = Rsa.public ~n:(Nat.succ (Nat.shift_left Nat.one 255)) ~e:(Nat.of_int 65537) in
   let parent = { (Lazy.force ta_cert) with Cert.public_key = narrow } in
   let r = issue_roa () in
   let r = { r with Roa.ee = { r.Roa.ee with Cert.signature = String.make 32 '\x01' } } in

@@ -125,6 +125,47 @@ let test_rsa_deterministic_keygen () =
   Alcotest.(check bool) "same key" true (Rsa.equal_public a.Rsa.public b.Rsa.public);
   Alcotest.(check string) "same key id" (Rsa.key_id a.Rsa.public) (Rsa.key_id b.Rsa.public)
 
+(* A key's id is made with the key: SHA-256 of "len:n:len:e" over the
+   minimal big-endian bytes.  The same id comes back when the key is decoded
+   out of a certificate or out of an evidence bundle. *)
+let test_rsa_key_id () =
+  let pub = (Lazy.force keypair).Rsa.public in
+  let nb = Nat.to_bytes_be pub.Rsa.n and eb = Nat.to_bytes_be pub.Rsa.e in
+  let want =
+    Sha256.digest (Printf.sprintf "%d:%s:%d:%s" (String.length nb) nb (String.length eb) eb)
+  in
+  Alcotest.(check string) "generated key" want (Rsa.key_id pub);
+  let module Cert = Rpki_core.Cert in
+  let cert =
+    Cert.self_signed ~key:(Lazy.force keypair) ~subject:"TA" ~resources:Rpki_core.Resources.empty
+      ~not_before:0 ~not_after:10 ()
+  in
+  (match Cert.decode (Cert.encode cert) with
+  | Ok c -> Alcotest.(check string) "after a certificate round trip" want (Cert.key_id c)
+  | Error e -> Alcotest.fail e);
+  let module Log = Rpki_transparency.Log in
+  let module Gossip = Rpki_repo.Gossip in
+  let side vantage =
+    { Gossip.att_vantage = vantage;
+      att_obs =
+        { Log.ob_uri = "rsync://ca/"; ob_serial = 1; ob_manifest_hash = ""; ob_vrp_hash = "";
+          ob_snapshot_fp = ""; ob_at = 1 };
+      att_index = 0;
+      att_head =
+        { Log.sh_head = { Log.h_log_id = vantage; h_size = 1; h_root = ""; h_at = 1 };
+          sh_sig = "" };
+      att_proof = [] }
+  in
+  let alarm =
+    Gossip.Fork { fork_uri = "rsync://ca/"; fork_serial = 1; left = side "a"; right = side "b" }
+  in
+  let bundle = Rpki_repo.Evidence.export ~key_of:(fun _ -> Some pub) alarm in
+  match Result.bind bundle Rpki_repo.Evidence.import with
+  | Ok (_, keys) ->
+    Alcotest.(check (list string)) "after an evidence round trip" [ want; want ]
+      (List.map (fun (_, k) -> Rsa.key_id k) keys)
+  | Error e -> Alcotest.fail e
+
 let test_rsa_min_bits () =
   Alcotest.(check bool) "too small raises" true
     (try
@@ -167,7 +208,7 @@ let test_rsa_narrow_modulus () =
   List.iter
     (fun bits ->
       let n = if bits = 1 then Nat.one else Nat.succ (Nat.shift_left Nat.one (bits - 1)) in
-      let key = { Rsa.n; e = Nat.of_int 65537 } in
+      let key = Rsa.public ~n ~e:(Nat.of_int 65537) in
       let len = Rsa.modulus_bytes key in
       List.iter
         (fun s ->
@@ -255,6 +296,7 @@ let () =
           Alcotest.test_case "tamper rejection" `Quick test_rsa_rejects_tamper;
           Alcotest.test_case "wrong key" `Quick test_rsa_wrong_key;
           Alcotest.test_case "deterministic keygen" `Quick test_rsa_deterministic_keygen;
+          Alcotest.test_case "key id made with the key" `Quick test_rsa_key_id;
           Alcotest.test_case "minimum modulus" `Quick test_rsa_min_bits;
           Alcotest.test_case "known answer" `Quick test_rsa_known_answer;
           Alcotest.test_case "narrow modulus rejects" `Quick test_rsa_narrow_modulus;

@@ -143,7 +143,7 @@ let test_hostile_bundle_rejected () =
   let _rig, t, _ = run ~persist:true () in
   let module Nat = Rpki_bignum.Nat in
   let narrow =
-    { Rpki_crypto.Rsa.n = Nat.succ (Nat.shift_left Nat.one 255); e = Nat.of_int 65537 }
+    Rpki_crypto.Rsa.public ~n:(Nat.succ (Nat.shift_left Nat.one 255)) ~e:(Nat.of_int 65537)
   in
   let cut (a : Gossip.attested) =
     { a with Gossip.att_head = { a.Gossip.att_head with Tlog.sh_sig = String.make 32 '\x01' } }
@@ -159,6 +159,27 @@ let test_hostile_bundle_rejected () =
   | Ok bundle ->
     Alcotest.(check bool) "hostile bundle rejected" true
       (Result.is_error (Evidence.verify bundle))
+
+(* A length field is exactly eight digits.  "-0000001" reads as -1 under
+   [int_of_string], a length [String.sub] refuses with an exception; a
+   fork bundle whose two observations start with it must be a typed
+   rejection. *)
+let test_negative_length_bundle_rejected () =
+  let module Der = Rpki_asn.Der in
+  let side =
+    Der.Sequence
+      [ Der.Utf8 victim; Der.Octet_string "rpki-obs-v1\n-0000001:"; Der.int_ 0;
+        Der.Octet_string ""; Der.Octet_string ""; Der.Sequence [] ]
+  in
+  let bundle =
+    Der.encode
+      (Der.Sequence
+         [ Der.Utf8 Evidence.magic; Der.Utf8 "fork"; Der.Utf8 "rsync://ca/"; Der.int_ 1;
+           side; side; Der.Sequence [] ])
+  in
+  match Evidence.verify bundle with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "negative length field accepted"
 
 (* Persistence off: the identical run restarts with no baseline — the
    rollback is silent and the revoked VRP is back in the routers. *)
@@ -254,6 +275,8 @@ let () =
            test_disk_faults_explicit;
          Alcotest.test_case "hostile evidence bundle rejected" `Quick
            test_hostile_bundle_rejected;
+         Alcotest.test_case "negative length field rejected" `Quick
+           test_negative_length_bundle_rejected;
          Alcotest.test_case "CLI evidence bundle pinned" `Quick test_evidence_bundle_pinned;
          Alcotest.test_case "run_rollback refuses misuse" `Quick test_run_rollback_misuse ]);
       ("cache-loss-vs-restart",

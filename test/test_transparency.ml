@@ -63,7 +63,7 @@ let prop_inclusion seed =
     (fun index ->
       let size = index + 1 + Rpki_util.Rng.int rng (n - index) in
       let proof = Merkle.inclusion_proof t ~index ~size in
-      Merkle.verify_inclusion ~leaf:(Merkle.leaf t index) ~index ~size
+      Merkle.verify_inclusion ~leaf:(List.nth leaves index) ~index ~size
         ~root:(Merkle.root_at t ~size) proof)
     (List.init n (fun i -> i))
 
@@ -86,7 +86,7 @@ let prop_inclusion_tamper_fails seed =
   let n = Merkle.size t in
   let rng = Rpki_util.Rng.create (seed * 11) in
   let index = Rpki_util.Rng.int rng n in
-  let leaf = Merkle.leaf t index in
+  let leaf = List.nth leaves index in
   let root = Merkle.root t in
   let proof = Merkle.inclusion_proof t ~index ~size:n in
   let ok tampered_leaf tampered_root tampered_proof =
@@ -127,6 +127,76 @@ let prop_consistency_tamper_fails seed =
   then QCheck.Test.fail_reportf "honest consistency rejected (seed %d)" seed;
   true
 
+(* --- the uncached reference: RFC 6962 section 2.1, over leaf hashes --- *)
+
+let rec take k = function x :: r when k > 0 -> x :: take (k - 1) r | _ -> []
+let rec drop k l = match l with _ :: r when k > 0 -> drop (k - 1) r | _ -> l
+let split n = let k = ref 1 in while 2 * !k < n do k := 2 * !k done; !k
+let node l r = Sha256.digest_list [ "\x01"; l; r ]
+
+let rec ref_mth = function
+  | [] -> Sha256.digest ""
+  | [ h ] -> h
+  | d -> let k = split (List.length d) in node (ref_mth (take k d)) (ref_mth (drop k d))
+
+(* PATH(m, D[n]) *)
+let rec ref_path m d =
+  if List.length d <= 1 then []
+  else
+    let k = split (List.length d) in
+    if m < k then ref_path m (take k d) @ [ ref_mth (drop k d) ]
+    else ref_path (m - k) (drop k d) @ [ ref_mth (take k d) ]
+
+(* SUBPROOF(m, D[n], b); PROOF(m, D[n]) is SUBPROOF(m, D[n], true) *)
+let rec ref_subproof m d b =
+  let n = List.length d in
+  if m = n then if b then [] else [ ref_mth d ]
+  else
+    let k = split n in
+    if m <= k then ref_subproof m (take k d) b @ [ ref_mth (drop k d) ]
+    else ref_subproof (m - k) (drop k d) false @ [ ref_mth (take k d) ]
+
+(* Tree sizes in 0..300, half of them a power of two or one off it. *)
+let oracle_arb =
+  QCheck.make ~print:QCheck.Print.(pair int int)
+    QCheck.Gen.(
+      pair
+        (frequency
+           [ (1, int_range 0 300);
+             (1, map2 (fun j d -> (1 lsl j) + d) (int_range 0 8) (int_range (-1) 1)) ])
+        (int_bound 10_000))
+
+(* The cached tree against the reference.  The tree grows one leaf at a
+   time and its root is checked at every size on the way; then, on the
+   grown tree, every past size's root, one inclusion proof and one
+   consistency proof. *)
+let prop_oracle (n, seed) =
+  let rng = Rpki_util.Rng.create seed in
+  let t = Merkle.create () in
+  let hashes = ref [] in
+  for i = 0 to n - 1 do
+    let leaf = Printf.sprintf "leaf-%d-%d" seed i in
+    ignore (Merkle.add t leaf);
+    hashes := Sha256.digest_list [ "\x00"; leaf ] :: !hashes;
+    if not (String.equal (Merkle.root t) (ref_mth (List.rev !hashes))) then
+      QCheck.Test.fail_reportf "root at size %d while growing" (i + 1)
+  done;
+  let d = List.rev !hashes in
+  for size = 0 to n do
+    let prefix = take size d in
+    if not (String.equal (Merkle.root_at t ~size) (ref_mth prefix)) then
+      QCheck.Test.fail_reportf "root_at %d of %d" size n;
+    if size > 0 then begin
+      let index = Rpki_util.Rng.int rng size in
+      if Merkle.inclusion_proof t ~index ~size <> ref_path index prefix then
+        QCheck.Test.fail_reportf "inclusion_proof %d at %d of %d" index size n;
+      let old_size = 1 + Rpki_util.Rng.int rng size in
+      if Merkle.consistency_proof t ~old_size ~size <> ref_subproof old_size prefix true then
+        QCheck.Test.fail_reportf "consistency_proof %d -> %d of %d" old_size size n
+    end
+  done;
+  true
+
 (* --- Log layer --- *)
 
 let obs ?(at = 1) ?(serial = 6) ?(uri = "rsync://a/repo") tag =
@@ -146,6 +216,72 @@ let prop_observation_roundtrip seed =
   match Log.decode_observation (Log.encode_observation ob) with
   | Some ob' -> ob = ob'
   | None -> false
+
+(* --- hostile bytes for the decoders --- *)
+
+let encoding_gen =
+  QCheck.Gen.(
+    let field = string_size ~gen:char (int_bound 40) in
+    let int = oneof [ int_bound 1000; int_range (-5) 5; return max_int; return min_int ] in
+    oneof
+      [ map3
+          (fun (ob_uri, ob_manifest_hash) (ob_vrp_hash, ob_snapshot_fp) (ob_serial, ob_at) ->
+            Log.encode_observation
+              { Log.ob_uri; ob_serial; ob_manifest_hash; ob_vrp_hash; ob_snapshot_fp; ob_at })
+          (pair field field) (pair field field) (pair int int);
+        map3
+          (fun h_log_id h_root (h_size, h_at) ->
+            Log.encode_head { Log.h_log_id; h_size; h_root; h_at })
+          field field (pair int int) ])
+
+(* Where each length field of a valid encoding starts (both magics are
+   twelve bytes). *)
+let length_offsets s =
+  let rec go pos acc =
+    if pos >= String.length s then List.rev acc
+    else go (pos + 9 + int_of_string (String.sub s pos 8)) (pos :: acc)
+  in
+  go (String.length "rpki-obs-v1\n") []
+
+(* Random bytes, truncations and byte flips of valid encodings, and valid
+   encodings with one length field rewritten in a form [int_of_string]
+   reads but [encode_field] never writes. *)
+let hostile_log_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, string_size (int_bound 60));
+        (1, map (fun s -> "rpki-obs-v1\n" ^ s) (string_size (int_bound 60)));
+        (3, map2 (fun s k -> String.sub s 0 (k mod (String.length s + 1))) encoding_gen nat);
+        ( 3,
+          map2
+            (fun s flips ->
+              let b = Bytes.of_string s in
+              List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) flips;
+              Bytes.to_string b)
+            encoding_gen
+            (list_size (int_range 1 3) (pair nat char)) );
+        ( 3,
+          map3
+            (fun s k form ->
+              let offsets = length_offsets s in
+              let pos = List.nth offsets (k mod List.length offsets) in
+              String.sub s 0 pos ^ form ^ String.sub s (pos + 8) (String.length s - pos - 8))
+            encoding_gen nat
+            (oneofl [ "-0000001"; "+0000001"; "0x000001"; "0o000001"; "0000_001" ]) ) ])
+
+let prop_decoders_hostile =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:3000
+       ~name:"Log decoders never raise and accept only canonical encodings"
+       (QCheck.make ~print:(Printf.sprintf "%S") hostile_log_gen)
+       (fun s ->
+         (match Log.decode_observation s with
+         | Some o -> String.equal (Log.encode_observation o) s
+         | None -> true)
+         &&
+         match Log.decode_head s with
+         | Some h -> String.equal (Log.encode_head h) s
+         | None -> true))
 
 let test_append_dedup () =
   let l = Log.create ~log_id:"rp0" in
@@ -234,9 +370,13 @@ let () =
          prop 30 "inclusion proofs verify for arbitrary appends" prop_inclusion;
          prop 30 "consistency proofs verify for arbitrary heads" prop_consistency;
          prop 30 "any inclusion tamper fails" prop_inclusion_tamper_fails;
-         prop 30 "forked history fails consistency" prop_consistency_tamper_fails ]);
+         prop 30 "forked history fails consistency" prop_consistency_tamper_fails;
+         QCheck_alcotest.to_alcotest
+           (QCheck.Test.make ~count:20 ~name:"cached tree = uncached RFC 6962 reference"
+              oracle_arb prop_oracle) ]);
       ("log",
        [ prop 50 "observation encoding round-trips" prop_observation_roundtrip;
+         prop_decoders_hostile;
          Alcotest.test_case "append dedups unchanged states" `Quick test_append_dedup;
          Alcotest.test_case "signed heads" `Quick test_signed_head;
          Alcotest.test_case "head consistency across appends" `Quick

@@ -231,6 +231,48 @@ let test_synthesis_invariants () =
   Alcotest.(check string) "synthesis deterministic" (Synthesis.summary w)
     (Synthesis.summary w2)
 
+(* A sync takes each certificate's fingerprint from the bytes it was served
+   as, once, and each point's VRP-set hash once.  On a synthesized world,
+   walked from the trust anchor through the shared cache (each certificate
+   once: the trust anchor lists itself): every child's fingerprint is the
+   digest of its encoding and keys the child's own outcome, and every
+   VRP-set hash is the digest of the sorted VRP dump. *)
+let test_outcome_digests () =
+  let module Sha256 = Rpki_crypto.Sha256 in
+  let module Relying_party = Rpki_repo.Relying_party in
+  let module Valcache = Rpki_repo.Valcache in
+  let w = Synthesis.build small_world_spec in
+  let universe = Synthesis.universe w in
+  let rp =
+    Relying_party.create ~name:"rp" ~asn:(Synthesis.rp_asn w)
+      ~tals:[ Relying_party.tal_of_authority (Synthesis.root w) ] ()
+  in
+  let valcache = Valcache.create () in
+  ignore (Relying_party.sync rp ~now:1 ~universe ~valcache ());
+  let vrp_hash vrps =
+    Sha256.digest (String.concat "\n" (List.map Vrp.to_string (List.sort_uniq Vrp.compare vrps)))
+  in
+  let seen = Hashtbl.create 64 in
+  let rec walk ((c : Cert.t), fp) =
+    Alcotest.(check string) ("fingerprint of " ^ c.Cert.subject) (Sha256.digest (Cert.encode c)) fp;
+    if not (Hashtbl.mem seen fp) then begin
+      Hashtbl.add seen fp ();
+      let point = Rpki_repo.Universe.find_exn universe (Option.get c.Cert.repo_uri) in
+      match
+        Valcache.find_point valcache ~parent_fp:fp
+          ~snap_fp:(Rpki_repo.Pub_point.fingerprint point) ~now:1
+      with
+      | None -> Alcotest.fail ("no outcome under the fingerprint of " ^ c.Cert.subject)
+      | Some o ->
+        Alcotest.(check string) ("VRP-set hash of " ^ c.Cert.subject)
+          (vrp_hash o.Valcache.o_vrps) o.Valcache.o_vrp_hash;
+        List.iter walk o.Valcache.o_children
+    end
+  in
+  let ta = Rpki_repo.Authority.cert (Synthesis.root w) in
+  walk (ta, Sha256.digest (Cert.encode ta));
+  Alcotest.(check int) "every CA reached" (List.length (Synthesis.cas w) + 1) (Hashtbl.length seen)
+
 (* Every byte a 200-AS world publishes, hashed in a fixed order: each
    point's URI, then each file's name and contents, points and files
    sorted.  The literal pins key generation, signing and synthesis order:
@@ -391,7 +433,9 @@ let () =
       ( "synthesis",
         [ Alcotest.test_case "allocation and CA-hierarchy invariants" `Quick
             test_synthesis_invariants;
-          Alcotest.test_case "golden digest of a 200-AS world" `Quick test_golden_world ] );
+          Alcotest.test_case "golden digest of a 200-AS world" `Quick test_golden_world;
+          Alcotest.test_case "outcome digests equal recomputed ones" `Quick
+            test_outcome_digests ] );
       ( "end-to-end",
         [ Alcotest.test_case "split view detected on a generated world" `Slow
             test_split_view_detected_on_world;
