@@ -105,10 +105,23 @@ let bench_bgp () =
         g.Rpki_bgp.Topo_gen.tier1_asns
   in
   let warm = Rpki_bgp.Data_plane.build ~topo ~policy_of ~validity_of plane_anns in
+  (* the generated 2000-AS graph, one stub's prefix: what a cold data plane
+     pays per prefix at world scale *)
+  let big = Rpki_bgp.As_graph.generate { Rpki_bgp.As_graph.default_spec with ases = 2000 } in
+  let big_topo = Rpki_bgp.As_graph.topology big in
+  let big_origin =
+    List.find (fun a -> Rpki_bgp.As_graph.role big a = Rpki_bgp.As_graph.Stub)
+      (Rpki_bgp.As_graph.asns big)
+  in
+  let big_anns = [ { Rpki_bgp.Propagation.prefix; origin = big_origin } ] in
   Test.make_grouped ~name:"bgp"
     [ Test.make ~name:"propagate-124-as"
         (Staged.stage (fun () ->
              Rpki_bgp.Propagation.compute ~topo ~policy_of ~validity_of anns));
+      Test.make ~name:"propagate-2000-as"
+        (Staged.stage (fun () ->
+             Rpki_bgp.Propagation.compute ~topo:big_topo ~policy_of
+               ~validity_of:(fun _ -> Origin_validation.Valid) big_anns));
       Test.make ~name:"data-plane-build-cold"
         (Staged.stage (fun () -> Rpki_bgp.Data_plane.build ~topo ~policy_of ~validity_of plane_anns));
       Test.make ~name:"data-plane-rebuild-unchanged"
@@ -175,12 +188,35 @@ let bench_transparency () =
       Test.make ~name:"merkle-consistency-1000-4095"
         (Staged.stage (fun () -> Merkle.consistency_proof tree ~old_size:1000 ~size:4095)) ]
 
+(* One gossip round over 32 vantages synced on the Section 6 model, on a
+   fresh k:4 mesh each run: no receiver has a baseline, so every pull checks
+   its peer's whole log, and the receivers of one log check the same
+   proofs. *)
+let bench_gossip () =
+  let rig =
+    Rpki_sim.Scenario.build
+      { Rpki_sim.Scenario.default with monitors = 31; gossip_period = 1_000 }
+  in
+  let sim = rig.Rpki_sim.Scenario.sim in
+  for now = 1 to 3 do
+    ignore (Rpki_sim.Loop.step sim ~now)
+  done;
+  let vantages = Rpki_repo.Gossip.vantages (Option.get (Rpki_sim.Loop.gossip_mesh sim)) in
+  Test.make_grouped ~name:"gossip"
+    [ Test.make ~name:"round-32-vantages-fresh"
+        (Staged.stage (fun () ->
+             let g =
+               Rpki_repo.Gossip.create ~overlay:(Rpki_repo.Gossip.Overlay.K_regular 4) vantages
+             in
+             Rpki_repo.Gossip.round g ~now:4)) ]
+
 let run_perf () =
   Printf.printf "\n==== Microbenchmarks (Bechamel, monotonic clock) ====\n\n";
   let tests =
     Test.make_grouped ~name:"rpki-mra"
       [ bench_crypto (); bench_objects (); bench_origin_validation (); bench_bgp ();
-        bench_attack (); bench_rp (); bench_rtr (); bench_rrdp (); bench_transparency () ]
+        bench_attack (); bench_rp (); bench_rtr (); bench_rrdp (); bench_transparency ();
+        bench_gossip () ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

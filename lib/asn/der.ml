@@ -149,10 +149,8 @@ let decode_oid_arcs body =
   done;
   a :: b :: List.rev !rest
 
-let rec decode_value cur =
-  let tag = byte cur in
-  let len = decode_length cur in
-  let body = take cur len in
+let primitive tag body =
+  let len = String.length body in
   match tag with
   | 0x01 ->
     if len <> 1 then decode_error "BOOLEAN must be one byte";
@@ -176,15 +174,38 @@ let rec decode_value cur =
     Null
   | 0x06 -> Oid (decode_oid_arcs body)
   | 0x0c -> Utf8 body
-  | 0x30 -> Sequence (decode_all body)
-  | 0x31 -> Set (decode_all body)
-  | t when t land 0xe0 = 0xa0 -> Context (t land 0x1f, decode_all body)
   | t -> decode_error "unsupported tag 0x%02x" t
 
-and decode_all data =
-  let cur = { data; pos = 0; limit = String.length data } in
-  let rec go acc = if cur.pos >= cur.limit then List.rev acc else go (decode_value cur :: acc) in
+(* Constructed values nest at most this deep.  Their bodies are decoded in
+   place (a cursor over the same bytes, not a copy), so work is linear in
+   the input; the cap also bounds the recursion.  No RPKI object here nests
+   deeper than 6. *)
+let max_depth = 32
+
+let rec decode_value ~depth cur =
+  let tag = byte cur in
+  let len = decode_length cur in
+  if cur.pos + len > cur.limit then
+    decode_error "truncated value at %d (want %d bytes)" cur.pos len;
+  let items () =
+    if depth >= max_depth then decode_error "nesting deeper than %d" max_depth;
+    let inner = { cur with limit = cur.pos + len } in
+    cur.pos <- cur.pos + len;
+    decode_items ~depth:(depth + 1) inner
+  in
+  match tag with
+  | 0x30 -> Sequence (items ())
+  | 0x31 -> Set (items ())
+  | t when t land 0xe0 = 0xa0 -> Context (t land 0x1f, items ())
+  | t -> primitive t (take cur len)
+
+and decode_items ~depth cur =
+  let rec go acc =
+    if cur.pos >= cur.limit then List.rev acc else go (decode_value ~depth cur :: acc)
+  in
   go []
+
+let decode_all data = decode_items ~depth:0 { data; pos = 0; limit = String.length data }
 
 let decode s =
   match decode_all s with
@@ -201,7 +222,10 @@ let decode_exn s =
 let int_ i = Integer (Nat.of_int i)
 
 let to_int_exn = function
-  | Integer n -> Nat.to_int_exn n
+  | Integer n -> (
+    match Nat.to_int_opt n with
+    | Some i -> i
+    | None -> decode_error "INTEGER of %d bits does not fit an int" (Nat.num_bits n))
   | _ -> decode_error "expected INTEGER"
 
 let to_string_exn = function

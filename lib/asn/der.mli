@@ -2,7 +2,12 @@
 
     Definite, minimal-length encodings only — actual DER, not BER. The
     decoder rejects indefinite lengths, non-minimal lengths, non-minimal or
-    negative INTEGERs, and malformed BOOLEANs. *)
+    negative INTEGERs, and malformed BOOLEANs.
+
+    Decoding is bounded for hostile input: its work is linear in the input
+    length (constructed bodies are decoded in place, INTEGERs converted in
+    one pass), and constructed values nest at most 32 deep — deeper input
+    is an error, not a deep recursion. *)
 
 open Rpki_bignum
 
@@ -41,7 +46,9 @@ val int_ : int -> t
 (** [int_ i] is [Integer (Nat.of_int i)]. *)
 
 val to_int_exn : t -> int
-(** Project an INTEGER; raises {!Decode_error} otherwise. *)
+(** Project an INTEGER that fits a native int; raises {!Decode_error}
+    otherwise (another type, or a value of 63 bits or more — RFC 5280
+    serials may be 20 octets). *)
 
 val to_string_exn : t -> string
 (** Project a UTF8String or OCTET STRING. *)

@@ -123,10 +123,17 @@ let policy_vector ~(topo : Topology.t) ~(policy_of : int -> Policy.t) =
 (* Compute every AS's best route for one prefix, from its announcements
    paired with their origin-validation states.
 
-   Worklist fixpoint: only ASes whose entry just improved re-export, instead
-   of sweeping every AS each round.  Each replacement strictly improves the
-   holder's preference key and paths are loop-free, so the monotone process
-   terminates at the same fixpoint the full sweep reached. *)
+   Worklist: only ASes whose entry just changed re-export, instead of
+   sweeping every AS each round.  When an AS's entry changes, each
+   neighbour takes the new offer if it beats the neighbour's current
+   route.  Otherwise a neighbour whose route went through the changed AS
+   (its next hop) reselects from scratch — its own originations and every
+   neighbour's current export — because the route it held is gone.  An
+   entry only ever moves to the best of what is on offer or to something
+   better than every offer it has seen, so at the end every AS holds the
+   best of what it originates and what its neighbours export: a stable
+   state.  (Taking only strictly better offers, as an earlier version did,
+   left an AS holding a route its next hop had dropped.) *)
 let compute_classified ~(topo : Topology.t) ~(policy : Policy.t array)
     (classified : (announcement * Origin_validation.state) list) : rib =
   let adj = adjacency_of topo in
@@ -142,22 +149,60 @@ let compute_classified ~(topo : Topology.t) ~(policy : Policy.t array)
       Queue.push i queue
     end
   in
-  (* seed self-originations *)
+  let pick j cur e =
+    if admissible ~policy:policy.(j) e then
+      match cur with Some c when not (better ~policy:policy.(j) e c) -> cur | _ -> Some e
+    else cur
+  in
+  (* self-originations, by AS index, in announcement order *)
+  let originated =
+    List.filter_map
+      (fun (ann, validity) ->
+        Option.map
+          (fun i -> (i, { ann; path = [ ann.origin ]; learned = Self_originated; validity }))
+          (Hashtbl.find_opt adj.index_of ann.origin))
+      classified
+  in
+  (* what [i]'s current entry offers neighbour [j], where [rel_j_to_i] is
+     j's relationship to i — exactly the [to_] the export rule judges *)
+  let offer i j rel_j_to_i =
+    match best.(i) with
+    | Some e when exports e ~to_:rel_j_to_i && not (List.mem adj.asn_of.(j) e.path) ->
+      let learned =
+        (* j learns the route over the converse relationship: if j is i's
+           customer, j learned it from its provider i *)
+        match rel_j_to_i with
+        | Topology.Customer -> From_provider
+        | Topology.Provider -> From_customer
+        | Topology.Peer -> From_peer
+      in
+      Some { e with learned; path = adj.asn_of.(j) :: e.path }
+    | _ -> None
+  in
+  let converse = function
+    | Topology.Customer -> Topology.Provider
+    | Topology.Provider -> Topology.Customer
+    | Topology.Peer -> Topology.Peer
+  in
+  let reselect j =
+    let own =
+      List.fold_left (fun cur (i, e) -> if i = j then pick j cur e else cur) None originated
+    in
+    Array.fold_left
+      (fun cur (k, rel_k_to_j) ->
+        match offer k j (converse rel_k_to_j) with Some e -> pick j cur e | None -> cur)
+      own adj.neigh.(j)
+  in
   List.iter
-    (fun (ann, validity) ->
-      match Hashtbl.find_opt adj.index_of ann.origin with
-      | None -> ()
-      | Some i ->
-        let e = { ann; path = [ ann.origin ]; learned = Self_originated; validity } in
-        if admissible ~policy:policy.(i) e then begin
-          match best.(i) with
-          | Some cur when not (better ~policy:policy.(i) e cur) -> ()
-          | _ ->
-            best.(i) <- Some e;
-            enqueue i
-        end)
-    classified;
-  (* drain: the popped AS re-exports its (possibly improved) route *)
+    (fun (i, e) ->
+      let cur = best.(i) in
+      let next = pick i cur e in
+      if next != cur then begin
+        best.(i) <- next;
+        enqueue i
+      end)
+    originated;
+  (* drain: the popped AS's neighbours see its changed entry *)
   let steps = ref 0 in
   let limit = 4 * n * (n + 2) in
   while not (Queue.is_empty queue) do
@@ -165,36 +210,22 @@ let compute_classified ~(topo : Topology.t) ~(policy : Policy.t array)
     if !steps > limit then failwith "Propagation.compute: no convergence";
     let i = Queue.pop queue in
     queued.(i) <- false;
-    match best.(i) with
-    | None -> ()
-    | Some e ->
-      Array.iter
-        (fun (j, rel_j_to_i) ->
-          (* [rel_j_to_i] is neighbour j's relationship to the exporter i;
-             that is exactly the [to_] the export rule judges *)
-          if exports e ~to_:rel_j_to_i then begin
-            let learned =
-              (* j learns the route over the converse relationship: if j is
-                 i's customer, j learned it from its provider i *)
-              match rel_j_to_i with
-              | Topology.Customer -> From_provider
-              | Topology.Provider -> From_customer
-              | Topology.Peer -> From_peer
-            in
-            let candidate = { e with learned } in
-            let asn_j = adj.asn_of.(j) in
-            if admissible ~policy:policy.(j) candidate
-               && not (List.mem asn_j candidate.path)
-            then begin
-              let candidate = { candidate with path = asn_j :: candidate.path } in
-              match best.(j) with
-              | Some cur when not (better ~policy:policy.(j) candidate cur) -> ()
-              | _ ->
-                best.(j) <- Some candidate;
-                enqueue j
-            end
-          end)
-        adj.neigh.(i)
+    Array.iter
+      (fun (j, rel_j_to_i) ->
+        let cur = best.(j) in
+        let taken = match offer i j rel_j_to_i with Some e -> pick j cur e | None -> cur in
+        let next =
+          match cur with
+          | Some { path = _ :: hop :: _; _ } when taken == cur && hop = adj.asn_of.(i) ->
+            let r = reselect j in
+            if r = cur then cur else r
+          | _ -> taken
+        in
+        if next != cur then begin
+          best.(j) <- next;
+          enqueue j
+        end)
+      adj.neigh.(i)
   done;
   { index_of = adj.index_of; best }
 

@@ -499,10 +499,18 @@ let pow_mod ~base:g ~exp ~modulus:m =
 let succ a = add a one
 let pred a = sub a one
 
+(* Linear: byte k from the end holds bits [8k, 8k+8), which land in one
+   limb or straddle two. *)
 let of_bytes_be s =
-  let r = ref zero in
-  String.iter (fun c -> r := add (shift_left !r 8) (of_int (Char.code c))) s;
-  !r
+  let len = String.length s in
+  let a = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  for k = 0 to len - 1 do
+    let byte = Char.code (String.unsafe_get s (len - 1 - k)) in
+    let limb = 8 * k / limb_bits and off = 8 * k mod limb_bits in
+    a.(limb) <- a.(limb) lor ((byte lsl off) land mask);
+    if off > limb_bits - 8 then a.(limb + 1) <- a.(limb + 1) lor (byte lsr (limb_bits - off))
+  done;
+  normalize a
 
 let to_bytes_be a =
   if is_zero a then "\x00"

@@ -70,7 +70,7 @@ val succ : t -> t
 val pred : t -> t
 
 val of_bytes_be : string -> t
-(** Big-endian bytes to natural. *)
+(** Big-endian bytes to natural, in time linear in the length. *)
 
 val to_bytes_be : t -> string
 (** Minimal big-endian encoding; [to_bytes_be zero = "\x00"]. *)

@@ -51,12 +51,26 @@ let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 open Rpki_asn
 
+(* Decoders check every value before a raising constructor sees it: a
+   hostile object becomes a [Der.Decode_error], never an exception that
+   escapes the relying party. *)
+let uint32_of_der d =
+  let v = Der.to_int_exn d in
+  if v > 0xFFFFFFFF then Der.decode_error "value %d is wider than 32 bits" v;
+  v
+
+let ordered compare what lo hi =
+  if compare lo hi > 0 then Der.decode_error "%s range ends before it starts" what
+
 let der_of_v4_range (r : V4.Range.t) =
   Der.Sequence [ Der.int_ (V4.Range.lo r); Der.int_ (V4.Range.hi r) ]
 
 let v4_range_of_der d =
   match d with
-  | Der.Sequence [ lo; hi ] -> V4.Range.make (Der.to_int_exn lo) (Der.to_int_exn hi)
+  | Der.Sequence [ lo; hi ] ->
+    let lo = uint32_of_der lo and hi = uint32_of_der hi in
+    ordered Int.compare "v4" lo hi;
+    V4.Range.make lo hi
   | _ -> Der.decode_error "bad v4 range"
 
 let nat_of_v6 ((h, l) : Rpki_ip.Addr.V6.t) =
@@ -70,6 +84,7 @@ let nat_of_v6 ((h, l) : Rpki_ip.Addr.V6.t) =
 
 let v6_of_nat n =
   let open Rpki_bignum in
+  if Nat.num_bits n > 128 then Der.decode_error "IPv6 value wider than 128 bits";
   let to64 n =
     let hi = Nat.to_int_exn (Nat.shift_right n 32) in
     let lo = Nat.to_int_exn (Nat.rem n (Nat.shift_left Nat.one 32)) in
@@ -84,7 +99,10 @@ let der_of_v6_range (r : V6.Range.t) =
 
 let v6_range_of_der d =
   match d with
-  | Der.Sequence [ Der.Integer lo; Der.Integer hi ] -> V6.Range.make (v6_of_nat lo) (v6_of_nat hi)
+  | Der.Sequence [ Der.Integer lo; Der.Integer hi ] ->
+    let lo = v6_of_nat lo and hi = v6_of_nat hi in
+    ordered Addr.V6.compare "v6" lo hi;
+    V6.Range.make lo hi
   | _ -> Der.decode_error "bad v6 range"
 
 let der_of_as_range (r : As_res.Range.t) =
@@ -92,7 +110,10 @@ let der_of_as_range (r : As_res.Range.t) =
 
 let as_range_of_der d =
   match d with
-  | Der.Sequence [ lo; hi ] -> As_res.Range.make (Der.to_int_exn lo) (Der.to_int_exn hi)
+  | Der.Sequence [ lo; hi ] ->
+    let lo = uint32_of_der lo and hi = uint32_of_der hi in
+    ordered Int.compare "AS" lo hi;
+    As_res.Range.make lo hi
   | _ -> Der.decode_error "bad AS range"
 
 let to_der t =

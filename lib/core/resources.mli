@@ -43,3 +43,9 @@ val nat_of_v6 : Addr.V6.t -> Rpki_bignum.Nat.t
 (** 128-bit address as a natural, for INTEGER encoding. *)
 
 val v6_of_nat : Rpki_bignum.Nat.t -> Addr.V6.t
+(** The inverse of {!nat_of_v6}.  Raises [Rpki_asn.Der.Decode_error] on a
+    value wider than 128 bits. *)
+
+val uint32_of_der : Rpki_asn.Der.t -> int
+(** An INTEGER of at most 32 bits (an IPv4 address or an AS number).
+    Raises [Rpki_asn.Der.Decode_error] otherwise. *)

@@ -66,19 +66,26 @@ let encode t = Der.encode (to_der t)
 let of_der d =
   match d with
   | Der.Sequence [ Der.Sequence [ asid; Der.Context (1, v4s); Der.Context (2, v6s) ]; ee; Der.Bit_string signature ] ->
+    (* checked here, before the raising constructors: maxLength is
+       validation's to judge (a typed issue), the prefix length is not *)
+    let length ~bits d =
+      let len = Der.to_int_exn d in
+      if len > bits then Der.decode_error "prefix length %d exceeds %d" len bits;
+      len
+    in
     let dec_v4 = function
       | Der.Sequence [ addr; len; ml ] ->
-        { prefix = V4.Prefix.make (Der.to_int_exn addr) (Der.to_int_exn len);
+        { prefix = V4.Prefix.make (Resources.uint32_of_der addr) (length ~bits:32 len);
           max_len = Der.to_int_exn ml }
       | _ -> Der.decode_error "bad ROA v4 entry"
     in
     let dec_v6 = function
       | Der.Sequence [ Der.Integer addr; len; ml ] ->
-        { prefix6 = V6.Prefix.make (Resources.v6_of_nat addr) (Der.to_int_exn len);
+        { prefix6 = V6.Prefix.make (Resources.v6_of_nat addr) (length ~bits:128 len);
           max_len6 = Der.to_int_exn ml }
       | _ -> Der.decode_error "bad ROA v6 entry"
     in
-    { asid = Der.to_int_exn asid;
+    { asid = Resources.uint32_of_der asid;
       v4_entries = List.map dec_v4 v4s;
       v6_entries = List.map dec_v6 v6s;
       ee = Cert.of_der ee;

@@ -97,13 +97,20 @@ let verifications = ref 0
 
 let verification_count () = !verifications
 
-(* Keys come from decoders that accept any integers, so a modulus too
-   narrow to hold the encoding is an ordinary rejection, checked before any
-   exponentiation. *)
+let max_bits = 4096
+let f4 = Nat.of_int 65537
+
+(* Keys come from decoders that accept any integers, so a key outside the
+   profile is an ordinary rejection, checked before any conversion or
+   exponentiation: a modulus too narrow to hold the encoding, one wider
+   than [max_bits] (the exponentiation's cost grows much faster than the
+   width, so a hostile key would buy the sender the verifier's time), or
+   an exponent other than 65537. *)
 let verify ~key ~signature msg =
   incr verifications;
   let len = modulus_bytes key in
-  if len < min_bytes || String.length signature <> len then false
+  if len < min_bytes || Nat.num_bits key.n > max_bits || not (Nat.equal key.e f4) then false
+  else if String.length signature <> len then false
   else begin
     let s = Nat.of_bytes_be signature in
     if not (Nat.lt s key.n) then false

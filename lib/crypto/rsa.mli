@@ -44,9 +44,11 @@ val sign : key:private_ -> string -> string
     [em{^d} mod n]. *)
 
 val verify : key:public -> signature:string -> string -> bool
-(** Verify a signature over a message.  Never raises: a modulus shorter
-    than [min_bits / 8] bytes cannot hold the padded digest and rejects
-    every signature. *)
+(** Verify a signature over a message.  Never raises.  A key outside the
+    profile rejects every signature before any work: a modulus shorter
+    than [min_bits / 8] bytes (it cannot hold the padded digest) or wider
+    than 4096 bits (twice the 2048 that the RPKI algorithm profile,
+    RFC 7935, mandates), or an exponent other than the profile's 65537. *)
 
 val verification_count : unit -> int
 (** Number of {!verify} calls executed since process start — a monotonic

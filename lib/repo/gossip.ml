@@ -11,9 +11,10 @@
    Two layers keep a round cheap at scale:
    - the Overlay selects O(n·k) edges instead of the full O(n²) mesh;
    - a per-round cache signs each served head once, verifies each distinct
-     (peer, head, signature) once, and builds each Merkle proof once per
-     (tree root, range) — honest vantages hold identical logs, so the
-     same proof serves every receiver of the same delta. *)
+     (peer, head, signature) once, builds each Merkle proof once per
+     (tree root, range) and checks each proof once per (leaf, index, size,
+     root, proof) — honest vantages hold identical logs, so one proof and
+     one check serve every receiver of the same delta. *)
 
 module Rng = Rpki_util.Rng
 module Log = Rpki_transparency.Log
@@ -381,11 +382,16 @@ let fork_key uri serial a b =
    the full (peer, head bytes, signature) triple, so two different heads
    served under one name each get their own verification.  Proofs are
    keyed on the committing root + range: a Merkle root pins the tree
-   content, so identical logs (every honest vantage) share proofs. *)
+   content, so identical logs (every honest vantage) share proofs.  Proof
+   checks are keyed on every input of the check ({!Merkle.Verdicts}), so
+   they are shared the same way; what stays per receiver is everything
+   else a pull does (log id and size order, baselines, cross-checks,
+   alarms). *)
 type round_ctx = {
   rc_sths : (Relying_party.t * Log.signed_head) list ref;
   rc_heads : (string, bool) Hashtbl.t;
   rc_proofs : (string, Merkle.proof) Hashtbl.t;
+  rc_verdicts : Merkle.Verdicts.t;
   mutable rc_sths_signed : int;
   mutable rc_verifies : int;
   mutable rc_verifies_saved : int;
@@ -395,8 +401,8 @@ type round_ctx = {
 
 let new_round_ctx () =
   { rc_sths = ref []; rc_heads = Hashtbl.create 64; rc_proofs = Hashtbl.create 256;
-    rc_sths_signed = 0; rc_verifies = 0; rc_verifies_saved = 0;
-    rc_proofs_built = 0; rc_proofs_reused = 0 }
+    rc_verdicts = Merkle.Verdicts.create (); rc_sths_signed = 0; rc_verifies = 0;
+    rc_verifies_saved = 0; rc_proofs_built = 0; rc_proofs_reused = 0 }
 
 let sth_once ctx ~now rp =
   match List.find_opt (fun (r, _) -> r == rp) !(ctx.rc_sths) with
@@ -526,7 +532,9 @@ let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served =
       let consistent =
         match old_head with
         | None -> true
-        | Some oh -> Log.verify_head_consistency ~old_head:oh ~new_head consistency
+        | Some oh ->
+          Log.verify_head_consistency ~verdicts:ctx.rc_verdicts ~old_head:oh ~new_head
+            consistency
       in
       if not consistent then
         note
@@ -540,7 +548,11 @@ let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served =
         (* 3. each delta record must be in the tree the head commits to *)
         List.iter
           (fun (i, ob, proof) ->
-            if not (Log.verify_observation_inclusion ob ~index:i ~head:new_head proof) then
+            if
+              not
+                (Log.verify_observation_inclusion ~verdicts:ctx.rc_verdicts ob ~index:i
+                   ~head:new_head proof)
+            then
               note ~key:(Printf.sprintf "badincl:%s:%s:%d" receiver.v_name peer.v_name i)
                 (Bad_inclusion { bi_peer = peer.v_name; bi_seen_by = receiver.v_name; bi_index = i })
             else begin

@@ -41,11 +41,16 @@
     at high vantage counts.  {!Overlay} replaces it with partial meshes
     (O(n·k) pulls), and a round-level cache makes each pull cheaper: every
     served log signs its head once per round, every distinct (peer, head,
-    signature) triple is verified once per round, and Merkle proofs are
-    built once per (tree root, range) and shared across receivers —
-    honest vantages hold identical logs, so proof generation collapses to
-    one per distinct range instead of one per edge.  All of it is
-    observational: the alarms raised are exactly those of uncached pulls.
+    signature) triple is verified once per round, Merkle proofs are built
+    once per (tree root, range), and each inclusion or consistency check is
+    made once per round for its exact inputs ({!Merkle.Verdicts}) — honest
+    vantages hold identical logs, so proof generation and proof checking
+    collapse to one per distinct range instead of one per edge.  What a
+    receiver decides from a check (log id and size order, its baselines,
+    the cross-check against its own log, every alarm) stays its own.  All
+    of it is observational: the alarms raised are exactly those of uncached
+    pulls.  {!verify_fork} never consults the round's table: evidence is
+    re-checked from scratch.
 
     Detection under a partial mesh is a {e reachability} property: a
     receiver only cross-checks a peer's delta against its own log, so a

@@ -20,9 +20,21 @@ type observation = {
 
 (* Canonical encoding: "rpki-obs-v1" then each field length-prefixed with a
    fixed-width decimal, integers in decimal.  Unambiguous and stable — the
-   Merkle leaf hash depends on nothing else. *)
+   Merkle leaf hash depends on nothing else.  The digits are written by
+   hand: this runs for every leaf a gossip receiver checks, and a Printf
+   costs more than the rest of the encoding.  A length of nine digits or
+   more is written in full, as "%08d" would. *)
 let encode_field b s =
-  Buffer.add_string b (Printf.sprintf "%08d:" (String.length s));
+  let n = String.length s in
+  if n >= 100_000_000 then Buffer.add_string b (string_of_int n)
+  else begin
+    let d = ref 10_000_000 in
+    while !d > 0 do
+      Buffer.add_char b (Char.unsafe_chr (48 + (n / !d mod 10)));
+      d := !d / 10
+    done
+  end;
+  Buffer.add_char b ':';
   Buffer.add_string b s
 
 let encode_observation o =
@@ -168,14 +180,20 @@ let verify_head ~key sh = Rsa.verify ~key ~signature:sh.sh_sig (encode_head sh.s
 
 let inclusion_proof t ~index ~size = Merkle.inclusion_proof t.tree ~index ~size
 
-let verify_observation_inclusion o ~index ~head proof =
-  Merkle.verify_inclusion ~leaf:(encode_observation o) ~index ~size:head.h_size
-    ~root:head.h_root proof
+let verify_observation_inclusion ?verdicts o ~index ~head proof =
+  let leaf = encode_observation o and size = head.h_size and root = head.h_root in
+  match verdicts with
+  | None -> Merkle.verify_inclusion ~leaf ~index ~size ~root proof
+  | Some v -> Merkle.Verdicts.verify_inclusion v ~leaf ~index ~size ~root proof
 
 let consistency_proof t ~old_size ~size = Merkle.consistency_proof t.tree ~old_size ~size
 
-let verify_head_consistency ~old_head ~new_head proof =
+let verify_head_consistency ?verdicts ~old_head ~new_head proof =
+  let old_size = old_head.h_size and old_root = old_head.h_root in
+  let size = new_head.h_size and root = new_head.h_root in
   String.equal old_head.h_log_id new_head.h_log_id
-  && old_head.h_size <= new_head.h_size
-  && Merkle.verify_consistency ~old_size:old_head.h_size ~old_root:old_head.h_root
-       ~size:new_head.h_size ~root:new_head.h_root proof
+  && old_size <= size
+  &&
+  match verdicts with
+  | None -> Merkle.verify_consistency ~old_size ~old_root ~size ~root proof
+  | Some v -> Merkle.Verdicts.verify_consistency v ~old_size ~old_root ~size ~root proof

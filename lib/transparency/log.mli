@@ -104,11 +104,16 @@ val inclusion_proof : t -> index:int -> size:int -> Merkle.proof
 (** Proof that leaf [index] is in this log's tree of [size] leaves. *)
 
 val verify_observation_inclusion :
-  observation -> index:int -> head:head -> Merkle.proof -> bool
-(** Verify an observation against a (peer's) head — no log needed. *)
+  ?verdicts:Merkle.Verdicts.t -> observation -> index:int -> head:head -> Merkle.proof -> bool
+(** Verify an observation against a (peer's) head — no log needed.  With
+    [verdicts], the Merkle check is answered from that table when it was
+    made before (same leaf, index, size, root and proof). *)
 
 val consistency_proof : t -> old_size:int -> size:int -> Merkle.proof
 
-val verify_head_consistency : old_head:head -> new_head:head -> Merkle.proof -> bool
+val verify_head_consistency :
+  ?verdicts:Merkle.Verdicts.t -> old_head:head -> new_head:head -> Merkle.proof -> bool
 (** Do two heads of the same log describe one append-only history?
-    Checks log-id equality, then the Merkle consistency proof. *)
+    Checks log-id equality and size order, then the Merkle consistency
+    proof — answered from [verdicts] when that exact check was made
+    before. *)

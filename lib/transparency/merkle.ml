@@ -183,3 +183,36 @@ let verify_consistency ~old_size ~old_root ~size ~root proof =
         rest;
       !ok && !sn = 0 && String.equal !fr old_root && String.equal !sr root
   end
+
+(* Both checks are pure functions of their arguments, so a verdict keyed by
+   every argument is the verdict a fresh check would return.  The key is the
+   argument tuple itself (structural hashing and equality): no encoding to
+   build, and an equivocator's forked log, having another root, lands on
+   another entry. *)
+module Verdicts = struct
+  type key =
+    | Inclusion of string * int * int * string * proof
+    | Consistency of int * string * int * string * proof
+
+  type t = { table : (key, bool) Hashtbl.t; mutable computed : int }
+
+  let create () = { table = Hashtbl.create 64; computed = 0 }
+  let computed t = t.computed
+
+  let lookup t key check =
+    match Hashtbl.find_opt t.table key with
+    | Some ok -> ok
+    | None ->
+      let ok = check () in
+      t.computed <- t.computed + 1;
+      Hashtbl.replace t.table key ok;
+      ok
+
+  let verify_inclusion t ~leaf ~index ~size ~root proof =
+    lookup t (Inclusion (leaf, index, size, root, proof)) (fun () ->
+        verify_inclusion ~leaf ~index ~size ~root proof)
+
+  let verify_consistency t ~old_size ~old_root ~size ~root proof =
+    lookup t (Consistency (old_size, old_root, size, root, proof)) (fun () ->
+        verify_consistency ~old_size ~old_root ~size ~root proof)
+end

@@ -69,3 +69,26 @@ val verify_consistency :
     [old_root]?  [old_size = 0] is vacuously consistent with anything (the
     proof must be empty); [old_size = size] demands equal roots.  Never
     raises. *)
+
+(** A table of check verdicts, for a batch of checks that repeat (one
+    gossip round, where every receiver of the same delta checks the same
+    proofs).  Each entry is keyed by all the arguments of its check, so a
+    repeated check returns exactly what a fresh one would; only the first
+    is computed. *)
+module Verdicts : sig
+  type t
+
+  val create : unit -> t
+
+  val verify_inclusion :
+    t -> leaf:string -> index:int -> size:int -> root:string -> proof -> bool
+  (** {!val-verify_inclusion}, answered from the table when these exact
+      arguments were checked before. *)
+
+  val verify_consistency :
+    t -> old_size:int -> old_root:string -> size:int -> root:string -> proof -> bool
+  (** {!val-verify_consistency}, likewise. *)
+
+  val computed : t -> int
+  (** Checks actually run: the number of distinct argument tuples seen. *)
+end

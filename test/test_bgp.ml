@@ -444,6 +444,120 @@ let prop_incremental_equals_fresh =
       in
       true)
 
+(* --- propagation oracle --- *)
+
+(* Selection written out from its definition: the best admissible route
+   among an AS's own originations and what each neighbour's current entry
+   exports to it, loop-free.  [rel] is the neighbour's relationship to the
+   AS, so the AS is the neighbour's converse. *)
+let select ~topo ~policy_of ~own ~current asn =
+  let policy = policy_of asn in
+  let converse = Topology.(function Customer -> Provider | Provider -> Customer | Peer -> Peer) in
+  let offer (k, rel) =
+    match current k with
+    | Some (e : Propagation.entry)
+      when Propagation.exports e ~to_:(converse rel) && not (List.mem asn e.Propagation.path) ->
+      let learned =
+        match rel with
+        | Topology.Customer -> Propagation.From_customer
+        | Topology.Provider -> Propagation.From_provider
+        | Topology.Peer -> Propagation.From_peer
+      in
+      Some { e with Propagation.learned; path = asn :: e.Propagation.path }
+    | _ -> None
+  in
+  List.fold_left
+    (fun cur e ->
+      if not (Propagation.admissible ~policy e) then cur
+      else match cur with Some c when not (Propagation.better ~policy e c) -> cur | _ -> Some e)
+    None
+    (own asn @ List.filter_map offer (Topology.neighbours topo asn))
+
+(* The reference: sweep every AS in ASN order from the empty state until a
+   sweep changes nothing. *)
+let sweep ~topo ~policy_of ~own =
+  let rib = Hashtbl.create 64 in
+  let current a = Option.join (Hashtbl.find_opt rib a) in
+  let rec go k =
+    if k > 4 * List.length (Topology.asns topo) then QCheck.Test.fail_report "sweep diverged";
+    let changed =
+      List.fold_left
+        (fun changed a ->
+          let e = select ~topo ~policy_of ~own ~current a in
+          if e = current a then changed else (Hashtbl.replace rib a e; true))
+        false (Topology.asns topo)
+    in
+    if changed then go (k + 1) else current
+  in
+  go 0
+
+let prop_propagation_stable =
+  let gen =
+    QCheck.Gen.(
+      let* ases = int_range 8 40 and* tier1 = int_range 2 4 and* attach = int_range 1 3 in
+      let* peer_fraction = float_bound_inclusive 0.3 and* graph_seed = int_range 0 1_000_000 in
+      let* origins = list_size (int_range 1 3) (pair (int_range 1 ases) (int_range 0 2)) in
+      let* policies = oneof [ map (fun p -> `Uniform p) (int_range 0 2); return `Mixed ] in
+      let* seed = int_range 0 1_000_000 in
+      return
+        ( { As_graph.ases; tier1 = min tier1 ases; attach; peer_fraction; seed = graph_seed;
+            first_asn = 1 },
+          origins, policies, seed ))
+  in
+  let print (spec, origins, policies, seed) =
+    Printf.sprintf "ases=%d tier1=%d attach=%d peers=%.3f graph_seed=%d origins=[%s] %s seed=%d"
+      spec.As_graph.ases spec.As_graph.tier1 spec.As_graph.attach spec.As_graph.peer_fraction
+      spec.As_graph.seed
+      (String.concat ";" (List.map (fun (o, v) -> Printf.sprintf "AS%d:%d" o v) origins))
+      (match policies with `Uniform p -> Printf.sprintf "uniform:%d" p | `Mixed -> "mixed")
+      seed
+  in
+  QCheck.Test.make ~name:"every AS holds the best route on offer" ~count:1000
+    (QCheck.make ~print gen) (fun (spec, origins, policies, seed) ->
+      let topo = As_graph.topology (As_graph.generate spec) in
+      let rng = Random.State.make [| seed |] in
+      let mixed = Hashtbl.create 64 in
+      List.iter
+        (fun a -> Hashtbl.replace mixed a (List.nth Policy.all (Random.State.int rng 3)))
+        (Topology.asns topo);
+      let policy_of a =
+        match policies with `Uniform p -> List.nth Policy.all p | `Mixed -> Hashtbl.find mixed a
+      in
+      let prefix = V4.p "10.0.0.0/16" in
+      let classified =
+        List.map
+          (fun (origin, v) ->
+            ( { Propagation.prefix; origin },
+              List.nth Origin_validation.[ Valid; Unknown; Invalid ] v ))
+          origins
+      in
+      let own a =
+        List.filter_map
+          (fun ((ann : Propagation.announcement), validity) ->
+            if ann.Propagation.origin = a then
+              Some
+                { Propagation.ann; path = [ a ]; learned = Propagation.Self_originated; validity }
+            else None)
+          classified
+      in
+      let rib =
+        Propagation.compute_classified ~topo ~policy:(Propagation.policy_vector ~topo ~policy_of)
+          classified
+      in
+      let current = Propagation.route rib in
+      let reference =
+        match policies with `Uniform _ -> Some (sweep ~topo ~policy_of ~own) | `Mixed -> None
+      in
+      List.iter
+        (fun a ->
+          if current a <> select ~topo ~policy_of ~own ~current a then
+            QCheck.Test.fail_reportf "AS%d does not hold the best route on offer" a;
+          match reference with
+          | Some r when current a <> r a -> QCheck.Test.fail_reportf "AS%d differs from the sweep" a
+          | _ -> ())
+        (Topology.asns topo);
+      true)
+
 let () =
   Alcotest.run "bgp"
     [ ( "topology",
@@ -455,7 +569,8 @@ let () =
           Alcotest.test_case "prefers customer" `Quick test_propagation_prefers_customer;
           Alcotest.test_case "prefers shorter" `Quick test_propagation_prefers_shorter;
           Alcotest.test_case "drop invalid" `Quick test_drop_invalid_blocks;
-          Alcotest.test_case "depref picks valid" `Quick test_depref_prefers_valid ] );
+          Alcotest.test_case "depref picks valid" `Quick test_depref_prefers_valid;
+          QCheck_alcotest.to_alcotest prop_propagation_stable ] );
       ( "data-plane",
         [ Alcotest.test_case "LPM forwarding" `Quick test_lpm_forwarding;
           Alcotest.test_case "no route" `Quick test_no_route;

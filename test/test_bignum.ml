@@ -242,6 +242,18 @@ let props =
         Nat.equal (Nat.mul a b) (Nat.mul_schoolbook a b));
     prop "decimal roundtrip" arb_nat (fun a -> Nat.equal a (Nat.of_decimal (Nat.to_decimal a)));
     prop "bytes roundtrip" arb_nat (fun a -> Nat.equal a (Nat.of_bytes_be (Nat.to_bytes_be a)));
+    (* the linear of_bytes_be against the shift-and-add fold it replaced,
+       on 0-600 bytes, a run of leading zeros included *)
+    prop "of_bytes_be matches shift-and-add"
+      (QCheck.pair (QCheck.int_bound 8) (QCheck.string_of_size (QCheck.Gen.int_bound 600)))
+      (fun (zeros, s) ->
+        let s = String.make zeros '\x00' ^ s in
+        let reference =
+          String.fold_left
+            (fun r c -> Nat.add (Nat.shift_left r 8) (Nat.of_int (Char.code c)))
+            Nat.zero s
+        in
+        Nat.equal (Nat.of_bytes_be s) reference);
     prop "shift roundtrip" (QCheck.pair arb_nat (QCheck.int_bound 100)) (fun (a, k) ->
         Nat.equal a (Nat.shift_right (Nat.shift_left a k) k));
     prop "shift_left is mul by power" (QCheck.pair arb_nat (QCheck.int_bound 80)) (fun (a, k) ->

@@ -197,6 +197,72 @@ let prop_oracle (n, seed) =
   done;
   true
 
+(* --- the verdict table --- *)
+
+(* One table answers a shuffled batch of honest and tampered checks, each
+   asked twice, and must return what the uncached verifier returns every
+   time.  Tampering: a flipped leaf or root byte, index or size off by one,
+   and a proof node flipped, dropped or added. *)
+let prop_verdicts seed =
+  let leaves = leaves_of_seed seed in
+  let t = tree_of leaves in
+  let n = Merkle.size t in
+  let rng = Rpki_util.Rng.create (seed * 17) in
+  let pick l = List.nth l (Rpki_util.Rng.int rng (List.length l)) in
+  let tamper_proof p =
+    let k = Rpki_util.Rng.int rng (List.length p + 1) in
+    pick
+      [ p;
+        List.mapi (fun i h -> if i = k then flip h 7 else h) p;
+        List.filteri (fun i _ -> i <> k) p;
+        p @ [ Sha256.digest "extra" ] ]
+  in
+  let checks =
+    List.concat_map
+      (fun _ ->
+        let size = 1 + Rpki_util.Rng.int rng n in
+        let index = Rpki_util.Rng.int rng size in
+        let leaf = List.nth leaves index and root = Merkle.root_at t ~size in
+        let proof = Merkle.inclusion_proof t ~index ~size in
+        let old_size = 1 + Rpki_util.Rng.int rng size in
+        let old_root = Merkle.root_at t ~size:old_size in
+        let cproof = Merkle.consistency_proof t ~old_size ~size in
+        let d = pick [ -1; 1 ] in
+        let incl leaf index size root proof = `Incl (leaf, index, size, root, proof) in
+        let cons old_size old_root size root proof =
+          `Cons (old_size, old_root, size, root, proof)
+        in
+        [ incl leaf index size root proof;
+          incl (flip leaf (Rpki_util.Rng.int rng 99)) index size root proof;
+          incl leaf (index + d) size root proof;
+          incl leaf index (size + d) root proof;
+          incl leaf index size (flip root 3) proof;
+          incl leaf index size root (tamper_proof proof);
+          cons old_size old_root size root cproof;
+          cons (old_size + d) old_root size root cproof;
+          cons old_size old_root (size + d) root cproof;
+          cons old_size (flip old_root 9) size root cproof;
+          cons old_size old_root size root (tamper_proof cproof) ])
+      (List.init 8 Fun.id)
+  in
+  let batch = Rpki_util.Rng.shuffle rng (checks @ checks) in
+  let table = Merkle.Verdicts.create () in
+  List.iter
+    (function
+      | `Incl (leaf, index, size, root, proof) ->
+        if
+          Merkle.Verdicts.verify_inclusion table ~leaf ~index ~size ~root proof
+          <> Merkle.verify_inclusion ~leaf ~index ~size ~root proof
+        then QCheck.Test.fail_reportf "inclusion %d of %d: table disagrees" index size
+      | `Cons (old_size, old_root, size, root, proof) ->
+        if
+          Merkle.Verdicts.verify_consistency table ~old_size ~old_root ~size ~root proof
+          <> Merkle.verify_consistency ~old_size ~old_root ~size ~root proof
+        then QCheck.Test.fail_reportf "consistency %d -> %d: table disagrees" old_size size)
+    batch;
+  (* every check was asked twice, so at most half of them ran *)
+  Merkle.Verdicts.computed table <= List.length checks
+
 (* --- Log layer --- *)
 
 let obs ?(at = 1) ?(serial = 6) ?(uri = "rsync://a/repo") tag =
@@ -213,6 +279,18 @@ let prop_observation_roundtrip seed =
       ~uri:(Printf.sprintf "rsync://host%d/repo:with\nodd\x00chars" seed)
       (string_of_int (Rpki_util.Rng.int rng 100000))
   in
+  (* the encoding writes its length digits by hand; they must be what
+     "%08d" writes *)
+  let field x = Printf.sprintf "%08d:%s" (String.length x) x in
+  let reference =
+    "rpki-obs-v1\n"
+    ^ String.concat ""
+        (List.map field
+           [ ob.Log.ob_uri; string_of_int ob.Log.ob_serial; ob.Log.ob_manifest_hash;
+             ob.Log.ob_vrp_hash; ob.Log.ob_snapshot_fp; string_of_int ob.Log.ob_at ])
+  in
+  String.equal (Log.encode_observation ob) reference
+  &&
   match Log.decode_observation (Log.encode_observation ob) with
   | Some ob' -> ob = ob'
   | None -> false
@@ -373,7 +451,9 @@ let () =
          prop 30 "forked history fails consistency" prop_consistency_tamper_fails;
          QCheck_alcotest.to_alcotest
            (QCheck.Test.make ~count:20 ~name:"cached tree = uncached RFC 6962 reference"
-              oracle_arb prop_oracle) ]);
+              oracle_arb prop_oracle);
+         prop 100 "verdict table = uncached verifiers, tampered inputs included"
+           prop_verdicts ]);
       ("log",
        [ prop 50 "observation encoding round-trips" prop_observation_roundtrip;
          prop_decoders_hostile;
