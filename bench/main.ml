@@ -210,13 +210,91 @@ let bench_gossip () =
              in
              Rpki_repo.Gossip.round g ~now:4)) ]
 
+(* Persistence of one vantage holding 307 VRPs: the Section 6 model plus
+   one ARIN ROA of 292 /24s and seven more /24s at ETB, whose point then
+   carries 8 VRPs.  Black-holing ETB's point (no stale copy, no mirror or
+   RRDP) moves those 8 VRPs out of the set and back; the point serves the
+   same state each time it returns, so the log and its signed head never
+   change.  Each cell saves to its own store, so each keeps its own mark. *)
+let bench_persist () =
+  let open Rpki_repo in
+  let module Store = Rpki_persist.Store in
+  let m = Model.build () in
+  let slash24 ~b ~c = V4.Prefix.make ((63 lsl 24) lor (b lsl 16) lor (c lsl 8)) 24 in
+  ignore
+    (Authority.issue_roa m.Model.arin ~asid:64500 ~now:0
+       ~v4_entries:
+         (List.init 292 (fun i -> Roa.entry (slash24 ~b:(200 + (i / 256)) ~c:(i mod 256))))
+       ());
+  ignore
+    (Authority.issue_roa m.Model.etb ~asid:Model.as_etb ~now:0
+       ~v4_entries:(List.init 7 (fun i -> Roa.entry (slash24 ~b:170 ~c:(i + 1))))
+       ());
+  let policy =
+    { Relying_party.default_policy with Relying_party.use_mirrors = false; use_rrdp = false }
+  in
+  let etb = Pub_point.uri (Authority.pub m.Model.etb) in
+  (* a vantage and the sync that flips ETB's point dark or back *)
+  let vantage () =
+    let rp = Model.relying_party ~use_stale:false m in
+    let transport = Transport.instant () in
+    let dark = ref false in
+    let flip () =
+      dark := not !dark;
+      Transport.set_fault transport ~uri:etb
+        (if !dark then Transport.Unreachable else Transport.Healthy);
+      ignore (Relying_party.sync rp ~now:1 ~universe:m.Model.universe ~transport ~policy ())
+    in
+    flip ();
+    flip ();
+    assert (List.length (Relying_party.vrps rp) = 307);
+    (rp, flip)
+  in
+  let based rp name =
+    let store = Store.create (Rpki_persist.Disk.create ()) ~name in
+    ignore (Relying_party.save rp ~now:1 store);
+    store
+  in
+  let still, _ = vantage () in
+  let still_store = based still "unchanged" in
+  let moving, flip = vantage () in
+  let moving_store = based moving "diff" in
+  let _, flip_only = vantage () in
+  (* a base and 32 segments, every other one carrying an 8-VRP diff *)
+  let writer, flip_writer = vantage () in
+  let chain = based writer "chain" in
+  let log_size () = Rpki_transparency.Log.size (Relying_party.transparency_log writer) in
+  let size = log_size () in
+  for i = 1 to 32 do
+    if i mod 2 = 0 then flip_writer ();
+    ignore (Relying_party.save writer ~now:1 chain)
+  done;
+  assert (Store.segment_count chain = 32 && log_size () = size);
+  (* one reader restores every run; its first restore makes its key *)
+  let reader = Model.relying_party m in
+  (match Relying_party.restore reader chain with
+  | Relying_party.Recovered _ -> ()
+  | r -> failwith (Relying_party.recovery_to_string r));
+  Test.make_grouped ~name:"persist"
+    [ Test.make ~name:"save-segment-unchanged-307"
+        (Staged.stage (fun () -> Relying_party.save still ~now:1 still_store));
+      (* each run pays the sync that moves the 8 VRPs: [sync-flip-8] times
+         that sync alone *)
+      Test.make ~name:"sync-flip-8-save-segment"
+        (Staged.stage (fun () ->
+             flip ();
+             Relying_party.save moving ~now:1 moving_store));
+      Test.make ~name:"sync-flip-8" (Staged.stage flip_only);
+      Test.make ~name:"restore-32-segments"
+        (Staged.stage (fun () -> Relying_party.restore reader chain)) ]
+
 let run_perf () =
   Printf.printf "\n==== Microbenchmarks (Bechamel, monotonic clock) ====\n\n";
   let tests =
     Test.make_grouped ~name:"rpki-mra"
       [ bench_crypto (); bench_objects (); bench_origin_validation (); bench_bgp ();
         bench_attack (); bench_rp (); bench_rtr (); bench_rrdp (); bench_transparency ();
-        bench_gossip () ]
+        bench_gossip (); bench_persist () ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

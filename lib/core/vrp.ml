@@ -9,6 +9,7 @@ type t = { prefix : V4.Prefix.t; max_len : int; asn : int }
 let make ?max_len prefix asn =
   let max_len = Option.value max_len ~default:(V4.Prefix.len prefix) in
   if max_len < V4.Prefix.len prefix || max_len > 32 then invalid_arg "Vrp.make: bad max_len";
+  if asn < 0 || asn > 0xFFFF_FFFF then invalid_arg "Vrp.make: ASN outside 0..2^32-1";
   { prefix; max_len; asn }
 
 let compare a b =

@@ -7,7 +7,8 @@ type t = { prefix : V4.Prefix.t; max_len : int; asn : int }
 
 val make : ?max_len:int -> V4.Prefix.t -> int -> t
 (** [max_len] defaults to the prefix length. Raises [Invalid_argument] when
-    outside [len..32]. *)
+    [max_len] is outside [len..32] or [asn] outside [0..2^32-1] (RFC 6793;
+    RTR carries an origin in 32 bits). *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -8,11 +8,13 @@
 
    [save] writes a full base snapshot (and retires any segments); [append]
    seals a new segment holding only the records the caller hands it — the
-   O(delta) path a long-running relying party saves through.  Both write the
-   data file through a temporary name and rename into place, data first,
-   marker second.  A crash (dropped rename) between the two leaves the
-   marker ahead of the chain: [load]/[load_chain] report that as [Stale]
-   rather than handing back an older generation as if it were current.
+   O(delta) path a long-running relying party saves through.  [append]
+   needs a base: it never writes one itself, since a delta saved as a base
+   could not be restored.  Both write the data file through a temporary
+   name and rename into place, data first, marker second.  A crash
+   (dropped rename) between the two leaves the marker ahead of the chain:
+   [load]/[load_chain] report that as [Stale] rather than handing back an
+   older generation as if it were current.
 
    [compact] folds base + segments back into one base snapshot.  It stages
    the folded container under a side name, reads it back (so an armed
@@ -81,17 +83,18 @@ let save t ~now records =
   delete_segments t;
   generation
 
+(* A segment only means something on top of a base: sealing the caller's
+   delta records as a base would leave a chain no restore accepts. *)
 let append t ~now records =
-  if not (Disk.exists t.disk ~name:(snap_file t)) then save t ~now records
-  else begin
-    let generation = generation t + 1 in
-    let seg =
-      Codec.encode { Codec.s_generation = generation; s_saved_at = now;
-                     s_records = records }
-    in
-    seal t ~name:(seg_file t generation) ~generation seg;
-    generation
-  end
+  if not (Disk.exists t.disk ~name:(snap_file t)) then
+    invalid_arg "Store.append: no base snapshot to append to";
+  let generation = generation t + 1 in
+  let seg =
+    Codec.encode { Codec.s_generation = generation; s_saved_at = now;
+                   s_records = records }
+  in
+  seal t ~name:(seg_file t generation) ~generation seg;
+  generation
 
 (* The whole chain, base first.  The marker names the newest sealed
    generation; every generation between the base's and the marker's must be

@@ -9,7 +9,11 @@
 
     {!save} writes a full base (retiring any segments) — the O(history)
     path.  {!append} seals a new segment holding only the records handed to
-    it — the O(delta) path a long-running relying party saves through.
+    it — the O(delta) path a long-running relying party saves through; it
+    never writes a base itself.  The store treats records as opaque: what
+    a segment holds (for a relying party, the fresh observations, a
+    checkpoint, and a VRP diff when the set changed) and how a chain folds
+    are the caller's to decide.
     {!compact} folds base + segments back into one base snapshot; it stages,
     verifies, swaps and only then deletes, so any one-shot {!Disk} fault
     fired mid-compaction leaves the store exactly as it was. *)
@@ -26,7 +30,9 @@ val save : t -> now:int -> Codec.record list -> int
 
 val append : t -> now:int -> Codec.record list -> int
 (** Seal a new segment holding exactly [records]; returns its generation.
-    Falls back to {!save} when no base snapshot exists yet. *)
+    Raises [Invalid_argument] when no base snapshot exists ({!snapshot_bytes}
+    is 0): the caller must {!save} a base first, since [records] are a
+    delta that could not be restored on their own. *)
 
 type load_error =
   | No_snapshot
@@ -51,6 +57,8 @@ val compact :
   (int, string) result
 (** Fold base + segments into one base snapshot.  [fold] receives each
     container's records, base first, and returns the folded record list.
+    [fold] runs before anything is written, so a [fold] that raises leaves
+    the store untouched.
     The folded base keeps the chain's newest generation (the marker does
     not move).  Crash-safe against the one-shot {!Disk} faults: the folded
     container is staged and read back before the swap, and the swap is

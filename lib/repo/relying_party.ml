@@ -193,12 +193,15 @@ type cached_point = {
 }
 
 (* Where incremental persistence left off against one store: how many log
-   observations the chain already holds and the head they were sealed
-   under — the checkpoint the next segment's consistency proof starts
-   from.  Keyed by store name so one vantage can save to several stores. *)
+   observations the chain already holds, the head they were sealed under —
+   the checkpoint the next segment's consistency proof starts from — and
+   the VRP set the chain restores to, which the next segment's VRP diff is
+   taken against.  Keyed by store name so one vantage can save to several
+   stores. *)
 type persist_mark = {
   pm_obs : int;
   pm_head : Rpki_transparency.Log.head;
+  pm_vrps : Vrp.t list;
 }
 
 (* One state a publication point served this vantage, as this vantage
@@ -1005,6 +1008,7 @@ let max_data_age (result : sync_result) =
 
 module Tlog = Rpki_transparency.Log
 module Der = Rpki_asn.Der
+module Codec = Rpki_persist.Codec
 
 type fresh_reason =
   | No_snapshot
@@ -1031,6 +1035,8 @@ let recovery_to_string = function
 
 exception Restore_error of string
 
+let restore_error fmt = Printf.ksprintf (fun s -> raise (Restore_error s)) fmt
+
 let vrp_to_der (v : Vrp.t) =
   Der.Sequence
     [ Der.int_ (Rpki_ip.V4.Prefix.addr v.Vrp.prefix);
@@ -1038,16 +1044,80 @@ let vrp_to_der (v : Vrp.t) =
       Der.int_ v.Vrp.max_len;
       Der.int_ v.Vrp.asn ]
 
+(* The address and the origin are 32-bit fields, bounded as the ROA
+   decoder bounds them: a wider value is refused, never truncated. *)
 let vrp_of_der = function
   | Der.Sequence
       [ (Der.Integer _ as a); (Der.Integer _ as l); (Der.Integer _ as m);
         (Der.Integer _ as s) ] ->
     Vrp.make ~max_len:(Der.to_int_exn m)
-      (Rpki_ip.V4.Prefix.make (Der.to_int_exn a) (Der.to_int_exn l))
-      (Der.to_int_exn s)
-  | _ -> raise (Restore_error "VRP record is not an integer quadruple")
+      (Rpki_ip.V4.Prefix.make (Resources.uint32_of_der a) (Der.to_int_exn l))
+      (Resources.uint32_of_der s)
+  | _ -> restore_error "VRP record is not an integer quadruple"
 
-let record kind payload = { Rpki_persist.Codec.r_kind = kind; r_payload = payload }
+let record kind payload = { Codec.r_kind = kind; r_payload = payload }
+
+let is_kind kind (r : Codec.record) = String.equal r.Codec.r_kind kind
+
+(* The VRP set travels in one of two records: [vrps], the whole set, in
+   every base; [vrps-diff], (added, removed) against the set the chain held
+   before, in a segment whose save saw the set change.  A segment of a tick
+   with no change carries neither. *)
+let vrps_record vrps = record "vrps" (Der.encode (Der.Sequence (List.map vrp_to_der vrps)))
+
+let vrps_diff_record (d : Vrp.diff) =
+  record "vrps-diff"
+    (Der.encode
+       (Der.Sequence
+          [ Der.Sequence (List.map vrp_to_der d.Vrp.added);
+            Der.Sequence (List.map vrp_to_der d.Vrp.removed) ]))
+
+let vrp_list_of_der = function
+  | Der.Sequence vs -> Vrp.normalize (List.map vrp_of_der vs)
+  | _ -> restore_error "VRP list is not a sequence"
+
+let vrps_of_record (r : Codec.record) =
+  match (r.Codec.r_kind, Der.decode r.Codec.r_payload) with
+  | "vrps", Ok l -> `Set (vrp_list_of_der l)
+  | "vrps-diff", Ok (Der.Sequence [ added; removed ]) ->
+    `Diff { Vrp.added = vrp_list_of_der added; removed = vrp_list_of_der removed }
+  | kind, _ -> restore_error "malformed %s record" kind
+
+(* [Vrp.apply_diff], refusing a diff that was not taken against [set]:
+   every removed VRP must be present and every added one absent, which
+   holds exactly when the diff from [set] to the result is the diff given.
+   Chained diffs that do not compose fail closed. *)
+let apply_vrp_diff set (d : Vrp.diff) =
+  let after = Vrp.apply_diff set d in
+  let d' = Vrp.diff_of ~before:set ~after in
+  if
+    not
+      (List.equal Vrp.equal d'.Vrp.added d.Vrp.added
+       && List.equal Vrp.equal d'.Vrp.removed d.Vrp.removed)
+  then restore_error "VRP diff does not apply to the set before it";
+  after
+
+(* The normalized VRP set a chain restores to: the base's full set, then
+   each segment's diff in chain order.  The base carries exactly one [vrps]
+   record and each segment at most one [vrps-diff]; any other shape is
+   refused. *)
+let chain_vrps = function
+  | [] -> restore_error "empty chain"
+  | base :: segments ->
+    let vrp_records = List.filter (fun r -> is_kind "vrps" r || is_kind "vrps-diff" r) in
+    let base_set =
+      match List.map vrps_of_record (vrp_records base) with
+      | [ `Set s ] -> s
+      | [] -> restore_error "base container missing its VRP set"
+      | _ -> restore_error "base container carries a VRP record other than one full set"
+    in
+    List.fold_left
+      (fun set segment ->
+        match List.map vrps_of_record (vrp_records segment) with
+        | [] -> set
+        | [ `Diff d ] -> apply_vrp_diff set d
+        | _ -> restore_error "segment carries a VRP record other than one diff")
+      base_set segments
 
 (* The Merkle checkpoint a segment is sealed under: the previous persisted
    head plus the consistency proof from it to the head the segment carries.
@@ -1075,10 +1145,11 @@ let decode_checkpoint payload =
   | _ -> raise (Restore_error "malformed checkpoint record")
 
 (* Every container — full base or sealed segment — carries the bounded
-   state records: identity, current signed head, gossip-verified peer heads
-   and the last-good VRP set.  Restore takes the newest.  Only the
-   observation list is history-sized, and the segmented path writes just
-   the observations appended since the store's mark. *)
+   state records: identity, current signed head and gossip-verified peer
+   heads.  Restore takes the newest.  The observation list is
+   history-sized and the VRP set is sized by the world, so the segmented
+   path writes only what changed since the store's mark: the observations
+   appended since, and the VRP set as a diff. *)
 let bounded_records t ~now ~rtr_serial =
   let meta =
     Der.encode
@@ -1100,13 +1171,10 @@ let bounded_records t ~now ~rtr_serial =
              (Der.Sequence [ Der.Utf8 peer; Der.Octet_string (Tlog.encode_head h) ])))
       t.peer_heads
   in
-  let vrps =
-    record "vrps" (Der.encode (Der.Sequence (List.map vrp_to_der t.effective_vrps)))
-  in
-  (record "meta" meta, record "sth" sth, peers, vrps, sh.Tlog.sh_head)
+  (record "meta" meta, record "sth" sth, peers, sh.Tlog.sh_head)
 
 let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
-  let meta, sth, peers, vrps, head = bounded_records t ~now ~rtr_serial in
+  let meta, sth, peers, head = bounded_records t ~now ~rtr_serial in
   let size = Tlog.size t.tlog in
   let key = Rpki_persist.Store.name store in
   let mark =
@@ -1116,10 +1184,11 @@ let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
       match Hashtbl.find_opt t.persist_marks key with
       | Some m
         when Rpki_persist.Store.generation store > 0
+             && Rpki_persist.Store.snapshot_bytes store > 0
              && m.pm_obs <= size
              && String.equal m.pm_head.Tlog.h_log_id (Tlog.log_id t.tlog) ->
         Some m
-      | _ -> None (* no usable mark (wiped store, log reset): full save *))
+      | _ -> None (* no usable mark (wiped store, lost base, log reset): full save *))
   in
   let generation =
     match mark with
@@ -1127,10 +1196,12 @@ let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
       let obs =
         List.map (fun o -> record "obs" (Tlog.encode_observation o)) (Tlog.observations t.tlog)
       in
-      Rpki_persist.Store.save store ~now ((meta :: sth :: obs) @ peers @ [ vrps ])
+      Rpki_persist.Store.save store ~now
+        ((meta :: sth :: obs) @ peers @ [ vrps_record t.effective_vrps ])
     | Some m ->
       (* O(delta): only the observations appended since the mark, sealed
-         under the checkpoint that ties them to the previous head *)
+         under the checkpoint that ties them to the previous head, and the
+         VRP set as a diff against the one the chain already restores to *)
       let fresh =
         List.map
           (fun (_, o) -> record "obs" (Tlog.encode_observation o))
@@ -1141,24 +1212,37 @@ let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
         else Tlog.consistency_proof t.tlog ~old_size:m.pm_obs ~size
       in
       let ckpt = record "ckpt" (encode_checkpoint ~prev:m.pm_head ~proof) in
-      Rpki_persist.Store.append store ~now
-        ((meta :: sth :: ckpt :: fresh) @ peers @ [ vrps ])
+      let diff = Vrp.diff_of ~before:m.pm_vrps ~after:t.effective_vrps in
+      let vrps = if Vrp.diff_is_empty diff then [] else [ vrps_diff_record diff ] in
+      Rpki_persist.Store.append store ~now ((meta :: sth :: ckpt :: fresh) @ peers @ vrps)
   in
-  Hashtbl.replace t.persist_marks key { pm_obs = size; pm_head = head };
+  Hashtbl.replace t.persist_marks key
+    { pm_obs = size; pm_head = head; pm_vrps = t.effective_vrps };
   generation
 
 (* Fold a segmented chain back into one full-shaped base container: every
-   observation in order, the newest container's meta/sth/peers/vrps, no
-   checkpoints (the folded base has no predecessor).  Restore cannot tell a
-   folded base from a full save. *)
+   observation in order, the newest container's meta/sth/peers, the VRP set
+   the chain restores to as one full [vrps] record, no checkpoints (the
+   folded base has no predecessor).  Restore cannot tell a folded base from
+   a full save.  Raises [Restore_error] (or a decoder's exception) on VRP
+   records that do not decode or diffs that do not compose. *)
 let fold_containers containers =
-  let is kind (r : Rpki_persist.Codec.record) = String.equal r.Rpki_persist.Codec.r_kind kind in
-  let obs = List.concat_map (List.filter (is "obs")) containers in
+  let obs = List.concat_map (List.filter (is_kind "obs")) containers in
   let last = List.nth containers (List.length containers - 1) in
-  let keep kind = List.filter (is kind) last in
-  keep "meta" @ keep "sth" @ obs @ keep "peer" @ keep "vrps"
+  let keep kind = List.filter (is_kind kind) last in
+  keep "meta" @ keep "sth" @ obs @ keep "peer" @ [ vrps_record (chain_vrps containers) ]
 
-let compact_store store ~now = Rpki_persist.Store.compact store ~now ~fold:fold_containers
+(* A chain the fold refuses is reported before [Store.compact] writes
+   anything, so the store is left as it was. *)
+let compact_store store ~now =
+  let exception Unfoldable of string in
+  let fold containers =
+    try fold_containers containers with
+    | Restore_error why | Der.Decode_error why | Invalid_argument why -> raise (Unfoldable why)
+  in
+  match Rpki_persist.Store.compact store ~now ~fold with
+  | result -> result
+  | exception Unfoldable why -> Error ("chain does not fold: " ^ why)
 
 let restore t store =
   match Rpki_persist.Store.load_chain store with
@@ -1167,20 +1251,20 @@ let restore t store =
   | Error (Rpki_persist.Store.Stale { snap_generation; marker }) ->
     Recovered_fresh (Snapshot_stale { snap_generation; marker })
   | Ok containers -> (
-    let bad fmt = Printf.ksprintf (fun s -> raise (Restore_error s)) fmt in
+    let bad = restore_error in
     try
       let meta = ref None in
       let sth = ref None in
       let obs = ref [] in
       let peers = ref [] in
-      let vrps = ref None in
       (* Walk the chain base-first.  Observations accumulate across
-         containers (each segment holds only its delta); the bounded
-         records are rewritten whole on every save, so the newest container
-         wins.  Each segment must carry a checkpoint naming the previous
-         container's head byte-for-byte and a consistency proof from it to
-         the segment's own head — the chain is one append-only history or
-         it is refused. *)
+         containers (each segment holds only its delta); meta, signed head
+         and peer heads are rewritten whole on every save, so the newest
+         container wins; the VRP set is the base's with each segment's diff
+         applied ({!chain_vrps}).  Each segment must carry a checkpoint
+         naming the previous container's head byte-for-byte and a
+         consistency proof from it to the segment's own head — the chain is
+         one append-only history or it is refused. *)
       let prev_head = ref None in
       List.iter
         (fun (snap : Rpki_persist.Codec.snapshot) ->
@@ -1189,7 +1273,6 @@ let restore t store =
           let c_sth = ref None in
           let c_ckpt = ref None in
           let c_peers = ref [] in
-          let c_vrps = ref None in
           List.iter
             (fun (r : Rpki_persist.Codec.record) ->
               let payload = r.Rpki_persist.Codec.r_payload in
@@ -1221,10 +1304,7 @@ let restore t store =
                   | Some h -> c_peers := (peer, h) :: !c_peers
                   | None -> bad "malformed peer head for %s" peer)
                 | _ -> bad "malformed peer record")
-              | "vrps" -> (
-                match Der.decode payload with
-                | Ok (Der.Sequence vs) -> c_vrps := Some (List.map vrp_of_der vs)
-                | _ -> bad "malformed vrps record")
+              | "vrps" | "vrps-diff" -> () (* read by [chain_vrps] below *)
               | other -> bad "unknown record kind %S" other)
             snap.Rpki_persist.Codec.s_records;
           let c_sth =
@@ -1249,18 +1329,17 @@ let restore t store =
           (match !c_meta with
           | Some m -> meta := Some m
           | None -> bad "container %d missing its meta record" g);
-          (match !c_vrps with
-          | Some v -> vrps := Some v
-          | None -> bad "container %d missing its vrps record" g);
           peers := !c_peers)
         containers;
+      let vrps =
+        chain_vrps (List.map (fun (s : Codec.snapshot) -> s.Codec.s_records) containers)
+      in
       let name, _asn, epoch, rtr_serial =
         match !meta with Some m -> m | None -> bad "missing meta record"
       in
       if not (String.equal name t.name) then
         bad "snapshot belongs to vantage %S, not %S" name t.name;
       let sth = match !sth with Some s -> s | None -> bad "missing signed tree head" in
-      let vrps = match !vrps with Some v -> v | None -> bad "missing vrps record" in
       (* Rehydrate the log by replaying the observations in order; the replay
          must reproduce the persisted head bit-for-bit (same id, size and
          Merkle root) and the head must verify under this vantage's key.
@@ -1286,12 +1365,13 @@ let restore t store =
       t.tlog <- log;
       t.log_baseline <- Tlog.size log;
       t.peer_heads <- !peers;
-      t.effective_vrps <- Vrp.normalize vrps;
-      t.index <- Origin_validation.build t.effective_vrps;
-      (* the verified final head doubles as the next save's checkpoint, so
-         the first post-restore save appends instead of rewriting history *)
+      t.effective_vrps <- vrps;
+      t.index <- Origin_validation.build vrps;
+      (* the verified final head and the restored set double as the next
+         save's checkpoint and diff baseline, so the first post-restore save
+         appends instead of rewriting history *)
       Hashtbl.replace t.persist_marks (Rpki_persist.Store.name store)
-        { pm_obs = Tlog.size log; pm_head = sth.Tlog.sh_head };
+        { pm_obs = Tlog.size log; pm_head = sth.Tlog.sh_head; pm_vrps = vrps };
       let newest = List.nth containers (List.length containers - 1) in
       Recovered
         { rc_generation = newest.Rpki_persist.Codec.s_generation;

@@ -271,7 +271,9 @@ val rollback_last_good : t -> uri:string -> vrp_hash:string -> Vrp.t list option
     first save writes a full base snapshot; later saves seal an O(delta)
     segment holding only the observations appended since the last persisted
     checkpoint, under a Merkle consistency proof tying it to the previous
-    head.  {!compact_store} folds a long chain back into one base.
+    head, and the VRP set as a diff against the set the chain already
+    restores to — no VRP record at all when the set did not change.
+    {!compact_store} folds a long chain back into one base.
     {!restore} walks base through segments, re-verifies every checkpoint
     and the final head, and is fail-closed: a missing, corrupt, stale or
     internally inconsistent chain (e.g. a rehydrated log that disagrees
@@ -285,7 +287,8 @@ type fresh_reason =
   | Snapshot_stale of { snap_generation : int; marker : int }
   | Log_inconsistent of string
       (** checksums passed but the contents don't hold together: bad record
-          shapes, replay/head mismatch, or a signature failure *)
+          shapes, out-of-range values, VRP diffs that do not compose,
+          replay/head mismatch, or a signature failure *)
 
 val fresh_reason_to_string : fresh_reason -> string
 
@@ -301,16 +304,24 @@ val save :
 (** Persist this vantage's durable state; returns the new generation.
     [rtr_serial] (default 0) is the RTR cache serial to persist alongside.
     [`Auto] (the default) appends an O(delta) checkpointed segment when the
-    store already holds a chain this relying party has a mark for, and
-    falls back to a full base snapshot otherwise (first save, wiped store,
-    log reset).  [`Full] forces the O(history) full snapshot — the
-    pre-segmentation behavior, kept for baseline comparisons. *)
+    store holds a base and this relying party has a mark for the store's
+    chain, and falls back to a full base snapshot otherwise (first save,
+    wiped store, a base lost to a dropped rename, log reset, epoch bump).
+    The mark holds the VRP set the chain restores to: a segment carries no
+    VRP record when the effective set equals it, and one [vrps-diff]
+    record (added, removed) otherwise; only a base carries the full set.
+    [`Full] forces the O(history) full snapshot — the pre-segmentation
+    behavior, kept for baseline comparisons. *)
 
 val compact_store : Rpki_persist.Store.t -> now:Rtime.t -> (int, string) result
 (** Fold a relying-party store's base + segments into one full base
-    snapshot (all observations in order, newest bounded records, no
-    checkpoints).  Crash-safe: on any detected disk fault the store is left
-    segmented and loadable, and the error says why. *)
+    snapshot (all observations in order, newest bounded records, the VRP
+    set the chain restores to — the base's set with every segment's diff
+    applied — and no checkpoints).  Crash-safe: on any detected disk fault
+    the store is left segmented and loadable, and the error says why.  A
+    chain whose VRP records do not decode or whose diffs do not compose
+    (the rules of {!restore}) is [Error] too, before anything is written;
+    it never raises. *)
 
 val restore : t -> Rpki_persist.Store.t -> recovery
 (** Rehydrate a freshly {!create}d relying party from a snapshot chain.  On
@@ -318,8 +329,14 @@ val restore : t -> Rpki_persist.Store.t -> recovery
     segment's consistency proof re-verified, the whole verified against the
     newest persisted signed head), peer heads, effective VRP set (with a
     rebuilt origin-validation index) and log epoch are restored; caches,
-    memos and grace memory start empty.  On failure the relying party is
-    left untouched. *)
+    memos and grace memory start empty.  The VRP set is the base's full set
+    with each segment's diff applied in chain order, strictly: the base
+    must carry exactly one full set and a segment at most one diff, a diff
+    that removes an absent VRP or adds a present one is refused, and a VRP
+    whose address or origin does not fit 32 bits is refused — each
+    {!Log_inconsistent}.  The restored set becomes the store's mark, so the
+    next save diffs against it.  On failure the relying party is left
+    untouched. *)
 
 val sync :
   t ->

@@ -359,7 +359,10 @@ let prop_ov_trie_matches_naive =
              (fun a len asn ->
                let len = len mod 25 in
                let prefix = V4.Prefix.make (abs a mod (1 lsl 32)) len in
-               Vrp.make ~max_len:(min 32 (len + (abs asn mod 9))) prefix (asn mod 3))
+               (* three origins, so VRPs and routes share them often; a
+                  VRP's origin is an ASN, so never negative *)
+               Vrp.make ~max_len:(min 32 (len + (abs asn mod 9))) prefix
+                 (((asn mod 3) + 3) mod 3))
              int (int_bound 24) int))
   in
   let arb_routes =
@@ -369,7 +372,9 @@ let prop_ov_trie_matches_naive =
         list_size (int_bound 20)
           (map3
              (fun a len o ->
-               Route.make (V4.Prefix.make (abs a mod (1 lsl 32)) (len mod 33)) (o mod 3))
+               Route.make
+                 (V4.Prefix.make (abs a mod (1 lsl 32)) (len mod 33))
+                 (((o mod 3) + 3) mod 3))
              int (int_bound 32) int))
   in
   QCheck_alcotest.to_alcotest

@@ -285,6 +285,190 @@ let test_snapshot_total () =
           (mutants ~seed:i r.Codec.r_payload))
     c.Codec.s_records
 
+(* --- segmented chains --- *)
+
+(* A chain of a base and three segments: the first segment carries a VRP
+   diff (one ROA expired) and new observations, the second none, the third
+   a diff (the ROA renewed).  Its own model, so the shared one stays as
+   built.  Returns the store's files. *)
+let chain =
+  lazy
+    (let m = Model.build () in
+     let rp = Model.relying_party m in
+     let disk = Rpki_persist.Disk.create () in
+     let store = Rpki_persist.Store.create disk ~name:"rp" in
+     let tick now =
+       ignore (Relying_party.sync rp ~now ~universe:m.Model.universe ());
+       ignore (Relying_party.save rp ~now store)
+     in
+     tick 0;
+     Authority.expire_roa m.Model.continental ~filename:m.Model.roa_cb_25 ~now:1;
+     tick 1;
+     tick 2;
+     ignore (Authority.renew_roa m.Model.continental ~filename:m.Model.roa_cb_25 ~now:3);
+     tick 3;
+     List.map
+       (fun name -> (name, Option.get (Rpki_persist.Disk.read disk ~name)))
+       (Rpki_persist.Disk.files disk))
+
+let store_of files =
+  let disk = Rpki_persist.Disk.create () in
+  List.iter (fun (name, bytes) -> Rpki_persist.Disk.write disk ~name bytes) files;
+  (disk, Rpki_persist.Store.create disk ~name:"rp")
+
+let is_kind kind (r : Codec.record) = String.equal r.Codec.r_kind kind
+
+(* The chain with [file]'s records rewritten by [f], re-sealed. *)
+let rewrite ~file f =
+  List.map
+    (fun (n, b) ->
+      if not (String.equal n file) then (n, b)
+      else
+        let c = match Codec.decode b with Ok c -> c | Error _ -> Alcotest.fail n in
+        (n, Codec.encode { c with Codec.s_records = f c.Codec.s_records }))
+    (Lazy.force chain)
+
+(* ... with the payload of its [kind] record rewritten by [f]. *)
+let reseal ~file ~kind f =
+  rewrite ~file
+    (List.map (fun (r : Codec.record) ->
+         if is_kind kind r then
+           { r with Codec.r_payload = Der.encode (f (Der.decode_exn r.Codec.r_payload)) }
+         else r))
+
+(* One relying party restores every mutant, so its tree-head key is made
+   once; a restore that fails leaves it as it was, one that succeeds
+   replaces all it restores. *)
+let reader = lazy (Model.relying_party (Lazy.force model))
+
+let disk_files disk =
+  List.map
+    (fun name -> (name, Rpki_persist.Disk.read disk ~name))
+    (List.sort String.compare (Rpki_persist.Disk.files disk))
+
+(* Restore and compaction of [files] must answer, never raise; a
+   compaction that answers [Error] must leave every file as it was. *)
+let restore_and_compact what files =
+  let disk, store = store_of files in
+  let recovery =
+    no_raise ("restore of " ^ what) (fun () -> Relying_party.restore (Lazy.force reader) store)
+  in
+  let before = disk_files disk in
+  let compacted =
+    no_raise ("compaction of " ^ what) (fun () -> Relying_party.compact_store store ~now:4)
+  in
+  (match compacted with
+  | Error _ when disk_files disk <> before -> Alcotest.failf "failed compaction of %s wrote" what
+  | _ -> ());
+  (recovery, compacted)
+
+(* Every record of every segment, mutated and re-sealed.  The fold and
+   restore read a chain's VRP records alike, so a mutant of a VRP diff
+   compacts exactly when it restores. *)
+let test_chain_total () =
+  let files = Lazy.force chain in
+  (match restore_and_compact "the real chain" files with
+  | Relying_party.Recovered _, Ok _ -> ()
+  | r, _ -> Alcotest.fail ("real chain: " ^ Relying_party.recovery_to_string r));
+  let diffs = ref 0 in
+  List.iter
+    (fun (file, bytes) ->
+      let records =
+        match Codec.decode bytes with Ok c -> c.Codec.s_records | Error _ -> Alcotest.fail file
+      in
+      List.iteri
+        (fun i (r : Codec.record) ->
+          let kind = r.Codec.r_kind in
+          if String.equal kind "vrps-diff" then incr diffs;
+          (* an observation is not DER: its bytes are mutated only *)
+          let payloads =
+            match Der.decode r.Codec.r_payload with
+            | Ok _ -> mutants ~seed:i r.Codec.r_payload
+            | Error _ -> byte_mutants ~seed:i r.Codec.r_payload
+          in
+          List.iteri
+            (fun k p ->
+              let what = Printf.sprintf "%s with %s mutant %d" file kind k in
+              let mutant =
+                rewrite ~file
+                  (List.mapi (fun j x -> if i = j then { x with Codec.r_payload = p } else x))
+              in
+              match restore_and_compact what mutant with
+              | Relying_party.Recovered _, Error e when String.equal kind "vrps-diff" ->
+                Alcotest.failf "%s restores but does not compact: %s" what e
+              | Relying_party.Recovered_fresh _, Ok _ when String.equal kind "vrps-diff" ->
+                Alcotest.failf "%s compacts but does not restore" what
+              | _ -> ())
+            payloads)
+        records)
+    (List.filter (fun (file, _) -> String.starts_with ~prefix:"rp.seg." file) files);
+  Alcotest.(check int) "the chain holds two VRP diffs" 2 !diffs
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.equal (String.sub s i n) sub || at (i + 1)) in
+  at 0
+
+(* Restore refuses [files] for a reason naming [because], and compaction
+   refuses them too. *)
+let refused what ~because files =
+  match restore_and_compact what files with
+  | Relying_party.Recovered_fresh (Relying_party.Log_inconsistent why), Error _
+    when contains why because -> ()
+  | r, Ok _ ->
+    Alcotest.failf "%s: compacted (restore: %s)" what (Relying_party.recovery_to_string r)
+  | r, Error _ -> Alcotest.failf "%s: %s" what (Relying_party.recovery_to_string r)
+
+let quad (addr, asn) = Der.Sequence [ Der.int_ addr; Der.int_ 20; Der.int_ 24; Der.int_ asn ]
+
+(* A persisted VRP is read with the ROA decoder's bounds: an origin of
+   2^32 + 17054 (which RTR's 32-bit field would carry as AS 17054) and an
+   address of 2^40 (which would land on 0.0.0.0/20) are refused, in the
+   base's full set and in a segment's diff alike. *)
+let test_vrp_bounds () =
+  List.iter
+    (fun (what, v) ->
+      refused (what ^ " in the base's full set") ~because:"32 bits"
+        (reseal ~file:"rp.snap" ~kind:"vrps" (fun set -> Der.Sequence (children set @ [ quad v ])));
+      refused (what ^ " in a segment's diff") ~because:"32 bits"
+        (reseal ~file:"rp.seg.2" ~kind:"vrps-diff" (fun _ ->
+             Der.Sequence [ Der.Sequence [ quad v ]; Der.Sequence [] ])))
+    [ ("origin 2^32 + 17054", ((63 lsl 24) lor (174 lsl 16) lor (16 lsl 8), (1 lsl 32) + 17054));
+      ("address 2^40", (1 lsl 40, 17054)) ]
+
+(* Diffs apply strictly: one that removes a VRP the set does not hold, or
+   adds one it already holds, was not taken against that set and is
+   refused.  So are a base without exactly one full set and a segment with
+   anything but at most one diff. *)
+let test_vrp_diffs_compose () =
+  let diff ~added ~removed = Der.Sequence [ Der.Sequence added; Der.Sequence removed ] in
+  (* (63.174.16.0/20-24, AS 17054) is not in the model's set *)
+  let absent = quad ((63 lsl 24) lor (174 lsl 16) lor (16 lsl 8), 17054) in
+  let full_set =
+    match Codec.decode (List.assoc "rp.snap" (Lazy.force chain)) with
+    | Ok c -> List.find (is_kind "vrps") c.Codec.s_records
+    | Error _ -> Alcotest.fail "base"
+  in
+  let present = List.hd (children (Der.decode_exn full_set.Codec.r_payload)) in
+  let in_diff f = reseal ~file:"rp.seg.2" ~kind:"vrps-diff" (fun _ -> f) in
+  refused "a diff removing an absent VRP" ~because:"does not apply"
+    (in_diff (diff ~added:[] ~removed:[ absent ]));
+  refused "a diff adding a present VRP" ~because:"does not apply"
+    (in_diff (diff ~added:[ present ] ~removed:[]));
+  refused "a diff adding and removing one VRP" ~because:"does not apply"
+    (in_diff (diff ~added:[ absent ] ~removed:[ absent ]));
+  let diff_record =
+    { Codec.r_kind = "vrps-diff"; r_payload = Der.encode (diff ~added:[] ~removed:[]) }
+  in
+  refused "a base without its full set" ~because:"base container"
+    (rewrite ~file:"rp.snap" (List.filter (fun r -> not (is_kind "vrps" r))));
+  refused "a base carrying a diff" ~because:"base container"
+    (rewrite ~file:"rp.snap" (List.map (fun r -> if is_kind "vrps" r then diff_record else r)));
+  refused "a segment carrying a full set" ~because:"segment carries"
+    (rewrite ~file:"rp.seg.2" (List.map (fun r -> if is_kind "vrps-diff" r then full_set else r)));
+  refused "a segment carrying two diffs" ~because:"segment carries"
+    (rewrite ~file:"rp.seg.2" (fun rs -> rs @ [ diff_record ]))
+
 (* --- hostile sizes --- *)
 
 let test_huge_integer () =
@@ -337,7 +521,12 @@ let () =
           Alcotest.test_case "256 KB modulus rejected" `Quick test_evidence_huge_modulus ] );
       ( "snapshot",
         [ Alcotest.test_case "decode and restore total on every mutant" `Quick
-            test_snapshot_total ] );
+            test_snapshot_total;
+          Alcotest.test_case "restore and compaction total on chain mutants" `Quick
+            test_chain_total;
+          Alcotest.test_case "persisted VRPs keep the ROA decoder's bounds" `Quick
+            test_vrp_bounds;
+          Alcotest.test_case "VRP diffs apply strictly" `Quick test_vrp_diffs_compose ] );
       ( "sizes",
         [ Alcotest.test_case "256 KB INTEGER decodes" `Quick test_huge_integer;
           Alcotest.test_case "100,000-deep nesting refused" `Quick test_deep_nesting ] ) ]

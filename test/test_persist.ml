@@ -253,9 +253,21 @@ let prop_segmented_matches_uncompacted seed =
       QCheck.Test.fail_reportf "seed %d: restore degraded: %s" seed
         (Relying_party.fresh_reason_to_string why)
   in
+  (* every ROA of the model, with its issuer: each round expires or renews
+     up to two of them, so most rounds change the VRP set and most segments
+     carry a VRP diff *)
+  let roas =
+    Array.of_list
+      (List.map (fun (ca, filename, _) -> (ca, filename)) (Authority.all_roas m.Model.arin))
+  in
   let rounds = 4 + Rpki_util.Rng.int rng 3 in
   for now = 1 to rounds do
     if Rpki_util.Rng.int rng 3 = 0 then Authority.maintain m.Model.arin ~now;
+    for _ = 1 to Rpki_util.Rng.int rng 3 do
+      let ca, filename = roas.(Rpki_util.Rng.int rng (Array.length roas)) in
+      if Rpki_util.Rng.int rng 2 = 0 then Authority.expire_roa ca ~filename ~now
+      else ignore (Authority.renew_roa ca ~filename ~now)
+    done;
     ignore (Relying_party.sync !rp ~now ~universe:m.Model.universe ());
     ignore (Relying_party.save !rp ~now ~mode:`Auto seg);
     ignore (Relying_party.save !rp ~now ~mode:`Full full);
@@ -282,9 +294,112 @@ let prop_segmented_matches_uncompacted seed =
     QCheck.Test.fail_reportf "seed %d: log heads diverge" seed;
   if Relying_party.vrps a <> Relying_party.vrps b then
     QCheck.Test.fail_reportf "seed %d: VRP sets diverge" seed;
+  if Relying_party.vrps a <> Relying_party.vrps !rp then
+    QCheck.Test.fail_reportf "seed %d: restored VRP set is not the saved one" seed;
   if Relying_party.peer_heads a <> Relying_party.peer_heads b then
     QCheck.Test.fail_reportf "seed %d: peer heads diverge" seed;
   true
+
+(* --- the VRP set as a diff ---------------------------------------------
+
+   A segment carries the VRP set only when it changed since the store's
+   previous save, and then as one diff against the set the chain restores
+   to.  Restore and compaction apply the diffs onto the base's full set. *)
+
+let newest_records store =
+  match Store.load_chain store with
+  | Ok chain -> (List.nth chain (List.length chain - 1)).Codec.s_records
+  | Error e -> Alcotest.fail (Store.load_error_to_string e)
+
+let vrp_records records =
+  List.filter (fun (r : Codec.record) -> List.mem r.Codec.r_kind [ "vrps"; "vrps-diff" ]) records
+
+let restored_vrps ~name ~asn store =
+  let fresh = Relying_party.create ~name ~asn ~tals:[] ~log_epoch:1 () in
+  match Relying_party.restore fresh store with
+  | Relying_party.Recovered _ -> Relying_party.vrps fresh
+  | Relying_party.Recovered_fresh why ->
+    Alcotest.fail (Relying_party.fresh_reason_to_string why)
+
+let test_vrp_diff_segments () =
+  let m = Model.build () in
+  let rp = Model.relying_party ~name:"diff-rp" m in
+  let asn = Relying_party.asn rp in
+  let store = Store.create (Disk.create ()) ~name:"diff-rp" in
+  let tick now =
+    ignore (Relying_party.sync rp ~now ~universe:m.Model.universe ());
+    ignore (Relying_party.save rp ~now store)
+  in
+  tick 1;
+  let set_payload =
+    match vrp_records (newest_records store) with
+    | [ { Codec.r_kind = "vrps"; r_payload } ] -> r_payload
+    | _ -> Alcotest.fail "the base does not carry exactly one full VRP set"
+  in
+  tick 2;
+  Alcotest.(check int) "a tick with no change writes no VRP record" 0
+    (List.length (vrp_records (newest_records store)));
+  Authority.expire_roa m.Model.continental ~filename:m.Model.roa_cb_25 ~now:3;
+  tick 3;
+  let diff = (Option.get (Relying_party.last_result rp)).Relying_party.diff in
+  Alcotest.(check int) "the tick removed one VRP" 1 (Rpki_core.Vrp.diff_size diff);
+  (match vrp_records (newest_records store) with
+  | [ { Codec.r_kind = "vrps-diff"; r_payload } ] ->
+    (* one VRP is at most 22 bytes of DER and the two lists 8 more: the
+       record grows with the diff, while the full set is 8 VRPs *)
+    Alcotest.(check bool) "the diff record is sized by the diff" true
+      (String.length r_payload <= 8 + (22 * Rpki_core.Vrp.diff_size diff));
+    Alcotest.(check bool) "and smaller than the full set" true
+      (String.length r_payload < String.length set_payload)
+  | _ -> Alcotest.fail "a tick with a change did not write exactly one VRP diff");
+  tick 4;
+  Alcotest.(check int) "three segments" 3 (Store.segment_count store);
+  Alcotest.(check bool) "restore gives back the saved set" true
+    (restored_vrps ~name:"diff-rp" ~asn store = Relying_party.vrps rp);
+  (match Relying_party.compact_store store ~now:4 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "compacted" 0 (Store.segment_count store);
+  Alcotest.(check bool) "the folded base gives back the saved set" true
+    (restored_vrps ~name:"diff-rp" ~asn store = Relying_party.vrps rp);
+  (* a save after compaction diffs against the folded set *)
+  Authority.expire_roa m.Model.continental ~filename:m.Model.roa_cb_26 ~now:5;
+  tick 5;
+  Alcotest.(check bool) "the next segment restores onto the folded base" true
+    (restored_vrps ~name:"diff-rp" ~asn store = Relying_party.vrps rp)
+
+(* The first save's data rename is lost while the marker still reaches 1:
+   the store has a marker and no base.  The next save must write a base
+   again, not seal its delta as one, or the store stays unrestorable. *)
+let test_lost_base_rewritten () =
+  let m = Model.build () in
+  let rp = Model.relying_party ~name:"lost-rp" m in
+  let asn = Relying_party.asn rp in
+  let disk = Disk.create () in
+  let store = Store.create disk ~name:"lost-rp" in
+  Disk.inject disk Disk.Drop_rename;
+  for now = 1 to 4 do
+    ignore (Relying_party.sync rp ~now ~universe:m.Model.universe ());
+    ignore (Relying_party.save rp ~now store);
+    if now = 1 then begin
+      Alcotest.(check int) "the marker reached 1" 1 (Store.generation store);
+      Alcotest.(check int) "the base was lost" 0 (Store.snapshot_bytes store)
+    end
+    else
+      Alcotest.(check bool)
+        (Printf.sprintf "restores after t%d" now)
+        true
+        (restored_vrps ~name:"lost-rp" ~asn store = Relying_party.vrps rp)
+  done;
+  (match Relying_party.compact_store store ~now:4 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "restores after compaction" true
+    (restored_vrps ~name:"lost-rp" ~asn store = Relying_party.vrps rp);
+  Store.wipe store;
+  Alcotest.check_raises "append without a base"
+    (Invalid_argument "Store.append: no base snapshot to append to") (fun () ->
+      ignore (Store.append store ~now:5 (records "delta")))
 
 let prop c n p = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:c ~name:n seed_gen p)
 
@@ -299,10 +414,13 @@ let () =
        [ Alcotest.test_case "save/load/wipe round-trip" `Quick test_store_roundtrip;
          Alcotest.test_case "fault envelope degrades explicitly" `Quick test_fault_envelope ]);
       ("segment-chain",
-       [ prop 8 "segmented+compacted store matches the uncompacted reference"
+       [ prop 16 "segmented+compacted store matches the uncompacted reference"
            prop_segmented_matches_uncompacted ]);
       ("relying-party",
        [ Alcotest.test_case "save/restore is bit-identical" `Quick
            test_rp_save_restore_bit_identical;
          Alcotest.test_case "corrupt snapshots fail closed" `Quick
-           test_rp_corrupt_snapshot_explicit ]) ]
+           test_rp_corrupt_snapshot_explicit;
+         Alcotest.test_case "segments carry the VRP set as a diff" `Quick
+           test_vrp_diff_segments;
+         Alcotest.test_case "a lost base is written again" `Quick test_lost_base_rewritten ]) ]
