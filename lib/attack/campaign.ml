@@ -27,15 +27,9 @@ type step =
   | Revoke_own of { filename : string; roa : Roa.t }
 
 type plan = {
-  objective : objective;
   steps : step list;
   unplannable : (string * string * string) list; (* issuer, filename, reason *)
 }
-
-let objective_to_string = function
-  | Target_asns asns ->
-    Printf.sprintf "silence AS%s" (String.concat ", AS" (List.map string_of_int asns))
-  | Target_space space -> Printf.sprintf "silence [%s]" (V4.Set.to_string space)
 
 (* Enumerate every matching ROA below (or at) the manipulator and plan its
    removal. *)
@@ -61,14 +55,7 @@ let plan ~(manipulator : Authority.t) ~objective =
               unplannable := ((Authority.name issuer), filename, reason) :: !unplannable
           end)
         (Authority.roas issuer));
-  { objective; steps = List.rev !steps; unplannable = List.rev !unplannable }
-
-let targets plan =
-  List.map
-    (function
-      | Whack_step p -> p.Whack.target
-      | Revoke_own { roa; _ } -> roa)
-    plan.steps
+  { steps = List.rev !steps; unplannable = List.rev !unplannable }
 
 (* Reissued objects the campaign requires — the paper's detectability cost. *)
 let reissue_count plan =
@@ -101,33 +88,14 @@ let execute ~(manipulator : Authority.t) (c : plan) ~now =
     c.steps;
   (!executed, List.rev !failed)
 
-let describe (c : plan) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "campaign: %s\n" (objective_to_string c.objective));
-  List.iter
-    (fun step ->
-      match step with
-      | Revoke_own { roa; _ } ->
-        Buffer.add_string buf (Printf.sprintf "  revoke own %s\n" (Roa.to_string roa))
-      | Whack_step p ->
-        Buffer.add_string buf
-          (Printf.sprintf "  whack %s at %s (%d reissues)\n" (Roa.to_string p.Whack.target)
-             p.Whack.target_issuer
-             (List.length p.Whack.reissues)))
-    c.steps;
-  List.iter
-    (fun (issuer, filename, reason) ->
-      Buffer.add_string buf (Printf.sprintf "  CANNOT whack %s/%s: %s\n" issuer filename reason))
-    c.unplannable;
-  Buffer.contents buf
-
 (* --- bridging the jurisdiction dataset to a live hierarchy --- *)
 
 (* Build a real certificate hierarchy from an allocation dataset: one trust
    anchor per RIR present, one holder CA per RC record, one ROA per
    suballocation.  This is what lets Table 4's "can whack" become an
    executable "does whack". *)
-let hierarchy_of_dataset ?(now = Rtime.epoch) (records : Rpki_juris.Dataset.rc_record list) =
+let hierarchy_of_dataset (records : Rpki_juris.Dataset.rc_record list) =
+  let now = Rtime.epoch in
   let universe = Universe.create () in
   let rirs =
     List.sort_uniq compare (List.map (fun (r : Rpki_juris.Dataset.rc_record) -> r.Rpki_juris.Dataset.parent_rir) records)

@@ -13,25 +13,18 @@ type objective =
   | Target_asns of int list  (** silence these origin ASes *)
   | Target_space of V4.Set.t (** silence everything overlapping this space *)
 
-val roa_matches : objective -> Roa.t -> bool
-
 type step =
   | Whack_step of Whack.plan
   | Revoke_own of { filename : string; roa : Roa.t }
 
 type plan = {
-  objective : objective;
   steps : step list;
   unplannable : (string * string * string) list; (** issuer, filename, reason *)
 }
 
-val objective_to_string : objective -> string
-
 val plan : manipulator:Authority.t -> objective:objective -> plan
 (** Enumerate every matching ROA at or below the manipulator and plan its
     removal. *)
-
-val targets : plan -> Roa.t list
 
 val reissue_count : plan -> int
 (** Reissued objects the campaign requires — the paper's detectability
@@ -43,12 +36,9 @@ val execute :
     (earlier steps shift the atoms available to later ones).  Returns
     (executed count, failures). *)
 
-val describe : plan -> string
-
 (** {2 Bridging the jurisdiction dataset to a live hierarchy} *)
 
 val hierarchy_of_dataset :
-  ?now:Rtime.t ->
   Rpki_juris.Dataset.rc_record list ->
   Universe.t
   * (Rpki_juris.Country.rir * Authority.t) list

@@ -11,25 +11,22 @@ type t = {
   shadow : Relying_party.t;
   shadow_transport : Transport.t;
   universe : Universe.t;
-  policy : Relying_party.fetch_policy;
   fork_to : string -> bool;
   mutable served_forked : int;
   mutable served_honest : int;
 }
 
-let plan ~universe ~name ~shadow ?(policy = Relying_party.default_policy)
-    ~fork_to () =
+let plan ~universe ~name ~shadow ~fork_to () =
   if not (String.equal (Relying_party.name shadow) name) then
     invalid_arg
       (Printf.sprintf
          "Equivocator.plan: shadow is named %S, not %S — a differently-named \
           log signs under a different key and would not equivocate"
          (Relying_party.name shadow) name);
-  { name; shadow; shadow_transport = Transport.create (); universe; policy;
+  { name; shadow; shadow_transport = Transport.create (); universe;
     fork_to; served_forked = 0; served_honest = 0 }
 
 let name t = t.name
-let shadow t = t.shadow
 let shadow_transport t = t.shadow_transport
 let served_forked t = t.served_forked
 let served_honest t = t.served_honest
@@ -51,7 +48,7 @@ let apply t g =
     ~refresh:(fun ~now ->
       ignore
         (Relying_party.sync t.shadow ~now ~universe:t.universe
-           ~transport:t.shadow_transport ~policy:t.policy ()))
+           ~transport:t.shadow_transport ()))
     (fun ~receiver ->
       if t.fork_to receiver then begin
         t.served_forked <- t.served_forked + 1;
@@ -63,8 +60,6 @@ let apply t g =
            equivocator keeps serving whatever the vantage currently runs *)
         v.Gossip.v_rp
       end)
-
-let lift t g = Gossip.clear_server g ~name:t.name
 
 let describe t =
   Printf.sprintf

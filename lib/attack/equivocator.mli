@@ -29,7 +29,6 @@ val plan :
   universe:Universe.t ->
   name:string ->
   shadow:Relying_party.t ->
-  ?policy:Relying_party.fetch_policy ->
   fork_to:(string -> bool) ->
   unit ->
   t
@@ -43,8 +42,6 @@ val plan :
     the view to equivocate about on that transport. *)
 
 val name : t -> string
-
-val shadow : t -> Relying_party.t
 
 val shadow_transport : t -> Transport.t
 (** The transport the shadow relying party syncs through.  Apply a
@@ -61,8 +58,5 @@ val apply : t -> Gossip.t -> unit
     mesh has no vantage [name], or if the shadow's transparency key
     differs from the vantage's (the equivocation would be caught as a bad
     signature, not a fork). *)
-
-val lift : t -> Gossip.t -> unit
-(** Return the vantage to honest serving and pulling. *)
 
 val describe : t -> string

@@ -41,9 +41,6 @@ let capture t ~now =
   t.captured <- Some (Pub_point.snapshot (Authority.pub t.authority));
   t.captured_at <- now
 
-let captured t = t.captured <> None
-let captured_at t = t.captured_at
-
 (* Serve the frozen capture to the victim.  Unlike Split_view's listing the
    view does not track the honest state — replaying the past means serving
    the same stale bytes forever. *)
@@ -51,8 +48,6 @@ let apply t transport =
   match t.captured with
   | None -> invalid_arg "Rollback.apply: nothing captured (call capture first)"
   | Some files -> Transport.set_view transport ~uri:(uri t) (fun () -> files)
-
-let lift t transport = Transport.clear_view transport ~uri:(uri t)
 
 let describe t =
   match t.captured with

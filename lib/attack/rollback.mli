@@ -18,20 +18,13 @@ type t
 val plan : authority:Authority.t -> t
 (** Target an authority's publication point.  Nothing is captured yet. *)
 
-val uri : t -> string
-
 val capture : t -> now:int -> unit
 (** Freeze the authority's current publication-point state verbatim — the
     past that will be replayed.  Call while the state is still honest
     (before the revocation the adversary wants undone). *)
 
-val captured : t -> bool
-val captured_at : t -> int
-
 val apply : t -> Transport.t -> unit
 (** Serve the frozen capture to the victim whose transport this is.  Raises
     [Invalid_argument] if nothing was captured. *)
-
-val lift : t -> Transport.t -> unit
 
 val describe : t -> string

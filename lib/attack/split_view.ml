@@ -55,8 +55,6 @@ let plan ~authority ~target_filename ?(stealth = Stealthy) () =
         (Drbg.create ~seed:("split-view:" ^ Authority.name authority ^ ":" ^ target_filename)) }
 
 let uri t = Pub_point.uri (Authority.pub t.authority)
-let target t = t.target_filename
-let stealth t = t.stealth
 
 (* The mirror world, recomputed per fetch so it tracks the honest view:
    whatever the authority currently publishes, minus the target — and under

@@ -37,12 +37,6 @@ val plan :
     [target_filename] (default [Stealthy]).  Raises [Invalid_argument] if
     the authority does not currently publish that file. *)
 
-val uri : t -> string
-(** The forked publication point's URI. *)
-
-val target : t -> string
-val stealth : t -> stealth
-
 val apply : t -> Transport.t -> unit
 (** Serve the fork to whoever fetches through this transport.  The forked
     listing is recomputed per fetch from the authority's current honest

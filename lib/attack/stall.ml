@@ -33,7 +33,6 @@ let plan_against ~victim ~intensity =
   plan ~targets:!uris ~intensity
 
 let targets t = t.targets
-let intensity t = t.intensity
 
 let apply t transport =
   List.iter
@@ -49,7 +48,3 @@ let lift t transport =
       | Transport.Stalling k when k = t.intensity -> Transport.clear_fault transport ~uri
       | _ -> ())
     t.targets
-
-let describe t =
-  Printf.sprintf "stall x%d on %d point(s): %s" t.intensity (List.length t.targets)
-    (String.concat ", " t.targets)

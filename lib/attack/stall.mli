@@ -29,7 +29,6 @@ val plan_against : victim:Authority.t -> intensity:int -> t
     victim's ROAs to stay validated. *)
 
 val targets : t -> string list
-val intensity : t -> int
 
 val apply : t -> Transport.t -> unit
 (** Install a [Stalling intensity] fault on every target. *)
@@ -37,5 +36,3 @@ val apply : t -> Transport.t -> unit
 val lift : t -> Transport.t -> unit
 (** End the campaign.  Only faults this plan installed are cleared; a fault
     someone else re-marked meanwhile is left alone. *)
-
-val describe : t -> string

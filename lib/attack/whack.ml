@@ -39,7 +39,6 @@ type plan = {
   sliver : V4.Set.t;          (* address space carved out of the chain *)
   shrink_child_to : Resources.t;
   reissues : reissue list;
-  unavoidable_damage : string list; (* descriptions of objects S overlaps *)
 }
 
 (* Only objects that currently validate can suffer collateral damage: a ROA
@@ -150,8 +149,8 @@ let plan_targeted ~(manipulator : Authority.t) ~(target_issuer : string) ~(targe
         | Some _ -> best)
       None candidate_atoms
   in
-  let sliver_space, damaged =
-    match best with Some x -> x | None -> raise (Cannot_whack "empty atom decomposition")
+  let sliver_space =
+    match best with Some (s, _) -> s | None -> raise (Cannot_whack "empty atom decomposition")
   in
   (* carve just one minimal prefix out of the chosen atom — the paper's
      example removes a single /24, the finest granularity that matters to
@@ -210,8 +209,7 @@ let plan_targeted ~(manipulator : Authority.t) ~(target_issuer : string) ~(targe
     target;
     sliver;
     shrink_child_to;
-    reissues = rc_reissues @ damaged_roa_reissues;
-    unavoidable_damage = damaged }
+    reissues = rc_reissues @ damaged_roa_reissues }
 
 (* Make-before-break is needed exactly when something must be reissued. *)
 let needs_make_before_break plan = plan.reissues <> []

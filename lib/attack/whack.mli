@@ -33,16 +33,7 @@ type plan = {
   sliver : V4.Set.t;      (** address space carved out of the chain *)
   shrink_child_to : Resources.t;
   reissues : reissue list;
-  unavoidable_damage : string list;
 }
-
-val atoms : V4.Set.t -> (string * V4.Set.t) list -> (V4.Set.t * string list) list
-(** Split a space into atoms by (description, set) obstacles; each atom
-    carries the obstacles it overlaps.  Exposed for testing. *)
-
-val path_to : manipulator:Authority.t -> target_issuer:string -> Authority.t list option
-(** The authority chain from the manipulator (exclusive) down to the
-    target's issuer (inclusive). *)
 
 exception Cannot_whack of string
 

@@ -18,11 +18,6 @@
 
 type role = Tier1 | Transit | Stub
 
-let role_to_string = function
-  | Tier1 -> "tier1"
-  | Transit -> "transit"
-  | Stub -> "stub"
-
 type spec = {
   ases : int;            (* total AS count *)
   tier1 : int;           (* size of the fully peered top clique *)
@@ -37,7 +32,6 @@ let default_spec =
 
 type t = {
   topo : Topology.t;
-  graph_spec : spec option;          (* None for [of_topology] wrappers *)
   asn_of_index : int array;          (* generation (or sorted) order *)
   index_of_asn : (int, int) Hashtbl.t;
   roles : role array;
@@ -46,7 +40,6 @@ type t = {
 }
 
 let topology t = t.topo
-let spec t = t.graph_spec
 
 let index_exn t asn =
   match Hashtbl.find_opt t.index_of_asn asn with
@@ -146,7 +139,7 @@ let compute_cones (topo : Topology.t) (asn_of_index : int array)
   if !processed <> n then invalid_arg "As_graph: provider relation is not a DAG";
   cones
 
-let wrap ?(graph_spec : spec option) ?(tier1 : int list option)
+let wrap ?(tier1 : int list option)
     (topo : Topology.t) (asn_of_index : int array) : t =
   let n = Array.length asn_of_index in
   let index_of_asn = Hashtbl.create (2 * n) in
@@ -166,7 +159,7 @@ let wrap ?(graph_spec : spec option) ?(tier1 : int list option)
         else Transit)
       asn_of_index
   in
-  { topo; graph_spec; asn_of_index; index_of_asn; roles; degrees; cones }
+  { topo; asn_of_index; index_of_asn; roles; degrees; cones }
 
 let of_topology ?tier1 (topo : Topology.t) : t =
   wrap ?tier1 topo (Array.of_list (Topology.asns topo))
@@ -246,7 +239,7 @@ let generate (s : spec) : t =
       incr links
     end
   done;
-  wrap ~graph_spec:s ~tier1:(List.init s.tier1 asn) topo asn_of_index
+  wrap ~tier1:(List.init s.tier1 asn) topo asn_of_index
 
 (* --- the tiered generator (the pre-world Topo_gen shape) ---------------- *)
 

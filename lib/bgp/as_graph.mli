@@ -19,8 +19,6 @@
 
 type role = Tier1 | Transit | Stub
 
-val role_to_string : role -> string
-
 type spec = {
   ases : int;            (** total AS count *)
   tier1 : int;           (** size of the fully peered top clique *)
@@ -60,8 +58,6 @@ val of_topology : ?tier1:int list -> Topology.t -> t
     [Invalid_argument] if the provider relation is not a DAG. *)
 
 val topology : t -> Topology.t
-val spec : t -> spec option
-(** The generating spec; [None] for {!of_topology} / {!tiered} wrappers. *)
 
 val size : t -> int
 val asns : t -> int list

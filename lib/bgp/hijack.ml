@@ -26,7 +26,3 @@ let announcements ~victim_prefix ~victim_as ~attacker_as kind : Propagation.anno
     if not (V4.Prefix.covers victim_prefix sub) || V4.Prefix.equal victim_prefix sub then
       invalid_arg "Hijack.announcements: not a strict subprefix of the victim's";
     [ legit; { Propagation.prefix = sub; origin = attacker_as } ]
-
-let kind_to_string = function
-  | Prefix_hijack -> "prefix hijack"
-  | Subprefix_hijack sub -> Printf.sprintf "subprefix hijack (%s)" (V4.Prefix.to_string sub)

@@ -22,5 +22,3 @@ val announcements :
   Propagation.announcement list
 (** The announcements present during the attack: the victim's legitimate
     origination plus the attacker's. *)
-
-val kind_to_string : kind -> string

@@ -13,8 +13,6 @@ let to_string = function
   | Depref_invalid -> "depref invalid"
   | Ignore_rpki -> "ignore RPKI"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let all = [ Drop_invalid; Depref_invalid; Ignore_rpki ]
 
 (* Rank used during route selection when the policy is validity-aware. *)

@@ -9,7 +9,6 @@ type t =
   | Ignore_rpki     (** route as if the RPKI did not exist *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val all : t list
 
 val validity_rank : Rpki_core.Origin_validation.state -> int

@@ -22,11 +22,6 @@ type entry = {
   validity : Origin_validation.state;
 }
 
-val rel_rank : learned -> int
-
-val preference_key : policy:Policy.t -> entry -> int * int * int * int
-(** Total preference order at an AS (bigger wins). *)
-
 val admissible : policy:Policy.t -> entry -> bool
 (** Drop-invalid refuses invalid candidates outright. *)
 

@@ -58,7 +58,7 @@ let generate (spec : spec) =
 type small = {
   small_topo : Topology.t;
   t1a : int; t1b : int;
-  mid1 : int; mid2 : int; mid3 : int;
+  mid1 : int;
   victim : int;
   source : int;
   attacker : int;
@@ -77,6 +77,6 @@ let small_scenario () =
   Topology.link topo ~provider:mid1 ~customer:victim;
   Topology.link topo ~provider:mid2 ~customer:source;
   Topology.link topo ~provider:mid3 ~customer:source;
-  { small_topo = topo; t1a; t1b; mid1; mid2; mid3; victim; source; attacker }
+  { small_topo = topo; t1a; t1b; mid1; victim; source; attacker }
 
 let small_graph (s : small) = As_graph.of_topology ~tier1:[ s.t1a; s.t1b ] s.small_topo

@@ -39,8 +39,6 @@ type small = {
   t1a : int;
   t1b : int;
   mid1 : int;
-  mid2 : int;
-  mid3 : int;
   victim : int;   (** AS 17054 *)
   source : int;   (** AS 7018, the observing relying party *)
   attacker : int; (** AS 666 *)

@@ -41,8 +41,6 @@ let peers t asn = get t.peers asn
 
 let asns t = List.sort Int.compare t.asns
 
-let as_count t = Hashtbl.length t.members
-
 let version t = t.version
 
 (* True when [target] is reachable from [from] by walking provider links —
@@ -94,5 +92,3 @@ let neighbours t asn =
 let degree t asn =
   List.length (providers t asn) + List.length (customers t asn)
   + List.length (peers t asn)
-
-let rel_to_string = function Customer -> "customer" | Provider -> "provider" | Peer -> "peer"

@@ -9,7 +9,6 @@ type rel = Customer | Provider | Peer
 type t
 
 val create : unit -> t
-val mem : t -> int -> bool
 val add_as : t -> int -> unit
 
 val providers : t -> int -> int list
@@ -18,8 +17,6 @@ val peers : t -> int -> int list
 
 val asns : t -> int list
 (** All ASes, sorted. *)
-
-val as_count : t -> int
 
 val version : t -> int
 (** Bumped on every mutation (AS or edge added) — lets derived structures
@@ -38,5 +35,3 @@ val neighbours : t -> int -> (int * rel) list
 
 val degree : t -> int -> int
 (** Total neighbour count (providers + customers + peers). *)
-
-val rel_to_string : rel -> string

@@ -286,7 +286,6 @@ let divmod (a : t) (b : t) : t * t =
     (normalize q, shift_right rem shift)
   end
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)

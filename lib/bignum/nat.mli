@@ -50,7 +50,6 @@ val shift_right : t -> int -> t
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(a / b, a mod b)]. Raises [Division_by_zero]. *)
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 val gcd : t -> t -> t

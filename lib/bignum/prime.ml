@@ -1,7 +1,7 @@
 (* Probabilistic primality testing and prime generation for RSA keygen.
 
-   Miller-Rabin with a caller-chosen round count (40 rounds gives a
-   2^-80 error bound, far below any concern for a simulation substrate).
+   Miller-Rabin with 40 rounds (a 2^-80 error bound, far below any concern
+   for a simulation substrate).
    Candidates are pre-sieved against small primes to skip most composites
    before the expensive modular exponentiations. *)
 
@@ -32,7 +32,7 @@ let miller_rabin_witness n ~d ~s a =
     squares x 0
   end
 
-let is_probably_prime ?(rounds = 40) rng n =
+let is_probably_prime rng n =
   match Nat.to_int_opt n with
   | Some i when i < 4 -> i = 2 || i = 3
   | _ ->
@@ -57,17 +57,17 @@ let is_probably_prime ?(rounds = 40) rng n =
           if miller_rabin_witness n ~d ~s a then false else trial (k - 1)
         end
       in
-      trial rounds
+      trial 40
     end
 
 (* Generate a random prime with exactly [bits] bits. *)
-let generate ?(rounds = 40) rng ~bits =
+let generate rng ~bits =
   if bits < 4 then invalid_arg "Prime.generate: want >= 4 bits";
   let rec go () =
     let candidate = Nat.random_bits rng ~bits in
     (* force odd *)
     let candidate = if Nat.testbit candidate 0 then candidate else Nat.succ candidate in
-    if Nat.num_bits candidate = bits && is_probably_prime ~rounds rng candidate then candidate
+    if Nat.num_bits candidate = bits && is_probably_prime rng candidate then candidate
     else go ()
   in
   go ()

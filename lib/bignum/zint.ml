@@ -50,14 +50,6 @@ let erem a m =
   let r = Nat.rem a.mag m in
   if a.sign = Pos || Nat.is_zero r then r else Nat.sub m r
 
-let to_nat_exn a =
-  if is_neg a then invalid_arg "Zint.to_nat_exn: negative";
-  a.mag
-
-let pp fmt a =
-  if is_neg a then Format.pp_print_char fmt '-';
-  Nat.pp fmt a.mag
-
 (* Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b). *)
 let egcd (a : Nat.t) (b : Nat.t) =
   let rec go r0 r1 s0 s1 t0 t1 =

@@ -4,12 +4,8 @@
 type t
 (** A signed integer. *)
 
-val zero : t
 val of_nat : Nat.t -> t
 val of_int : int -> t
-val neg : t -> t
-val is_zero : t -> bool
-val is_neg : t -> bool
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
@@ -18,11 +14,6 @@ val equal : t -> t -> bool
 
 val erem : t -> Nat.t -> Nat.t
 (** Euclidean remainder modulo a positive natural, always in [\[0, m)]. *)
-
-val to_nat_exn : t -> Nat.t
-(** Raises [Invalid_argument] on negatives. *)
-
-val pp : Format.formatter -> t -> unit
 
 val egcd : Nat.t -> Nat.t -> Nat.t * t * t
 (** [egcd a b] is [(g, x, y)] with [a*x + b*y = g = gcd a b]. *)

@@ -104,8 +104,6 @@ let self_signed ~key ~subject ~resources ~not_before ~not_after ?repo_uri ?manif
     ~public_key:key.Rsa.public ~resources ~not_before ~not_after ~is_ca:true ?repo_uri
     ?manifest_uri ()
 
-let verify_signature ~issuer_key t = Rsa.verify ~key:issuer_key ~signature:t.signature (tbs_bytes t)
-
 let key_id t = Rsa.key_id t.public_key
 
 (* Identity modulo the signature: used by the monitor to tell "reissued with
@@ -115,11 +113,3 @@ let same_contents a b =
   && Rsa.equal_public a.public_key b.public_key
   && Resources.equal a.resources b.resources
   && a.not_before = b.not_before && a.not_after = b.not_after && a.is_ca = b.is_ca
-
-let pp fmt t =
-  Format.fprintf fmt "%s #%d: %s -> %s [%s] (%a..%a)%s"
-    (if t.is_ca then "RC" else "EE")
-    t.serial t.issuer t.subject
-    (Resources.to_string t.resources)
-    Rtime.pp t.not_before Rtime.pp t.not_after
-    (match t.repo_uri with Some u -> " repo=" ^ u | None -> "")

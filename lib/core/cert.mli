@@ -24,9 +24,6 @@ type t = {
   signature : string;           (** issuer's signature over the TBS bytes *)
 }
 
-val tbs_der : t -> Rpki_asn.Der.t
-(** The to-be-signed structure (everything but the signature). *)
-
 val tbs_bytes : t -> string
 (** DER bytes the signature is computed over. *)
 
@@ -69,13 +66,9 @@ val self_signed :
   t
 (** A trust-anchor certificate (serial 1, issuer = subject). *)
 
-val verify_signature : issuer_key:Rsa.public -> t -> bool
-
 val key_id : t -> string
 (** The subject key identifier (SHA-256 of the public key). *)
 
 val same_contents : t -> t -> bool
 (** Identity modulo the signature: lets the monitor tell "reissued with
     different contents" from "re-signed". *)
-
-val pp : Format.formatter -> t -> unit

@@ -49,8 +49,3 @@ let issue ~ca_key ~issuer ~this_update ~next_update ~revoked_serials =
   { unsigned with signature = Rsa.sign ~key:ca_key (tbs_bytes unsigned) }
 
 let revokes t serial = List.mem serial t.revoked_serials
-
-let pp fmt t =
-  Format.fprintf fmt "CRL %s [%a..%a] revoked={%s}" t.issuer Rtime.pp t.this_update Rtime.pp
-    t.next_update
-    (String.concat "," (List.map string_of_int t.revoked_serials))

@@ -16,11 +16,8 @@ type t = {
   signature : string;
 }
 
-val tbs_der : t -> Rpki_asn.Der.t
 val tbs_bytes : t -> string
-val to_der : t -> Rpki_asn.Der.t
 val encode : t -> string
-val of_der : Rpki_asn.Der.t -> t
 val decode : string -> (t, string) result
 
 val issue :
@@ -32,4 +29,3 @@ val issue :
   t
 
 val revokes : t -> int -> bool
-val pp : Format.formatter -> t -> unit

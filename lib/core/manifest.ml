@@ -68,14 +68,14 @@ let entry_of_file ~filename ~contents = { filename; hash = Sha256.digest content
 (* Issue a manifest over a list of (filename, file bytes).  Like a ROA, the
    manifest is signed by a fresh EE certificate; the EE carries the CA's
    resources trimmed to empty since a manifest speaks for no address space. *)
-let issue ~ca_key ~ca_subject ~serial ~rng ?(ee_bits = Rsa.default_bits) ?ee_key
+let issue ~ca_key ~ca_subject ~serial ~rng ?ee_key
     ~manifest_number ~this_update ~next_update ~files () =
   let entries =
     List.sort
       (fun a b -> String.compare a.filename b.filename)
       (List.map (fun (filename, contents) -> entry_of_file ~filename ~contents) files)
   in
-  let ee_key = match ee_key with Some k -> k | None -> Rsa.generate ~bits:ee_bits rng in
+  let ee_key = match ee_key with Some k -> k | None -> Rsa.generate rng in
   let ee =
     Cert.issue ~issuer_key:ca_key ~serial ~issuer:ca_subject
       ~subject:(Printf.sprintf "%s-mft-ee-%d" ca_subject serial)
@@ -87,7 +87,3 @@ let issue ~ca_key ~ca_subject ~serial ~rng ?(ee_bits = Rsa.default_bits) ?ee_key
     signature = Rsa.sign ~key:ee_key.Rsa.private_ content }
 
 let find t filename = List.find_opt (fun e -> e.filename = filename) t.entries
-
-let pp fmt t =
-  Format.fprintf fmt "MFT #%d [%a..%a] %d files" t.manifest_number Rtime.pp t.this_update Rtime.pp
-    t.next_update (List.length t.entries)

@@ -19,27 +19,15 @@ type t = {
   signature : string;
 }
 
-val content_der :
-  manifest_number:int ->
-  this_update:Rtime.t ->
-  next_update:Rtime.t ->
-  entries:entry list ->
-  Rpki_asn.Der.t
-
 val content_bytes : t -> string
-val to_der : t -> Rpki_asn.Der.t
 val encode : t -> string
-val of_der : Rpki_asn.Der.t -> t
 val decode : string -> (t, string) result
-
-val entry_of_file : filename:string -> contents:string -> entry
 
 val issue :
   ca_key:Rsa.private_ ->
   ca_subject:string ->
   serial:int ->
   rng:Rpki_util.Rng.t ->
-  ?ee_bits:int ->
   ?ee_key:Rsa.keypair ->
   manifest_number:int ->
   this_update:Rtime.t ->
@@ -50,4 +38,3 @@ val issue :
 (** Issue a manifest over (filename, bytes) pairs; EE-signed like a ROA. *)
 
 val find : t -> string -> entry option
-val pp : Format.formatter -> t -> unit

@@ -8,12 +8,6 @@ type t =
   | Crl of Crl.t
   | Manifest of Manifest.t
 
-let encode = function
-  | Cert c -> Cert.encode c
-  | Roa r -> Roa.encode r
-  | Crl c -> Crl.encode c
-  | Manifest m -> Manifest.encode m
-
 let kind_of_filename name =
   match String.rindex_opt name '.' with
   | None -> None
@@ -32,9 +26,3 @@ let decode ~filename bytes =
   | Some `Roa -> Result.map (fun r -> Roa r) (Roa.decode bytes)
   | Some `Crl -> Result.map (fun c -> Crl c) (Crl.decode bytes)
   | Some `Manifest -> Result.map (fun m -> Manifest m) (Manifest.decode bytes)
-
-let pp fmt = function
-  | Cert c -> Cert.pp fmt c
-  | Roa r -> Roa.pp fmt r
-  | Crl c -> Crl.pp fmt c
-  | Manifest m -> Manifest.pp fmt m

@@ -7,11 +7,5 @@ type t =
   | Crl of Crl.t
   | Manifest of Manifest.t
 
-val encode : t -> string
-
-val kind_of_filename : string -> [ `Cert | `Roa | `Crl | `Manifest ] option
-
 val decode : filename:string -> string -> (t, string) result
 (** Dispatch on the filename extension, then parse. *)
-
-val pp : Format.formatter -> t -> unit

@@ -59,10 +59,6 @@ let apply_diff idx (d : Vrp.diff) = add_vrps (remove_vrps idx d.Vrp.removed) d.V
 
 let build vrps = add_vrps empty_index vrps
 
-let vrp_count idx = idx.count
-
-let vrps idx = List.concat_map snd (V4.Trie.to_list idx.trie)
-
 (* All VRPs whose prefix covers [prefix]. *)
 let covering_vrps idx prefix = List.concat_map snd (V4.Trie.covering idx.trie prefix)
 

@@ -11,8 +11,7 @@
     Effects 5 and 6.
 
     The index is an opaque prefix trie and supports incremental
-    maintenance: {!apply_diff} (or {!add_vrps} / {!remove_vrps}) patches
-    only the nodes a sync's VRP diff touches, so a steady-state
+    maintenance: {!apply_diff} patches only the nodes a sync's VRP diff touches, so a steady-state
     relying-party tick never rebuilds the index from scratch.  The index
     has set semantics: adding a VRP already present, or removing one that
     is absent, is a no-op. *)
@@ -33,44 +32,19 @@ val empty_index : index
 val build : Vrp.t list -> index
 (** Index a VRP set from scratch (duplicates are collapsed). *)
 
-val add_vrps : index -> Vrp.t list -> index
-(** Insert VRPs; already-present VRPs are ignored. *)
-
-val remove_vrps : index -> Vrp.t list -> index
-(** Delete VRPs; absent VRPs are ignored.  Trie nodes left without any
-    VRP are pruned. *)
-
 val apply_diff : index -> Vrp.diff -> index
-(** [apply_diff idx d = add_vrps (remove_vrps idx d.removed) d.added].
-    If [idx] indexes [before], then [apply_diff idx (Vrp.diff_of ~before
-    ~after)] indexes [after]. *)
-
-val vrp_count : index -> int
-(** Number of VRPs indexed, maintained incrementally. *)
-
-val vrps : index -> Vrp.t list
-(** All indexed VRPs (unspecified order). *)
-
-val covering_vrps : index -> V4.Prefix.t -> Vrp.t list
-(** All VRPs whose prefix covers the given prefix, shortest first. *)
-
-val fold_covering : index -> V4.Prefix.t -> init:'a -> f:('a -> Vrp.t -> 'a) -> 'a
-(** Fold over the VRPs on the covering path of a prefix (shortest prefix
-    first) without materializing the list. *)
-
-val fold_covered :
-  index -> V4.Prefix.t -> init:'a -> f:('a -> V4.Prefix.t -> Vrp.t list -> 'a) -> 'a
-(** Fold over the indexed prefixes at or below a prefix, with the VRPs
-    stored at each. *)
+(** Remove [d.removed], then add [d.added]; trie nodes left without any
+    VRP are pruned.  If [idx] indexes [before], then [apply_diff idx
+    (Vrp.diff_of ~before ~after)] indexes [after]. *)
 
 val covered_strictly_below : index -> V4.Prefix.t -> bool
 (** Does any indexed prefix sit strictly below (longer than) the given
     prefix?  Used by the validity-grid pruning walk. *)
 
-val matches : Vrp.t -> Route.t -> bool
-(** The RFC 6811 match predicate (AS0 VRPs never match, per RFC 6483). *)
-
 val classify : index -> Route.t -> state
+(** The RFC 6811 verdict.  A VRP matches a route with the same origin, a
+    covering prefix and a length within its maxLength; AS0 VRPs never
+    match (RFC 6483). *)
 
 val explain : index -> Route.t -> state * Vrp.t list * Vrp.t list
 (** [(state, matching, covering)] — evidence for the verdict. *)

@@ -13,7 +13,7 @@ type t = {
 
 let empty = { v4 = V4.Set.empty; v6 = V6.Set.empty; asns = As_res.Set.empty }
 
-let make ?(v4 = V4.Set.empty) ?(v6 = V6.Set.empty) ?(asns = As_res.Set.empty) () = { v4; v6; asns }
+let make ?(v4 = V4.Set.empty) ?(v6 = V6.Set.empty) () = { v4; v6; asns = As_res.Set.empty }
 
 let of_v4_strings strs = { empty with v4 = V4.set_of_strings strs }
 

@@ -14,7 +14,8 @@ type t = {
 }
 
 val empty : t
-val make : ?v4:V4.Set.t -> ?v6:V6.Set.t -> ?asns:As_res.Set.t -> unit -> t
+val make : ?v4:V4.Set.t -> ?v6:V6.Set.t -> unit -> t
+(** A bundle without AS numbers. *)
 
 val of_v4_strings : string list -> t
 (** Build an IPv4-only bundle from strings like ["63.160.0.0/12"] or
@@ -24,7 +25,6 @@ val is_empty : t -> bool
 val subset : t -> t -> bool
 val equal : t -> t -> bool
 val union : t -> t -> t
-val inter : t -> t -> t
 val diff : t -> t -> t
 val overlaps : t -> t -> bool
 

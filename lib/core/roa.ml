@@ -100,9 +100,9 @@ let decode s =
 (* Issue a ROA: mint an EE keypair (or reuse a caller-supplied one), have the
    CA certify it for exactly the ROA's address space, and sign the content
    with the EE key. *)
-let issue ~ca_key ~ca_subject ~serial ~rng ?(ee_bits = Rsa.default_bits) ?ee_key ~asid
+let issue ~ca_key ~ca_subject ~serial ~rng ?ee_key ~asid
     ~v4_entries ?(v6_entries = []) ~not_before ~not_after ?crl_uri ?aia_uri () =
-  let ee_key = match ee_key with Some k -> k | None -> Rsa.generate ~bits:ee_bits rng in
+  let ee_key = match ee_key with Some k -> k | None -> Rsa.generate rng in
   let resources =
     Resources.make
       ~v4:(V4.Set.of_prefixes (List.map (fun e -> e.prefix) v4_entries))

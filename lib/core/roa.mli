@@ -29,15 +29,10 @@ val resources : t -> Resources.t
 (** The address space the ROA speaks for — what a whacking manipulator must
     carve out of the target's certification path. *)
 
-val content_der :
-  asid:int -> v4_entries:v4_entry list -> v6_entries:v6_entry list -> Rpki_asn.Der.t
-
 val content_bytes : t -> string
 (** The bytes the EE signature covers. *)
 
-val to_der : t -> Rpki_asn.Der.t
 val encode : t -> string
-val of_der : Rpki_asn.Der.t -> t
 val decode : string -> (t, string) result
 
 val issue :
@@ -45,7 +40,6 @@ val issue :
   ca_subject:string ->
   serial:int ->
   rng:Rpki_util.Rng.t ->
-  ?ee_bits:int ->
   ?ee_key:Rsa.keypair ->
   asid:int ->
   v4_entries:v4_entry list ->
@@ -59,6 +53,4 @@ val issue :
 (** Issue a ROA: mint an EE keypair (or reuse [ee_key]), certify it for
     exactly the ROA's address space, and sign the content with it. *)
 
-val pp_v4_entry : Format.formatter -> v4_entry -> unit
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

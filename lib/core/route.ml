@@ -7,11 +7,4 @@ type t = { prefix : V4.Prefix.t; origin : int }
 
 let make prefix origin = { prefix; origin }
 
-let compare a b =
-  let c = V4.Prefix.compare a.prefix b.prefix in
-  if c <> 0 then c else Int.compare a.origin b.origin
-
-let equal a b = compare a b = 0
-
 let to_string t = Printf.sprintf "(%s, AS%d)" (V4.Prefix.to_string t.prefix) t.origin
-let pp fmt t = Format.pp_print_string fmt (to_string t)

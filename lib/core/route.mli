@@ -6,7 +6,4 @@ open Rpki_ip
 type t = { prefix : V4.Prefix.t; origin : int }
 
 val make : V4.Prefix.t -> int -> t
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

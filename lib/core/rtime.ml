@@ -13,7 +13,6 @@ let diff a b = a - b
 let compare = Int.compare
 let ( <= ) (a : t) (b : t) = Stdlib.( <= ) a b
 let ( < ) (a : t) (b : t) = Stdlib.( < ) a b
-let max_time : t = max_int
 
 (* Common validity horizons used by issuers. *)
 let year = 24 * 365

@@ -12,7 +12,6 @@ val diff : t -> t -> int
 val compare : t -> t -> int
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
-val max_time : t
 
 val year : int
 (** Common validity horizons used by issuers, in ticks. *)

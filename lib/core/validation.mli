@@ -19,7 +19,6 @@ type failure =
   | Bad_max_length of { len : int; max_len : int }
   | Malformed of string
 
-val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string
 
 (** The relying party's issue taxonomy — every reportable sync problem as a

@@ -88,5 +88,3 @@ let to_string t =
   if t.max_len = V4.Prefix.len t.prefix then
     Printf.sprintf "(%s, AS%d)" (V4.Prefix.to_string t.prefix) t.asn
   else Printf.sprintf "(%s-%d, AS%d)" (V4.Prefix.to_string t.prefix) t.max_len t.asn
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

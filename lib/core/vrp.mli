@@ -57,4 +57,3 @@ val fingerprint : t list -> int64
     cryptographic — a guard against plumbing bugs, not adversaries. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

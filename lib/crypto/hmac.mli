@@ -1,8 +1,5 @@
 (** HMAC-SHA256 (RFC 2104 / FIPS 198-1), vector-tested against RFC 4231. *)
 
-val block_size : int
-(** The SHA-256 block size (64 bytes). *)
-
 val sha256 : key:string -> string -> string
 (** [sha256 ~key msg] is the 32-byte MAC. Long keys are pre-hashed. *)
 

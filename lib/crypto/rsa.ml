@@ -123,7 +123,4 @@ let verify ~key ~signature msg =
 
 let key_id pub = pub.id
 
-let pp_public fmt pub =
-  Format.fprintf fmt "rsa-%d:%s" (Nat.num_bits pub.n) (Rpki_util.Hex.abbrev (key_id pub))
-
 let equal_public a b = Nat.equal a.n b.n && Nat.equal a.e b.e

@@ -26,16 +26,13 @@ type keypair = { public : public; private_ : private_ }
 val default_bits : int
 (** 512. *)
 
-val min_bits : int
-(** The smallest modulus that can carry PKCS#1 v1.5 + SHA-256 DigestInfo:
-    496 bits. *)
-
 val modulus_bytes : public -> int
 (** Signature width in bytes. *)
 
 val generate : ?bits:int -> Rpki_util.Rng.t -> keypair
 (** Deterministic keygen from the given RNG; [e = 65537].
-    Raises [Invalid_argument] below {!min_bits}. *)
+    Raises [Invalid_argument] below 496 bits, the smallest modulus that
+    can carry PKCS#1 v1.5 + SHA-256 DigestInfo. *)
 
 val sign : key:private_ -> string -> string
 (** Sign the SHA-256 digest of the message; the result is exactly
@@ -60,7 +57,5 @@ val key_id : public -> string
     the Subject Key Identifier): SHA-256 of ["len:n:len:e"], with [n] and
     [e] as minimal big-endian bytes and each length in decimal.  Reads the
     field {!public} filled in; hashes nothing. *)
-
-val pp_public : Format.formatter -> public -> unit
 
 val equal_public : public -> public -> bool

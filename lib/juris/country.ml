@@ -14,14 +14,6 @@ let rir_to_string = function
   | LACNIC -> "LACNIC"
   | AFRINIC -> "AFRINIC"
 
-let rir_of_string = function
-  | "ARIN" -> Some ARIN
-  | "RIPE" -> Some RIPE
-  | "APNIC" -> Some APNIC
-  | "LACNIC" -> Some LACNIC
-  | "AFRINIC" -> Some AFRINIC
-  | _ -> None
-
 (* country code -> serving RIR *)
 let table =
   [ (* ARIN: North America and parts of the Caribbean *)

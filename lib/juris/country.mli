@@ -7,7 +7,6 @@
 type rir = ARIN | RIPE | APNIC | LACNIC | AFRINIC
 
 val rir_to_string : rir -> string
-val rir_of_string : string -> rir option
 
 val table : (string * rir) list
 (** country code -> serving RIR *)

@@ -36,5 +36,4 @@ type synthetic_spec = {
 }
 
 val default_synthetic : synthetic_spec
-val all_countries : string list
 val synthetic : synthetic_spec -> rc_record list

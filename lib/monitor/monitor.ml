@@ -23,10 +23,7 @@ type decoded_point = {
   crl : Crl.t option;
 }
 
-type snapshot = {
-  taken_at : Rtime.t;
-  points : decoded_point list;
-}
+type snapshot = { points : decoded_point list }
 
 let decode_point (pp : Rpki_repo.Pub_point.t) =
   let certs = ref [] and roas = ref [] and crl = ref None in
@@ -40,8 +37,8 @@ let decode_point (pp : Rpki_repo.Pub_point.t) =
     (Rpki_repo.Pub_point.snapshot pp);
   { uri = (Rpki_repo.Pub_point.uri pp); certs = !certs; roas = !roas; crl = !crl }
 
-let take ~now universe =
-  { taken_at = now; points = List.map decode_point (Rpki_repo.Universe.points universe) }
+let take ~now:_ universe =
+  { points = List.map decode_point (Rpki_repo.Universe.points universe) }
 
 type severity = Info | Warning | Alarm
 

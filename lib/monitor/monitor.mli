@@ -17,15 +17,11 @@ type decoded_point = {
   crl : Crl.t option;
 }
 
-type snapshot = {
-  taken_at : Rtime.t;
-  points : decoded_point list;
-}
-
-val decode_point : Rpki_repo.Pub_point.t -> decoded_point
+type snapshot = { points : decoded_point list }
 
 val take : now:Rtime.t -> Rpki_repo.Universe.t -> snapshot
-(** Snapshot every publication point. *)
+(** Snapshot every publication point.  [now] is not recorded: snapshots
+    are compared by content only. *)
 
 type severity = Info | Warning | Alarm
 
@@ -35,7 +31,6 @@ type alert = {
   what : string;
 }
 
-val severity_to_string : severity -> string
 val pp_alert : Format.formatter -> alert -> unit
 
 val diff : before:snapshot -> after:snapshot -> alert list

@@ -65,6 +65,24 @@ let encode snap =
            (overall_digest ~generation:snap.s_generation ~saved_at:snap.s_saved_at
               body) ])
 
+(* A container's generation, read off its header without decoding the body
+   or checking the digest: the SEQUENCE's tag and length (short or long
+   form), the magic, then the INTEGER.  [None] for anything else. *)
+let generation_of bytes =
+  let magic_tlv = Der.encode (Der.Utf8 magic) in
+  match
+    let len = Char.code bytes.[1] in
+    let at = 2 + if len < 0x80 then 0 else len land 0x7f in
+    let gen_at = at + String.length magic_tlv in
+    if bytes.[0] <> '\x30' || String.sub bytes at (String.length magic_tlv) <> magic_tlv then None
+    else
+      match Der.decode (String.sub bytes gen_at (2 + Char.code bytes.[gen_at + 1])) with
+      | Ok (Der.Integer _ as g) -> Some (Der.to_int_exn g)
+      | _ -> None
+  with
+  | g -> g
+  | exception (Invalid_argument _ | Der.Decode_error _) -> None (* too short, or too wide *)
+
 let decode_record = function
   | Der.Sequence [ Der.Utf8 kind; Der.Octet_string payload; Der.Octet_string sum ]
     ->

@@ -26,12 +26,11 @@ type t = {
   mutable armed : fault option;
   mutable fired : fault list; (* most recent first *)
   mutable writes : int;
-  mutable renames : int;
   mutable bytes_written : int;
 }
 
 let create () =
-  { files = Hashtbl.create 7; armed = None; fired = []; writes = 0; renames = 0;
+  { files = Hashtbl.create 7; armed = None; fired = []; writes = 0;
     bytes_written = 0 }
 
 let inject t fault =
@@ -80,7 +79,6 @@ let write t ~name data =
 let read t ~name = Hashtbl.find_opt t.files name
 
 let rename t ~src ~dst =
-  t.renames <- t.renames + 1;
   match t.armed with
   | Some Drop_rename ->
     (* the crash window: the new bytes exist under the temporary name but the
@@ -103,7 +101,5 @@ let files t =
 let size t ~name =
   match Hashtbl.find_opt t.files name with None -> 0 | Some d -> String.length d
 
-let bytes_used t = Hashtbl.fold (fun _ d acc -> acc + String.length d) t.files 0
 let writes t = t.writes
-let renames t = t.renames
 let bytes_written t = t.bytes_written

@@ -33,7 +33,6 @@ let staging_file t = t.name ^ ".cmp"
 
 let create disk ~name = { disk; name }
 let name t = t.name
-let disk t = t.disk
 
 let marker t =
   match Disk.read t.disk ~name:(gen_file t) with
@@ -140,6 +139,13 @@ let load t =
   | Ok [] -> Error No_snapshot (* unreachable: a chain always has a base *)
   | Error e -> Error e
 
+(* O(1): one file lookup, and at most the base's header. *)
+let sealed t g =
+  Disk.exists t.disk ~name:(seg_file t g)
+  || (match Disk.read t.disk ~name:(snap_file t) with
+     | Some bytes -> Codec.generation_of bytes = Some g
+     | None -> false)
+
 let segment_count t =
   match load_chain t with Ok (_ :: segs) -> List.length segs | _ -> 0
 
@@ -150,7 +156,7 @@ let compact t ~now ~fold =
   | Ok [] -> Error "empty chain"
   | Ok containers ->
     let last = List.nth containers (List.length containers - 1) in
-    let records = fold (List.map (fun (s : Codec.snapshot) -> s.Codec.s_records) containers) in
+    let records = fold containers in
     let gen = last.Codec.s_generation in
     (* compaction re-expresses the same generation: the marker is untouched *)
     let folded =

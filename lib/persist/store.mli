@@ -22,7 +22,6 @@ type t
 
 val create : Disk.t -> name:string -> t
 val name : t -> string
-val disk : t -> Disk.t
 
 val save : t -> now:int -> Codec.record list -> int
 (** Write a full base snapshot and retire any sealed segments; returns its
@@ -53,10 +52,10 @@ val load_chain : t -> (Codec.snapshot list, load_error) result
     for a damaged one). *)
 
 val compact :
-  t -> now:int -> fold:(Codec.record list list -> Codec.record list) ->
+  t -> now:int -> fold:(Codec.snapshot list -> Codec.record list) ->
   (int, string) result
-(** Fold base + segments into one base snapshot.  [fold] receives each
-    container's records, base first, and returns the folded record list.
+(** Fold base + segments into one base snapshot.  [fold] receives the
+    chain, base first, and returns the folded record list.
     [fold] runs before anything is written, so a [fold] that raises leaves
     the store untouched.
     The folded base keeps the chain's newest generation (the marker does
@@ -68,6 +67,12 @@ val compact :
 
 val generation : t -> int
 (** The marker's generation; 0 if never saved. *)
+
+val sealed : t -> int -> bool
+(** Whether the file that sealed generation [g] is on disk: segment [g], or
+    a base of generation [g].  [false] after a dropped rename lost it.
+    O(1): the base's generation is read off its header, unverified; a
+    restore still checks everything. *)
 
 val segment_count : t -> int
 (** Sealed segments beyond the base in the currently loadable chain; 0 when

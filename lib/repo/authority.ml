@@ -36,7 +36,6 @@ let name t = t.name
 let key t = t.key
 let ee_key t = t.ee_key
 let cert t = t.cert
-let parent t = t.parent
 let pub t = t.pub
 let children t = t.children
 let roas t = t.roas
@@ -131,7 +130,7 @@ let create_trust_anchor ~name ~resources ~uri ~addr ~host_asn ~now ~universe
 (* The TAL a relying party needs to start from this trust anchor. *)
 let tal t =
   if t.parent <> None then invalid_arg "Authority.tal: not a trust anchor";
-  (t.name, t.key.Rsa.public, (Pub_point.uri t.pub), cert_filename t.name)
+  (t.key.Rsa.public, Pub_point.uri t.pub, cert_filename t.name)
 
 (* Issue a child CA with its own key, certificate and publication point. *)
 let create_child parent ~name ~resources ~uri ~addr ~host_asn ~now ~universe
@@ -160,11 +159,11 @@ let create_child parent ~name ~resources ~uri ~addr ~host_asn ~now ~universe
   child
 
 (* Issue a ROA; returns the filename it is published under. *)
-let issue_roa t ~asid ~v4_entries ?(v6_entries = []) ~now () =
+let issue_roa t ~asid ~v4_entries ~now () =
   let serial = fresh_serial t in
   let roa =
     Roa.issue ~ca_key:t.key.Rsa.private_ ~ca_subject:t.name ~serial ~rng:t.rng
-      ~ee_key:t.ee_key ~asid ~v4_entries ~v6_entries ~not_before:now
+      ~ee_key:t.ee_key ~asid ~v4_entries ~v6_entries:[] ~not_before:now
       ~not_after:(Rtime.add now t.validity) ~crl_uri:(crl_filename t)
       ~aia_uri:(Pub_point.uri t.pub) ()
   in
@@ -428,11 +427,6 @@ and reissue_child_cert t (child : t) ~now =
 
 let rec iter_descendants t ~f = List.iter (fun c -> f c; iter_descendants c ~f) t.children
 
-let descendants t =
-  let acc = ref [] in
-  iter_descendants t ~f:(fun c -> acc := c :: !acc);
-  List.rev !acc
-
 let rec find_descendant t ~name =
   if t.name = name then Some t
   else List.find_map (fun c -> find_descendant c ~name) t.children
@@ -465,8 +459,3 @@ let all_roas t =
   let acc = ref (List.map (fun (f, r) -> (t, f, r)) t.roas) in
   iter_descendants t ~f:(fun c -> acc := !acc @ List.map (fun (f, r) -> (c, f, r)) c.roas);
   !acc
-
-let pp fmt t =
-  Format.fprintf fmt "%s [%s] (%d children, %d ROAs)" t.name
-    (Resources.to_string t.cert.Cert.resources)
-    (List.length t.children) (List.length t.roas)

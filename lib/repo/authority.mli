@@ -26,7 +26,6 @@ val ee_key : t -> Rsa.keypair
 val cert : t -> Cert.t
 (** The current RC (parent-signed, or self-signed for a trust anchor). *)
 
-val parent : t -> t option
 val pub : t -> Pub_point.t
 val children : t -> t list
 
@@ -36,9 +35,7 @@ val roas : t -> (string * Roa.t) list
 val revoked : t -> int list
 (** Serials on this authority's CRL. *)
 
-val crl_filename : t -> string
 val manifest_filename : t -> string
-val cert_filename : string -> string
 
 val default_validity : int
 val default_refresh : int
@@ -67,8 +64,8 @@ val create_trust_anchor :
   unit ->
   t
 
-val tal : t -> string * Rsa.public * string * string
-(** [(name, public key, repository URI, certificate filename)] — what a
+val tal : t -> Rsa.public * string * string
+(** [(public key, repository URI, certificate filename)] — what a
     relying party needs to start from this trust anchor.  Raises
     [Invalid_argument] on a non-root authority. *)
 
@@ -97,7 +94,6 @@ val issue_roa :
   t ->
   asid:int ->
   v4_entries:Roa.v4_entry list ->
-  ?v6_entries:Roa.v6_entry list ->
   now:Rtime.t ->
   unit ->
   string * Roa.t
@@ -202,10 +198,7 @@ val certify_key :
 (** {2 Traversal} *)
 
 val iter_descendants : t -> f:(t -> unit) -> unit
-val descendants : t -> t list
 val find_descendant : t -> name:string -> t option
 
 val all_roas : t -> (t * string * Roa.t) list
 (** Every ROA currently published by [t] or any descendant. *)
-
-val pp : Format.formatter -> t -> unit

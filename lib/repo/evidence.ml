@@ -96,8 +96,6 @@ let sides = function
   | Gossip.Inconsistent_heads _ | Gossip.Bad_head_signature _ | Gossip.Bad_inclusion _
   | Gossip.Log_reset _ -> None
 
-let exportable alarm = sides alarm <> None
-
 let export ~key_of alarm =
   match sides alarm with
   | None -> Error "only fork and rollback alarms carry portable evidence"

@@ -13,9 +13,6 @@ open Rpki_crypto
 
 val magic : string
 
-val exportable : Gossip.alarm -> bool
-(** Only [Fork] and [Rollback] alarms carry portable evidence. *)
-
 val export :
   key_of:(string -> Rsa.public option) -> Gossip.alarm -> (string, string) result
 (** Encode an alarm as a bundle, embedding each involved vantage's tree-head

@@ -6,7 +6,6 @@
    the inconsistencies a manifest is designed to expose. *)
 
 type applied = {
-  description : string;
   undo : unit -> unit; (* repair the fault (restore the previous bytes) *)
 }
 
@@ -15,25 +14,20 @@ let delete_object (pp : Pub_point.t) ~filename =
   | None -> None
   | Some original ->
     Pub_point.delete pp ~filename;
-    Some
-      { description = Printf.sprintf "deleted %s from %s" filename (Pub_point.uri pp);
-        undo = (fun () -> Pub_point.put pp ~filename original) }
+    Some { undo = (fun () -> Pub_point.put pp ~filename original) }
 
-let corrupt_object (pp : Pub_point.t) ~filename ?(byte_index = 7) () =
+let corrupt_object (pp : Pub_point.t) ~filename () =
   match Pub_point.get pp ~filename with
   | None -> None
   | Some original ->
-    if not (Pub_point.corrupt pp ~filename ~byte_index) then None
+    if not (Pub_point.corrupt pp ~filename ~byte_index:7) then None
     else
-      Some
-        { description = Printf.sprintf "corrupted %s at %s" filename (Pub_point.uri pp);
-          undo = (fun () -> Pub_point.put pp ~filename original) }
+      Some { undo = (fun () -> Pub_point.put pp ~filename original) }
 
 (* Replace every file with garbage: total repository loss. *)
 let wipe (pp : Pub_point.t) =
   let originals = Pub_point.files pp in
   List.iter (fun (filename, _) -> Pub_point.delete pp ~filename) originals;
-  { description = Printf.sprintf "wiped %s" (Pub_point.uri pp);
-    undo = (fun () -> List.iter (fun (filename, bytes) -> Pub_point.put pp ~filename bytes) originals) }
+  { undo = (fun () -> List.iter (fun (filename, bytes) -> Pub_point.put pp ~filename bytes) originals) }
 
 let repair (a : applied) = a.undo ()

@@ -6,7 +6,6 @@
     manifest — leaving the inconsistencies a manifest exists to expose. *)
 
 type applied = {
-  description : string;
   undo : unit -> unit; (** repair the fault (restore the previous bytes) *)
 }
 
@@ -14,8 +13,8 @@ val delete_object : Pub_point.t -> filename:string -> applied option
 (** [None] when the file does not exist. *)
 
 val corrupt_object :
-  Pub_point.t -> filename:string -> ?byte_index:int -> unit -> applied option
-(** Flip one byte. *)
+  Pub_point.t -> filename:string -> unit -> applied option
+(** Flip the object's eighth byte. *)
 
 val wipe : Pub_point.t -> applied
 (** Remove every file: total repository loss. *)

@@ -55,11 +55,6 @@ let to_string = function
   | Connect_timeout -> "connect-timeout"
   | Cross_origin_redirect -> "cross-origin-redirect"
 
-let is_transport = function
-  | Dns_failure | Connect_refused | Connect_timeout | Cross_origin_redirect -> true
-  | Expired_crl | Missing_manifest | Seqnum_gap | Expired_cert | Not_yet_valid_cert
-  | Rfc3779_violation | Manifest_regression -> false
-
 let expected_frequency c =
   match List.assoc_opt c weights with
   | Some w -> float_of_int w /. float_of_int total_weight

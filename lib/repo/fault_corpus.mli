@@ -29,10 +29,6 @@ val total_weight : int
 
 val to_string : category -> string
 
-val is_transport : category -> bool
-(** Whether the category manifests as a transport fault (set on the fetch
-    path) rather than misbehavior in the authority's published objects. *)
-
 val expected_frequency : category -> float
 (** The category's weight as a fraction of {!total_weight} — what a large
     sample's empirical frequency converges to. *)

@@ -22,17 +22,13 @@ open Rpki_core
 module Rng = Rpki_util.Rng
 
 type active = {
-  af_category : Fault_corpus.category;
   af_authority : string;
   af_at : Rtime.t;
   af_repair : now:Rtime.t -> unit;
-  af_description : string;
 }
 
 type injection = {
   inj_category : Fault_corpus.category;
-  inj_authority : string;
-  inj_at : Rtime.t;
   inj_description : string;
 }
 
@@ -51,7 +47,6 @@ let create ~seed ~rate ?(repair_after = 4) () =
   { rng = Rng.create seed; rate; repair_after; active = []; injected = 0; repaired = 0;
     counts = Hashtbl.create 16 }
 
-let rate t = t.rate
 let active t = t.active
 let injected t = t.injected
 let repaired t = t.repaired
@@ -182,10 +177,7 @@ let tick t ~targets ~transports ~now =
             Hashtbl.replace t.counts category
               (1 + Option.value (Hashtbl.find_opt t.counts category) ~default:0);
             t.active <-
-              { af_category = category; af_authority = name; af_at = now;
-                af_repair = repair; af_description = description }
+              { af_authority = name; af_at = now; af_repair = repair }
               :: t.active;
-            Some
-              { inj_category = category; inj_authority = name; inj_at = now;
-                inj_description = description })
+            Some { inj_category = category; inj_description = description })
       targets

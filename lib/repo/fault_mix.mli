@@ -18,17 +18,13 @@
 open Rpki_core
 
 type active = {
-  af_category : Fault_corpus.category;
   af_authority : string;
   af_at : Rtime.t;                (** when it was injected *)
   af_repair : now:Rtime.t -> unit;
-  af_description : string;
 }
 
 type injection = {
   inj_category : Fault_corpus.category;
-  inj_authority : string;
-  inj_at : Rtime.t;
   inj_description : string;
 }
 
@@ -47,7 +43,6 @@ val tick :
     (a dead server is dead for all clients).  Returns this tick's fresh
     injections. *)
 
-val rate : t -> float
 val active : t -> active list
 (** Currently live (unrepaired) faults. *)
 

@@ -251,7 +251,6 @@ type exchange = {
   ex_from : string;
   ex_to : string;
   ex_outcome : [ `Ok of int | `Stalled | `Unroutable ];
-  ex_elapsed : int;
   ex_proof_bytes : int;
 }
 
@@ -260,10 +259,8 @@ type round_report = {
   r_exchanges : exchange list;
   r_alarms : alarm list;
   r_proof_bytes : int;
-  r_elapsed : int;
   r_pulls : int;
   r_skipped : int;
-  r_sths_signed : int;
   r_verifies : int;
   r_verifies_saved : int;
   r_proofs_built : int;
@@ -279,7 +276,6 @@ type server = {
 
 type t = {
   vantages : vantage list;
-  timeout : int;
   overlay : Overlay.spec;
   overlay_seed : int;
   servers : (string, server) Hashtbl.t;
@@ -293,7 +289,7 @@ type t = {
   reported : (string, unit) Hashtbl.t; (* dedup keys for raised alarms *)
 }
 
-let create ?(timeout = 32) ?(overlay = Overlay.Full_mesh)
+let create ?(overlay = Overlay.Full_mesh)
     ?(overlay_seed = Overlay.default_seed) vantages =
   (match vantages with
   | [] -> invalid_arg "Gossip.create: no vantages"
@@ -311,7 +307,7 @@ let create ?(timeout = 32) ?(overlay = Overlay.Full_mesh)
       [] vantages
   in
   ignore (Rpki_util.Par.map Relying_party.transparency_key (Array.of_list rps));
-  { vantages; timeout; overlay; overlay_seed; servers = Hashtbl.create 4;
+  { vantages; overlay; overlay_seed; servers = Hashtbl.create 4;
     last_seen = Hashtbl.create 16; best_serial = Hashtbl.create 32;
     alarm_log = []; reported = Hashtbl.create 16 }
 
@@ -392,7 +388,6 @@ type round_ctx = {
   rc_heads : (string, bool) Hashtbl.t;
   rc_proofs : (string, Merkle.proof) Hashtbl.t;
   rc_verdicts : Merkle.Verdicts.t;
-  mutable rc_sths_signed : int;
   mutable rc_verifies : int;
   mutable rc_verifies_saved : int;
   mutable rc_proofs_built : int;
@@ -401,7 +396,7 @@ type round_ctx = {
 
 let new_round_ctx () =
   { rc_sths = ref []; rc_heads = Hashtbl.create 64; rc_proofs = Hashtbl.create 256;
-    rc_verdicts = Merkle.Verdicts.create (); rc_sths_signed = 0; rc_verifies = 0;
+    rc_verdicts = Merkle.Verdicts.create (); rc_verifies = 0;
     rc_verifies_saved = 0; rc_proofs_built = 0; rc_proofs_reused = 0 }
 
 let sth_once ctx ~now rp =
@@ -410,7 +405,6 @@ let sth_once ctx ~now rp =
   | None ->
     let sth = Relying_party.signed_tree_head rp ~now in
     ctx.rc_sths := (rp, sth) :: !(ctx.rc_sths);
-    ctx.rc_sths_signed <- ctx.rc_sths_signed + 1;
     sth
 
 let verify_head_once ctx ~peer ~key sth =
@@ -447,19 +441,22 @@ let inclusion_once ctx log ~root ~index ~size =
   proof_once ctx ~kind:"i" ~root ~a:index ~b:size (fun () ->
       Log.inclusion_proof log ~index ~size)
 
+(* A pull's time budget, like a fetch-policy point timeout. *)
+let pull_timeout = 32
+
 (* One pull: [receiver] fetches [served]'s head + delta over [peer]'s
    endpoint and verifies it.  [served] is [peer.v_rp] unless a Byzantine
    override chose a different log for this receiver.
    Returns (exchange, new alarms). *)
 let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served =
-  match Transport.probe receiver.v_transport ~point:peer.v_endpoint ~timeout:t.timeout with
-  | `Stalled dt ->
+  match Transport.probe receiver.v_transport ~point:peer.v_endpoint ~timeout:pull_timeout with
+  | `Stalled _ ->
     ({ ex_from = peer.v_name; ex_to = receiver.v_name; ex_outcome = `Stalled;
-       ex_elapsed = dt; ex_proof_bytes = 0 }, [])
-  | `Unroutable dt ->
+       ex_proof_bytes = 0 }, [])
+  | `Unroutable _ ->
     ({ ex_from = peer.v_name; ex_to = receiver.v_name; ex_outcome = `Unroutable;
-       ex_elapsed = dt; ex_proof_bytes = 0 }, [])
-  | `Ok dt ->
+       ex_proof_bytes = 0 }, [])
+  | `Ok _ ->
     let peer_log = Relying_party.transparency_log served in
     let own_log = Relying_party.transparency_log receiver.v_rp in
     let sth = sth_once ctx ~now served in
@@ -611,7 +608,7 @@ let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served =
       end
     end;
     ({ ex_from = peer.v_name; ex_to = receiver.v_name; ex_outcome = `Ok (List.length delta);
-       ex_elapsed = dt; ex_proof_bytes = proof_bytes }, List.rev !alarms)
+       ex_proof_bytes = proof_bytes }, List.rev !alarms)
 
 let round ?(alive = fun _ -> true) t ~now =
   (* Byzantine shadow state syncs first: an equivocator refreshes the view
@@ -652,10 +649,8 @@ let round ?(alive = fun _ -> true) t ~now =
     r_exchanges = exchanges;
     r_alarms = !alarms;
     r_proof_bytes = List.fold_left (fun acc e -> acc + e.ex_proof_bytes) 0 exchanges;
-    r_elapsed = List.fold_left (fun acc e -> acc + e.ex_elapsed) 0 exchanges;
     r_pulls = !pulls;
     r_skipped = !skipped;
-    r_sths_signed = ctx.rc_sths_signed;
     r_verifies = ctx.rc_verifies;
     r_verifies_saved = ctx.rc_verifies_saved;
     r_proofs_built = ctx.rc_proofs_built;

@@ -198,7 +198,6 @@ type exchange = {
   ex_to : string;                           (** the receiver *)
   ex_outcome : [ `Ok of int | `Stalled | `Unroutable ];
       (** [`Ok n]: n observation records transferred *)
-  ex_elapsed : int;                         (** transport ticks spent *)
   ex_proof_bytes : int;                     (** Merkle proof payload moved *)
 }
 
@@ -209,11 +208,9 @@ type round_report = {
   r_proof_bytes : int;       (** total proof payload this round — wire
                                  bytes: proof sharing saves generation
                                  cost, not transfer volume *)
-  r_elapsed : int;           (** total transport time this round *)
   r_pulls : int;             (** pulls executed (overlay edges that ran) *)
   r_skipped : int;           (** overlay edges dropped: a dead endpoint, or
                                  a Byzantine receiver that stays silent *)
-  r_sths_signed : int;       (** tree heads signed — one per served log *)
   r_verifies : int;          (** head-signature verifications executed *)
   r_verifies_saved : int;    (** verifications answered by the round memo *)
   r_proofs_built : int;      (** Merkle proofs generated this round *)
@@ -223,10 +220,9 @@ type round_report = {
 type t
 
 val create :
-  ?timeout:int -> ?overlay:Overlay.spec -> ?overlay_seed:int ->
-  vantage list -> t
-(** A gossip mesh over the given vantages.  [timeout] (default 32) caps
-    each pull, like a fetch-policy point timeout.  [overlay] (default
+  ?overlay:Overlay.spec -> ?overlay_seed:int -> vantage list -> t
+(** A gossip mesh over the given vantages.  Each pull gets 32 time units,
+    like a fetch-policy point timeout.  [overlay] (default
     {!Overlay.spec.Full_mesh}) selects who pulls from whom each round;
     [overlay_seed] (default {!Overlay.default_seed}) fixes the shuffle. *)
 

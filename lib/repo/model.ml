@@ -33,7 +33,6 @@ type t = {
   continental : Authority.t;
   (* ROA publication filenames, keyed for the experiments *)
   roa_sprint_1 : string; (* (63.161.0.0/16-24, AS 1239) *)
-  roa_sprint_2 : string; (* (63.168.0.0/16-24, AS 1239) *)
   roa_etb : string;      (* (63.170.0.0/16, AS 19429) *)
   roa_target20 : string; (* (63.174.16.0/20, AS 17054) — whack target 1 *)
   roa_target22 : string; (* (63.174.16.0/22, AS 7341)  — whack target 2 *)
@@ -57,14 +56,14 @@ let continental_repo_addr = V4.addr_of_string_exn "63.174.23.0"
 
 let as_arin_host = 3856 (* ARIN's own network *)
 
-let build ?(now = Rtime.epoch) ?(key_bits = Rpki_crypto.Rsa.default_bits)
-    ?(validity = Authority.default_validity) ?(refresh_interval = Authority.default_refresh) () =
+let build ?(validity = Authority.default_validity) ?(refresh_interval = Authority.default_refresh) () =
+  let now = Rtime.epoch in
   let universe = Universe.create () in
   (* children inherit validity / refresh_interval from their parent *)
   let arin =
     Authority.create_trust_anchor ~name:"ARIN" ~resources:(Resources.of_v4_strings [ "63.0.0.0/8" ])
       ~uri:"rsync://rpki.arin.net/repo" ~addr:arin_repo_addr ~host_asn:as_arin_host ~now ~universe
-      ~key_bits ~validity ~refresh_interval ()
+      ~validity ~refresh_interval ()
   in
   let sprint =
     Authority.create_child arin ~name:"Sprint"
@@ -87,7 +86,8 @@ let build ?(now = Rtime.epoch) ?(key_bits = Rpki_crypto.Rsa.default_bits)
     Authority.issue_simple_roa sprint ~asid:as_sprint ~prefix:(V4.p "63.161.0.0/16") ~max_len:24
       ~now ()
   in
-  let roa_sprint_2, _ =
+  (* (63.168.0.0/16-24, AS 1239) *)
+  let _ =
     Authority.issue_simple_roa sprint ~asid:as_sprint ~prefix:(V4.p "63.168.0.0/16") ~max_len:24
       ~now ()
   in
@@ -114,7 +114,7 @@ let build ?(now = Rtime.epoch) ?(key_bits = Rpki_crypto.Rsa.default_bits)
     Authority.issue_simple_roa continental ~asid:as_continental ~prefix:(V4.p "63.174.28.0/24")
       ~now ()
   in
-  { universe; arin; sprint; etb; continental; roa_sprint_1; roa_sprint_2; roa_etb; roa_target20;
+  { universe; arin; sprint; etb; continental; roa_sprint_1; roa_etb; roa_target20;
     roa_target22; roa_cb_25; roa_cb_26; roa_cb_28 }
 
 (* The new large-prefix ROA of Figure 5 (right) / Side Effect 5. *)
@@ -125,9 +125,9 @@ let add_fig5_right_roa t ~now =
        ~now ())
 
 (* A relying party configured with ARIN as its single trust anchor. *)
-let relying_party ?(name = "rp0") ?(asn = 7018) ?use_stale ?grace ?log_epoch t =
+let relying_party ?(name = "rp0") ?(asn = 7018) ?use_stale ?grace t =
   Relying_party.create ~name ~asn ~tals:[ Relying_party.tal_of_authority t.arin ] ?use_stale
-    ?grace ?log_epoch ()
+    ?grace ()
 
 (* Print the hierarchy — the textual rendering of Figure 2. *)
 let render t =

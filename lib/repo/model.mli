@@ -13,7 +13,6 @@ type t = {
   etb : Authority.t;           (** RC 63.170.0.0/16 *)
   continental : Authority.t;   (** RC 63.174.16.0/20, repo at 63.174.23.0 *)
   roa_sprint_1 : string;       (** (63.161.0.0/16-24, AS 1239) *)
-  roa_sprint_2 : string;       (** (63.168.0.0/16-24, AS 1239) *)
   roa_etb : string;            (** (63.170.0.0/16, AS 19429) *)
   roa_target20 : string;       (** (63.174.16.0/20, AS 17054) — whack target 1 *)
   roa_target22 : string;       (** (63.174.16.0/22, AS 7341) — whack target 2 *)
@@ -25,19 +24,16 @@ type t = {
 val as_sprint : int
 val as_etb : int
 val as_continental : int
-val as_customer7341 : int
 val as_arin_host : int
 
-val arin_repo_addr : Rpki_ip.Addr.V4.t
 val sprint_repo_addr : Rpki_ip.Addr.V4.t
-val etb_repo_addr : Rpki_ip.Addr.V4.t
 
 val continental_repo_addr : Rpki_ip.Addr.V4.t
 (** The paper's 63.174.23.0 — inside Continental's own certified space,
     which is what makes Section 6 circular. *)
 
 val build :
-  ?now:Rtime.t -> ?key_bits:int -> ?validity:int -> ?refresh_interval:int -> unit -> t
+  ?validity:int -> ?refresh_interval:int -> unit -> t
 (** Construct the full hierarchy with real keys and publication points.
     [validity] / [refresh_interval] (defaults
     {!Authority.default_validity} / {!Authority.default_refresh}) apply to
@@ -49,12 +45,9 @@ val add_fig5_right_roa : t -> now:Rtime.t -> string
     (right) / Side Effect 5 trigger.  Returns its filename. *)
 
 val relying_party :
-  ?name:string -> ?asn:int -> ?use_stale:bool -> ?grace:int -> ?log_epoch:int ->
+  ?name:string -> ?asn:int -> ?use_stale:bool -> ?grace:int ->
   t -> Relying_party.t
-(** A relying party configured with ARIN as its single trust anchor.
-    [log_epoch] seeds the transparency-log incarnation counter (see
-    {!Relying_party.create}) — restart machinery bumps it when a snapshot
-    cannot be restored. *)
+(** A relying party configured with ARIN as its single trust anchor. *)
 
 val render : t -> string
 (** The hierarchy as indented text — Figure 2 in ASCII. *)

@@ -82,9 +82,3 @@ let corrupt t ~filename ~byte_index =
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
     put t ~filename (Bytes.to_string b);
     true
-
-let pp fmt t =
-  Format.fprintf fmt "%s (@%s, AS%d): %s" t.uri
-    (Rpki_ip.Addr.V4.to_string t.addr)
-    t.host_asn
-    (String.concat ", " (filenames t))

@@ -52,5 +52,3 @@ val fingerprint_of_listing : (string * string) list -> string
 val corrupt : t -> filename:string -> byte_index:int -> bool
 (** Flip one byte of a stored file (the transient corruption of Section 6);
     [false] when the file does not exist. *)
-
-val pp : Format.formatter -> t -> unit

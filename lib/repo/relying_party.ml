@@ -31,15 +31,14 @@
 open Rpki_core
 
 type tal = {
-  ta_name : string;
   ta_key : Rpki_crypto.Rsa.public;
   ta_uri : string;
   ta_cert_filename : string;
 }
 
 let tal_of_authority a =
-  let ta_name, ta_key, ta_uri, ta_cert_filename = Authority.tal a in
-  { ta_name; ta_key; ta_uri; ta_cert_filename }
+  let ta_key, ta_uri, ta_cert_filename = Authority.tal a in
+  { ta_key; ta_uri; ta_cert_filename }
 
 type fetch_status =
   | Fetched                 (* live copy obtained *)
@@ -192,13 +191,15 @@ type cached_point = {
   cp_at : Rtime.t; (* when this copy was last confirmed fresh *)
 }
 
-(* Where incremental persistence left off against one store: how many log
-   observations the chain already holds, the head they were sealed under —
-   the checkpoint the next segment's consistency proof starts from — and
-   the VRP set the chain restores to, which the next segment's VRP diff is
-   taken against.  Keyed by store name so one vantage can save to several
-   stores. *)
+(* Where incremental persistence left off against one store: the
+   generation the last save sealed (the next segment goes on top of it only
+   while its file is on disk), how many log observations the chain already
+   holds, the head they were sealed under — the checkpoint the next
+   segment's consistency proof starts from — and the VRP set the chain
+   restores to, which the next segment's VRP diff is taken against.  Keyed
+   by store name so one vantage can save to several stores. *)
 type persist_mark = {
+  pm_generation : int;
   pm_obs : int;
   pm_head : Rpki_transparency.Log.head;
   pm_vrps : Vrp.t list;
@@ -207,7 +208,6 @@ type persist_mark = {
 (* One state a publication point served this vantage, as this vantage
    validated it — the rollback layer's unit of "proven-honest state". *)
 type point_state = {
-  ps_at : Rtime.t;
   ps_vrp_hash : string;  (* vrp_set_hash of ps_vrps: the content address
                             gossip evidence carries *)
   ps_vrps : Vrp.t list;
@@ -284,8 +284,6 @@ let name t = t.name
 let asn t = t.asn
 let vrps t = t.effective_vrps
 let last_result t = t.last_result
-let cached_points t =
-  List.sort String.compare (Hashtbl.fold (fun uri _ acc -> uri :: acc) t.cache [])
 
 let transparency_log t = t.tlog
 let log_epoch t = t.log_epoch
@@ -374,13 +372,13 @@ let history_depth = 8
 (* Record the state [uri] served this sync.  A re-observed hash moves to the
    front (it *is* the newest state again); depth is bounded so long runs
    keep O(points) history, not O(history). *)
-let note_point_state t ~uri ~at ~vrp_hash vrps =
+let note_point_state t ~uri ~vrp_hash vrps =
   let prior = Option.value (Hashtbl.find_opt t.point_history uri) ~default:[] in
   let prior = List.filter (fun ps -> not (String.equal ps.ps_vrp_hash vrp_hash)) prior in
   (* canonical (sorted, deduplicated) form, same as {!point_vrps}, so a
      rolled-back last-good is indistinguishable from a freshly validated one *)
   let entry =
-    { ps_at = at; ps_vrp_hash = vrp_hash; ps_vrps = List.sort_uniq Vrp.compare vrps }
+    { ps_vrp_hash = vrp_hash; ps_vrps = List.sort_uniq Vrp.compare vrps }
   in
   Hashtbl.replace t.point_history uri
     (List.filteri (fun i _ -> i < history_depth) (entry :: prior))
@@ -722,7 +720,7 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
                 :: !regressions
             | _ -> ())
           | `Unchanged -> ());
-          note_point_state t ~uri ~at:now
+          note_point_state t ~uri
             ~vrp_hash:ob.Rpki_transparency.Log.ob_vrp_hash entry.Valcache.o_vrps;
           List.iter process_ca entry.Valcache.o_children)
     end
@@ -867,7 +865,6 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
       o_snap_fp = snap_fp;
       o_at = now;
       o_boundaries = !boundaries;
-      o_subject = ca_cert.Cert.subject;
       o_vrps = !local_vrps;
       o_vrp_hash = vrp_set_hash !local_vrps;
       o_issues = List.rev !local_issues;
@@ -1144,37 +1141,179 @@ let decode_checkpoint payload =
     | None -> raise (Restore_error "malformed checkpoint head"))
   | _ -> raise (Restore_error "malformed checkpoint record")
 
-(* Every container — full base or sealed segment — carries the bounded
-   state records: identity, current signed head and gossip-verified peer
-   heads.  Restore takes the newest.  The observation list is
-   history-sized and the VRP set is sized by the world, so the segmented
-   path writes only what changed since the store's mark: the observations
-   appended since, and the VRP set as a diff. *)
-let bounded_records t ~now ~rtr_serial =
-  let meta =
-    Der.encode
-      (Der.Sequence
-         [ Der.Utf8 t.name; Der.int_ t.asn; Der.int_ t.log_epoch; Der.int_ rtr_serial ])
+(* What a chain persists, decoded: the newest container's identity
+   ([meta]), signed head and peer heads, the log its observations replay
+   into, and the VRP set the chain restores to.  A full save writes one of
+   these as a base, [read_chain] gives one back, and compaction writes back
+   what it read. *)
+type persisted = {
+  p_name : string;
+  p_asn : int;
+  p_epoch : int;
+  p_rtr_serial : int;
+  p_sth : Tlog.signed_head;
+  p_log : Tlog.t;
+  p_peers : (string * Tlog.head) list; (* in [peer_heads] order *)
+  p_vrps : Vrp.t list;
+}
+
+(* The bounded records every container carries: identity, the current
+   signed head and the gossip-verified peer heads.  The decoders accept
+   only canonical encodings, so a record read and written again keeps its
+   bytes. *)
+let meta_record p =
+  record "meta"
+    (Der.encode
+       (Der.Sequence
+          [ Der.Utf8 p.p_name; Der.int_ p.p_asn; Der.int_ p.p_epoch; Der.int_ p.p_rtr_serial ]))
+
+let sth_record (sh : Tlog.signed_head) =
+  record "sth"
+    (Der.encode
+       (Der.Sequence
+          [ Der.Octet_string (Tlog.encode_head sh.Tlog.sh_head); Der.Octet_string sh.Tlog.sh_sig ]))
+
+let peer_records p =
+  List.rev_map
+    (fun (peer, h) ->
+      record "peer"
+        (Der.encode (Der.Sequence [ Der.Utf8 peer; Der.Octet_string (Tlog.encode_head h) ])))
+    p.p_peers
+
+let obs_record o = record "obs" (Tlog.encode_observation o)
+
+(* The one writer of a base, for a full save and for compaction: every
+   observation in order, the full VRP set and no checkpoint (a base has no
+   predecessor). *)
+let base_records p =
+  (meta_record p :: sth_record p.p_sth :: List.map obs_record (Tlog.observations p.p_log))
+  @ peer_records p @ [ vrps_record p.p_vrps ]
+
+(* The one reader of a chain, base first: every check that needs no
+   vantage.  Observations accumulate across containers (each segment holds
+   only its delta); meta, signed head and peer heads are rewritten whole
+   on every save, so the newest container wins; the VRP set is the base's
+   with each segment's diff applied ({!chain_vrps}).  Each segment must
+   carry a checkpoint naming the previous container's head byte-for-byte
+   and a consistency proof from it to the segment's own head, and the
+   observations must replay into exactly the newest head's log id, size
+   and Merkle root: the chain is one append-only history or it is refused.
+   Raises [Restore_error] (or a decoder's exception); {!restore} adds the
+   two checks bound to the vantage, its name and its key. *)
+let read_chain (containers : Codec.snapshot list) =
+  let bad = restore_error in
+  let meta = ref None in
+  let sth = ref None in
+  let obs = ref [] in
+  let peers = ref [] in
+  let prev_head = ref None in
+  List.iter
+    (fun (snap : Codec.snapshot) ->
+      let g = snap.Codec.s_generation in
+      let c_meta = ref None in
+      let c_sth = ref None in
+      let c_ckpt = ref None in
+      let c_peers = ref [] in
+      (* one meta, signed head and checkpoint per container: a second one
+         would make "the newest" ambiguous *)
+      let once kind cell v =
+        if Option.is_some !cell then bad "container %d carries two %s records" g kind;
+        cell := Some v
+      in
+      List.iter
+        (fun (r : Codec.record) ->
+          let payload = r.Codec.r_payload in
+          match r.Codec.r_kind with
+          | "meta" -> (
+            match Der.decode payload with
+            | Ok
+                (Der.Sequence
+                  [ Der.Utf8 n; (Der.Integer _ as a); (Der.Integer _ as e);
+                    (Der.Integer _ as s) ]) ->
+              once "meta" c_meta (n, Der.to_int_exn a, Der.to_int_exn e, Der.to_int_exn s)
+            | _ -> bad "malformed meta record")
+          | "sth" -> (
+            match Der.decode payload with
+            | Ok (Der.Sequence [ Der.Octet_string head; Der.Octet_string signature ]) -> (
+              match Tlog.decode_head head with
+              | Some h -> once "sth" c_sth { Tlog.sh_head = h; sh_sig = signature }
+              | None -> bad "malformed persisted tree head")
+            | _ -> bad "malformed sth record")
+          | "ckpt" -> once "ckpt" c_ckpt (decode_checkpoint payload)
+          | "obs" -> (
+            match Tlog.decode_observation payload with
+            | Some o -> obs := o :: !obs
+            | None -> bad "malformed observation record")
+          | "peer" -> (
+            match Der.decode payload with
+            | Ok (Der.Sequence [ Der.Utf8 peer; Der.Octet_string head ]) -> (
+              match Tlog.decode_head head with
+              | Some h -> c_peers := (peer, h) :: !c_peers
+              | None -> bad "malformed peer head for %s" peer)
+            | _ -> bad "malformed peer record")
+          | "vrps" | "vrps-diff" -> () (* read by [chain_vrps] below *)
+          | other -> bad "unknown record kind %S" other)
+        snap.Codec.s_records;
+      let c_sth =
+        match !c_sth with
+        | Some s -> s
+        | None -> bad "container %d missing its signed tree head" g
+      in
+      (match (!prev_head, !c_ckpt) with
+      | None, None -> () (* the base container: no predecessor to prove *)
+      | None, Some _ -> bad "base container carries a checkpoint"
+      | Some _, None -> bad "segment %d missing its checkpoint" g
+      | Some prev, Some (ckpt_head, proof) ->
+        if not (String.equal (Tlog.encode_head ckpt_head) (Tlog.encode_head prev)) then
+          bad "segment %d checkpoint does not name the previous head" g;
+        if
+          not
+            (Tlog.verify_head_consistency ~old_head:ckpt_head
+               ~new_head:c_sth.Tlog.sh_head proof)
+        then bad "segment %d consistency proof fails" g);
+      prev_head := Some c_sth.Tlog.sh_head;
+      sth := Some c_sth;
+      (match !c_meta with
+      | Some m -> meta := Some m
+      | None -> bad "container %d missing its meta record" g);
+      peers := !c_peers)
+    containers;
+  let vrps = chain_vrps (List.map (fun (s : Codec.snapshot) -> s.Codec.s_records) containers) in
+  let name, asn, epoch, rtr_serial =
+    match !meta with Some m -> m | None -> bad "missing meta record"
   in
-  let sh = signed_tree_head t ~now in
-  let sth =
-    Der.encode
-      (Der.Sequence
-         [ Der.Octet_string (Tlog.encode_head sh.Tlog.sh_head);
-           Der.Octet_string sh.Tlog.sh_sig ])
-  in
-  let peers =
-    List.rev_map
-      (fun (peer, h) ->
-        record "peer"
-          (Der.encode
-             (Der.Sequence [ Der.Utf8 peer; Der.Octet_string (Tlog.encode_head h) ])))
-      t.peer_heads
-  in
-  (record "meta" meta, record "sth" sth, peers, sh.Tlog.sh_head)
+  let sth = match !sth with Some s -> s | None -> bad "missing signed tree head" in
+  let log = Tlog.create ~log_id:(log_id_for ~name ~epoch) in
+  List.iter
+    (fun o ->
+      match Tlog.append log o with
+      | `Appended _ -> ()
+      | `Unchanged -> bad "replay produced a duplicate observation")
+    (List.rev !obs);
+  let h = sth.Tlog.sh_head in
+  if not (String.equal h.Tlog.h_log_id (Tlog.log_id log)) then
+    bad "persisted head names log %S, expected %S" h.Tlog.h_log_id (Tlog.log_id log);
+  if h.Tlog.h_size <> Tlog.size log then
+    bad "persisted head size %d, rehydrated log has %d" h.Tlog.h_size (Tlog.size log);
+  let rebuilt = Tlog.head log ~at:h.Tlog.h_at in
+  if not (String.equal rebuilt.Tlog.h_root h.Tlog.h_root) then
+    bad "Merkle root mismatch between persisted head and rehydrated log";
+  { p_name = name; p_asn = asn; p_epoch = epoch; p_rtr_serial = rtr_serial; p_sth = sth;
+    p_log = log; p_peers = !peers; p_vrps = vrps }
+
+(* [f] with the reader's failures as [Error]: a chain that does not hold
+   together is an answer, never an exception. *)
+let reading f =
+  match f () with
+  | x -> Ok x
+  | exception (Restore_error why | Der.Decode_error why | Invalid_argument why) -> Error why
 
 let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
-  let meta, sth, peers, head = bounded_records t ~now ~rtr_serial in
+  let p =
+    { p_name = t.name; p_asn = t.asn; p_epoch = t.log_epoch; p_rtr_serial = rtr_serial;
+      p_sth = signed_tree_head t ~now; p_log = t.tlog; p_peers = t.peer_heads;
+      p_vrps = t.effective_vrps }
+  in
   let size = Tlog.size t.tlog in
   let key = Rpki_persist.Store.name store in
   let mark =
@@ -1183,30 +1322,24 @@ let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
     | `Auto -> (
       match Hashtbl.find_opt t.persist_marks key with
       | Some m
-        when Rpki_persist.Store.generation store > 0
+        when Rpki_persist.Store.sealed store m.pm_generation
              && Rpki_persist.Store.snapshot_bytes store > 0
              && m.pm_obs <= size
              && String.equal m.pm_head.Tlog.h_log_id (Tlog.log_id t.tlog) ->
         Some m
-      | _ -> None (* no usable mark (wiped store, lost base, log reset): full save *))
+      | _ ->
+        None
+        (* no usable mark (wiped store, lost base, the last save's file lost
+           to a dropped rename, log reset): full save *))
   in
   let generation =
     match mark with
-    | None ->
-      let obs =
-        List.map (fun o -> record "obs" (Tlog.encode_observation o)) (Tlog.observations t.tlog)
-      in
-      Rpki_persist.Store.save store ~now
-        ((meta :: sth :: obs) @ peers @ [ vrps_record t.effective_vrps ])
+    | None -> Rpki_persist.Store.save store ~now (base_records p)
     | Some m ->
       (* O(delta): only the observations appended since the mark, sealed
          under the checkpoint that ties them to the previous head, and the
          VRP set as a diff against the one the chain already restores to *)
-      let fresh =
-        List.map
-          (fun (_, o) -> record "obs" (Tlog.encode_observation o))
-          (Tlog.since t.tlog m.pm_obs)
-      in
+      let fresh = List.map (fun (_, o) -> obs_record o) (Tlog.since t.tlog m.pm_obs) in
       let proof =
         if m.pm_obs = 0 then []
         else Tlog.consistency_proof t.tlog ~old_size:m.pm_obs ~size
@@ -1214,35 +1347,26 @@ let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
       let ckpt = record "ckpt" (encode_checkpoint ~prev:m.pm_head ~proof) in
       let diff = Vrp.diff_of ~before:m.pm_vrps ~after:t.effective_vrps in
       let vrps = if Vrp.diff_is_empty diff then [] else [ vrps_diff_record diff ] in
-      Rpki_persist.Store.append store ~now ((meta :: sth :: ckpt :: fresh) @ peers @ vrps)
+      Rpki_persist.Store.append store ~now
+        ((meta_record p :: sth_record p.p_sth :: ckpt :: fresh) @ peer_records p @ vrps)
   in
   Hashtbl.replace t.persist_marks key
-    { pm_obs = size; pm_head = head; pm_vrps = t.effective_vrps };
+    { pm_generation = generation; pm_obs = size; pm_head = p.p_sth.Tlog.sh_head;
+      pm_vrps = t.effective_vrps };
   generation
 
-(* Fold a segmented chain back into one full-shaped base container: every
-   observation in order, the newest container's meta/sth/peers, the VRP set
-   the chain restores to as one full [vrps] record, no checkpoints (the
-   folded base has no predecessor).  Restore cannot tell a folded base from
-   a full save.  Raises [Restore_error] (or a decoder's exception) on VRP
-   records that do not decode or diffs that do not compose. *)
-let fold_containers containers =
-  let obs = List.concat_map (List.filter (is_kind "obs")) containers in
-  let last = List.nth containers (List.length containers - 1) in
-  let keep kind = List.filter (is_kind kind) last in
-  keep "meta" @ keep "sth" @ obs @ keep "peer" @ [ vrps_record (chain_vrps containers) ]
-
-(* A chain the fold refuses is reported before [Store.compact] writes
+(* A chain the reader refuses is reported before [Store.compact] writes
    anything, so the store is left as it was. *)
 let compact_store store ~now =
-  let exception Unfoldable of string in
+  let exception Unreadable of string in
   let fold containers =
-    try fold_containers containers with
-    | Restore_error why | Der.Decode_error why | Invalid_argument why -> raise (Unfoldable why)
+    match reading (fun () -> read_chain containers) with
+    | Ok p -> base_records p
+    | Error why -> raise (Unreadable why)
   in
   match Rpki_persist.Store.compact store ~now ~fold with
   | result -> result
-  | exception Unfoldable why -> Error ("chain does not fold: " ^ why)
+  | exception Unreadable why -> Error ("chain refused: " ^ why)
 
 let restore t store =
   match Rpki_persist.Store.load_chain store with
@@ -1251,133 +1375,31 @@ let restore t store =
   | Error (Rpki_persist.Store.Stale { snap_generation; marker }) ->
     Recovered_fresh (Snapshot_stale { snap_generation; marker })
   | Ok containers -> (
-    let bad = restore_error in
-    try
-      let meta = ref None in
-      let sth = ref None in
-      let obs = ref [] in
-      let peers = ref [] in
-      (* Walk the chain base-first.  Observations accumulate across
-         containers (each segment holds only its delta); meta, signed head
-         and peer heads are rewritten whole on every save, so the newest
-         container wins; the VRP set is the base's with each segment's diff
-         applied ({!chain_vrps}).  Each segment must carry a checkpoint
-         naming the previous container's head byte-for-byte and a
-         consistency proof from it to the segment's own head — the chain is
-         one append-only history or it is refused. *)
-      let prev_head = ref None in
-      List.iter
-        (fun (snap : Rpki_persist.Codec.snapshot) ->
-          let g = snap.Rpki_persist.Codec.s_generation in
-          let c_meta = ref None in
-          let c_sth = ref None in
-          let c_ckpt = ref None in
-          let c_peers = ref [] in
-          List.iter
-            (fun (r : Rpki_persist.Codec.record) ->
-              let payload = r.Rpki_persist.Codec.r_payload in
-              match r.Rpki_persist.Codec.r_kind with
-              | "meta" -> (
-                match Der.decode payload with
-                | Ok
-                    (Der.Sequence
-                      [ Der.Utf8 n; (Der.Integer _ as a); (Der.Integer _ as e);
-                        (Der.Integer _ as s) ]) ->
-                  c_meta := Some (n, Der.to_int_exn a, Der.to_int_exn e, Der.to_int_exn s)
-                | _ -> bad "malformed meta record")
-              | "sth" -> (
-                match Der.decode payload with
-                | Ok (Der.Sequence [ Der.Octet_string head; Der.Octet_string signature ]) -> (
-                  match Tlog.decode_head head with
-                  | Some h -> c_sth := Some { Tlog.sh_head = h; sh_sig = signature }
-                  | None -> bad "malformed persisted tree head")
-                | _ -> bad "malformed sth record")
-              | "ckpt" -> c_ckpt := Some (decode_checkpoint payload)
-              | "obs" -> (
-                match Tlog.decode_observation payload with
-                | Some o -> obs := o :: !obs
-                | None -> bad "malformed observation record")
-              | "peer" -> (
-                match Der.decode payload with
-                | Ok (Der.Sequence [ Der.Utf8 peer; Der.Octet_string head ]) -> (
-                  match Tlog.decode_head head with
-                  | Some h -> c_peers := (peer, h) :: !c_peers
-                  | None -> bad "malformed peer head for %s" peer)
-                | _ -> bad "malformed peer record")
-              | "vrps" | "vrps-diff" -> () (* read by [chain_vrps] below *)
-              | other -> bad "unknown record kind %S" other)
-            snap.Rpki_persist.Codec.s_records;
-          let c_sth =
-            match !c_sth with
-            | Some s -> s
-            | None -> bad "container %d missing its signed tree head" g
-          in
-          (match (!prev_head, !c_ckpt) with
-          | None, None -> () (* the base container: no predecessor to prove *)
-          | None, Some _ -> bad "base container carries a checkpoint"
-          | Some _, None -> bad "segment %d missing its checkpoint" g
-          | Some prev, Some (ckpt_head, proof) ->
-            if not (String.equal (Tlog.encode_head ckpt_head) (Tlog.encode_head prev)) then
-              bad "segment %d checkpoint does not name the previous head" g;
-            if
-              not
-                (Tlog.verify_head_consistency ~old_head:ckpt_head
-                   ~new_head:c_sth.Tlog.sh_head proof)
-            then bad "segment %d consistency proof fails" g);
-          prev_head := Some c_sth.Tlog.sh_head;
-          sth := Some c_sth;
-          (match !c_meta with
-          | Some m -> meta := Some m
-          | None -> bad "container %d missing its meta record" g);
-          peers := !c_peers)
-        containers;
-      let vrps =
-        chain_vrps (List.map (fun (s : Codec.snapshot) -> s.Codec.s_records) containers)
-      in
-      let name, _asn, epoch, rtr_serial =
-        match !meta with Some m -> m | None -> bad "missing meta record"
-      in
-      if not (String.equal name t.name) then
-        bad "snapshot belongs to vantage %S, not %S" name t.name;
-      let sth = match !sth with Some s -> s | None -> bad "missing signed tree head" in
-      (* Rehydrate the log by replaying the observations in order; the replay
-         must reproduce the persisted head bit-for-bit (same id, size and
-         Merkle root) and the head must verify under this vantage's key.
-         Anything less and we refuse the snapshot wholesale. *)
-      let log = Tlog.create ~log_id:(log_id_for ~name:t.name ~epoch) in
-      List.iter
-        (fun o ->
-          match Tlog.append log o with
-          | `Appended _ -> ()
-          | `Unchanged -> bad "replay produced a duplicate observation")
-        (List.rev !obs);
-      let h = sth.Tlog.sh_head in
-      if not (String.equal h.Tlog.h_log_id (Tlog.log_id log)) then
-        bad "persisted head names log %S, expected %S" h.Tlog.h_log_id (Tlog.log_id log);
-      if h.Tlog.h_size <> Tlog.size log then
-        bad "persisted head size %d, rehydrated log has %d" h.Tlog.h_size (Tlog.size log);
-      let rebuilt = Tlog.head log ~at:h.Tlog.h_at in
-      if not (String.equal rebuilt.Tlog.h_root h.Tlog.h_root) then
-        bad "Merkle root mismatch between persisted head and rehydrated log";
-      if not (Tlog.verify_head ~key:(transparency_key t) sth) then
-        bad "persisted tree head signature does not verify";
-      t.log_epoch <- epoch;
-      t.tlog <- log;
-      t.log_baseline <- Tlog.size log;
-      t.peer_heads <- !peers;
-      t.effective_vrps <- vrps;
-      t.index <- Origin_validation.build vrps;
+    let read () =
+      let p = read_chain containers in
+      if not (String.equal p.p_name t.name) then
+        restore_error "snapshot belongs to vantage %S, not %S" p.p_name t.name;
+      if not (Tlog.verify_head ~key:(transparency_key t) p.p_sth) then
+        restore_error "persisted tree head signature does not verify";
+      p
+    in
+    match reading read with
+    | Error why -> Recovered_fresh (Log_inconsistent why)
+    | Ok p ->
+      let newest = List.nth containers (List.length containers - 1) in
+      t.log_epoch <- p.p_epoch;
+      t.tlog <- p.p_log;
+      t.log_baseline <- Tlog.size p.p_log;
+      t.peer_heads <- p.p_peers;
+      t.effective_vrps <- p.p_vrps;
+      t.index <- Origin_validation.build p.p_vrps;
       (* the verified final head and the restored set double as the next
          save's checkpoint and diff baseline, so the first post-restore save
          appends instead of rewriting history *)
       Hashtbl.replace t.persist_marks (Rpki_persist.Store.name store)
-        { pm_obs = Tlog.size log; pm_head = sth.Tlog.sh_head; pm_vrps = vrps };
-      let newest = List.nth containers (List.length containers - 1) in
+        { pm_generation = newest.Codec.s_generation; pm_obs = Tlog.size p.p_log;
+          pm_head = p.p_sth.Tlog.sh_head; pm_vrps = p.p_vrps };
       Recovered
-        { rc_generation = newest.Rpki_persist.Codec.s_generation;
-          rc_saved_at = newest.Rpki_persist.Codec.s_saved_at;
-          rc_rtr_serial = rtr_serial }
-    with
-    | Restore_error why -> Recovered_fresh (Log_inconsistent why)
-    | Der.Decode_error why -> Recovered_fresh (Log_inconsistent why)
-    | Invalid_argument why -> Recovered_fresh (Log_inconsistent why))
+        { rc_generation = newest.Codec.s_generation;
+          rc_saved_at = newest.Codec.s_saved_at;
+          rc_rtr_serial = p.p_rtr_serial })

@@ -27,7 +27,6 @@
 open Rpki_core
 
 type tal = {
-  ta_name : string;
   ta_key : Rpki_crypto.Rsa.public;
   ta_uri : string;
   ta_cert_filename : string;
@@ -194,9 +193,6 @@ val vrps : t -> Vrp.t list
 val last_result : t -> sync_result option
 (** The most recent {!sync} result, if any. *)
 
-val cached_points : t -> string list
-(** URIs with a locally cached snapshot (stale-cache fallback material). *)
-
 val flush_cache : t -> unit
 (** Drop cached snapshots, RRDP client state, memoized validations and grace
     memory (the manual operator intervention the paper mentions for Side
@@ -217,9 +213,6 @@ val flush_cache : t -> unit
 
 val transparency_log : t -> Rpki_transparency.Log.t
 (** This vantage's observation log (live — do not mutate). *)
-
-val tree_head : t -> now:Rtime.t -> Rpki_transparency.Log.head
-(** The log's current head. *)
 
 val signed_tree_head : t -> now:Rtime.t -> Rpki_transparency.Log.signed_head
 (** The current head under this vantage's signing key (generated
@@ -305,8 +298,10 @@ val save :
     [rtr_serial] (default 0) is the RTR cache serial to persist alongside.
     [`Auto] (the default) appends an O(delta) checkpointed segment when the
     store holds a base and this relying party has a mark for the store's
-    chain, and falls back to a full base snapshot otherwise (first save,
-    wiped store, a base lost to a dropped rename, log reset, epoch bump).
+    chain whose generation is still on disk ({!Rpki_persist.Store.sealed}),
+    and falls back to a full base snapshot otherwise (first save, wiped
+    store, a base or segment lost to a dropped rename, log reset, epoch
+    bump).
     The mark holds the VRP set the chain restores to: a segment carries no
     VRP record when the effective set equals it, and one [vrps-diff]
     record (added, removed) otherwise; only a base carries the full set.
@@ -315,25 +310,31 @@ val save :
 
 val compact_store : Rpki_persist.Store.t -> now:Rtime.t -> (int, string) result
 (** Fold a relying-party store's base + segments into one full base
-    snapshot (all observations in order, newest bounded records, the VRP
-    set the chain restores to — the base's set with every segment's diff
-    applied — and no checkpoints).  Crash-safe: on any detected disk fault
-    the store is left segmented and loadable, and the error says why.  A
-    chain whose VRP records do not decode or whose diffs do not compose
-    (the rules of {!restore}) is [Error] too, before anything is written;
-    it never raises. *)
+    snapshot: exactly the records a [`Full] {!save} of the restored state
+    writes (all observations in order, newest bounded records, the VRP set
+    the chain restores to, no checkpoints).  The chain is read through
+    {!restore}'s own reader, so every check that needs no vantage — each
+    record, checkpoint and consistency proof, the log replay against the
+    newest head, the VRP records — applies, and a chain that fails one is
+    [Error] before anything is written; only the vantage's name and key
+    are left to {!restore}.  Crash-safe: on any detected disk fault the
+    store is left segmented and loadable, and the error says why.  It
+    never raises. *)
 
 val restore : t -> Rpki_persist.Store.t -> recovery
-(** Rehydrate a freshly {!create}d relying party from a snapshot chain.  On
-    success the transparency log (rebuilt from base + segments, each
-    segment's consistency proof re-verified, the whole verified against the
-    newest persisted signed head), peer heads, effective VRP set (with a
-    rebuilt origin-validation index) and log epoch are restored; caches,
-    memos and grace memory start empty.  The VRP set is the base's full set
+(** Rehydrate a freshly {!create}d relying party from a snapshot chain: the
+    chain reader {!compact_store} shares, then the two checks bound to this
+    vantage, that the chain names it and that the newest head verifies
+    under its key.  On success the transparency log (rebuilt from base +
+    segments, each segment's consistency proof re-verified, the whole
+    verified against the newest persisted signed head), peer heads,
+    effective VRP set (with a rebuilt origin-validation index) and log
+    epoch are restored; caches, memos and grace memory start empty.  The VRP set is the base's full set
     with each segment's diff applied in chain order, strictly: the base
     must carry exactly one full set and a segment at most one diff, a diff
-    that removes an absent VRP or adds a present one is refused, and a VRP
-    whose address or origin does not fit 32 bits is refused — each
+    that removes an absent VRP or adds a present one is refused, a VRP
+    whose address or origin does not fit 32 bits is refused, and so is a
+    container with two meta, signed-head or checkpoint records — each
     {!Log_inconsistent}.  The restored set becomes the store's mark, so the
     next save diffs against it.  On failure the relying party is left
     untouched. *)

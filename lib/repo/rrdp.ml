@@ -94,11 +94,8 @@ type client = {
   mutable c_files : (string * string) list;
 }
 
-let create_client ?session ?(serial = 0) ?(files = []) () =
-  { c_session = session; c_serial = serial; c_files = files }
-
-let client_session client = client.c_session
-let client_serial client = client.c_serial
+let create_client ?(serial = 0) ?(files = []) () =
+  { c_session = None; c_serial = serial; c_files = files }
 
 exception Desync of string
 (** A withdraw whose hash does not match is a protocol violation. *)

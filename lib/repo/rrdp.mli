@@ -15,8 +15,6 @@ type delta = {
   withdraws : withdraw_el list;
 }
 
-type notification = { n_session : string; n_serial : int }
-
 type server
 
 val create : ?session_seed:string -> ?history_limit:int -> Pub_point.t -> server
@@ -26,22 +24,14 @@ val create : ?session_seed:string -> ?history_limit:int -> Pub_point.t -> server
 val publish_now : server -> delta option
 (** Version the point's current content; [None] when nothing changed. *)
 
-val notification : server -> notification
-val snapshot : server -> int * (string * string) list
-
-val deltas_since : server -> serial:int -> delta list option
-(** Oldest-first deltas from [serial] to now; [None] when out of window. *)
-
 type client
 (** Opaque client state: (session, serial) plus the mirrored files. *)
 
 val create_client :
-  ?session:string -> ?serial:int -> ?files:(string * string) list -> unit -> client
+  ?serial:int -> ?files:(string * string) list -> unit -> client
 (** A fresh client knows nothing; the optional arguments seed a client at a
-    chosen (session, serial, files) state, e.g. to simulate desync. *)
-
-val client_session : client -> string option
-val client_serial : client -> int
+    chosen (serial, files) state, e.g. to simulate desync.  The session is
+    learnt from the first notification. *)
 
 exception Desync of string
 

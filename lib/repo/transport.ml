@@ -30,16 +30,6 @@ type fault =
   | Timing_out         (* connect timeout: every attempt outlives the budget *)
   | Redirect of string (* cross-origin redirect; RPs refuse to follow *)
 
-let fault_to_string = function
-  | Healthy -> "healthy"
-  | Slow d -> Printf.sprintf "slow(+%d)" d
-  | Stalling k -> Printf.sprintf "stalling(x%d)" k
-  | Unreachable -> "unreachable"
-  | Refused -> "refused"
-  | Dns_failure -> "dns-failure"
-  | Timing_out -> "timing-out"
-  | Redirect origin -> Printf.sprintf "redirect(%s)" origin
-
 type t = {
   mutable latency_of : Pub_point.t -> int option;
   faults : (string, fault) Hashtbl.t;
@@ -76,7 +66,6 @@ let faults t = Hashtbl.fold (fun uri f acc -> (uri, f) :: acc) t.faults []
 let set_view t ~uri listing = Hashtbl.replace t.views uri listing
 let clear_view t ~uri = Hashtbl.remove t.views uri
 let view_of t ~uri = Hashtbl.find_opt t.views uri
-let views t = Hashtbl.fold (fun uri _ acc -> uri :: acc) t.views []
 
 (* One request against [point]: how long until the transfer completes?
    [`Ok dt] within the timeout, [`Stalled timeout] when the transfer would
@@ -123,11 +112,3 @@ let fetch t ~(point : Pub_point.t) ~timeout =
       Served { files; fp = Pub_point.fingerprint_of_listing files; elapsed })
   | `Stalled elapsed -> Stalled { elapsed }
   | `Unroutable elapsed -> Unroutable { elapsed }
-
-let pp fmt t =
-  let fs = faults t in
-  if fs = [] then Format.fprintf fmt "transport: no faults"
-  else
-    Format.fprintf fmt "transport faults: %s"
-      (String.concat ", "
-         (List.map (fun (uri, f) -> Printf.sprintf "%s=%s" uri (fault_to_string f)) fs))

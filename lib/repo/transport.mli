@@ -24,8 +24,6 @@ type fault =
   | Redirect of string (** cross-origin redirect to the given origin; RPs
                            refuse to follow, so the fetch fails fast *)
 
-val fault_to_string : fault -> string
-
 type t
 (** Opaque transport state: latency oracle + per-URI fault table. *)
 
@@ -66,11 +64,6 @@ val set_view : t -> uri:string -> (unit -> (string * string) list) -> unit
 
 val clear_view : t -> uri:string -> unit
 
-val view_of : t -> uri:string -> (unit -> (string * string) list) option
-
-val views : t -> string list
-(** URIs with an installed split view. *)
-
 val probe :
   t -> point:Pub_point.t -> timeout:int ->
   [ `Ok of int | `Stalled of int | `Unroutable of int ]
@@ -87,5 +80,3 @@ type reply =
 
 val fetch : t -> point:Pub_point.t -> timeout:int -> reply
 (** {!probe}, then on success the point's current listing + fingerprint. *)
-
-val pp : Format.formatter -> t -> unit

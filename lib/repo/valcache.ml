@@ -38,7 +38,6 @@ type outcome = {
   o_snap_fp : string;            (* fingerprint of the listing validated *)
   o_at : Rtime.t;                (* when it was validated *)
   o_boundaries : Rtime.t list;   (* every validity boundary consulted *)
-  o_subject : string;
   o_vrps : Vrp.t list;           (* the point's direct VRP contribution *)
   o_vrp_hash : string;           (* canonical digest of [o_vrps] *)
   o_issues : (string option * Validation.issue_kind * string) list;
@@ -251,5 +250,3 @@ let universe_digest universe =
 let begin_tick t ~digest =
   t.digest <- digest;
   t.tick_base <- t.totals
-
-let digest t = t.digest

@@ -39,7 +39,6 @@ type outcome = {
   o_snap_fp : string;       (** fingerprint of the listing validated *)
   o_at : Rtime.t;           (** when it was validated *)
   o_boundaries : Rtime.t list;  (** every validity boundary consulted *)
-  o_subject : string;
   o_vrps : Vrp.t list;      (** the point's direct VRP contribution *)
   o_vrp_hash : string;
       (** the canonical digest of [o_vrps] (sorted, deduplicated), made once
@@ -94,9 +93,6 @@ val begin_tick : t -> digest:string -> unit
     snapshot the statistics baseline {!tick_stats} diffs against.  Memoized
     content is kept — entries are content-addressed, so stale ones can only
     miss. *)
-
-val digest : t -> string
-(** The digest recorded by the last {!begin_tick} ([""] before the first). *)
 
 (** {2 Epoch-based eviction} *)
 

@@ -32,13 +32,8 @@ let protocol_version = 0
 
 (* RFC 6810 error codes *)
 let err_corrupt_data = 0
-let err_internal = 1
 let err_no_data_available = 2
 let err_invalid_request = 3
-let err_unsupported_version = 4
-let err_unsupported_pdu = 5
-let err_unknown_withdrawal = 6
-let err_duplicate_announcement = 7
 
 exception Parse_error of string
 

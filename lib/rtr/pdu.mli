@@ -24,32 +24,21 @@ type t =
   | Cache_reset
   | Error_report of { error_code : int; message : string }
 
-val protocol_version : int
-(** 0, per RFC 6810. *)
-
 (** RFC 6810 section 10 error codes. *)
 
 val err_corrupt_data : int
-val err_internal : int
 val err_no_data_available : int
 val err_invalid_request : int
-val err_unsupported_version : int
-val err_unsupported_pdu : int
-val err_unknown_withdrawal : int
-val err_duplicate_announcement : int
 
 exception Parse_error of string
 
 val encode : t -> string
 
-val decode_at : string -> int -> t * int
-(** Decode one PDU at an offset; returns it and the bytes consumed.  Every
-    type but Error Report must carry exactly its RFC 6810 length, and an
-    Error Report's encapsulated PDU and text must fill it exactly.  Any
-    malformed input raises {!Parse_error} and nothing else. *)
-
 val decode : string -> t
-(** Exactly one PDU; trailing bytes raise {!Parse_error}. *)
+(** Exactly one PDU; trailing bytes raise {!Parse_error}.  Every type but
+    Error Report must carry exactly its RFC 6810 length, and an Error
+    Report's encapsulated PDU and text must fill it exactly.  Any malformed
+    input raises {!Parse_error} and nothing else. *)
 
 val decode_all : string -> t list
 (** A concatenated PDU stream. *)

@@ -28,7 +28,6 @@ type session = {
 }
 
 type stats = {
-  publishes : int;
   serial_bumps : int;
   notify_batches : int;
   coalesced : int;
@@ -53,7 +52,6 @@ type t = {
   mutable bumps_pending : int;      (* serial bumps since the last flush *)
   mutable reset_all : bool;         (* a restore moved the serial line: every
                                        session starts over at the next flush *)
-  mutable publishes : int;
   mutable serial_bumps : int;
   mutable notify_batches : int;
   mutable coalesced : int;
@@ -66,21 +64,17 @@ type t = {
   mutable unsafe_count : int;       (* unsafe VRPs behind the published set *)
 }
 
-let of_cache cache =
-  { cache; sessions = []; buffers = Hashtbl.create 32; snapshot = None;
-    reset_bytes = Pdu.encode Pdu.Cache_reset; dirty = false; bumps_pending = 0;
-    reset_all = false; publishes = 0;
-    serial_bumps = 0; notify_batches = 0; coalesced = 0; encode_calls = 0;
-    bytes_encoded = 0; bytes_sent = 0; bytes_received = 0; replays = 0; resets = 0;
-    unsafe_count = 0 }
-
-let create ?session_id ?history_limit () =
-  of_cache (Session.create_cache ?session_id ?history_limit ())
+let create ?history_limit () =
+  { cache = Session.create_cache ?history_limit (); sessions = []; buffers = Hashtbl.create 32;
+    snapshot = None; reset_bytes = Pdu.encode Pdu.Cache_reset; dirty = false;
+    bumps_pending = 0; reset_all = false; serial_bumps = 0; notify_batches = 0;
+    coalesced = 0; encode_calls = 0; bytes_encoded = 0; bytes_sent = 0;
+    bytes_received = 0; replays = 0; resets = 0; unsafe_count = 0 }
 
 let cache t = t.cache
 
 let stats t =
-  { publishes = t.publishes; serial_bumps = t.serial_bumps;
+  { serial_bumps = t.serial_bumps;
     notify_batches = t.notify_batches; coalesced = t.coalesced;
     encode_calls = t.encode_calls; bytes_encoded = t.bytes_encoded;
     bytes_sent = t.bytes_sent; bytes_received = t.bytes_received;
@@ -105,11 +99,9 @@ let mutating ?(force = false) t f =
   end
 
 let publish t vrps =
-  t.publishes <- t.publishes + 1;
   mutating t (fun () -> Session.publish t.cache vrps)
 
 let publish_diff ?expect_base t diff =
-  t.publishes <- t.publishes + 1;
   mutating t (fun () -> Session.publish_diff ?expect_base t.cache diff)
 
 let set_data_age t age = Session.set_data_age t.cache age
@@ -117,7 +109,6 @@ let set_data_age t age = Session.set_data_age t.cache age
 (* Unsafe-VRP accounting rides next to data age: a pure annotation on the
    published set, no PDU or buffer consequences. *)
 let set_unsafe t n = t.unsafe_count <- n
-let unsafe_count t = t.unsafe_count
 
 let hold t ~prefix ~vrps = mutating t (fun () -> Session.hold t.cache ~prefix ~vrps)
 let release t ~prefix = mutating t (fun () -> Session.release t.cache ~prefix)
@@ -152,8 +143,6 @@ let session_count t = List.length t.sessions
 
 let session_serial s = Session.router_serial s.router
 let session_vrps s = Session.router_vrps s.router
-let session_tx_bytes s = s.tx
-let session_rx_bytes s = s.rx
 let session_resets (s : session) = s.resets
 
 let session_synced t s = s.live && Session.router_in_sync s.router t.cache

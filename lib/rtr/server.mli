@@ -36,14 +36,9 @@ type session
 (** A registered router session: embedded router state machine, byte
     accounting, reset count.  Handles stay valid until {!detach}. *)
 
-val create : ?session_id:int -> ?history_limit:int -> unit -> t
+val create : ?history_limit:int -> unit -> t
 (** A server over a fresh cache (same defaults as
     {!Session.create_cache}). *)
-
-val of_cache : Session.cache -> t
-(** Wrap an existing cache — the migration path for code that built the
-    cache first.  The cache must from then on be mutated only through this
-    server. *)
 
 val cache : t -> Session.cache
 (** The underlying cache: serial, VRPs, holds and data age are read
@@ -66,11 +61,8 @@ val set_data_age : t -> int -> unit
 
 val set_unsafe : t -> int -> unit
 (** Record how many unsafe VRPs sit behind the published set (reported by
-    the relying party's unsafe-VRP analysis).  Pure annotation — routers
-    never see it on the wire, monitoring reads it off the serving plane
-    via {!unsafe_count}. *)
-
-val unsafe_count : t -> int
+    the relying party's unsafe-VRP analysis).  Pure annotation: routers
+    never see it on the wire, and nothing reads it back yet. *)
 
 val hold : t -> prefix:V4.Prefix.t -> vrps:Vrp.t list -> unit
 val release : t -> prefix:V4.Prefix.t -> unit
@@ -101,12 +93,6 @@ val session_synced : t -> session -> bool
     cache's current VRP set ({!Session.router_in_sync}). *)
 
 val session_vrps : session -> Vrp.t list
-
-val session_tx_bytes : session -> int
-(** Query bytes this session has sent. *)
-
-val session_rx_bytes : session -> int
-(** Notify + response bytes it has received. *)
 
 val session_resets : session -> int
 (** Cache Resets it has taken. *)
@@ -146,7 +132,6 @@ val all_synced : t -> bool
 (** {2 Accounting} *)
 
 type stats = {
-  publishes : int;      (** publish/publish_diff calls *)
   serial_bumps : int;   (** how many changed the router-visible state *)
   notify_batches : int; (** flushes that fanned out a notify *)
   coalesced : int;      (** serial bumps absorbed into an already-pending

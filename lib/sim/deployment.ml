@@ -18,7 +18,6 @@ open Rpki_ip
 type customer = { route : Route.t; has_roa : bool }
 
 type provider = {
-  name : string;
   prefix : V4.Prefix.t;
   asn : int;
   customers : customer list;
@@ -48,7 +47,7 @@ let generate (spec : spec) =
               { route = Route.make sub (30000 + (i * 100) + j);
                 has_roa = Rpki_util.Rng.float rng < spec.customer_adoption })
         in
-        { name = Printf.sprintf "P%02d" i; prefix; asn; customers })
+        { prefix; asn; customers })
   in
   { providers }
 
@@ -111,8 +110,10 @@ let run_once spec =
     flips }
 
 (* The Side Effect 5 sweep: flips as a function of customer adoption. *)
-let sweep ?(spec = default_spec) ?(fractions = [ 0.0; 0.25; 0.5; 0.75; 0.9; 1.0 ]) () =
-  List.map (fun f -> run_once { spec with customer_adoption = f }) fractions
+let sweep () =
+  List.map
+    (fun f -> run_once { default_spec with customer_adoption = f })
+    [ 0.0; 0.25; 0.5; 0.75; 0.9; 1.0 ]
 
 (* The ordering ablation: issuing subprefix ROAs first leaves no window of
    invalidity, issuing the covering ROA first opens one (the paper's

@@ -7,20 +7,6 @@
     subprefixes with their own origins, adoption is the fraction of
     customers holding ROAs. *)
 
-open Rpki_core
-open Rpki_ip
-
-type customer = { route : Route.t; has_roa : bool }
-
-type provider = {
-  name : string;
-  prefix : V4.Prefix.t;
-  asn : int;
-  customers : customer list;
-}
-
-type world = { providers : provider list }
-
 type spec = {
   n_providers : int;
   customers_per_provider : int;
@@ -31,14 +17,7 @@ type spec = {
 val default_spec : spec
 (** 50 providers x 25 customers. *)
 
-val generate : spec -> world
-val routes : world -> Route.t list
-val customer_vrps : world -> Vrp.t list
-val provider_vrps : world -> Vrp.t list
-
 type counts = { valid : int; invalid : int; unknown : int }
-
-val count_states : Origin_validation.index -> Route.t list -> counts
 
 type row = {
   adoption : float;
@@ -50,8 +29,9 @@ type row = {
 
 val run_once : spec -> row
 
-val sweep : ?spec:spec -> ?fractions:float list -> unit -> row list
-(** The Side Effect 5 series: flips as a function of customer adoption. *)
+val sweep : unit -> row list
+(** The Side Effect 5 series on {!default_spec}: flips as a function of
+    customer adoption (0, 0.25, 0.5, 0.75, 0.9 and 1). *)
 
 type ordering = Cover_first | Subprefixes_first
 

@@ -69,13 +69,10 @@ let section6 =
 type rig = {
   sim : Loop.t;
   model : Model.t option;
-  world : World.world option;
   root : Authority.t;
   authorities : Authority.t list;
   victim_ca : Authority.t;
   victim_roa : string;
-  victim_prefix : V4.Prefix.t;
-  victim_origin : int;
   monitor_names : string list;
   disk : Rpki_persist.Disk.t option;
   engine : Fault_mix.t option;
@@ -208,19 +205,17 @@ let victim = "victim-rp"
 
 let build spec =
   if spec.monitors < 0 then invalid_arg "Scenario.build: negative monitors";
-  let site, model, world, root, authorities, victim_ca, victim_roa, victim_prefix,
-      victim_origin =
+  let site, model, root, authorities, victim_ca, victim_roa =
     match spec.source with
     | Section6 c ->
       let site, m = canned_site c ~monitors:spec.monitors in
-      ( site, Some m, None, m.Model.arin,
+      ( site, Some m, m.Model.arin,
         [ m.Model.arin; m.Model.sprint; m.Model.etb; m.Model.continental ],
-        m.Model.continental, m.Model.roa_target20, V4.p "63.174.16.0/20",
-        Model.as_continental )
+        m.Model.continental, m.Model.roa_target20 )
     | World w ->
-      ( world_site w ~monitors:spec.monitors ~placement:spec.placement, None, Some w,
+      ( world_site w ~monitors:spec.monitors ~placement:spec.placement, None,
         World.root w, World.root w :: List.map snd (World.cas w), World.victim_ca w,
-        World.victim_roa w, World.prefix_of w (World.victim w), World.victim w )
+        World.victim_roa w )
   in
   let tals = [ Relying_party.tal_of_authority root ] in
   let respawn ~log_epoch =
@@ -255,8 +250,7 @@ let build spec =
       gossip_overlay = spec.overlay; gossip_overlay_seed = spec.overlay_seed;
       persistence = disk; compact_every = spec.compact_every; save_full = spec.save_full;
       keep_history = spec.keep_history };
-  { sim; model; world; root; authorities; victim_ca; victim_roa; victim_prefix;
-    victim_origin; monitor_names = List.map (fun (name, _, _) -> name) site.seats; disk;
+  { sim; model; root; authorities; victim_ca; victim_roa; monitor_names = List.map (fun (name, _, _) -> name) site.seats; disk;
     engine =
       Option.map
         (fun f -> Fault_mix.create ~seed:f.seed ~rate:f.rate ?repair_after:f.repair_after ())

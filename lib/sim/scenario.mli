@@ -99,14 +99,11 @@ val section6 : spec
 type rig = {
   sim : Loop.t;
   model : Model.t option;      (** the Section 6 model, for that source *)
-  world : Rpki_world.Synthesis.world option;  (** the generated world *)
   root : Authority.t;          (** the trust anchor *)
   authorities : Authority.t list;
       (** the root and every CA, in the order the fault mix rolls them *)
   victim_ca : Authority.t;     (** Continental on the Section 6 model *)
   victim_roa : string;         (** its ROA's filename: the fork target *)
-  victim_prefix : Rpki_ip.V4.Prefix.t;  (** the prefix that ROA protects *)
-  victim_origin : int;         (** its legitimate origin AS *)
   monitor_names : string list; (** registered monitor vantages, in order *)
   disk : Rpki_persist.Disk.t option;
       (** with [persist]: the simulated disk, for

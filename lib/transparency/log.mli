@@ -60,9 +60,6 @@ val append : t -> observation -> [ `Appended of int | `Unchanged ]
     state is identical (modulo [ob_at]) — the dedup that keeps delayed
     re-observations from growing or forking the log. *)
 
-val observation : t -> int -> observation
-(** By index.  Raises [Invalid_argument] out of range. *)
-
 val observations : t -> observation list
 (** Oldest first. *)
 

@@ -3,9 +3,6 @@
 val of_string : string -> string
 (** [of_string s] is the lowercase hex rendering of the raw bytes [s]. *)
 
-val digit : char -> int
-(** The value of one hex digit. Raises [Invalid_argument] otherwise. *)
-
 val to_string : string -> string
 (** [to_string h] decodes lowercase or uppercase hex back to raw bytes.
     Raises [Invalid_argument] on odd length or bad digits. *)

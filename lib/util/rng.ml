@@ -24,9 +24,6 @@ let next_int64 t =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* A fresh generator whose stream is independent of the parent's future. *)
-let split t =
-  let seed = next_int64 t in
-  { state = seed }
 
 (* Non-negative int uniform in [0, bound). *)
 let int t bound =

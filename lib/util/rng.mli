@@ -15,13 +15,6 @@ val of_int64 : int64 -> t
 val copy : t -> t
 (** [copy t] is an independent generator starting at [t]'s current state. *)
 
-val next_int64 : t -> int64
-(** The next raw 64-bit output. *)
-
-val split : t -> t
-(** [split t] derives a child generator whose stream is independent of the
-    parent's future outputs. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument] when
     [bound <= 0]. *)
@@ -35,9 +28,6 @@ val float : t -> float
 val bits : t -> int -> int
 (** [bits t n] is a non-negative int with exactly the low [n] bits random,
     for [1 <= n <= 62]. *)
-
-val byte : t -> int
-(** A uniform byte in [\[0, 255\]]. *)
 
 val bytes : t -> int -> string
 (** [bytes t n] is a string of [n] uniform bytes. *)

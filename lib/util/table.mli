@@ -12,8 +12,5 @@ val create : ?aligns:align list -> string list -> t
 val add_row : t -> string list -> unit
 (** Append a row. Raises [Invalid_argument] on arity mismatch. *)
 
-val render : t -> string
-(** The table as a GitHub-style markdown string. *)
-
 val print : t -> unit
 (** [print t] writes [render t] to standard output. *)

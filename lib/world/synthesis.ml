@@ -46,19 +46,16 @@ let default_spec =
     key_bits = None; validity = None; refresh_interval = None }
 
 type world = {
-  w_spec : spec;
   w_graph : As_graph.t;
   w_universe : Universe.t;
   w_root : Authority.t;                  (* the RIR-like trust anchor *)
   w_cas : (int * Authority.t) list;      (* ascending ASN *)
   w_prefixes : (int, Rpki_ip.V4.Prefix.t) Hashtbl.t;
   w_roas : (int, string) Hashtbl.t;      (* asn -> its own-ROA filename *)
-  w_parent : (int, int) Hashtbl.t;       (* spanning-tree parent; tier-1s absent *)
   w_depth : (int, int) Hashtbl.t;        (* tree depth, tier-1 = 1 *)
   w_victim : int;
   w_victim_ca : Authority.t;
   w_victim_roa : string;                 (* the split-view / whack target *)
-  w_victim_cover_roa : string;           (* the covering aggregate ROA *)
   w_rp_asn : int;                        (* where the primary relying party sits *)
 }
 
@@ -92,16 +89,6 @@ let host_addr w ~asn ~host =
 
 (* The nearest ancestor CA (self included): every tier-1 has a CA, so the
    walk terminates. *)
-let ca_of w asn =
-  let rec go asn =
-    match List.assoc_opt asn w.w_cas with
-    | Some ca -> ca
-    | None -> (
-      match Hashtbl.find_opt w.w_parent asn with
-      | Some p -> go p
-      | None -> w.w_root)
-  in
-  go asn
 
 let announcement_for w asn = { Propagation.prefix = prefix_of w asn; origin = asn }
 
@@ -119,7 +106,8 @@ let base_announcements w =
   in
   List.map (announcement_for w) wanted
 
-let build ?(now = Rtime.epoch) (spec : spec) : world =
+let build (spec : spec) : world =
+  let now = Rtime.epoch in
   if spec.graph.As_graph.ases > 65536 then
     invalid_arg "Synthesis.build: more ASes than /24s in 10.0.0.0/8";
   if spec.roa_coverage < 0. || spec.roa_coverage > 1. then
@@ -290,15 +278,15 @@ let build ?(now = Rtime.epoch) (spec : spec) : world =
   (* the covering aggregate: the CA's own ASN claims the victim's /24, so
      losing the victim's ROA leaves the route covered-but-invalid (Side
      Effect 6), not unknown-and-routable *)
-  let victim_cover_roa, _ =
+  let _ =
     Authority.issue_simple_roa victim_ca
       ~asid:(Pub_point.host_asn (Authority.pub victim_ca))
       ~prefix:(Hashtbl.find prefixes victim) ~now ()
   in
-  { w_spec = spec; w_graph = g; w_universe = universe; w_root = root; w_cas = cas;
-    w_prefixes = prefixes; w_roas = roas; w_parent = parent; w_depth = depth;
+  { w_graph = g; w_universe = universe; w_root = root; w_cas = cas;
+    w_prefixes = prefixes; w_roas = roas; w_depth = depth;
     w_victim = victim; w_victim_ca = victim_ca; w_victim_roa = victim_roa;
-    w_victim_cover_roa = victim_cover_roa; w_rp_asn = rp_asn }
+    w_rp_asn = rp_asn }
 
 let summary w =
   Printf.sprintf

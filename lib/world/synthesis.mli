@@ -14,7 +14,6 @@
     victim's ROA — the split-view / whack move — turns its route invalid
     rather than unknown (the Side Effect 6 shape). *)
 
-open Rpki_core
 open Rpki_repo
 open Rpki_bgp
 
@@ -33,7 +32,7 @@ val default_spec : spec
 
 type world
 
-val build : ?now:Rtime.t -> spec -> world
+val build : spec -> world
 (** Deterministic in [spec].  Raises [Invalid_argument] on empty-stub
     worlds, more than 65536 ASes, or [roa_coverage] outside [0,1]. *)
 
@@ -45,19 +44,12 @@ val root : world -> Authority.t
 val cas : world -> (int * Authority.t) list
 (** Host ASN and authority of every CA below the root, ascending ASN. *)
 
-val ca_of : world -> int -> Authority.t
-(** The nearest ancestor CA of an AS (itself included) — the issuer of its
-    ROA. *)
-
 val prefix_of : world -> int -> Rpki_ip.V4.Prefix.t
 (** The /24 allocated to an AS.  Raises [Invalid_argument] on unknown
     ASNs. *)
 
 val roa_of : world -> int -> string option
 (** The AS's own-ROA publication filename, when covered. *)
-
-val depth_of : world -> int -> int
-(** Spanning-tree depth (tier-1 = 1). *)
 
 val host_addr : world -> asn:int -> host:int -> Rpki_ip.Addr.V4.t
 (** An address inside the AS's /24 — repository, monitor-endpoint and probe

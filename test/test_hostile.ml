@@ -346,13 +346,15 @@ let disk_files disk =
     (fun name -> (name, Rpki_persist.Disk.read disk ~name))
     (List.sort String.compare (Rpki_persist.Disk.files disk))
 
+let restore what store =
+  no_raise ("restore of " ^ what) (fun () -> Relying_party.restore (Lazy.force reader) store)
+
 (* Restore and compaction of [files] must answer, never raise; a
-   compaction that answers [Error] must leave every file as it was. *)
+   compaction that answers [Error] must leave every file as it was.  Also
+   returns the store as compaction left it. *)
 let restore_and_compact what files =
   let disk, store = store_of files in
-  let recovery =
-    no_raise ("restore of " ^ what) (fun () -> Relying_party.restore (Lazy.force reader) store)
-  in
+  let recovery = restore what store in
   let before = disk_files disk in
   let compacted =
     no_raise ("compaction of " ^ what) (fun () -> Relying_party.compact_store store ~now:4)
@@ -360,16 +362,38 @@ let restore_and_compact what files =
   (match compacted with
   | Error _ when disk_files disk <> before -> Alcotest.failf "failed compaction of %s wrote" what
   | _ -> ());
-  (recovery, compacted)
+  (recovery, compacted, store)
 
-(* Every record of every segment, mutated and re-sealed.  The fold and
-   restore read a chain's VRP records alike, so a mutant of a VRP diff
-   compacts exactly when it restores. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.equal (String.sub s i n) sub || at (i + 1)) in
+  at 0
+
+(* The two refusals only the vantage can make: the chain is another
+   vantage's, or its head does not verify under this vantage's key. *)
+let vantage_bound = function
+  | Relying_party.Log_inconsistent why ->
+    contains why "belongs to vantage" || contains why "signature does not verify"
+  | _ -> false
+
+(* What a restore gave back: the VRP set, the log size and the RTR serial. *)
+let restored_state = function
+  | Relying_party.Recovered { rc_rtr_serial; _ } ->
+    let rp = Lazy.force reader in
+    Some (Relying_party.vrps rp, Tlog.size (Relying_party.transparency_log rp), rc_rtr_serial)
+  | Relying_party.Recovered_fresh _ -> None
+
+(* Every record of every segment, mutated and re-sealed.  Compaction reads
+   a chain through restore's own checks, so it never turns a chain restore
+   refuses into one it accepts: a mutant restore accepts compacts and
+   restores to the same state afterwards; one it refuses still is refused
+   after compaction; and one it refuses for a reason that needs no vantage
+   does not compact at all. *)
 let test_chain_total () =
   let files = Lazy.force chain in
   (match restore_and_compact "the real chain" files with
-  | Relying_party.Recovered _, Ok _ -> ()
-  | r, _ -> Alcotest.fail ("real chain: " ^ Relying_party.recovery_to_string r));
+  | Relying_party.Recovered _, Ok _, _ -> ()
+  | r, _, _ -> Alcotest.fail ("real chain: " ^ Relying_party.recovery_to_string r));
   let diffs = ref 0 in
   List.iter
     (fun (file, bytes) ->
@@ -393,31 +417,35 @@ let test_chain_total () =
                 rewrite ~file
                   (List.mapi (fun j x -> if i = j then { x with Codec.r_payload = p } else x))
               in
-              match restore_and_compact what mutant with
-              | Relying_party.Recovered _, Error e when String.equal kind "vrps-diff" ->
+              let recovery, compacted, store = restore_and_compact what mutant in
+              let before = restored_state recovery in
+              let after = restored_state (restore (what ^ ", compacted") store) in
+              match (recovery, compacted) with
+              | Relying_party.Recovered _, Error e ->
                 Alcotest.failf "%s restores but does not compact: %s" what e
-              | Relying_party.Recovered_fresh _, Ok _ when String.equal kind "vrps-diff" ->
-                Alcotest.failf "%s compacts but does not restore" what
+              | Relying_party.Recovered _, Ok _ when after <> before ->
+                Alcotest.failf "%s restores to another state after compaction" what
+              | Relying_party.Recovered_fresh why, _ when after <> None ->
+                Alcotest.failf "%s is refused (%s) but restores after compaction" what
+                  (Relying_party.fresh_reason_to_string why)
+              | Relying_party.Recovered_fresh why, Ok _ when not (vantage_bound why) ->
+                Alcotest.failf "%s is refused (%s) but compacts" what
+                  (Relying_party.fresh_reason_to_string why)
               | _ -> ())
             payloads)
         records)
     (List.filter (fun (file, _) -> String.starts_with ~prefix:"rp.seg." file) files);
   Alcotest.(check int) "the chain holds two VRP diffs" 2 !diffs
 
-let contains s sub =
-  let n = String.length sub in
-  let rec at i = i + n <= String.length s && (String.equal (String.sub s i n) sub || at (i + 1)) in
-  at 0
-
 (* Restore refuses [files] for a reason naming [because], and compaction
    refuses them too. *)
 let refused what ~because files =
   match restore_and_compact what files with
-  | Relying_party.Recovered_fresh (Relying_party.Log_inconsistent why), Error _
+  | Relying_party.Recovered_fresh (Relying_party.Log_inconsistent why), Error _, _
     when contains why because -> ()
-  | r, Ok _ ->
+  | r, Ok _, _ ->
     Alcotest.failf "%s: compacted (restore: %s)" what (Relying_party.recovery_to_string r)
-  | r, Error _ -> Alcotest.failf "%s: %s" what (Relying_party.recovery_to_string r)
+  | r, Error _, _ -> Alcotest.failf "%s: %s" what (Relying_party.recovery_to_string r)
 
 let quad (addr, asn) = Der.Sequence [ Der.int_ addr; Der.int_ 20; Der.int_ 24; Der.int_ asn ]
 
@@ -468,6 +496,15 @@ let test_vrp_diffs_compose () =
     (rewrite ~file:"rp.seg.2" (List.map (fun r -> if is_kind "vrps-diff" r then full_set else r)));
   refused "a segment carrying two diffs" ~because:"segment carries"
     (rewrite ~file:"rp.seg.2" (fun rs -> rs @ [ diff_record ]))
+
+(* A container holds one meta record, one signed head and at most one
+   checkpoint: with two, "the newest" would be ambiguous. *)
+let test_one_of_each () =
+  List.iter
+    (fun kind ->
+      refused ("a segment carrying two " ^ kind ^ " records") ~because:("two " ^ kind)
+        (rewrite ~file:"rp.seg.2" (fun rs -> rs @ List.filter (is_kind kind) rs)))
+    [ "meta"; "sth"; "ckpt" ]
 
 (* --- hostile sizes --- *)
 
@@ -526,7 +563,9 @@ let () =
             test_chain_total;
           Alcotest.test_case "persisted VRPs keep the ROA decoder's bounds" `Quick
             test_vrp_bounds;
-          Alcotest.test_case "VRP diffs apply strictly" `Quick test_vrp_diffs_compose ] );
+          Alcotest.test_case "VRP diffs apply strictly" `Quick test_vrp_diffs_compose;
+          Alcotest.test_case "one of each bounded record per container" `Quick
+            test_one_of_each ] );
       ( "sizes",
         [ Alcotest.test_case "256 KB INTEGER decodes" `Quick test_huge_integer;
           Alcotest.test_case "100,000-deep nesting refused" `Quick test_deep_nesting ] ) ]

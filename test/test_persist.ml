@@ -401,6 +401,63 @@ let test_lost_base_rewritten () =
     (Invalid_argument "Store.append: no base snapshot to append to") (fun () ->
       ignore (Store.append store ~now:5 (records "delta")))
 
+(* A segment's data rename is lost at t2: the marker names generation 2,
+   whose file never landed.  Restore reads that crash window as stale, and
+   the next save writes a base again instead of appending behind the gap,
+   so every later save restores and the chain compacts. *)
+let test_lost_segment_rewritten () =
+  let m = Model.build () in
+  let rp = Model.relying_party ~name:"gap-rp" m in
+  let asn = Relying_party.asn rp in
+  let disk = Disk.create () in
+  let store = Store.create disk ~name:"gap-rp" in
+  for now = 1 to 6 do
+    if now = 2 then Disk.inject disk Disk.Drop_rename;
+    if now = 4 then Authority.expire_roa m.Model.continental ~filename:m.Model.roa_cb_25 ~now;
+    ignore (Relying_party.sync rp ~now ~universe:m.Model.universe ());
+    ignore (Relying_party.save rp ~now store);
+    let fresh = Relying_party.create ~name:"gap-rp" ~asn ~tals:[] ~log_epoch:1 () in
+    match (now, Relying_party.restore fresh store) with
+    | 2, Relying_party.Recovered_fresh (Relying_party.Snapshot_stale _) -> ()
+    | 2, r -> Alcotest.fail ("t2 is the crash window, not " ^ Relying_party.recovery_to_string r)
+    | _, Relying_party.Recovered _ ->
+      Alcotest.(check bool)
+        (Printf.sprintf "t%d restores the saved set" now)
+        true
+        (Relying_party.vrps fresh = Relying_party.vrps rp)
+    | _, r -> Alcotest.failf "t%d: %s" now (Relying_party.recovery_to_string r)
+  done;
+  Alcotest.(check int) "segments on the rewritten base" 3 (Store.segment_count store);
+  (match Relying_party.compact_store store ~now:6 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "restores after compaction" true
+    (restored_vrps ~name:"gap-rp" ~asn store = Relying_party.vrps rp)
+
+(* One writer for a base: compacting a chain saved through t writes the
+   records a [`Full] save of the state at t writes, byte for byte, peer
+   heads and their order included. *)
+let test_compaction_writes_a_full_base () =
+  let m = Model.build () in
+  let rp = Model.relying_party ~name:"base-rp" m in
+  let seg = Store.create (Disk.create ()) ~name:"base-rp" in
+  let full = Store.create (Disk.create ()) ~name:"base-rp" in
+  for now = 1 to 4 do
+    if now = 2 then Authority.expire_roa m.Model.continental ~filename:m.Model.roa_cb_25 ~now;
+    if now = 3 then ignore (Authority.renew_roa m.Model.continental ~filename:m.Model.roa_cb_25 ~now);
+    ignore (Relying_party.sync rp ~now ~universe:m.Model.universe ());
+    Relying_party.note_peer_head rp ~peer:(Printf.sprintf "peer-%d" (now mod 3))
+      (Rpki_transparency.Log.head (Relying_party.transparency_log rp) ~at:now);
+    ignore (Relying_party.save rp ~now ~rtr_serial:now seg)
+  done;
+  Alcotest.(check int) "three peer heads" 3 (List.length (Relying_party.peer_heads rp));
+  ignore (Relying_party.save rp ~now:4 ~rtr_serial:4 ~mode:`Full full);
+  Alcotest.(check int) "three segments" 3 (Store.segment_count seg);
+  (match Relying_party.compact_store seg ~now:4 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "the same records" true (saved_records seg = saved_records full)
+
 let prop c n p = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:c ~name:n seed_gen p)
 
 let () =
@@ -423,4 +480,8 @@ let () =
            test_rp_corrupt_snapshot_explicit;
          Alcotest.test_case "segments carry the VRP set as a diff" `Quick
            test_vrp_diff_segments;
-         Alcotest.test_case "a lost base is written again" `Quick test_lost_base_rewritten ]) ]
+         Alcotest.test_case "a lost base is written again" `Quick test_lost_base_rewritten;
+         Alcotest.test_case "a lost segment rename writes a base again" `Quick
+           test_lost_segment_rewritten;
+         Alcotest.test_case "compaction writes what a full save writes" `Quick
+           test_compaction_writes_a_full_base ]) ]

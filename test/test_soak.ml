@@ -133,7 +133,7 @@ let test_soak_on_generated_world () =
 
 let outcome ~snap ~boundaries =
   { Valcache.o_parent_fp = "parent-fp"; o_snap_fp = snap; o_at = 1;
-    o_boundaries = boundaries; o_subject = "CA"; o_vrps = []; o_vrp_hash = ""; o_issues = [];
+    o_boundaries = boundaries; o_vrps = []; o_vrp_hash = ""; o_issues = [];
     o_failed_resources = Rpki_core.Resources.empty;
     o_children = []; o_mft_number = 1; o_mft_hash = "" }
 
