@@ -56,15 +56,13 @@ let plan ~authority ~target_filename ?(stealth = Stealthy) () =
 
 let uri t = Pub_point.uri (Authority.pub t.authority)
 
-(* The mirror world, recomputed per fetch so it tracks the honest view:
-   whatever the authority currently publishes, minus the target — and under
-   [Stealthy], with the manifest re-signed by the authority's own keys at
-   the honest manifest number, so the fork is locally indistinguishable
-   from the genuine article. *)
-let forked_listing t () =
-  let pub = Authority.pub t.authority in
+(* The mirror world of one honest listing: whatever the authority
+   publishes, minus the target — and under [Stealthy], with the manifest
+   re-signed by the authority's own keys at the honest manifest number, so
+   the fork is locally indistinguishable from the genuine article. *)
+let fork t ~snapshot ~key ~ee_key =
   let mft_name = Authority.manifest_filename t.authority in
-  let files = List.remove_assoc t.target_filename (Pub_point.snapshot pub) in
+  let files = List.remove_assoc t.target_filename snapshot in
   match t.stealth with
   | Overt -> files
   | Stealthy -> (
@@ -77,11 +75,11 @@ let forked_listing t () =
         let listed = List.filter (fun (name, _) -> name <> mft_name) files in
         let forked =
           Manifest.issue
-            ~ca_key:(Authority.key t.authority).Rsa.private_
+            ~ca_key:key.Rsa.private_
             ~ca_subject:(Authority.name t.authority)
             ~serial:honest.Manifest.ee.Cert.serial
             ~rng:t.rng
-            ~ee_key:(Authority.ee_key t.authority)
+            ~ee_key
             ~manifest_number:honest.Manifest.manifest_number
             ~this_update:honest.Manifest.this_update
             ~next_update:honest.Manifest.next_update
@@ -92,8 +90,27 @@ let forked_listing t () =
           ((mft_name, Manifest.encode forked) :: listed)))
 
 (* Install the fork on the victim's transport.  Only that vantage sees the
-   mirror world; every other transport keeps serving the honest listing. *)
-let apply t transport = Transport.set_view transport ~uri:(uri t) (forked_listing t)
+   mirror world; every other transport keeps serving the honest listing.
+   The fork is recomputed per fetch so it tracks the honest view, but it is
+   a pure function of the honest listing and the authority's two keys (the
+   re-signing draws nothing from [rng]: the EE key is given), all immutable
+   values: the point replaces its listing on every publish and the
+   authority its key on a rollover.  So the listing keeps its last fork and
+   forges again only when one of them is another value; returning the same
+   list also lets the transport reuse its fingerprint. *)
+let apply t transport =
+  let last = ref None in
+  let listing () =
+    let snapshot = Pub_point.snapshot (Authority.pub t.authority) in
+    let key = Authority.key t.authority and ee_key = Authority.ee_key t.authority in
+    match !last with
+    | Some (s, k, e, forked) when s == snapshot && k == key && e == ee_key -> forked
+    | _ ->
+      let forked = fork t ~snapshot ~key ~ee_key in
+      last := Some (snapshot, key, ee_key, forked);
+      forked
+  in
+  Transport.set_view transport ~uri:(uri t) listing
 
 let lift t transport = Transport.clear_view transport ~uri:(uri t)
 

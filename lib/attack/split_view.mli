@@ -39,8 +39,10 @@ val plan :
 
 val apply : t -> Transport.t -> unit
 (** Serve the fork to whoever fetches through this transport.  The forked
-    listing is recomputed per fetch from the authority's current honest
-    contents, so it tracks legitimate republishes. *)
+    listing follows the authority's current honest contents, so it tracks
+    legitimate republishes; it is forged again only when the honest
+    listing or one of the authority's keys is another value, and is the
+    same list otherwise. *)
 
 val lift : t -> Transport.t -> unit
 (** Stop discriminating: the transport sees honest contents again. *)

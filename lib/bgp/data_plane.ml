@@ -24,6 +24,7 @@ type network = {
   version : int;             (* Topology.version at build time *)
   policy : Policy.t array;   (* per AS, ascending ASN *)
   slots : slot list;         (* one per announced prefix, ascending *)
+  lpm : Propagation.rib V4.Trie.t; (* each slot's RIB under its prefix *)
   recomputed : int;          (* RIBs this build computed rather than reused *)
 }
 
@@ -72,25 +73,23 @@ let build ?prev ~topo ~policy_of ~validity_of (anns : Propagation.announcement l
       { prefix; inputs; rib } :: go old groups
   in
   let slots = go reusable (group_by_prefix (Propagation.classify ~validity_of anns)) in
-  { topo; version; policy; slots; recomputed = !recomputed }
+  let lpm = List.fold_left (fun lpm s -> V4.Trie.insert lpm s.prefix s.rib) V4.Trie.empty slots in
+  { topo; version; policy; slots; lpm; recomputed = !recomputed }
 
 let recomputed net = net.recomputed
 
 (* The forwarding decision of [asn] for destination [addr]: the entry of the
-   longest prefix covering [addr] for which the AS holds a route. *)
+   longest prefix covering [addr] for which the AS holds a route.  Only the
+   announced prefixes on the trie path to [addr] are consulted, longest
+   first. *)
 let forwarding_entry net ~asn ~addr =
-  let longer s = function
-    | Some (bp, _) -> V4.Prefix.len s.prefix > V4.Prefix.len bp
-    | None -> true
-  in
   List.fold_left
-    (fun best s ->
-      if V4.Prefix.contains_addr s.prefix addr && longer s best then
-        match Propagation.route s.rib asn with
-        | Some e -> Some (s.prefix, e)
-        | None -> best
-      else best)
-    None net.slots
+    (fun best (prefix, rib) ->
+      match best with
+      | Some _ -> best
+      | None -> Option.map (fun e -> (prefix, e)) (Propagation.route rib asn))
+    None
+    (List.rev (V4.Trie.covering net.lpm (V4.Prefix.make addr 32)))
 
 type delivery =
   | Delivered of { origin : int; hops : int list } (* reached the origin AS *)

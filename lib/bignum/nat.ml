@@ -456,35 +456,51 @@ let pow_mod_mont ~base:g ~exp ~modulus:m_nat =
     mont_mul ctx t a b r;
     r
   in
-  let gm = product (fixed (rem g m_nat) n) ctx.r2 in
-  (* odd powers g^1, g^3, ..., g^15 in Montgomery form *)
-  let g2 = Array.make n 0 in
-  mont_sqr ctx t gm g2;
-  let table = Array.make 8 gm in
-  for k = 1 to 7 do
-    table.(k) <- product table.(k - 1) g2
-  done;
-  let one_f = fixed one n in
-  let acc = product ctx.r2 one_f (* R mod m, i.e. 1 in-domain *) in
-  let i = ref (num_bits exp - 1) in
-  while !i >= 0 do
-    if not (testbit exp !i) then begin
-      mont_sqr ctx t acc acc;
-      decr i
-    end else begin
-      (* widest window of <= 4 bits ending on a set bit *)
-      let l = ref (max (!i - 3) 0) in
+  (* the exponent's windows, most significant first: each runs from a set
+     bit down to bit l, the widest run of <= 4 bits that ends on a set bit,
+     and w is its (odd) value *)
+  let rec windows_from i acc =
+    if i < 0 then List.rev acc
+    else if not (testbit exp i) then windows_from (i - 1) acc
+    else begin
+      let l = ref (max (i - 3) 0) in
       while not (testbit exp !l) do incr l done;
       let w = ref 0 in
-      for j = !i downto !l do
+      for j = i downto !l do
         w := (!w lsl 1) lor (if testbit exp j then 1 else 0)
       done;
-      for _ = !l to !i do
-        mont_sqr ctx t acc acc
-      done;
-      mont_mul ctx t acc table.((!w - 1) / 2) acc;
-      i := !l - 1
+      windows_from (!l - 1) ((!l, !w) :: acc)
     end
+  in
+  let windows = windows_from (num_bits exp - 1) [] in
+  let gm = product (fixed (rem g m_nat) n) ctx.r2 in
+  (* odd powers g^1, g^3, ... up to the largest window value, in Montgomery
+     form: e = 65537 reads only g^1 *)
+  let width = List.fold_left (fun acc (_, w) -> max acc ((w + 1) / 2)) 1 windows in
+  let table = Array.make width gm in
+  if width > 1 then begin
+    let g2 = Array.make n 0 in
+    mont_sqr ctx t gm g2;
+    for k = 1 to width - 1 do
+      table.(k) <- product table.(k - 1) g2
+    done
+  end;
+  let one_f = fixed one n in
+  let acc = product ctx.r2 one_f (* R mod m, i.e. 1 in-domain *) in
+  (* square once per bit, and multiply in each window's power after its
+     lowest bit *)
+  let next =
+    List.fold_left
+      (fun next (l, w) ->
+        for _ = l to next do
+          mont_sqr ctx t acc acc
+        done;
+        mont_mul ctx t acc table.((w - 1) / 2) acc;
+        l - 1)
+      (num_bits exp - 1) windows
+  in
+  for _ = 0 to next do
+    mont_sqr ctx t acc acc
   done;
   mont_mul ctx t acc one_f acc;
   normalize acc

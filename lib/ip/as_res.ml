@@ -10,7 +10,7 @@ module As_num : Addr.S with type t = int = struct
   let bits = 32
   let zero = 0
   let max_addr = 0xFFFFFFFF
-  let compare = Stdlib.compare
+  let compare = Int.compare
   let equal = Int.equal
   let succ a = a + 1
   let pred a = a - 1

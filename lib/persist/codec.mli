@@ -19,8 +19,3 @@ val error_to_string : error -> string
 
 val encode : snapshot -> string
 val decode : string -> (snapshot, error) result
-
-val generation_of : string -> int option
-(** The generation an encoded container's header names, read in O(1):
-    neither the body nor the digest is checked.  [None] when the bytes do
-    not start like a container. *)

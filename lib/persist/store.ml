@@ -16,6 +16,12 @@
    [load]/[load_chain] report that as [Stale] rather than handing back an
    older generation as if it were current.
 
+   [save] and [append] read the sealed file back and report whether it
+   holds the bytes they wrote: a torn, partially flushed or bit-flipped
+   write, or a dropped data rename, leaves a file that does not, and a
+   caller that kept appending behind it would build on a chain no restore
+   accepts.
+
    [compact] folds base + segments back into one base snapshot.  It stages
    the folded container under a side name, reads it back (so an armed
    one-shot write fault is caught before anything is replaced), renames it
@@ -32,7 +38,7 @@ let seg_prefix t = t.name ^ ".seg."
 let staging_file t = t.name ^ ".cmp"
 
 let create disk ~name = { disk; name }
-let name t = t.name
+let same a b = a.disk == b.disk && String.equal a.name b.name
 
 let marker t =
   match Disk.read t.disk ~name:(gen_file t) with
@@ -53,15 +59,21 @@ let load_error_to_string = function
     Printf.sprintf "stale snapshot: generation %d but marker says %d"
       snap_generation marker
 
+type sealed = { generation : int; intact : bool }
+
 (* Write [data] under [name] through a temporary, then advance the marker —
-   the shared tail of [save] and [append]. *)
+   the shared tail of [save] and [append] — and read [name] back. *)
 let seal t ~name ~generation data =
   let tmp = name ^ ".tmp" in
   Disk.write t.disk ~name:tmp data;
   Disk.rename t.disk ~src:tmp ~dst:name;
   let gtmp = gen_file t ^ ".tmp" in
   Disk.write t.disk ~name:gtmp (string_of_int generation);
-  Disk.rename t.disk ~src:gtmp ~dst:(gen_file t)
+  Disk.rename t.disk ~src:gtmp ~dst:(gen_file t);
+  let intact =
+    match Disk.read t.disk ~name with Some b -> String.equal b data | None -> false
+  in
+  { generation; intact }
 
 let delete_segments t =
   List.iter
@@ -78,9 +90,9 @@ let save t ~now records =
     Codec.encode { Codec.s_generation = generation; s_saved_at = now;
                    s_records = records }
   in
-  seal t ~name:(snap_file t) ~generation snap;
+  let sealed = seal t ~name:(snap_file t) ~generation snap in
   delete_segments t;
-  generation
+  sealed
 
 (* A segment only means something on top of a base: sealing the caller's
    delta records as a base would leave a chain no restore accepts. *)
@@ -92,8 +104,7 @@ let append t ~now records =
     Codec.encode { Codec.s_generation = generation; s_saved_at = now;
                    s_records = records }
   in
-  seal t ~name:(seg_file t generation) ~generation seg;
-  generation
+  seal t ~name:(seg_file t generation) ~generation seg
 
 (* The whole chain, base first.  The marker names the newest sealed
    generation; every generation between the base's and the marker's must be
@@ -138,13 +149,6 @@ let load t =
   | Ok (base :: _) -> Ok base
   | Ok [] -> Error No_snapshot (* unreachable: a chain always has a base *)
   | Error e -> Error e
-
-(* O(1): one file lookup, and at most the base's header. *)
-let sealed t g =
-  Disk.exists t.disk ~name:(seg_file t g)
-  || (match Disk.read t.disk ~name:(snap_file t) with
-     | Some bytes -> Codec.generation_of bytes = Some g
-     | None -> false)
 
 let segment_count t =
   match load_chain t with Ok (_ :: segs) -> List.length segs | _ -> 0

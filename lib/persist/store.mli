@@ -21,17 +21,27 @@
 type t
 
 val create : Disk.t -> name:string -> t
-val name : t -> string
 
-val save : t -> now:int -> Codec.record list -> int
-(** Write a full base snapshot and retire any sealed segments; returns its
-    generation (marker + 1). *)
+val same : t -> t -> bool
+(** Whether two handles name one store: the same disk and the same name. *)
 
-val append : t -> now:int -> Codec.record list -> int
-(** Seal a new segment holding exactly [records]; returns its generation.
-    Raises [Invalid_argument] when no base snapshot exists ({!snapshot_bytes}
-    is 0): the caller must {!save} a base first, since [records] are a
-    delta that could not be restored on their own. *)
+type sealed = {
+  generation : int;  (** the generation written (marker + 1) *)
+  intact : bool;
+      (** the sealed file reads back byte-identical to the bytes written:
+          [false] after a torn, partially flushed or bit-flipped write, or a
+          dropped data rename.  A chain that ends in a file that is not
+          intact does not restore, so nothing should be appended to it. *)
+}
+
+val save : t -> now:int -> Codec.record list -> sealed
+(** Write a full base snapshot and retire any sealed segments. *)
+
+val append : t -> now:int -> Codec.record list -> sealed
+(** Seal a new segment holding exactly [records].  Raises
+    [Invalid_argument] when no base snapshot exists ({!snapshot_bytes} is
+    0): the caller must {!save} a base first, since [records] are a delta
+    that could not be restored on their own. *)
 
 type load_error =
   | No_snapshot
@@ -67,12 +77,6 @@ val compact :
 
 val generation : t -> int
 (** The marker's generation; 0 if never saved. *)
-
-val sealed : t -> int -> bool
-(** Whether the file that sealed generation [g] is on disk: segment [g], or
-    a base of generation [g].  [false] after a dropped rename lost it.
-    O(1): the base's generation is read off its header, unverified; a
-    restore still checks everything. *)
 
 val segment_count : t -> int
 (** Sealed segments beyond the base in the currently loadable chain; 0 when

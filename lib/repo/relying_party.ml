@@ -191,15 +191,14 @@ type cached_point = {
   cp_at : Rtime.t; (* when this copy was last confirmed fresh *)
 }
 
-(* Where incremental persistence left off against one store: the
-   generation the last save sealed (the next segment goes on top of it only
-   while its file is on disk), how many log observations the chain already
-   holds, the head they were sealed under — the checkpoint the next
-   segment's consistency proof starts from — and the VRP set the chain
-   restores to, which the next segment's VRP diff is taken against.  Keyed
-   by store name so one vantage can save to several stores. *)
+(* Where incremental persistence left off against one store, kept only
+   while the chain's last file read back intact: how many log observations
+   the chain already holds, the head they were sealed under — the
+   checkpoint the next segment's consistency proof starts from — and the
+   VRP set the chain restores to, which the next segment's VRP diff is
+   taken against.  One per store, so one vantage can save to several
+   stores, even under one name on two disks. *)
 type persist_mark = {
-  pm_generation : int;
   pm_obs : int;
   pm_head : Rpki_transparency.Log.head;
   pm_vrps : Vrp.t list;
@@ -225,8 +224,18 @@ type t = {
      of delaying legitimate revocations by the same window. *)
   cache : (string, cached_point) Hashtbl.t; (* uri -> last good copy *)
   rrdp_clients : (string, Rrdp.client) Hashtbl.t; (* primary uri -> RRDP state *)
-  memo : (string, memo_entry) Hashtbl.t; (* uri + parent key id -> outcome *)
-  vrp_memory : (Vrp.t, Rtime.t) Hashtbl.t; (* vrp -> last time seen *)
+  memo : (string, (string * memo_entry) list) Hashtbl.t;
+  (* uri -> parent key id -> outcome *)
+  mutable walked : Vrp.t list list;
+  (* the [o_vrps] of every point the last sync walked, newest first ... *)
+  mutable union : Vrp.t list;
+  (* ... and their sorted union: reused while a sync walks the same lists *)
+  vrp_memory : (Vrp.t, Rtime.t) Hashtbl.t;
+  (* vrp -> last time seen, for the VRPs that left [seen]; under grace only *)
+  mutable seen : Vrp.t list;
+  mutable seen_at : Rtime.t;
+  (* the VRPs the last sync under grace saw, all last seen at [seen_at]:
+     memory is stamped when a VRP leaves this set, not on every sync *)
   mutable last_result : sync_result option;
   mutable effective_vrps : Vrp.t list; (* baseline the next diff is against *)
   mutable index : Origin_validation.index;
@@ -256,7 +265,8 @@ type t = {
   (* the last head signed: reused while the tree (log id, size, root) is
      unchanged — a static log keeps serving one STH to every pull instead
      of paying an RSA signature per serve *)
-  persist_marks : (string, persist_mark) Hashtbl.t; (* store name -> mark *)
+  mutable persist_marks : (Rpki_persist.Store.t * persist_mark) list;
+  (* one mark per store (the same disk and name), newest first *)
   point_history : (string, point_state list) Hashtbl.t;
   (* bounded per-uri history (newest first) of the VRP contributions this
      vantage itself validated.  {!rollback_last_good} searches it when
@@ -273,12 +283,13 @@ let log_id_for ~name ~epoch =
 
 let create ~name ~asn ~tals ?(use_stale = true) ?grace ?(log_epoch = 0) () =
   { name; asn; tals; use_stale; grace; cache = Hashtbl.create 16;
-    rrdp_clients = Hashtbl.create 4; memo = Hashtbl.create 64;
-    vrp_memory = Hashtbl.create 64; last_result = None; effective_vrps = [];
+    rrdp_clients = Hashtbl.create 4; memo = Hashtbl.create 64; walked = []; union = [];
+    vrp_memory = Hashtbl.create 64; seen = []; seen_at = Rtime.epoch; last_result = None;
+    effective_vrps = [];
     index = Origin_validation.empty_index; log_epoch;
     tlog = Rpki_transparency.Log.create ~log_id:(log_id_for ~name ~epoch:log_epoch);
     peer_heads = []; log_baseline = 0; tkey = None; sth_cache = None;
-    persist_marks = Hashtbl.create 4; point_history = Hashtbl.create 16 }
+    persist_marks = []; point_history = Hashtbl.create 16 }
 
 let name t = t.name
 let asn t = t.asn
@@ -297,15 +308,19 @@ let note_peer_head t ~peer head =
    prefixes a fork at that point can affect (feeds the evidence-triggered
    RTR hold). *)
 let point_vrps t ~uri =
-  let prefix = uri ^ "\x00" in
-  let plen = String.length prefix in
+  match Hashtbl.find_opt t.memo uri with
+  | None -> []
+  | Some entries ->
+    List.sort_uniq Vrp.compare
+      (List.concat_map (fun (_, (e : memo_entry)) -> e.Valcache.o_vrps) entries)
+
+(* Every memoized outcome, with its point's URI: the raw memo that
+   [point_vrps] reads one URI of. *)
+let memoized t =
   Hashtbl.fold
-    (fun k (e : memo_entry) acc ->
-      if String.length k > plen && String.equal (String.sub k 0 plen) prefix then
-        e.Valcache.o_vrps @ acc
-      else acc)
+    (fun uri entries acc ->
+      List.fold_left (fun acc (_, (e : memo_entry)) -> (uri, e.Valcache.o_vrps) :: acc) acc entries)
     t.memo []
-  |> List.sort_uniq Vrp.compare
 
 (* The vantage's tree-head signing key, generated on first use (keygen is
    too costly to pay at [create] for the many RPs that never gossip).
@@ -353,7 +368,8 @@ let flush_cache t =
   Hashtbl.reset t.cache;
   Hashtbl.reset t.rrdp_clients;
   Hashtbl.reset t.memo;
-  Hashtbl.reset t.vrp_memory
+  Hashtbl.reset t.vrp_memory;
+  t.seen <- []
 
 (* Canonical digest of a point's VRP contribution — one of the
    content-addressed fields of a transparency observation.  Taken once per
@@ -373,15 +389,18 @@ let history_depth = 8
    front (it *is* the newest state again); depth is bounded so long runs
    keep O(points) history, not O(history). *)
 let note_point_state t ~uri ~vrp_hash vrps =
-  let prior = Option.value (Hashtbl.find_opt t.point_history uri) ~default:[] in
-  let prior = List.filter (fun ps -> not (String.equal ps.ps_vrp_hash vrp_hash)) prior in
-  (* canonical (sorted, deduplicated) form, same as {!point_vrps}, so a
-     rolled-back last-good is indistinguishable from a freshly validated one *)
-  let entry =
-    { ps_vrp_hash = vrp_hash; ps_vrps = List.sort_uniq Vrp.compare vrps }
-  in
-  Hashtbl.replace t.point_history uri
-    (List.filteri (fun i _ -> i < history_depth) (entry :: prior))
+  match Option.value (Hashtbl.find_opt t.point_history uri) ~default:[] with
+  | newest :: _ when String.equal newest.ps_vrp_hash vrp_hash ->
+    () (* already the newest state: the hash names one sorted set *)
+  | prior ->
+    let prior = List.filter (fun ps -> not (String.equal ps.ps_vrp_hash vrp_hash)) prior in
+    (* canonical (sorted, deduplicated) form, same as {!point_vrps}, so a
+       rolled-back last-good is indistinguishable from a freshly validated one *)
+    let entry =
+      { ps_vrp_hash = vrp_hash; ps_vrps = List.sort_uniq Vrp.compare vrps }
+    in
+    Hashtbl.replace t.point_history uri
+      (List.filteri (fun i _ -> i < history_depth) (entry :: prior))
 
 (* The honest-side rollback: gossip has proved a fork at [uri] and
    identified the proven-honest side's VRP-set hash; return the VRP
@@ -408,7 +427,7 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
   let transport = match transport with Some tr -> tr | None -> Transport.instant () in
   let allow_stale = policy.use_stale && t.use_stale in
   let issues = ref [] in
-  let vrps = ref [] in
+  let walked = ref [] in
   let fetches = ref [] in
   let transfers = ref [] in
   let cas = ref [] in
@@ -616,9 +635,9 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
              the failed set the unsafe-VRP analysis scans against *)
           note_failed ca_cert.Cert.resources
         | Some (snapshot, snap_fp) ->
-          let memo_key = uri ^ "\x00" ^ key in
+          let entries = Option.value (Hashtbl.find_opt t.memo uri) ~default:[] in
           let entry =
-            match Hashtbl.find_opt t.memo memo_key with
+            match List.assoc_opt key entries with
             | Some e
               when String.equal e.Valcache.o_parent_fp parent_fp
                    && String.equal e.Valcache.o_snap_fp snap_fp && entry_current e ~now ->
@@ -645,7 +664,7 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
                     Valcache.store_point vc e;
                     e)
               in
-              Hashtbl.replace t.memo memo_key e;
+              Hashtbl.replace t.memo uri ((key, e) :: List.remove_assoc key entries);
               e
           in
           issues :=
@@ -653,7 +672,7 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
               (List.map (fun (filename, kind, reason) -> { uri; filename; kind; reason })
                  entry.Valcache.o_issues)
               !issues;
-          vrps := entry.Valcache.o_vrps @ !vrps;
+          walked := entry.Valcache.o_vrps :: !walked;
           note_failed entry.Valcache.o_failed_resources;
           (* transparency: record the state this point served us.  The leaf
              is content-addressed, so a memo replay of an unchanged point
@@ -893,26 +912,33 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
               problem ~uri:tal.ta_uri ~filename:tal.ta_cert_filename
                 (Validation.failure_kind f) (Validation.failure_to_string f)))))
     t.tals;
-  let current = List.sort_uniq Vrp.compare !vrps in
+  (* the sorted union of every point's VRPs: the last sync's, when each
+     point gave back the very list it gave then *)
+  let current =
+    if List.equal ( == ) !walked t.walked then t.union
+    else List.sort_uniq Vrp.compare (List.concat !walked)
+  in
+  t.walked <- !walked;
+  t.union <- current;
   let effective =
     match t.grace with
     | None -> current
     | Some grace ->
       (* remember when each VRP was last seen; resurrect those seen within
-         the grace window.  [current] is sorted, so a membership set makes
-         the held scan O(memory) instead of O(memory * current). *)
-      let in_current = Hashtbl.create (List.length current) in
-      List.iter
-        (fun v ->
-          Hashtbl.replace in_current v ();
-          Hashtbl.replace t.vrp_memory v now)
-        current;
+         the grace window.  Every VRP of [current] is seen now, so memory
+         holds only those that left it: one that leaves [seen] was last
+         seen at [seen_at], and one that comes back is forgotten until it
+         leaves again. *)
+      if current != t.seen then begin
+        let d = Vrp.diff_of ~before:t.seen ~after:current in
+        List.iter (fun v -> Hashtbl.replace t.vrp_memory v t.seen_at) d.Vrp.removed;
+        List.iter (Hashtbl.remove t.vrp_memory) d.Vrp.added
+      end;
+      t.seen <- current;
+      t.seen_at <- now;
       let held =
         Hashtbl.fold
-          (fun v last acc ->
-            if Rtime.( <= ) (Rtime.diff now last) grace && not (Hashtbl.mem in_current v)
-            then v :: acc
-            else acc)
+          (fun v last acc -> if Rtime.( <= ) (Rtime.diff now last) grace then v :: acc else acc)
           t.vrp_memory []
         |> List.sort Vrp.compare
       in
@@ -923,7 +949,7 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
               reason = Printf.sprintf "grace: holding disappeared VRP %s" (Vrp.to_string v) }
             :: !issues)
         held;
-      List.sort_uniq Vrp.compare (current @ held)
+      if held = [] then current else List.sort_uniq Vrp.compare (current @ held)
   in
   (* Routinator-style unsafe-VRP analysis: a VRP whose prefix overlaps the
      resources of a CA that failed this sync.  [Unsafe_accept] skips the
@@ -959,7 +985,10 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
   (* The diff against the previous sync is the currency everything
      downstream consumes: it patches the trie here and becomes the RTR
      serial delta in the simulation loop. *)
-  let diff = Vrp.diff_of ~before:t.effective_vrps ~after:effective in
+  let diff =
+    if effective == t.effective_vrps then Vrp.empty_diff
+    else Vrp.diff_of ~before:t.effective_vrps ~after:effective
+  in
   t.index <- Origin_validation.apply_diff t.index diff;
   t.effective_vrps <- effective;
   let result =
@@ -1308,6 +1337,11 @@ let reading f =
   | x -> Ok x
   | exception (Restore_error why | Der.Decode_error why | Invalid_argument why) -> Error why
 
+let other_marks t store =
+  List.filter (fun (s, _) -> not (Rpki_persist.Store.same s store)) t.persist_marks
+
+let set_mark t store mark = t.persist_marks <- (store, mark) :: other_marks t store
+
 let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
   let p =
     { p_name = t.name; p_asn = t.asn; p_epoch = t.log_epoch; p_rtr_serial = rtr_serial;
@@ -1315,24 +1349,22 @@ let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
       p_vrps = t.effective_vrps }
   in
   let size = Tlog.size t.tlog in
-  let key = Rpki_persist.Store.name store in
   let mark =
     match mode with
     | `Full -> None
     | `Auto -> (
-      match Hashtbl.find_opt t.persist_marks key with
-      | Some m
-        when Rpki_persist.Store.sealed store m.pm_generation
-             && Rpki_persist.Store.snapshot_bytes store > 0
+      match List.find_opt (fun (s, _) -> Rpki_persist.Store.same s store) t.persist_marks with
+      | Some (_, m)
+        when Rpki_persist.Store.snapshot_bytes store > 0
              && m.pm_obs <= size
              && String.equal m.pm_head.Tlog.h_log_id (Tlog.log_id t.tlog) ->
         Some m
       | _ ->
         None
-        (* no usable mark (wiped store, lost base, the last save's file lost
-           to a dropped rename, log reset): full save *))
+        (* no usable mark (first save, wiped store, the last save's file
+           damaged or lost to a dropped rename, log reset): full save *))
   in
-  let generation =
+  let sealed =
     match mark with
     | None -> Rpki_persist.Store.save store ~now (base_records p)
     | Some m ->
@@ -1345,15 +1377,20 @@ let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
         else Tlog.consistency_proof t.tlog ~old_size:m.pm_obs ~size
       in
       let ckpt = record "ckpt" (encode_checkpoint ~prev:m.pm_head ~proof) in
-      let diff = Vrp.diff_of ~before:m.pm_vrps ~after:t.effective_vrps in
+      let diff =
+        if m.pm_vrps == t.effective_vrps then Vrp.empty_diff
+        else Vrp.diff_of ~before:m.pm_vrps ~after:t.effective_vrps
+      in
       let vrps = if Vrp.diff_is_empty diff then [] else [ vrps_diff_record diff ] in
       Rpki_persist.Store.append store ~now
         ((meta_record p :: sth_record p.p_sth :: ckpt :: fresh) @ peer_records p @ vrps)
   in
-  Hashtbl.replace t.persist_marks key
-    { pm_generation = generation; pm_obs = size; pm_head = p.p_sth.Tlog.sh_head;
-      pm_vrps = t.effective_vrps };
-  generation
+  (* a file that did not read back intact ends a chain no restore accepts:
+     drop the mark, so the next save writes a base over it *)
+  if sealed.Rpki_persist.Store.intact then
+    set_mark t store { pm_obs = size; pm_head = p.p_sth.Tlog.sh_head; pm_vrps = t.effective_vrps }
+  else t.persist_marks <- other_marks t store;
+  sealed.Rpki_persist.Store.generation
 
 (* A chain the reader refuses is reported before [Store.compact] writes
    anything, so the store is left as it was. *)
@@ -1396,9 +1433,8 @@ let restore t store =
       (* the verified final head and the restored set double as the next
          save's checkpoint and diff baseline, so the first post-restore save
          appends instead of rewriting history *)
-      Hashtbl.replace t.persist_marks (Rpki_persist.Store.name store)
-        { pm_generation = newest.Codec.s_generation; pm_obs = Tlog.size p.p_log;
-          pm_head = p.p_sth.Tlog.sh_head; pm_vrps = p.p_vrps };
+      set_mark t store
+        { pm_obs = Tlog.size p.p_log; pm_head = p.p_sth.Tlog.sh_head; pm_vrps = p.p_vrps };
       Recovered
         { rc_generation = newest.Codec.s_generation;
           rc_saved_at = newest.Codec.s_saved_at;

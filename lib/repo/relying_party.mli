@@ -242,7 +242,14 @@ val note_peer_head : t -> peer:string -> Rpki_transparency.Log.head -> unit
 val point_vrps : t -> uri:string -> Vrp.t list
 (** The VRPs this vantage last validated out of publication point [uri] —
     i.e. which prefixes a fork at that point can affect.  Empty if the point
-    was never validated (or the memo was flushed). *)
+    was never validated (or the memo was flushed).  The memo is keyed by
+    URI, then by the issuing certificate's key id, so this reads one URI's
+    outcomes: the union over every key the point was validated under. *)
+
+val memoized : t -> (string * Vrp.t list) list
+(** Every memoized validation outcome as (point URI, its VRPs), in no
+    particular order: what {!point_vrps} groups by URI.  The reference the
+    differential tests scan. *)
 
 val rollback_last_good : t -> uri:string -> vrp_hash:string -> Vrp.t list option
 (** The honest-side rollback.  When gossip proves a fork at [uri] one or
@@ -298,10 +305,11 @@ val save :
     [rtr_serial] (default 0) is the RTR cache serial to persist alongside.
     [`Auto] (the default) appends an O(delta) checkpointed segment when the
     store holds a base and this relying party has a mark for the store's
-    chain whose generation is still on disk ({!Rpki_persist.Store.sealed}),
-    and falls back to a full base snapshot otherwise (first save, wiped
-    store, a base or segment lost to a dropped rename, log reset, epoch
-    bump).
+    chain, and falls back to a full base snapshot otherwise (first save,
+    wiped store, log reset, epoch bump).  The mark is kept only while the
+    file the last save sealed reads back intact
+    ({!Rpki_persist.Store.sealed}): after a torn, partially flushed or
+    bit-flipped write, or a dropped rename, the next save writes a base.
     The mark holds the VRP set the chain restores to: a segment carries no
     VRP record when the effective set equals it, and one [vrps-diff]
     record (added, removed) otherwise; only a base carries the full set.

@@ -30,10 +30,17 @@ type fault =
   | Timing_out         (* connect timeout: every attempt outlives the budget *)
   | Redirect of string (* cross-origin redirect; RPs refuse to follow *)
 
+(* A listing override and the fingerprint of the list it last returned,
+   reused while it keeps returning that same (immutable) list. *)
+type view = {
+  listing : unit -> (string * string) list;
+  mutable last : ((string * string) list * string) option;
+}
+
 type t = {
   mutable latency_of : Pub_point.t -> int option;
   faults : (string, fault) Hashtbl.t;
-  views : (string, unit -> (string * string) list) Hashtbl.t;
+  views : (string, view) Hashtbl.t;
   (* per-URI listing overrides: what THIS client is served instead of the
      point's published content — a split-view (mirror-world) authority or
      an on-path adversary discriminating by requester.  Timing is
@@ -63,9 +70,19 @@ let clear_faults t = Hashtbl.reset t.faults
 
 let faults t = Hashtbl.fold (fun uri f acc -> (uri, f) :: acc) t.faults []
 
-let set_view t ~uri listing = Hashtbl.replace t.views uri listing
+let set_view t ~uri listing = Hashtbl.replace t.views uri { listing; last = None }
 let clear_view t ~uri = Hashtbl.remove t.views uri
-let view_of t ~uri = Hashtbl.find_opt t.views uri
+
+(* What the view serves now, and its fingerprint: taken once per list the
+   view returns. *)
+let serve_view v =
+  let files = v.listing () in
+  match v.last with
+  | Some (last, fp) when last == files -> (files, fp)
+  | _ ->
+    let fp = Pub_point.fingerprint_of_listing files in
+    v.last <- Some (files, fp);
+    (files, fp)
 
 (* One request against [point]: how long until the transfer completes?
    [`Ok dt] within the timeout, [`Stalled timeout] when the transfer would
@@ -104,11 +121,11 @@ type reply =
 let fetch t ~(point : Pub_point.t) ~timeout =
   match probe t ~point ~timeout with
   | `Ok elapsed -> (
-    match view_of t ~uri:(Pub_point.uri point) with
+    match Hashtbl.find_opt t.views (Pub_point.uri point) with
     | None ->
       Served { files = Pub_point.snapshot point; fp = Pub_point.fingerprint point; elapsed }
-    | Some listing ->
-      let files = listing () in
-      Served { files; fp = Pub_point.fingerprint_of_listing files; elapsed })
+    | Some v ->
+      let files, fp = serve_view v in
+      Served { files; fp; elapsed })
   | `Stalled elapsed -> Stalled { elapsed }
   | `Unroutable elapsed -> Unroutable { elapsed }

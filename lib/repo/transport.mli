@@ -60,7 +60,10 @@ val set_view : t -> uri:string -> (unit -> (string * string) list) -> unit
     adversary, discriminating by requester).  Timing and faults are
     unaffected; only the payload forks.  Other transports (other vantages)
     keep seeing the genuine listing, which is exactly what the transparency
-    layer's gossip is built to catch. *)
+    layer's gossip is built to catch.  The listing is called on every fetch;
+    its fingerprint is taken again only when it returns a different list
+    (physically), so a view that returns one list per state pays one hash
+    per state. *)
 
 val clear_view : t -> uri:string -> unit
 

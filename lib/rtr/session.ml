@@ -17,6 +17,9 @@ type cache = {
   mutable serial : int;
   mutable feed : Vrp.t list; (* the relying party's view, holds ignored *)
   mutable current : Vrp.t list; (* what routers see: [feed] with holds applied *)
+  mutable index : Origin_validation.index option;
+      (* [current]'s origin-validation index, built on first demand and
+         patched with each delta after that *)
   mutable holds : (V4.Prefix.t * Vrp.t list) list; (* pinned prefix -> last-good VRPs *)
   mutable deltas : (int * Vrp.diff) list; (* serial -> diff from serial-1, newest first *)
   mutable data_age : int; (* staleness of the RP data behind [current] *)
@@ -24,12 +27,21 @@ type cache = {
 }
 
 let create_cache ?(session_id = 0x5c1) ?(history_limit = 16) () =
-  { session_id; serial = 0; feed = []; current = []; holds = []; deltas = [];
+  { session_id; serial = 0; feed = []; current = []; index = None; holds = []; deltas = [];
     data_age = 0; history_limit }
 
 let cache_session_id cache = cache.session_id
 let cache_serial cache = cache.serial
 let cache_vrps cache = cache.current
+
+let cache_index cache =
+  match cache.index with
+  | Some idx -> idx
+  | None ->
+    let idx = Origin_validation.build cache.current in
+    cache.index <- Some idx;
+    idx
+
 let cache_holds cache = cache.holds
 
 (* The serial says how current the *protocol* state is; the data age says
@@ -58,6 +70,7 @@ let republish cache =
   if not (Vrp.diff_is_empty d) then begin
     cache.serial <- cache.serial + 1;
     cache.current <- vrps;
+    cache.index <- Option.map (fun idx -> Origin_validation.apply_diff idx d) cache.index;
     cache.deltas <- (cache.serial, d) :: cache.deltas;
     if List.length cache.deltas > cache.history_limit then
       cache.deltas <- List.filteri (fun i _ -> i < cache.history_limit) cache.deltas
@@ -76,17 +89,19 @@ let feed_fingerprint cache = Vrp.fingerprint cache.feed
 (* Install the relying party's sync diff directly as the next serial delta.
    The diff must be relative to the cache's *feed* — which holds when the
    cache is fed every sync of one relying party, diff-empty syncs included
-   (they are no-ops here).  [expect_base] turns that precondition into a
-   check: a diff computed against any other set raises instead of silently
-   corrupting the delta window.  Holds are applied on top, so a frozen
-   prefix stays at its pinned VRPs no matter what the diff says. *)
+   (they are no-ops here: [current] already is the feed with the holds
+   applied, since every change to either republishes).  [expect_base]
+   turns that precondition into a check: a diff computed against any other
+   set raises instead of silently corrupting the delta window.  Holds are
+   applied on top, so a frozen prefix stays at its pinned VRPs no matter
+   what the diff says. *)
 let publish_diff ?expect_base cache diff =
   (match expect_base with
   | Some expected ->
     let actual = feed_fingerprint cache in
     if not (Int64.equal expected actual) then raise (Base_mismatch { expected; actual })
   | None -> ());
-  install cache (Vrp.apply_diff cache.feed diff)
+  if not (Vrp.diff_is_empty diff) then install cache (Vrp.apply_diff cache.feed diff)
 
 let hold cache ~prefix ~vrps =
   cache.holds <-
@@ -106,6 +121,7 @@ let restore cache ~serial ~vrps =
   cache.serial <- max 0 serial;
   cache.feed <- vrps;
   cache.current <- vrps;
+  cache.index <- None;
   cache.holds <- [];
   cache.deltas <- []
 

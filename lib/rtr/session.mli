@@ -31,6 +31,12 @@ val cache_serial : cache -> int
 val cache_vrps : cache -> Vrp.t list
 (** The currently installed (normalized) VRP set. *)
 
+val cache_index : cache -> Origin_validation.index
+(** The origin-validation index of {!cache_vrps}: what routers fed by this
+    cache classify against.  Built on first demand, then patched with each
+    serial delta, so a tick that changes nothing costs nothing; it
+    classifies exactly as [Origin_validation.build (cache_vrps cache)]. *)
+
 val set_data_age : cache -> int -> unit
 (** Record the staleness of the relying-party data behind the current set
     (see {!Rpki_repo.Relying_party.max_data_age}).  Clamped at 0. *)

@@ -403,7 +403,7 @@ let step t ~now =
   List.iter (fun rg -> install_hold t ~uri:(regression_uri rg)) regressions;
   (* routers act on the RTR cache — the primary's feed with any holds
      applied — so the data plane is classified from the cache's view *)
-  let rtr_index = Origin_validation.build (Rpki_rtr.Session.cache_vrps (rtr_cache t)) in
+  let rtr_index = Rpki_rtr.Session.cache_index (rtr_cache t) in
   let validity_of r = Origin_validation.classify rtr_index r in
   (* only prefixes whose announcements' validity changed since the previous
      tick are propagated again; the rest keep the previous tick's RIBs *)

@@ -444,6 +444,142 @@ let prop_incremental_equals_fresh =
       in
       true)
 
+(* --- the longest-prefix index against a linear scan ---------------------
+
+   [Data_plane] answers each hop from a trie over the announced prefixes.
+   The oracle below is the scan it replaced: every announced prefix,
+   ascending, keeping the longest that covers the address and for which
+   the AS holds a route, over RIBs computed here one prefix at a time. *)
+
+let scan_forwarding_entry ribs ~asn ~addr =
+  List.fold_left
+    (fun best (prefix, rib) ->
+      let longer =
+        match best with
+        | Some (bp, _) -> V4.Prefix.len prefix > V4.Prefix.len bp
+        | None -> true
+      in
+      if V4.Prefix.contains_addr prefix addr && longer then
+        match Propagation.route rib asn with Some e -> Some (prefix, e) | None -> best
+      else best)
+    None ribs
+
+let scan_trace ribs ~src ~addr =
+  let rec go asn visited =
+    if List.mem asn visited then Data_plane.Loop (List.rev (asn :: visited))
+    else
+      match scan_forwarding_entry ribs ~asn ~addr with
+      | None -> Data_plane.No_route asn
+      | Some (_, e) -> (
+        let delivered () =
+          Data_plane.Delivered { origin = asn; hops = List.rev (asn :: visited) }
+        in
+        if e.Propagation.ann.Propagation.origin = asn then delivered ()
+        else
+          match Propagation.next_hop e with
+          | None -> delivered ()
+          | Some nh -> go nh (asn :: visited))
+  in
+  go src []
+
+(* Nested prefixes: each chain starts at a /8../16 and descends through up
+   to three more-specifics, each announced by the covering prefix's origin
+   or, as a hijack, by another AS (sometimes both); VRPs cover a random
+   subset, so some hijacks are invalid and some policies drop them. *)
+let prop_lpm_index_equals_scan =
+  QCheck.Test.make ~name:"indexed forwarding equals a linear scan" ~count:200
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 1_000_000))
+    (fun (graph_seed, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let spec =
+        { As_graph.ases = 6 + Random.State.int rng 20; tier1 = 2;
+          attach = 1 + Random.State.int rng 2; peer_fraction = 0.2; seed = graph_seed;
+          first_asn = 1 }
+      in
+      let topo = As_graph.topology (As_graph.generate spec) in
+      let asns = Array.of_list (Topology.asns topo) in
+      let pick_as () = asns.(Random.State.int rng (Array.length asns)) in
+      let chain () =
+        let len0 = 8 + Random.State.int rng 9 in
+        let top = V4.Prefix.make (Random.State.bits rng lsl 2 land 0xFFFFFFFF) len0 in
+        let rec down prefix origin depth =
+          let here =
+            match Random.State.int rng 3 with
+            | 0 -> [ { Propagation.prefix; origin } ]
+            | 1 -> [ { Propagation.prefix; origin = pick_as () } ]
+            | _ -> [ { Propagation.prefix; origin }; { Propagation.prefix; origin = pick_as () } ]
+          in
+          let plen = V4.Prefix.len prefix in
+          if depth = 0 || plen >= 30 then here
+          else begin
+            let len = plen + 1 + Random.State.int rng (min 8 (30 - plen)) in
+            let host = Random.State.bits rng land ((1 lsl (32 - plen)) - 1) in
+            here @ down (V4.Prefix.make (V4.Prefix.addr prefix lor host) len) origin (depth - 1)
+          end
+        in
+        down top (pick_as ()) (Random.State.int rng 4)
+      in
+      let anns = List.concat (List.init (1 + Random.State.int rng 3) (fun _ -> chain ())) in
+      let vrps =
+        List.filter_map
+          (fun (a : Propagation.announcement) ->
+            let len = V4.Prefix.len a.Propagation.prefix in
+            if Random.State.bool rng then
+              Some
+                (Vrp.make ~max_len:(len + Random.State.int rng (33 - len)) a.Propagation.prefix
+                   a.Propagation.origin)
+            else None)
+          anns
+      in
+      let idx = Origin_validation.build vrps in
+      let validity_of r = Origin_validation.classify idx r in
+      let policies = Hashtbl.create 32 in
+      Array.iter
+        (fun a -> Hashtbl.replace policies a (List.nth Policy.all (Random.State.int rng 3)))
+        asns;
+      let policy_of a = Hashtbl.find policies a in
+      let net = Data_plane.build ~topo ~policy_of ~validity_of anns in
+      let prefixes =
+        List.sort_uniq V4.Prefix.compare (List.map (fun a -> a.Propagation.prefix) anns)
+      in
+      let ribs =
+        List.map
+          (fun p ->
+            ( p,
+              Propagation.compute ~topo ~policy_of ~validity_of
+                (List.filter (fun a -> V4.Prefix.equal a.Propagation.prefix p) anns) ))
+          prefixes
+      in
+      (* each prefix's first, last and a random address, its neighbours
+         just outside, and a few anywhere *)
+      let probes =
+        List.concat_map
+          (fun p ->
+            let first = V4.Prefix.addr p and last = V4.Prefix.last p in
+            let inside = first lor (Random.State.bits rng land (last - first)) in
+            [ first; last; inside ]
+            @ (if first > 0 then [ first - 1 ] else [])
+            @ if last < 0xFFFFFFFF then [ last + 1 ] else [])
+          prefixes
+        @ List.init 4 (fun _ -> Random.State.bits rng lsl 2 land 0xFFFFFFFF)
+      in
+      List.iter
+        (fun src ->
+          List.iter
+            (fun addr ->
+              if
+                Data_plane.forwarding_entry net ~asn:src ~addr
+                <> scan_forwarding_entry ribs ~asn:src ~addr
+              then
+                QCheck.Test.fail_reportf "forwarding entry of AS%d for %s differs from the scan" src
+                  (Addr.V4.to_string addr);
+              if Data_plane.trace net ~src ~addr <> scan_trace ribs ~src ~addr then
+                QCheck.Test.fail_reportf "trace from AS%d to %s differs from the scan" src
+                  (Addr.V4.to_string addr))
+            probes)
+        (Array.to_list asns);
+      true)
+
 (* --- propagation oracle --- *)
 
 (* Selection written out from its definition: the best admissible route
@@ -574,7 +710,8 @@ let () =
       ( "data-plane",
         [ Alcotest.test_case "LPM forwarding" `Quick test_lpm_forwarding;
           Alcotest.test_case "no route" `Quick test_no_route;
-          QCheck_alcotest.to_alcotest prop_incremental_equals_fresh ] );
+          QCheck_alcotest.to_alcotest prop_incremental_equals_fresh;
+          QCheck_alcotest.to_alcotest prop_lpm_index_equals_scan ] );
       ("hijack", [ Alcotest.test_case "validation" `Quick test_hijack_validation ]);
       ("topo-gen", [ Alcotest.test_case "generated topology" `Quick test_topo_gen ]);
       ("table-6", [ Alcotest.test_case "policy tradeoff" `Quick test_table6 ]) ]

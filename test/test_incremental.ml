@@ -327,9 +327,123 @@ let test_equivalence_10k () =
            (Origin_validation.classify warm.Relying_party.index route)))
     (random_routes rng 64)
 
+(* --- grace bookkeeping and the memo, against eager references ---------
+
+   The relying party stamps grace memory only for VRPs that leave its set,
+   reuses the sorted union while every point returns the list it returned
+   before, and reports an empty diff without a merge when nothing changed.
+   The reference is the eager bookkeeping it replaced: every VRP of the
+   set stamped on every sync, the held VRPs scanned out of the whole
+   memory, the diff always merged.  Its input, the set before grace, is a
+   second relying party's, one without grace; the reference forgets with
+   [flush_cache] and takes the restored set as its diff base. *)
+
+let grace_equiv (seed, grace) =
+  let w = build_world seed in
+  let rng = Rpki_util.Rng.create ((seed * 7) + grace) in
+  let tals = [ Relying_party.tal_of_authority w.ta ] in
+  let rp = Relying_party.create ~name:"grace" ~asn:1 ~tals ~grace () in
+  let plain = Relying_party.create ~name:"plain" ~asn:1 ~tals () in
+  let store = Rpki_persist.Store.create (Rpki_persist.Disk.create ()) ~name:"grace" in
+  let memory = Hashtbl.create 64 in
+  let base = ref [] in
+  let saved = ref None in
+  let hidden = ref [] in
+  let now = ref 0 in
+  (* hide a ROA for a while: its VRPs leave the set and come back.  Hidden,
+     it is out of [live], so no mutation picks it *)
+  let hide () =
+    if w.live <> [] then begin
+      let ((issuer, filename) as entry) = Rpki_util.Rng.pick rng w.live in
+      match Fault.delete_object (Authority.pub issuer) ~filename with
+      | Some applied ->
+        hidden := (applied, entry) :: !hidden;
+        w.live <- List.filter (fun e -> e != entry) w.live
+      | None -> ()
+    end
+  in
+  for step = 1 to 12 do
+    (match Rpki_util.Rng.int rng 8 with
+    | 0 | 1 -> mutate w rng ~now:!now
+    | 2 when w.live <> [] -> hide ()
+    | 2 | 3 ->
+      List.iter
+        (fun (applied, entry) ->
+          Fault.repair applied;
+          w.live <- entry :: w.live)
+        !hidden;
+      hidden := []
+    | 4 -> Authority.roll_key (Rpki_util.Rng.pick rng (Array.to_list w.children)) ~now:!now
+    | 5 ->
+      (* forget, then lose a VRP: nothing holds it *)
+      Relying_party.flush_cache rp;
+      Hashtbl.reset memory;
+      hide ()
+    | 6 ->
+      ignore (Relying_party.save rp ~now:!now store);
+      saved := Some !base
+    | _ -> (
+      match (!saved, Relying_party.restore rp store) with
+      | Some set, Relying_party.Recovered _ -> base := set
+      | _ -> ()));
+    now := !now + 1 + Rpki_util.Rng.int rng 3;
+    let r = Relying_party.sync rp ~now:!now ~universe:w.universe () in
+    let current = (Relying_party.sync plain ~now:!now ~universe:w.universe ()).Relying_party.vrps in
+    (* the eager reference *)
+    List.iter (fun v -> Hashtbl.replace memory v !now) current;
+    let held =
+      Hashtbl.fold
+        (fun v last acc ->
+          if Rtime.diff !now last <= grace && not (List.exists (Vrp.equal v) current) then v :: acc
+          else acc)
+        memory []
+      |> List.sort Vrp.compare
+    in
+    let effective = List.sort_uniq Vrp.compare (current @ held) in
+    let diff = Vrp.diff_of ~before:!base ~after:effective in
+    base := effective;
+    let fail what = QCheck.Test.fail_reportf "seed %d grace %d step %d: %s" seed grace step what in
+    if vrp_strings r.Relying_party.vrps <> vrp_strings effective then fail "effective sets differ";
+    if
+      vrp_strings r.Relying_party.diff.Vrp.added <> vrp_strings diff.Vrp.added
+      || vrp_strings r.Relying_party.diff.Vrp.removed <> vrp_strings diff.Vrp.removed
+    then fail "diffs differ";
+    let holds =
+      List.filter_map
+        (fun (i : Relying_party.issue) ->
+          if i.Relying_party.kind = Validation.Ik_grace_hold then Some i.Relying_party.reason
+          else None)
+        r.Relying_party.issues
+    in
+    let expected =
+      List.map (fun v -> Printf.sprintf "grace: holding disappeared VRP %s" (Vrp.to_string v)) held
+    in
+    if holds <> expected then fail "grace-hold issues differ";
+    (* every fetched point's VRPs, against a scan of the whole memo *)
+    let memo = Relying_party.memoized rp in
+    List.iter
+      (fun (uri, _) ->
+        let scanned =
+          List.sort_uniq Vrp.compare
+            (List.concat_map (fun (u, vrps) -> if String.equal u uri then vrps else []) memo)
+        in
+        if vrp_strings (Relying_party.point_vrps rp ~uri) <> vrp_strings scanned then
+          fail ("point_vrps differs from the memo scan at " ^ uri))
+      r.Relying_party.fetches
+  done;
+  true
+
+let prop_grace_equivalence =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:12 ~name:"grace bookkeeping == the eager reference"
+       (QCheck.make
+          ~print:(fun (s, g) -> Printf.sprintf "seed %d grace %d" s g)
+          QCheck.Gen.(pair (int_range 1 1000) (int_range 0 4)))
+       grace_equiv)
+
 let () =
   Alcotest.run "incremental"
     [ ( "equivalence",
         [ prop_equivalence; prop_transport_equivalence;
-          Alcotest.test_case "10k VRPs, warm tick" `Quick test_equivalence_10k ] )
-    ]
+          Alcotest.test_case "10k VRPs, warm tick" `Quick test_equivalence_10k ] );
+      ("grace", [ prop_grace_equivalence ]) ]

@@ -92,9 +92,10 @@ let test_store_roundtrip () =
   Alcotest.(check bool) "empty store: no snapshot" true
     (Store.load store = Error Store.No_snapshot);
   let g1 = Store.save store ~now:5 (records "one") in
-  Alcotest.(check int) "first generation" 1 g1;
+  Alcotest.(check int) "first generation" 1 g1.Store.generation;
+  Alcotest.(check bool) "first save reads back" true g1.Store.intact;
   let g2 = Store.save store ~now:6 (records "two") in
-  Alcotest.(check int) "second generation" 2 g2;
+  Alcotest.(check int) "second generation" 2 g2.Store.generation;
   Alcotest.(check int) "marker follows" 2 (Store.generation store);
   (match Store.load store with
   | Ok snap ->
@@ -116,11 +117,14 @@ let test_fault_envelope () =
       let store = Store.create disk ~name:"rp" in
       ignore (Store.save store ~now:1 (records "good"));
       Disk.inject disk fault;
-      ignore (Store.save store ~now:2 (records "doomed"));
+      let doomed = Store.save store ~now:2 (records "doomed") in
       Alcotest.(check bool)
         (Printf.sprintf "%s fired" (Disk.fault_to_string fault))
         true
         (List.mem fault (Disk.fired disk));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: save reports a damaged file" (Disk.fault_to_string fault))
+        false doomed.Store.intact;
       match (fault, Store.load store) with
       | Disk.Drop_rename, Error (Store.Stale { snap_generation; marker }) ->
         (* the data rename was lost: the marker ran ahead of the snapshot *)
@@ -213,11 +217,14 @@ let test_rp_corrupt_snapshot_explicit () =
 (* --- segmented persistence vs the uncompacted reference ----------------
 
    The endurance refactor's soundness property: under ARBITRARY
-   interleavings of churn, incremental (segment) saves, compaction —
-   sometimes under a one-shot disk fault — and mid-run crash/restores, a
-   relying party restored from the segment chain is indistinguishable from
-   one restored from an uncompacted full-snapshot store fed the same
-   states: same transparency-log head, same VRP set, same peer heads. *)
+   interleavings of churn, incremental (segment) saves — sometimes under a
+   one-shot disk fault — compaction — likewise — and mid-run
+   crash/restores, a relying party restored from the segment chain is
+   indistinguishable from one restored from an uncompacted full-snapshot
+   store fed the same states: same transparency-log head, same VRP set,
+   same peer heads.  A faulted save leaves a chain that does not restore
+   until the next save, so no restart follows one and the last save is
+   clean. *)
 
 let drain_armed_fault disk =
   (* a fault armed for a compaction that never wrote must not leak into the
@@ -269,6 +276,8 @@ let prop_segmented_matches_uncompacted seed =
       else ignore (Authority.renew_roa ca ~filename ~now)
     done;
     ignore (Relying_party.sync !rp ~now ~universe:m.Model.universe ());
+    let faulted = now < rounds && Rpki_util.Rng.int rng 3 = 0 in
+    if faulted then Disk.inject seg_disk faults.(Rpki_util.Rng.int rng 4);
     ignore (Relying_party.save !rp ~now ~mode:`Auto seg);
     ignore (Relying_party.save !rp ~now ~mode:`Full full);
     match Rpki_util.Rng.int rng 4 with
@@ -279,7 +288,7 @@ let prop_segmented_matches_uncompacted seed =
         Disk.inject seg_disk faults.(Rpki_util.Rng.int rng 4);
       ignore (Relying_party.compact_store seg ~now);
       drain_armed_fault seg_disk
-    | 1 ->
+    | 1 when not faulted ->
       (* crash and restart: continue from what the segment chain restores *)
       rp := restore_or_fail seg
     | _ -> ()
@@ -366,6 +375,15 @@ let test_vrp_diff_segments () =
   Authority.expire_roa m.Model.continental ~filename:m.Model.roa_cb_26 ~now:5;
   tick 5;
   Alcotest.(check bool) "the next segment restores onto the folded base" true
+    (restored_vrps ~name:"diff-rp" ~asn store = Relying_party.vrps rp);
+  (* a change that keeps the set's size is saved too *)
+  ignore (Authority.renew_roa m.Model.continental ~filename:m.Model.roa_cb_25 ~now:6);
+  Authority.expire_roa m.Model.continental ~filename:m.Model.roa_cb_28 ~now:6;
+  tick 6;
+  let diff = (Option.get (Relying_party.last_result rp)).Relying_party.diff in
+  Alcotest.(check (pair int int)) "one VRP in, one out" (1, 1)
+    (List.length diff.Rpki_core.Vrp.added, List.length diff.Rpki_core.Vrp.removed);
+  Alcotest.(check bool) "a same-size change restores" true
     (restored_vrps ~name:"diff-rp" ~asn store = Relying_party.vrps rp)
 
 (* The first save's data rename is lost while the marker still reaches 1:
@@ -401,31 +419,40 @@ let test_lost_base_rewritten () =
     (Invalid_argument "Store.append: no base snapshot to append to") (fun () ->
       ignore (Store.append store ~now:5 (records "delta")))
 
-(* A segment's data rename is lost at t2: the marker names generation 2,
-   whose file never landed.  Restore reads that crash window as stale, and
-   the next save writes a base again instead of appending behind the gap,
-   so every later save restores and the chain compacts. *)
-let test_lost_segment_rewritten () =
+(* The t2 segment save is faulted.  A lost data rename leaves the marker
+   naming generation 2, whose file never landed, and restore reads that
+   crash window as stale; a torn, partially flushed or bit-flipped write
+   leaves a segment 2 that restore reads as corrupt.  Either way the save
+   sees its file did not read back intact, and the next save writes a base
+   again instead of appending behind it, so every later save restores and
+   the chain compacts. *)
+let segment_fault_rewritten fault =
   let m = Model.build () in
   let rp = Model.relying_party ~name:"gap-rp" m in
   let asn = Relying_party.asn rp in
   let disk = Disk.create () in
   let store = Store.create disk ~name:"gap-rp" in
   for now = 1 to 6 do
-    if now = 2 then Disk.inject disk Disk.Drop_rename;
+    if now = 2 then Disk.inject disk fault;
     if now = 4 then Authority.expire_roa m.Model.continental ~filename:m.Model.roa_cb_25 ~now;
     ignore (Relying_party.sync rp ~now ~universe:m.Model.universe ());
     ignore (Relying_party.save rp ~now store);
     let fresh = Relying_party.create ~name:"gap-rp" ~asn ~tals:[] ~log_epoch:1 () in
-    match (now, Relying_party.restore fresh store) with
-    | 2, Relying_party.Recovered_fresh (Relying_party.Snapshot_stale _) -> ()
-    | 2, r -> Alcotest.fail ("t2 is the crash window, not " ^ Relying_party.recovery_to_string r)
-    | _, Relying_party.Recovered _ ->
+    match (now, fault, Relying_party.restore fresh store) with
+    | 2, Disk.Drop_rename, Relying_party.Recovered_fresh (Relying_party.Snapshot_stale _) -> ()
+    | ( 2,
+        (Disk.Torn_write | Disk.Partial_flush | Disk.Bit_flip _),
+        Relying_party.Recovered_fresh (Relying_party.Snapshot_corrupt _) ) ->
+      ()
+    | 2, _, r ->
+      Alcotest.failf "t2 is the %s window, not %s" (Disk.fault_to_string fault)
+        (Relying_party.recovery_to_string r)
+    | _, _, Relying_party.Recovered _ ->
       Alcotest.(check bool)
         (Printf.sprintf "t%d restores the saved set" now)
         true
         (Relying_party.vrps fresh = Relying_party.vrps rp)
-    | _, r -> Alcotest.failf "t%d: %s" now (Relying_party.recovery_to_string r)
+    | _, _, r -> Alcotest.failf "t%d: %s" now (Relying_party.recovery_to_string r)
   done;
   Alcotest.(check int) "segments on the rewritten base" 3 (Store.segment_count store);
   (match Relying_party.compact_store store ~now:6 with
@@ -433,6 +460,11 @@ let test_lost_segment_rewritten () =
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "restores after compaction" true
     (restored_vrps ~name:"gap-rp" ~asn store = Relying_party.vrps rp)
+
+let test_lost_segment_rewritten () = segment_fault_rewritten Disk.Drop_rename
+
+let test_damaged_segment_rewritten () =
+  List.iter segment_fault_rewritten [ Disk.Torn_write; Disk.Partial_flush; Disk.Bit_flip 4242 ]
 
 (* One writer for a base: compacting a chain saved through t writes the
    records a [`Full] save of the state at t writes, byte for byte, peer
@@ -483,5 +515,7 @@ let () =
          Alcotest.test_case "a lost base is written again" `Quick test_lost_base_rewritten;
          Alcotest.test_case "a lost segment rename writes a base again" `Quick
            test_lost_segment_rewritten;
+         Alcotest.test_case "a damaged segment write writes a base again" `Quick
+           test_damaged_segment_rewritten;
          Alcotest.test_case "compaction writes what a full save writes" `Quick
            test_compaction_writes_a_full_base ]) ]

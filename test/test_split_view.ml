@@ -310,6 +310,151 @@ let test_equivocating_head_raises_inconsistent_heads () =
       | _ -> ())
     (Gossip.alarms g)
 
+(* --- reuse: the memoized fork, and the RTR view's index --------------- *)
+
+(* What a fetch through [tr] serves for [point]. *)
+let served tr point =
+  match Transport.fetch tr ~point ~timeout:1 with
+  | Transport.Served { files; fp; _ } -> (files, fp)
+  | Transport.Stalled _ | Transport.Unroutable _ -> Alcotest.fail "fetch not served"
+
+(* The fork a view keeps across honest changes is, byte for byte, the one
+   a view installed just now forges, and the transport's fingerprint is
+   the fingerprint of what it serves.  Both stealth levels; the changes
+   are the point's own (put, delete) and the authority's (a new ROA, a
+   revocation, a refresh, a key rollover). *)
+let test_memoized_fork_equals_fresh_forge () =
+  List.iter
+    (fun stealth ->
+      let m = Model.build () in
+      let ca = m.Model.continental in
+      let point = Authority.pub ca in
+      let attack =
+        Split_view.plan ~authority:ca ~target_filename:m.Model.roa_cb_25 ~stealth ()
+      in
+      let kept = Transport.instant () in
+      Split_view.apply attack kept;
+      let check label =
+        let label = Split_view.stealth_to_string stealth ^ ", " ^ label in
+        let files, fp = served kept point in
+        let again, fp_again = served kept point in
+        let fresh = Transport.instant () in
+        Split_view.apply attack fresh;
+        let fresh_files, fresh_fp = served fresh point in
+        Alcotest.(check (list (pair string string))) (label ^ ": fork bytes") fresh_files files;
+        Alcotest.(check string) (label ^ ": fingerprint") fresh_fp fp;
+        Alcotest.(check string)
+          (label ^ ": fingerprint of the served listing")
+          (Pub_point.fingerprint_of_listing files) fp;
+        Alcotest.(check bool) (label ^ ": an unchanged point is served the kept fork") true
+          (again == files && String.equal fp_again fp);
+        Alcotest.(check bool) (label ^ ": the target is gone") false
+          (List.mem_assoc m.Model.roa_cb_25 files)
+      in
+      check "initial";
+      Pub_point.put point ~filename:"extra.txt" "planted";
+      check "after a put";
+      Pub_point.delete point ~filename:"extra.txt";
+      check "after a delete";
+      ignore
+        (Authority.issue_simple_roa ca ~asid:64500
+           ~prefix:(Rpki_ip.V4.p "63.174.27.0/24") ~now:2 ());
+      check "after a new ROA";
+      Authority.revoke_roa ca ~filename:m.Model.roa_cb_26 ~now:3;
+      check "after a revocation";
+      Authority.refresh ca ~now:4;
+      check "after a refresh";
+      Authority.roll_key ca ~now:5;
+      check "after a key rollover")
+    [ Split_view.Stealthy; Split_view.Overt ]
+
+(* A state a point serves again becomes its newest state again, so it
+   outlives the states served in between: after A, B, A and seven more
+   states, the eight-deep history still holds A for a late rollback. *)
+let test_reobserved_state_is_newest () =
+  let m = Model.build () in
+  let rp = Model.relying_party m in
+  let ca = m.Model.continental in
+  let uri = Pub_point.uri (Authority.pub ca) in
+  let sync now = ignore (Relying_party.sync rp ~now ~universe:m.Model.universe ()) in
+  let newest_hash () =
+    match Rpki_transparency.Log.latest_for (Relying_party.transparency_log rp) ~uri with
+    | Some ob -> ob.Rpki_transparency.Log.ob_vrp_hash
+    | None -> Alcotest.fail "no observation of the point"
+  in
+  sync 1;
+  let a = newest_hash () in
+  let extra, _ =
+    Authority.issue_simple_roa ca ~asid:64500 ~prefix:(Rpki_ip.V4.p "63.174.27.0/24") ~now:2 ()
+  in
+  sync 2;
+  Authority.revoke_roa ca ~filename:extra ~now:3;
+  sync 3;
+  Alcotest.(check string) "the point serves A again" a (newest_hash ());
+  List.iteri
+    (fun k third_octet ->
+      let now = 4 + k in
+      ignore
+        (Authority.issue_simple_roa ca ~asid:(64501 + k)
+           ~prefix:(Rpki_ip.V4.p (Printf.sprintf "63.174.%d.0/24" third_octet)) ~now ());
+      sync now)
+    [ 17; 18; 19; 20; 21; 22; 24 ];
+  Alcotest.(check bool) "A is still in the history" true
+    (Relying_party.rollback_last_good rp ~uri ~vrp_hash:a <> None)
+
+(* The RTR view's index is built once and patched with each delta after
+   that.  On every tick of a split-view run it classifies like an index
+   built afresh from the cache's set: the fork's VRP leaves at once (grace
+   0, attack at t4), and the evidence the t6 gossip round verifies pins it
+   back with a hold. *)
+let test_rtr_index_tracks_the_cache () =
+  let open Rpki_core in
+  let rig =
+    Scenario.build { Scenario.default with monitors = 2; grace = 0; gossip_period = 3 }
+  in
+  let sim = rig.Scenario.sim in
+  let attack =
+    Split_view.plan ~authority:rig.Scenario.victim_ca ~target_filename:rig.Scenario.victim_roa ()
+  in
+  let cache = Rpki_rtr.Server.cache (Loop.rtr_server sim) in
+  let routes = ref [] in
+  let changed = ref 0 and held = ref false in
+  for now = 1 to 9 do
+    if now = 4 then Split_view.apply attack (Loop.transport sim);
+    let serial = Rpki_rtr.Session.cache_serial cache in
+    ignore (Scenario.step rig ~now);
+    if Rpki_rtr.Session.cache_serial cache <> serial then incr changed;
+    if now = 1 then
+      (* every announcement, and for every VRP its route, a foreign origin
+         and a more-specific *)
+      routes :=
+        List.map
+          (fun (a : Rpki_bgp.Propagation.announcement) ->
+            Route.make a.Rpki_bgp.Propagation.prefix a.Rpki_bgp.Propagation.origin)
+          sim.Loop.announcements
+        @ List.concat_map
+            (fun (v : Vrp.t) ->
+              let p = v.Vrp.prefix in
+              [ Route.make p v.Vrp.asn; Route.make p (v.Vrp.asn + 1);
+                Route.make
+                  (Rpki_ip.V4.Prefix.make (Rpki_ip.V4.Prefix.addr p)
+                     (min 32 (Rpki_ip.V4.Prefix.len p + 4)))
+                  v.Vrp.asn ])
+            (Rpki_rtr.Session.cache_vrps cache);
+    let fresh = Origin_validation.build (Rpki_rtr.Session.cache_vrps cache) in
+    let index = Rpki_rtr.Session.cache_index cache in
+    List.iter
+      (fun route ->
+        Alcotest.(check string)
+          (Printf.sprintf "t%d: %s" now (Route.to_string route))
+          (Origin_validation.state_to_string (Origin_validation.classify fresh route))
+          (Origin_validation.state_to_string (Origin_validation.classify index route)))
+      !routes;
+    if Rpki_rtr.Session.cache_holds cache <> [] then held := true
+  done;
+  Alcotest.(check bool) "a hold was installed" true !held;
+  Alcotest.(check bool) "the cache changed after the index was built" true (!changed >= 2)
+
 let () =
   Alcotest.run "split-view"
     [ ("detection",
@@ -330,4 +475,11 @@ let () =
            `Quick test_equivocating_head_raises_inconsistent_heads ]);
       ("false-positives",
        [ Alcotest.test_case "faulty-but-consistent transports never alarm" `Quick
-           test_no_false_positives_under_faulty_transport ]) ]
+           test_no_false_positives_under_faulty_transport ]);
+      ("reuse",
+       [ Alcotest.test_case "the kept fork is a fresh forge" `Quick
+           test_memoized_fork_equals_fresh_forge;
+         Alcotest.test_case "the RTR view's index tracks the cache" `Quick
+           test_rtr_index_tracks_the_cache;
+         Alcotest.test_case "a re-observed state is the newest again" `Quick
+           test_reobserved_state_is_newest ]) ]
