@@ -191,7 +191,8 @@ let bench_transparency () =
 (* One gossip round over 32 vantages synced on the Section 6 model, on a
    fresh k:4 mesh each run: no receiver has a baseline, so every pull checks
    its peer's whole log, and the receivers of one log check the same
-   proofs. *)
+   proofs.  The logs do not change between runs, so every head is signed
+   at the first run and served as kept from then on. *)
 let bench_gossip () =
   let rig =
     Rpki_sim.Scenario.build
@@ -202,13 +203,45 @@ let bench_gossip () =
     ignore (Rpki_sim.Loop.step sim ~now)
   done;
   let vantages = Rpki_repo.Gossip.vantages (Option.get (Rpki_sim.Loop.gossip_mesh sim)) in
+  (* the same on a second rig, one k:4 mesh kept across runs, after every
+     log grows by one record: every head needs a fresh signature, so each
+     run signs and checks 32 heads, and each pull carries a one-record
+     delta *)
+  let grown =
+    let rig =
+      Rpki_sim.Scenario.build
+        { Rpki_sim.Scenario.default with monitors = 31; gossip_period = 1_000 }
+    in
+    let sim = rig.Rpki_sim.Scenario.sim in
+    for now = 1 to 3 do
+      ignore (Rpki_sim.Loop.step sim ~now)
+    done;
+    let g = Option.get (Rpki_sim.Loop.gossip_mesh sim) in
+    let vantages = Rpki_repo.Gossip.vantages g in
+    let g = Rpki_repo.Gossip.create ~overlay:(Rpki_repo.Gossip.Overlay.K_regular 4) vantages in
+    ignore (Rpki_repo.Gossip.round g ~now:4);
+    let now = ref 4 in
+    fun () ->
+      incr now;
+      List.iter
+        (fun v ->
+          ignore
+            (Rpki_transparency.Log.append
+               (Rpki_repo.Relying_party.transparency_log v.Rpki_repo.Gossip.v_rp)
+               { Rpki_transparency.Log.ob_uri = "rsync://bench.example/grown/";
+                 ob_serial = !now; ob_manifest_hash = ""; ob_vrp_hash = "";
+                 ob_snapshot_fp = ""; ob_at = !now }))
+        vantages;
+      Rpki_repo.Gossip.round g ~now:!now
+  in
   Test.make_grouped ~name:"gossip"
     [ Test.make ~name:"round-32-vantages-fresh"
         (Staged.stage (fun () ->
              let g =
                Rpki_repo.Gossip.create ~overlay:(Rpki_repo.Gossip.Overlay.K_regular 4) vantages
              in
-             Rpki_repo.Gossip.round g ~now:4)) ]
+             Rpki_repo.Gossip.round g ~now:4));
+      Test.make ~name:"round-32-vantages-grown" (Staged.stage grown) ]
 
 (* Persistence of one vantage holding 307 VRPs: the Section 6 model plus
    one ARIN ROA of 292 /24s and seven more /24s at ETB, whose point then

@@ -92,10 +92,11 @@ let sign ~key msg =
   Nat.to_bytes_be_padded (Nat.add m2 (Nat.mul key.q h)) len
 
 (* Global count of RSA verifications actually performed — the ground truth
-   the multi-vantage benchmark audits cache-on and cache-off runs against. *)
-let verifications = ref 0
+   the multi-vantage benchmark audits cache-on and cache-off runs against.
+   Atomic, because a gossip round checks tree heads on several Domains. *)
+let verifications = Atomic.make 0
 
-let verification_count () = !verifications
+let verification_count () = Atomic.get verifications
 
 let max_bits = 4096
 let f4 = Nat.of_int 65537
@@ -107,7 +108,7 @@ let f4 = Nat.of_int 65537
    width, so a hostile key would buy the sender the verifier's time), or
    an exponent other than 65537. *)
 let verify ~key ~signature msg =
-  incr verifications;
+  Atomic.incr verifications;
   let len = modulus_bytes key in
   if len < min_bytes || Nat.num_bits key.n > max_bits || not (Nat.equal key.e f4) then false
   else if String.length signature <> len then false

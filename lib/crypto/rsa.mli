@@ -49,8 +49,9 @@ val verify : key:public -> signature:string -> string -> bool
 
 val verification_count : unit -> int
 (** Number of {!verify} calls executed since process start — a monotonic
-    global counter.  Benchmarks diff it around a region to audit how much
-    signature checking a configuration actually performed. *)
+    global counter, exact when several Domains verify at once.  Benchmarks
+    diff it around a region to audit how much signature checking a
+    configuration actually performed. *)
 
 val key_id : public -> string
 (** A stable 32-byte identifier for a public key (the profile's analogue of

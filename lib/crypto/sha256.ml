@@ -1,78 +1,94 @@
-(* SHA-256 (FIPS 180-4), implemented over Int32.
+(* SHA-256 (FIPS 180-4), implemented over native ints.
 
-   Used for object digests, manifest file hashes, key identifiers and as the
-   compression function inside HMAC / HMAC-DRBG.  The implementation is the
-   straightforward 64-round schedule; throughput is measured in the bench
-   suite. *)
+   Used for object digests, manifest file hashes, key identifiers, Merkle
+   nodes and as the compression function inside HMAC / HMAC-DRBG.  The
+   implementation is the straightforward 64-round schedule; throughput is
+   measured in the bench suite.
+
+   Every 32-bit word (state, message schedule, round constant) is held in
+   an OCaml [int], so nothing is boxed.  This assumes 63-bit ints, as
+   [Rpki_bignum.Nat] already does: a sum of up to seven words stays below
+   2^35 and is masked back to 32 bits where its value is kept, and a
+   rotation reads the word doubled into bits 0..62 (see [dbl]).  The
+   [Int32] version this replaced is the test suite's oracle. *)
+
+let mask = 0xffff_ffff
 
 let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl; 0x59f111f1l;
-     0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l; 0x243185bel; 0x550c7dc3l;
-     0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l; 0xc19bf174l; 0xe49b69c1l; 0xefbe4786l;
-     0x0fc19dc6l; 0x240ca1ccl; 0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal;
-     0x983e5152l; 0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-     0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl; 0x53380d13l;
-     0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l; 0xa2bfe8a1l; 0xa81a664bl;
-     0xc24b8b70l; 0xc76c51a3l; 0xd192e819l; 0xd6990624l; 0xf40e3585l; 0x106aa070l;
-     0x19a4c116l; 0x1e376c08l; 0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al;
-     0x5b9cca4fl; 0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-     0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+     0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+     0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+     0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+     0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+     0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+     0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+     0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+     0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+     0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
 type ctx = {
-  mutable h0 : int32; mutable h1 : int32; mutable h2 : int32; mutable h3 : int32;
-  mutable h4 : int32; mutable h5 : int32; mutable h6 : int32; mutable h7 : int32;
+  mutable h0 : int; mutable h1 : int; mutable h2 : int; mutable h3 : int;
+  mutable h4 : int; mutable h5 : int; mutable h6 : int; mutable h7 : int;
   buf : Bytes.t;            (* pending partial block *)
   mutable buf_len : int;
   mutable total : int;      (* total bytes fed so far *)
-  w : int32 array;          (* message schedule: per context, so Domains
+  w : int array;            (* message schedule: per context, so Domains
                                hashing at once never share scratch *)
 }
 
 let init () =
-  { h0 = 0x6a09e667l; h1 = 0xbb67ae85l; h2 = 0x3c6ef372l; h3 = 0xa54ff53al;
-    h4 = 0x510e527fl; h5 = 0x9b05688cl; h6 = 0x1f83d9abl; h7 = 0x5be0cd19l;
-    buf = Bytes.create 64; buf_len = 0; total = 0; w = Array.make 64 0l }
+  { h0 = 0x6a09e667; h1 = 0xbb67ae85; h2 = 0x3c6ef372; h3 = 0xa54ff53a;
+    h4 = 0x510e527f; h5 = 0x9b05688c; h6 = 0x1f83d9ab; h7 = 0x5be0cd19;
+    buf = Bytes.create 64; buf_len = 0; total = 0; w = Array.make 64 0 }
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let ( +% ) = Int32.add
-let ( ^% ) = Int32.logxor
-let ( &% ) = Int32.logand
+(* [dbl x] is the 32-bit word [x] twice over: bits 0..31 and, from the
+   copy, bits 32..62 (a 63-bit int drops the copy's top bit).  Bits
+   n..n+31 of it are [x] rotated right by n for every n <= 31, so a sigma
+   XORs three right shifts of one [dbl] and masks once. *)
+let dbl x = x lor (x lsl 32)
 
-(* Process one 64-byte block starting at [off] in [block]. *)
+(* Process one 64-byte block starting at [off] in [block].  Loads and
+   stores skip bounds checks.  Index invariant: [off + 64 <= Bytes.length
+   block] ([feed] passes its 64-byte buffer at 0, or the input at a [pos]
+   with at least 64 bytes left) and every byte load is at [off + 4t + j]
+   with t <= 15 and j <= 3; [w] (made by [init]) and [k] hold 64 words
+   and are read at 0..63.  [ch] and [maj] use the usual identities
+   (e∧f)⊕(¬e∧g) = g⊕(e∧(f⊕g)) and (a∧b)⊕(a∧c)⊕(b∧c) = (a∧(b∨c))∨(b∧c). *)
 let compress ctx block off =
   let w = ctx.w in
   for t = 0 to 15 do
     let i = off + (4 * t) in
-    w.(t) <-
-      Int32.logor
-        (Int32.shift_left (Int32.of_int (Char.code (Bytes.get block i))) 24)
-        (Int32.logor
-           (Int32.shift_left (Int32.of_int (Char.code (Bytes.get block (i + 1)))) 16)
-           (Int32.logor
-              (Int32.shift_left (Int32.of_int (Char.code (Bytes.get block (i + 2)))) 8)
-              (Int32.of_int (Char.code (Bytes.get block (i + 3))))))
+    Array.unsafe_set w t
+      ((Char.code (Bytes.unsafe_get block i) lsl 24)
+      lor (Char.code (Bytes.unsafe_get block (i + 1)) lsl 16)
+      lor (Char.code (Bytes.unsafe_get block (i + 2)) lsl 8)
+      lor Char.code (Bytes.unsafe_get block (i + 3)))
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 ^% rotr w.(t - 15) 18 ^% Int32.shift_right_logical w.(t - 15) 3 in
-    let s1 = rotr w.(t - 2) 17 ^% rotr w.(t - 2) 19 ^% Int32.shift_right_logical w.(t - 2) 10 in
-    w.(t) <- w.(t - 16) +% s0 +% w.(t - 7) +% s1
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let xx = dbl x and yy = dbl y in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)) land mask in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10)) land mask in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask)
   done;
   let a = ref ctx.h0 and b = ref ctx.h1 and c = ref ctx.h2 and d = ref ctx.h3 in
   let e = ref ctx.h4 and f = ref ctx.h5 and g = ref ctx.h6 and h = ref ctx.h7 in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 ^% rotr !e 11 ^% rotr !e 25 in
-    let ch = (!e &% !f) ^% (Int32.lognot !e &% !g) in
-    let t1 = !h +% s1 +% ch +% k.(t) +% w.(t) in
-    let s0 = rotr !a 2 ^% rotr !a 13 ^% rotr !a 22 in
-    let maj = (!a &% !b) ^% (!a &% !c) ^% (!b &% !c) in
-    let t2 = s0 +% maj in
-    h := !g; g := !f; f := !e; e := !d +% t1;
-    d := !c; c := !b; b := !a; a := t1 +% t2
+    let ee = dbl !e and aa = dbl !a in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !h + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask in
+    let maj = (!a land (!b lor !c)) lor (!b land !c) in
+    h := !g; g := !f; f := !e; e := (!d + t1) land mask;
+    d := !c; c := !b; b := !a; a := (t1 + s0 + maj) land mask
   done;
-  ctx.h0 <- ctx.h0 +% !a; ctx.h1 <- ctx.h1 +% !b;
-  ctx.h2 <- ctx.h2 +% !c; ctx.h3 <- ctx.h3 +% !d;
-  ctx.h4 <- ctx.h4 +% !e; ctx.h5 <- ctx.h5 +% !f;
-  ctx.h6 <- ctx.h6 +% !g; ctx.h7 <- ctx.h7 +% !h
+  ctx.h0 <- (ctx.h0 + !a) land mask; ctx.h1 <- (ctx.h1 + !b) land mask;
+  ctx.h2 <- (ctx.h2 + !c) land mask; ctx.h3 <- (ctx.h3 + !d) land mask;
+  ctx.h4 <- (ctx.h4 + !e) land mask; ctx.h5 <- (ctx.h5 + !f) land mask;
+  ctx.h6 <- (ctx.h6 + !g) land mask; ctx.h7 <- (ctx.h7 + !h) land mask
 
 let feed ctx s =
   let s = Bytes.unsafe_of_string s in
@@ -100,31 +116,28 @@ let feed ctx s =
   end
 
 let finish ctx =
-  let bitlen = Int64.of_int (8 * ctx.total) in
+  let bitlen = 8 * ctx.total in
   let pad_len =
     let r = (ctx.total + 1 + 8) mod 64 in
     if r = 0 then 1 + 8 else 1 + 8 + (64 - r)
   in
-  let pad = Bytes.make (pad_len - 8) '\x00' in
+  let pad = Bytes.make pad_len '\x00' in
   Bytes.set pad 0 '\x80';
-  feed ctx (Bytes.to_string pad);
-  let lenb = Bytes.create 8 in
+  (* the bit length, big-endian, in the last eight bytes *)
   for i = 0 to 7 do
-    Bytes.set lenb i
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bitlen (8 * (7 - i))) 0xffL)))
+    Bytes.set pad (pad_len - 1 - i) (Char.unsafe_chr ((bitlen lsr (8 * i)) land 0xff))
   done;
-  feed ctx (Bytes.to_string lenb);
+  feed ctx (Bytes.unsafe_to_string pad);
   assert (ctx.buf_len = 0);
   let out = Bytes.create 32 in
   let put i v =
     for j = 0 to 3 do
-      Bytes.set out ((4 * i) + j)
-        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v (8 * (3 - j))) 0xffl)))
+      Bytes.set out ((4 * i) + j) (Char.unsafe_chr ((v lsr (8 * (3 - j))) land 0xff))
     done
   in
   put 0 ctx.h0; put 1 ctx.h1; put 2 ctx.h2; put 3 ctx.h3;
   put 4 ctx.h4; put 5 ctx.h5; put 6 ctx.h6; put 7 ctx.h7;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 (* One-shot digest of a string; result is 32 raw bytes. *)
 let digest s =

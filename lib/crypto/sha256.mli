@@ -1,4 +1,7 @@
-(** SHA-256 (FIPS 180-4), vector-tested against the NIST examples.
+(** SHA-256 (FIPS 180-4), vector-tested against the NIST examples and,
+    over random inputs, against an [Int32] reference implementation.
+    Words are held in native ints, so it needs 63-bit ints (a 64-bit
+    platform).
 
     Every context owns all of its scratch state, so digests may run on
     several Domains at once. *)

@@ -8,13 +8,16 @@
    delta record.  Only verified records are cross-checked, so a Fork alarm
    is always backed by checkable evidence.
 
-   Two layers keep a round cheap at scale:
+   Three layers keep a round cheap at scale:
    - the Overlay selects O(n·k) edges instead of the full O(n²) mesh;
    - a per-round cache signs each served head once, verifies each distinct
      (peer, head, signature) once, builds each Merkle proof once per
      (tree root, range) and checks each proof once per (leaf, index, size,
      root, proof) — honest vantages hold identical logs, so one proof and
-     one check serve every receiver of the same delta. *)
+     one check serve every receiver of the same delta;
+   - the round plans its pulls first, then signs and checks every fresh
+     head an answered pull will serve on every core ([sign_fresh_heads]),
+     before the pulls run in order on one Domain. *)
 
 module Rng = Rpki_util.Rng
 module Log = Rpki_transparency.Log
@@ -382,9 +385,12 @@ let fork_key uri serial a b =
    checks are keyed on every input of the check ({!Merkle.Verdicts}), so
    they are shared the same way; what stays per receiver is everything
    else a pull does (log id and size order, baselines, cross-checks,
-   alarms). *)
+   alarms).  [rc_checked] holds the verdicts [sign_fresh_heads] computed,
+   keyed by signer name, head bytes and signature; the verify memo's first
+   miss on such a head takes its verdict in place of checking again. *)
 type round_ctx = {
   rc_sths : (Relying_party.t * Log.signed_head) list ref;
+  rc_checked : (string, bool) Hashtbl.t;
   rc_heads : (string, bool) Hashtbl.t;
   rc_proofs : (string, Merkle.proof) Hashtbl.t;
   rc_verdicts : Merkle.Verdicts.t;
@@ -395,7 +401,8 @@ type round_ctx = {
 }
 
 let new_round_ctx () =
-  { rc_sths = ref []; rc_heads = Hashtbl.create 64; rc_proofs = Hashtbl.create 256;
+  { rc_sths = ref []; rc_checked = Hashtbl.create 16; rc_heads = Hashtbl.create 64;
+    rc_proofs = Hashtbl.create 256;
     rc_verdicts = Merkle.Verdicts.create (); rc_verifies = 0;
     rc_verifies_saved = 0; rc_proofs_built = 0; rc_proofs_reused = 0 }
 
@@ -407,7 +414,13 @@ let sth_once ctx ~now rp =
     ctx.rc_sths := (rp, sth) :: !(ctx.rc_sths);
     sth
 
-let verify_head_once ctx ~peer ~key sth =
+(* What a head's check depends on: the signer (its key comes from its
+   name), the head and the signature. *)
+let check_key rp sth =
+  String.concat "\x00"
+    [ Relying_party.name rp; Log.encode_head sth.Log.sh_head; sth.Log.sh_sig ]
+
+let verify_head_once ctx ~peer ~served sth =
   let memo =
     String.concat "\x00" [ peer; Log.encode_head sth.Log.sh_head; sth.Log.sh_sig ]
   in
@@ -416,7 +429,14 @@ let verify_head_once ctx ~peer ~key sth =
     ctx.rc_verifies_saved <- ctx.rc_verifies_saved + 1;
     ok
   | None ->
-    let ok = Log.verify_head ~key sth in
+    let checked = check_key served sth in
+    let ok =
+      match Hashtbl.find_opt ctx.rc_checked checked with
+      | Some ok ->
+        Hashtbl.remove ctx.rc_checked checked;
+        ok
+      | None -> Log.verify_head ~key:(Relying_party.transparency_key served) sth
+    in
     ctx.rc_verifies <- ctx.rc_verifies + 1;
     Hashtbl.replace ctx.rc_heads memo ok;
     ok
@@ -444,12 +464,67 @@ let inclusion_once ctx log ~root ~index ~size =
 (* A pull's time budget, like a fetch-policy point timeout. *)
 let pull_timeout = 32
 
+(* The round's plan, one entry per overlay pull in order: [None] for a
+   skipped pull, else the receiver, the peer, the instance the peer serves
+   this receiver ([peer.v_rp] unless a Byzantine override chose a different
+   log) and what the transport answered for the peer's endpoint. *)
+type planned =
+  (vantage * vantage * Relying_party.t * [ `Ok of int | `Stalled of int | `Unroutable of int ])
+  option
+
+(* Sign and check, on every core, each head an answered pull will serve
+   that has no signature for its current tree (DESIGN.md §15), one task
+   per instance.  A task touches only its own relying party: its kept
+   head, its key and its log's tree.  The pulls then find the signed heads
+   in [rc_sths] and the verdicts in [rc_checked].  Instances that sign
+   byte-identical heads (an equivocator's shadow before its log diverges)
+   are each signed, and checked once, as the verify memo would check
+   them. *)
+let sign_fresh_heads ctx ~now (plan : planned list) =
+  let served =
+    List.fold_left
+      (fun acc -> function
+        | Some (_, _, rp, `Ok _) when not (List.memq rp acc) -> rp :: acc
+        | _ -> acc)
+      [] plan
+  in
+  let fresh =
+    List.filter (fun rp -> not (Relying_party.head_signed rp ~now)) (List.rev served)
+  in
+  let twins = Hashtbl.create 16 in
+  let tasks =
+    Array.of_list
+      (List.map
+         (fun rp ->
+           let head =
+             Log.encode_head (Log.head (Relying_party.transparency_log rp) ~at:now)
+           in
+           let first = not (Hashtbl.mem twins (Relying_party.name rp, head)) in
+           Hashtbl.replace twins (Relying_party.name rp, head) ();
+           (rp, first))
+         fresh)
+  in
+  let signed =
+    Rpki_util.Par.map
+      (fun (rp, check) ->
+        let sth = Relying_party.signed_tree_head rp ~now in
+        ( sth,
+          if check then Some (Log.verify_head ~key:(Relying_party.transparency_key rp) sth)
+          else None ))
+      tasks
+  in
+  Array.iteri
+    (fun i (rp, _) ->
+      let sth, verdict = signed.(i) in
+      ctx.rc_sths := (rp, sth) :: !(ctx.rc_sths);
+      Option.iter (Hashtbl.replace ctx.rc_checked (check_key rp sth)) verdict)
+    tasks
+
 (* One pull: [receiver] fetches [served]'s head + delta over [peer]'s
-   endpoint and verifies it.  [served] is [peer.v_rp] unless a Byzantine
-   override chose a different log for this receiver.
+   endpoint and verifies it, given the planned [probe] of that endpoint.
    Returns (exchange, new alarms). *)
-let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served =
-  match Transport.probe receiver.v_transport ~point:peer.v_endpoint ~timeout:pull_timeout with
+let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served probe =
+  match probe with
   | `Stalled _ ->
     ({ ex_from = peer.v_name; ex_to = receiver.v_name; ex_outcome = `Stalled;
        ex_proof_bytes = 0 }, [])
@@ -502,8 +577,7 @@ let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served =
     (* 1. the head must be the peer's statement *)
     if
       not
-        (verify_head_once ctx ~peer:peer.v_name
-           ~key:(Relying_party.transparency_key served) sth)
+        (verify_head_once ctx ~peer:peer.v_name ~served sth)
     then
       note ~key:(Printf.sprintf "badsig:%s:%s:%d" receiver.v_name peer.v_name now)
         (Bad_head_signature { bs_peer = peer.v_name; bs_seen_by = receiver.v_name })
@@ -622,28 +696,42 @@ let round ?(alive = fun _ -> true) t ~now =
     t.vantages;
   let by_name = Hashtbl.create (List.length t.vantages) in
   List.iter (fun v -> Hashtbl.replace by_name v.v_name v) t.vantages;
+  (* the plan: each pull's skip, served instance and probe, in pull order,
+     each asked once *)
+  let plan =
+    List.map
+      (fun (rname, pname) ->
+        if (not (alive rname)) || (not (alive pname)) || Hashtbl.mem t.servers rname then
+          (* dead endpoint, or a Byzantine receiver: a traitor pulls nothing —
+             it would not report what it finds *)
+          None
+        else begin
+          let receiver = Hashtbl.find by_name rname and peer = Hashtbl.find by_name pname in
+          let served =
+            match Hashtbl.find_opt t.servers pname with
+            | Some srv -> srv.srv_serve ~receiver:rname
+            | None -> peer.v_rp
+          in
+          Some
+            ( receiver, peer, served,
+              Transport.probe receiver.v_transport ~point:peer.v_endpoint
+                ~timeout:pull_timeout )
+        end)
+      (round_pulls t ~round:now)
+  in
   let ctx = new_round_ctx () in
+  sign_fresh_heads ctx ~now plan;
   let exchanges = ref [] and alarms = ref [] in
   let pulls = ref 0 and skipped = ref 0 in
   List.iter
-    (fun (rname, pname) ->
-      if (not (alive rname)) || (not (alive pname)) || Hashtbl.mem t.servers rname then
-        (* dead endpoint, or a Byzantine receiver: a traitor pulls nothing —
-           it would not report what it finds *)
-        incr skipped
-      else begin
+    (function
+      | None -> incr skipped
+      | Some (receiver, peer, served, probe) ->
         incr pulls;
-        let receiver = Hashtbl.find by_name rname and peer = Hashtbl.find by_name pname in
-        let served =
-          match Hashtbl.find_opt t.servers pname with
-          | Some srv -> srv.srv_serve ~receiver:rname
-          | None -> peer.v_rp
-        in
-        let ex, al = pull t ctx ~now ~receiver ~peer ~served in
+        let ex, al = pull t ctx ~now ~receiver ~peer ~served probe in
         exchanges := ex :: !exchanges;
-        alarms := !alarms @ al
-      end)
-    (round_pulls t ~round:now);
+        alarms := !alarms @ al)
+    plan;
   let exchanges = List.rev !exchanges in
   { r_at = now;
     r_exchanges = exchanges;

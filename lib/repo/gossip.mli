@@ -52,6 +52,14 @@
     pulls.  {!verify_fork} never consults the round's table: evidence is
     re-checked from scratch.
 
+    A round first plans its pulls (skips, served instances, transport
+    probes), then signs and checks every head that an answered pull serves
+    and that has no signature for its current tree, on every core
+    ({!Rpki_util.Par.map}; inline for fewer than two such heads).  The
+    pulls then run in order on the calling Domain; the report and the
+    alarms are those of signing and checking each head at its first
+    pull.
+
     Detection under a partial mesh is a {e reachability} property: a
     receiver only cross-checks a peer's delta against its own log, so a
     fork against vantage v is caught in the first round where v exchanges

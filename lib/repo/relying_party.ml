@@ -342,16 +342,21 @@ let transparency_key t = (transparency_keypair t).Rpki_crypto.Rsa.public
 
 let tree_head t ~now = Rpki_transparency.Log.head t.tlog ~at:now
 
+(* The kept signed head stands for the tree [h] when it has the same log
+   id, size and root, whatever its [h_at]. *)
+let signs_tree (c : Rpki_transparency.Log.signed_head) (h : Rpki_transparency.Log.head) =
+  let ch = c.Rpki_transparency.Log.sh_head in
+  ch.Rpki_transparency.Log.h_size = h.Rpki_transparency.Log.h_size
+  && String.equal ch.Rpki_transparency.Log.h_root h.Rpki_transparency.Log.h_root
+  && String.equal ch.Rpki_transparency.Log.h_log_id h.Rpki_transparency.Log.h_log_id
+
+let head_signed t ~now =
+  match t.sth_cache with Some c -> signs_tree c (tree_head t ~now) | None -> false
+
 let signed_tree_head t ~now =
   let h = tree_head t ~now in
-  let same (c : Rpki_transparency.Log.signed_head) =
-    let ch = c.Rpki_transparency.Log.sh_head in
-    ch.Rpki_transparency.Log.h_size = h.Rpki_transparency.Log.h_size
-    && String.equal ch.Rpki_transparency.Log.h_root h.Rpki_transparency.Log.h_root
-    && String.equal ch.Rpki_transparency.Log.h_log_id h.Rpki_transparency.Log.h_log_id
-  in
   match t.sth_cache with
-  | Some c when same c -> c
+  | Some c when signs_tree c h -> c
   | _ ->
     let sth =
       Rpki_transparency.Log.sign_head

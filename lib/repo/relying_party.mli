@@ -222,6 +222,10 @@ val signed_tree_head : t -> now:Rtime.t -> Rpki_transparency.Log.signed_head
     a static log costs one signature total, not one per serve; its
     [h_at] is the time of the last tree change. *)
 
+val head_signed : t -> now:Rtime.t -> bool
+(** Whether {!signed_tree_head} at [now] would serve its kept head and sign
+    nothing: the kept head has the current tree's log id, size and root. *)
+
 val transparency_key : t -> Rpki_crypto.Rsa.public
 (** The key {!signed_tree_head} signs with — what peers verify against.
     Seeded from the vantage name, so it is stable across restarts and

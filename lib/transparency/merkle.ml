@@ -28,9 +28,11 @@ let split_point n =
 type t = {
   mutable levels : string array array;  (* levels.(j).(i): leaves [i·2^j, (i+1)·2^j) *)
   mutable count : int;
+  mutable last_root : int * string;
+      (* the root [root] last computed and the size it was computed at *)
 }
 
-let create () = { levels = [||]; count = 0 }
+let create () = { levels = [||]; count = 0; last_root = (-1, "") }
 
 let size t = t.count
 
@@ -83,7 +85,15 @@ let root_at t ~size =
   if size < 0 || size > t.count then invalid_arg "Merkle.root_at: size out of range";
   mth t 0 size
 
-let root t = root_at t ~size:t.count
+(* The current root, computed once per tree size: a log asked for its head
+   several times between appends hashes its right edge once. *)
+let root t =
+  match t.last_root with
+  | n, r when n = t.count -> r
+  | _ ->
+    let r = mth t 0 t.count in
+    t.last_root <- (t.count, r);
+    r
 
 type proof = string list
 

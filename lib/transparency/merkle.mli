@@ -32,10 +32,12 @@ val leaf_hash : string -> string
 (** [H(0x00 || leaf)]. *)
 
 val root : t -> string
-(** Root over the whole current tree. *)
+(** Root over the whole current tree.  Kept until the tree grows, so
+    asking again at the same size hashes nothing. *)
 
 val root_at : t -> size:int -> string
-(** Root over the first [size] leaves (a past head of the same log).
+(** Root over the first [size] leaves (a past head of the same log),
+    computed afresh: it neither reads nor replaces the root {!root} keeps.
     Raises [Invalid_argument] when [size] exceeds the tree. *)
 
 type proof = string list

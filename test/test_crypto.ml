@@ -48,6 +48,57 @@ let prop_incremental =
          Sha256.feed ctx (String.sub s cut (String.length s - cut));
          String.equal (Sha256.finish ctx) (Sha256.digest s)))
 
+(* The native-int kernel against the Int32 oracle ([Sha256_ref]).  Lengths
+   run 0..1,100 bytes, half of them at a padding or block edge (55, 56, 63,
+   64, 119, 120, a multiple of 64 or one off it).  Each input is fed in
+   random pieces, empty ones included, and [digest], [digest_list] and
+   [init]/[feed]/[finish] must each equal the oracle's digest. *)
+let sha_edges =
+  [ 55; 56; 63; 64; 119; 120 ]
+  @ List.concat_map (fun m -> [ (64 * m) - 1; 64 * m; (64 * m) + 1 ]) (List.init 17 succ)
+
+let sha_input_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* len = frequency [ (1, int_range 0 1100); (1, oneofl sha_edges) ] in
+    let* s = string_size ~gen:char (return len) in
+    let* cuts = list_size (int_range 0 6) (int_range 0 len) in
+    return (s, List.sort compare cuts)
+  in
+  QCheck.make gen ~print:(fun (s, cuts) ->
+      Printf.sprintf "%d bytes cut at [%s]: %s" (String.length s)
+        (String.concat "; " (List.map string_of_int cuts))
+        (Rpki_util.Hex.of_string s))
+
+(* [s] split at [cuts] (sorted, repeats giving empty pieces), plus an empty
+   piece at each end. *)
+let pieces s cuts =
+  let rec go from = function
+    | [] -> [ String.sub s from (String.length s - from); "" ]
+    | c :: rest -> String.sub s from (c - from) :: go c rest
+  in
+  "" :: go 0 cuts
+
+let prop_sha_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"native ints = Int32 reference" sha_input_arb
+       (fun (s, cuts) ->
+         let want = Sha256_ref.digest s and parts = pieces s cuts in
+         let ctx = Sha256.init () in
+         List.iter (Sha256.feed ctx) parts;
+         String.equal (Sha256.digest s) want
+         && String.equal (Sha256.digest_list parts) want
+         && String.equal (Sha256.finish ctx) want))
+
+let test_sha_oracle_1mb () =
+  let rng = Rpki_util.Rng.create 0x5a256 in
+  let s = String.init 1_000_000 (fun _ -> Char.chr (Rpki_util.Rng.int rng 256)) in
+  let want = Sha256_ref.digest s in
+  Alcotest.(check string) "digest" want (Sha256.digest s);
+  Alcotest.(check string) "digest_list"
+    want
+    (Sha256.digest_list [ String.sub s 0 333_333; ""; String.sub s 333_333 666_667 ])
+
 (* --- HMAC (RFC 4231) --- *)
 
 let test_hmac_rfc4231 () =
@@ -241,6 +292,24 @@ let test_two_domains () =
   Alcotest.(check int) "wrong results on this Domain" 0 (wrong here);
   Alcotest.(check int) "wrong results on the other Domain" 0 (wrong there)
 
+(* Two Domains verifying at once: every call is counted.  A 20-bit
+   modulus is refused before any exponentiation, so the calls are all
+   counter traffic. *)
+let test_verification_count_two_domains () =
+  let key = Rsa.public ~n:(Nat.of_int 0xfffff) ~e:(Nat.of_int 65537) in
+  let calls = 1_000_000 in
+  let work () =
+    for _ = 1 to calls do
+      ignore (Rsa.verify ~key ~signature:"sig" "msg")
+    done
+  in
+  let before = Rsa.verification_count () in
+  let there = Domain.spawn work in
+  work ();
+  Domain.join there;
+  Alcotest.(check int) "verifications counted" (2 * calls)
+    (Rsa.verification_count () - before)
+
 let test_par_map_is_array_map () =
   List.iter
     (fun domains ->
@@ -283,7 +352,9 @@ let () =
         [ Alcotest.test_case "FIPS vectors" `Quick test_sha_vectors;
           Alcotest.test_case "million a" `Slow test_sha_million_a;
           Alcotest.test_case "padding boundaries" `Quick test_sha_boundary_lengths;
-          prop_incremental ] );
+          prop_incremental;
+          prop_sha_oracle;
+          Alcotest.test_case "1 MB = Int32 reference" `Quick test_sha_oracle_1mb ] );
       ( "hmac",
         [ Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_rfc4231;
           Alcotest.test_case "constant-time equality" `Quick test_hmac_equal_digest ] );
@@ -303,5 +374,7 @@ let () =
           prop_rsa_roundtrip ] );
       ( "domains",
         [ Alcotest.test_case "hashing on two Domains at once" `Quick test_two_domains;
+          Alcotest.test_case "verifications counted on two Domains" `Quick
+            test_verification_count_two_domains;
           Alcotest.test_case "Par.map equals Array.map" `Quick test_par_map_is_array_map;
           Alcotest.test_case "Par.map re-raises the lowest index" `Quick test_par_map_raises ] ) ]

@@ -5,7 +5,9 @@
    over ANY connected overlay eventually raises the same Fork keys as the
    full mesh (observational property); the round-level STH memo collapses
    O(n²) head verifications to O(n) (counted against the global RSA
-   verifier); and an equivocating traitor eclipses the victim exactly when
+   verifier); a round signs exactly the heads its answered pulls serve,
+   with the counts and alarms of signing each at its first pull; and an
+   equivocating traitor eclipses the victim exactly when
    it owns every honest edge — while a mirrored shadow served to a victim
    with honest pre-attack history betrays itself. *)
 
@@ -107,6 +109,120 @@ let test_pulls_skipped () =
   Alcotest.(check int) "skipped = the traitor's out-degree" 2 rep.Gossip.r_skipped;
   Alcotest.(check int) "the rest ran" ((4 * 2) - 2) rep.Gossip.r_pulls;
   Gossip.clear_server g ~name:quiet
+
+(* --- which heads a round signs ------------------------------------- *)
+
+module Log = Rpki_transparency.Log
+
+(* A round signs only the heads its answered pulls serve.  One vantage's
+   log grows while every receiver's transport finds its endpoint
+   unreachable: that round leaves the head unsigned, and once the vantage
+   is reachable again its receivers record the head signed then, CT-style,
+   at the later tick. *)
+let test_unpulled_head_unsigned () =
+  let sv = Scenario.build { Scenario.default with monitors = 3; gossip_period = 99 } in
+  let t = sv.Scenario.sim in
+  let g = Option.get (Loop.gossip_mesh t) in
+  ignore (Loop.step t ~now:1);
+  ignore (Gossip.round g ~now:1);
+  let name = List.hd sv.Scenario.monitor_names in
+  let x = Loop.vantage t ~name in
+  let log = Relying_party.transparency_log x.Gossip.v_rp in
+  (match
+     Log.append log
+       { Log.ob_uri = "rsync://grown.example/repo/"; ob_serial = 1; ob_manifest_hash = "m";
+         ob_vrp_hash = "v"; ob_snapshot_fp = "f"; ob_at = 2 }
+   with
+  | `Appended _ -> ()
+  | `Unchanged -> Alcotest.fail "the log did not grow");
+  let uri = Pub_point.uri x.Gossip.v_endpoint in
+  let receivers =
+    List.filter (fun v -> not (String.equal v.Gossip.v_name name)) (Gossip.vantages g)
+  in
+  List.iter (fun v -> Transport.set_fault v.Gossip.v_transport ~uri Transport.Unreachable) receivers;
+  let rep = Gossip.round g ~now:2 in
+  let from_x = List.filter (fun e -> String.equal e.Gossip.ex_from name) rep.Gossip.r_exchanges in
+  Alcotest.(check int) "every receiver pulled it" (List.length receivers) (List.length from_x);
+  Alcotest.(check bool) "and none was answered" true
+    (List.for_all (fun e -> e.Gossip.ex_outcome = `Unroutable) from_x);
+  Alcotest.(check bool) "the round left its head unsigned" false
+    (Relying_party.head_signed x.Gossip.v_rp ~now:2);
+  List.iter (fun v -> Transport.clear_fault v.Gossip.v_transport ~uri) receivers;
+  let rep = Gossip.round g ~now:3 in
+  Alcotest.(check int) "no alarms" 0 (List.length rep.Gossip.r_alarms);
+  List.iter
+    (fun v ->
+      match List.assoc_opt name (Relying_party.peer_heads v.Gossip.v_rp) with
+      | None -> Alcotest.fail (v.Gossip.v_name ^ " recorded no head")
+      | Some h ->
+        Alcotest.(check (pair int int))
+          (v.Gossip.v_name ^ " records the grown head, signed at t3")
+          (Log.size log, 3) (h.Log.h_size, h.Log.h_at))
+    receivers
+
+(* An equivocating hub whose shadow and honest logs both grow, over four
+   hand-driven rounds.  At t1 the two logs hold the same records, so they
+   sign byte-identical heads: one RSA check serves both.  At t3 the root
+   re-signs its manifest, which every log records, and a split view forks
+   the victim's and the shadow's view of Continental: both instances have
+   fresh, different heads.  Each round's report, fork alarms and RSA
+   verifications are pinned to what the round gave when it signed and
+   checked heads lazily, pull by pull, and both instances end each round
+   holding the head that round signed. *)
+let test_equivocator_fresh_heads () =
+  let sv = Scenario.build { Scenario.default with monitors = 3; gossip_period = 99 } in
+  let t = sv.Scenario.sim in
+  let g = Option.get (Loop.gossip_mesh t) in
+  let model = Option.get sv.Scenario.model in
+  let hub = List.nth sv.Scenario.monitor_names 2 in
+  let honest = (Loop.vantage t ~name:hub).Gossip.v_rp in
+  let shadow = Model.relying_party ~name:hub ~asn:(Relying_party.asn honest) model in
+  let eq =
+    Rpki_attack.Equivocator.plan ~universe:model.Model.universe ~name:hub ~shadow
+      ~fork_to:(String.equal "victim-rp") ()
+  in
+  Rpki_attack.Equivocator.apply eq g;
+  let attack =
+    Rpki_attack.Split_view.plan ~authority:sv.Scenario.victim_ca
+      ~target_filename:sv.Scenario.victim_roa ()
+  in
+  let signed_at rp ~now =
+    if Relying_party.head_signed rp ~now then
+      (Relying_party.signed_tree_head rp ~now).Log.sh_head.Log.h_at
+    else -1
+  in
+  let round now =
+    if now = 3 then begin
+      Authority.refresh sv.Scenario.root ~now;
+      Rpki_attack.Split_view.apply attack (Loop.transport t);
+      Rpki_attack.Split_view.apply attack (Rpki_attack.Equivocator.shadow_transport eq)
+    end;
+    ignore (Loop.step t ~now);
+    let before = Rpki_crypto.Rsa.verification_count () in
+    let r = Gossip.round g ~now in
+    let rsa = Rpki_crypto.Rsa.verification_count () - before in
+    let forks =
+      List.filter_map
+        (function
+          | Gossip.Fork { left; right; _ } ->
+            Some (left.Gossip.att_vantage ^ "/" ^ right.Gossip.att_vantage)
+          | _ -> None)
+        r.Gossip.r_alarms
+    in
+    Printf.sprintf "t%d: %d pulls, %d verifies +%d, %d RSA, %d proofs +%d, %d B, forks [%s], signed at t%d/t%d"
+      now r.Gossip.r_pulls r.Gossip.r_verifies r.Gossip.r_verifies_saved rsa
+      r.Gossip.r_proofs_built r.Gossip.r_proofs_reused r.Gossip.r_proof_bytes
+      (String.concat " " forks) (signed_at honest ~now) (signed_at shadow ~now)
+  in
+  (* the RSA count includes the shadow's own sync, which the round's
+     refresh hook runs *)
+  Alcotest.(check (list string)) "rounds"
+    [ "t1: 9 pulls, 4 verifies +5, 39 RSA, 4 proofs +32, 2880 B, forks [], signed at t1/t1";
+      "t2: 9 pulls, 4 verifies +5, 5 RSA, 1 proofs +8, 576 B, forks [], signed at t1/t1";
+      "t3: 9 pulls, 5 verifies +4, 22 RSA, 7 proofs +17, 1440 B, forks [victim-rp/monitor-arin \
+       monitor-sprint/victim-rp monitor-etb/victim-rp], signed at t3/t3";
+      "t4: 9 pulls, 5 verifies +4, 11 RSA, 2 proofs +7, 576 B, forks [], signed at t3/t3" ]
+    (List.map round [ 1; 2; 3; 4 ])
 
 (* --- observational equivalence: any connected overlay, same forks --- *)
 
@@ -210,7 +326,11 @@ let () =
       ( "caching",
         [ Alcotest.test_case "STH memo: n verifies for n(n-1) pulls" `Quick
             test_verify_count_drop;
-          Alcotest.test_case "r_pulls / r_skipped accounting" `Quick test_pulls_skipped ] );
+          Alcotest.test_case "r_pulls / r_skipped accounting" `Quick test_pulls_skipped;
+          Alcotest.test_case "a head no answered pull serves stays unsigned" `Quick
+            test_unpulled_head_unsigned;
+          Alcotest.test_case "equivocator: shadow and honest heads both fresh" `Quick
+            test_equivocator_fresh_heads ] );
       ( "observational",
         [ prop 4 "k:2 raises the mesh's fork keys, evidence portable" prop_observational ] );
       ( "byzantine",

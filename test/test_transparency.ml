@@ -167,9 +167,10 @@ let oracle_arb =
         (int_bound 10_000))
 
 (* The cached tree against the reference.  The tree grows one leaf at a
-   time and its root is checked at every size on the way; then, on the
-   grown tree, every past size's root, one inclusion proof and one
-   consistency proof. *)
+   time and its root is checked at every size on the way, twice (the second
+   answer is the kept one) and once more after a [root_at] of an older
+   size; then, on the grown tree, every past size's root, one inclusion
+   proof and one consistency proof. *)
 let prop_oracle (n, seed) =
   let rng = Rpki_util.Rng.create seed in
   let t = Merkle.create () in
@@ -178,8 +179,16 @@ let prop_oracle (n, seed) =
     let leaf = Printf.sprintf "leaf-%d-%d" seed i in
     ignore (Merkle.add t leaf);
     hashes := Sha256.digest_list [ "\x00"; leaf ] :: !hashes;
-    if not (String.equal (Merkle.root t) (ref_mth (List.rev !hashes))) then
-      QCheck.Test.fail_reportf "root at size %d while growing" (i + 1)
+    let want = ref_mth (List.rev !hashes) in
+    if not (String.equal (Merkle.root t) want) then
+      QCheck.Test.fail_reportf "root at size %d while growing" (i + 1);
+    if not (String.equal (Merkle.root t) want) then
+      QCheck.Test.fail_reportf "root asked again at size %d" (i + 1);
+    let older = Rpki_util.Rng.int rng (i + 1) in
+    if not (String.equal (Merkle.root_at t ~size:older) (ref_mth (take older (List.rev !hashes))))
+    then QCheck.Test.fail_reportf "root_at %d while growing at size %d" older (i + 1);
+    if not (String.equal (Merkle.root t) want) then
+      QCheck.Test.fail_reportf "root after root_at %d at size %d" older (i + 1)
   done;
   let d = List.rev !hashes in
   for size = 0 to n do
