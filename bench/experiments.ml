@@ -1465,23 +1465,26 @@ let rtr () =
     cells;
   Table.print t;
   (* bytes encoded per serial must be flat in the session count: the
-     workload is identical, so the counters must be *equal*, not close *)
+     workload is identical, so the counters must be *equal*, not close.  So
+     must the transitions: sessions attached together share every one. *)
   List.iter
     (fun churn ->
-      let enc_of want =
+      let stats_of want =
         List.find_map
-          (fun (s, c, ((st : Server.stats), _)) ->
-            if s = want && c = churn then Some st.Server.bytes_encoded else None)
+          (fun (s, c, ((st : Server.stats), _)) -> if s = want && c = churn then Some st else None)
           cells
         |> Option.get
       in
-      let lo = List.hd session_counts
-      and hi = List.nth session_counts (List.length session_counts - 1) in
-      if enc_of lo <> enc_of hi then
-        failwith
-          (Printf.sprintf
-             "rtr: bytes encoded varies with session count at churn %d (%d vs %d)"
-             churn (enc_of lo) (enc_of hi)))
+      let lo = stats_of (List.hd session_counts)
+      and hi = stats_of (List.nth session_counts (List.length session_counts - 1)) in
+      List.iter
+        (fun (what, count) ->
+          if count lo <> count hi then
+            failwith
+              (Printf.sprintf "rtr: %s varies with session count at churn %d (%d vs %d)" what
+                 churn (count lo) (count hi)))
+        [ ("bytes encoded", fun (st : Server.stats) -> st.Server.bytes_encoded);
+          ("transitions", fun (st : Server.stats) -> st.Server.transitions) ])
     churn_levels;
   (* the acceptance bar: at the big session count the shared buffers must
      beat per-session encoding by >= 50x *)
@@ -1559,11 +1562,11 @@ let rtr () =
                Printf.sprintf
                  "{\"sessions\":%d,\"churn\":%d,\"serials\":%d,\"notify_batches\":%d,\
                   \"bytes_encoded\":%d,\"bytes_encoded_per_serial\":%.1f,\
-                  \"bytes_sent\":%d,\"replays\":%d,\"ms_per_batch\":%.3f,\
-                  \"session_syncs_per_sec\":%.0f}"
+                  \"bytes_sent\":%d,\"replays\":%d,\"transitions\":%d,\
+                  \"ms_per_batch\":%.3f,\"session_syncs_per_sec\":%.0f}"
                  sessions churn st.Server.serial_bumps st.Server.notify_batches
                  st.Server.bytes_encoded (per_serial st) st.Server.bytes_sent
-                 st.Server.replays
+                 st.Server.replays st.Server.transitions
                  (ms /. float_of_int batches)
                  (float_of_int (sessions * batches) /. (max 1e-6 ms /. 1000.)))
              cells))

@@ -161,14 +161,36 @@ let bench_rrdp () =
              let client = Rpki_repo.Rrdp.create_client () in
              ignore (Rpki_repo.Rrdp.sync client server))) ]
 
+(* [flush-512-sessions-churn-8] is roa-churn's RTR leg: each run publishes
+   a serial that re-originates 8 of 1000 VRPs (alternately away and back)
+   and flushes that delta to 512 sessions. *)
 let bench_rtr () =
+  let module Server = Rpki_rtr.Server in
+  let vrps = Vrp.normalize (synthetic_vrps 1000) in
   let cache = Rpki_rtr.Session.create_cache () in
-  Rpki_rtr.Session.publish cache (synthetic_vrps 1000);
+  Rpki_rtr.Session.publish cache vrps;
+  let churned =
+    List.mapi
+      (fun i (v : Vrp.t) ->
+        if i < 8 then Vrp.make ~max_len:v.Vrp.max_len v.Vrp.prefix (65000 + i) else v)
+      vrps
+  in
+  let away = Vrp.diff_of ~before:vrps ~after:(Vrp.normalize churned) in
+  let server = Server.create () in
+  let _ = List.init 512 (fun _ -> Server.attach server) in
+  Server.publish server vrps;
+  ignore (Server.flush server);
+  let flips = ref 0 in
   Test.make_grouped ~name:"rtr"
     [ Test.make ~name:"full-dump-1k-vrps"
         (Staged.stage (fun () ->
              let router = Rpki_rtr.Session.create_router () in
-             Rpki_rtr.Session.synchronize router cache)) ]
+             Rpki_rtr.Session.synchronize router cache));
+      Test.make ~name:"flush-512-sessions-churn-8"
+        (Staged.stage (fun () ->
+             incr flips;
+             Server.publish_diff server (if !flips land 1 = 1 then away else Vrp.invert_diff away);
+             Server.flush server)) ]
 
 (* a log larger than any the closed-loop benchmark grows: roots and proofs
    read stored complete subtrees and hash only the ragged right edge, so

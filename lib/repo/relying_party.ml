@@ -1264,7 +1264,10 @@ let read_chain (containers : Codec.snapshot list) =
                 (Der.Sequence
                   [ Der.Utf8 n; (Der.Integer _ as a); (Der.Integer _ as e);
                     (Der.Integer _ as s) ]) ->
-              once "meta" c_meta (n, Der.to_int_exn a, Der.to_int_exn e, Der.to_int_exn s)
+              (* the meta record is not under the head's signature, and an
+                 RTR serial is a 32-bit field (RFC 6810 section 5.3): a
+                 wider one is refused, never carried mod 2^32 *)
+              once "meta" c_meta (n, Der.to_int_exn a, Der.to_int_exn e, Resources.uint32_of_der s)
             | _ -> bad "malformed meta record")
           | "sth" -> (
             match Der.decode payload with

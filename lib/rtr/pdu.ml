@@ -37,15 +37,25 @@ let err_invalid_request = 3
 
 exception Parse_error of string
 
-let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
+(* A value that does not fit its field is refused, never truncated: an AS
+   number of 2^32 + 17054 must not reach a router as AS17054. *)
+let put buf ~bytes v =
+  if v < 0 || v lsr (8 * bytes) <> 0 then
+    invalid_arg (Printf.sprintf "Pdu.encode: %d does not fit %d bits" v (8 * bytes));
+  for i = bytes - 1 downto 0 do
+    Buffer.add_char buf (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
+  done
 
-let put_u16 buf v =
-  put_u8 buf (v lsr 8);
-  put_u8 buf v
+let put_u8 buf v = put buf ~bytes:1 v
+let put_u16 buf v = put buf ~bytes:2 v
+let put_u32 buf v = put buf ~bytes:4 v
 
-let put_u32 buf v =
-  put_u16 buf (v lsr 16);
-  put_u16 buf (v land 0xffff)
+(* What [decode_at] refuses in a prefix PDU, refused before encoding. *)
+let check_lengths ~width plen max_len =
+  if plen > width || max_len > width || max_len < plen then
+    invalid_arg
+      (Printf.sprintf "Pdu.encode: prefix length %d, max length %d in a %d-bit family" plen
+         max_len width)
 
 let header buf ~pdu_type ~session ~length =
   put_u8 buf protocol_version;
@@ -65,6 +75,7 @@ let encode (t : t) =
   | Reset_query -> header buf ~pdu_type:2 ~session:0 ~length:8
   | Cache_response { session_id } -> header buf ~pdu_type:3 ~session:session_id ~length:8
   | Ipv4_prefix { flags; prefix; max_len; asn } ->
+    check_lengths ~width:32 (Rpki_ip.V4.Prefix.len prefix) max_len;
     header buf ~pdu_type:4 ~session:0 ~length:20;
     put_u8 buf (match flags with Announce -> 1 | Withdraw -> 0);
     put_u8 buf (Rpki_ip.V4.Prefix.len prefix);
@@ -73,6 +84,7 @@ let encode (t : t) =
     put_u32 buf (Rpki_ip.V4.Prefix.addr prefix);
     put_u32 buf asn
   | Ipv6_prefix { flags; prefix6; max_len; asn } ->
+    check_lengths ~width:128 (Rpki_ip.V6.Prefix.len prefix6) max_len;
     header buf ~pdu_type:6 ~session:0 ~length:32;
     put_u8 buf (match flags with Announce -> 1 | Withdraw -> 0);
     put_u8 buf (Rpki_ip.V6.Prefix.len prefix6);

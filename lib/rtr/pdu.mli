@@ -33,6 +33,11 @@ val err_invalid_request : int
 exception Parse_error of string
 
 val encode : t -> string
+(** Raises [Invalid_argument] on a PDU {!decode} would refuse or that does
+    not fit the wire: an AS number or serial outside [\[0, 2^32)], a
+    session id or error code outside [\[0, 2^16)], or a prefix or max
+    length beyond the address width, or a max length below the prefix
+    length.  Nothing is ever truncated. *)
 
 val decode : string -> t
 (** Exactly one PDU; trailing bytes raise {!Parse_error}.  Every type but

@@ -3,19 +3,27 @@
    serial-notify.
 
    The protocol state machines live in [Session]; this module owns the
-   fan-out.  The core idea is that at any moment the response to "I am at
-   serial s" is the same byte string for every session at s, so it is
-   encoded once into a shared buffer keyed by s and replayed.  Publishes
-   never touch a session — they invalidate the buffers and mark a notify
-   pending; [flush] then sends one Serial Notify to everybody and drives
-   every session back to convergence, which is how rapid republishes
-   within a tick coalesce into a single fan-out.
+   fan-out.  At any moment the response to "I am at serial s" is the same
+   byte string for every session at s, so it is encoded once into a shared
+   buffer keyed by s and replayed.  Publishes never touch a session — they
+   invalidate the buffers and mark a notify pending; [flush] then sends one
+   Serial Notify to everybody and drives every session back to
+   convergence, which is how rapid republishes within a tick coalesce into
+   a single fan-out.
 
-   [flush ~domains:n] spreads the per-session decode/apply work across
-   Domains.  The shared buffers are pre-encoded sequentially before the
-   fan-out, each session is touched by exactly one domain, and per-domain
-   accounting is reduced in domain order — so the observable behaviour
-   (and every byte counter) is identical for any [domains]. *)
+   A router's state is one immutable value and a response moves it by a
+   pure [Session.transition], so sessions holding the same state value that
+   receive the same buffer reach the same next state.  [flush] computes
+   each distinct (state, buffer) transition once, sequentially, and
+   installs its result in every session that held that state: sessions on
+   one path decode once and share one table.  Sessions that reached equal
+   tables by different paths hold different values and stay apart until
+   their next reset.
+
+   The fan-out that follows only accounts bytes and installs states.
+   [flush ~domains:n] still spreads it across Domains, each session
+   touched by exactly one Domain and per-Domain accounting reduced in
+   Domain order, so every byte counter is identical for any [domains]. *)
 
 open Rpki_core
 
@@ -37,6 +45,7 @@ type stats = {
   bytes_received : int;
   replays : int;
   resets : int;
+  transitions : int;
 }
 
 type t = {
@@ -61,6 +70,7 @@ type t = {
   mutable bytes_received : int;
   mutable replays : int;
   mutable resets : int;
+  mutable transitions : int;
   mutable unsafe_count : int; [@warning "-69"]
       (* unsafe VRPs behind the published set.  Nothing reads it; it goes
          with [set_unsafe] in the benchmark re-baseline (ROADMAP item 1),
@@ -72,7 +82,7 @@ let create ?history_limit () =
     snapshot = None; reset_bytes = Pdu.encode Pdu.Cache_reset; dirty = false;
     bumps_pending = 0; reset_all = false; serial_bumps = 0; notify_batches = 0;
     coalesced = 0; encode_calls = 0; bytes_encoded = 0; bytes_sent = 0;
-    bytes_received = 0; replays = 0; resets = 0; unsafe_count = 0 }
+    bytes_received = 0; replays = 0; resets = 0; transitions = 0; unsafe_count = 0 }
 
 let cache t = t.cache
 
@@ -81,7 +91,7 @@ let stats t =
     notify_batches = t.notify_batches; coalesced = t.coalesced;
     encode_calls = t.encode_calls; bytes_encoded = t.bytes_encoded;
     bytes_sent = t.bytes_sent; bytes_received = t.bytes_received;
-    replays = t.replays; resets = t.resets }
+    replays = t.replays; resets = t.resets; transitions = t.transitions }
 
 (* --- the publishing side --- *)
 
@@ -187,6 +197,19 @@ let fresh_acct () =
 
 let encode_response pdus = String.concat "" (List.map Pdu.encode pdus)
 
+(* One flush's transitions, keyed by the physical identity of the router
+   state and of the response bytes.  The hash is the length of the bytes
+   alone: hashing the state reads into its table, which on 512 sessions
+   cost as much as the rest of the flush, and the states that receive one
+   buffer are few — one per group of sessions that took different paths
+   (attached at different flushes, say), usually one. *)
+module Transitions = Hashtbl.Make (struct
+  type t = Session.state * string
+
+  let equal (a, x) (b, y) = a == b && x == y
+  let hash (_, bytes) = String.length bytes
+end)
+
 let flush ?(domains = 1) t =
   let cache = t.cache in
   let current = Session.cache_serial cache in
@@ -223,9 +246,7 @@ let flush ?(domains = 1) t =
     { fr_serial = current; fr_notified = 0; fr_advanced = 0; fr_resets = 0;
       fr_skipped = 0; fr_coalesced = 0 }
   else begin
-    (* 2. pre-encode every buffer the fan-out will read, exactly once.  The
-       fan-out below only ever reads [t.buffers] / [t.snapshot], so it can
-       run on many domains against read-only shared state. *)
+    (* 2. pre-encode every buffer the transitions will read, exactly once. *)
     let need_snapshot = ref false in
     let missing = Hashtbl.create 8 in
     Array.iter
@@ -281,66 +302,77 @@ let flush ?(domains = 1) t =
       else ""
     in
     let notify_len = String.length notify_bytes in
-    (* 3. the fan-out: every session independently replays shared bytes into
-       its own router state machine.  [`Synced] is the only acceptable
-       outcome of each exchange — anything else is a server bug. *)
-    let expect_synced = function
-      | `Synced -> ()
-      | `Reset_required -> failwith "Rtr.Server: unexpected Cache Reset"
+    (* read only by the reset plans, which had it encoded above *)
+    let snapshot = Option.value t.snapshot ~default:"" in
+    (* 3. every distinct (state, response) transition, once.  A transition
+       is a pure function of the state and the bytes, so the physical
+       identity of both is key enough: every session holding that state
+       value and receiving that buffer gets the one result.  The table
+       lives for this flush only and keeps no state or buffer alive.  Each
+       result is checked as the fan-out checked each session's: a delta or
+       a snapshot must leave the router synced, the Cache Reset must be
+       taken, and anything else is a server bug. *)
+    let memo = Transitions.create 8 in
+    let step state bytes expect =
+      match Transitions.find_opt memo (state, bytes) with
+      | Some next -> next
+      | None ->
+        t.transitions <- t.transitions + 1;
+        let next =
+          match (Session.transition state bytes, expect) with
+          | Ok (next, `Synced), `Synced | Ok (next, `Reset_required), `Reset_required -> next
+          | Ok (_, `Reset_required), `Synced -> failwith "Rtr.Server: unexpected Cache Reset"
+          | Ok (_, `Synced), `Reset_required -> failwith "Rtr.Server: Cache Reset not taken"
+          | Error (_, msg), _ -> raise (Session.Protocol_error msg)
+        in
+        Transitions.replace memo (state, bytes) next;
+        next
     in
-    let snapshot_of () =
-      match t.snapshot with Some b -> b | None -> assert false
-    in
-    let serve_one acct s plan =
-      if notifying then s.rx <- s.rx + notify_len;
+    let next_state s plan =
+      let state = Session.router_state s.router in
       match plan with
+      | Skip -> state
+      | Delta base -> step state (Hashtbl.find t.buffers base) `Synced
+      | Reset_stale ->
+        (* the router acts on the shared Cache Reset, then starts over *)
+        ignore (step state t.reset_bytes `Reset_required);
+        step Session.fresh snapshot `Synced
+      | Reset_fresh -> step Session.fresh snapshot `Synced
+    in
+    let next = Array.map2 next_state sessions plans in
+    (* 4. the fan-out: every session accounts the bytes of its exchange and
+       takes its new state.  Every Serial Query has one length, and so
+       does every Reset Query: each is encoded once. *)
+    let serial_query =
+      String.length (Pdu.encode (Pdu.Serial_query { session_id = sid; serial = 0 }))
+    in
+    let reset_query = String.length (Pdu.encode Pdu.Reset_query) in
+    let serve_one acct i =
+      let s = sessions.(i) in
+      if notifying then s.rx <- s.rx + notify_len;
+      let exchange ~query ~response =
+        s.tx <- s.tx + query;
+        acct.a_received <- acct.a_received + query;
+        s.rx <- s.rx + String.length response;
+        acct.a_sent <- acct.a_sent + String.length response;
+        acct.a_replays <- acct.a_replays + 1
+      in
+      (match plans.(i) with
       | Skip -> acct.a_skipped <- acct.a_skipped + 1
       | Delta base ->
-        let query =
-          Pdu.encode (Pdu.Serial_query { session_id = sid; serial = base })
-        in
-        s.tx <- s.tx + String.length query;
-        acct.a_received <- acct.a_received + String.length query;
-        let resp = Hashtbl.find t.buffers base in
-        s.rx <- s.rx + String.length resp;
-        acct.a_sent <- acct.a_sent + String.length resp;
-        acct.a_replays <- acct.a_replays + 1;
-        expect_synced (Session.apply_response s.router resp);
+        exchange ~query:serial_query ~response:(Hashtbl.find t.buffers base);
         acct.a_advanced <- acct.a_advanced + 1
-      | Reset_stale | Reset_fresh ->
-        (match plan with
-        | Reset_stale ->
-          (* the session asks from where it was; the server's answer is the
-             shared Cache Reset, which the router acts on before starting
-             over *)
-          let query =
-            Pdu.encode
-              (Pdu.Serial_query
-                 { session_id =
-                     Option.value ~default:sid (Session.router_session s.router);
-                   serial = Session.router_serial s.router })
-          in
-          s.tx <- s.tx + String.length query;
-          acct.a_received <- acct.a_received + String.length query;
-          s.rx <- s.rx + String.length t.reset_bytes;
-          acct.a_sent <- acct.a_sent + String.length t.reset_bytes;
-          acct.a_replays <- acct.a_replays + 1;
-          (match Session.apply_response s.router t.reset_bytes with
-          | `Reset_required -> ()
-          | `Synced -> failwith "Rtr.Server: Cache Reset not taken");
+      | Reset_stale | Reset_fresh as plan ->
+        (* a stale session asks from where it was and is answered with the
+           shared Cache Reset before its Reset Query *)
+        if plan = Reset_stale then begin
+          exchange ~query:serial_query ~response:t.reset_bytes;
           s.resets <- s.resets + 1;
           acct.a_resets <- acct.a_resets + 1
-        | _ -> ());
-        Session.reset_router s.router;
-        let query = Pdu.encode Pdu.Reset_query in
-        s.tx <- s.tx + String.length query;
-        acct.a_received <- acct.a_received + String.length query;
-        let resp = snapshot_of () in
-        s.rx <- s.rx + String.length resp;
-        acct.a_sent <- acct.a_sent + String.length resp;
-        acct.a_replays <- acct.a_replays + 1;
-        expect_synced (Session.apply_response s.router resp);
-        acct.a_reset_count <- acct.a_reset_count + 1
+        end;
+        exchange ~query:reset_query ~response:snapshot;
+        acct.a_reset_count <- acct.a_reset_count + 1);
+      Session.set_router_state s.router next.(i)
     in
     (* one contiguous chunk of sessions per Domain, each with its own
        accounts; with one Domain this is a plain loop *)
@@ -351,7 +383,7 @@ let flush ?(domains = 1) t =
         (fun c ->
           let acct = fresh_acct () in
           for i = c * size to min n ((c + 1) * size) - 1 do
-            serve_one acct sessions.(i) plans.(i)
+            serve_one acct i
           done;
           acct)
         (Array.init chunks Fun.id)

@@ -14,11 +14,15 @@
       {!flush} fans a single Serial Notify out to every session, rapid
       republishes between flushes coalescing into one batch;
     - tracks each session as nothing more than its embedded
-      {!Session.router} state machine plus tx/rx byte accounting; and
-    - optionally spreads the per-session decode/apply fan-out across
-      {e Domains} ([flush ~domains:n]) — sessions are independent once the
-      shared buffers are pre-encoded, so the fan-out parallelises without
-      changing a single byte of the accounting.
+      {!Session.router} state plus tx/rx byte accounting;
+    - {e applies each response once per distinct router state}: a
+      router's state is one immutable {!Session.state} and a response moves
+      it by the pure {!Session.transition}, so every session holding the
+      same state value that receives the same buffer shares one decode,
+      one merge and one resulting table; and
+    - optionally spreads the per-session accounting and installation
+      across {e Domains} ([flush ~domains:n]) without changing a single
+      byte of the accounting.
 
     The underlying cache state machine is unchanged and reachable via
     {!cache} for code that predates the server (the loop's persistence
@@ -120,11 +124,19 @@ val flush : ?domains:int -> t -> flush_report
     (all zeros except [fr_serial]) when nothing is {!pending} and every
     session is synced.
 
-    [domains > 1] runs the per-session decode/apply fan-out on that many
-    Domains.  Buffers are pre-encoded before the fan-out, sessions are
-    touched by exactly one domain each, and per-domain accounting is
-    reduced in deterministic order — the report, the byte counters and
-    every session's state are identical whatever [domains] is. *)
+    Each distinct transition — a router state value and the response
+    buffer it receives, told apart by physical identity — is computed once,
+    before the fan-out, and its result installed in every session that
+    held that state.  Sessions attached together therefore share one state
+    from then on; sessions that reached equal tables by different paths
+    hold distinct values until their next reset.  Nothing is kept from one
+    flush to the next.
+
+    [domains > 1] runs the per-session accounting and installation on that
+    many Domains.  Sessions are touched by exactly one domain each, and
+    per-domain accounting is reduced in deterministic order — the report,
+    the counters and every session's state are identical whatever
+    [domains] is. *)
 
 val all_synced : t -> bool
 (** Every attached session is {!session_synced}. *)
@@ -146,6 +158,9 @@ type stats = {
   replays : int;        (** responses answered from an already-encoded
                             buffer *)
   resets : int;         (** Cache Reset decisions served *)
+  transitions : int;    (** distinct (router state, response) transitions
+                            computed: one per path sessions take through
+                            a flush, not one per session *)
 }
 
 val stats : t -> stats

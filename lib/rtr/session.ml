@@ -200,34 +200,35 @@ let serve cache (request_bytes : string) =
 
 (* --- router (client) side --- *)
 
-(* A router's table is a sorted ([Vrp.compare]), duplicate-free array: one
-   word per VRP, searched by bisection.  A response is checked against it
-   and merged in once, at End of Data, into a fresh array, so a response
-   that fails leaves the table as it was. *)
-type router = {
-  mutable r_session : int option;
-  mutable r_serial : int;
-  mutable r_vrps : Vrp.t array;
-}
+(* A router's state is one immutable value: session, serial and table.  The
+   table is a sorted ([Vrp.compare]), duplicate-free array: one word per VRP,
+   searched by bisection.  A response is checked against it and merged in
+   once, at End of Data, into a fresh array.  [transition] reads nothing but
+   (state, response bytes), and a router only ever swaps one whole state for
+   another, so every router holding one state value can take the result of
+   one transition. *)
+type state = { session : int option; serial : int; vrps : Vrp.t array }
 
-let create_router () = { r_session = None; r_serial = 0; r_vrps = [||] }
+type router = { mutable state : state }
+
+let fresh = { session = None; serial = 0; vrps = [||] }
+let create_router () = { state = fresh }
+let router_state router = router.state
+let set_router_state router state = router.state <- state
 
 (* The client side of acting on a Cache Reset: forget everything and start
    over with a Reset Query. *)
-let reset_router router =
-  router.r_session <- None;
-  router.r_serial <- 0;
-  router.r_vrps <- [||]
+let reset_router router = router.state <- fresh
 
-let router_session router = router.r_session
-let router_serial router = router.r_serial
-let router_vrps router = Array.to_list router.r_vrps
+let router_session router = router.state.session
+let router_serial router = router.state.serial
+let router_vrps router = Array.to_list router.state.vrps
 
 let router_in_sync router cache =
-  router.r_session = Some cache.session_id
-  && router.r_serial = cache.serial
+  router.state.session = Some cache.session_id
+  && router.state.serial = cache.serial
   &&
-  let table = router.r_vrps in
+  let table = router.state.vrps in
   let rec same i = function
     | [] -> i = Array.length table
     | v :: rest -> i < Array.length table && Vrp.equal table.(i) v && same (i + 1) rest
@@ -307,50 +308,58 @@ let patch table changes size =
   go 0 0 changes;
   out
 
-(* Apply a cache response to the router state. *)
-let apply_response router (bytes : string) =
+(* The state a response leads to.  A Cache Response names the session
+   first, so a response that breaks after it leaves the router on that
+   session with its old serial and table: [Error] carries that state. *)
+let transition state (bytes : string) =
   match Pdu.decode_all bytes with
   | Pdu.Cache_reset :: _ ->
     (* full resynchronisation required *)
-    router.r_session <- None;
-    `Reset_required
-  | Pdu.Cache_response { session_id } :: rest ->
-    (match router.r_session with
-    | Some s when s <> session_id -> raise (Protocol_error "session mismatch")
-    | _ -> router.r_session <- Some session_id);
-    (* the prefix PDUs before End of Data, and how the response ends; any
-       structural error comes after every collected PDU *)
-    let rec collect ops = function
-      | [ Pdu.End_of_data { serial; session_id = sid } ] ->
-        (ops, if Some sid <> router.r_session then Error "session mismatch at EOD" else Ok serial)
-      | Pdu.Ipv4_prefix { flags; prefix; max_len; asn } :: rest ->
-        collect ((Vrp.make ~max_len prefix asn, flags = Pdu.Announce) :: ops) rest
-      | Pdu.Ipv6_prefix _ :: rest -> collect ops rest (* carried but unindexed *)
-      | [] -> (ops, Error "missing End of Data")
-      | p :: _ -> (ops, Error ("unexpected " ^ Pdu.to_string p))
-    in
-    let ops, ending = collect [] rest in
-    let changes, size = net_changes router.r_vrps (List.rev ops) in
-    (match ending with
-    | Error msg -> raise (Protocol_error msg)
-    | Ok serial ->
-      router.r_serial <- serial;
-      (match changes with
-      | [] -> ()
-      | _ -> router.r_vrps <- patch router.r_vrps changes size);
-      `Synced)
+    Ok ({ state with session = None }, `Reset_required)
+  | Pdu.Cache_response { session_id } :: rest -> (
+    match state.session with
+    | Some s when s <> session_id -> Error (state, "session mismatch")
+    | _ -> (
+      let state = { state with session = Some session_id } in
+      (* the prefix PDUs before End of Data, and how the response ends; any
+         structural error comes after every collected PDU *)
+      let rec collect ops = function
+        | [ Pdu.End_of_data { serial; session_id = sid } ] ->
+          (ops, if sid <> session_id then Error "session mismatch at EOD" else Ok serial)
+        | Pdu.Ipv4_prefix { flags; prefix; max_len; asn } :: rest ->
+          collect ((Vrp.make ~max_len prefix asn, flags = Pdu.Announce) :: ops) rest
+        | Pdu.Ipv6_prefix _ :: rest -> collect ops rest (* carried but unindexed *)
+        | [] -> (ops, Error "missing End of Data")
+        | p :: _ -> (ops, Error ("unexpected " ^ Pdu.to_string p))
+      in
+      let ops, ending = collect [] rest in
+      match (net_changes state.vrps (List.rev ops), ending) with
+      | exception Protocol_error msg -> Error (state, msg)
+      | _, Error msg -> Error (state, msg)
+      | ([], _), Ok serial -> Ok ({ state with serial }, `Synced)
+      | (changes, size), Ok serial ->
+        Ok ({ state with serial; vrps = patch state.vrps changes size }, `Synced)))
   | Pdu.Error_report { error_code; message } :: _ ->
-    raise (Protocol_error (Printf.sprintf "cache error %d: %s" error_code message))
-  | p :: _ -> raise (Protocol_error ("unexpected " ^ Pdu.to_string p))
-  | [] -> raise (Protocol_error "empty response")
+    Error (state, Printf.sprintf "cache error %d: %s" error_code message)
+  | p :: _ -> Error (state, "unexpected " ^ Pdu.to_string p)
+  | [] -> Error (state, "empty response")
+
+let apply_response router bytes =
+  match transition router.state bytes with
+  | Ok (state, outcome) ->
+    router.state <- state;
+    outcome
+  | Error (state, msg) ->
+    router.state <- state;
+    raise (Protocol_error msg)
 
 (* One synchronisation round against a cache: incremental when possible,
    falling back to reset.  Returns the router's resulting VRP set. *)
 let synchronize router cache =
   let query =
-    match router.r_session with
+    match router.state.session with
     | Some sid when sid = cache.session_id ->
-      Pdu.encode (Pdu.Serial_query { session_id = sid; serial = router.r_serial })
+      Pdu.encode (Pdu.Serial_query { session_id = sid; serial = router.state.serial })
     | _ ->
       (* new or different cache: start a fresh session from nothing *)
       reset_router router;

@@ -116,20 +116,32 @@ val serve : cache -> string -> string
 (** {2 Router (client) side} *)
 
 type router
-(** Opaque router state: (session, serial) plus the VRP table it holds.
-    The table is a sorted ({!Vrp.compare}), duplicate-free array, one word
-    per VRP, searched by bisection and replaced whole at each End of Data
-    that changes it.  Each router decodes its own bytes into its own VRP
-    records, so routers share nothing and can be driven from different
-    Domains. *)
+(** A router: a mutable cell holding its current {!state}. *)
+
+type state
+(** A router's (session, serial) and the VRP table it holds, as one
+    immutable value.  The table is a sorted ({!Vrp.compare}),
+    duplicate-free array, one word per VRP, searched by bisection.  A
+    response moves a router by replacing its state whole with
+    {!transition}'s result, so routers at one state value can share both
+    the transition and the table it builds: {!Server} computes each
+    distinct transition of a flush once and installs the result in every
+    session that held that state. *)
+
+val fresh : state
+(** No session, serial 0, no VRPs: where every new router starts, and where
+    a router starts over from after a Cache Reset.  One value, so all the
+    routers that start over share it. *)
 
 val create_router : unit -> router
 
+val router_state : router -> state
+val set_router_state : router -> state -> unit
+
 val reset_router : router -> unit
-(** Forget session, serial and VRPs — the client side of acting on a Cache
+(** Set the router to {!fresh}: the client side of acting on a Cache
     Reset, before issuing a fresh Reset Query.  {!synchronize} does this
-    internally; {!Server} needs it spelled out because it drives the
-    exchange itself from shared buffers. *)
+    internally. *)
 
 val router_session : router -> int option
 val router_serial : router -> int
@@ -141,29 +153,39 @@ val router_in_sync : router -> cache -> bool
 (** On the cache's session and serial, holding exactly its current VRP
     set. *)
 
-exception Protocol_error of string
-
-val apply_response : router -> string -> [ `Synced | `Reset_required ]
-(** Apply an encoded cache response to the router state.
+val transition :
+  state -> string -> (state * [ `Synced | `Reset_required ], state * string) result
+(** The state an encoded cache response leads to, and how the response
+    ended; a pure function of the state and the bytes.
 
     The PDUs apply in order: an announce of a VRP already held is a no-op,
     and a withdrawal of a VRP not held — counting the earlier PDUs of the
-    same response — raises [Protocol_error "withdrawal of unknown VRP"] at
-    that PDU, before any later error.  IPv6 prefixes are carried and
-    ignored.  A Cache Response sets the router's session; serial and table
-    change only at a good End of Data, so a response that raises leaves
-    them as they were.  A Cache Reset clears the session and answers
-    [`Reset_required].
+    same response — fails with ["withdrawal of unknown VRP"] at that PDU,
+    before any later error.  IPv6 prefixes are carried and ignored.  A
+    Cache Response sets the session; serial and table change only at a good
+    End of Data.  A response that breaks the protocol gives [Error] with
+    the reason and the state it leaves: the old one, on the Cache
+    Response's session if it got that far.  A Cache Reset clears the
+    session and answers [`Reset_required].
 
-    Raises {!Pdu.Parse_error} on bytes that do not decode and
-    {!Protocol_error} on a response that breaks the protocol; nothing
+    Raises {!Pdu.Parse_error} on bytes that do not decode, and nothing
     else.
 
     Cost, for Δ prefix PDUs against a table of V VRPs: O(Δ log Δ + Δ log V)
     to check them and O(V + Δ) to build the new table, which happens only
-    when the response changes it.  PDUs that arrive sorted, as a snapshot
-    from this cache does, skip the sort, so a full snapshot into an empty
-    table costs O(V) once decoded and O(V log V) at worst. *)
+    when the response changes it (otherwise the new state shares the old
+    table).  PDUs that arrive sorted, as a snapshot from this cache does,
+    skip the sort, so a full snapshot into an empty table costs O(V) once
+    decoded and O(V log V) at worst. *)
+
+exception Protocol_error of string
+
+val apply_response : router -> string -> [ `Synced | `Reset_required ]
+(** {!transition} from the router's state, installed in the router.
+    Raises {!Pdu.Parse_error} on bytes that do not decode, leaving the
+    router as it was, and {!Protocol_error} on a response that breaks the
+    protocol, after installing the state {!transition} gives for it;
+    nothing else. *)
 
 val synchronize : router -> cache -> Vrp.t list
 (** One synchronisation round: incremental when the session and serial

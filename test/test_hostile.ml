@@ -452,8 +452,15 @@ let quad (addr, asn) = Der.Sequence [ Der.int_ addr; Der.int_ 20; Der.int_ 24; D
 (* A persisted VRP is read with the ROA decoder's bounds: an origin of
    2^32 + 17054 (which RTR's 32-bit field would carry as AS 17054) and an
    address of 2^40 (which would land on 0.0.0.0/20) are refused, in the
-   base's full set and in a segment's diff alike. *)
+   base's full set and in a segment's diff alike.  So is a persisted RTR
+   serial of 2^32 + 5, which the wire would carry as 5. *)
 let test_vrp_bounds () =
+  refused "RTR serial 2^32 + 5 in the newest meta record" ~because:"32 bits"
+    (reseal ~file:"rp.seg.4" ~kind:"meta" (fun meta ->
+         match children meta with
+         | [ name; asn; epoch; _ ] ->
+           Der.Sequence [ name; asn; epoch; Der.int_ ((1 lsl 32) + 5) ]
+         | _ -> Alcotest.fail "meta record"));
   List.iter
     (fun (what, v) ->
       refused (what ^ " in the base's full set") ~because:"32 bits"

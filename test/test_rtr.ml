@@ -19,9 +19,49 @@ let test_roundtrips () =
       Pdu.Ipv6_prefix { flags = Pdu.Announce; prefix6 = V6.p "2001:db8::/32"; max_len = 48; asn = 65001 };
       Pdu.End_of_data { session_id = 9; serial = 77 };
       Pdu.Cache_reset;
-      Pdu.Error_report { error_code = Pdu.err_corrupt_data; message = "broken" } ]
+      Pdu.Error_report { error_code = Pdu.err_corrupt_data; message = "broken" };
+      (* every field at the top of its range *)
+      Pdu.Serial_notify { session_id = 0xffff; serial = 0xffff_ffff };
+      Pdu.End_of_data { session_id = 0xffff; serial = 0xffff_ffff };
+      Pdu.Ipv4_prefix
+        { flags = Pdu.Announce; prefix = V4.p "10.0.0.1/32"; max_len = 32; asn = 0xffff_ffff };
+      Pdu.Ipv6_prefix
+        { flags = Pdu.Withdraw; prefix6 = V6.p "2001:db8::1/128"; max_len = 128;
+          asn = 0xffff_ffff };
+      Pdu.Error_report { error_code = 0xffff; message = "" } ]
   in
   List.iter (fun p -> Alcotest.check pdu (Pdu.to_string p) p (Pdu.decode (Pdu.encode p))) cases
+
+(* The encoder refuses what the decoder refuses, and what does not fit its
+   field: nothing is truncated on the way out. *)
+let test_encode_refuses () =
+  let v4 ?(prefix = V4.p "63.174.16.0/20") ?(max_len = 24) asn =
+    Pdu.Ipv4_prefix { flags = Pdu.Announce; prefix; max_len; asn }
+  in
+  let v6 prefix6 max_len =
+    Pdu.Ipv6_prefix { flags = Pdu.Announce; prefix6; max_len; asn = 65001 }
+  in
+  List.iter
+    (fun (what, p) ->
+      match Pdu.encode p with
+      | bytes -> Alcotest.failf "%s encoded as %s" what (Pdu.to_string (Pdu.decode bytes))
+      | exception Invalid_argument _ -> ())
+    [ ("AS 2^32 + 17054", v4 ((1 lsl 32) + 17054));
+      ("AS -1", v4 (-1));
+      ("IPv6 AS 2^32", Pdu.Ipv6_prefix
+                         { flags = Pdu.Announce; prefix6 = V6.p "2001:db8::/32"; max_len = 48;
+                           asn = 1 lsl 32 });
+      ("serial 2^32", Pdu.Serial_query { session_id = 1; serial = 1 lsl 32 });
+      ("serial -1", Pdu.End_of_data { session_id = 1; serial = -1 });
+      ("notify serial 2^32 + 5", Pdu.Serial_notify { session_id = 1; serial = (1 lsl 32) + 5 });
+      ("session id 2^16", Pdu.Cache_response { session_id = 0x10000 });
+      ("session id -1", Pdu.End_of_data { session_id = -1; serial = 0 });
+      ("error code 2^16", Pdu.Error_report { error_code = 0x10000; message = "" });
+      ("IPv4 max length 33", v4 ~prefix:(V4.p "10.0.0.0/8") ~max_len:33 1);
+      ("IPv4 max length below the prefix length", v4 ~max_len:19 1);
+      ("IPv4 max length -1", v4 ~max_len:(-1) 1);
+      ("IPv6 max length 129", v6 (V6.p "2001:db8::/32") 129);
+      ("IPv6 max length below the prefix length", v6 (V6.p "2001:db8::/32") 31) ]
 
 let test_wire_layout () =
   (* byte-exact check of one IPv4 prefix PDU against RFC 6810 section 5.6 *)
@@ -409,6 +449,7 @@ let () =
   Alcotest.run "rtr"
     [ ( "pdu",
         [ Alcotest.test_case "roundtrips" `Quick test_roundtrips;
+          Alcotest.test_case "encoder refuses what does not fit" `Quick test_encode_refuses;
           Alcotest.test_case "wire layout" `Quick test_wire_layout;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "decode_all" `Quick test_decode_all;

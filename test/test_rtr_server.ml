@@ -56,6 +56,8 @@ type op =
   | Hold of int * Vrp.t list (* pool index, pinned set *)
   | Release of int
   | Attach
+  | Detach of int (* index into the live sessions, newest first *)
+  | Restore of int * Vrp.t list (* serial step from the current serial, set *)
   | Flush
 
 let vrp_gen =
@@ -73,6 +75,12 @@ let op_gen =
              (list_size (int_bound 3) vrp_gen));
         (1, map (fun i -> Release i) (int_bound (Array.length pool - 1)));
         (2, return Attach);
+        (1, map (fun i -> Detach i) nat);
+        (* a step of 0 restores the current serial, mostly with another set *)
+        ( 1,
+          map2 (fun step l -> Restore (step, l))
+            (frequency [ (1, return 0); (1, int_range (-2) 3) ])
+            (list_size (int_bound 6) vrp_gen) );
         (4, return Flush) ])
 
 let print_op = function
@@ -80,6 +88,8 @@ let print_op = function
   | Hold (i, l) -> Printf.sprintf "hold[%d,%d]" i (List.length l)
   | Release i -> Printf.sprintf "release[%d]" i
   | Attach -> "attach"
+  | Detach i -> Printf.sprintf "detach[%d]" i
+  | Restore (step, l) -> Printf.sprintf "restore[%+d,%d]" step (List.length l)
   | Flush -> "flush"
 
 let scenario_arb =
@@ -90,7 +100,12 @@ let scenario_arb =
 (* Replay [ops] into a server and into the reference model; compare every
    session to its private router after the final flush.  A small history
    limit makes stale sessions fall off the delta window, so the Cache Reset
-   path is exercised, not just the happy delta path. *)
+   path is exercised, not just the happy delta path.
+
+   A restore that moves the cache's serial or set gives every router with a
+   session one Cache Reset at its next sync (the rule [Server.restore]
+   documents): the reference acts on the Cache Reset bytes, then syncs
+   afresh. *)
 let check_observational_identity ?(domains = 1) ops =
   let n_max = 6 and history_limit = 4 in
   let server = Server.create ~history_limit () in
@@ -98,6 +113,7 @@ let check_observational_identity ?(domains = 1) ops =
     Array.init n_max (fun _ ->
         (Session.create_cache ~history_limit (), Session.create_router (), ref 0))
   in
+  let stale = Array.make n_max false in (* owes a Cache Reset since a restore *)
   let sessions = ref [] in (* (server session, reference index), newest first *)
   let attached = ref 0 in
   let sync_all () =
@@ -105,6 +121,13 @@ let check_observational_identity ?(domains = 1) ops =
     List.iter
       (fun (_, i) ->
         let c, r, resets = refs.(i) in
+        if stale.(i) then begin
+          stale.(i) <- false;
+          (match Session.apply_response r (Pdu.encode Pdu.Cache_reset) with
+          | `Reset_required -> incr resets
+          | `Synced -> Alcotest.fail "reference: Cache Reset not taken");
+          Session.reset_router r
+        end;
         resets := !resets + ref_sync c r)
       !sessions
   in
@@ -125,6 +148,28 @@ let check_observational_identity ?(domains = 1) ops =
           sessions := (Server.attach server, !attached) :: !sessions;
           incr attached
         end
+      | Detach k -> (
+        match !sessions with
+        | [] -> ()
+        | live ->
+          let s, _ = List.nth live (k mod List.length live) in
+          Server.detach server s;
+          sessions := List.filter (fun (x, _) -> x != s) live)
+      | Restore (step, l) ->
+        let c0, _, _ = refs.(0) in
+        let serial = Session.cache_serial c0 + step in
+        let before = (Session.cache_serial c0, Session.cache_vrps c0) in
+        Server.restore server ~serial ~vrps:l;
+        Array.iter (fun (c, _, _) -> Session.restore c ~serial ~vrps:l) refs;
+        let after = (Session.cache_serial c0, Session.cache_vrps c0) in
+        if
+          fst before <> fst after || not (List.equal Vrp.equal (snd before) (snd after))
+        then
+          List.iter
+            (fun (_, i) ->
+              let _, r, _ = refs.(i) in
+              if Session.router_session r <> None then stale.(i) <- true)
+            !sessions
       | Flush -> sync_all ())
     ops;
   sync_all ();
@@ -151,17 +196,13 @@ let check_observational_identity ?(domains = 1) ops =
        (Session.cache_vrps (Server.cache server))
        (Session.cache_vrps c0)
 
-let prop_identity =
+let prop_identity ~count domains =
+  let name = "multiplexed server == N independent caches" in
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:150
-       ~name:"multiplexed server == N independent caches" scenario_arb
-       check_observational_identity)
-
-let prop_identity_domains =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:40
-       ~name:"multiplexed server == N independent caches (4 domains)" scenario_arb
-       (check_observational_identity ~domains:4))
+    (QCheck.Test.make ~count
+       ~name:(if domains = 1 then name else Printf.sprintf "%s (%d domains)" name domains)
+       scenario_arb
+       (check_observational_identity ~domains))
 
 (* --- unit tests --- *)
 
@@ -294,6 +335,74 @@ let test_domains_parity () =
   Alcotest.(check bool) "session states identical" true
     (List.for_all2 (List.equal Vrp.equal) vrps1 vrps4)
 
+(* --- one transition per distinct router state --- *)
+
+let transitions server = (Server.stats server).Server.transitions
+
+(* Flush; check that every session is on the cache's serial and set, and
+   return how many transitions the flush computed. *)
+let flush_counting server =
+  let before = transitions server in
+  ignore (Server.flush server);
+  Alcotest.(check bool) "all synced" true (Server.all_synced server);
+  transitions server - before
+
+(* 40 VRPs, the first 8 re-originated at every [t] *)
+let churn_set t =
+  List.init 40 (fun i -> v (Printf.sprintf "10.%d.0.0/16" i) (if i < 8 then 100 + t else 7))
+
+(* Sessions attached together hold one state value from then on, so each
+   flush computes one transition per response it sends, whatever the
+   session count: the snapshot, each delta, and after a restore the Cache
+   Reset and then the snapshot. *)
+let test_one_transition_per_state () =
+  let server = Server.create () in
+  let ss = List.init 512 (fun _ -> Server.attach server) in
+  Server.publish server (churn_set 0);
+  Alcotest.(check int) "attach: the snapshot" 1 (flush_counting server);
+  for t = 1 to 5 do
+    Server.publish server (churn_set t);
+    Alcotest.(check int) (Printf.sprintf "churn %d: the delta" t) 1 (flush_counting server)
+  done;
+  Server.hold server ~prefix:(V4.p "10.0.0.0/16") ~vrps:[ v "10.0.0.0/16" 99 ];
+  Alcotest.(check int) "hold: the delta" 1 (flush_counting server);
+  Server.restore server ~serial:100 ~vrps:(churn_set 9);
+  Alcotest.(check int) "restore: the Cache Reset, then the snapshot" 2 (flush_counting server);
+  let cache = Server.cache server in
+  List.iter
+    (fun s ->
+      Alcotest.(check int) "serial" (Session.cache_serial cache) (Server.session_serial s);
+      Alcotest.check vrp_list "the cache's set" (Session.cache_vrps cache) (Server.session_vrps s))
+    ss
+
+(* Sessions that reached equal tables by different paths hold different
+   state values: two attach flushes make two lineages, each computing its
+   own delta, until a reset starts both over from one snapshot. *)
+let test_two_lineages () =
+  let server = Server.create () in
+  let early = List.init 8 (fun _ -> Server.attach server) in
+  Server.publish server (churn_set 0);
+  Alcotest.(check int) "first attach" 1 (flush_counting server);
+  (* no publish in between: the second attach flush replays the very same
+     snapshot buffer, yet builds a table of its own *)
+  let late = List.init 8 (fun _ -> Server.attach server) in
+  Alcotest.(check int) "second attach" 1 (flush_counting server);
+  for t = 1 to 3 do
+    Server.publish server (churn_set t);
+    Alcotest.(check int) (Printf.sprintf "churn %d: one delta per lineage" t) 2
+      (flush_counting server)
+  done;
+  Server.restore server ~serial:50 ~vrps:(churn_set 7);
+  Alcotest.(check int) "restore: a Cache Reset per lineage, one snapshot" 3
+    (flush_counting server);
+  Server.publish server (churn_set 8);
+  Alcotest.(check int) "one lineage after the reset" 1 (flush_counting server);
+  let cache = Server.cache server in
+  List.iter
+    (fun s ->
+      Alcotest.check vrp_list "the cache's set" (Session.cache_vrps cache) (Server.session_vrps s))
+    (early @ late)
+
 let () =
   Alcotest.run "rtr-server"
     [ ( "server",
@@ -304,5 +413,9 @@ let () =
           Alcotest.test_case "restore resets sessions" `Quick test_restore_resets_sessions;
           Alcotest.test_case "restore onto a session's serial" `Quick
             test_restore_onto_session_serial;
-          Alcotest.test_case "domains parity" `Quick test_domains_parity ] );
-      ("property", [ prop_identity; prop_identity_domains ]) ]
+          Alcotest.test_case "domains parity" `Quick test_domains_parity;
+          Alcotest.test_case "one transition per router state" `Quick
+            test_one_transition_per_state;
+          Alcotest.test_case "two lineages until a reset" `Quick test_two_lineages ] );
+      ( "property",
+        [ prop_identity ~count:150 1; prop_identity ~count:40 2; prop_identity ~count:40 4 ] ) ]
