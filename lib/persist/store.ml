@@ -158,31 +158,33 @@ let compact t ~now ~fold =
   | Error e -> Error (load_error_to_string e)
   | Ok [ _ ] -> Ok (generation t) (* nothing sealed beyond the base: no-op *)
   | Ok [] -> Error "empty chain"
-  | Ok containers ->
-    let last = List.nth containers (List.length containers - 1) in
-    let records = fold containers in
-    let gen = last.Codec.s_generation in
-    (* compaction re-expresses the same generation: the marker is untouched *)
-    let folded =
-      Codec.encode { Codec.s_generation = gen; s_saved_at = now; s_records = records }
-    in
-    let staging = staging_file t in
-    Disk.write t.disk ~name:staging folded;
-    (match Disk.read t.disk ~name:staging with
-    | Some b when String.equal b folded -> (
-      Disk.rename t.disk ~src:staging ~dst:(snap_file t);
-      match Disk.read t.disk ~name:(snap_file t) with
-      | Some b' when String.equal b' folded ->
-        delete_segments t;
-        Ok gen
+  | Ok containers -> (
+    match fold containers with
+    | Error _ as refused -> refused
+    | Ok records ->
+      let last = List.nth containers (List.length containers - 1) in
+      let gen = last.Codec.s_generation in
+      (* compaction re-expresses the same generation: the marker is untouched *)
+      let folded =
+        Codec.encode { Codec.s_generation = gen; s_saved_at = now; s_records = records }
+      in
+      let staging = staging_file t in
+      Disk.write t.disk ~name:staging folded;
+      (match Disk.read t.disk ~name:staging with
+      | Some b when String.equal b folded -> (
+        Disk.rename t.disk ~src:staging ~dst:(snap_file t);
+        match Disk.read t.disk ~name:(snap_file t) with
+        | Some b' when String.equal b' folded ->
+          delete_segments t;
+          Ok gen
+        | _ ->
+          (* the rename was dropped: the old base and every segment are still
+             in place — clean the staging copy and report *)
+          Disk.delete t.disk ~name:staging;
+          Error "compaction rename lost; store left segmented")
       | _ ->
-        (* the rename was dropped: the old base and every segment are still
-           in place — clean the staging copy and report *)
         Disk.delete t.disk ~name:staging;
-        Error "compaction rename lost; store left segmented")
-    | _ ->
-      Disk.delete t.disk ~name:staging;
-      Error "compaction staging write corrupted; store left segmented")
+        Error "compaction staging write corrupted; store left segmented"))
 
 let snapshot_bytes t = Disk.size t.disk ~name:(snap_file t)
 

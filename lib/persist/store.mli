@@ -62,12 +62,12 @@ val load_chain : t -> (Codec.snapshot list, load_error) result
     for a damaged one). *)
 
 val compact :
-  t -> now:int -> fold:(Codec.snapshot list -> Codec.record list) ->
+  t -> now:int -> fold:(Codec.snapshot list -> (Codec.record list, string) result) ->
   (int, string) result
 (** Fold base + segments into one base snapshot.  [fold] receives the
-    chain, base first, and returns the folded record list.
-    [fold] runs before anything is written, so a [fold] that raises leaves
-    the store untouched.
+    chain, base first, and returns the folded record list, or [Error] to
+    refuse the chain.  [fold] runs before anything is written, so a
+    refusal is the result and leaves the store untouched.
     The folded base keeps the chain's newest generation (the marker does
     not move).  Crash-safe against the one-shot {!Disk} faults: the folded
     container is staged and read back before the swap, and the swap is

@@ -29,6 +29,7 @@
    validation's only dependence on time is those window comparisons. *)
 
 open Rpki_core
+module Tlog = Rpki_transparency.Log
 
 type tal = {
   ta_key : Rpki_crypto.Rsa.public;
@@ -177,31 +178,10 @@ type sync_result = {
   tree_head : Rpki_transparency.Log.head;
 }
 
-(* The memoized outcome of validating one publication point under one
-   issuing certificate.  The shape is {!Valcache.outcome} — URI-free, a
-   pure function of (issuing certificate bytes, listing bytes, window
-   sides) — so an outcome computed by one vantage can be replayed verbatim
-   from the shared validation plane by any other vantage that observed the
-   same content; each vantage re-attaches its own URI to the issues. *)
-type memo_entry = Valcache.outcome
-
 type cached_point = {
   cp_files : (string * string) list;
   cp_fp : string;
   cp_at : Rtime.t; (* when this copy was last confirmed fresh *)
-}
-
-(* Where incremental persistence left off against one store, kept only
-   while the chain's last file read back intact: how many log observations
-   the chain already holds, the head they were sealed under — the
-   checkpoint the next segment's consistency proof starts from — and the
-   VRP set the chain restores to, which the next segment's VRP diff is
-   taken against.  One per store, so one vantage can save to several
-   stores, even under one name on two disks. *)
-type persist_mark = {
-  pm_obs : int;
-  pm_head : Rpki_transparency.Log.head;
-  pm_vrps : Vrp.t list;
 }
 
 (* One state a publication point served this vantage, as this vantage
@@ -224,8 +204,12 @@ type t = {
      of delaying legitimate revocations by the same window. *)
   cache : (string, cached_point) Hashtbl.t; (* uri -> last good copy *)
   rrdp_clients : (string, Rrdp.client) Hashtbl.t; (* primary uri -> RRDP state *)
-  memo : (string, (string * memo_entry) list) Hashtbl.t;
-  (* uri -> parent key id -> outcome *)
+  memo : (string, (string * Valcache.outcome) list) Hashtbl.t;
+  (* uri -> parent key id -> outcome.  The outcome is URI-free, a pure
+     function of (issuing certificate bytes, listing bytes, window sides),
+     so one computed by one vantage can be replayed verbatim from the
+     shared validation plane by any other vantage that observed the same
+     content; each vantage re-attaches its own URI to the issues. *)
   mutable walked : Vrp.t list list;
   (* the [o_vrps] of every point the last sync walked, newest first ... *)
   mutable union : Vrp.t list;
@@ -265,8 +249,9 @@ type t = {
   (* the last head signed: reused while the tree (log id, size, root) is
      unchanged — a static log keeps serving one STH to every pull instead
      of paying an RSA signature per serve *)
-  mutable persist_marks : (Rpki_persist.Store.t * persist_mark) list;
-  (* one mark per store (the same disk and name), newest first *)
+  mutable persist_marks : (Rpki_persist.Store.t * Rp_store.mark) list;
+  (* one mark per store (the same disk and name), newest first, so one
+     vantage can save to several stores, even under one name on two disks *)
   point_history : (string, point_state list) Hashtbl.t;
   (* bounded per-uri history (newest first) of the VRP contributions this
      vantage itself validated.  {!rollback_last_good} searches it when
@@ -276,18 +261,13 @@ type t = {
      degrades to pinning nothing, which is fail-closed. *)
 }
 
-(* Epoch 0 keeps the PR-3 log id (= the vantage name); later incarnations are
-   visibly distinct logs. *)
-let log_id_for ~name ~epoch =
-  if epoch = 0 then name else Printf.sprintf "%s/e%d" name epoch
-
 let create ~name ~asn ~tals ?(use_stale = true) ?grace ?(log_epoch = 0) () =
   { name; asn; tals; use_stale; grace; cache = Hashtbl.create 16;
     rrdp_clients = Hashtbl.create 4; memo = Hashtbl.create 64; walked = []; union = [];
     vrp_memory = Hashtbl.create 64; seen = []; seen_at = Rtime.epoch; last_result = None;
     effective_vrps = [];
     index = Origin_validation.empty_index; log_epoch;
-    tlog = Rpki_transparency.Log.create ~log_id:(log_id_for ~name ~epoch:log_epoch);
+    tlog = Tlog.create ~log_id:(Rp_store.log_id ~name ~epoch:log_epoch);
     peer_heads = []; log_baseline = 0; tkey = None; sth_cache = None;
     persist_marks = []; point_history = Hashtbl.create 16 }
 
@@ -312,14 +292,14 @@ let point_vrps t ~uri =
   | None -> []
   | Some entries ->
     List.sort_uniq Vrp.compare
-      (List.concat_map (fun (_, (e : memo_entry)) -> e.Valcache.o_vrps) entries)
+      (List.concat_map (fun (_, e) -> e.Valcache.o_vrps) entries)
 
 (* Every memoized outcome, with its point's URI: the raw memo that
    [point_vrps] reads one URI of. *)
 let memoized t =
   Hashtbl.fold
     (fun uri entries acc ->
-      List.fold_left (fun acc (_, (e : memo_entry)) -> (uri, e.Valcache.o_vrps) :: acc) acc entries)
+      List.fold_left (fun acc (_, e) -> (uri, e.Valcache.o_vrps) :: acc) acc entries)
     t.memo []
 
 (* The vantage's tree-head signing key, generated on first use (keygen is
@@ -376,18 +356,6 @@ let flush_cache t =
   Hashtbl.reset t.vrp_memory;
   t.seen <- []
 
-(* Canonical digest of a point's VRP contribution — one of the
-   content-addressed fields of a transparency observation.  Taken once per
-   validation, into the outcome's [o_vrp_hash]. *)
-let vrp_set_hash vrps =
-  Rpki_crypto.Sha256.digest
-    (String.concat "\n" (List.map Vrp.to_string (List.sort_uniq Vrp.compare vrps)))
-
-(* A memo entry survives a change of [now] iff [now] falls on the same side
-   of every boundary the original validation compared against — the rule is
-   shared with the cross-vantage cache. *)
-let entry_current (entry : memo_entry) ~now = Valcache.outcome_current entry ~now
-
 let history_depth = 8
 
 (* Record the state [uri] served this sync.  A re-observed hash moves to the
@@ -428,565 +396,403 @@ let backoff_delay policy ~uri ~attempt =
   if policy.backoff <= 0 then 0
   else (policy.backoff * (1 lsl min attempt 6)) + (Hashtbl.hash (uri, attempt) mod policy.backoff)
 
-let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
-  let transport = match transport with Some tr -> tr | None -> Transport.instant () in
-  let allow_stale = policy.use_stale && t.use_stale in
-  let issues = ref [] in
-  let walked = ref [] in
-  let fetches = ref [] in
-  let transfers = ref [] in
-  let cas = ref [] in
-  let reused = ref 0 in
-  let revalidated = ref 0 in
-  let appended = ref 0 in
-  let regressions = ref [] in
-  let clock = ref 0 in
-  let exhausted = ref false in
-  let seen_keys = Hashtbl.create 16 in
+(* --- one sync --------------------------------------------------------------
+
+   A sync runs three stages over one [run] record, made by {!sync} and
+   dropped when it returns: {e fetch} brings one point's listing down the
+   channel ladder under the budget; the {e walk} goes depth first from each
+   trust anchor, replays or validates each point ({!Point.validate}) and
+   logs the state it served; the {e commit} turns the walked VRPs into the
+   effective set, its diff and the result. *)
+
+type run = {
+  rp : t;
+  now : Rtime.t;
+  universe : Universe.t;
+  transport : Transport.t;
+  policy : fetch_policy;
+  valcache : Valcache.t option;
+  verify : Validation.verifier option;
   (* signature checks route through the shared verdict cache when one is
      attached; otherwise straight to Rsa.verify *)
-  let verify =
-    match valcache with
-    | Some vc -> Some (Valcache.verify vc)
-    | None -> None
-  in
-  let problem ~uri ?filename kind reason =
-    issues := { uri; filename; kind; reason } :: !issues
-  in
+  seen_keys : (string, unit) Hashtbl.t; (* CAs walked, by key id *)
+  mutable clock : int; (* transport time spent *)
+  mutable exhausted : bool;
+  (* the accumulators below are newest first *)
+  mutable issues : issue list;
+  mutable transfers : transfer list;
+  mutable walked : Vrp.t list list;
+  mutable cas : string list;
+  mutable failed : Resources.t;
   (* resources claimed by CAs that failed to validate this sync — the
      unsafe-VRP analysis' input.  Tracked unconditionally (it is cheap);
      the per-VRP overlap scan only runs under Warn/Reject. *)
-  let failed_resources = ref Resources.empty in
-  let note_failed rs = failed_resources := Resources.union !failed_resources rs in
-  let remember uri snap fp =
-    Hashtbl.replace t.cache uri { cp_files = snap; cp_fp = fp; cp_at = now }
+  mutable reused : int;
+  mutable revalidated : int;
+  mutable appended : int;
+  mutable regressions : regression list;
+}
+
+let problem run ~uri ?filename kind reason =
+  run.issues <- { uri; filename; kind; reason } :: run.issues
+
+let note_failed run rs = run.failed <- Resources.union run.failed rs
+
+(* --- fetch: live -> mirror -> RRDP -> stale cache, under the budget --- *)
+
+let spend run dt = run.clock <- run.clock + dt
+let remaining run = run.policy.sync_budget - run.clock
+
+let out_of_budget run =
+  if remaining run <= 0 then (run.exhausted <- true; true) else false
+
+(* One timed request, for every channel: its timeout is the point timeout
+   capped by what is left of the budget, and whatever it took is spent;
+   [None] when no budget was left to send it.  An RRDP notification
+   endpoint is priced and faulted like any point; the listing it answers
+   with goes unused, its client syncs from the server. *)
+let request run ~attempts point =
+  if out_of_budget run then None
+  else begin
+    incr attempts;
+    let timeout = min run.policy.point_timeout (remaining run) in
+    let reply = Transport.fetch run.transport ~point ~timeout in
+    spend run
+      (match reply with
+      | Transport.Served { elapsed; _ } | Transport.Stalled { elapsed }
+      | Transport.Unroutable { elapsed } -> elapsed);
+    Some reply
+  end
+
+(* Channel 1: the live primary, with bounded retries on a stall.  [Error]
+   is the issue kind and reason every later channel reports under. *)
+let rec live run ~attempts ~uri pp attempt =
+  match request run ~attempts pp with
+  | Some (Transport.Served { files; fp; _ }) -> Ok (files, fp)
+  | None -> Error (Validation.Ik_budget_exhausted, "skipped: sync budget exhausted")
+  | Some (Transport.Stalled _) when attempt < run.policy.retries ->
+    spend run (min (backoff_delay run.policy ~uri ~attempt) (max 0 (remaining run)));
+    live run ~attempts ~uri pp (attempt + 1)
+  | Some (Transport.Stalled _) ->
+    Error (Validation.Ik_transport_timeout, "stalled past the fetch timeout")
+  | Some (Transport.Unroutable _) -> (
+    (* no route: retrying within this sync cannot help.  The fault table
+       tells refused / DNS / redirect failures apart — same price,
+       different attribution (the corpus records them as distinct
+       outcomes). *)
+    match Transport.fault_of run.transport ~uri with
+    | Transport.Refused -> Error (Validation.Ik_transport_refused, "connection refused")
+    | Transport.Dns_failure ->
+      Error (Validation.Ik_transport_dns, "no address associated with name")
+    | Transport.Redirect origin ->
+      Error (Validation.Ik_transport_redirect, Printf.sprintf "cross-origin redirect to %s" origin)
+    | _ -> Error (Validation.Ik_transport_unreachable, "unreachable"))
+
+(* Channels 2 and 3, after the primary failed with [(kind, why)]: the
+   rsync mirrors in registration order, then the RRDP delta service (RFC
+   8182), priced and faulted through its own endpoint.  Gives the status,
+   the channel's name on the transfer, the issue and the copy. *)
+let fallback run ~attempts ~uri (kind, why) =
+  let issue how = Some (kind, Printf.sprintf "primary %s; %s" why how) in
+  let rec mirrors = function
+    | [] -> None
+    | mirror :: rest -> (
+      match request run ~attempts mirror with
+      | Some (Transport.Served { files; fp; _ }) ->
+        let at = Pub_point.uri mirror in
+        Some (Fetched_mirror, "mirror:" ^ at, issue ("fetched mirror " ^ at), (files, fp))
+      | Some (Transport.Stalled _ | Transport.Unroutable _) -> mirrors rest
+      | None -> None)
   in
-  let spend dt = clock := !clock + dt in
-  let remaining () = policy.sync_budget - !clock in
-  let out_of_budget () =
-    if remaining () <= 0 then (exhausted := true; true) else false
+  let rrdp (endpoint, server) =
+    match request run ~attempts endpoint with
+    | None | Some (Transport.Stalled _ | Transport.Unroutable _) -> None
+    | Some (Transport.Served _) -> (
+      let clients = run.rp.rrdp_clients in
+      let client = Option.value (Hashtbl.find_opt clients uri) ~default:(Rrdp.create_client ()) in
+      Hashtbl.replace clients uri client;
+      match Rrdp.sync client server with
+      | exception Rrdp.Desync msg ->
+        problem run ~uri Validation.Ik_rrdp_desync (Printf.sprintf "RRDP desync: %s" msg);
+        Hashtbl.remove clients uri;
+        None
+      | _ ->
+        let files = Rrdp.client_files client and at = Pub_point.uri endpoint in
+        Some
+          ( Fetched_rrdp, "rrdp:" ^ at, issue ("synced via RRDP " ^ at),
+            (files, Pub_point.fingerprint_of_listing files) ))
   in
-  let fetch uri =
-    let attempts = ref 0 in
-    let spent_before = !clock in
-    let record status channel data_age =
-      transfers :=
-        { t_uri = uri; t_status = status; t_channel = channel; t_attempts = !attempts;
-          t_elapsed = !clock - spent_before; t_data_age = data_age }
-        :: !transfers;
-      fetches := (uri, status) :: !fetches
+  match
+    if run.policy.use_mirrors then mirrors (Universe.mirrors_of run.universe uri) else None
+  with
+  | Some _ as served -> served
+  | None when run.policy.use_rrdp -> Option.bind (Universe.rrdp_of run.universe uri) rrdp
+  | None -> None
+
+(* One point's listing and fingerprint, with its transfer recorded and
+   every channel's failure an issue.  Channel 4, the stale local copy,
+   serves when every other channel failed, its age on the record.
+   Fallback issues keep the kind of the {e primary} failure, so the
+   per-category counters attribute the underlying transport problem even
+   when a fallback channel saved the sync. *)
+let fetch run uri =
+  let attempts = ref 0 in
+  let spent_before = run.clock in
+  let record status channel data_age =
+    run.transfers <-
+      { t_uri = uri; t_status = status; t_channel = channel; t_attempts = !attempts;
+        t_elapsed = run.clock - spent_before; t_data_age = data_age }
+      :: run.transfers
+  in
+  match Universe.find run.universe uri with
+  | None ->
+    record Unavailable "none" 0;
+    problem run ~uri Validation.Ik_no_publication_point "no such publication point";
+    None
+  | Some pp -> (
+    let served =
+      match live run ~attempts ~uri pp 0 with
+      | Ok copy -> Ok (Fetched, "live", None, copy)
+      | Error failure -> Option.to_result ~none:failure (fallback run ~attempts ~uri failure)
     in
-    match Universe.find universe uri with
-    | None ->
-      record Unavailable "none" 0;
-      problem ~uri Validation.Ik_no_publication_point "no such publication point";
-      None
-    | Some pp ->
-      (* channel 1: the live primary, with bounded retries on a stall *)
-      let rec live attempt =
-        if out_of_budget () then `Give_up
-        else begin
-          incr attempts;
-          let timeout = min policy.point_timeout (remaining ()) in
-          match Transport.fetch transport ~point:pp ~timeout with
-          | Transport.Served { files; fp; elapsed } ->
-            spend elapsed;
-            `Served (files, fp)
-          | Transport.Stalled { elapsed } ->
-            spend elapsed;
-            if attempt < policy.retries then begin
-              spend (min (backoff_delay policy ~uri ~attempt) (max 0 (remaining ())));
-              live (attempt + 1)
-            end
-            else `Failed (Validation.Ik_transport_timeout, "stalled past the fetch timeout")
-          | Transport.Unroutable { elapsed } ->
-            (* no route: retrying within this sync cannot help.  The fault
-               table tells refused / DNS / redirect failures apart — same
-               price, different attribution (the corpus records them as
-               distinct outcomes). *)
-            spend elapsed;
-            let attribution =
-              match Transport.fault_of transport ~uri with
-              | Transport.Refused -> (Validation.Ik_transport_refused, "connection refused")
-              | Transport.Dns_failure ->
-                (Validation.Ik_transport_dns, "no address associated with name")
-              | Transport.Redirect origin ->
-                ( Validation.Ik_transport_redirect,
-                  Printf.sprintf "cross-origin redirect to %s" origin )
-              | _ -> (Validation.Ik_transport_unreachable, "unreachable")
-            in
-            `Failed attribution
-        end
-      in
-      (* channel 2: rsync mirrors, in registration order *)
-      let try_mirrors () =
-        if not policy.use_mirrors then None
-        else
-          List.fold_left
-            (fun acc mirror ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                if out_of_budget () then None
-                else begin
-                  incr attempts;
-                  let timeout = min policy.point_timeout (remaining ()) in
-                  match Transport.fetch transport ~point:mirror ~timeout with
-                  | Transport.Served { files; fp; elapsed } ->
-                    spend elapsed;
-                    Some (mirror, files, fp)
-                  | Transport.Stalled { elapsed } | Transport.Unroutable { elapsed } ->
-                    spend elapsed;
-                    None
-                end)
-            None (Universe.mirrors_of universe uri)
-      in
-      (* channel 3: the RRDP delta service (RFC 8182), priced and faulted
-         through its own endpoint *)
-      let try_rrdp () =
-        if not policy.use_rrdp then None
-        else
-          match Universe.rrdp_of universe uri with
-          | None -> None
-          | Some (endpoint, server) ->
-            if out_of_budget () then None
-            else begin
-              incr attempts;
-              let timeout = min policy.point_timeout (remaining ()) in
-              match Transport.probe transport ~point:endpoint ~timeout with
-              | `Stalled dt | `Unroutable dt ->
-                spend dt;
-                None
-              | `Ok dt -> (
-                spend dt;
-                let client =
-                  match Hashtbl.find_opt t.rrdp_clients uri with
-                  | Some c -> c
-                  | None ->
-                    let c = Rrdp.create_client () in
-                    Hashtbl.replace t.rrdp_clients uri c;
-                    c
-                in
-                match Rrdp.sync client server with
-                | exception Rrdp.Desync msg ->
-                  problem ~uri Validation.Ik_rrdp_desync (Printf.sprintf "RRDP desync: %s" msg);
-                  Hashtbl.remove t.rrdp_clients uri;
-                  None
-                | _ ->
-                  let files = Rrdp.client_files client in
-                  Some (Pub_point.uri endpoint, files, Pub_point.fingerprint_of_listing files))
-            end
-      in
-      (* channel 4: the stale local copy, its age on the record.  Fallback
-         issues keep the kind of the *primary* failure, so the per-category
-         counters attribute the underlying transport problem even when a
-         fallback channel saved the sync. *)
-      let stale (kind, why) =
-        match Hashtbl.find_opt t.cache uri with
-        | Some cp when allow_stale ->
-          record Stale_cache "cache" (Rtime.diff now cp.cp_at);
-          problem ~uri kind (Printf.sprintf "publication point %s; using stale cache" why);
-          Some (cp.cp_files, cp.cp_fp)
-        | _ ->
-          record Unavailable "none" 0;
-          problem ~uri kind (Printf.sprintf "publication point %s" why);
-          None
-      in
-      (match live 0 with
-      | `Served (files, fp) ->
-        remember uri files fp;
-        record Fetched "live" 0;
-        Some (files, fp)
-      | (`Failed _ | `Give_up) as failure -> (
-        let ((kind, why) as attribution) =
-          match failure with
-          | `Failed attribution -> attribution
-          | `Give_up -> (Validation.Ik_budget_exhausted, "skipped: sync budget exhausted")
-        in
-        match try_mirrors () with
-        | Some (mirror, files, fp) ->
-          remember uri files fp;
-          record Fetched_mirror ("mirror:" ^ Pub_point.uri mirror) 0;
-          problem ~uri kind
-            (Printf.sprintf "primary %s; fetched mirror %s" why (Pub_point.uri mirror));
-          Some (files, fp)
-        | None -> (
-          match try_rrdp () with
-          | Some (ep_uri, files, fp) ->
-            remember uri files fp;
-            record Fetched_rrdp ("rrdp:" ^ ep_uri) 0;
-            problem ~uri kind (Printf.sprintf "primary %s; synced via RRDP %s" why ep_uri);
-            Some (files, fp)
-          | None -> stale attribution)))
-  in
-  (* Validate and walk one CA's publication point.  [parent_fp] is the
-     SHA-256 of the bytes [ca_cert] was decoded from. *)
-  let rec process_ca ((ca_cert : Cert.t), parent_fp) =
-    let key = Cert.key_id ca_cert in
-    if Hashtbl.mem seen_keys key then ()
-    else begin
-      Hashtbl.add seen_keys key ();
-      cas := ca_cert.Cert.subject :: !cas;
-      match ca_cert.Cert.repo_uri with
-      | None ->
-        note_failed ca_cert.Cert.resources;
-        problem ~uri:"-" Validation.Ik_no_publication_point
-          (Printf.sprintf "CA %s has no repository" ca_cert.Cert.subject)
-      | Some uri -> (
-        match fetch uri with
+    match served with
+    | Ok (status, channel, issue, ((files, fp) as copy)) ->
+      Hashtbl.replace run.rp.cache uri { cp_files = files; cp_fp = fp; cp_at = run.now };
+      record status channel 0;
+      Option.iter (fun (kind, reason) -> problem run ~uri kind reason) issue;
+      Some copy
+    | Error (kind, why) -> (
+      match Hashtbl.find_opt run.rp.cache uri with
+      | Some cp when run.policy.use_stale && run.rp.use_stale ->
+        record Stale_cache "cache" (Rtime.diff run.now cp.cp_at);
+        problem run ~uri kind (Printf.sprintf "publication point %s; using stale cache" why);
+        Some (cp.cp_files, cp.cp_fp)
+      | _ ->
+        record Unavailable "none" 0;
+        problem run ~uri kind (Printf.sprintf "publication point %s" why);
+        None))
+
+(* --- walk: depth first from each trust anchor --- *)
+
+(* The outcome of [ca_cert]'s point for this listing: the private memo's
+   while it is current, else the shared plane's, else a fresh validation.
+   A memo entry survives a change of [now] iff [now] falls on the same
+   side of every boundary the original validation compared against — the
+   rule is shared with the cross-vantage cache. *)
+let outcome run ~uri ~key ~ca_cert ~parent_fp ~snap_fp snapshot =
+  let now = run.now in
+  let entries = Option.value (Hashtbl.find_opt run.rp.memo uri) ~default:[] in
+  match List.assoc_opt key entries with
+  | Some e
+    when String.equal e.Valcache.o_parent_fp parent_fp
+         && String.equal e.Valcache.o_snap_fp snap_fp && Valcache.outcome_current e ~now ->
+    run.reused <- run.reused + 1;
+    e
+  | _ ->
+    (* a per-vantage miss; [reused]/[revalidated] count only this private
+       memo, so the sync result is identical whether the miss is then
+       served by the shared plane or by fresh validation.  A shared outcome
+       is rebased to [now] — sound because {!Valcache.find_point} already
+       checked that [now] sits on the same side of every recorded boundary,
+       so a fresh validation at [now] would produce exactly this entry. *)
+    run.revalidated <- run.revalidated + 1;
+    let e =
+      let fresh () = Point.validate ?verify:run.verify ~now ~ca_cert ~parent_fp ~snap_fp snapshot in
+      match run.valcache with
+      | None -> fresh ()
+      | Some vc -> (
+        match Valcache.find_point vc ~parent_fp ~snap_fp ~now with
+        | Some o -> { o with Valcache.o_at = now }
         | None ->
-          (* every channel failed and nothing was cached: the CA's whole
-             subtree is invisible this sync, so its claimed resources join
-             the failed set the unsafe-VRP analysis scans against *)
-          note_failed ca_cert.Cert.resources
-        | Some (snapshot, snap_fp) ->
-          let entries = Option.value (Hashtbl.find_opt t.memo uri) ~default:[] in
-          let entry =
-            match List.assoc_opt key entries with
-            | Some e
-              when String.equal e.Valcache.o_parent_fp parent_fp
-                   && String.equal e.Valcache.o_snap_fp snap_fp && entry_current e ~now ->
-              incr reused;
-              e
-            | _ ->
-              (* a per-vantage miss; [reused]/[revalidated] count only this
-                 private memo, so the sync result is identical whether the
-                 miss is then served by the shared plane or by fresh
-                 validation.  A shared outcome is rebased to [now] — sound
-                 because {!Valcache.find_point} already checked that [now]
-                 sits on the same side of every recorded boundary, so a
-                 fresh validation at [now] would produce exactly this entry. *)
-              incr revalidated;
-              let e =
-                let fresh () = validate_point ~uri ~ca_cert ~parent_fp ~snapshot ~snap_fp in
-                match valcache with
-                | None -> fresh ()
-                | Some vc -> (
-                  match Valcache.find_point vc ~parent_fp ~snap_fp ~now with
-                  | Some o -> { o with Valcache.o_at = now }
-                  | None ->
-                    let e = fresh () in
-                    Valcache.store_point vc e;
-                    e)
-              in
-              Hashtbl.replace t.memo uri ((key, e) :: List.remove_assoc key entries);
-              e
-          in
-          issues :=
-            List.rev_append
-              (List.map (fun (filename, kind, reason) -> { uri; filename; kind; reason })
-                 entry.Valcache.o_issues)
-              !issues;
-          walked := entry.Valcache.o_vrps :: !walked;
-          note_failed entry.Valcache.o_failed_resources;
-          (* transparency: record the state this point served us.  The leaf
-             is content-addressed, so a memo replay of an unchanged point
-             dedups to a no-op, while a split-view authority serving this
-             vantage different bytes necessarily forks the log. *)
-          let ob =
-            { Rpki_transparency.Log.ob_uri = uri;
-              ob_serial = entry.Valcache.o_mft_number;
-              ob_manifest_hash = entry.Valcache.o_mft_hash;
-              ob_vrp_hash = entry.Valcache.o_vrp_hash;
-              ob_snapshot_fp = snap_fp;
-              ob_at = now }
-          in
-          let prev = Rpki_transparency.Log.latest_for t.tlog ~uri in
-          (match Rpki_transparency.Log.append t.tlog ob with
-          | `Appended _ ->
-            incr appended;
-            (* corpus-style manifest-number anomalies, judged against this
-               run's own history for the point (serial 0 means "no manifest
-               served" and is excluded — that is already a missing-manifest
-               issue).  A leap past the honest-churn threshold is a seqnum
-               gap; any step backwards is a manifest-number regression. *)
-            (match prev with
-            | Some p
-              when ob.Rpki_transparency.Log.ob_serial > 0
-                   && p.Rpki_transparency.Log.ob_serial > 0 ->
-              let prev_serial = p.Rpki_transparency.Log.ob_serial in
-              let now_serial = ob.Rpki_transparency.Log.ob_serial in
-              if now_serial - prev_serial > seqnum_gap_threshold then
-                problem ~uri Validation.Ik_seqnum_gap
-                  (Printf.sprintf "seqnum gap detected: manifest #%d -> #%d" prev_serial
-                     now_serial)
-              else if now_serial < prev_serial then
-                problem ~uri Validation.Ik_manifest_regression
-                  (Printf.sprintf "manifest number lower than expected: #%d -> #%d"
-                     prev_serial now_serial)
-            | _ -> ());
-            (* the point's state changed — does it contradict the history this
-               instance *restored from disk*?  A lower manifest number than the
-               restored baseline recorded is a served rollback; a different
-               state under a baseline-recorded number is equivocation.  Within
-               one continuous run (baseline 0, or leaves appended since
-               restore) a change is ordinary churn/corruption, not a
-               regression: only pre-restart history makes the past
-               contradictable. *)
-            let in_baseline ~uri ~serial =
-              match Rpki_transparency.Log.find t.tlog ~uri ~serial with
-              | Some (i, _) -> i < t.log_baseline
-              | None -> false
-            in
-            (match prev with
-            | Some p
-              when ob.Rpki_transparency.Log.ob_serial < p.Rpki_transparency.Log.ob_serial
-                   && in_baseline ~uri ~serial:p.Rpki_transparency.Log.ob_serial ->
-              regressions :=
-                Serial_regression { rg_uri = uri; rg_prev = p; rg_now = ob } :: !regressions
-            | _ -> ());
-            (match Rpki_transparency.Log.find t.tlog ~uri ~serial:ob.Rpki_transparency.Log.ob_serial with
-            | Some (i, prior)
-              when i < t.log_baseline
-                   && not (Rpki_transparency.Log.observation_equal prior ob) ->
-              regressions :=
-                Content_equivocation { rg_uri = uri; rg_index = i; rg_prev = prior; rg_now = ob }
-                :: !regressions
-            | _ -> ())
-          | `Unchanged -> ());
-          note_point_state t ~uri
-            ~vrp_hash:ob.Rpki_transparency.Log.ob_vrp_hash entry.Valcache.o_vrps;
-          List.iter process_ca entry.Valcache.o_children)
-    end
-  (* From-scratch validation of one point's contents, recording every
-     validity boundary consulted so the outcome can be replayed at a
-     different [now]. *)
-  and validate_point ~uri ~ca_cert ~parent_fp ~snapshot ~snap_fp =
-    ignore uri;
-    (* the outcome is URI-free (see {!Valcache.outcome}): issues carry only
-       filename and reason here, and the caller re-attaches the URI *)
-    let local_issues = ref [] in
-    let local_vrps = ref [] in
-    let children = ref [] in
-    let failed = ref Resources.empty in
-    let boundaries = ref [ ca_cert.Cert.not_before; ca_cert.Cert.not_after ] in
-    let window (c : Cert.t) = boundaries := c.Cert.not_before :: c.Cert.not_after :: !boundaries in
-    let problem ?filename kind reason =
-      local_issues := (filename, kind, reason) :: !local_issues
+          let e = fresh () in
+          Valcache.store_point vc e;
+          e)
     in
-    let decode_file filename =
-      match List.assoc_opt filename snapshot with
-      | None -> None
-      | Some bytes -> (
-        match Obj.decode ~filename bytes with
-        | Ok o ->
-          (match o with
-          | Obj.Cert c -> window c
-          | Obj.Roa r -> window r.Roa.ee
-          | Obj.Crl c -> boundaries := c.Crl.this_update :: c.Crl.next_update :: !boundaries
-          | Obj.Manifest m ->
-            window m.Manifest.ee;
-            boundaries := m.Manifest.this_update :: m.Manifest.next_update :: !boundaries);
-          Some o
-        | Error e ->
-          problem ~filename Validation.Ik_malformed e;
-          None)
+    Hashtbl.replace run.rp.memo uri ((key, e) :: List.remove_assoc key entries);
+    e
+
+(* Transparency: record the state [uri] served this sync.  The leaf is
+   content-addressed, so a memo replay of an unchanged point dedups to a
+   no-op, while a split-view authority serving this vantage different
+   bytes necessarily forks the log. *)
+let observe run ~uri ~snap_fp (e : Valcache.outcome) =
+  let t = run.rp in
+  let ob =
+    { Tlog.ob_uri = uri;
+      ob_serial = e.Valcache.o_mft_number;
+      ob_manifest_hash = e.Valcache.o_mft_hash;
+      ob_vrp_hash = e.Valcache.o_vrp_hash;
+      ob_snapshot_fp = snap_fp;
+      ob_at = run.now }
+  in
+  let prev = Tlog.latest_for t.tlog ~uri in
+  (match Tlog.append t.tlog ob with
+  | `Appended _ ->
+    run.appended <- run.appended + 1;
+    (* corpus-style manifest-number anomalies, judged against this run's
+       own history for the point (serial 0 means "no manifest served" and
+       is excluded — that is already a missing-manifest issue).  A leap
+       past the honest-churn threshold is a seqnum gap; any step backwards
+       is a manifest-number regression. *)
+    (match prev with
+    | Some p when ob.Tlog.ob_serial > 0 && p.Tlog.ob_serial > 0 ->
+      let prev_serial = p.Tlog.ob_serial and now_serial = ob.Tlog.ob_serial in
+      if now_serial - prev_serial > seqnum_gap_threshold then
+        problem run ~uri Validation.Ik_seqnum_gap
+          (Printf.sprintf "seqnum gap detected: manifest #%d -> #%d" prev_serial now_serial)
+      else if now_serial < prev_serial then
+        problem run ~uri Validation.Ik_manifest_regression
+          (Printf.sprintf "manifest number lower than expected: #%d -> #%d" prev_serial
+             now_serial)
+    | _ -> ());
+    (* the point's state changed — does it contradict the history this
+       instance *restored from disk*?  A lower manifest number than the
+       restored baseline recorded is a served rollback; a different state
+       under a baseline-recorded number is equivocation.  Within one
+       continuous run (baseline 0, or leaves appended since restore) a
+       change is ordinary churn/corruption, not a regression: only
+       pre-restart history makes the past contradictable. *)
+    let in_baseline ~serial =
+      match Tlog.find t.tlog ~uri ~serial with
+      | Some (i, _) -> i < t.log_baseline
+      | None -> false
     in
-    (* the CA's own manifest, if present and well-formed *)
-    let mft_name =
-      Option.value ca_cert.Cert.manifest_uri ~default:(ca_cert.Cert.subject ^ ".mft")
-    in
-    (* transparency fields: what the point *served*, recorded even when the
-       manifest fails validation — the log keeps evidence, not judgements *)
-    let mft_hash =
-      match List.assoc_opt mft_name snapshot with
-      | Some bytes -> Rpki_crypto.Sha256.digest bytes
-      | None -> ""
-    in
-    let mft_number = ref 0 in
-    let manifest =
-      match decode_file mft_name with
-      | Some (Obj.Manifest m) -> (
-        mft_number := m.Manifest.manifest_number;
-        match Validation.validate_manifest ?verify ~now ~parent:ca_cert m with
-        | Ok () -> Some m
-        | Error f ->
-          (* the shared Stale_crl failure means "window closed" here — on a
-             manifest that is staleness, not an expired CRL *)
-          let kind =
-            match f with
-            | Validation.Stale_crl _ -> Validation.Ik_stale_manifest
-            | f -> Validation.failure_kind f
-          in
-          problem ~filename:mft_name kind (Validation.failure_to_string f);
-          None)
-      | Some _ ->
-        problem ~filename:mft_name Validation.Ik_missing_manifest
-          "manifest slot holds a different object";
-        None
+    let regressed r = run.regressions <- r :: run.regressions in
+    (match prev with
+    | Some p when ob.Tlog.ob_serial < p.Tlog.ob_serial && in_baseline ~serial:p.Tlog.ob_serial ->
+      regressed (Serial_regression { rg_uri = uri; rg_prev = p; rg_now = ob })
+    | _ -> ());
+    (match Tlog.find t.tlog ~uri ~serial:ob.Tlog.ob_serial with
+    | Some (i, prior) when i < t.log_baseline && not (Tlog.observation_equal prior ob) ->
+      regressed (Content_equivocation { rg_uri = uri; rg_index = i; rg_prev = prior; rg_now = ob })
+    | _ -> ())
+  | `Unchanged -> ());
+  note_point_state t ~uri ~vrp_hash:ob.Tlog.ob_vrp_hash e.Valcache.o_vrps
+
+(* Validate and walk one CA's publication point.  [parent_fp] is the
+   SHA-256 of the bytes [ca_cert] was decoded from. *)
+let rec walk run ((ca_cert : Cert.t), parent_fp) =
+  let key = Cert.key_id ca_cert in
+  if not (Hashtbl.mem run.seen_keys key) then begin
+    Hashtbl.add run.seen_keys key ();
+    run.cas <- ca_cert.Cert.subject :: run.cas;
+    match ca_cert.Cert.repo_uri with
+    | None ->
+      note_failed run ca_cert.Cert.resources;
+      problem run ~uri:"-" Validation.Ik_no_publication_point
+        (Printf.sprintf "CA %s has no repository" ca_cert.Cert.subject)
+    | Some uri -> (
+      match fetch run uri with
       | None ->
-        problem ~filename:mft_name Validation.Ik_missing_manifest
-          "manifest missing or undecodable";
-        None
-    in
-    (* manifest completeness / integrity check *)
-    (match manifest with
-    | None -> ()
-    | Some m ->
-      List.iter
-        (fun (e : Manifest.entry) ->
-          match List.assoc_opt e.Manifest.filename snapshot with
-          | None ->
-            problem ~filename:e.Manifest.filename Validation.Ik_missing_object
-              "listed on manifest but missing"
-          | Some bytes ->
-            if not (Rpki_crypto.Hmac.equal_digest (Rpki_crypto.Sha256.digest bytes) e.Manifest.hash)
-            then
-              problem ~filename:e.Manifest.filename Validation.Ik_hash_mismatch
-                "hash mismatch with manifest")
-        m.Manifest.entries;
-      List.iter
-        (fun (filename, _) ->
-          if filename <> mft_name && Manifest.find m filename = None then
-            problem ~filename Validation.Ik_unlisted_object "present but not listed on manifest")
-        snapshot);
-    (* the CA's CRL for the objects it issued *)
-    let crl_name = ca_cert.Cert.subject ^ ".crl" in
-    let crl =
-      match decode_file crl_name with
-      | Some (Obj.Crl c) -> (
-        match Validation.validate_crl ?verify ~now ~parent:ca_cert c with
-        | Ok () -> Some c
-        | Error f ->
-          problem ~filename:crl_name (Validation.failure_kind f)
-            (Validation.failure_to_string f);
-          None)
-      | Some _ | None ->
-        problem ~filename:crl_name Validation.Ik_missing_crl "CRL missing or undecodable";
-        None
-    in
-    (* process every other object at the point *)
-    List.iter
-      (fun (filename, _) ->
-        if filename = mft_name || filename = crl_name then ()
-        else begin
-          match decode_file filename with
-          | None -> ()
-          | Some (Obj.Cert c) -> (
-            match Validation.validate_cert ?verify ~now ~parent:ca_cert ?crl c with
-            | Ok () ->
-              if c.Cert.is_ca then
-                (* the bytes [decode_file] read: the child point's parent_fp *)
-                let bytes = List.assoc filename snapshot in
-                children := (c, Rpki_crypto.Sha256.digest bytes) :: !children
-            | Error f ->
-              (* a child CA that fails here is a CA we cannot descend into:
-                 whatever it would have spoken for is dark, so its claimed
-                 resources feed the unsafe-VRP analysis *)
-              if c.Cert.is_ca then failed := Resources.union !failed c.Cert.resources;
-              problem ~filename (Validation.failure_kind f) (Validation.failure_to_string f))
-          | Some (Obj.Roa r) -> (
-            match Validation.validate_roa ?verify ~now ~parent:ca_cert ?crl r with
-            | Ok vs -> local_vrps := vs @ !local_vrps
-            | Error f ->
-              problem ~filename (Validation.failure_kind f) (Validation.failure_to_string f))
-          | Some (Obj.Crl _) -> problem ~filename Validation.Ik_unlisted_object "unexpected extra CRL"
-          | Some (Obj.Manifest _) ->
-            problem ~filename Validation.Ik_unlisted_object "unexpected extra manifest"
-        end)
-      snapshot;
-    { Valcache.o_parent_fp = parent_fp;
-      o_snap_fp = snap_fp;
-      o_at = now;
-      o_boundaries = !boundaries;
-      o_vrps = !local_vrps;
-      o_vrp_hash = vrp_set_hash !local_vrps;
-      o_issues = List.rev !local_issues;
-      o_failed_resources = !failed;
-      o_children = List.rev !children;
-      o_mft_number = !mft_number;
-      o_mft_hash = mft_hash }
+        (* every channel failed and nothing was cached: the CA's whole
+           subtree is invisible this sync, so its claimed resources join
+           the failed set the unsafe-VRP analysis scans against *)
+        note_failed run ca_cert.Cert.resources
+      | Some (snapshot, snap_fp) ->
+        let e = outcome run ~uri ~key ~ca_cert ~parent_fp ~snap_fp snapshot in
+        List.iter
+          (fun (filename, kind, reason) -> problem run ~uri ?filename kind reason)
+          e.Valcache.o_issues;
+        run.walked <- e.Valcache.o_vrps :: run.walked;
+        note_failed run e.Valcache.o_failed_resources;
+        observe run ~uri ~snap_fp e;
+        List.iter (walk run) e.Valcache.o_children)
+  end
+
+(* A trust anchor: its certificate from the TAL's point, checked against
+   the TAL's key, then its subtree. *)
+let walk_tal run tal =
+  match fetch run tal.ta_uri with
+  | None -> ()
+  | Some (snapshot, _) -> (
+    let problem = problem run ~uri:tal.ta_uri ~filename:tal.ta_cert_filename in
+    match List.assoc_opt tal.ta_cert_filename snapshot with
+    | None -> problem Validation.Ik_missing_object "TA certificate missing"
+    | Some bytes -> (
+      match Cert.decode bytes with
+      | Error e -> problem Validation.Ik_malformed e
+      | Ok cert -> (
+        match
+          Validation.validate_trust_anchor ?verify:run.verify ~now:run.now
+            ~expected_key:tal.ta_key cert
+        with
+        | Ok () -> walk run (cert, Rpki_crypto.Sha256.digest bytes)
+        | Error f -> problem (Validation.failure_kind f) (Validation.failure_to_string f))))
+
+(* --- commit: the walked VRPs become the effective set --- *)
+
+(* Grace: remember when each VRP was last seen; resurrect those seen within
+   the grace window.  Every VRP of [current] is seen now, so memory holds
+   only those that left it: one that leaves [seen] was last seen at
+   [seen_at], and one that comes back is forgotten until it leaves
+   again. *)
+let with_grace run ~grace current =
+  let t = run.rp and now = run.now in
+  if current != t.seen then begin
+    let d = Vrp.diff_of ~before:t.seen ~after:current in
+    List.iter (fun v -> Hashtbl.replace t.vrp_memory v t.seen_at) d.Vrp.removed;
+    List.iter (Hashtbl.remove t.vrp_memory) d.Vrp.added
+  end;
+  t.seen <- current;
+  t.seen_at <- now;
+  let held =
+    Hashtbl.fold
+      (fun v last acc -> if Rtime.( <= ) (Rtime.diff now last) grace then v :: acc else acc)
+      t.vrp_memory []
+    |> List.sort Vrp.compare
   in
   List.iter
-    (fun tal ->
-      match fetch tal.ta_uri with
-      | None -> ()
-      | Some (snapshot, _) -> (
-        match List.assoc_opt tal.ta_cert_filename snapshot with
-        | None ->
-          problem ~uri:tal.ta_uri ~filename:tal.ta_cert_filename Validation.Ik_missing_object
-            "TA certificate missing"
-        | Some bytes -> (
-          match Cert.decode bytes with
-          | Error e ->
-            problem ~uri:tal.ta_uri ~filename:tal.ta_cert_filename Validation.Ik_malformed e
-          | Ok cert -> (
-            match Validation.validate_trust_anchor ?verify ~now ~expected_key:tal.ta_key cert with
-            | Ok () -> process_ca (cert, Rpki_crypto.Sha256.digest bytes)
-            | Error f ->
-              problem ~uri:tal.ta_uri ~filename:tal.ta_cert_filename
-                (Validation.failure_kind f) (Validation.failure_to_string f)))))
-    t.tals;
+    (fun v ->
+      problem run ~uri:"-" Validation.Ik_grace_hold
+        (Printf.sprintf "grace: holding disappeared VRP %s" (Vrp.to_string v)))
+    held;
+  if held = [] then current else List.sort_uniq Vrp.compare (current @ held)
+
+(* Routinator-style unsafe-VRP analysis: a VRP whose prefix overlaps the
+   resources of a CA that failed this sync.  [Unsafe_accept] skips the
+   scan entirely — the pre-existing behavior, byte for byte.  Warn and
+   Reject both report the set; Reject additionally withdraws it from the
+   effective VRPs (and thus from the index, the diff and RTR).  Gives the
+   unsafe set and the effective set. *)
+let unsafe_analysis run effective =
+  match run.policy.unsafe with
+  | Unsafe_accept -> ([], effective)
+  | Unsafe_warn | Unsafe_reject ->
+    let unsafe =
+      if Resources.is_empty run.failed then []
+      else
+        List.filter
+          (fun (v : Vrp.t) ->
+            Resources.overlaps
+              (Resources.make ~v4:(Rpki_ip.V4.Set.of_prefix v.Vrp.prefix) ())
+              run.failed)
+          effective
+    in
+    List.iter
+      (fun v ->
+        problem run ~uri:"-" Validation.Ik_unsafe_vrp
+          (Printf.sprintf "unsafe VRP %s: overlaps resources of a CA that failed to validate (%s)"
+             (Vrp.to_string v) (unsafe_policy_to_string run.policy.unsafe)))
+      unsafe;
+    ( unsafe,
+      if run.policy.unsafe = Unsafe_reject && unsafe <> [] then
+        List.filter (fun v -> not (List.exists (fun u -> Vrp.compare u v = 0) unsafe)) effective
+      else effective )
+
+let commit run =
+  let t = run.rp in
   (* the sorted union of every point's VRPs: the last sync's, when each
      point gave back the very list it gave then *)
   let current =
-    if List.equal ( == ) !walked t.walked then t.union
-    else List.sort_uniq Vrp.compare (List.concat !walked)
+    if List.equal ( == ) run.walked t.walked then t.union
+    else List.sort_uniq Vrp.compare (List.concat run.walked)
   in
-  t.walked <- !walked;
+  t.walked <- run.walked;
   t.union <- current;
   let effective =
-    match t.grace with
-    | None -> current
-    | Some grace ->
-      (* remember when each VRP was last seen; resurrect those seen within
-         the grace window.  Every VRP of [current] is seen now, so memory
-         holds only those that left it: one that leaves [seen] was last
-         seen at [seen_at], and one that comes back is forgotten until it
-         leaves again. *)
-      if current != t.seen then begin
-        let d = Vrp.diff_of ~before:t.seen ~after:current in
-        List.iter (fun v -> Hashtbl.replace t.vrp_memory v t.seen_at) d.Vrp.removed;
-        List.iter (Hashtbl.remove t.vrp_memory) d.Vrp.added
-      end;
-      t.seen <- current;
-      t.seen_at <- now;
-      let held =
-        Hashtbl.fold
-          (fun v last acc -> if Rtime.( <= ) (Rtime.diff now last) grace then v :: acc else acc)
-          t.vrp_memory []
-        |> List.sort Vrp.compare
-      in
-      List.iter
-        (fun v ->
-          issues :=
-            { uri = "-"; filename = None; kind = Validation.Ik_grace_hold;
-              reason = Printf.sprintf "grace: holding disappeared VRP %s" (Vrp.to_string v) }
-            :: !issues)
-        held;
-      if held = [] then current else List.sort_uniq Vrp.compare (current @ held)
+    match t.grace with None -> current | Some grace -> with_grace run ~grace current
   in
-  (* Routinator-style unsafe-VRP analysis: a VRP whose prefix overlaps the
-     resources of a CA that failed this sync.  [Unsafe_accept] skips the
-     scan entirely — the pre-existing behavior, byte for byte.  Warn and
-     Reject both report the set; Reject additionally withdraws it from the
-     effective VRPs (and thus from the index, the diff and RTR). *)
-  let unsafe_vrps, effective =
-    match policy.unsafe with
-    | Unsafe_accept -> ([], effective)
-    | Unsafe_warn | Unsafe_reject ->
-      let failed = !failed_resources in
-      let unsafe =
-        if Resources.is_empty failed then []
-        else
-          List.filter
-            (fun (v : Vrp.t) ->
-              Resources.overlaps
-                (Resources.make ~v4:(Rpki_ip.V4.Set.of_prefix v.Vrp.prefix) ())
-                failed)
-            effective
-      in
-      List.iter
-        (fun v ->
-          problem ~uri:"-" Validation.Ik_unsafe_vrp
-            (Printf.sprintf "unsafe VRP %s: overlaps resources of a CA that failed to validate (%s)"
-               (Vrp.to_string v) (unsafe_policy_to_string policy.unsafe)))
-        unsafe;
-      ( unsafe,
-        if policy.unsafe = Unsafe_reject && unsafe <> [] then
-          List.filter (fun v -> not (List.exists (fun u -> Vrp.compare u v = 0) unsafe)) effective
-        else effective )
-  in
+  let unsafe_vrps, effective = unsafe_analysis run effective in
   (* The diff against the previous sync is the currency everything
      downstream consumes: it patches the trie here and becomes the RTR
      serial delta in the simulation loop. *)
@@ -996,26 +802,39 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
   in
   t.index <- Origin_validation.apply_diff t.index diff;
   t.effective_vrps <- effective;
+  let transfers = List.rev run.transfers in
   let result =
     { vrps = effective;
       unsafe_vrps;
-      failed_resources = !failed_resources;
-      issues = List.rev !issues;
-      fetches = List.rev !fetches;
-      transfers = List.rev !transfers;
-      sync_elapsed = !clock;
-      budget_exhausted = !exhausted;
-      cas_validated = List.rev !cas;
+      failed_resources = run.failed;
+      issues = List.rev run.issues;
+      fetches = List.map (fun tr -> (tr.t_uri, tr.t_status)) transfers;
+      transfers;
+      sync_elapsed = run.clock;
+      budget_exhausted = run.exhausted;
+      cas_validated = List.rev run.cas;
       index = t.index;
       diff;
-      points_reused = !reused;
-      points_revalidated = !revalidated;
-      observations_appended = !appended;
-      regressions = List.rev !regressions;
-      tree_head = Rpki_transparency.Log.head t.tlog ~at:now }
+      points_reused = run.reused;
+      points_revalidated = run.revalidated;
+      observations_appended = run.appended;
+      regressions = List.rev run.regressions;
+      tree_head = tree_head t ~now:run.now }
   in
   t.last_result <- Some result;
   result
+
+let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
+  let run =
+    { rp = t; now; universe;
+      transport = (match transport with Some tr -> tr | None -> Transport.instant ());
+      policy; valcache; verify = Option.map Valcache.verify valcache;
+      seen_keys = Hashtbl.create 16; clock = 0; exhausted = false;
+      issues = []; transfers = []; walked = []; cas = []; failed = Resources.empty;
+      reused = 0; revalidated = 0; appended = 0; regressions = [] }
+  in
+  List.iter (walk_tal run) t.tals;
+  commit run
 
 (* The worst data staleness a sync accepted: 0 when every point came from a
    fresh channel, the oldest cache age otherwise.  Monitors alarm on it and
@@ -1023,23 +842,12 @@ let sync t ~now ~universe ?transport ?(policy = default_policy) ?valcache () =
 let max_data_age (result : sync_result) =
   List.fold_left (fun acc tr -> max acc tr.t_data_age) 0 result.transfers
 
-(* --- persistence ---------------------------------------------------------
-
-   What survives a restart is exactly the anti-rollback baseline: the
-   transparency log (replayed observation by observation), the signed tree
-   head it must still be consistent with, the last gossip-verified peer
-   heads, the last-good effective VRP set (so the RTR serial line can
-   continue), and the RTR serial itself.  Caches, memos and grace memory are
-   deliberately not persisted — they are re-derivable and carry no evidence.
+(* --- persistence: {!Rp_store}'s format, bound to this vantage -----------
 
    Restore is fail-closed: a snapshot that is missing, corrupt, stale, or
    internally inconsistent (rehydrated log disagreeing with its own signed
    head) yields [Recovered_fresh] with a typed reason.  It never crashes and
    never silently trusts. *)
-
-module Tlog = Rpki_transparency.Log
-module Der = Rpki_asn.Der
-module Codec = Rpki_persist.Codec
 
 type fresh_reason =
   | No_snapshot
@@ -1064,287 +872,6 @@ let recovery_to_string = function
       r.rc_saved_at r.rc_rtr_serial
   | Recovered_fresh reason -> Printf.sprintf "fresh start: %s" (fresh_reason_to_string reason)
 
-exception Restore_error of string
-
-let restore_error fmt = Printf.ksprintf (fun s -> raise (Restore_error s)) fmt
-
-let vrp_to_der (v : Vrp.t) =
-  Der.Sequence
-    [ Der.int_ (Rpki_ip.V4.Prefix.addr v.Vrp.prefix);
-      Der.int_ (Rpki_ip.V4.Prefix.len v.Vrp.prefix);
-      Der.int_ v.Vrp.max_len;
-      Der.int_ v.Vrp.asn ]
-
-(* The address and the origin are 32-bit fields, bounded as the ROA
-   decoder bounds them: a wider value is refused, never truncated. *)
-let vrp_of_der = function
-  | Der.Sequence
-      [ (Der.Integer _ as a); (Der.Integer _ as l); (Der.Integer _ as m);
-        (Der.Integer _ as s) ] ->
-    Vrp.make ~max_len:(Der.to_int_exn m)
-      (Rpki_ip.V4.Prefix.make (Resources.uint32_of_der a) (Der.to_int_exn l))
-      (Resources.uint32_of_der s)
-  | _ -> restore_error "VRP record is not an integer quadruple"
-
-let record kind payload = { Codec.r_kind = kind; r_payload = payload }
-
-let is_kind kind (r : Codec.record) = String.equal r.Codec.r_kind kind
-
-(* The VRP set travels in one of two records: [vrps], the whole set, in
-   every base; [vrps-diff], (added, removed) against the set the chain held
-   before, in a segment whose save saw the set change.  A segment of a tick
-   with no change carries neither. *)
-let vrps_record vrps = record "vrps" (Der.encode (Der.Sequence (List.map vrp_to_der vrps)))
-
-let vrps_diff_record (d : Vrp.diff) =
-  record "vrps-diff"
-    (Der.encode
-       (Der.Sequence
-          [ Der.Sequence (List.map vrp_to_der d.Vrp.added);
-            Der.Sequence (List.map vrp_to_der d.Vrp.removed) ]))
-
-let vrp_list_of_der = function
-  | Der.Sequence vs -> Vrp.normalize (List.map vrp_of_der vs)
-  | _ -> restore_error "VRP list is not a sequence"
-
-let vrps_of_record (r : Codec.record) =
-  match (r.Codec.r_kind, Der.decode r.Codec.r_payload) with
-  | "vrps", Ok l -> `Set (vrp_list_of_der l)
-  | "vrps-diff", Ok (Der.Sequence [ added; removed ]) ->
-    `Diff { Vrp.added = vrp_list_of_der added; removed = vrp_list_of_der removed }
-  | kind, _ -> restore_error "malformed %s record" kind
-
-(* [Vrp.apply_diff], refusing a diff that was not taken against [set]:
-   every removed VRP must be present and every added one absent, which
-   holds exactly when the diff from [set] to the result is the diff given.
-   Chained diffs that do not compose fail closed. *)
-let apply_vrp_diff set (d : Vrp.diff) =
-  let after = Vrp.apply_diff set d in
-  let d' = Vrp.diff_of ~before:set ~after in
-  if
-    not
-      (List.equal Vrp.equal d'.Vrp.added d.Vrp.added
-       && List.equal Vrp.equal d'.Vrp.removed d.Vrp.removed)
-  then restore_error "VRP diff does not apply to the set before it";
-  after
-
-(* The normalized VRP set a chain restores to: the base's full set, then
-   each segment's diff in chain order.  The base carries exactly one [vrps]
-   record and each segment at most one [vrps-diff]; any other shape is
-   refused. *)
-let chain_vrps = function
-  | [] -> restore_error "empty chain"
-  | base :: segments ->
-    let vrp_records = List.filter (fun r -> is_kind "vrps" r || is_kind "vrps-diff" r) in
-    let base_set =
-      match List.map vrps_of_record (vrp_records base) with
-      | [ `Set s ] -> s
-      | [] -> restore_error "base container missing its VRP set"
-      | _ -> restore_error "base container carries a VRP record other than one full set"
-    in
-    List.fold_left
-      (fun set segment ->
-        match List.map vrps_of_record (vrp_records segment) with
-        | [] -> set
-        | [ `Diff d ] -> apply_vrp_diff set d
-        | _ -> restore_error "segment carries a VRP record other than one diff")
-      base_set segments
-
-(* The Merkle checkpoint a segment is sealed under: the previous persisted
-   head plus the consistency proof from it to the head the segment carries.
-   Restore walks these from base through every segment — a chain that does
-   not prove one append-only history is refused wholesale. *)
-let encode_checkpoint ~prev ~proof =
-  Der.encode
-    (Der.Sequence
-       [ Der.Octet_string (Tlog.encode_head prev);
-         Der.Sequence (List.map (fun h -> Der.Octet_string h) proof) ])
-
-let decode_checkpoint payload =
-  match Der.decode payload with
-  | Ok (Der.Sequence [ Der.Octet_string prev; Der.Sequence hashes ]) -> (
-    let proof =
-      List.map
-        (function
-          | Der.Octet_string h -> h
-          | _ -> raise (Restore_error "malformed checkpoint proof"))
-        hashes
-    in
-    match Tlog.decode_head prev with
-    | Some h -> (h, proof)
-    | None -> raise (Restore_error "malformed checkpoint head"))
-  | _ -> raise (Restore_error "malformed checkpoint record")
-
-(* What a chain persists, decoded: the newest container's identity
-   ([meta]), signed head and peer heads, the log its observations replay
-   into, and the VRP set the chain restores to.  A full save writes one of
-   these as a base, [read_chain] gives one back, and compaction writes back
-   what it read. *)
-type persisted = {
-  p_name : string;
-  p_asn : int;
-  p_epoch : int;
-  p_rtr_serial : int;
-  p_sth : Tlog.signed_head;
-  p_log : Tlog.t;
-  p_peers : (string * Tlog.head) list; (* in [peer_heads] order *)
-  p_vrps : Vrp.t list;
-}
-
-(* The bounded records every container carries: identity, the current
-   signed head and the gossip-verified peer heads.  The decoders accept
-   only canonical encodings, so a record read and written again keeps its
-   bytes. *)
-let meta_record p =
-  record "meta"
-    (Der.encode
-       (Der.Sequence
-          [ Der.Utf8 p.p_name; Der.int_ p.p_asn; Der.int_ p.p_epoch; Der.int_ p.p_rtr_serial ]))
-
-let sth_record (sh : Tlog.signed_head) =
-  record "sth"
-    (Der.encode
-       (Der.Sequence
-          [ Der.Octet_string (Tlog.encode_head sh.Tlog.sh_head); Der.Octet_string sh.Tlog.sh_sig ]))
-
-let peer_records p =
-  List.rev_map
-    (fun (peer, h) ->
-      record "peer"
-        (Der.encode (Der.Sequence [ Der.Utf8 peer; Der.Octet_string (Tlog.encode_head h) ])))
-    p.p_peers
-
-let obs_record o = record "obs" (Tlog.encode_observation o)
-
-(* The one writer of a base, for a full save and for compaction: every
-   observation in order, the full VRP set and no checkpoint (a base has no
-   predecessor). *)
-let base_records p =
-  (meta_record p :: sth_record p.p_sth :: List.map obs_record (Tlog.observations p.p_log))
-  @ peer_records p @ [ vrps_record p.p_vrps ]
-
-(* The one reader of a chain, base first: every check that needs no
-   vantage.  Observations accumulate across containers (each segment holds
-   only its delta); meta, signed head and peer heads are rewritten whole
-   on every save, so the newest container wins; the VRP set is the base's
-   with each segment's diff applied ({!chain_vrps}).  Each segment must
-   carry a checkpoint naming the previous container's head byte-for-byte
-   and a consistency proof from it to the segment's own head, and the
-   observations must replay into exactly the newest head's log id, size
-   and Merkle root: the chain is one append-only history or it is refused.
-   Raises [Restore_error] (or a decoder's exception); {!restore} adds the
-   two checks bound to the vantage, its name and its key. *)
-let read_chain (containers : Codec.snapshot list) =
-  let bad = restore_error in
-  let meta = ref None in
-  let sth = ref None in
-  let obs = ref [] in
-  let peers = ref [] in
-  let prev_head = ref None in
-  List.iter
-    (fun (snap : Codec.snapshot) ->
-      let g = snap.Codec.s_generation in
-      let c_meta = ref None in
-      let c_sth = ref None in
-      let c_ckpt = ref None in
-      let c_peers = ref [] in
-      (* one meta, signed head and checkpoint per container: a second one
-         would make "the newest" ambiguous *)
-      let once kind cell v =
-        if Option.is_some !cell then bad "container %d carries two %s records" g kind;
-        cell := Some v
-      in
-      List.iter
-        (fun (r : Codec.record) ->
-          let payload = r.Codec.r_payload in
-          match r.Codec.r_kind with
-          | "meta" -> (
-            match Der.decode payload with
-            | Ok
-                (Der.Sequence
-                  [ Der.Utf8 n; (Der.Integer _ as a); (Der.Integer _ as e);
-                    (Der.Integer _ as s) ]) ->
-              (* the meta record is not under the head's signature, and an
-                 RTR serial is a 32-bit field (RFC 6810 section 5.3): a
-                 wider one is refused, never carried mod 2^32 *)
-              once "meta" c_meta (n, Der.to_int_exn a, Der.to_int_exn e, Resources.uint32_of_der s)
-            | _ -> bad "malformed meta record")
-          | "sth" -> (
-            match Der.decode payload with
-            | Ok (Der.Sequence [ Der.Octet_string head; Der.Octet_string signature ]) -> (
-              match Tlog.decode_head head with
-              | Some h -> once "sth" c_sth { Tlog.sh_head = h; sh_sig = signature }
-              | None -> bad "malformed persisted tree head")
-            | _ -> bad "malformed sth record")
-          | "ckpt" -> once "ckpt" c_ckpt (decode_checkpoint payload)
-          | "obs" -> (
-            match Tlog.decode_observation payload with
-            | Some o -> obs := o :: !obs
-            | None -> bad "malformed observation record")
-          | "peer" -> (
-            match Der.decode payload with
-            | Ok (Der.Sequence [ Der.Utf8 peer; Der.Octet_string head ]) -> (
-              match Tlog.decode_head head with
-              | Some h -> c_peers := (peer, h) :: !c_peers
-              | None -> bad "malformed peer head for %s" peer)
-            | _ -> bad "malformed peer record")
-          | "vrps" | "vrps-diff" -> () (* read by [chain_vrps] below *)
-          | other -> bad "unknown record kind %S" other)
-        snap.Codec.s_records;
-      let c_sth =
-        match !c_sth with
-        | Some s -> s
-        | None -> bad "container %d missing its signed tree head" g
-      in
-      (match (!prev_head, !c_ckpt) with
-      | None, None -> () (* the base container: no predecessor to prove *)
-      | None, Some _ -> bad "base container carries a checkpoint"
-      | Some _, None -> bad "segment %d missing its checkpoint" g
-      | Some prev, Some (ckpt_head, proof) ->
-        if not (String.equal (Tlog.encode_head ckpt_head) (Tlog.encode_head prev)) then
-          bad "segment %d checkpoint does not name the previous head" g;
-        if
-          not
-            (Tlog.verify_head_consistency ~old_head:ckpt_head
-               ~new_head:c_sth.Tlog.sh_head proof)
-        then bad "segment %d consistency proof fails" g);
-      prev_head := Some c_sth.Tlog.sh_head;
-      sth := Some c_sth;
-      (match !c_meta with
-      | Some m -> meta := Some m
-      | None -> bad "container %d missing its meta record" g);
-      peers := !c_peers)
-    containers;
-  let vrps = chain_vrps (List.map (fun (s : Codec.snapshot) -> s.Codec.s_records) containers) in
-  let name, asn, epoch, rtr_serial =
-    match !meta with Some m -> m | None -> bad "missing meta record"
-  in
-  let sth = match !sth with Some s -> s | None -> bad "missing signed tree head" in
-  let log = Tlog.create ~log_id:(log_id_for ~name ~epoch) in
-  List.iter
-    (fun o ->
-      match Tlog.append log o with
-      | `Appended _ -> ()
-      | `Unchanged -> bad "replay produced a duplicate observation")
-    (List.rev !obs);
-  let h = sth.Tlog.sh_head in
-  if not (String.equal h.Tlog.h_log_id (Tlog.log_id log)) then
-    bad "persisted head names log %S, expected %S" h.Tlog.h_log_id (Tlog.log_id log);
-  if h.Tlog.h_size <> Tlog.size log then
-    bad "persisted head size %d, rehydrated log has %d" h.Tlog.h_size (Tlog.size log);
-  let rebuilt = Tlog.head log ~at:h.Tlog.h_at in
-  if not (String.equal rebuilt.Tlog.h_root h.Tlog.h_root) then
-    bad "Merkle root mismatch between persisted head and rehydrated log";
-  { p_name = name; p_asn = asn; p_epoch = epoch; p_rtr_serial = rtr_serial; p_sth = sth;
-    p_log = log; p_peers = !peers; p_vrps = vrps }
-
-(* [f] with the reader's failures as [Error]: a chain that does not hold
-   together is an answer, never an exception. *)
-let reading f =
-  match f () with
-  | x -> Ok x
-  | exception (Restore_error why | Der.Decode_error why | Invalid_argument why) -> Error why
-
 let other_marks t store =
   List.filter (fun (s, _) -> not (Rpki_persist.Store.same s store)) t.persist_marks
 
@@ -1352,11 +879,10 @@ let set_mark t store mark = t.persist_marks <- (store, mark) :: other_marks t st
 
 let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
   let p =
-    { p_name = t.name; p_asn = t.asn; p_epoch = t.log_epoch; p_rtr_serial = rtr_serial;
+    { Rp_store.p_name = t.name; p_asn = t.asn; p_epoch = t.log_epoch; p_rtr_serial = rtr_serial;
       p_sth = signed_tree_head t ~now; p_log = t.tlog; p_peers = t.peer_heads;
       p_vrps = t.effective_vrps }
   in
-  let size = Tlog.size t.tlog in
   let mark =
     match mode with
     | `Full -> None
@@ -1364,8 +890,8 @@ let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
       match List.find_opt (fun (s, _) -> Rpki_persist.Store.same s store) t.persist_marks with
       | Some (_, m)
         when Rpki_persist.Store.snapshot_bytes store > 0
-             && m.pm_obs <= size
-             && String.equal m.pm_head.Tlog.h_log_id (Tlog.log_id t.tlog) ->
+             && m.Rp_store.pm_obs <= Tlog.size t.tlog
+             && String.equal m.Rp_store.pm_head.Tlog.h_log_id (Tlog.log_id t.tlog) ->
         Some m
       | _ ->
         None
@@ -1374,44 +900,22 @@ let save t ~now ?(rtr_serial = 0) ?(mode = `Auto) store =
   in
   let sealed =
     match mark with
-    | None -> Rpki_persist.Store.save store ~now (base_records p)
-    | Some m ->
-      (* O(delta): only the observations appended since the mark, sealed
-         under the checkpoint that ties them to the previous head, and the
-         VRP set as a diff against the one the chain already restores to *)
-      let fresh = List.map (fun (_, o) -> obs_record o) (Tlog.since t.tlog m.pm_obs) in
-      let proof =
-        if m.pm_obs = 0 then []
-        else Tlog.consistency_proof t.tlog ~old_size:m.pm_obs ~size
-      in
-      let ckpt = record "ckpt" (encode_checkpoint ~prev:m.pm_head ~proof) in
-      let diff =
-        if m.pm_vrps == t.effective_vrps then Vrp.empty_diff
-        else Vrp.diff_of ~before:m.pm_vrps ~after:t.effective_vrps
-      in
-      let vrps = if Vrp.diff_is_empty diff then [] else [ vrps_diff_record diff ] in
-      Rpki_persist.Store.append store ~now
-        ((meta_record p :: sth_record p.p_sth :: ckpt :: fresh) @ peer_records p @ vrps)
+    | None -> Rpki_persist.Store.save store ~now (Rp_store.base p)
+    | Some m -> Rpki_persist.Store.append store ~now (Rp_store.segment p ~since:m)
   in
   (* a file that did not read back intact ends a chain no restore accepts:
      drop the mark, so the next save writes a base over it *)
-  if sealed.Rpki_persist.Store.intact then
-    set_mark t store { pm_obs = size; pm_head = p.p_sth.Tlog.sh_head; pm_vrps = t.effective_vrps }
+  if sealed.Rpki_persist.Store.intact then set_mark t store (Rp_store.mark p)
   else t.persist_marks <- other_marks t store;
   sealed.Rpki_persist.Store.generation
 
 (* A chain the reader refuses is reported before [Store.compact] writes
    anything, so the store is left as it was. *)
 let compact_store store ~now =
-  let exception Unreadable of string in
-  let fold containers =
-    match reading (fun () -> read_chain containers) with
-    | Ok p -> base_records p
-    | Error why -> raise (Unreadable why)
-  in
-  match Rpki_persist.Store.compact store ~now ~fold with
-  | result -> result
-  | exception Unreadable why -> Error ("chain refused: " ^ why)
+  Rpki_persist.Store.compact store ~now ~fold:(fun containers ->
+      match Rp_store.read_chain containers with
+      | Ok p -> Ok (Rp_store.base p)
+      | Error why -> Error ("chain refused: " ^ why))
 
 let restore t store =
   match Rpki_persist.Store.load_chain store with
@@ -1420,15 +924,16 @@ let restore t store =
   | Error (Rpki_persist.Store.Stale { snap_generation; marker }) ->
     Recovered_fresh (Snapshot_stale { snap_generation; marker })
   | Ok containers -> (
-    let read () =
-      let p = read_chain containers in
-      if not (String.equal p.p_name t.name) then
-        restore_error "snapshot belongs to vantage %S, not %S" p.p_name t.name;
-      if not (Tlog.verify_head ~key:(transparency_key t) p.p_sth) then
-        restore_error "persisted tree head signature does not verify";
-      p
+    (* the chain reader, then the two checks bound to this vantage *)
+    let checked =
+      Result.bind (Rp_store.read_chain containers) (fun (p : Rp_store.persisted) ->
+          if not (String.equal p.p_name t.name) then
+            Error (Printf.sprintf "snapshot belongs to vantage %S, not %S" p.p_name t.name)
+          else if not (Tlog.verify_head ~key:(transparency_key t) p.p_sth) then
+            Error "persisted tree head signature does not verify"
+          else Ok p)
     in
-    match reading read with
+    match checked with
     | Error why -> Recovered_fresh (Log_inconsistent why)
     | Ok p ->
       let newest = List.nth containers (List.length containers - 1) in
@@ -1441,9 +946,8 @@ let restore t store =
       (* the verified final head and the restored set double as the next
          save's checkpoint and diff baseline, so the first post-restore save
          appends instead of rewriting history *)
-      set_mark t store
-        { pm_obs = Tlog.size p.p_log; pm_head = p.p_sth.Tlog.sh_head; pm_vrps = p.p_vrps };
+      set_mark t store (Rp_store.mark p);
       Recovered
-        { rc_generation = newest.Codec.s_generation;
-          rc_saved_at = newest.Codec.s_saved_at;
+        { rc_generation = newest.Rpki_persist.Codec.s_generation;
+          rc_saved_at = newest.Rpki_persist.Codec.s_saved_at;
           rc_rtr_serial = p.p_rtr_serial })

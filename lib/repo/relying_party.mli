@@ -21,6 +21,17 @@
     of a from-scratch sync; under a zero-latency fault-free transport this
     holds bit-for-bit against the pre-transport behaviour.
 
+    One {!sync} runs three stages over a record that lives only for that
+    call: {e fetch} brings each point down the ladder, every attempt on
+    any channel one timed request under the budget; the {e walk} goes
+    depth first from each trust anchor, replays a point from the memo or
+    the shared plane or validates it with {!Point.validate}, and appends
+    what it served to the transparency log; the {e commit} takes the union
+    of the walked VRPs, applies grace and the unsafe-VRP policy, and diffs
+    against the previous sync.  The persisted-state format is
+    {!Rp_store}'s; {!save}, {!restore} and {!compact_store} bind it to one
+    vantage.
+
     The relying-party state is opaque; all incremental bookkeeping is
     internal and can only be dropped wholesale via {!flush_cache}. *)
 
@@ -318,33 +329,34 @@ val save :
     VRP record when the effective set equals it, and one [vrps-diff]
     record (added, removed) otherwise; only a base carries the full set.
     [`Full] forces the O(history) full snapshot — the pre-segmentation
-    behavior, kept for baseline comparisons. *)
+    behavior, kept for baseline comparisons.  {!Rp_store} writes both
+    kinds of container. *)
 
 val compact_store : Rpki_persist.Store.t -> now:Rtime.t -> (int, string) result
 (** Fold a relying-party store's base + segments into one full base
     snapshot: exactly the records a [`Full] {!save} of the restored state
     writes (all observations in order, newest bounded records, the VRP set
-    the chain restores to, no checkpoints).  The chain is read through
-    {!restore}'s own reader, so every check that needs no vantage — each
-    record, checkpoint and consistency proof, the log replay against the
-    newest head, the VRP records — applies, and a chain that fails one is
-    [Error] before anything is written; only the vantage's name and key
-    are left to {!restore}.  Crash-safe: on any detected disk fault the
-    store is left segmented and loadable, and the error says why.  It
-    never raises. *)
+    the chain restores to, no checkpoints).  The chain is read by
+    {!Rp_store.read_chain}, {!restore}'s own reader, so every check that
+    needs no vantage — each record, checkpoint and consistency proof, the
+    log replay against the newest head, the VRP records — applies, and a
+    chain that fails one is [Error] before anything is written; only the
+    vantage's name and key are left to {!restore}.  Crash-safe: on any
+    detected disk fault the store is left segmented and loadable, and the
+    error says why.  It never raises. *)
 
 val restore : t -> Rpki_persist.Store.t -> recovery
-(** Rehydrate a freshly {!create}d relying party from a snapshot chain: the
-    chain reader {!compact_store} shares, then the two checks bound to this
-    vantage, that the chain names it and that the newest head verifies
-    under its key.  On success the transparency log (rebuilt from base +
-    segments, each segment's consistency proof re-verified, the whole
-    verified against the newest persisted signed head), peer heads,
-    effective VRP set (with a rebuilt origin-validation index) and log
-    epoch are restored; caches, memos and grace memory start empty.  The VRP set is the base's full set
-    with each segment's diff applied in chain order, strictly: the base
-    must carry exactly one full set and a segment at most one diff, a diff
-    that removes an absent VRP or adds a present one is refused, a VRP
+(** Rehydrate a freshly {!create}d relying party from a snapshot chain:
+    {!Rp_store.read_chain}, which {!compact_store} shares, then the two checks
+    bound to this vantage, that the chain names it and that the newest head
+    verifies under its key.  On success the transparency log (rebuilt from
+    base + segments, each segment's consistency proof re-verified, the whole
+    verified against the newest persisted signed head), peer heads, effective
+    VRP set (with a rebuilt origin-validation index) and log epoch are
+    restored; caches, memos and grace memory start empty.  The VRP set is the
+    base's full set with each segment's diff applied in chain order, strictly:
+    the base must carry exactly one full set and a segment at most one diff, a
+    diff that removes an absent VRP or adds a present one is refused, a VRP
     whose address or origin does not fit 32 bits is refused, and so is a
     container with two meta, signed-head or checkpoint records — each
     {!Log_inconsistent}.  The restored set becomes the store's mark, so the

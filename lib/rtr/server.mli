@@ -77,7 +77,9 @@ val restore : t -> serial:int -> vrps:Vrp.t list -> unit
     router-visible set resets nobody.  Any other restore gives every
     session one Cache Reset at the next flush, so each ends it on the
     restored set — a session at the restored serial may hold a different
-    set, and the next delta would not apply to it. *)
+    set, and the next delta would not apply to it.  Raises
+    [Invalid_argument] for a serial of 2^32 or more, as
+    {!Session.restore} does, and leaves the server as it was. *)
 
 (** {2 Sessions} *)
 

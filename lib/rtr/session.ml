@@ -115,8 +115,12 @@ let release cache ~prefix =
 
 (* Rehydrate from a persisted (serial, VRP set) pair.  The delta window is
    gone — routers whose serial does not match will take one Cache Reset —
-   but the serial line continues instead of restarting from 0. *)
+   but the serial line continues instead of restarting from 0.  A serial
+   that does not fit the PDU's 32 bits is refused before the cache is
+   touched, so the failure lands here and not at every later encode. *)
 let restore cache ~serial ~vrps =
+  if serial > 0xFFFF_FFFF then
+    invalid_arg (Printf.sprintf "Session.restore: serial %d does not fit 32 bits" serial);
   let vrps = Vrp.normalize vrps in
   cache.serial <- max 0 serial;
   cache.feed <- vrps;

@@ -92,7 +92,10 @@ val cache_holds : cache -> (V4.Prefix.t * Vrp.t list) list
 val restore : cache -> serial:int -> vrps:Vrp.t list -> unit
 (** Rehydrate from a persisted (serial, VRP set) pair after a restart.  The
     delta window is empty — non-matching routers take one Cache Reset — but
-    the serial line continues instead of restarting from 0.  Clears holds. *)
+    the serial line continues instead of restarting from 0.  Clears holds.
+    A negative serial restores as 0.  Raises [Invalid_argument] for a
+    serial of 2^32 or more, which no Serial Notify could carry, and leaves
+    the cache as it was. *)
 
 val notify : cache -> Pdu.t
 (** The Serial Notify a cache would push to connected routers. *)

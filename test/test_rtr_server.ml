@@ -316,6 +316,36 @@ let test_restore_onto_session_serial () =
   Alcotest.(check int) "no reset" 0 rep.Server.fr_resets;
   Alcotest.(check int) "skipped" 1 rep.Server.fr_skipped
 
+(* A serial no Serial Notify could carry is refused at the restore, which
+   leaves the serial, the VRPs and every session as they were, so the next
+   flush still succeeds; 2^32 - 1 still fits. *)
+let test_restore_refuses_wide_serial () =
+  let server, ss = seeded () in
+  let cache = Server.cache server in
+  let serial = Session.cache_serial cache and vrps = Session.cache_vrps cache in
+  let sessions () = List.map (fun s -> (Server.session_serial s, Server.session_vrps s)) ss in
+  let before = sessions () in
+  (match Server.restore server ~serial:((1 lsl 32) + 5) ~vrps:[ v "10.0.0.0/8" 5 ] with
+  | () -> Alcotest.fail "a serial of 2^32 + 5 was restored"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "serial kept" serial (Session.cache_serial cache);
+  Alcotest.check vrp_list "VRPs kept" vrps (Session.cache_vrps cache);
+  Alcotest.(check bool) "sessions kept" true
+    (List.equal
+       (fun (s1, l1) (s2, l2) -> s1 = s2 && List.equal Vrp.equal l1 l2)
+       before (sessions ()));
+  Alcotest.(check bool) "nothing pending" false (Server.pending server);
+  Server.publish server [ v "198.51.100.0/24" 7 ];
+  ignore (Server.flush server);
+  Alcotest.(check bool) "next flush syncs" true (Server.all_synced server);
+  Server.restore server ~serial:0xFFFF_FFFF ~vrps:[ v "10.0.0.0/8" 5 ];
+  ignore (Server.flush server);
+  List.iter
+    (fun s ->
+      Alcotest.(check int) "2^32 - 1 restored" 0xFFFF_FFFF (Server.session_serial s);
+      Alcotest.check vrp_list "restored set" [ v "10.0.0.0/8" 5 ] (Server.session_vrps s))
+    ss
+
 let test_domains_parity () =
   (* the same schedule on 1 domain and on 4 must leave identical stats and
      identical session states — the fan-out is an implementation detail *)
@@ -413,6 +443,8 @@ let () =
           Alcotest.test_case "restore resets sessions" `Quick test_restore_resets_sessions;
           Alcotest.test_case "restore onto a session's serial" `Quick
             test_restore_onto_session_serial;
+          Alcotest.test_case "restore refuses a serial past 32 bits" `Quick
+            test_restore_refuses_wide_serial;
           Alcotest.test_case "domains parity" `Quick test_domains_parity;
           Alcotest.test_case "one transition per router state" `Quick
             test_one_transition_per_state;

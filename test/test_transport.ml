@@ -241,6 +241,128 @@ let test_policy_without_fallbacks () =
   check_status "unavailable" Relying_party.Unavailable
     (transfer_of r uri).Relying_party.t_status
 
+(* --- the whole ladder, pinned --- *)
+
+(* Everything a sync reports about its fetches: each transfer's status,
+   channel, attempts, elapsed time and data age, each issue, the total
+   time and whether the budget ran out.  The cases below pin it across
+   more than one channel, so a request that moves a spend, an attempt or
+   the exhausted flag between channels shows. *)
+let ladder_story (r : Relying_party.sync_result) =
+  List.map
+    (fun (tr : Relying_party.transfer) ->
+      Printf.sprintf "%s %s %s attempts=%d elapsed=%d age=%d" tr.Relying_party.t_uri
+        (status_name tr.Relying_party.t_status) tr.Relying_party.t_channel
+        tr.Relying_party.t_attempts tr.Relying_party.t_elapsed tr.Relying_party.t_data_age)
+    r.Relying_party.transfers
+  @ List.map
+      (fun (i : Relying_party.issue) ->
+        Printf.sprintf "%s %s: %s" i.Relying_party.uri
+          (Rpki_core.Validation.issue_kind_to_string i.Relying_party.kind)
+          i.Relying_party.reason)
+      r.Relying_party.issues
+  @ [ Printf.sprintf "sync_elapsed=%d budget_exhausted=%b" r.Relying_party.sync_elapsed
+        r.Relying_party.budget_exhausted ]
+
+(* every request costs 3 ticks, every failure with no route 2 *)
+let priced () = Transport.create ~latency_of:(fun _ -> Some 3) ~failure_cost:2 ()
+
+let add_mirrors (m : Model.t) uri =
+  List.iter
+    (fun (host, addr) ->
+      Universe.add_mirror m.Model.universe ~of_uri:uri
+        (Pub_point.create ~uri:("rsync://" ^ host ^ "/continental") ~addr ~host_asn:99))
+    [ ("mirror1", 42); ("mirror2", 44) ];
+  Universe.refresh_mirrors m.Model.universe;
+  List.map Pub_point.uri (Universe.mirrors_of m.Model.universe uri)
+
+let add_rrdp (m : Model.t) uri =
+  let endpoint = Pub_point.create ~uri:"https://rrdp/continental" ~addr:43 ~host_asn:99 in
+  Universe.add_rrdp m.Model.universe ~of_uri:uri endpoint;
+  Universe.refresh_rrdp m.Model.universe;
+  Pub_point.uri endpoint
+
+let stalling = Transport.Stalling 1_000_000
+
+let check_story what expected r = Alcotest.(check (list string)) what expected (ladder_story r)
+
+let arin = "rsync://rpki.arin.net/repo fetched live attempts=1 elapsed=3 age=0"
+let sprint = "rsync://rpki.sprint.net/repo fetched live attempts=1 elapsed=3 age=0"
+let etb = "rsync://rpki.etb.net.co/repo fetched live attempts=1 elapsed=3 age=0"
+
+let test_ladder_pinned () =
+  (* (a) the primary stalls through two retries with backoff, the first
+     mirror tried stalls and the second serves *)
+  let m = fresh_model () in
+  let uri = continental_uri m in
+  let tr = priced () in
+  (match add_mirrors m uri with
+  | first :: _ -> Transport.set_fault tr ~uri:first stalling
+  | [] -> assert false);
+  Transport.set_fault tr ~uri stalling;
+  check_story "(a) stalls, then the second mirror"
+    [ arin; arin; sprint;
+      "rsync://rpki.continental.net/repo mirror mirror:rsync://mirror1/continental attempts=5 \
+       elapsed=266 age=0";
+      etb;
+      "rsync://rpki.continental.net/repo transport-timeout: primary stalled past the fetch \
+       timeout; fetched mirror rsync://mirror1/continental";
+      "sync_elapsed=278 budget_exhausted=false" ]
+    (Relying_party.sync (rp_for m) ~now:1 ~universe:m.Model.universe ~transport:tr ());
+  (* (b) the primary refuses, every mirror is unreachable, RRDP serves *)
+  let m = fresh_model () in
+  let uri = continental_uri m in
+  let tr = priced () in
+  List.iter (fun u -> Transport.set_fault tr ~uri:u Transport.Unreachable) (add_mirrors m uri);
+  ignore (add_rrdp m uri);
+  Transport.set_fault tr ~uri Transport.Refused;
+  check_story "(b) refused, then RRDP"
+    [ arin; arin; sprint;
+      "rsync://rpki.continental.net/repo rrdp rrdp:https://rrdp/continental attempts=4 \
+       elapsed=9 age=0";
+      etb;
+      "rsync://rpki.continental.net/repo transport-refused: primary connection refused; synced \
+       via RRDP https://rrdp/continental";
+      "sync_elapsed=21 budget_exhausted=false" ]
+    (Relying_party.sync (rp_for m) ~now:1 ~universe:m.Model.universe ~transport:tr ());
+  (* (c) the budget runs out on the first mirror: the second mirror and
+     RRDP are skipped, the stale copy serves, and ETB after it is skipped *)
+  let m = fresh_model () in
+  let uri = continental_uri m in
+  let tr = priced () in
+  let rp = rp_for m in
+  ignore (Relying_party.sync rp ~now:1 ~universe:m.Model.universe ~transport:tr ());
+  (match add_mirrors m uri with
+  | first :: _ -> Transport.set_fault tr ~uri:first stalling
+  | [] -> assert false);
+  ignore (add_rrdp m uri);
+  Transport.set_fault tr ~uri stalling;
+  let policy = { Relying_party.default_policy with Relying_party.sync_budget = 248 } in
+  check_story "(c) budget spent between mirrors, stale serves"
+    [ arin; arin; sprint;
+      "rsync://rpki.continental.net/repo stale cache attempts=4 elapsed=239 age=4";
+      "rsync://rpki.etb.net.co/repo stale cache attempts=0 elapsed=0 age=4";
+      "rsync://rpki.continental.net/repo transport-timeout: publication point stalled past the \
+       fetch timeout; using stale cache";
+      "rsync://rpki.etb.net.co/repo budget-exhausted: publication point skipped: sync budget \
+       exhausted; using stale cache";
+      "sync_elapsed=248 budget_exhausted=true" ]
+    (Relying_party.sync rp ~now:5 ~universe:m.Model.universe ~transport:tr ~policy ());
+  (* (d) no DNS for the primary, no mirror, RRDP stalls, nothing cached *)
+  let m = fresh_model () in
+  let uri = continental_uri m in
+  let tr = priced () in
+  Transport.set_fault tr ~uri:(add_rrdp m uri) stalling;
+  Transport.set_fault tr ~uri Transport.Dns_failure;
+  check_story "(d) nothing serves"
+    [ arin; arin; sprint;
+      "rsync://rpki.continental.net/repo unavailable none attempts=2 elapsed=66 age=0";
+      etb;
+      "rsync://rpki.continental.net/repo transport-dns: publication point no address \
+       associated with name";
+      "sync_elapsed=78 budget_exhausted=false" ]
+    (Relying_party.sync (rp_for m) ~now:1 ~universe:m.Model.universe ~transport:tr ())
+
 (* --- the sim loop prices fetches off its own data plane --- *)
 
 let test_loop_latency_circularity () =
@@ -333,7 +455,8 @@ let () =
           Alcotest.test_case "budget exhaustion starves" `Quick
             test_budget_exhaustion_starves_later_points;
           Alcotest.test_case "per-point timeout" `Quick test_per_point_timeout_caps_spend;
-          Alcotest.test_case "fallbacks disabled" `Quick test_policy_without_fallbacks ] );
+          Alcotest.test_case "fallbacks disabled" `Quick test_policy_without_fallbacks;
+          Alcotest.test_case "the ladder, pinned" `Quick test_ladder_pinned ] );
       ( "loop",
         [ Alcotest.test_case "latency from own data plane" `Quick test_loop_latency_circularity;
           Alcotest.test_case "rtr data age" `Quick test_rtr_data_age ] );

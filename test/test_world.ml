@@ -237,6 +237,26 @@ let test_synthesis_invariants () =
    once: the trust anchor lists itself): every child's fingerprint is the
    digest of its encoding and keys the child's own outcome, and every
    VRP-set hash is the digest of the sorted VRP dump. *)
+(* Two outcomes of one point agree on everything the walk and the log
+   read from them. *)
+let same_outcome what (a : Rpki_repo.Valcache.outcome) (b : Rpki_repo.Valcache.outcome) =
+  let module Valcache = Rpki_repo.Valcache in
+  let check_strings field f = Alcotest.(check (list string)) (field ^ " of " ^ what) (f a) (f b) in
+  check_strings "VRPs" (fun o -> List.map Vrp.to_string o.Valcache.o_vrps);
+  check_strings "VRP-set hash" (fun o -> [ o.Valcache.o_vrp_hash ]);
+  check_strings "issues"
+    (fun o ->
+      List.map
+        (fun (filename, kind, reason) ->
+          Printf.sprintf "%s %s: %s" (Option.value filename ~default:"-")
+            (Validation.issue_kind_to_string kind) reason)
+        o.Valcache.o_issues);
+  check_strings "children"
+    (fun o -> List.map (fun ((c : Cert.t), fp) -> c.Cert.subject ^ " " ^ fp) o.Valcache.o_children);
+  check_strings "manifest"
+    (fun o -> [ string_of_int o.Valcache.o_mft_number; o.Valcache.o_mft_hash ]);
+  check_strings "boundaries" (fun o -> List.map string_of_int o.Valcache.o_boundaries)
+
 let test_outcome_digests () =
   let module Sha256 = Rpki_crypto.Sha256 in
   let module Relying_party = Rpki_repo.Relying_party in
@@ -266,6 +286,14 @@ let test_outcome_digests () =
       | Some o ->
         Alcotest.(check string) ("VRP-set hash of " ^ c.Cert.subject)
           (vrp_hash o.Valcache.o_vrps) o.Valcache.o_vrp_hash;
+        (* the pure point validator, called directly on the same listing,
+           gives back the outcome the sync stored *)
+        let direct =
+          Rpki_repo.Point.validate ~now:1 ~ca_cert:c ~parent_fp:fp
+            ~snap_fp:(Rpki_repo.Pub_point.fingerprint point)
+            (Rpki_repo.Pub_point.snapshot point)
+        in
+        same_outcome c.Cert.subject o direct;
         List.iter walk o.Valcache.o_children
     end
   in

@@ -9,11 +9,16 @@
    [val] in the [.mli]; a module's use of its own value resolves to the
    [let] in its [.ml] and does not count. *)
 
+(* An entry that vanished between [readdir] and its stat (an [ar] temp
+   file beside a library archive being rebuilt) is skipped. *)
 let rec walk dir acc =
   Array.fold_left
     (fun acc name ->
       let path = Filename.concat dir name in
-      if Sys.is_directory path then walk path acc else path :: acc)
+      match Sys.is_directory path with
+      | true -> walk path acc
+      | false -> path :: acc
+      | exception Sys_error _ -> acc)
     acc (Sys.readdir dir)
 
 let key (loc : Location.t) =
