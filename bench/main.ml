@@ -136,13 +136,48 @@ let bench_attack () =
              Rpki_attack.Whack.plan_targeted ~manipulator:m.Rpki_repo.Model.sprint
                ~target_issuer:"Continental" ~target_filename:m.Rpki_repo.Model.roa_target20)) ]
 
+(* A trust anchor's point with 40 ROAs, then refreshed: only its manifest
+   and CRL changed.  Validating the refreshed listing afresh checks every
+   object; given the results for the listing before the refresh, only the
+   manifest and CRL are checked and the ROAs replayed.  The listings are
+   made here, so no signing runs inside the timer. *)
+let bench_point () =
+  let open Rpki_repo in
+  let ta =
+    Authority.create_trust_anchor ~name:"bench-ta"
+      ~resources:(Resources.of_v4_strings [ "30.0.0.0/8" ])
+      ~uri:"rsync://bench-ta/repo" ~addr:(V4.addr_of_string_exn "198.51.100.1") ~host_asn:1
+      ~now:0 ~universe:(Universe.create ()) ()
+  in
+  for i = 0 to 39 do
+    ignore
+      (Authority.issue_simple_roa ta ~asid:(64500 + i)
+         ~prefix:(V4.Prefix.make ((30 lsl 24) lor (i lsl 16)) 16)
+         ~now:0 ())
+  done;
+  let ca_cert = Authority.cert ta in
+  let parent_fp = Rpki_crypto.Sha256.digest (Cert.encode ca_cert) in
+  let validate ?prev listing =
+    Point.validate ?prev ~now:1 ~ca_cert ~parent_fp
+      ~snap_fp:(Pub_point.fingerprint_of_listing listing) listing
+  in
+  let _, before = validate (Pub_point.snapshot (Authority.pub ta)) in
+  Authority.refresh ta ~now:1;
+  let refreshed = Pub_point.snapshot (Authority.pub ta) in
+  let outcome, _ = validate ~prev:before refreshed in
+  assert (List.length outcome.Valcache.o_vrps = 40 && outcome.Valcache.o_issues = []);
+  [ Test.make ~name:"validate-point-40-roas" (Staged.stage (fun () -> validate refreshed));
+    Test.make ~name:"revalidate-refreshed-point-40-roas"
+      (Staged.stage (fun () -> validate ~prev:before refreshed)) ]
+
 let bench_rp () =
   let m = Rpki_repo.Model.build () in
   let rp = Rpki_repo.Model.relying_party m in
   Test.make_grouped ~name:"relying-party"
-    [ Test.make ~name:"full-sync-model"
-        (Staged.stage (fun () ->
-             Rpki_repo.Relying_party.sync rp ~now:1 ~universe:m.Rpki_repo.Model.universe ())) ]
+    (Test.make ~name:"full-sync-model"
+       (Staged.stage (fun () ->
+            Rpki_repo.Relying_party.sync rp ~now:1 ~universe:m.Rpki_repo.Model.universe ()))
+    :: bench_point ())
 
 let bench_rrdp () =
   let pp = Rpki_repo.Pub_point.create ~uri:"rsync://bench/repo" ~addr:0 ~host_asn:1 in

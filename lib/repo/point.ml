@@ -1,8 +1,15 @@
-(* From-scratch validation of one point's contents, recording every
-   validity boundary consulted so the outcome can be replayed at a
-   different [now].  No relying-party state, no transport, no URI: the
-   outcome is URI-free (see {!Valcache.outcome}), issues carry only
-   filename and reason here, and the caller re-attaches the URI. *)
+(* Validation of one point's contents, recording every validity boundary
+   consulted so the outcome can be replayed at a different [now].  No
+   relying-party state, no transport, no URI: the outcome is URI-free (see
+   {!Valcache.outcome}), issues carry only filename and reason here, and
+   the caller re-attaches the URI.
+
+   Every file at the point leaves one flat record.  A validation given the
+   records of an earlier validation of the same point under the same
+   issuing certificate takes an object's record over when nothing its
+   contribution read has changed, and checks the object afresh otherwise;
+   without earlier records every object is checked afresh, by the same
+   code. *)
 
 open Rpki_core
 
@@ -13,52 +20,126 @@ let vrp_set_hash vrps =
   Rpki_crypto.Sha256.digest
     (String.concat "\n" (List.map Vrp.to_string (List.sort_uniq Vrp.compare vrps)))
 
-let validate ?verify ~now ~(ca_cert : Cert.t) ~parent_fp ~snap_fp snapshot =
-  let local_issues = ref [] in
-  let local_vrps = ref [] in
-  let children = ref [] in
-  let failed = ref Resources.empty in
-  let boundaries = ref [ ca_cert.Cert.not_before; ca_cert.Cert.not_after ] in
-  let window (c : Cert.t) = boundaries := c.Cert.not_before :: c.Cert.not_after :: !boundaries in
-  let problem ?filename kind reason =
-    local_issues := (filename, kind, reason) :: !local_issues
-  in
-  let decode_file filename =
-    match List.assoc_opt filename snapshot with
-    | None -> None
-    | Some bytes -> (
+(* What one file adds to the outcome beside its digest and boundaries. *)
+type contribution =
+  | Nothing                  (* a valid EE certificate; the manifest and CRL *)
+  | Vrps of Vrp.t list       (* a valid ROA *)
+  | Child of Cert.t          (* a valid CA certificate *)
+  | Rejected of Resources.t * Validation.failure
+      (* a certificate or ROA that failed, with the resources it leaves
+         dark: a CA certificate's own, else none *)
+  | Issue of Validation.issue_kind * string
+      (* an undecodable file, or an extra CRL or manifest *)
+
+type file = {
+  f_name : string;
+  f_bytes : string;         (* the bytes validated, shared with the listing *)
+  f_digest : string;        (* their SHA-256 *)
+  f_bounds : Rtime.t list;  (* the instants its window's predicates flip *)
+  f_serial : int;           (* the serial the CRL was asked about; -1 if none *)
+  f_revoked : bool;         (* the CRL's answer *)
+  f_result : contribution;
+}
+
+type results = {
+  r_parent_fp : string;  (* the issuing certificate the records were made under *)
+  r_at : Rtime.t;        (* the [now] they hold at *)
+  r_files : file list;   (* in listing order *)
+  r_vrps : Vrp.t list;   (* the outcome's VRPs ... *)
+  r_vrp_hash : string;   (* ... and their digest *)
+}
+
+(* Validation reads time through three predicates only: [now < not_before],
+   [not_after < now] and [next_update < now].  Each boundary is the first
+   instant at which its predicate reads true or stops reading true, so two
+   instants on the same {!Valcache.side} of every boundary read the same
+   answers.  A CRL's or manifest's [this_update] is never read. *)
+let window (c : Cert.t) = [ c.Cert.not_before; Rtime.add c.Cert.not_after 1 ]
+
+let bounds = function
+  | Obj.Cert c -> window c
+  | Obj.Roa r -> window r.Roa.ee
+  | Obj.Crl c -> [ Rtime.add c.Crl.next_update 1 ]
+  | Obj.Manifest m -> window m.Manifest.ee @ [ Rtime.add m.Manifest.next_update 1 ]
+
+(* A missing or invalid CRL revokes nothing. *)
+let revoked crl serial = match crl with Some c -> Crl.revokes c serial | None -> false
+
+(* A certificate's or ROA's failure as a validation at [now] would report
+   it: only the window failures name the instant. *)
+let at_now ~now = function
+  | Validation.Expired e -> Validation.Expired { e with now }
+  | Validation.Not_yet_valid e -> Validation.Not_yet_valid { e with now }
+  | f -> f
+
+(* The record of one file.  [previous] is the earlier validation's record
+   under this name, if any, and [prev_at] its [now]; it stands while the
+   bytes are the same, [now] sits on the same side of each of its
+   boundaries and the CRL gives the same answer for its serial.  Otherwise
+   the file is hashed and, unless it is the manifest or CRL [slot] the
+   caller checks itself, decoded and validated. *)
+let file ?verify ~now ~(ca_cert : Cert.t) ~crl ~previous ~prev_at ~slot (filename, bytes) =
+  match previous with
+  | Some f
+    when String.equal f.f_bytes bytes
+         && List.for_all (fun b -> Valcache.side now b = Valcache.side prev_at b) f.f_bounds
+         && revoked crl f.f_serial = f.f_revoked ->
+    if f.f_bytes == bytes then f else { f with f_bytes = bytes }
+  | _ -> (
+    let record ?(bounds = []) ?(serial = -1) result =
+      { f_name = filename; f_bytes = bytes; f_digest = Rpki_crypto.Sha256.digest bytes;
+        f_bounds = bounds; f_serial = serial; f_revoked = revoked crl serial;
+        f_result = result }
+    in
+    if slot then record Nothing
+    else
       match Obj.decode ~filename bytes with
-      | Ok o ->
-        (match o with
-        | Obj.Cert c -> window c
-        | Obj.Roa r -> window r.Roa.ee
-        | Obj.Crl c -> boundaries := c.Crl.this_update :: c.Crl.next_update :: !boundaries
-        | Obj.Manifest m ->
-          window m.Manifest.ee;
-          boundaries := m.Manifest.this_update :: m.Manifest.next_update :: !boundaries);
-        Some o
-      | Error e ->
-        problem ~filename Validation.Ik_malformed e;
-        None)
-  in
-  (* the CA's own manifest, if present and well-formed *)
+      | Error e -> record (Issue (Validation.Ik_malformed, e))
+      | Ok o -> (
+        let bounds = bounds o in
+        match o with
+        | Obj.Cert c ->
+          record ~bounds ~serial:c.Cert.serial
+            (match Validation.validate_cert ?verify ~now ~parent:ca_cert ?crl c with
+            | Ok () -> if c.Cert.is_ca then Child c else Nothing
+            | Error f ->
+              (* a child CA that fails here is a CA we cannot descend
+                 into: whatever it would have spoken for is dark, so its
+                 claimed resources feed the unsafe-VRP analysis *)
+              Rejected ((if c.Cert.is_ca then c.Cert.resources else Resources.empty), f))
+        | Obj.Roa r ->
+          record ~bounds ~serial:r.Roa.ee.Cert.serial
+            (match Validation.validate_roa ?verify ~now ~parent:ca_cert ?crl r with
+            | Ok vs -> Vrps vs
+            | Error f -> Rejected (Resources.empty, f))
+        | Obj.Crl _ ->
+          record ~bounds (Issue (Validation.Ik_unlisted_object, "unexpected extra CRL"))
+        | Obj.Manifest _ ->
+          record ~bounds (Issue (Validation.Ik_unlisted_object, "unexpected extra manifest"))))
+
+let issue filename kind reason = (Some filename, kind, reason)
+
+(* The manifest or CRL slot: the object decoded there with its boundaries,
+   or the issue it raised. *)
+let slot listing filename =
+  match List.assoc_opt filename listing with
+  | None -> (None, [], [])
+  | Some bytes -> (
+    match Obj.decode ~filename bytes with
+    | Ok o -> (Some o, bounds o, [])
+    | Error e -> (None, [], [ issue filename Validation.Ik_malformed e ]))
+
+let validate ?verify ?prev ~now ~(ca_cert : Cert.t) ~parent_fp ~snap_fp listing =
   let mft_name =
     Option.value ca_cert.Cert.manifest_uri ~default:(ca_cert.Cert.subject ^ ".mft")
   in
-  (* transparency fields: what the point *served*, recorded even when the
-     manifest fails validation — the log keeps evidence, not judgements *)
-  let mft_hash =
-    match List.assoc_opt mft_name snapshot with
-    | Some bytes -> Rpki_crypto.Sha256.digest bytes
-    | None -> ""
-  in
-  let mft_number = ref 0 in
-  let manifest =
-    match decode_file mft_name with
+  let crl_name = ca_cert.Cert.subject ^ ".crl" in
+  let mft, mft_bounds, mft_malformed = slot listing mft_name in
+  let manifest, mft_issues =
+    match mft with
     | Some (Obj.Manifest m) -> (
-      mft_number := m.Manifest.manifest_number;
       match Validation.validate_manifest ?verify ~now ~parent:ca_cert m with
-      | Ok () -> Some m
+      | Ok () -> (Some m, [])
       | Error f ->
         (* the shared Stale_crl failure means "window closed" here — on a
            manifest that is staleness, not an expired CRL *)
@@ -67,91 +148,118 @@ let validate ?verify ~now ~(ca_cert : Cert.t) ~parent_fp ~snap_fp snapshot =
           | Validation.Stale_crl _ -> Validation.Ik_stale_manifest
           | f -> Validation.failure_kind f
         in
-        problem ~filename:mft_name kind (Validation.failure_to_string f);
-        None)
+        (None, [ issue mft_name kind (Validation.failure_to_string f) ]))
     | Some _ ->
-      problem ~filename:mft_name Validation.Ik_missing_manifest
-        "manifest slot holds a different object";
-      None
+      let why = "manifest slot holds a different object" in
+      (None, [ issue mft_name Validation.Ik_missing_manifest why ])
     | None ->
-      problem ~filename:mft_name Validation.Ik_missing_manifest
-        "manifest missing or undecodable";
-      None
+      (None, [ issue mft_name Validation.Ik_missing_manifest "manifest missing or undecodable" ])
   in
-  (* manifest completeness / integrity check *)
-  (match manifest with
-  | None -> ()
-  | Some m ->
-    List.iter
-      (fun (e : Manifest.entry) ->
-        match List.assoc_opt e.Manifest.filename snapshot with
-        | None ->
-          problem ~filename:e.Manifest.filename Validation.Ik_missing_object
-            "listed on manifest but missing"
-        | Some bytes ->
-          if not (Rpki_crypto.Hmac.equal_digest (Rpki_crypto.Sha256.digest bytes) e.Manifest.hash)
-          then
-            problem ~filename:e.Manifest.filename Validation.Ik_hash_mismatch
-              "hash mismatch with manifest")
-      m.Manifest.entries;
-    List.iter
-      (fun (filename, _) ->
-        if filename <> mft_name && Manifest.find m filename = None then
-          problem ~filename Validation.Ik_unlisted_object "present but not listed on manifest")
-      snapshot);
   (* the CA's CRL for the objects it issued *)
-  let crl_name = ca_cert.Cert.subject ^ ".crl" in
-  let crl =
-    match decode_file crl_name with
+  let crl, crl_bounds, crl_malformed = slot listing crl_name in
+  let crl, crl_issues =
+    match crl with
     | Some (Obj.Crl c) -> (
       match Validation.validate_crl ?verify ~now ~parent:ca_cert c with
-      | Ok () -> Some c
+      | Ok () -> (Some c, [])
       | Error f ->
-        problem ~filename:crl_name (Validation.failure_kind f)
-          (Validation.failure_to_string f);
-        None)
+        (None, [ issue crl_name (Validation.failure_kind f) (Validation.failure_to_string f) ]))
     | Some _ | None ->
-      problem ~filename:crl_name Validation.Ik_missing_crl "CRL missing or undecodable";
-      None
+      (None, [ issue crl_name Validation.Ik_missing_crl "CRL missing or undecodable" ])
   in
-  (* process every other object at the point *)
+  (* every file's record, the earlier validation's taken over where it
+     stands.  Both listings are sorted by name, so one cursor walks the
+     earlier records; a name out of order only misses. *)
+  let prev_at, earlier =
+    match prev with
+    | Some p when String.equal p.r_parent_fp parent_fp -> (p.r_at, ref p.r_files)
+    | _ -> (now, ref [])
+  in
+  let rec previous name =
+    match !earlier with
+    | f :: rest when String.compare f.f_name name < 0 ->
+      earlier := rest;
+      previous name
+    | f :: rest when String.equal f.f_name name ->
+      earlier := rest;
+      Some f
+    | _ -> None
+  in
+  let files =
+    List.map
+      (fun ((filename, _) as entry) ->
+        file ?verify ~now ~ca_cert ~crl ~previous:(previous filename) ~prev_at
+          ~slot:(filename = mft_name || filename = crl_name) entry)
+      listing
+  in
+  let record name = List.find_opt (fun f -> String.equal f.f_name name) files in
+  (* manifest completeness / integrity check *)
+  let listed_issues =
+    match manifest with
+    | None -> []
+    | Some m ->
+      List.filter_map
+        (fun (e : Manifest.entry) ->
+          let filename = e.Manifest.filename in
+          match record filename with
+          | None ->
+            Some (issue filename Validation.Ik_missing_object "listed on manifest but missing")
+          | Some f when not (Rpki_crypto.Hmac.equal_digest f.f_digest e.Manifest.hash) ->
+            Some (issue filename Validation.Ik_hash_mismatch "hash mismatch with manifest")
+          | Some _ -> None)
+        m.Manifest.entries
+      @ List.filter_map
+          (fun f ->
+            if f.f_name <> mft_name && Manifest.find m f.f_name = None then
+              let why = "present but not listed on manifest" in
+              Some (issue f.f_name Validation.Ik_unlisted_object why)
+            else None)
+          files
+  in
+  let boundaries = ref (crl_bounds @ mft_bounds @ window ca_cert) in
+  let vrps = ref [] and children = ref [] and failed = ref Resources.empty in
+  let file_issues = ref [] in
   List.iter
-    (fun (filename, _) ->
-      if filename = mft_name || filename = crl_name then ()
-      else begin
-        match decode_file filename with
-        | None -> ()
-        | Some (Obj.Cert c) -> (
-          match Validation.validate_cert ?verify ~now ~parent:ca_cert ?crl c with
-          | Ok () ->
-            if c.Cert.is_ca then
-              (* the bytes [decode_file] read: the child point's parent_fp *)
-              let bytes = List.assoc filename snapshot in
-              children := (c, Rpki_crypto.Sha256.digest bytes) :: !children
-          | Error f ->
-            (* a child CA that fails here is a CA we cannot descend into:
-               whatever it would have spoken for is dark, so its claimed
-               resources feed the unsafe-VRP analysis *)
-            if c.Cert.is_ca then failed := Resources.union !failed c.Cert.resources;
-            problem ~filename (Validation.failure_kind f) (Validation.failure_to_string f))
-        | Some (Obj.Roa r) -> (
-          match Validation.validate_roa ?verify ~now ~parent:ca_cert ?crl r with
-          | Ok vs -> local_vrps := vs @ !local_vrps
-          | Error f ->
-            problem ~filename (Validation.failure_kind f) (Validation.failure_to_string f))
-        | Some (Obj.Crl _) -> problem ~filename Validation.Ik_unlisted_object "unexpected extra CRL"
-        | Some (Obj.Manifest _) ->
-          problem ~filename Validation.Ik_unlisted_object "unexpected extra manifest"
-      end)
-    snapshot;
-  { Valcache.o_parent_fp = parent_fp;
-    o_snap_fp = snap_fp;
-    o_at = now;
-    o_boundaries = !boundaries;
-    o_vrps = !local_vrps;
-    o_vrp_hash = vrp_set_hash !local_vrps;
-    o_issues = List.rev !local_issues;
-    o_failed_resources = !failed;
-    o_children = List.rev !children;
-    o_mft_number = !mft_number;
-    o_mft_hash = mft_hash }
+    (fun f ->
+      boundaries := f.f_bounds @ !boundaries;
+      match f.f_result with
+      | Nothing -> ()
+      | Vrps vs -> vrps := vs @ !vrps
+      | Child c -> children := (c, f.f_digest) :: !children
+      | Rejected (dark, failure) ->
+        failed := Resources.union !failed dark;
+        file_issues :=
+          issue f.f_name (Validation.failure_kind failure)
+            (Validation.failure_to_string (at_now ~now failure))
+          :: !file_issues
+      | Issue (kind, reason) -> file_issues := issue f.f_name kind reason :: !file_issues)
+    files;
+  let vrps = !vrps in
+  (* a point whose VRPs did not change, such as one that was only
+     re-signed, keeps their digest *)
+  let vrp_hash =
+    match prev with
+    | Some p when List.equal Vrp.equal p.r_vrps vrps -> p.r_vrp_hash
+    | _ -> vrp_set_hash vrps
+  in
+  let outcome =
+    { Valcache.o_parent_fp = parent_fp;
+      o_snap_fp = snap_fp;
+      o_at = now;
+      o_boundaries = !boundaries;
+      o_vrps = vrps;
+      o_vrp_hash = vrp_hash;
+      o_issues =
+        mft_malformed @ mft_issues @ listed_issues @ crl_malformed @ crl_issues
+        @ List.rev !file_issues;
+      o_failed_resources = !failed;
+      o_children = List.rev !children;
+      (* what the point served, recorded even when the manifest fails
+         validation: the log keeps evidence, not judgements *)
+      o_mft_number =
+        (match mft with Some (Obj.Manifest m) -> m.Manifest.manifest_number | _ -> 0);
+      o_mft_hash = (match record mft_name with Some f -> f.f_digest | None -> "") }
+  in
+  ( outcome,
+    { r_parent_fp = parent_fp; r_at = now; r_files = files; r_vrps = vrps;
+      r_vrp_hash = vrp_hash } )

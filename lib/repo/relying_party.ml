@@ -14,19 +14,27 @@
    Sync is incremental.  Each publication point's listing carries a SHA-256
    fingerprint; per (point, issuing certificate) the RP memoizes the full
    validation outcome — VRPs, issues, child CA certificates — together with
-   every validity-window boundary that outcome depended on.  A warm tick
+   every validity-window boundary that outcome depended on, and the
+   per-file results of its own last validation of the point.  A warm tick
    re-fetches (cheap: the fingerprint is cached on the point) but only
    re-validates points whose fingerprint, parent certificate, or
-   time-window side changed.  The resulting VRP set is diffed against the
-   previous tick's and the diff patches the origin-validation index in
-   place; the same diff feeds the RTR cache as a serial delta.
+   time-window side changed, and inside such a point it checks only the
+   manifest, the CRL and the objects whose bytes, window side or
+   revocation answer changed; every other object's contribution is
+   replayed.  The resulting VRP set is diffed against the previous tick's
+   and the diff patches the origin-validation index in place; the same
+   diff feeds the RTR cache as a serial delta.
 
    Equivalence invariant: a warm sync produces exactly the VRP set, index
-   and classification results a cold from-scratch sync would.  Reuse is
-   only ever taken when (a) the listing bytes are fingerprint-identical,
-   (b) the issuing certificate is byte-identical, and (c) [now] sits on the
-   same side of every validity boundary the original validation consulted —
-   validation's only dependence on time is those window comparisons. *)
+   and classification results a cold from-scratch sync would.  A point's
+   outcome is only ever reused when (a) the listing bytes are
+   fingerprint-identical, (b) the issuing certificate is byte-identical,
+   and (c) [now] sits on the same side of every validity boundary the
+   original validation consulted — validation's only dependence on time is
+   those window comparisons.  An object's contribution is only ever reused
+   under (b), for the same name and bytes, with [now] on the same side of
+   its own window's boundaries and the same answer from the current CRL
+   for its serial. *)
 
 open Rpki_core
 module Tlog = Rpki_transparency.Log
@@ -192,6 +200,14 @@ type point_state = {
   ps_vrps : Vrp.t list;
 }
 
+(* A point's memo entry: its outcome, and the per-file results of this
+   vantage's own last validation of it, which the next one replays object
+   by object.  The results never enter the shared plane.  An outcome the
+   shared plane served keeps the results of the last validation before it:
+   each record holds at the instant it was made, so an older one is still
+   sound, only less often reusable. *)
+type memo_entry = { outcome : Valcache.outcome; files : Point.results option }
+
 type t = {
   name : string;
   asn : int; (* the AS where this relying party sits *)
@@ -204,12 +220,13 @@ type t = {
      of delaying legitimate revocations by the same window. *)
   cache : (string, cached_point) Hashtbl.t; (* uri -> last good copy *)
   rrdp_clients : (string, Rrdp.client) Hashtbl.t; (* primary uri -> RRDP state *)
-  memo : (string, (string * Valcache.outcome) list) Hashtbl.t;
-  (* uri -> parent key id -> outcome.  The outcome is URI-free, a pure
-     function of (issuing certificate bytes, listing bytes, window sides),
-     so one computed by one vantage can be replayed verbatim from the
-     shared validation plane by any other vantage that observed the same
-     content; each vantage re-attaches its own URI to the issues. *)
+  memo : (string, (string * memo_entry) list) Hashtbl.t;
+  (* uri -> parent key id -> outcome and per-file results.  The outcome is
+     URI-free, a pure function of (issuing certificate bytes, listing
+     bytes, window sides), so one computed by one vantage can be replayed
+     verbatim from the shared validation plane by any other vantage that
+     observed the same content; each vantage re-attaches its own URI to
+     the issues. *)
   mutable walked : Vrp.t list list;
   (* the [o_vrps] of every point the last sync walked, newest first ... *)
   mutable union : Vrp.t list;
@@ -292,14 +309,14 @@ let point_vrps t ~uri =
   | None -> []
   | Some entries ->
     List.sort_uniq Vrp.compare
-      (List.concat_map (fun (_, e) -> e.Valcache.o_vrps) entries)
+      (List.concat_map (fun (_, m) -> m.outcome.Valcache.o_vrps) entries)
 
 (* Every memoized outcome, with its point's URI: the raw memo that
    [point_vrps] reads one URI of. *)
 let memoized t =
   Hashtbl.fold
     (fun uri entries acc ->
-      List.fold_left (fun acc (_, e) -> (uri, e.Valcache.o_vrps) :: acc) acc entries)
+      List.fold_left (fun acc (_, m) -> (uri, m.outcome.Valcache.o_vrps) :: acc) acc entries)
     t.memo []
 
 (* The vantage's tree-head signing key, generated on first use (keygen is
@@ -575,15 +592,17 @@ let fetch run uri =
 (* --- walk: depth first from each trust anchor --- *)
 
 (* The outcome of [ca_cert]'s point for this listing: the private memo's
-   while it is current, else the shared plane's, else a fresh validation.
-   A memo entry survives a change of [now] iff [now] falls on the same
-   side of every boundary the original validation compared against — the
-   rule is shared with the cross-vantage cache. *)
+   while it is current, else the shared plane's, else a validation that
+   replays each unchanged object from this vantage's last validation of
+   the point.  A memo entry survives a change of [now] iff [now] falls on
+   the same side of every boundary the original validation compared
+   against — the rule is shared with the cross-vantage cache. *)
 let outcome run ~uri ~key ~ca_cert ~parent_fp ~snap_fp snapshot =
   let now = run.now in
   let entries = Option.value (Hashtbl.find_opt run.rp.memo uri) ~default:[] in
-  match List.assoc_opt key entries with
-  | Some e
+  let memo = List.assoc_opt key entries in
+  match memo with
+  | Some { outcome = e; _ }
     when String.equal e.Valcache.o_parent_fp parent_fp
          && String.equal e.Valcache.o_snap_fp snap_fp && Valcache.outcome_current e ~now ->
     run.reused <- run.reused + 1;
@@ -591,24 +610,31 @@ let outcome run ~uri ~key ~ca_cert ~parent_fp ~snap_fp snapshot =
   | _ ->
     (* a per-vantage miss; [reused]/[revalidated] count only this private
        memo, so the sync result is identical whether the miss is then
-       served by the shared plane or by fresh validation.  A shared outcome
-       is rebased to [now] — sound because {!Valcache.find_point} already
+       served by the shared plane or by validation.  A shared outcome is
+       rebased to [now] — sound because {!Valcache.find_point} already
        checked that [now] sits on the same side of every recorded boundary,
        so a fresh validation at [now] would produce exactly this entry. *)
     run.revalidated <- run.revalidated + 1;
-    let e =
-      let fresh () = Point.validate ?verify:run.verify ~now ~ca_cert ~parent_fp ~snap_fp snapshot in
+    let prev = Option.bind memo (fun m -> m.files) in
+    let validate () =
+      let e, files =
+        Point.validate ?verify:run.verify ?prev ~now ~ca_cert ~parent_fp ~snap_fp snapshot
+      in
+      (e, Some files)
+    in
+    let e, files =
       match run.valcache with
-      | None -> fresh ()
+      | None -> validate ()
       | Some vc -> (
         match Valcache.find_point vc ~parent_fp ~snap_fp ~now with
-        | Some o -> { o with Valcache.o_at = now }
+        | Some o -> ({ o with Valcache.o_at = now }, prev)
         | None ->
-          let e = fresh () in
+          let ((e, _) as validated) = validate () in
           Valcache.store_point vc e;
-          e)
+          validated)
     in
-    Hashtbl.replace run.rp.memo uri ((key, e) :: List.remove_assoc key entries);
+    Hashtbl.replace run.rp.memo uri
+      ((key, { outcome = e; files }) :: List.remove_assoc key entries);
     e
 
 (* Transparency: record the state [uri] served this sync.  The leaf is

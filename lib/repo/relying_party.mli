@@ -14,7 +14,9 @@
     Sync is incremental: per publication point the RP memoizes the
     validation outcome keyed by the point's content fingerprint, the
     issuing certificate, and the validity windows consulted; unchanged
-    points are not re-validated.  Each {!sync} also reports the VRP
+    points are not re-validated, and inside a changed point only the
+    manifest, the CRL and the objects whose bytes, window side or
+    revocation answer changed are.  Each {!sync} also reports the VRP
     {!Vrp.diff} against the previous sync and maintains an
     {!Origin_validation.index} patched in place by that diff.  A warm sync
     is guaranteed to produce exactly the VRP set and classification results
@@ -25,7 +27,8 @@
     call: {e fetch} brings each point down the ladder, every attempt on
     any channel one timed request under the budget; the {e walk} goes
     depth first from each trust anchor, replays a point from the memo or
-    the shared plane or validates it with {!Point.validate}, and appends
+    the shared plane or validates it with {!Point.validate} (replaying
+    each unchanged object from its own last validation), and appends
     what it served to the transparency log; the {e commit} takes the union
     of the walked VRPs, applies grace and the unsafe-VRP policy, and diffs
     against the previous sync.  The persisted-state format is

@@ -15,7 +15,9 @@
      The certificate digest is of the bytes it was served as, taken once
      when the parent point was validated.  An outcome is replayable at a
      different [now] exactly when [now] sits on the same side of every
-     recorded boundary — the same rule the per-vantage memo uses.
+     recorded boundary — the same rule the per-vantage memo uses.  A
+     boundary is the instant one of validation's time predicates changes
+     its answer ({!Point.validate}), so the side is two-valued.
 
    Split-view safety is structural, not policed: a misbehaving authority
    that serves a forked manifest to one vantage necessarily changes that
@@ -52,8 +54,10 @@ type outcome = {
   o_mft_hash : string;           (* SHA-256 of the manifest bytes; "" if none *)
 }
 
-(* Same boundary-side rule as the relying party's private memo. *)
-let side a b = compare (Rtime.compare a b) 0
+(* Which side of boundary [b] the instant [now] is on: before it, or at
+   or after it.  Same rule as the relying party's private memo and the
+   per-file records of {!Point}. *)
+let side now b = Rtime.compare now b < 0
 
 let outcome_current o ~now =
   Rtime.compare o.o_at now = 0
@@ -205,15 +209,16 @@ let store_point t o =
 (* --- epoch-based eviction ------------------------------------------------
 
    The cache is a pure memo, so dropping entries can never change results —
-   only re-run crypto.  [evict ~now] drops exactly the entries whose every
-   consulted validity boundary lies strictly in the past: an outcome all of
-   whose windows have closed, and a verdict whose inherited deadline (the
-   latest boundary of the outcomes that consulted it) has passed.  Entries
-   for live content are untouched, so residency tracks the distinct live
+   only re-run crypto.  [evict ~now] drops exactly the entries [now] is
+   past every consulted validity boundary of: an outcome all of whose
+   windows have closed, and a verdict whose inherited deadline (the latest
+   boundary of the outcomes that consulted it) has passed.  Entries for
+   live content are untouched, so residency tracks the distinct live
    content in the universe instead of growing with history. *)
 
-let all_passed boundaries ~now =
-  boundaries <> [] && List.for_all (fun b -> Rtime.compare b now < 0) boundaries
+let passed b ~now = not (side now b)
+
+let all_passed boundaries ~now = boundaries <> [] && List.for_all (passed ~now) boundaries
 
 let evict t ~now =
   let dead_points =
@@ -227,7 +232,7 @@ let evict t ~now =
     Hashtbl.fold
       (fun k v acc ->
         match v.vd_deadline with
-        | Some d when Rtime.compare d now < 0 -> k :: acc
+        | Some d when passed d ~now -> k :: acc
         | _ -> acc)
       t.verdicts []
   in

@@ -62,9 +62,15 @@ type outcome = {
     certificate — what the relying party's per-vantage memo stores, minus
     anything vantage-specific. *)
 
+val side : Rtime.t -> Rtime.t -> bool
+(** [side now b]: whether [now] is before boundary [b].  A boundary is the
+    first instant at which a time predicate of validation changes its
+    answer, so two instants on the same side of every boundary of an
+    outcome read the same answers. *)
+
 val outcome_current : outcome -> now:Rtime.t -> bool
 (** Whether the outcome is replayable at [now]: true when [now] sits on the
-    same side of every boundary in [o_boundaries] as [o_at] did. *)
+    same {!side} of every boundary in [o_boundaries] as [o_at] did. *)
 
 val find_point : t -> parent_fp:string -> snap_fp:string -> now:Rtime.t -> outcome option
 (** A memoized outcome for this (issuing certificate, listing) pair, if one
@@ -97,8 +103,8 @@ val begin_tick : t -> digest:string -> unit
 (** {2 Epoch-based eviction} *)
 
 val evict : t -> now:Rtime.t -> unit
-(** Drop exactly the entries whose every consulted validity boundary lies
-    strictly before [now]: publication-point outcomes all of whose windows
+(** Drop exactly the entries whose every consulted validity boundary is
+    at or before [now]: publication-point outcomes all of whose windows
     have closed, and RSA verdicts whose inherited deadline (the latest
     boundary among the outcomes whose validation consulted them) has
     passed.  Pure memo, so eviction can never change results — only re-run

@@ -21,7 +21,9 @@ type cache = {
       (* [current]'s origin-validation index, built on first demand and
          patched with each delta after that *)
   mutable holds : (V4.Prefix.t * Vrp.t list) list; (* pinned prefix -> last-good VRPs *)
-  mutable deltas : (int * Vrp.diff) list; (* serial -> diff from serial-1, newest first *)
+  mutable deltas : Vrp.diff list;
+      (* newest first: the i-th (from 0) leads to [serial - i] from the
+         serial before it, mod 2^32 *)
   mutable data_age : int; (* staleness of the RP data behind [current] *)
   history_limit : int;
 }
@@ -62,16 +64,21 @@ let apply_holds cache vrps =
     Vrp.normalize
       (List.filter (fun v -> not (covered v)) vrps @ List.concat_map snd holds)
 
+(* RTR serials are RFC 1982 serial numbers of 32 bits (RFC 8210): they
+   wrap from 2^32 - 1 to 0, and the distance from a router's serial to the
+   cache's is their difference mod 2^32. *)
+let serial_mask = 0xFFFF_FFFF
+
 (* Re-derive the router-visible set from the feed; bump the serial and
    record the delta only when something actually changed. *)
 let republish cache =
   let vrps = apply_holds cache cache.feed in
   let d = Vrp.diff_of ~before:cache.current ~after:vrps in
   if not (Vrp.diff_is_empty d) then begin
-    cache.serial <- cache.serial + 1;
+    cache.serial <- (cache.serial + 1) land serial_mask;
     cache.current <- vrps;
     cache.index <- Option.map (fun idx -> Origin_validation.apply_diff idx d) cache.index;
-    cache.deltas <- (cache.serial, d) :: cache.deltas;
+    cache.deltas <- d :: cache.deltas;
     if List.length cache.deltas > cache.history_limit then
       cache.deltas <- List.filteri (fun i _ -> i < cache.history_limit) cache.deltas
   end
@@ -119,7 +126,7 @@ let release cache ~prefix =
    that does not fit the PDU's 32 bits is refused before the cache is
    touched, so the failure lands here and not at every later encode. *)
 let restore cache ~serial ~vrps =
-  if serial > 0xFFFF_FFFF then
+  if serial > serial_mask then
     invalid_arg (Printf.sprintf "Session.restore: serial %d does not fit 32 bits" serial);
   let vrps = Vrp.normalize vrps in
   cache.serial <- max 0 serial;
@@ -132,10 +139,12 @@ let restore cache ~serial ~vrps =
 let notify cache = Pdu.Serial_notify { session_id = cache.session_id; serial = cache.serial }
 
 (* The net announce/withdraw sets between [serial] and now, by composing the
-   stored deltas oldest-first; [None] when the window no longer reaches back
-   that far.  Composition cancels flapping: a VRP removed then re-added (or
-   added then removed) across the window must not appear at all, or the
-   router would see a withdrawal of a VRP it never had. *)
+   newest d stored deltas oldest-first, d the serial distance from
+   [serial] to the cache's; [None] when the window no longer reaches back
+   that far (a serial ahead of the cache's lies nearly 2^32 behind it).
+   Composition cancels flapping: a VRP removed then re-added (or added then
+   removed) across the window must not appear at all, or the router would
+   see a withdrawal of a VRP it never had. *)
 (* The accumulator is a hashtable keyed by VRP — O(1) per delta entry
    instead of a map's O(log n) per op (and no quadratic list appends),
    which matters when the serving plane composes deep windows for
@@ -143,8 +152,9 @@ let notify cache = Pdu.Serial_notify { session_id = cache.session_id; serial = c
    returning so the output — and hence every encoded response buffer —
    stays deterministic. *)
 let changes_since cache ~serial =
-  if serial = cache.serial then Some ([], [])
-  else if serial > cache.serial || serial < cache.serial - List.length cache.deltas then None
+  let distance = (cache.serial - serial) land serial_mask in
+  if distance = 0 then Some ([], [])
+  else if distance > List.length cache.deltas then None
   else begin
     let tbl = Hashtbl.create 64 in
     (* first op tells the state at [serial] (a withdraw implies it was
@@ -156,12 +166,10 @@ let changes_since cache ~serial =
       | Some (first, _) -> Hashtbl.replace tbl v (first, op)
     in
     List.iter
-      (fun (s, (d : Vrp.diff)) ->
-        if s > serial then begin
-          List.iter (record `Withdraw) d.Vrp.removed;
-          List.iter (record `Announce) d.Vrp.added
-        end)
-      (List.rev cache.deltas);
+      (fun (d : Vrp.diff) ->
+        List.iter (record `Withdraw) d.Vrp.removed;
+        List.iter (record `Announce) d.Vrp.added)
+      (List.rev (List.filteri (fun i _ -> i < distance) cache.deltas));
     (* only genuine transitions are emitted *)
     let announced, withdrawn =
       Hashtbl.fold

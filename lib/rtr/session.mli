@@ -49,7 +49,8 @@ val cache_data_age : cache -> int
 
 val publish : cache -> Vrp.t list -> unit
 (** Install a new VRP set (e.g. after each relying-party sync); bumps the
-    serial and records a delta only when the set actually changed. *)
+    serial and records a delta only when the set actually changed.  The
+    serial is an RFC 1982 serial number of 32 bits: 2^32 - 1 bumps to 0. *)
 
 exception
   Base_mismatch of {
@@ -103,7 +104,9 @@ val notify : cache -> Pdu.t
 val changes_since : cache -> serial:int -> (Vrp.t list * Vrp.t list) option
 (** [(announced, withdrawn)] net of delta composition since [serial] —
     VRPs that flapped within the window are cancelled out; [None] when
-    [serial] has left the retained window. *)
+    [serial] has left the retained window.  How far back [serial] lies is
+    the RFC 1982 distance [(cache serial - serial) mod 2^32], so a router
+    just before a wrap gets a delta across it. *)
 
 val serve : cache -> string -> string
 (** Handle one encoded client request, returning the encoded response

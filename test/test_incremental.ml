@@ -441,9 +441,170 @@ let prop_grace_equivalence =
           QCheck.Gen.(pair (int_range 1 1000) (int_range 0 4)))
        grace_equiv)
 
+(* --- object reuse inside a changed point --------------------------------
+
+   [Point.validate ?prev] replays an object's contribution from the earlier
+   validation when nothing it read has changed.  The oracle: on any
+   sequence of (point state, instant), validating with the previous step's
+   results gives, field for field, what a validation without them gives.
+
+   The states are a CA [C] under a trust anchor, with five ROAs (one
+   outside the /17 the reissued certificate keeps) and a child CA [G], as
+   they evolve: refreshed, a ROA renewed under its name, one postdated
+   across its notBefore, one revoked with its old bytes served again and
+   then its CRL withheld, the manifest withheld, [G] revoked with its old
+   certificate served again (a failing child CA).  Each listing also comes
+   with an undecodable unlisted file, an extra CRL and an extra manifest,
+   and one in reverse order, and each is validated under [C]'s certificate
+   and a reissued one.  ROAs cross notAfter at 25 and the postdated one
+   notBefore at 10. *)
+
+type reuse_state = { rs_cert : Cert.t; rs_fp : string; rs_listing : (string * string) list }
+
+let reuse_states =
+  lazy
+    (let universe = Universe.create () in
+     let res s = Resources.of_v4_strings [ s ] in
+     let ta =
+       Authority.create_trust_anchor ~name:"TA-reuse" ~resources:(res "30.0.0.0/8")
+         ~uri:"rsync://ta-reuse/repo" ~addr:(V4.addr_of_string_exn "198.51.100.1") ~host_asn:1
+         ~now:0 ~universe ~validity:60 ()
+     in
+     let c =
+       Authority.create_child ta ~name:"C-reuse" ~resources:(res "30.1.0.0/16")
+         ~uri:"rsync://c-reuse/repo" ~addr:(V4.addr_of_string_exn "30.1.0.1") ~host_asn:2 ~now:0
+         ~universe ~validity:24 ~refresh_interval:8 ()
+     in
+     let g =
+       Authority.create_child c ~name:"G-reuse" ~resources:(res "30.1.128.0/17")
+         ~uri:"rsync://g-reuse/repo" ~addr:(V4.addr_of_string_exn "30.1.128.1") ~host_asn:3
+         ~now:0 ~universe ()
+     in
+     let roa i third =
+       fst
+         (Authority.issue_simple_roa c ~asid:(100 + i)
+            ~prefix:(V4.p (Printf.sprintf "30.1.%d.0/20" third))
+            ~now:0 ())
+     in
+     let r0 = roa 0 0 and r1 = roa 1 16 and r2 = roa 2 32 and _ = roa 3 48 and _ = roa 4 192 in
+     let pub = Authority.pub c in
+     let sort = List.sort (fun (a, _) (b, _) -> String.compare a b) in
+     let listings = ref [] in
+     let keep l = listings := sort l :: !listings in
+     let snapshot () = Pub_point.snapshot pub in
+     keep (snapshot ());
+     Authority.refresh c ~now:2;
+     keep (snapshot ());
+     ignore (Authority.renew_roa c ~filename:r0 ~now:3);
+     keep (snapshot ());
+     Authority.postdate_roa c ~filename:r1 ~delay:6 ~now:4;
+     keep (snapshot ());
+     let old_r2 = (r2, Option.get (Pub_point.get pub ~filename:r2)) in
+     Authority.revoke_roa c ~filename:r2 ~now:5;
+     let revoked = old_r2 :: snapshot () in
+     keep revoked;
+     let crl = Authority.name c ^ ".crl" in
+     keep (List.remove_assoc crl revoked);
+     keep (List.remove_assoc (Authority.manifest_filename c) revoked);
+     let g_file = Authority.name g ^ ".cer" in
+     let old_g = (g_file, Option.get (Pub_point.get pub ~filename:g_file)) in
+     Authority.revoke_child c g ~now:6;
+     keep (old_g :: snapshot ());
+     let ta_pub = Authority.pub ta in
+     let extras =
+       [ ("junk.roa", "not an object");
+         ("extra.crl", Option.get (Pub_point.get ta_pub ~filename:(Authority.name ta ^ ".crl")));
+         ("extra.mft", Option.get (Pub_point.get ta_pub ~filename:(Authority.manifest_filename ta)))
+       ]
+     in
+     let listings = List.rev !listings in
+     let listings =
+       listings @ List.map (fun l -> sort (extras @ l)) listings @ [ List.rev (List.hd listings) ]
+     in
+     let state cert =
+       let rs_fp = Rpki_crypto.Sha256.digest (Cert.encode cert) in
+       List.map (fun l -> { rs_cert = cert; rs_fp; rs_listing = l }) listings
+     in
+     let issued = Authority.cert c in
+     let reissued = Authority.shrink_child_cert ta c ~resources:(res "30.1.0.0/17") ~now:7 in
+     Array.of_list (state issued @ state reissued))
+
+(* Everything an outcome says, field by field, in order. *)
+let outcome_fields (o : Valcache.outcome) =
+  let module V = Valcache in
+  let hex = Rpki_util.Hex.of_string in
+  [ ("at", [ string_of_int o.V.o_at ]);
+    ("keys", [ hex o.V.o_parent_fp; o.V.o_snap_fp ]);
+    ("boundaries", List.map string_of_int o.V.o_boundaries);
+    ("VRPs", List.map Vrp.to_string o.V.o_vrps);
+    ("VRP-set hash", [ hex o.V.o_vrp_hash ]);
+    ( "issues",
+      List.map
+        (fun (filename, kind, reason) ->
+          Printf.sprintf "%s %s: %s" (Option.value filename ~default:"-")
+            (Validation.issue_kind_to_string kind) reason)
+        o.V.o_issues );
+    ("failed resources", [ Resources.to_string o.V.o_failed_resources ]);
+    ( "children",
+      List.map
+        (fun ((c : Cert.t), fp) -> Printf.sprintf "%s #%d %s" c.Cert.subject c.Cert.serial (hex fp))
+        o.V.o_children );
+    ("manifest", [ string_of_int o.V.o_mft_number; hex o.V.o_mft_hash ]) ]
+
+let object_reuse steps =
+  let states = Lazy.force reuse_states in
+  ignore
+    (List.fold_left
+       (fun prev (i, now) ->
+         let s = states.(i mod Array.length states) in
+         let validate ?prev () =
+           Point.validate ?prev ~now ~ca_cert:s.rs_cert ~parent_fp:s.rs_fp ~snap_fp:"listing"
+             s.rs_listing
+         in
+         let reused, results = validate ?prev () in
+         let fresh, _ = validate () in
+         List.iter2
+           (fun (field, a) (_, b) ->
+             if a <> b then
+               QCheck.Test.fail_reportf "state %d at %d: %s differ\n  reused: %s\n  fresh:  %s"
+                 (i mod Array.length states) now field (String.concat " | " a)
+                 (String.concat " | " b))
+           (outcome_fields reused) (outcome_fields fresh);
+         Some results)
+       None steps);
+  true
+
+let prop_object_reuse =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"object reuse == fresh point validation"
+       QCheck.(list_of_size Gen.(int_range 2 6) (pair (int_bound 1000) (int_bound 40)))
+       object_reuse)
+
+(* The work a refresh leaves: on the Section 6 model without a shared
+   plane, the sync after Continental re-signs its manifest and CRL checks
+   the trust anchor, the manifest's EE certificate and content and the CRL
+   (4 RSA verifications; its five ROAs are replayed), and the next tick
+   revalidates no point: a refresh's thisUpdate is no boundary. *)
+let test_refresh_work () =
+  let m = Model.build () in
+  let rp = Model.relying_party m in
+  let sync now = Relying_party.sync rp ~now ~universe:m.Model.universe () in
+  ignore (sync 1);
+  Authority.refresh m.Model.continental ~now:2;
+  let before = Rpki_crypto.Rsa.verification_count () in
+  let r = sync 2 in
+  Alcotest.(check int) "RSA verifications after the refresh" 4
+    (Rpki_crypto.Rsa.verification_count () - before);
+  Alcotest.(check int) "one point revalidated" 1 r.Relying_party.points_revalidated;
+  Alcotest.(check int) "points revalidated the tick after" 0
+    (sync 3).Relying_party.points_revalidated
+
 let () =
   Alcotest.run "incremental"
     [ ( "equivalence",
         [ prop_equivalence; prop_transport_equivalence;
           Alcotest.test_case "10k VRPs, warm tick" `Quick test_equivalence_10k ] );
-      ("grace", [ prop_grace_equivalence ]) ]
+      ("grace", [ prop_grace_equivalence ]);
+      ( "reuse",
+        [ prop_object_reuse;
+          Alcotest.test_case "a refresh costs its manifest and CRL" `Quick test_refresh_work ] ) ]

@@ -346,6 +346,32 @@ let test_restore_refuses_wide_serial () =
       Alcotest.check vrp_list "restored set" [ v "10.0.0.0/8" 5 ] (Server.session_vrps s))
     ss
 
+(* RTR serials wrap mod 2^32 (RFC 1982): a cache restored at 2^32 - 2
+   publishes 2^32 - 1, then 0, and routers at 2^32 - 1 take a delta across
+   the wrap, not a Cache Reset. *)
+let test_serial_wraps () =
+  let server, ss = seeded () in
+  Server.restore server ~serial:(0xFFFF_FFFF - 1) ~vrps:[ v "10.0.0.0/8" 1 ];
+  ignore (Server.flush server);
+  Server.publish server [ v "10.0.0.0/8" 1; v "192.0.2.0/24" 2 ];
+  ignore (Server.flush server);
+  List.iter
+    (fun s -> Alcotest.(check int) "at 2^32 - 1" 0xFFFF_FFFF (Server.session_serial s))
+    ss;
+  Server.publish server [ v "192.0.2.0/24" 2; v "198.51.100.0/24" 3 ];
+  let rep = Server.flush server in
+  Alcotest.(check int) "cache wrapped to 0" 0 (Session.cache_serial (Server.cache server));
+  Alcotest.(check int) "a delta, no reset" 0 rep.Server.fr_resets;
+  Alcotest.(check int) "every session advanced" 2 rep.Server.fr_advanced;
+  List.iter
+    (fun s ->
+      Alcotest.(check int) "session at 0" 0 (Server.session_serial s);
+      Alcotest.check vrp_list "wrapped set"
+        [ v "192.0.2.0/24" 2; v "198.51.100.0/24" 3 ]
+        (Server.session_vrps s))
+    ss;
+  Alcotest.(check bool) "synced" true (Server.all_synced server)
+
 let test_domains_parity () =
   (* the same schedule on 1 domain and on 4 must leave identical stats and
      identical session states — the fan-out is an implementation detail *)
@@ -445,6 +471,7 @@ let () =
             test_restore_onto_session_serial;
           Alcotest.test_case "restore refuses a serial past 32 bits" `Quick
             test_restore_refuses_wide_serial;
+          Alcotest.test_case "serial wraps mod 2^32" `Quick test_serial_wraps;
           Alcotest.test_case "domains parity" `Quick test_domains_parity;
           Alcotest.test_case "one transition per router state" `Quick
             test_one_transition_per_state;

@@ -288,7 +288,7 @@ let test_outcome_digests () =
           (vrp_hash o.Valcache.o_vrps) o.Valcache.o_vrp_hash;
         (* the pure point validator, called directly on the same listing,
            gives back the outcome the sync stored *)
-        let direct =
+        let direct, _ =
           Rpki_repo.Point.validate ~now:1 ~ca_cert:c ~parent_fp:fp
             ~snap_fp:(Rpki_repo.Pub_point.fingerprint point)
             (Rpki_repo.Pub_point.snapshot point)
