@@ -1,7 +1,10 @@
-(* The experiment harness: regenerates every table and figure in the paper.
+(* The experiments: every table and figure in the paper, and the
+   extensions beyond it.
 
-   Each function prints the same rows/series the paper reports (see
-   EXPERIMENTS.md for the paper-vs-measured record).  Everything is
+   Each experiment prints the same rows/series the paper reports (see
+   EXPERIMENTS.md for the paper-vs-measured record) and returns the JSON
+   value it exports, if any.  [~quick] shrinks it to a smoke pass.  The
+   registry in main.ml names and titles them.  Everything is
    deterministic; no state is shared between experiments. *)
 
 open Rpki_core
@@ -12,33 +15,47 @@ open Rpki_ip
 module Table = Rpki_util.Table
 module Scenario = Rpki_sim.Scenario
 
-let header title =
-  Printf.printf "\n==== %s ====\n\n" title
+exception Check_failed of string
 
-let quick = ref false
-(* set by the driver's --quick flag: shrink problem sizes so the whole
-   suite can run as a smoke test under `dune runtest` *)
+(* An in-bench assertion: unless [cond] holds, fail the experiment with the
+   formatted message (the driver prefixes the experiment's name). *)
+let check cond fmt =
+  if cond then Printf.ifprintf () fmt
+  else Printf.ksprintf (fun msg -> raise (Check_failed msg)) fmt
 
-let json = ref false
-(* set by the driver's --json flag: experiments that support it also write
-   their rows to BENCH_<name>.json in the working directory *)
+let last l = List.nth l (List.length l - 1)
 
-let write_json ~name body =
-  if !json then begin
-    let file = Printf.sprintf "BENCH_%s.json" name in
-    let oc = open_out file in
-    output_string oc body;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "(wrote %s)\n" file
-  end
+let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
+
+let up_down ok = if ok then "up" else "DOWN"
+
+(* Whether the tick's probe of Continental's repository got through. *)
+let continental_up (r : Rpki_sim.Loop.tick_record) =
+  List.assoc "continental-repo" r.Rpki_sim.Loop.probe_results
+
+(* Run [f] and return its result with the elapsed wall-clock time in ms,
+   read from bechamel's monotonic clock (not process CPU time, which
+   excludes waits and sums over Domains). *)
+let time_ms f =
+  let t0 = Monotonic_clock.now () in
+  let r = f () in
+  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e6)
+
+(* The loop's first fork alarm as an exported evidence bundle; "" when
+   there is no mesh, no fork or the export fails. *)
+let first_fork_evidence sim =
+  match Rpki_sim.Loop.gossip_mesh sim with
+  | None -> ""
+  | Some g -> (
+    match Gossip.forks g with
+    | [] -> ""
+    | alarm :: _ -> Result.value (Evidence.export ~key_of:(Gossip.key_of g) alarm) ~default:"")
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2: the model RPKI                                            *)
 (* ------------------------------------------------------------------ *)
 
-let fig2 () =
-  header "Figure 2: model RPKI (reconstructed from the paper's text)";
+let fig2 ~quick:_ =
   let m = Model.build () in
   print_string (Model.render m);
   let rp = Model.relying_party m in
@@ -47,7 +64,8 @@ let fig2 () =
     (List.length r.Relying_party.vrps)
     (List.length r.Relying_party.issues)
     (String.concat ", " r.Relying_party.cas_validated);
-  List.iter (fun v -> Printf.printf "  %s\n" (Vrp.to_string v)) r.Relying_party.vrps
+  List.iter (fun v -> Printf.printf "  %s\n" (Vrp.to_string v)) r.Relying_party.vrps;
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: targeted whacking                                         *)
@@ -70,8 +88,7 @@ let run_whack ~label ~target_filename ~target_vrps =
   Printf.printf "  collateral   : %d%s\n\n" (List.length collateral)
     (if collateral = [] then " (zero, as the paper claims)" else "")
 
-let fig3 () =
-  header "Figure 3 / Section 3.1: ROAs whacked by their grandparent (Sprint)";
+let fig3 ~quick:_ =
   run_whack ~label:"clean whack of (63.174.16.0/20, AS 17054)"
     ~target_filename:(Model.build ()).Model.roa_target20
     ~target_vrps:[ Vrp.make ~max_len:20 (V4.p "63.174.16.0/20") 17054 ];
@@ -89,14 +106,14 @@ let fig3 () =
   in
   Printf.printf "  VRPs whacked : %d (target + %d collateral)\n"
     (List.length d.Assess.net_lost) (List.length collateral);
-  List.iter (fun v -> Printf.printf "    %s\n" (Vrp.to_string v)) d.Assess.net_lost
+  List.iter (fun v -> Printf.printf "    %s\n" (Vrp.to_string v)) d.Assess.net_lost;
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Table 4: cross-jurisdiction certification                           *)
 (* ------------------------------------------------------------------ *)
 
-let tab4 () =
-  header "Table 4: RCs covering countries outside their parent RIR's jurisdiction";
+let tab4 ~quick:_ =
   let records = Rpki_juris.Dataset.paper_fixture () in
   let t = Table.create [ "Holder"; "RC"; "RIR"; "Countries (out of jurisdiction)" ] in
   List.iter
@@ -134,7 +151,8 @@ let tab4 () =
           string_of_int s.Rpki_juris.Analysis.cross_border_rcs;
           Printf.sprintf "%.2f" s.Rpki_juris.Analysis.mean_foreign_countries ])
     [ 0.0; 0.05; 0.15; 0.3; 0.5 ];
-  Table.print t2
+  Table.print t2;
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: route validity for 63.160.0.0/12 and its subprefixes      *)
@@ -196,8 +214,7 @@ let fig5_grid idx ~origin label =
     (Validity_grid.grid idx ~root:(V4.p "63.160.0.0/12") ~min_len:12 ~max_len:24 ~origin);
   Table.print t
 
-let fig5 () =
-  header "Figure 5: route validity for 63.160.0.0/12 and its subprefixes";
+let fig5 ~quick:_ =
   let m = Model.build () in
   let rp = Model.relying_party m in
   let left = (Relying_party.sync rp ~now:1 ~universe:m.Model.universe ()).Relying_party.index in
@@ -230,14 +247,14 @@ let fig5 () =
   Printf.printf
     "\nSide Effect 5 on this figure: %d subprefix routes (len 13..24, foreign origin)\n\
      flipped unknown->invalid when the /12 ROA appeared.\n"
-    (flips 64999)
+    (flips 64999);
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Table 6: local policies vs the two attack classes                   *)
 (* ------------------------------------------------------------------ *)
 
-let tab6 () =
-  header "Table 6: impact of relying-party local policies";
+let tab6 ~quick:_ =
   let s = Topo_gen.small_scenario () in
   let victim_prefix = V4.p "63.174.16.0/20" in
   let dst = V4.addr_of_string_exn "63.174.23.7" in
@@ -303,14 +320,14 @@ let tab6 () =
           Printf.sprintf "%.2f" (frac policy healthy_idx hijack);
           Printf.sprintf "%.2f" (frac policy whacked_idx legit) ])
     [ Policy.Drop_invalid; Policy.Depref_invalid; Policy.Ignore_rpki ];
-  Table.print t2
+  Table.print t2;
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Side Effect 5: partial deployment sweep                             *)
 (* ------------------------------------------------------------------ *)
 
-let se5 () =
-  header "Side Effect 5: a new covering ROA invalidates unprotected subprefix routes";
+let se5 ~quick:_ =
   let t =
     Table.create
       ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
@@ -337,14 +354,14 @@ let se5 () =
   Printf.printf
     "\nOrdering ablation (the paper's deployment rule): issuing the covering ROA first\n\
      leaves %d routes invalid mid-deployment; issuing subprefix ROAs first leaves %d.\n"
-    cover sub
+    cover sub;
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Side Effect 6: missing information                                  *)
 (* ------------------------------------------------------------------ *)
 
-let se6 () =
-  header "Side Effect 6: a missing ROA makes a route invalid, not unknown";
+let se6 ~quick:_ =
   let t = Table.create [ "scenario"; "route"; "state"; "validation issues" ] in
   let classify (m : Model.t) rp route =
     let r = Relying_party.sync rp ~now:1 ~universe:m.Model.universe () in
@@ -377,14 +394,14 @@ let se6 () =
   Table.print t;
   Printf.printf
     "\nThe /22 goes INVALID when its ROA is missing (the /20 ROA covers it), while the /20\n\
-     merely goes UNKNOWN — the asymmetry the paper calls 'easily misunderstood'.\n"
+     merely goes UNKNOWN — the asymmetry the paper calls 'easily misunderstood'.\n";
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Side Effect 7 / Section 6: the circular dependency                  *)
 (* ------------------------------------------------------------------ *)
 
-let se7 () =
-  header "Side Effect 7 / Section 6: transient fault -> persistent failure";
+let se7 ~quick:_ =
   let timeline policy label =
     let _, hist = Scenario.run_section6 { Scenario.section6 with policy } in
     Printf.printf "\npolicy: %s\n" label;
@@ -399,7 +416,7 @@ let se7 () =
     in
     List.iter
       (fun (r : Rpki_sim.Loop.tick_record) ->
-        let probe label = if List.assoc label r.Rpki_sim.Loop.probe_results then "up" else "DOWN" in
+        let probe label = up_down (List.assoc label r.Rpki_sim.Loop.probe_results) in
         Table.add_row t
           [ Rtime.to_string r.Rpki_sim.Loop.time; event r.Rpki_sim.Loop.time;
             string_of_int r.Rpki_sim.Loop.vrp_count;
@@ -415,13 +432,8 @@ let se7 () =
      concurrent IETF work it cites *)
   Printf.printf "\nMitigation ablation (drop-invalid relying party):\n";
   let summarize label hist =
-    let probe t =
-      List.assoc "continental-repo" (List.nth hist (t - 1)).Rpki_sim.Loop.probe_results
-    in
-    Printf.printf "  %-42s t3 %-4s t4 %-4s t7 %s\n" label
-      (if probe 3 then "up" else "DOWN")
-      (if probe 4 then "up" else "DOWN")
-      (if probe 7 then "up" else "DOWN")
+    let probe t = up_down (continental_up (List.nth hist (t - 1))) in
+    Printf.printf "  %-42s t3 %-4s t4 %-4s t7 %s\n" label (probe 3) (probe 4) (probe 7)
   in
   let _, plain = Scenario.run_section6 Scenario.section6 in
   let _, mirrored =
@@ -435,14 +447,14 @@ let se7 () =
   summarize "Suspenders-style 10-tick grace (ref [25])" graced;
   Printf.printf
     "  (mirroring confines the outage to the fault window; the grace hold\n\
-    \   prevents it entirely but delays legitimate revocations by the window)\n"
+    \   prevents it entirely but delays legitimate revocations by the window)\n";
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Extension: censorship campaigns on the Table 4 hierarchy            *)
 (* ------------------------------------------------------------------ *)
 
-let campaign () =
-  header "Extension: a coerced RIR silences a country (Section 3.2, executed)";
+let campaign ~quick:_ =
   let records = Rpki_juris.Dataset.paper_fixture () in
   let t =
     Table.create
@@ -476,14 +488,14 @@ let campaign () =
   Table.print t;
   Printf.printf
     "\nEach row is out-of-jurisdiction coercion: none of these countries is in ARIN's\n\
-     service region, yet every one of their ROAs is whackable with zero collateral.\n"
+     service region, yet every one of their ROAs is whackable with zero collateral.\n";
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Extension: partial adoption of drop-invalid (cf. the paper's [29])  *)
 (* ------------------------------------------------------------------ *)
 
-let adoption () =
-  header "Extension: security benefit of partially deployed drop-invalid";
+let adoption ~quick:_ =
   let g = Topo_gen.generate Topo_gen.default_spec in
   let victim = List.hd g.Topo_gen.stub_asns in
   let attacker = List.nth g.Topo_gen.stub_asns 42 in
@@ -535,7 +547,8 @@ let adoption () =
   Printf.printf
     "\nValues are the fraction of ASes still reaching the victim during a subprefix\n\
      hijack.  Placement matters more than volume — the 'is the juice worth the\n\
-     squeeze' observation of the paper's ref [29].\n"
+     squeeze' observation of the paper's ref [29].\n";
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Extension: Side Effect 4 quantified — reissue cost vs target depth  *)
@@ -575,8 +588,7 @@ let build_chain depth =
   in
   extend ta 1
 
-let depth () =
-  header "Extension: Side Effect 4 quantified — reissued objects vs target depth";
+let depth ~quick:_ =
   let t =
     Table.create
       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
@@ -620,7 +632,8 @@ let depth () =
   Table.print t;
   Printf.printf
     "\nEach extra level of depth costs one more suspiciously-reissued RC — the paper's\n\
-     Side Effect 4: deeper whacking stays feasible but gets easier to detect.\n"
+     Side Effect 4: deeper whacking stays feasible but gets easier to detect.\n";
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Incremental sync: cold full validation vs. warm delta tick          *)
@@ -658,17 +671,8 @@ let build_flat_universe ~n_points ~n_vrps =
   in
   (universe, ta, children)
 
-(* Run [f] and return its result with the elapsed wall-clock time in ms,
-   read from bechamel's monotonic clock (not process CPU time, which
-   excludes waits and sums over Domains). *)
-let time_ms f =
-  let t0 = Monotonic_clock.now () in
-  let r = f () in
-  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e6)
-
-let sync_incremental () =
-  header "Incremental sync: cold full validation vs. warm tick (1 point touched)";
-  let sizes = if !quick then [ (16, 2_000) ] else [ (100, 10_000); (100, 40_000) ] in
+let sync_incremental ~quick =
+  let sizes = if quick then [ (16, 2_000) ] else [ (100, 10_000); (100, 40_000) ] in
   let t =
     Table.create
       ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
@@ -685,9 +689,11 @@ let sync_incremental () =
       (* the warm tick: one publication point refreshes its CRL + manifest *)
       Authority.refresh children.(0) ~now:2;
       let warm_r, warm_ms = time_ms (fun () -> Relying_party.sync rp ~now:2 ~universe ()) in
-      assert (List.length warm_r.Relying_party.vrps = List.length cold_r.Relying_party.vrps);
+      let cold_n = List.length cold_r.Relying_party.vrps in
+      let warm_n = List.length warm_r.Relying_party.vrps in
+      check (warm_n = cold_n) "the warm tick changed the VRP count (%d -> %d)" cold_n warm_n;
       Table.add_row t
-        [ string_of_int (List.length cold_r.Relying_party.vrps);
+        [ string_of_int cold_n;
           string_of_int (n_points + 1);
           Printf.sprintf "%.1f" cold_ms;
           Printf.sprintf "%.1f" warm_ms;
@@ -698,7 +704,8 @@ let sync_incremental () =
   Table.print t;
   Printf.printf
     "\nA warm tick re-validates only the touched point; everything else is\n\
-     replayed from the per-point memo and the index is patched by the diff.\n"
+     replayed from the per-point memo and the index is patched by the diff.\n";
+  None
 
 (* ------------------------------------------------------------------ *)
 (* Stalloris: stall intensity x fetch policy                           *)
@@ -715,13 +722,12 @@ let sync_incremental () =
    stalled point (starving innocent points behind it in the walk), while
    bounded retries plus mirror/RRDP fallback confine the damage to nothing
    but slightly higher fetch latency. *)
-let stall () =
-  header "Stalloris: stall intensity x fetch policy (drop-invalid, perfect upkeep)";
-  let ticks = if !quick then 9 else 14 in
-  let validity = if !quick then 5 else 8 in
+let stall ~quick =
+  let ticks = if quick then 9 else 14 in
+  let validity = if quick then 5 else 8 in
   let refresh_interval = 3 in
   let attack_at = 3 in
-  let intensities = if !quick then [ 0; 256 ] else [ 0; 4; 32; 256 ] in
+  let intensities = if quick then [ 0; 256 ] else [ 0; 4; 32; 256 ] in
   let policies =
     [ ("naive", Relying_party.naive_policy);
       ("default", Relying_party.default_policy);
@@ -767,7 +773,7 @@ let stall () =
     match String.index_opt c ':' with Some i -> String.sub c 0 i | None -> c
   in
   let cell_summary timeline =
-    let _, final_state, final_channel, _ = List.nth timeline (ticks - 1) in
+    let _, final_state, final_channel, _ = last timeline in
     let first_bad =
       List.find_map
         (fun (now, st, _, _) -> if st <> Origin_validation.Valid then Some now else None)
@@ -824,12 +830,8 @@ let stall () =
         List.iter
           (fun (now, state, channel, (r : Rpki_sim.Loop.tick_record)) ->
             Table.add_row tt
-              [ string_of_int now;
-                channel;
-                Origin_validation.state_to_string state;
-                (if List.assoc "continental-repo" r.Rpki_sim.Loop.probe_results then "up"
-                 else "DOWN");
-                string_of_int r.Rpki_sim.Loop.max_data_age;
+              [ string_of_int now; channel; Origin_validation.state_to_string state;
+                up_down (continental_up r); string_of_int r.Rpki_sim.Loop.max_data_age;
                 Printf.sprintf "%d%s" r.Rpki_sim.Loop.sync_elapsed
                   (if r.Rpki_sim.Loop.budget_exhausted then "!" else "") ])
           timeline;
@@ -840,46 +842,41 @@ let stall () =
      entire budget re-trying the stalled point (starving points after it in the\n\
      walk); the resilient policy cuts losses and falls back to mirror/RRDP.\n";
   (* machine-readable grid *)
-  let json_body =
-    let cell_json (intensity, cells) =
-      List.map
-        (fun (pn, timeline) ->
-          let tick_json (now, state, channel, (r : Rpki_sim.Loop.tick_record)) =
-            Printf.sprintf
-              "{\"tick\":%d,\"route\":\"%s\",\"channel\":\"%s\",\"probe_up\":%b,\
-               \"data_age\":%d,\"sync_elapsed\":%d,\"budget_exhausted\":%b}"
-              now
-              (Origin_validation.state_to_string state)
-              channel
-              (List.assoc "continental-repo" r.Rpki_sim.Loop.probe_results)
-              r.Rpki_sim.Loop.max_data_age r.Rpki_sim.Loop.sync_elapsed
-              r.Rpki_sim.Loop.budget_exhausted
-          in
-          Printf.sprintf "{\"policy\":\"%s\",\"intensity\":%d,\"timeline\":[%s]}" pn intensity
-            (String.concat "," (List.map tick_json timeline)))
-        cells
-    in
-    Printf.sprintf
-      "{\"experiment\":\"stall\",\"ticks\":%d,\"attack_at\":%d,\"validity\":%d,\
-       \"refresh_interval\":%d,\"cells\":[%s]}"
-      ticks attack_at validity refresh_interval
-      (String.concat "," (List.concat_map cell_json grid))
+  let open Json in
+  let tick_json (now, state, channel, (r : Rpki_sim.Loop.tick_record)) =
+    Object
+      [ ("tick", Int now); ("route", String (Origin_validation.state_to_string state));
+        ("channel", String channel); ("probe_up", Bool (continental_up r));
+        ("data_age", Int r.Rpki_sim.Loop.max_data_age);
+        ("sync_elapsed", Int r.Rpki_sim.Loop.sync_elapsed);
+        ("budget_exhausted", Bool r.Rpki_sim.Loop.budget_exhausted) ]
   in
-  write_json ~name:"stall" json_body
+  let cell_json (intensity, cells) =
+    List.map
+      (fun (pn, timeline) ->
+        Object
+          [ ("policy", String pn); ("intensity", Int intensity);
+            ("timeline", list tick_json timeline) ])
+      cells
+  in
+  Some
+    (Object
+       [ ("experiment", String "stall"); ("ticks", Int ticks); ("attack_at", Int attack_at);
+         ("validity", Int validity); ("refresh_interval", Int refresh_interval);
+         ("cells", List (List.concat_map cell_json grid)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Transparency: split-view detection x vantages x gossip period       *)
 (* ------------------------------------------------------------------ *)
 
-let transparency () =
-  header "Transparency: split-view detection (vantages x gossip period x stealth)";
-  let ticks = if !quick then 8 else 12 in
+let transparency ~quick =
+  let ticks = if quick then 8 else 12 in
   let grace = 4 in
   let attack_at = 3 in
-  let monitor_counts = if !quick then [ 0; 2 ] else [ 0; 1; 2; 3 ] in
-  let periods = if !quick then [ 1 ] else [ 1; 2; 3 ] in
+  let monitor_counts = if quick then [ 0; 2 ] else [ 0; 1; 2; 3 ] in
+  let periods = if quick then [ 1 ] else [ 1; 2; 3 ] in
   let stealths =
-    if !quick then [ Split_view.Stealthy ] else [ Split_view.Stealthy; Split_view.Overt ]
+    if quick then [ Split_view.Stealthy ] else [ Split_view.Stealthy; Split_view.Overt ]
   in
   let run_cell ~monitors ~period ~stealth =
     let sv = Scenario.build { Scenario.default with monitors; grace; gossip_period = period } in
@@ -890,17 +887,14 @@ let transparency () =
     let invalid_tick =
       List.find_map
         (fun (r : Rpki_sim.Loop.tick_record) ->
-          if List.assoc "continental-repo" r.Rpki_sim.Loop.probe_results then None
-          else Some r.Rpki_sim.Loop.time)
+          if continental_up r then None else Some r.Rpki_sim.Loop.time)
         history
     in
     let proof_bytes =
-      List.fold_left
-        (fun acc (r : Rpki_sim.Loop.tick_record) ->
-          match r.Rpki_sim.Loop.gossip_report with
-          | Some rep -> acc + rep.Gossip.r_proof_bytes
-          | None -> acc)
-        0 history
+      sum
+        (fun (r : Rpki_sim.Loop.tick_record) ->
+          match r.Rpki_sim.Loop.gossip_report with Some rep -> rep.Gossip.r_proof_bytes | None -> 0)
+        history
     in
     (* a single inclusion proof against the victim's final log, for scale *)
     let vlog = Relying_party.transparency_log sim.Rpki_sim.Loop.rp in
@@ -953,9 +947,7 @@ let transparency () =
           string_of_int proof_bytes ])
     cells;
   Table.print t;
-  let _, _, _, (_, _, _, log_size, one_proof) =
-    List.nth cells (List.length cells - 1)
-  in
+  let _, _, _, (_, _, _, log_size, one_proof) = last cells in
   Printf.printf
     "\nVictim route: 63.174.16.0/20 via AS %d; the fork suppresses its ROA only in\n\
      the victim's view.  Grace holds the VRP %d ticks, so 'margin' is how many\n\
@@ -963,26 +955,22 @@ let transparency () =
      never detects: the stealthy fork is locally clean.  Victim log: %d\n\
      observations; one inclusion proof at that size: %d bytes.\n"
     Model.as_continental grace log_size one_proof;
-  write_json ~name:"transparency"
-    (Printf.sprintf
-       "{\"experiment\":\"transparency\",\"ticks\":%d,\"attack_at\":%d,\"grace\":%d,\
-        \"cells\":[%s]}"
-       ticks attack_at grace
-       (String.concat ","
-          (List.map
-             (fun (stealth, period, monitors, (fork, invalid, proof_bytes, log_size, one_proof)) ->
-               let opt = function Some tk -> string_of_int tk | None -> "null" in
-               Printf.sprintf
-                 "{\"stealth\":\"%s\",\"gossip_period\":%d,\"vantages\":%d,\
-                  \"fork_tick\":%s,\"invalid_tick\":%s,\"detection_latency\":%s,\
-                  \"detected_before_invalid\":%b,\"proof_bytes\":%d,\
-                  \"victim_log_size\":%d,\"inclusion_proof_bytes\":%d}"
-                 (Split_view.stealth_to_string stealth)
-                 period (monitors + 1) (opt fork) (opt invalid)
-                 (match fork with Some tk -> string_of_int (tk - attack_at) | None -> "null")
-                 (match (fork, invalid) with Some f, Some i -> f < i | _ -> false)
-                 proof_bytes log_size one_proof)
-             cells)))
+  let open Json in
+  let cell (stealth, period, monitors, (fork, invalid, proof_bytes, log_size, one_proof)) =
+    Object
+      [ ("stealth", String (Split_view.stealth_to_string stealth)); ("gossip_period", Int period);
+        ("vantages", Int (monitors + 1)); ("fork_tick", option int fork);
+        ("invalid_tick", option int invalid);
+        ("detection_latency", option (fun tk -> Int (tk - attack_at)) fork);
+        ( "detected_before_invalid",
+          Bool (match (fork, invalid) with Some f, Some i -> f < i | _ -> false) );
+        ("proof_bytes", Int proof_bytes); ("victim_log_size", Int log_size);
+        ("inclusion_proof_bytes", Int one_proof) ]
+  in
+  Some
+    (Object
+       [ ("experiment", String "transparency"); ("ticks", Int ticks); ("attack_at", Int attack_at);
+         ("grace", Int grace); ("cells", list cell cells) ])
 
 (* ------------------------------------------------------------------ *)
 (* Restart: durable state x disk faults x the rollback adversary       *)
@@ -999,13 +987,12 @@ let transparency () =
    served rollback was detected (own restored history, or a gossip Rollback
    alarm), and whether the resurrected VRP is router-visible at the end —
    the attack's actual yield. *)
-let restart () =
-  header "Restart: durable state x disk faults x rollback adversary";
-  let ticks = if !quick then 9 else 12 in
+let restart ~quick =
+  let ticks = if quick then 9 else 12 in
   let revoke_at = 3 and capture_at = 2 and kill_after = 5 in
-  let restarts = if !quick then [ 6 ] else [ 6; 8 ] in
+  let restarts = if quick then [ 6 ] else [ 6; 8 ] in
   let faults =
-    if !quick then [ None; Some (Rpki_persist.Disk.Bit_flip 12345) ]
+    if quick then [ None; Some (Rpki_persist.Disk.Bit_flip 12345) ]
     else
       [ None; Some Rpki_persist.Disk.Torn_write; Some Rpki_persist.Disk.Partial_flush;
         Some (Rpki_persist.Disk.Bit_flip 12345); Some Rpki_persist.Disk.Drop_rename ]
@@ -1132,53 +1119,43 @@ let restart () =
             _diff, _sk, _sa, _holds, _snap )) ->
       match (persist, fault, recovery) with
       | true, None, Relying_party.Recovered _ ->
-        if detect = None then failwith "restart: persisted victim missed the rollback";
-        if router_visible then
-          failwith "restart: resurrected VRP router-visible despite detection"
+        check (detect <> None) "persisted victim missed the rollback";
+        check (not router_visible) "resurrected VRP router-visible despite detection"
       | true, None, Relying_party.Recovered_fresh _ ->
-        failwith "restart: fault-free snapshot failed to restore"
+        check false "fault-free snapshot failed to restore"
       | true, Some _, Relying_party.Recovered_fresh Relying_party.No_snapshot
       | true, Some _, Relying_party.Recovered _ ->
-        failwith "restart: injected disk fault did not surface as an explicit degraded state"
+        check false "injected disk fault did not surface as an explicit degraded state"
       | true, Some _, Relying_party.Recovered_fresh _ -> ()
-      | false, _, Relying_party.Recovered _ ->
-        failwith "restart: recovered state without persistence"
+      | false, _, Relying_party.Recovered _ -> check false "recovered state without persistence"
       | false, _, Relying_party.Recovered_fresh _ ->
-        if detect <> None then
-          failwith "restart: rollback detected without any persisted baseline";
-        if not router_visible then
-          failwith "restart: fresh-start victim should have accepted the replayed VRP")
+        check (detect = None) "rollback detected without any persisted baseline";
+        check router_visible "fresh-start victim should have accepted the replayed VRP")
     cells;
   Printf.printf
     "Asymmetry holds: persistence on => detected (evidence), off => silent.\n";
-  write_json ~name:"restart"
-    (Printf.sprintf
-       "{\"experiment\":\"restart\",\"ticks\":%d,\"capture_at\":%d,\"revoke_at\":%d,\
-        \"killed_after\":%d,\"cells\":[%s]}"
-       ticks capture_at revoke_at kill_after
-       (String.concat ","
-          (List.map
-             (fun (persist, fault, restart_at,
-                   ( recovery, detect, local, rollback, resets, router_visible,
-                     believes, restart_diff, sk, sa, holds, snap_bytes )) ->
-               let opt = function Some tk -> string_of_int tk | None -> "null" in
-               Printf.sprintf
-                 "{\"persist\":%b,\"fault\":\"%s\",\"restart_at\":%d,\
-                  \"recovery\":\"%s\",\"detect_tick\":%s,\"detection_latency\":%s,\
-                  \"own_log_regression\":%b,\"gossip_rollback\":%b,\"log_resets\":%d,\
-                  \"attack_effective\":%b,\"victim_believes_replay\":%b,\
-                  \"restart_diff_size\":%d,\"rtr_serial_at_kill\":%d,\
-                  \"rtr_serial_after_restart\":%d,\"rtr_holds\":%d,\
-                  \"snapshot_bytes\":%d}"
-                 persist (fault_name fault) restart_at
-                 (String.escaped (Relying_party.recovery_to_string recovery))
-                 (opt detect)
-                 (match detect with
-                 | Some tk -> string_of_int (tk - restart_at)
-                 | None -> "null")
-                 local rollback resets router_visible believes restart_diff sk sa
-                 holds snap_bytes)
-             cells)))
+  let open Json in
+  let cell
+      ( persist, fault, restart_at,
+        ( recovery, detect, local, rollback, resets, router_visible, believes, restart_diff, sk,
+          sa, holds, snap_bytes ) ) =
+    Object
+      [ ("persist", Bool persist); ("fault", String (fault_name fault));
+        ("restart_at", Int restart_at);
+        ("recovery", String (Relying_party.recovery_to_string recovery));
+        ("detect_tick", option int detect);
+        ("detection_latency", option (fun tk -> Int (tk - restart_at)) detect);
+        ("own_log_regression", Bool local); ("gossip_rollback", Bool rollback);
+        ("log_resets", Int resets); ("attack_effective", Bool router_visible);
+        ("victim_believes_replay", Bool believes); ("restart_diff_size", Int restart_diff);
+        ("rtr_serial_at_kill", Int sk); ("rtr_serial_after_restart", Int sa);
+        ("rtr_holds", Int holds); ("snapshot_bytes", Int snap_bytes) ]
+  in
+  Some
+    (Object
+       [ ("experiment", String "restart"); ("ticks", Int ticks); ("capture_at", Int capture_at);
+         ("revoke_at", Int revoke_at); ("killed_after", Int kill_after);
+         ("cells", list cell cells) ])
 
 (* ------------------------------------------------------------------ *)
 (* Multi-vantage: the shared validation plane at scale                  *)
@@ -1200,10 +1177,9 @@ let restart () =
    stealthy fork at t3) run twice, cache on and off.  The cache must be
    invisible: same per-tick VRP counts, probe results, serials and diffs,
    same fork detection tick, and byte-identical exported fork evidence. *)
-let multivantage () =
-  header "Multi-vantage: shared validation plane (vantages x cache)";
-  let ticks = if !quick then 4 else 6 in
-  let counts = if !quick then [ 4; 32 ] else [ 4; 32; 128; 256 ] in
+let multivantage ~quick =
+  let ticks = if quick then 4 else 6 in
+  let counts = if quick then [ 4; 32 ] else [ 4; 32; 128; 256 ] in
   let run_cell ~vantages ~cache =
     let sv =
       Scenario.build
@@ -1220,12 +1196,8 @@ let multivantage () =
     done;
     let recs = List.rev !per_tick in
     let total_ms = List.fold_left (fun acc (_, ms) -> acc +. ms) 0. recs in
-    let checks =
-      List.fold_left (fun acc ((r : Rpki_sim.Loop.tick_record), _) -> acc + r.Rpki_sim.Loop.sig_checks) 0 recs
-    in
-    let saved =
-      List.fold_left (fun acc ((r : Rpki_sim.Loop.tick_record), _) -> acc + r.Rpki_sim.Loop.sig_saved) 0 recs
-    in
+    let checks = sum (fun (r, _) -> r.Rpki_sim.Loop.sig_checks) recs in
+    let saved = sum (fun (r, _) -> r.Rpki_sim.Loop.sig_saved) recs in
     let hit_rate =
       if checks + saved = 0 then 0. else float_of_int saved /. float_of_int (checks + saved)
     in
@@ -1264,14 +1236,13 @@ let multivantage () =
           cells
         |> Option.get
       in
-      if checks_of true > checks_of false then
-        failwith
-          (Printf.sprintf "multivantage: shared cache did MORE crypto at %d vantages" vantages);
+      check (checks_of true <= checks_of false) "shared cache did MORE crypto at %d vantages"
+        vantages;
       (* the acceptance bar: at >= 128 vantages the shared plane must cut
          signature verifications by at least 5x *)
-      if vantages >= 128 && checks_of false < 5 * checks_of true then
-        failwith
-          (Printf.sprintf "multivantage: < 5x verification reduction at %d vantages" vantages))
+      check
+        (not (vantages >= 128 && checks_of false < 5 * checks_of true))
+        "< 5x verification reduction at %d vantages" vantages)
     counts;
   (* --- detection identity: the cache must be invisible to split-view --- *)
   let detect_ticks = 8 and attack_at = 3 in
@@ -1290,32 +1261,15 @@ let multivantage () =
             List.length r.Rpki_sim.Loop.vrp_diff.Vrp.removed ))
         (Rpki_sim.Loop.history sim)
     in
-    let checks =
-      List.fold_left
-        (fun acc (r : Rpki_sim.Loop.tick_record) -> acc + r.Rpki_sim.Loop.sig_checks)
-        0 (Rpki_sim.Loop.history sim)
-    in
-    let evidence =
-      match Rpki_sim.Loop.gossip_mesh sim with
-      | None -> ""
-      | Some g -> (
-        match Gossip.forks g with
-        | [] -> ""
-        | alarm :: _ -> (
-          match Evidence.export ~key_of:(Gossip.key_of g) alarm with
-          | Ok bytes -> bytes
-          | Error _ -> ""))
-    in
-    (Rpki_sim.Loop.first_fork_tick sim, trace, evidence, checks)
+    let checks = sum (fun r -> r.Rpki_sim.Loop.sig_checks) (Rpki_sim.Loop.history sim) in
+    (Rpki_sim.Loop.first_fork_tick sim, trace, first_fork_evidence sim, checks)
   in
   let fork_off, trace_off, evidence_off, checks_off = detection_run ~cache:false in
   let fork_on, trace_on, evidence_on, checks_on = detection_run ~cache:true in
-  if fork_on <> fork_off then failwith "multivantage: cache changed the fork detection tick";
-  if trace_on <> trace_off then failwith "multivantage: cache changed the per-tick results";
-  if not (String.equal evidence_on evidence_off) then
-    failwith "multivantage: cache changed the exported fork evidence bytes";
-  if checks_on > checks_off then
-    failwith "multivantage: shared cache did MORE crypto in the detection run";
+  check (fork_on = fork_off) "cache changed the fork detection tick";
+  check (trace_on = trace_off) "cache changed the per-tick results";
+  check (String.equal evidence_on evidence_off) "cache changed the exported fork evidence bytes";
+  check (checks_on <= checks_off) "shared cache did MORE crypto in the detection run";
   Printf.printf
     "\nWorst-case churn: every point re-signs CRL+manifest each tick, so the\n\
      per-vantage memo never hits and cache-off pays vantages x objects RSA\n\
@@ -1324,30 +1278,28 @@ let multivantage () =
      cache-on and cache-off, evidence bundles byte-identical (%d bytes).\n"
     (match fork_on with Some tk -> Printf.sprintf "t%d" tk | None -> "never")
     (String.length evidence_on);
-  write_json ~name:"multivantage"
-    (Printf.sprintf
-       "{\"experiment\":\"multivantage\",\"ticks\":%d,\"refresh_interval\":1,\
-        \"cells\":[%s],\"detection\":{\"ticks\":%d,\"attack_at\":%d,\"vantages\":4,\
-        \"fork_tick_cache_on\":%s,\"fork_tick_cache_off\":%s,\"identical_traces\":%b,\
-        \"identical_evidence\":%b,\"evidence_bytes\":%d,\
-        \"sig_checks_cache_on\":%d,\"sig_checks_cache_off\":%d}}"
-       ticks
-       (String.concat ","
-          (List.map
-             (fun (vantages, cache, (total_ms, per_tick, checks, saved, hit_rate)) ->
-               Printf.sprintf
-                 "{\"vantages\":%d,\"cache\":%b,\"total_ms\":%.2f,\"per_tick_ms\":[%s],\
-                  \"sig_checks\":%d,\"sig_saved\":%d,\"hit_rate\":%.4f}"
-                 vantages cache total_ms
-                 (String.concat "," (List.map (Printf.sprintf "%.2f") per_tick))
-                 checks saved hit_rate)
-             cells))
-       detect_ticks attack_at
-       (match fork_on with Some tk -> string_of_int tk | None -> "null")
-       (match fork_off with Some tk -> string_of_int tk | None -> "null")
-       (trace_on = trace_off)
-       (String.equal evidence_on evidence_off)
-       (String.length evidence_on) checks_on checks_off)
+  let open Json in
+  let ms x = Fixed (2, x) in
+  let cell (vantages, cache, (total_ms, per_tick, checks, saved, hit_rate)) =
+    Object
+      [ ("vantages", Int vantages); ("cache", Bool cache); ("total_ms", ms total_ms);
+        ("per_tick_ms", list ms per_tick); ("sig_checks", Int checks); ("sig_saved", Int saved);
+        ("hit_rate", Fixed (4, hit_rate)) ]
+  in
+  let tick = option int in
+  Some
+    (Object
+       [ ("experiment", String "multivantage"); ("ticks", Int ticks); ("refresh_interval", Int 1);
+         ("cells", list cell cells);
+         ( "detection",
+           Object
+             [ ("ticks", Int detect_ticks); ("attack_at", Int attack_at); ("vantages", Int 4);
+               ("fork_tick_cache_on", tick fork_on); ("fork_tick_cache_off", tick fork_off);
+               ("identical_traces", Bool (trace_on = trace_off));
+               ("identical_evidence", Bool (String.equal evidence_on evidence_off));
+               ("evidence_bytes", Int (String.length evidence_on));
+               ("sig_checks_cache_on", Int checks_on);
+               ("sig_checks_cache_off", Int checks_off) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* RTR serving plane: one cache, thousands of sessions                 *)
@@ -1362,14 +1314,13 @@ let multivantage () =
    (a mid-run hold included), and closes with a per-session baseline arm
    and a Domain sweep that must not change a single accounting byte and
    times [flush ~domains:1/2/4] on a mid-sized cell and on the largest. *)
-let rtr () =
-  header "RTR serving plane: encode-once deltas, batched notify (sessions x churn)";
+let rtr ~quick =
   let module Server = Rpki_rtr.Server in
   let module Session = Rpki_rtr.Session in
   let module Pdu = Rpki_rtr.Pdu in
-  let ticks = if !quick then 8 else 20 in
-  let universe = if !quick then 200 else 1000 in
-  let session_counts = if !quick then [ 16; 128 ] else [ 16; 64; 256; 1024; 4096 ] in
+  let ticks = if quick then 8 else 20 in
+  let universe = if quick then 200 else 1000 in
+  let session_counts = if quick then [ 16; 128 ] else [ 16; 64; 256; 1024; 4096 ] in
   let churn_levels = [ 8; 64 ] in
   (* tick [t]'s VRP set: a stable universe where the first [churn] prefixes
      re-originate every tick — each serial is churn announcements plus churn
@@ -1395,10 +1346,8 @@ let rtr () =
       if t = (3 * ticks) / 4 then Server.release server ~prefix:hold_prefix;
       let _, ms = time_ms (fun () -> Server.flush ~domains server) in
       converge_ms := !converge_ms +. ms;
-      if not (Server.all_synced server) then
-        failwith
-          (Printf.sprintf
-             "rtr: sessions diverged after flush (sessions=%d tick=%d)" sessions t)
+      check (Server.all_synced server) "sessions diverged after flush (sessions=%d tick=%d)"
+        sessions t
     done;
     (Server.stats server, !converge_ms)
   in
@@ -1420,9 +1369,7 @@ let rtr () =
           in
           let resp = Session.serve cache q in
           bytes := !bytes + String.length resp;
-          match Session.apply_response r resp with
-          | `Synced -> ()
-          | `Reset_required -> failwith "rtr: baseline reset")
+          check (Session.apply_response r resp = `Synced) "baseline reset")
         routers
     in
     Session.publish cache (set_at ~churn 0);
@@ -1475,20 +1422,17 @@ let rtr () =
           cells
         |> Option.get
       in
-      let lo = stats_of (List.hd session_counts)
-      and hi = stats_of (List.nth session_counts (List.length session_counts - 1)) in
+      let lo = stats_of (List.hd session_counts) and hi = stats_of (last session_counts) in
       List.iter
         (fun (what, count) ->
-          if count lo <> count hi then
-            failwith
-              (Printf.sprintf "rtr: %s varies with session count at churn %d (%d vs %d)" what
-                 churn (count lo) (count hi)))
+          check (count lo = count hi) "%s varies with session count at churn %d (%d vs %d)" what
+            churn (count lo) (count hi))
         [ ("bytes encoded", fun (st : Server.stats) -> st.Server.bytes_encoded);
           ("transitions", fun (st : Server.stats) -> st.Server.transitions) ])
     churn_levels;
   (* the acceptance bar: at the big session count the shared buffers must
      beat per-session encoding by >= 50x *)
-  let big = if !quick then 128 else 1024 in
+  let big = if quick then 128 else 1024 in
   let churn0 = List.hd churn_levels in
   let baseline_bytes = run_baseline ~sessions:big ~churn:churn0 in
   let server_bytes =
@@ -1502,13 +1446,10 @@ let rtr () =
   Printf.printf
     "\nper-session baseline at %d sessions: %d bytes encoded vs %d shared (%.0fx)\n"
     big baseline_bytes server_bytes reduction;
-  if reduction < 50. then
-    failwith
-      (Printf.sprintf "rtr: only %.1fx encode reduction at %d sessions" reduction big);
+  check (not (reduction < 50.)) "only %.1fx encode reduction at %d sessions" reduction big;
   (* Domains must be invisible in the accounting: same stats to the byte.
      The sweep also times them, on a mid-sized cell and on the largest. *)
   let domain_counts = [ 1; 2; 4 ] in
-  let last l = List.nth l (List.length l - 1) in
   let sweep_cells = [ (min big 256, churn0); (last session_counts, last churn_levels) ] in
   let sweep =
     List.map
@@ -1519,10 +1460,8 @@ let rtr () =
         let st1, _ = List.hd runs in
         List.iter2
           (fun domains (st, _) ->
-            if st <> st1 then
-              failwith
-                (Printf.sprintf "rtr: accounting changed under %d domains (%d sessions, churn %d)"
-                   domains sessions churn))
+            check (st = st1) "accounting changed under %d domains (%d sessions, churn %d)" domains
+              sessions churn)
           domain_counts runs;
         let ms_per_batch =
           List.map
@@ -1548,37 +1487,37 @@ let rtr () =
   Printf.printf "\ndomain sweep (%s): accounting identical to the byte\n\n"
     (String.concat "/" (List.map string_of_int domain_counts));
   Table.print dt;
-  write_json ~name:"rtr"
-    (Printf.sprintf
-       "{\"experiment\":\"rtr\",\"ticks\":%d,\"universe\":%d,\"cells\":[%s],\
-        \"baseline\":{\"sessions\":%d,\"bytes_encoded\":%d,\"server_bytes_encoded\":%d,\
-        \"reduction\":%.1f},\"domain_sweep\":{\"domains\":[%s],\"identical\":true,\
-        \"cells\":[%s]}}"
-       ticks universe
-       (String.concat ","
-          (List.map
-             (fun (sessions, churn, ((st : Server.stats), ms)) ->
-               let batches = max 1 st.Server.notify_batches in
-               Printf.sprintf
-                 "{\"sessions\":%d,\"churn\":%d,\"serials\":%d,\"notify_batches\":%d,\
-                  \"bytes_encoded\":%d,\"bytes_encoded_per_serial\":%.1f,\
-                  \"bytes_sent\":%d,\"replays\":%d,\"transitions\":%d,\
-                  \"ms_per_batch\":%.3f,\"session_syncs_per_sec\":%.0f}"
-                 sessions churn st.Server.serial_bumps st.Server.notify_batches
-                 st.Server.bytes_encoded (per_serial st) st.Server.bytes_sent
-                 st.Server.replays st.Server.transitions
-                 (ms /. float_of_int batches)
-                 (float_of_int (sessions * batches) /. (max 1e-6 ms /. 1000.)))
-             cells))
-       big baseline_bytes server_bytes reduction
-       (String.concat "," (List.map string_of_int domain_counts))
-       (String.concat ","
-          (List.map
-             (fun (sessions, churn, ms) ->
-               Printf.sprintf "{\"sessions\":%d,\"churn\":%d,\"ms_per_batch\":[%s]}"
-                 sessions churn
-                 (String.concat "," (List.map (Printf.sprintf "%.3f") ms)))
-             sweep)))
+  let open Json in
+  let cell (sessions, churn, ((st : Server.stats), ms)) =
+    let batches = max 1 st.Server.notify_batches in
+    Object
+      [ ("sessions", Int sessions); ("churn", Int churn); ("serials", Int st.Server.serial_bumps);
+        ("notify_batches", Int st.Server.notify_batches);
+        ("bytes_encoded", Int st.Server.bytes_encoded);
+        ("bytes_encoded_per_serial", Fixed (1, per_serial st));
+        ("bytes_sent", Int st.Server.bytes_sent); ("replays", Int st.Server.replays);
+        ("transitions", Int st.Server.transitions);
+        ("ms_per_batch", Fixed (3, ms /. float_of_int batches));
+        ( "session_syncs_per_sec",
+          Fixed (0, float_of_int (sessions * batches) /. (max 1e-6 ms /. 1000.)) ) ]
+  in
+  let sweep_cell (sessions, churn, ms) =
+    Object
+      [ ("sessions", Int sessions); ("churn", Int churn);
+        ("ms_per_batch", list (fun x -> Fixed (3, x)) ms) ]
+  in
+  Some
+    (Object
+       [ ("experiment", String "rtr"); ("ticks", Int ticks); ("universe", Int universe);
+         ("cells", list cell cells);
+         ( "baseline",
+           Object
+             [ ("sessions", Int big); ("bytes_encoded", Int baseline_bytes);
+               ("server_bytes_encoded", Int server_bytes); ("reduction", Fixed (1, reduction)) ] );
+         ( "domain_sweep",
+           Object
+             [ ("domains", list int domain_counts); ("identical", Bool true);
+               ("cells", list sweep_cell sweep) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* Soak: long-run endurance                                            *)
@@ -1634,18 +1573,17 @@ let soak_restart_trace ~endurance =
   ignore (Scenario.run_rollback ~restart_at:6 ~ticks:12 rig);
   detection_trace (Rpki_sim.Loop.history rig.Scenario.sim)
 
-let soak () =
-  header "Soak: long-run endurance (segments vs snapshots, eviction, traces)";
+let soak ~quick =
   (* --- arm 1: disk bytes per save, segmented vs full snapshots --- *)
-  let ticks = if !quick then 400 else 5000 in
+  let ticks = if quick then 400 else 5000 in
   (* the full-snapshot baseline's per-save cost grows with the log, so a
      shorter baseline run UNDERSTATES it: the reported ratio is a
      conservative lower bound (and the quick arms are same-length) *)
-  let full_ticks = if !quick then 400 else 1000 in
+  let full_ticks = if quick then 400 else 1000 in
   let soak_spec = Scenario.default_soak.Scenario.sk_spec in
   let base_cfg =
     { Scenario.sk_ticks = ticks; sk_churn_every = 6; sk_sample_every = max 1 (ticks / 10);
-      sk_spec = { soak_spec with Scenario.compact_every = (if !quick then 64 else 256) } }
+      sk_spec = { soak_spec with Scenario.compact_every = (if quick then 64 else 256) } }
   in
   Printf.printf "running segmented arm (%d ticks)...\n%!" ticks;
   let seg = Scenario.run_soak ~config:base_cfg () in
@@ -1664,10 +1602,9 @@ let soak () =
       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
       [ "mode"; "ticks"; "saves"; "bytes/save"; "final snap B"; "final chain B" ]
   in
-  let last r = List.nth r.Scenario.so_samples (List.length r.Scenario.so_samples - 1) in
   List.iter
     (fun (name, (r : Scenario.soak_report)) ->
-      let s = last r in
+      let s = last r.Scenario.so_samples in
       Table.add_row t
         [ name; string_of_int r.Scenario.so_config.Scenario.sk_ticks;
           string_of_int r.Scenario.so_saves;
@@ -1684,15 +1621,14 @@ let soak () =
           log, so this is a lower bound)"
          full_ticks
      else "");
-  let min_ratio = if !quick then 3.0 else 10.0 in
-  if ratio < min_ratio then
-    failwith
-      (Printf.sprintf "soak: segmented saves only %.1fx cheaper (need >= %.0fx)" ratio min_ratio);
+  let min_ratio = if quick then 3.0 else 10.0 in
+  check (not (ratio < min_ratio)) "segmented saves only %.1fx cheaper (need >= %.0fx)" ratio
+    min_ratio;
   (* Gc flatness across the segmented run: the last sample's live words
      must not have drifted far above the first post-warmup sample's. *)
   (match seg.Scenario.so_samples with
   | warm :: _ :: _ ->
-    let final = last seg in
+    let final = last seg.Scenario.so_samples in
     let growth =
       float_of_int final.Scenario.so_live_words
       /. float_of_int (max 1 warm.Scenario.so_live_words)
@@ -1702,7 +1638,7 @@ let soak () =
       final.Scenario.so_live_words final.Scenario.so_tick growth
   | _ -> ());
   (* --- arm 2: Valcache residency under churn, eviction on vs off --- *)
-  let res_ticks = if !quick then 300 else 360 in
+  let res_ticks = if quick then 300 else 360 in
   let res_cfg =
     { Scenario.sk_ticks = res_ticks; sk_churn_every = 1;
       sk_sample_every = max 1 (res_ticks / 6);
@@ -1747,12 +1683,10 @@ let soak () =
   let final3 l = match List.rev l with (_, r, _) :: _ -> r | [] -> 0 in
   let mid3 l = match List.nth_opt l (List.length l / 2) with Some (_, r, _) -> r | None -> 0 in
   let on_final = final3 on_curve and off_final = final3 off_curve in
-  if on_final >= off_final then
-    failwith "soak: eviction did not reduce Valcache residency under churn";
-  if on_final > 2 * max 1 (mid3 on_curve) then
-    failwith "soak: evicting residency still growing (not flat under churn)";
-  if off_final < mid3 off_curve then
-    failwith "soak: non-evicting residency unexpectedly shrank";
+  check (on_final < off_final) "eviction did not reduce Valcache residency under churn";
+  check (on_final <= 2 * max 1 (mid3 on_curve))
+    "evicting residency still growing (not flat under churn)";
+  check (off_final >= mid3 off_curve) "non-evicting residency unexpectedly shrank";
   Printf.printf
     "\nResidency after %d ticks of per-tick churn: %d entries with eviction\n\
      (%d dropped over the run) vs %d without — flat vs monotone.\n"
@@ -1762,54 +1696,50 @@ let soak () =
   (* --- arm 3: detection traces are invariant under the knobs --- *)
   let sv_on = soak_split_view_trace ~endurance:true in
   let sv_off = soak_split_view_trace ~endurance:false in
-  if not (String.equal sv_on sv_off) then
-    failwith "soak: split-view detection trace changed under endurance knobs";
+  check (String.equal sv_on sv_off) "split-view detection trace changed under endurance knobs";
   let rs_on = soak_restart_trace ~endurance:true in
   let rs_off = soak_restart_trace ~endurance:false in
-  if not (String.equal rs_on rs_off) then
-    failwith "soak: restart detection trace changed under endurance knobs";
+  check (String.equal rs_on rs_off) "restart detection trace changed under endurance knobs";
   Printf.printf
     "Detection traces byte-identical with endurance knobs on/off:\n\
      split-view arm (%d trace bytes), restart arm (%d trace bytes).\n"
     (String.length sv_on) (String.length rs_on);
-  let sample_json (s : Scenario.soak_sample) =
-    Printf.sprintf
-      "{\"tick\":%d,\"live_words\":%d,\"snapshot_bytes\":%d,\"chain_bytes\":%d,\
-       \"segments\":%d,\"save_bytes\":%d,\"log_size\":%d%s}"
-      s.Scenario.so_tick s.Scenario.so_live_words
-      s.Scenario.so_snapshot_bytes s.Scenario.so_chain_bytes
-      s.Scenario.so_segments s.Scenario.so_save_bytes
-      s.Scenario.so_log_size
-      (match s.Scenario.so_residency with
-      | None -> ""
+  let open Json in
+  let sample (s : Scenario.soak_sample) =
+    Object
+      ([ ("tick", Int s.Scenario.so_tick); ("live_words", Int s.Scenario.so_live_words);
+         ("snapshot_bytes", Int s.Scenario.so_snapshot_bytes);
+         ("chain_bytes", Int s.Scenario.so_chain_bytes); ("segments", Int s.Scenario.so_segments);
+         ("save_bytes", Int s.Scenario.so_save_bytes); ("log_size", Int s.Scenario.so_log_size) ]
+      @
+      match s.Scenario.so_residency with
+      | None -> []
       | Some rs ->
-        Printf.sprintf
-          ",\"resident\":%d,\"evicted\":%d"
-          (rs.Valcache.rs_verdicts + rs.Valcache.rs_outcomes)
-          (rs.Valcache.rs_verdicts_evicted + rs.Valcache.rs_outcomes_evicted))
+        [ ("resident", Int (rs.Valcache.rs_verdicts + rs.Valcache.rs_outcomes));
+          ("evicted", Int (rs.Valcache.rs_verdicts_evicted + rs.Valcache.rs_outcomes_evicted)) ])
   in
-  let report_json (r : Scenario.soak_report) =
-    Printf.sprintf
-      "{\"ticks\":%d,\"churn_every\":%d,\"compact_every\":%d,\"evict\":%b,\
-       \"full_snapshots\":%b,\"saves\":%d,\"total_save_bytes\":%d,\
-       \"bytes_per_save\":%.1f,\"samples\":[%s]}"
-      r.Scenario.so_config.Scenario.sk_ticks
-      r.Scenario.so_config.Scenario.sk_churn_every
-      r.Scenario.so_config.Scenario.sk_spec.Scenario.compact_every
-      r.Scenario.so_config.Scenario.sk_spec.Scenario.valcache_evict
-      r.Scenario.so_config.Scenario.sk_spec.Scenario.save_full
-      r.Scenario.so_saves r.Scenario.so_total_save_bytes
-      r.Scenario.so_bytes_per_save
-      (String.concat "," (List.map sample_json r.Scenario.so_samples))
+  let report (r : Scenario.soak_report) =
+    let config = r.Scenario.so_config in
+    Object
+      [ ("ticks", Int config.Scenario.sk_ticks);
+        ("churn_every", Int config.Scenario.sk_churn_every);
+        ("compact_every", Int config.Scenario.sk_spec.Scenario.compact_every);
+        ("evict", Bool config.Scenario.sk_spec.Scenario.valcache_evict);
+        ("full_snapshots", Bool config.Scenario.sk_spec.Scenario.save_full);
+        ("saves", Int r.Scenario.so_saves);
+        ("total_save_bytes", Int r.Scenario.so_total_save_bytes);
+        ("bytes_per_save", Fixed (1, r.Scenario.so_bytes_per_save));
+        ("samples", list sample r.Scenario.so_samples) ]
   in
-  write_json ~name:"soak"
-    (Printf.sprintf
-       "{\"experiment\":\"soak\",\"bytes_per_save_ratio\":%.1f,\
-        \"segmented\":%s,\"full\":%s,\"evict_on\":%s,\"evict_off\":%s,\
-        \"traces_identical\":{\"split_view\":%b,\"restart\":%b}}"
-       ratio (report_json seg) (report_json full) (report_json evict_on)
-       (report_json evict_off)
-       (String.equal sv_on sv_off) (String.equal rs_on rs_off))
+  Some
+    (Object
+       [ ("experiment", String "soak"); ("bytes_per_save_ratio", Fixed (1, ratio));
+         ("segmented", report seg); ("full", report full); ("evict_on", report evict_on);
+         ("evict_off", report evict_off);
+         ( "traces_identical",
+           Object
+             [ ("split_view", Bool (String.equal sv_on sv_off));
+               ("restart", Bool (String.equal rs_on rs_off)) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* Scale: detection on generated internet-scale worlds                 *)
@@ -1825,11 +1755,10 @@ let soak () =
    attack tick, and the exported fork-evidence proof bytes.  Hard bar:
    detection must succeed at EVERY size under degree placement — the
    curve is only interesting if the mechanism survives the scale. *)
-let scale () =
-  header "Scale: split-view detection vs generated topology size";
+let scale ~quick =
   let module World = Rpki_world.Synthesis in
   let module Placement = Rpki_world.Placement in
-  let sizes = if !quick then [ 200; 400 ] else [ 200; 500; 1000; 2000; 4000 ] in
+  let sizes = if quick then [ 200; 400 ] else [ 200; 500; 1000; 2000; 4000 ] in
   let ticks = 10 and attack_at = 3 and monitors = 3 and grace = 4 in
   let run_size ases =
     let spec =
@@ -1860,26 +1789,16 @@ let scale () =
     let avg_tick = List.fold_left ( +. ) 0. tick_ms /. float_of_int ticks in
     let max_tick = List.fold_left Float.max 0. tick_ms in
     let fork = Rpki_sim.Loop.first_fork_tick sim in
-    let evidence =
-      match Rpki_sim.Loop.gossip_mesh sim with
-      | None -> ""
-      | Some gm -> (
-        match Gossip.forks gm with
-        | [] -> ""
-        | alarm :: _ -> (
-          match Evidence.export ~key_of:(Gossip.key_of gm) alarm with
-          | Ok bytes -> bytes
-          | Error _ -> ""))
-    in
+    let evidence = first_fork_evidence sim in
     (* the acceptance bar: degree-placed monitors must catch the fork at
        every size, with exportable proof *)
     (match fork with
-    | None -> failwith (Printf.sprintf "scale: fork undetected at %d ASes" ases)
+    | None -> check false "fork undetected at %d ASes" ases
     | Some tk ->
-      if tk < attack_at || tk > attack_at + grace + 2 then
-        failwith (Printf.sprintf "scale: fork tick t%d out of window at %d ASes" tk ases));
-    if String.length evidence = 0 then
-      failwith (Printf.sprintf "scale: no exportable fork evidence at %d ASes" ases);
+      check
+        (not (tk < attack_at || tk > attack_at + grace + 2))
+        "fork tick t%d out of window at %d ASes" tk ases);
+    check (String.length evidence <> 0) "no exportable fork evidence at %d ASes" ases;
     let latency = match fork with Some tk -> tk - attack_at | None -> -1 in
     ( ases, List.length (World.cas w0), stats.As_graph.d_max, stats.As_graph.d_median,
       synth_ms, rig_ms, avg_tick, max_tick, latency, String.length evidence )
@@ -1908,21 +1827,18 @@ let scale () =
      Detection latency is flat in topology size; per-tick cost tracks the\n\
      announcement count (one RIB per published prefix), not the AS count.\n"
     attack_at;
-  write_json ~name:"scale"
-    (Printf.sprintf
-       "{\"experiment\":\"scale\",\"ticks\":%d,\"attack_at\":%d,\"monitors\":%d,\
-        \"placement\":\"degree\",\"sizes\":[%s]}"
-       ticks attack_at monitors
-       (String.concat ","
-          (List.map
-             (fun (ases, cas, dmax, dmed, synth_ms, rig_ms, avg_tick, max_tick, latency,
-                   proof) ->
-               Printf.sprintf
-                 "{\"ases\":%d,\"cas\":%d,\"d_max\":%d,\"d_median\":%d,\
-                  \"synth_ms\":%.1f,\"rig_ms\":%.1f,\"avg_tick_ms\":%.2f,\
-                  \"max_tick_ms\":%.2f,\"detection_latency\":%d,\"evidence_bytes\":%d}"
-                 ases cas dmax dmed synth_ms rig_ms avg_tick max_tick latency proof)
-             cells)))
+  let open Json in
+  let size (ases, cas, dmax, dmed, synth_ms, rig_ms, avg_tick, max_tick, latency, proof) =
+    Object
+      [ ("ases", Int ases); ("cas", Int cas); ("d_max", Int dmax); ("d_median", Int dmed);
+        ("synth_ms", Fixed (1, synth_ms)); ("rig_ms", Fixed (1, rig_ms));
+        ("avg_tick_ms", Fixed (2, avg_tick)); ("max_tick_ms", Fixed (2, max_tick));
+        ("detection_latency", Int latency); ("evidence_bytes", Int proof) ]
+  in
+  Some
+    (Object
+       [ ("experiment", String "scale"); ("ticks", Int ticks); ("attack_at", Int attack_at);
+         ("monitors", Int monitors); ("placement", String "degree"); ("sizes", list size cells) ])
 
 (* ------------------------------------------------------------------ *)
 (* Fault mix: corpus-weighted faults x unsafe-VRP policy               *)
@@ -1944,9 +1860,8 @@ let scale () =
    manifests 20x, seqnum gaps 18x, ... from the checked-in corpus table)
    and we read the degradation off the loop per rate x policy.  A rate-0
    engine run is asserted trace-identical to a run with no engine. *)
-let faultmix () =
-  header "Fault mix: corpus faults x unsafe-VRP policy (graceful degradation)";
-  let ticks = if !quick then 10 else 14 in
+let faultmix ~quick =
+  let ticks = if quick then 10 else 14 in
   let outage_at = 4 in
   let as_attacker = 64666 in
   let legit = Route.make (V4.p "63.174.16.0/20") Model.as_continental in
@@ -1992,7 +1907,6 @@ let faultmix () =
             unsafe_policies ))
       fetch_policies
   in
-  let final tl = List.nth tl (ticks - 1) in
   let t =
     Table.create
       ~aligns:[ Table.Left; Table.Left; Table.Left; Table.Left; Table.Right; Table.Right ]
@@ -2002,7 +1916,7 @@ let faultmix () =
     (fun (fn, cells) ->
       List.iter
         (fun (un, tl) ->
-          let _, lg, hj, unsafe_n, result = final tl in
+          let _, lg, hj, unsafe_n, result = last tl in
           Table.add_row t
             [ fn; un;
               Origin_validation.state_to_string lg;
@@ -2017,23 +1931,25 @@ let faultmix () =
      hijack protection; warn keeps the protection and reports the unsafe
      set; accept reports nothing *)
   let cell fn un = List.assoc un (List.assoc fn grid) in
-  let _, lg_a, hj_a, un_a, res_a = final (cell "no-stale" "accept") in
-  let _, lg_w, hj_w, un_w, res_w = final (cell "no-stale" "warn") in
-  let _, lg_r, hj_r, un_r, res_r = final (cell "no-stale" "reject") in
-  if not (lg_a = Origin_validation.Invalid && hj_a = Origin_validation.Invalid && un_a = 0)
-  then failwith "faultmix: accept cell should go invalid with no unsafe reporting";
-  if not (lg_w = Origin_validation.Invalid && hj_w = Origin_validation.Invalid && un_w > 0)
-  then failwith "faultmix: warn cell should keep protection and report unsafe VRPs";
-  if not (lg_r = Origin_validation.Unknown && hj_r = Origin_validation.Unknown && un_r > 0)
-  then failwith "faultmix: reject cell should flip the space to unknown";
-  if res_w.Relying_party.vrps <> res_a.Relying_party.vrps then
-    failwith "faultmix: warn must not change the effective VRP set";
-  if
-    not
-      (List.for_all
-         (fun v -> List.exists (fun u -> Vrp.compare u v = 0) res_a.Relying_party.vrps)
-         res_r.Relying_party.vrps)
-  then failwith "faultmix: reject's VRP set must be a subset of accept's";
+  let _, lg_a, hj_a, un_a, res_a = last (cell "no-stale" "accept") in
+  let _, lg_w, hj_w, un_w, res_w = last (cell "no-stale" "warn") in
+  let _, lg_r, hj_r, un_r, res_r = last (cell "no-stale" "reject") in
+  check
+    (lg_a = Origin_validation.Invalid && hj_a = Origin_validation.Invalid && un_a = 0)
+    "accept cell should go invalid with no unsafe reporting";
+  check
+    (lg_w = Origin_validation.Invalid && hj_w = Origin_validation.Invalid && un_w > 0)
+    "warn cell should keep protection and report unsafe VRPs";
+  check
+    (lg_r = Origin_validation.Unknown && hj_r = Origin_validation.Unknown && un_r > 0)
+    "reject cell should flip the space to unknown";
+  check (res_w.Relying_party.vrps = res_a.Relying_party.vrps)
+    "warn must not change the effective VRP set";
+  check
+    (List.for_all
+       (fun v -> List.exists (fun u -> Vrp.compare u v = 0) res_a.Relying_party.vrps)
+       res_r.Relying_party.vrps)
+    "reject's VRP set must be a subset of accept's";
   Printf.printf
     "\nWith stale fallback the outage is masked (cached data keeps serving) and\n\
      no VRP is unsafe.  Without it, Continental's resources join the failed\n\
@@ -2062,12 +1978,11 @@ let faultmix () =
   let sim0 = (Scenario.build Scenario.section6).Scenario.sim in
   let without_engine = List.init ticks (fun i -> Rpki_sim.Loop.step sim0 ~now:(i + 1)) in
   let rate0_identical = trace_of with_engine = trace_of without_engine in
-  if not rate0_identical then
-    failwith "faultmix: rate-0 engine run diverged from the engine-less run";
+  check rate0_identical "rate-0 engine run diverged from the engine-less run";
   Printf.printf "\nrate-0 engine run: trace-identical to a run with no engine.\n";
   (* --- the corpus sweep: fault rate x unsafe policy ----------------- *)
-  let rates = if !quick then [ 0.; 0.3 ] else [ 0.; 0.15; 0.4 ] in
-  let mix_ticks = if !quick then 12 else 24 in
+  let rates = if quick then [ 0.; 0.3 ] else [ 0.; 0.15; 0.4 ] in
+  let mix_ticks = if quick then 12 else 24 in
   (* the sweep runs without stale fallback, so the corpus's transport
      categories (dns / refused / timeout, ~10% of draws) open genuine
      failed-CA windows for the unsafe analysis instead of being masked by
@@ -2082,18 +1997,14 @@ let faultmix () =
     in
     let records = List.init mix_ticks (fun i -> snd (Scenario.step rig ~now:(i + 1))) in
     let engine = Option.get rig.Scenario.engine in
-    let sum f = List.fold_left (fun acc r -> acc + f r) 0 records in
-    let issues = sum (fun r -> r.Rpki_sim.Loop.issue_count) in
-    let max_unsafe =
-      List.fold_left (fun acc r -> max acc r.Rpki_sim.Loop.unsafe_count) 0 records
-    in
-    let last = List.nth records (mix_ticks - 1) in
+    let issues = sum (fun r -> r.Rpki_sim.Loop.issue_count) records in
+    let max_unsafe = List.fold_left (fun acc r -> max acc r.Rpki_sim.Loop.unsafe_count) 0 records in
     ( Fault_mix.injected engine,
       Fault_mix.repaired engine,
       Fault_mix.counts engine,
       float_of_int issues /. float_of_int mix_ticks,
       max_unsafe,
-      last.Rpki_sim.Loop.vrp_count )
+      (last records).Rpki_sim.Loop.vrp_count )
   in
   let mix =
     List.concat_map
@@ -2132,71 +2043,49 @@ let faultmix () =
           (match List.assoc_opt c Fault_corpus.weights with Some w -> w | None -> 0))
       counts);
   (* --- machine-readable output -------------------------------------- *)
-  let json_body =
-    let timeline_json tl =
-      String.concat ","
-        (List.map
-           (fun (now, lg, hj, unsafe_n, result) ->
-             Printf.sprintf
-               "{\"tick\":%d,\"victim\":\"%s\",\"hijack\":\"%s\",\"unsafe\":%d,\
-                \"vrps\":%d}"
-               now
-               (Origin_validation.state_to_string lg)
-               (Origin_validation.state_to_string hj)
-               unsafe_n
-               (List.length result.Relying_party.vrps))
-           tl)
-    in
-    let downgrade_json =
-      List.concat_map
-        (fun (fn, cells) ->
-          List.map
-            (fun (un, tl) ->
-              Printf.sprintf
-                "{\"fetch\":\"%s\",\"unsafe\":\"%s\",\"timeline\":[%s]}" fn un
-                (timeline_json tl))
-            cells)
-        grid
-    in
-    let mix_json =
-      List.map
-        (fun (rate, un, (inj, rep, counts, ipt, mu, vrps)) ->
-          Printf.sprintf
-            "{\"rate\":%.2f,\"unsafe\":\"%s\",\"injected\":%d,\"repaired\":%d,\
-             \"counts\":{%s},\"issues_per_tick\":%.2f,\"max_unsafe\":%d,\
-             \"final_vrps\":%d}"
-            rate un inj rep
-            (String.concat ","
-               (List.map
-                  (fun (c, n) ->
-                    Printf.sprintf "\"%s\":%d" (Fault_corpus.to_string c) n)
-                  counts))
-            ipt mu vrps)
-        mix
-    in
-    Printf.sprintf
-      "{\"experiment\":\"faultmix\",\"ticks\":%d,\"outage_at\":%d,\
-       \"mix_ticks\":%d,\"rate0_identical\":%b,\"downgrade\":[%s],\"mix\":[%s]}"
-      ticks outage_at mix_ticks rate0_identical
-      (String.concat "," downgrade_json)
-      (String.concat "," mix_json)
+  let open Json in
+  let state s = String (Origin_validation.state_to_string s) in
+  let tick (now, lg, hj, unsafe_n, result) =
+    Object
+      [ ("tick", Int now); ("victim", state lg); ("hijack", state hj); ("unsafe", Int unsafe_n);
+        ("vrps", Int (List.length result.Relying_party.vrps)) ]
+  in
+  let downgrade =
+    List.concat_map
+      (fun (fn, cells) ->
+        List.map
+          (fun (un, tl) ->
+            Object [ ("fetch", String fn); ("unsafe", String un); ("timeline", list tick tl) ])
+          cells)
+      grid
+  in
+  let mix_cell (rate, un, (inj, rep, counts, ipt, mu, vrps)) =
+    Object
+      [ ("rate", Fixed (2, rate)); ("unsafe", String un); ("injected", Int inj);
+        ("repaired", Int rep);
+        ("counts", Object (List.map (fun (c, n) -> (Fault_corpus.to_string c, Int n)) counts));
+        ("issues_per_tick", Fixed (2, ipt)); ("max_unsafe", Int mu); ("final_vrps", Int vrps) ]
+  in
+  let json =
+    Object
+      [ ("experiment", String "faultmix"); ("ticks", Int ticks); ("outage_at", Int outage_at);
+        ("mix_ticks", Int mix_ticks); ("rate0_identical", Bool rate0_identical);
+        ("downgrade", List downgrade); ("mix", list mix_cell mix) ]
   in
   (* every swept axis must be present in the export *)
-  let must_contain needle =
-    let len_n = String.length needle and len_b = String.length json_body in
-    let rec scan i =
-      if i + len_n > len_b then
-        failwith (Printf.sprintf "faultmix: JSON export lacks %s" needle)
-      else if String.sub json_body i len_n = needle then ()
-      else scan (i + 1)
-    in
-    scan 0
+  let rec holds ((k, v) as member) = function
+    | Object ms ->
+      List.exists (fun (k', v') -> (k' = k && to_string v' = to_string v) || holds member v') ms
+    | List vs -> List.exists (holds member) vs
+    | _ -> false
   in
-  List.iter must_contain
-    (List.map (fun (un, _) -> Printf.sprintf "\"unsafe\":\"%s\"" un) unsafe_policies
-    @ List.map (fun (fn, _) -> Printf.sprintf "\"fetch\":\"%s\"" fn) fetch_policies
-    @ List.map (fun rate -> Printf.sprintf "\"rate\":%.2f" rate) rates);
-  write_json ~name:"faultmix" json_body
+  List.iter
+    (fun ((k, v) as member) ->
+      check (holds member json) "JSON export lacks %s" (to_string (String k) ^ ":" ^ to_string v))
+    (List.map (fun (un, _) -> ("unsafe", String un)) unsafe_policies
+    @ List.map (fun (fn, _) -> ("fetch", String fn)) fetch_policies
+    @ List.map (fun rate -> ("rate", Fixed (2, rate))) rates);
+  Some json
 
 (* ------------------------------------------------------------------ *)
 (* Gossip at scale: overlays, round-level caching, Byzantine vantages   *)
@@ -2236,15 +2125,14 @@ type gossip_cell = {
   gc_proof_bytes : int;
 }
 
-let gossip () =
-  header "Gossip at scale: overlays, round caching, Byzantine equivocators";
+let gossip ~quick =
   let ticks = 6 and attack_at = 3 in
   let overlay_label = Gossip.Overlay.to_string in
   let fork_delta = function None -> "-" | Some tk -> string_of_int (tk - attack_at) in
   (* --- arm 1: overlay x n on the canned scenario ------------------- *)
-  let counts = if !quick then [ 16; 64 ] else [ 16; 64; 128 ] in
+  let counts = if quick then [ 16; 64 ] else [ 16; 64; 128 ] in
   let overlays =
-    if !quick then
+    if quick then
       [ Gossip.Overlay.Full_mesh; Gossip.Overlay.K_regular 2; Gossip.Overlay.K_regular 4 ]
     else
       [ Gossip.Overlay.Full_mesh; Gossip.Overlay.K_regular 2; Gossip.Overlay.K_regular 4;
@@ -2271,7 +2159,7 @@ let gossip () =
       if !fork = None && List.exists Gossip.is_fork rep.Gossip.r_alarms then fork := Some now;
       reports := rep :: !reports
     done;
-    let sum f = List.fold_left (fun acc r -> acc + f r) 0 !reports in
+    let sum f = sum f !reports in
     { gc_n = spec.Scenario.monitors + 1; gc_overlay = overlay;
       gc_pulls = (match !reports with last :: _ -> last.Gossip.r_pulls | [] -> 0);
       gc_cold_ms = !cold; gc_ms = !warm; gc_fork = !fork;
@@ -2315,30 +2203,22 @@ let gossip () =
   List.iter
     (fun n ->
       let mesh = cell n Gossip.Overlay.Full_mesh in
-      if mesh.gc_pulls <> n * (n - 1) then
-        failwith (Printf.sprintf "gossip: full mesh at n=%d ran %d pulls" n mesh.gc_pulls);
+      check (mesh.gc_pulls = n * (n - 1)) "full mesh at n=%d ran %d pulls" n mesh.gc_pulls;
       List.iter
         (fun k ->
           let c = cell n (Gossip.Overlay.K_regular k) in
-          if c.gc_pulls <> n * k then
-            failwith
-              (Printf.sprintf "gossip: k=%d at n=%d ran %d pulls, wanted %d" k n
-                 c.gc_pulls (n * k)))
+          check (c.gc_pulls = n * k) "k=%d at n=%d ran %d pulls, wanted %d" k n c.gc_pulls (n * k))
         [ 2; 4 ];
       (* every overlay must still catch the stealth split view; the sparse
          k-regular ring within 2 rounds of the attack *)
       List.iter
         (fun overlay ->
           match (cell n overlay).gc_fork with
-          | None ->
-            failwith
-              (Printf.sprintf "gossip: %s at n=%d missed the split view"
-                 (overlay_label overlay) n)
+          | None -> check false "%s at n=%d missed the split view" (overlay_label overlay) n
           | Some tk ->
-            if overlay = Gossip.Overlay.K_regular 2 && tk - attack_at > 2 then
-              failwith
-                (Printf.sprintf "gossip: k:2 at n=%d detected only %d rounds after attack"
-                   n (tk - attack_at)))
+            check
+              (not (overlay = Gossip.Overlay.K_regular 2 && tk - attack_at > 2))
+              "k:2 at n=%d detected only %d rounds after attack" n (tk - attack_at))
         overlays)
     counts;
   (* the head-verify memo: one verification per served log per round
@@ -2346,41 +2226,36 @@ let gossip () =
   List.iter
     (fun n ->
       let mesh = cell n Gossip.Overlay.Full_mesh in
-      if mesh.gc_verifies > ticks * (n + 1) then
-        failwith
-          (Printf.sprintf "gossip: full mesh at n=%d verified %d heads (memo broken?)" n
-             mesh.gc_verifies))
+      check (mesh.gc_verifies <= ticks * (n + 1))
+        "full mesh at n=%d verified %d heads (memo broken?)" n mesh.gc_verifies)
     counts;
   (* the acceptance bar, full mode: at n=128 a k=4 overlay does >= 8x fewer
      pulls and >= 5x less gossip wall-clock than the mesh, still detecting *)
-  if not !quick then begin
+  if not quick then begin
     let mesh = cell 128 Gossip.Overlay.Full_mesh and k4 = cell 128 (Gossip.Overlay.K_regular 4) in
-    if mesh.gc_pulls < 8 * k4.gc_pulls then
-      failwith
-        (Printf.sprintf "gossip: k:4 pull reduction only %.1fx at n=128"
-           (float_of_int mesh.gc_pulls /. float_of_int k4.gc_pulls));
-    if mesh.gc_ms < 5. *. k4.gc_ms then
-      failwith
-        (Printf.sprintf
-           "gossip: k:4 warm wall-clock reduction only %.1fx at n=128 (%.1f vs %.1f ms)"
-           (mesh.gc_ms /. k4.gc_ms) mesh.gc_ms k4.gc_ms);
-    if k4.gc_fork = None then failwith "gossip: k:4 at n=128 missed the split view";
+    check (mesh.gc_pulls >= 8 * k4.gc_pulls) "k:4 pull reduction only %.1fx at n=128"
+      (float_of_int mesh.gc_pulls /. float_of_int k4.gc_pulls);
+    check
+      (not (mesh.gc_ms < 5. *. k4.gc_ms))
+      "k:4 warm wall-clock reduction only %.1fx at n=128 (%.1f vs %.1f ms)"
+      (mesh.gc_ms /. k4.gc_ms) mesh.gc_ms k4.gc_ms;
+    check (k4.gc_fork <> None) "k:4 at n=128 missed the split view";
     Printf.printf
       "n=128: k:4 vs mesh — %.1fx fewer pulls, %.1fx less warm gossip wall-clock, detected +%s rounds\n"
       (float_of_int mesh.gc_pulls /. float_of_int k4.gc_pulls)
       (mesh.gc_ms /. k4.gc_ms) (fork_delta k4.gc_fork)
   end;
   (* --- arm 2: the Byzantine sweep ---------------------------------- *)
-  let byz_n = if !quick then 10 else 16 in
+  let byz_n = if quick then 10 else 16 in
   let byz_ticks = 8 in
   let byz_overlays =
-    if !quick then [ Gossip.Overlay.Full_mesh; Gossip.Overlay.K_regular 2; Gossip.Overlay.Star 3 ]
+    if quick then [ Gossip.Overlay.Full_mesh; Gossip.Overlay.K_regular 2; Gossip.Overlay.Star 3 ]
     else
       [ Gossip.Overlay.Full_mesh; Gossip.Overlay.K_regular 4; Gossip.Overlay.Star 3;
         Gossip.Overlay.Random_peers 3 ]
   in
   let byz_fs =
-    if !quick then [ 0; 2; 4 ] else [ 0; 3; 5; 7; 11; byz_n - 2 ]
+    if quick then [ 0; 2; 4 ] else [ 0; 3; 5; 7; 11; byz_n - 2 ]
   in
   (* the fork runs from the victim's FIRST sync: a victim with honest
      pre-attack history is self-evidencing (its own first-seen record
@@ -2428,33 +2303,27 @@ let gossip () =
   Table.print bt;
   List.iter
     (fun (f, overlay, _, detected, adj) ->
+      let label = overlay_label overlay in
       (* detection is exactly honest adjacency of the victim *)
-      if adj && detected = None then
-        failwith
-          (Printf.sprintf "gossip: %s f=%d — honest neighbor but no detection"
-             (overlay_label overlay) f);
-      if (not adj) && detected <> None then
-        failwith
-          (Printf.sprintf "gossip: %s f=%d — detection without an honest neighbor?"
-             (overlay_label overlay) f);
-      if f = 0 && detected = None then
-        failwith (Printf.sprintf "gossip: %s f=0 undetected" (overlay_label overlay));
+      check (not (adj && detected = None)) "%s f=%d — honest neighbor but no detection" label f;
+      check
+        (not ((not adj) && detected <> None))
+        "%s f=%d — detection without an honest neighbor?" label f;
+      check (not (f = 0 && detected = None)) "%s f=0 undetected" label;
       (* the honest-majority bar: under f < n/2 the mesh and the k-regular
          ring keep the victim honest-connected, so detection must hold *)
-      if
-        f < byz_n / 2
-        && (overlay = Gossip.Overlay.Full_mesh
-           || overlay = Gossip.Overlay.K_regular 4
-           || overlay = Gossip.Overlay.K_regular 2)
-        && detected = None
-      then
-        failwith
-          (Printf.sprintf "gossip: %s f=%d < n/2 but detection failed"
-             (overlay_label overlay) f))
+      check
+        (not
+           (f < byz_n / 2
+           && (overlay = Gossip.Overlay.Full_mesh
+              || overlay = Gossip.Overlay.K_regular 4
+              || overlay = Gossip.Overlay.K_regular 2)
+           && detected = None))
+        "%s f=%d < n/2 but detection failed" label f)
     byz_cells;
   (* --- arm 3 (full mode): a generated world under a partial mesh ---- *)
   let world_cells =
-    if !quick then []
+    if quick then []
     else begin
       List.map
         (fun overlay ->
@@ -2471,45 +2340,30 @@ let gossip () =
       Printf.printf
         "world (n=%d, %s): %d pulls/round, %.1f warm gossip ms, detected +%s rounds\n"
         c.gc_n (overlay_label c.gc_overlay) c.gc_pulls c.gc_ms (fork_delta c.gc_fork);
-      if c.gc_fork = None then
-        failwith
-          (Printf.sprintf "gossip: %s missed the split view on the generated world"
-             (overlay_label c.gc_overlay)))
+      check (c.gc_fork <> None) "%s missed the split view on the generated world"
+        (overlay_label c.gc_overlay))
     world_cells;
   (* --- JSON export -------------------------------------------------- *)
+  let open Json in
+  let overlay o = String (overlay_label o) in
   let cell_json c =
-    Printf.sprintf
-      "{\"n\":%d,\"overlay\":\"%s\",\"pulls_per_round\":%d,\"cold_ms\":%.2f,\
-       \"warm_gossip_ms\":%.2f,\"fork_round\":%s,\"detect_rounds_after_attack\":%s,\
-       \"verifies\":%d,\"verifies_saved\":%d,\"proofs_built\":%d,\"proofs_reused\":%d,\
-       \"proof_bytes\":%d}"
-      c.gc_n (overlay_label c.gc_overlay) c.gc_pulls c.gc_cold_ms c.gc_ms
-      (match c.gc_fork with Some tk -> string_of_int tk | None -> "null")
-      (match c.gc_fork with Some tk -> string_of_int (tk - attack_at) | None -> "null")
-      c.gc_verifies c.gc_verifies_saved c.gc_proofs_built c.gc_proofs_reused c.gc_proof_bytes
+    Object
+      [ ("n", Int c.gc_n); ("overlay", overlay c.gc_overlay); ("pulls_per_round", Int c.gc_pulls);
+        ("cold_ms", Fixed (2, c.gc_cold_ms)); ("warm_gossip_ms", Fixed (2, c.gc_ms));
+        ("fork_round", option int c.gc_fork);
+        ("detect_rounds_after_attack", option (fun tk -> Int (tk - attack_at)) c.gc_fork);
+        ("verifies", Int c.gc_verifies); ("verifies_saved", Int c.gc_verifies_saved);
+        ("proofs_built", Int c.gc_proofs_built); ("proofs_reused", Int c.gc_proofs_reused);
+        ("proof_bytes", Int c.gc_proof_bytes) ]
   in
-  let byz_json (f, overlay, byz, detected, adj) =
-    Printf.sprintf
-      "{\"overlay\":\"%s\",\"f\":%d,\"n\":%d,\"byzantine\":[%s],\"honest_adjacent\":%b,\
-       \"fork_tick\":%s}"
-      (overlay_label overlay) f byz_n
-      (String.concat "," (List.map (Printf.sprintf "\"%s\"") byz))
-      adj
-      (match detected with Some tk -> string_of_int tk | None -> "null")
+  let byz_json (f, o, byz, detected, adj) =
+    Object
+      [ ("overlay", overlay o); ("f", Int f); ("n", Int byz_n);
+        ("byzantine", list string byz); ("honest_adjacent", Bool adj);
+        ("fork_tick", option int detected) ]
   in
-  write_json ~name:"gossip"
-    (Printf.sprintf
-       "{\"experiment\":\"gossip\",\"ticks\":%d,\"attack_at\":%d,\"byzantine_attack_at\":%d,\
-        \"overlay_grid\":[%s],\"byzantine_sweep\":[%s],\"world\":[%s]}"
-       ticks attack_at byz_attack_at
-       (String.concat "," (List.map cell_json grid))
-       (String.concat "," (List.map byz_json byz_cells))
-       (String.concat "," (List.map cell_json world_cells)))
-
-let all : (string * (unit -> unit)) list =
-  [ ("fig2", fig2); ("fig3", fig3); ("tab4", tab4); ("fig5", fig5); ("tab6", tab6);
-    ("se5", se5); ("se6", se6); ("se7", se7); ("campaign", campaign); ("adoption", adoption);
-    ("depth", depth); ("sync-incremental", sync_incremental); ("stall", stall);
-    ("transparency", transparency); ("restart", restart); ("multivantage", multivantage);
-    ("rtr", rtr); ("soak", soak); ("scale", scale); ("faultmix", faultmix);
-    ("gossip", gossip) ]
+  Some
+    (Object
+       [ ("experiment", String "gossip"); ("ticks", Int ticks); ("attack_at", Int attack_at);
+         ("byzantine_attack_at", Int byz_attack_at); ("overlay_grid", list cell_json grid);
+         ("byzantine_sweep", list byz_json byz_cells); ("world", list cell_json world_cells) ])

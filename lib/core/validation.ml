@@ -7,31 +7,30 @@
 open Rpki_crypto
 
 type failure =
-  | Expired of { not_after : Rtime.t; now : Rtime.t }
-  | Not_yet_valid of { not_before : Rtime.t; now : Rtime.t }
+  | Expired of { not_after : Rtime.t }
+  | Not_yet_valid of { not_before : Rtime.t }
   | Bad_signature of string (* which object *)
   | Wrong_issuer of { expected : string; got : string }
   | Resource_overclaim of { subject : string; excess : Resources.t }
   | Revoked of { serial : int; issuer : string }
-  | Stale_crl of { next_update : Rtime.t; now : Rtime.t }
+  | Stale_crl of { next_update : Rtime.t }
   | Not_a_ca of string
   | Is_a_ca of string (* EE slot filled by a CA certificate *)
   | Bad_max_length of { len : int; max_len : int }
   | Malformed of string
 
 let pp_failure fmt = function
-  | Expired { not_after; now } ->
-    Format.fprintf fmt "expired (notAfter=%a, now=%a)" Rtime.pp not_after Rtime.pp now
-  | Not_yet_valid { not_before; now } ->
-    Format.fprintf fmt "not yet valid (notBefore=%a, now=%a)" Rtime.pp not_before Rtime.pp now
+  | Expired { not_after } -> Format.fprintf fmt "expired (notAfter=%a)" Rtime.pp not_after
+  | Not_yet_valid { not_before } ->
+    Format.fprintf fmt "not yet valid (notBefore=%a)" Rtime.pp not_before
   | Bad_signature what -> Format.fprintf fmt "bad signature on %s" what
   | Wrong_issuer { expected; got } ->
     Format.fprintf fmt "wrong issuer (expected %s, got %s)" expected got
   | Resource_overclaim { subject; excess } ->
     Format.fprintf fmt "resource overclaim by %s: %a" subject Resources.pp excess
   | Revoked { serial; issuer } -> Format.fprintf fmt "revoked (serial %d by %s)" serial issuer
-  | Stale_crl { next_update; now } ->
-    Format.fprintf fmt "stale CRL (nextUpdate=%a, now=%a)" Rtime.pp next_update Rtime.pp now
+  | Stale_crl { next_update } ->
+    Format.fprintf fmt "stale CRL (nextUpdate=%a)" Rtime.pp next_update
   | Not_a_ca s -> Format.fprintf fmt "%s is not a CA" s
   | Is_a_ca s -> Format.fprintf fmt "%s is a CA where an EE is required" s
   | Bad_max_length { len; max_len } ->
@@ -121,8 +120,8 @@ let failure_kind = function
 let ( let* ) = Result.bind
 
 let check_window ~now ~not_before ~not_after =
-  if Rtime.( < ) now not_before then Error (Not_yet_valid { not_before; now })
-  else if Rtime.( < ) not_after now then Error (Expired { not_after; now })
+  if Rtime.( < ) now not_before then Error (Not_yet_valid { not_before })
+  else if Rtime.( < ) not_after now then Error (Expired { not_after })
   else Ok ()
 
 (* Every signature check below funnels through the [verify] parameter; the
@@ -147,7 +146,7 @@ let validate_crl ?(verify = default_verify) ~now ~(parent : Cert.t) (crl : Crl.t
     else Error (Bad_signature "CRL")
   in
   if Rtime.( < ) crl.Crl.next_update now then
-    Error (Stale_crl { next_update = crl.Crl.next_update; now })
+    Error (Stale_crl { next_update = crl.Crl.next_update })
   else Ok ()
 
 (* Validate one certificate under a validated parent.  [crl], when present,
@@ -237,5 +236,5 @@ let validate_manifest ?(verify = default_verify) ~now ~(parent : Cert.t) ?crl
     else Error (Bad_signature "manifest content")
   in
   if Rtime.( < ) mft.Manifest.next_update now then
-    Error (Stale_crl { next_update = mft.Manifest.next_update; now })
+    Error (Stale_crl { next_update = mft.Manifest.next_update })
   else Ok ()

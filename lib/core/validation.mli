@@ -6,14 +6,17 @@
 
 open Rpki_crypto
 
+(** Why a check failed.  A window failure names the bound it crossed but
+    not the instant it was checked at, so a reason kept in a replayed
+    outcome reads as a fresh validation's would. *)
 type failure =
-  | Expired of { not_after : Rtime.t; now : Rtime.t }
-  | Not_yet_valid of { not_before : Rtime.t; now : Rtime.t }
+  | Expired of { not_after : Rtime.t }
+  | Not_yet_valid of { not_before : Rtime.t }
   | Bad_signature of string            (** which object *)
   | Wrong_issuer of { expected : string; got : string }
   | Resource_overclaim of { subject : string; excess : Resources.t }
   | Revoked of { serial : int; issuer : string }
-  | Stale_crl of { next_update : Rtime.t; now : Rtime.t }
+  | Stale_crl of { next_update : Rtime.t }
   | Not_a_ca of string
   | Is_a_ca of string                  (** EE slot filled by a CA cert *)
   | Bad_max_length of { len : int; max_len : int }

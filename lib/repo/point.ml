@@ -65,13 +65,6 @@ let bounds = function
 (* A missing or invalid CRL revokes nothing. *)
 let revoked crl serial = match crl with Some c -> Crl.revokes c serial | None -> false
 
-(* A certificate's or ROA's failure as a validation at [now] would report
-   it: only the window failures name the instant. *)
-let at_now ~now = function
-  | Validation.Expired e -> Validation.Expired { e with now }
-  | Validation.Not_yet_valid e -> Validation.Not_yet_valid { e with now }
-  | f -> f
-
 (* The record of one file.  [previous] is the earlier validation's record
    under this name, if any, and [prev_at] its [now]; it stands while the
    bytes are the same, [now] sits on the same side of each of its
@@ -229,8 +222,7 @@ let validate ?verify ?prev ~now ~(ca_cert : Cert.t) ~parent_fp ~snap_fp listing 
       | Rejected (dark, failure) ->
         failed := Resources.union !failed dark;
         file_issues :=
-          issue f.f_name (Validation.failure_kind failure)
-            (Validation.failure_to_string (at_now ~now failure))
+          issue f.f_name (Validation.failure_kind failure) (Validation.failure_to_string failure)
           :: !file_issues
       | Issue (kind, reason) -> file_issues := issue f.f_name kind reason :: !file_issues)
     files;

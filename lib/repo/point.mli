@@ -50,5 +50,4 @@ val validate :
     revokes nothing); every other object is decoded and checked afresh.
     The manifest and CRL are always checked, and a file whose bytes are
     the same is not hashed again.  The outcome equals a validation without
-    [prev] field for field, an [Expired] or [Not_yet_valid] reason naming
-    the current [now]. *)
+    [prev] field for field. *)

@@ -162,8 +162,41 @@ let test_verdict_memo () =
   Alcotest.(check int) "checked" 2 s.Valcache.sig_checked;
   Alcotest.(check int) "saved" 2 s.Valcache.sig_saved
 
+(* A replayed outcome reports what a fresh validation reports, reasons
+   included.  Continental's /24 ROA is re-signed already expired at t2;
+   at t3 no boundary has moved since t2, so the relying party that
+   validated the point at t2 replays its outcome, as does a fresh one over
+   a plane another vantage filled at t2, while a third validates afresh. *)
+let test_replayed_reasons () =
+  let m = Model.build () in
+  Authority.expire_roa m.Model.continental ~filename:m.Model.roa_cb_25 ~now:2;
+  let sync ?valcache rp ~now =
+    let r = Relying_party.sync rp ~now ~universe:m.Model.universe ?valcache () in
+    List.map
+      (fun (i : Relying_party.issue) ->
+        Printf.sprintf "%s %s %s: %s" i.Relying_party.uri
+          (Option.value i.Relying_party.filename ~default:"-")
+          (Validation.issue_kind_to_string i.Relying_party.kind)
+          i.Relying_party.reason)
+      r.Relying_party.issues
+  in
+  let warm = Model.relying_party m in
+  ignore (sync warm ~now:2);
+  let plane = Valcache.create () in
+  ignore (sync ~valcache:plane (Model.relying_party m) ~now:2);
+  let fresh = sync (Model.relying_party m) ~now:3 in
+  Alcotest.(check (list string)) "warm t3 = fresh t3" fresh (sync warm ~now:3);
+  Alcotest.(check (list string))
+    "fresh t3 over a plane filled at t2 = fresh t3" fresh
+    (sync ~valcache:plane (Model.relying_party m) ~now:3);
+  Alcotest.(check bool)
+    "the expired ROA is reported" true
+    (List.exists (String.ends_with ~suffix:"expired-cert: expired (notAfter=t+1)") fresh)
+
 let () =
   Alcotest.run "valcache"
     [ ("transparency", [ prop_transparency ]);
-      ("verdict-memo", [ Alcotest.test_case "memoizes both verdicts" `Quick test_verdict_memo ])
-    ]
+      ("verdict-memo", [ Alcotest.test_case "memoizes both verdicts" `Quick test_verdict_memo ]);
+      ( "replay",
+        [ Alcotest.test_case "a replayed expiry reads as a fresh one" `Quick test_replayed_reasons ]
+      ) ]
