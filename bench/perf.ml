@@ -162,6 +162,44 @@ let bench_point () =
     Test.make ~name:"revalidate-refreshed-point-40-roas"
       (Staged.stage (fun () -> validate ~prev:before refreshed)) ]
 
+(* One CA's 100 ROAs, issued as one batch, which signs the CRL and
+   manifest once, and one at a time, which signs them after every ROA.
+   Both publish the same bytes.  Each run starts from a fresh trust anchor
+   made from the same keys, so no key generation runs inside the timer;
+   making it signs its certificate, a CRL and a manifest. *)
+let bench_issuance () =
+  let open Rpki_repo in
+  let keys = Authority.make_keys ~name:"bench-ca" ~key_bits:Rpki_crypto.Rsa.default_bits in
+  let fresh () =
+    Authority.create_trust_anchor ~name:"bench-ca"
+      ~resources:(Resources.of_v4_strings [ "30.0.0.0/8" ])
+      ~uri:"rsync://bench-ca/repo" ~addr:(V4.addr_of_string_exn "198.51.100.2") ~host_asn:1
+      ~now:0 ~universe:(Universe.create ()) ~keys ()
+  in
+  let specs =
+    List.init 100 (fun i ->
+        (64500 + i, [ Roa.entry (V4.Prefix.make ((30 lsl 24) lor (i lsl 16)) 16) ]))
+  in
+  let batch () =
+    let ca = fresh () in
+    ignore (Authority.issue_roas ca ~now:0 specs);
+    ca
+  in
+  let one_at_a_time () =
+    let ca = fresh () in
+    List.iter
+      (fun (asid, v4_entries) -> ignore (Authority.issue_roa ca ~asid ~v4_entries ~now:0 ()))
+      specs;
+    ca
+  in
+  let files ca = Pub_point.files (Authority.pub ca) in
+  Experiments.check
+    (files (batch ()) = files (one_at_a_time ()))
+    "a batch of 100 ROAs published other bytes than issuing them one at a time";
+  Test.make_grouped ~name:"authority"
+    [ Test.make ~name:"issue-100-roas-batch" (Staged.stage batch);
+      Test.make ~name:"issue-100-roas-one-at-a-time" (Staged.stage one_at_a_time) ]
+
 let bench_rp () =
   let m = Rpki_repo.Model.build () in
   let rp = Rpki_repo.Model.relying_party m in
@@ -378,8 +416,8 @@ let run ~quick =
   let tests =
     Test.make_grouped ~name:"rpki-mra"
       [ bench_crypto (); bench_objects (); bench_origin_validation (); bench_bgp ();
-        bench_attack (); bench_rp (); bench_rtr (); bench_rrdp (); bench_transparency ();
-        bench_gossip (); bench_persist () ]
+        bench_attack (); bench_issuance (); bench_rp (); bench_rtr (); bench_rrdp ();
+        bench_transparency (); bench_gossip (); bench_persist () ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

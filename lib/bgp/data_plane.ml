@@ -9,14 +9,14 @@ open Rpki_core
 open Rpki_ip
 
 (* One announced prefix: its announcements in list order, each paired with
-   its origin-validation state, and the RIB they produced.  Together with
-   the topology and the policy vector, [inputs] is everything
-   [Propagation.compute_classified] reads, so equal inputs mean an
-   identical RIB. *)
+   its origin-validation state, and what propagating them came to.
+   Together with the topology and the policy vector, [inputs] is
+   everything [Propagation.compute_classified] reads, so equal inputs mean
+   an identical outcome. *)
 type slot = {
   prefix : V4.Prefix.t;
   inputs : (Propagation.announcement * Origin_validation.state) list;
-  rib : Propagation.rib;
+  outcome : Propagation.outcome;
 }
 
 type network = {
@@ -24,7 +24,7 @@ type network = {
   version : int;             (* Topology.version at build time *)
   policy : Policy.t array;   (* per AS, ascending ASN *)
   slots : slot list;         (* one per announced prefix, ascending *)
-  lpm : Propagation.rib V4.Trie.t; (* each slot's RIB under its prefix *)
+  lpm : Propagation.rib V4.Trie.t; (* each stable slot's RIB under its prefix *)
   recomputed : int;          (* RIBs this build computed rather than reused *)
 }
 
@@ -44,7 +44,9 @@ let group_by_prefix (classified : (Propagation.announcement * Origin_validation.
 (* Compute RIBs for every distinct announced prefix.  With [prev] built
    over the same topology (same object, same version) and the same policy
    vector, a prefix whose classified announcements are unchanged keeps
-   [prev]'s RIB: a RIB is a pure function of exactly those inputs. *)
+   [prev]'s outcome: it is a pure function of exactly those inputs.  An
+   oscillating prefix gets no forwarding entry anywhere, as route-flap
+   damping (RFC 2439) would in time suppress it. *)
 let build ?prev ~topo ~policy_of ~validity_of (anns : Propagation.announcement list) =
   let version = Topology.version topo in
   let policy = Propagation.policy_vector ~topo ~policy_of in
@@ -63,20 +65,33 @@ let build ?prev ~topo ~policy_of ~validity_of (anns : Propagation.announcement l
     | [] -> []
     | (prefix, inputs) :: groups ->
       let old = skip_below prefix old in
-      let rib =
+      let outcome =
         match old with
-        | s :: _ when V4.Prefix.equal s.prefix prefix && s.inputs = inputs -> s.rib
+        | s :: _ when V4.Prefix.equal s.prefix prefix && s.inputs = inputs -> s.outcome
         | _ ->
           incr recomputed;
           Propagation.compute_classified ~topo ~policy inputs
       in
-      { prefix; inputs; rib } :: go old groups
+      { prefix; inputs; outcome } :: go old groups
   in
   let slots = go reusable (group_by_prefix (Propagation.classify ~validity_of anns)) in
-  let lpm = List.fold_left (fun lpm s -> V4.Trie.insert lpm s.prefix s.rib) V4.Trie.empty slots in
+  let lpm =
+    List.fold_left
+      (fun lpm s ->
+        match s.outcome with
+        | Propagation.Stable rib -> V4.Trie.insert lpm s.prefix rib
+        | Propagation.Oscillating -> lpm)
+      V4.Trie.empty slots
+  in
   { topo; version; policy; slots; lpm; recomputed = !recomputed }
 
 let recomputed net = net.recomputed
+
+let oscillating net =
+  List.filter_map
+    (fun s ->
+      match s.outcome with Propagation.Oscillating -> Some s.prefix | Propagation.Stable _ -> None)
+    net.slots
 
 (* The forwarding decision of [asn] for destination [addr]: the entry of the
    longest prefix covering [addr] for which the AS holds a route.  Only the

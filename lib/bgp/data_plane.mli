@@ -25,12 +25,19 @@ val build :
     over the same topology object at the same version with the same policy
     vector, every prefix whose announcements and validity states are
     unchanged reuses [prev]'s RIB; the result equals a build without
-    [prev]. *)
+    [prev].  A prefix whose propagation is {!Propagation.Oscillating}
+    gets no forwarding entry at any AS (see {!oscillating}). *)
 
 val recomputed : network -> int
 (** How many RIBs {!build} computed for this network rather than reused
     from [prev]: every prefix on a build without [prev], only the prefixes
     whose inputs changed on one with it.  Deterministic. *)
+
+val oscillating : network -> V4.Prefix.t list
+(** The announced prefixes, ascending, whose propagation did not settle.
+    None is installed: traffic to them follows a covering prefix, if any,
+    as it would once route-flap damping (RFC 2439) suppressed the flapping
+    routes. *)
 
 val forwarding_entry :
   network -> asn:int -> addr:Addr.V4.t -> (V4.Prefix.t * Propagation.entry) option

@@ -116,6 +116,11 @@ type rib = {
   best : entry option array;
 }
 
+(* [Oscillating]: ASes that rank validity first beside ASes that ignore it
+   can chase each other round a dispute wheel for ever (see the
+   interface). *)
+type outcome = Stable of rib | Oscillating
+
 (* Every AS's policy, by dense index (ascending ASN). *)
 let policy_vector ~(topo : Topology.t) ~(policy_of : int -> Policy.t) =
   Array.map policy_of (adjacency_of topo).asn_of
@@ -133,9 +138,10 @@ let policy_vector ~(topo : Topology.t) ~(policy_of : int -> Policy.t) =
    better than every offer it has seen, so at the end every AS holds the
    best of what it originates and what its neighbours export: a stable
    state.  (Taking only strictly better offers, as an earlier version did,
-   left an AS holding a route its next hop had dropped.) *)
+   left an AS holding a route its next hop had dropped.)  A worklist still
+   busy after 4n(n+2) steps is [Oscillating]. *)
 let compute_classified ~(topo : Topology.t) ~(policy : Policy.t array)
-    (classified : (announcement * Origin_validation.state) list) : rib =
+    (classified : (announcement * Origin_validation.state) list) : outcome =
   let adj = adjacency_of topo in
   let n = Array.length adj.asn_of in
   if Array.length policy <> n then
@@ -205,9 +211,8 @@ let compute_classified ~(topo : Topology.t) ~(policy : Policy.t array)
   (* drain: the popped AS's neighbours see its changed entry *)
   let steps = ref 0 in
   let limit = 4 * n * (n + 2) in
-  while not (Queue.is_empty queue) do
+  while !steps < limit && not (Queue.is_empty queue) do
     incr steps;
-    if !steps > limit then failwith "Propagation.compute: no convergence";
     let i = Queue.pop queue in
     queued.(i) <- false;
     Array.iter
@@ -227,7 +232,7 @@ let compute_classified ~(topo : Topology.t) ~(policy : Policy.t array)
         end)
       adj.neigh.(i)
   done;
-  { index_of = adj.index_of; best }
+  if Queue.is_empty queue then Stable { index_of = adj.index_of; best } else Oscillating
 
 let classify ~validity_of anns =
   List.map (fun ann -> (ann, validity_of (Route.make ann.prefix ann.origin))) anns

@@ -35,15 +35,29 @@ type rib
 (** Best route per AS, for one prefix.  Immutable: successive data planes
     share the RIBs of prefixes whose inputs did not change. *)
 
+type outcome =
+  | Stable of rib
+  | Oscillating
+      (** the selections had not settled after 4n(n+2) worklist steps, n
+          the number of ASes *)
+(** What propagating one prefix comes to.  Gao and Rexford's conditions
+    guarantee convergence on a valley-free topology when every AS ranks
+    customer routes above peer and provider routes.  [Drop_invalid] and
+    [Depref_invalid] rank validity ahead of the relationship, so when such
+    ASes sit beside [Ignore_rpki] ASes and the announcements differ in
+    validity, their preferences can form a dispute wheel: the selections
+    may chase each other for ever, even where some other activation order
+    would settle ([test_bgp] pins such an input).  When every AS ranks
+    routes alike (all [Ignore_rpki], or none) the outcome is [Stable]. *)
+
 val compute :
   topo:Topology.t ->
   policy_of:(int -> Policy.t) ->
   validity_of:(Route.t -> Origin_validation.state) ->
   announcement list ->
-  rib
+  outcome
 (** Fixpoint propagation of one prefix's announcements through the
-    topology.  Raises [Failure] if no convergence (cannot happen on
-    valley-free topologies). *)
+    topology. *)
 
 val policy_vector : topo:Topology.t -> policy_of:(int -> Policy.t) -> Policy.t array
 (** Every AS's policy, in ascending ASN order ({!Topology.asns}). *)
@@ -58,7 +72,7 @@ val compute_classified :
   topo:Topology.t ->
   policy:Policy.t array ->
   (announcement * Origin_validation.state) list ->
-  rib
+  outcome
 (** {!compute} from a {!policy_vector} and {!classify}d announcements — the
     complete input a RIB depends on besides the topology.  Raises
     [Invalid_argument] if [policy] does not cover the topology. *)

@@ -50,30 +50,61 @@ let fresh_serial t =
   t.next_serial <- s + 1;
   s
 
-(* Regenerate and publish the CRL, then the manifest over everything else at
-   the publication point.  Called after every mutation: an authority always
-   keeps its *own* publication point consistent — inconsistency only arises
-   from third-party faults, which is the distinction the manifest exists to
-   surface. *)
-let publish_manifest t ~now =
+(* A republish is two steps.  [advance] moves the counters one republish
+   uses up: the manifest number, and a serial for the manifest's EE
+   certificate, which it returns.  [sign] then signs the CRL, and the
+   manifest over everything else at the point under that number and serial.
+
+   Every operation below ends in a republish: an authority always keeps its
+   *own* publication point consistent — inconsistency only arises from
+   third-party faults, which is the distinction the manifest exists to
+   surface.  A [batch] of operations advances after each and signs once,
+   after the last.  Its bytes are those of one republish per operation: the
+   EE key is given, so [Manifest.issue] draws nothing from the DRBG;
+   PKCS#1 v1.5 signatures are deterministic; and only the last CRL and
+   manifest stay published. *)
+let advance t =
   t.manifest_number <- t.manifest_number + 1;
+  fresh_serial t
+
+let sign_crl t ~this_update ~next_update =
+  let crl =
+    Crl.issue ~ca_key:t.key.Rsa.private_ ~issuer:t.name ~this_update ~next_update
+      ~revoked_serials:t.revoked
+  in
+  Pub_point.put t.pub ~filename:(crl_filename t) (Crl.encode crl)
+
+let sign_manifest t ~now ~serial =
   let files =
     List.filter (fun (name, _) -> name <> manifest_filename t) (Pub_point.files t.pub)
   in
   let mft =
-    Manifest.issue ~ca_key:t.key.Rsa.private_ ~ca_subject:t.name ~serial:(fresh_serial t)
-      ~rng:t.rng ~ee_key:t.ee_key ~manifest_number:t.manifest_number ~this_update:now
+    Manifest.issue ~ca_key:t.key.Rsa.private_ ~ca_subject:t.name ~serial ~rng:t.rng
+      ~ee_key:t.ee_key ~manifest_number:t.manifest_number ~this_update:now
       ~next_update:(Rtime.add now t.refresh_interval) ~files ()
   in
   Pub_point.put t.pub ~filename:(manifest_filename t) (Manifest.encode mft)
 
-let republish t ~now =
-  let crl =
-    Crl.issue ~ca_key:t.key.Rsa.private_ ~issuer:t.name ~this_update:now
-      ~next_update:(Rtime.add now t.refresh_interval) ~revoked_serials:t.revoked
+let sign t ~now ~serial =
+  sign_crl t ~this_update:now ~next_update:(Rtime.add now t.refresh_interval);
+  sign_manifest t ~now ~serial
+
+let republish t ~now = sign t ~now ~serial:(advance t)
+
+(* Run each operation as if a republish followed it, signing only after the
+   last; an empty batch publishes nothing. *)
+let batch t ~now ops =
+  let serial = ref None in
+  let results =
+    List.map
+      (fun op ->
+        let r = op () in
+        serial := Some (advance t);
+        r)
+      ops
   in
-  Pub_point.put t.pub ~filename:(crl_filename t) (Crl.encode crl);
-  publish_manifest t ~now
+  Option.iter (fun serial -> sign t ~now ~serial) !serial;
+  results
 
 let default_validity = Rtime.year
 let default_refresh = Rtime.day * 14
@@ -158,20 +189,44 @@ let create_child parent ~name ~resources ~uri ~addr ~host_asn ~now ~universe
   republish child ~now;
   child
 
-(* Issue a ROA; returns the filename it is published under. *)
-let issue_roa t ~asid ~v4_entries ~now () =
-  let serial = fresh_serial t in
-  let roa =
-    Roa.issue ~ca_key:t.key.Rsa.private_ ~ca_subject:t.name ~serial ~rng:t.rng
-      ~ee_key:t.ee_key ~asid ~v4_entries ~v6_entries:[] ~not_before:now
-      ~not_after:(Rtime.add now t.validity) ~crl_uri:(crl_filename t)
-      ~aia_uri:(Pub_point.uri t.pub) ()
-  in
-  let filename = Printf.sprintf "roa-%d.roa" serial in
-  t.roas <- t.roas @ [ (filename, roa) ];
-  Pub_point.put t.pub ~filename (Roa.encode roa);
-  republish t ~now;
-  (filename, roa)
+(* Sign a ROA under a fresh serial, its EE certificate valid over
+   [not_before, not_after]. *)
+let sign_roa t ~asid ~v4_entries ~v6_entries ~not_before ~not_after =
+  Roa.issue ~ca_key:t.key.Rsa.private_ ~ca_subject:t.name ~serial:(fresh_serial t) ~rng:t.rng
+    ~ee_key:t.ee_key ~asid ~v4_entries ~v6_entries ~not_before ~not_after
+    ~crl_uri:(crl_filename t) ~aia_uri:(Pub_point.uri t.pub) ()
+
+(* Re-sign a published ROA in place with a new window. *)
+let resign_roa t ~filename ~not_before ~not_after ~op =
+  match List.assoc_opt filename t.roas with
+  | None -> invalid_arg (Printf.sprintf "Authority.%s: unknown ROA" op)
+  | Some roa ->
+    let roa' =
+      sign_roa t ~asid:roa.Roa.asid ~v4_entries:roa.Roa.v4_entries
+        ~v6_entries:roa.Roa.v6_entries ~not_before ~not_after
+    in
+    t.roas <- List.map (fun (f, r) -> if f = filename then (f, roa') else (f, r)) t.roas;
+    Pub_point.put t.pub ~filename (Roa.encode roa');
+    roa'
+
+(* Issue ROAs as one batch, in order, each named after its EE certificate's
+   serial.  The point is signed once, after the last, and its bytes are
+   those of issuing the ROAs one at a time. *)
+let issue_roas t ~now specs =
+  batch t ~now
+    (List.map
+       (fun (asid, v4_entries) () ->
+         let roa =
+           sign_roa t ~asid ~v4_entries ~v6_entries:[] ~not_before:now
+             ~not_after:(Rtime.add now t.validity)
+         in
+         let filename = Printf.sprintf "roa-%d.roa" roa.Roa.ee.Cert.serial in
+         t.roas <- t.roas @ [ (filename, roa) ];
+         Pub_point.put t.pub ~filename (Roa.encode roa);
+         (filename, roa))
+       specs)
+
+let issue_roa t ~asid ~v4_entries ~now () = List.hd (issue_roas t ~now [ (asid, v4_entries) ])
 
 (* Convenience used by fixtures: single-prefix ROA. *)
 let issue_simple_roa t ~asid ~prefix ?max_len ~now () =
@@ -184,21 +239,10 @@ let issue_simple_roa t ~asid ~prefix ?max_len ~now () =
 let refresh t ~now = republish t ~now
 
 (* Re-sign an expiring ROA in place. *)
-let renew_roa t ~filename ~now =
-  match List.assoc_opt filename t.roas with
-  | None -> invalid_arg "Authority.renew_roa: unknown ROA"
-  | Some roa ->
-    let serial = fresh_serial t in
-    let roa' =
-      Roa.issue ~ca_key:t.key.Rsa.private_ ~ca_subject:t.name ~serial ~rng:t.rng
-        ~ee_key:t.ee_key ~asid:roa.Roa.asid ~v4_entries:roa.Roa.v4_entries
-        ~v6_entries:roa.Roa.v6_entries ~not_before:now ~not_after:(Rtime.add now t.validity)
-        ~crl_uri:(crl_filename t) ~aia_uri:(Pub_point.uri t.pub) ()
-    in
-    t.roas <- List.map (fun (f, r) -> if f = filename then (f, roa') else (f, r)) t.roas;
-    Pub_point.put t.pub ~filename (Roa.encode roa');
-    republish t ~now;
-    roa'
+let renew t ~filename ~now =
+  resign_roa t ~filename ~not_before:now ~not_after:(Rtime.add now t.validity) ~op:"renew_roa"
+
+let renew_roa t ~filename ~now = List.hd (batch t ~now [ (fun () -> renew t ~filename ~now) ])
 
 (* --- the fault corpus's authority-side misbehaviors ---
 
@@ -218,48 +262,23 @@ let back now delta = max Rtime.epoch (Rtime.add now (-delta))
    The manifest is regenerated over the stale CRL, so hashes still match and
    the lapsed window is the only fault. *)
 let expire_crl t ~now =
-  let crl =
-    Crl.issue ~ca_key:t.key.Rsa.private_ ~issuer:t.name
-      ~this_update:(back now t.refresh_interval)
-      ~next_update:(back now 1) ~revoked_serials:t.revoked
-  in
-  Pub_point.put t.pub ~filename:(crl_filename t) (Crl.encode crl);
-  publish_manifest t ~now
+  sign_crl t ~this_update:(back now t.refresh_interval) ~next_update:(back now 1);
+  sign_manifest t ~now ~serial:(advance t)
 
 (* Re-sign a ROA with an already-closed validity window (13x "certificate
    has expired" — the EE certificate carries the window). *)
 let expire_roa t ~filename ~now =
-  match List.assoc_opt filename t.roas with
-  | None -> invalid_arg "Authority.expire_roa: unknown ROA"
-  | Some roa ->
-    let serial = fresh_serial t in
-    let roa' =
-      Roa.issue ~ca_key:t.key.Rsa.private_ ~ca_subject:t.name ~serial ~rng:t.rng
-        ~ee_key:t.ee_key ~asid:roa.Roa.asid ~v4_entries:roa.Roa.v4_entries
-        ~v6_entries:roa.Roa.v6_entries ~not_before:(back now t.validity)
-        ~not_after:(back now 1) ~crl_uri:(crl_filename t)
-        ~aia_uri:(Pub_point.uri t.pub) ()
-    in
-    t.roas <- List.map (fun (f, r) -> if f = filename then (f, roa') else (f, r)) t.roas;
-    Pub_point.put t.pub ~filename (Roa.encode roa');
-    republish t ~now
+  ignore
+    (resign_roa t ~filename ~not_before:(back now t.validity) ~not_after:(back now 1)
+       ~op:"expire_roa");
+  republish t ~now
 
 (* Re-sign a ROA forward-dated by [delay] ticks (7x "not yet valid"). *)
 let postdate_roa t ~filename ~delay ~now =
-  match List.assoc_opt filename t.roas with
-  | None -> invalid_arg "Authority.postdate_roa: unknown ROA"
-  | Some roa ->
-    let serial = fresh_serial t in
-    let roa' =
-      Roa.issue ~ca_key:t.key.Rsa.private_ ~ca_subject:t.name ~serial ~rng:t.rng
-        ~ee_key:t.ee_key ~asid:roa.Roa.asid ~v4_entries:roa.Roa.v4_entries
-        ~v6_entries:roa.Roa.v6_entries ~not_before:(Rtime.add now delay)
-        ~not_after:(Rtime.add now (delay + t.validity)) ~crl_uri:(crl_filename t)
-        ~aia_uri:(Pub_point.uri t.pub) ()
-    in
-    t.roas <- List.map (fun (f, r) -> if f = filename then (f, roa') else (f, r)) t.roas;
-    Pub_point.put t.pub ~filename (Roa.encode roa');
-    republish t ~now
+  ignore
+    (resign_roa t ~filename ~not_before:(Rtime.add now delay)
+       ~not_after:(Rtime.add now (delay + t.validity)) ~op:"postdate_roa");
+  republish t ~now
 
 (* Jump the manifest number forward by [gap] (18x "seqnum gap detected"):
    the states in between were never published, so a relying party replaying
@@ -279,18 +298,7 @@ let regress_manifest_number t ~by ~now =
    "RFC 3779 resource not subset of parent's resources").  Returns the
    filename; [revoke_roa] is the repair. *)
 let overclaim_roa t ~asid ~prefix ~now =
-  let serial = fresh_serial t in
-  let roa =
-    Roa.issue ~ca_key:t.key.Rsa.private_ ~ca_subject:t.name ~serial ~rng:t.rng
-      ~ee_key:t.ee_key ~asid ~v4_entries:[ Roa.entry prefix ] ~v6_entries:[]
-      ~not_before:now ~not_after:(Rtime.add now t.validity) ~crl_uri:(crl_filename t)
-      ~aia_uri:(Pub_point.uri t.pub) ()
-  in
-  let filename = Printf.sprintf "roa-%d.roa" serial in
-  t.roas <- t.roas @ [ (filename, roa) ];
-  Pub_point.put t.pub ~filename (Roa.encode roa);
-  republish t ~now;
-  filename
+  fst (issue_roa t ~asid ~v4_entries:[ Roa.entry prefix ] ~now ())
 
 (* Stop serving a manifest (20x "no valid manifest available") without
    touching anything else; [refresh] is the repair. *)
@@ -396,19 +404,7 @@ let rec roll_key t ~now =
     republish parent ~now);
   (* everything below was signed with the old key: re-sign in place *)
   List.iter (fun child -> reissue_child_cert t child ~now) t.children;
-  t.roas <-
-    List.map
-      (fun (filename, roa) ->
-        let serial = fresh_serial t in
-        let roa' =
-          Roa.issue ~ca_key:t.key.Rsa.private_ ~ca_subject:t.name ~serial ~rng:t.rng
-            ~ee_key:t.ee_key ~asid:roa.Roa.asid ~v4_entries:roa.Roa.v4_entries
-            ~v6_entries:roa.Roa.v6_entries ~not_before:now ~not_after:(Rtime.add now t.validity)
-            ~crl_uri:(crl_filename t) ~aia_uri:(Pub_point.uri t.pub) ()
-        in
-        Pub_point.put t.pub ~filename (Roa.encode roa');
-        (filename, roa'))
-      t.roas;
+  List.iter (fun (filename, _) -> ignore (renew t ~filename ~now)) t.roas;
   republish t ~now
 
 (* Re-sign a child's RC with this authority's current key (same subject key
@@ -448,8 +444,11 @@ let maintain t ~now =
       Pub_point.put a.pub ~filename:(cert_filename a.name) (Cert.encode a.cert)
     | Some _ -> () (* re-signed by its parent's [upkeep] *));
     List.iter (fun child -> reissue_child_cert a child ~now) a.children;
-    List.iter (fun (filename, _) -> ignore (renew_roa a ~filename ~now)) a.roas;
-    refresh a ~now
+    (* each renewal, then the refresh, as one batch *)
+    ignore
+      (batch a ~now
+         (List.map (fun (filename, _) () -> ignore (renew a ~filename ~now)) a.roas
+         @ [ (fun () -> ()) ]))
   in
   upkeep t;
   iter_descendants t ~f:upkeep

@@ -13,7 +13,10 @@ open Rpki_crypto
 
 type t
 (** Opaque; every state change flows through the operations below, so the
-    publication point is always republished consistently. *)
+    publication point is always republished consistently: each operation
+    ends with a new CRL and manifest, and a batch ({!issue_roas},
+    {!maintain}) signs them once, after its last operation, with the
+    bytes of one republish per operation. *)
 
 val name : t -> string
 
@@ -90,6 +93,14 @@ val create_child :
     the same as without; otherwise [Invalid_argument] is raised.  The same
     holds for {!create_trust_anchor}. *)
 
+val issue_roas : t -> now:Rtime.t -> (int * Roa.v4_entry list) list -> (string * Roa.t) list
+(** Issue and publish one ROA per [(asid, v4_entries)], in order, each with
+    its filename.  The batch signs the CRL and manifest once, after the
+    last ROA, yet publishes exactly the bytes of issuing the ROAs one at a
+    time with {!issue_roa}: each still advances the manifest number and
+    takes a serial for the manifest's EE certificate.  An empty batch
+    publishes nothing. *)
+
 val issue_roa :
   t ->
   asid:int ->
@@ -97,7 +108,7 @@ val issue_roa :
   now:Rtime.t ->
   unit ->
   string * Roa.t
-(** Issue and publish a ROA; returns its filename. *)
+(** Issue and publish a ROA: the one-element {!issue_roas}. *)
 
 val issue_simple_roa :
   t ->
@@ -117,9 +128,11 @@ val renew_roa : t -> filename:string -> now:Rtime.t -> Roa.t
 (** Re-sign an expiring ROA in place. *)
 
 val maintain : t -> now:Rtime.t -> unit
-(** Full upkeep of the whole subtree rooted here: re-sign every ROA and
-    refresh every CRL/manifest window — a healthy operator's cron job.  The
-    stall experiments run it every tick, so only a relying party that cannot
+(** Full upkeep of the whole subtree rooted here: re-sign every RC and ROA
+    and refresh every CRL/manifest window — a healthy operator's cron job.
+    Each authority's renewals and refresh are one batch, signed once, with
+    the bytes of {!renew_roa} on each ROA and then {!refresh}.  The stall
+    experiments run it every tick, so only a relying party that cannot
     {e fetch} sees objects age toward expiry. *)
 
 val roll_key : t -> now:Rtime.t -> unit

@@ -262,27 +262,43 @@ let build (spec : spec) : world =
   in
   (* ROAs: a deterministic [roa_coverage] sample, the victim always in *)
   let cov_rng = Rpki_util.Rng.create (spec.graph.As_graph.seed lxor 0x5eed) in
-  let roas = Hashtbl.create 256 in
-  List.iter
-    (fun asn ->
-      if asn = victim || Rpki_util.Rng.float cov_rng < spec.roa_coverage then begin
-        let f, _ =
-          Authority.issue_simple_roa (nearest_ca asn) ~asid:asn
-            ~prefix:(Hashtbl.find prefixes asn) ~now ()
-        in
-        Hashtbl.replace roas asn f
-      end)
-    (As_graph.asns g);
+  let sampled =
+    List.filter
+      (fun asn -> asn = victim || Rpki_util.Rng.float cov_rng < spec.roa_coverage)
+      (As_graph.asns g)
+    |> List.map (fun asn -> (nearest_ca asn, asn))
+  in
   let victim_ca = nearest_ca victim in
-  let victim_roa = Hashtbl.find roas victim in
+  let entry asn = [ Roa.entry (Hashtbl.find prefixes asn) ] in
   (* the covering aggregate: the CA's own ASN claims the victim's /24, so
      losing the victim's ROA leaves the route covered-but-invalid (Side
-     Effect 6), not unknown-and-routable *)
-  let _ =
-    Authority.issue_simple_roa victim_ca
-      ~asid:(Pub_point.host_asn (Authority.pub victim_ca))
-      ~prefix:(Hashtbl.find prefixes victim) ~now ()
+     Effect 6), not unknown-and-routable.  It goes last, as the last one
+     issued. *)
+  let cover = (Pub_point.host_asn (Authority.pub victim_ca), entry victim) in
+  (* one batch per CA, its ASes in ascending order: a batch touches only its
+     own authority and publication point, so the batches run on every core
+     and come out byte-identical on any number *)
+  let batches =
+    List.filter_map
+      (fun ca ->
+        let own = List.filter_map (fun (c, asn) -> if c == ca then Some asn else None) sampled in
+        let specs =
+          List.map (fun asn -> (asn, entry asn)) own @ (if ca == victim_ca then [ cover ] else [])
+        in
+        if specs = [] then None else Some (ca, own, specs))
+      (root :: List.map snd cas)
+    |> Array.of_list
   in
+  let issued =
+    Rpki_util.Par.map (fun (ca, _, specs) -> Authority.issue_roas ca ~now specs) batches
+  in
+  let roas = Hashtbl.create 256 in
+  Array.iteri
+    (fun i (_, own, _) ->
+      let files = Array.of_list issued.(i) in
+      List.iteri (fun j asn -> Hashtbl.replace roas asn (fst files.(j))) own)
+    batches;
+  let victim_roa = Hashtbl.find roas victim in
   { w_graph = g; w_universe = universe; w_root = root; w_cas = cas;
     w_prefixes = prefixes; w_roas = roas; w_depth = depth;
     w_victim = victim; w_victim_ca = victim_ca; w_victim_roa = victim_roa;

@@ -7,6 +7,11 @@ open Rpki_ip
 
 let all_valid (_ : Route.t) = Origin_validation.Valid
 
+(* The RIB of a propagation that must settle. *)
+let stable = function
+  | Propagation.Stable rib -> rib
+  | Propagation.Oscillating -> Alcotest.fail "propagation oscillated"
+
 (* --- topology --- *)
 
 let test_topology_links () =
@@ -50,8 +55,9 @@ let prefix = V4.p "10.0.0.0/16"
 let test_propagation_reaches_everyone () =
   let t = chain () in
   let rib =
-    Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Ignore_rpki) ~validity_of:all_valid
-      [ { Propagation.prefix; origin = 3 } ]
+    stable
+      (Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Ignore_rpki) ~validity_of:all_valid
+         [ { Propagation.prefix; origin = 3 } ])
   in
   List.iter
     (fun asn ->
@@ -68,8 +74,9 @@ let test_propagation_valley_free () =
   Topology.peer t 1 4;
   Topology.peer t 1 5;
   let rib =
-    Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Ignore_rpki) ~validity_of:all_valid
-      [ { Propagation.prefix; origin = 4 } ]
+    stable
+      (Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Ignore_rpki) ~validity_of:all_valid
+         [ { Propagation.prefix; origin = 4 } ])
   in
   Alcotest.(check bool) "1 hears it" true (Propagation.route rib 1 <> None);
   Alcotest.(check bool) "5 does not (valley-free)" true (Propagation.route rib 5 = None)
@@ -83,8 +90,9 @@ let test_propagation_prefers_customer () =
   Topology.peer t 1 3;
   Topology.link t ~provider:3 ~customer:9;
   let rib =
-    Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Ignore_rpki) ~validity_of:all_valid
-      [ { Propagation.prefix; origin = 9 } ]
+    stable
+      (Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Ignore_rpki) ~validity_of:all_valid
+         [ { Propagation.prefix; origin = 9 } ])
   in
   match Propagation.route rib 1 with
   | Some e -> Alcotest.(check (option int)) "next hop is customer" (Some 2) (Propagation.next_hop e)
@@ -96,8 +104,9 @@ let test_propagation_prefers_shorter () =
   Topology.link t ~provider:2 ~customer:9;
   Topology.link t ~provider:1 ~customer:9;
   let rib =
-    Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Ignore_rpki) ~validity_of:all_valid
-      [ { Propagation.prefix; origin = 9 } ]
+    stable
+      (Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Ignore_rpki) ~validity_of:all_valid
+         [ { Propagation.prefix; origin = 9 } ])
   in
   match Propagation.route rib 1 with
   | Some e -> Alcotest.(check int) "direct path" 2 (List.length e.Propagation.path)
@@ -107,8 +116,9 @@ let test_drop_invalid_blocks () =
   let t = chain () in
   let invalid (_ : Route.t) = Origin_validation.Invalid in
   let rib =
-    Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Drop_invalid) ~validity_of:invalid
-      [ { Propagation.prefix; origin = 3 } ]
+    stable
+      (Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Drop_invalid) ~validity_of:invalid
+         [ { Propagation.prefix; origin = 3 } ])
   in
   List.iter (fun asn -> Alcotest.(check bool) "dropped" true (Propagation.route rib asn = None)) [ 1; 2; 3; 4 ]
 
@@ -125,13 +135,17 @@ let test_depref_prefers_valid () =
   in
   let anns = [ { Propagation.prefix; origin = 9 }; { Propagation.prefix; origin = 66 } ] in
   let rib_depref =
-    Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Depref_invalid) ~validity_of:validity anns
+    stable
+      (Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Depref_invalid) ~validity_of:validity
+         anns)
   in
   (match Propagation.route rib_depref 1 with
   | Some e -> Alcotest.(check int) "depref picks valid origin" 9 e.Propagation.ann.Propagation.origin
   | None -> Alcotest.fail "no route");
   let rib_ignore =
-    Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Ignore_rpki) ~validity_of:validity anns
+    stable
+      (Propagation.compute ~topo:t ~policy_of:(fun _ -> Policy.Ignore_rpki) ~validity_of:validity
+         anns)
   in
   match Propagation.route rib_ignore 1 with
   | Some e -> Alcotest.(check int) "ignore picks shorter (attacker)" 66 e.Propagation.ann.Propagation.origin
@@ -198,9 +212,10 @@ let test_topo_gen () =
   (* every stub can reach a tier-1-originated prefix *)
   let origin = List.hd g.Topo_gen.tier1_asns in
   let rib =
-    Propagation.compute ~topo:g.Topo_gen.topo ~policy_of:(fun _ -> Policy.Ignore_rpki)
-      ~validity_of:all_valid
-      [ { Propagation.prefix; origin } ]
+    stable
+      (Propagation.compute ~topo:g.Topo_gen.topo ~policy_of:(fun _ -> Policy.Ignore_rpki)
+         ~validity_of:all_valid
+         [ { Propagation.prefix; origin } ])
   in
   List.iter
     (fun s -> Alcotest.(check bool) (Printf.sprintf "stub %d reached" s) true (Propagation.route rib s <> None))
@@ -428,6 +443,8 @@ let prop_incremental_equals_fresh =
             if Data_plane.recomputed chained <> expected then
               QCheck.Test.fail_reportf "step %d: chained build computed %d RIBs, expected %d" i
                 (Data_plane.recomputed chained) expected;
+            if Data_plane.oscillating chained <> Data_plane.oscillating fresh then
+              QCheck.Test.fail_reportf "step %d: oscillating prefixes differ" i;
             List.iter
               (fun src ->
                 List.iter
@@ -542,7 +559,7 @@ let prop_lpm_index_equals_scan =
       let prefixes =
         List.sort_uniq V4.Prefix.compare (List.map (fun a -> a.Propagation.prefix) anns)
       in
-      let ribs =
+      let outcomes =
         List.map
           (fun p ->
             ( p,
@@ -550,6 +567,18 @@ let prop_lpm_index_equals_scan =
                 (List.filter (fun a -> V4.Prefix.equal a.Propagation.prefix p) anns) ))
           prefixes
       in
+      (* an oscillating prefix is installed nowhere *)
+      let ribs =
+        List.filter_map
+          (function p, Propagation.Stable rib -> Some (p, rib) | _, Propagation.Oscillating -> None)
+          outcomes
+      in
+      if
+        Data_plane.oscillating net
+        <> List.filter_map
+             (function p, Propagation.Oscillating -> Some p | _, Propagation.Stable _ -> None)
+             outcomes
+      then QCheck.Test.fail_report "oscillating prefixes differ from the scan";
       (* each prefix's first, last and a random address, its neighbours
          just outside, and a few anywhere *)
       let probes =
@@ -610,23 +639,68 @@ let select ~topo ~policy_of ~own ~current asn =
     (own asn @ List.filter_map offer (Topology.neighbours topo asn))
 
 (* The reference: sweep every AS in ASN order from the empty state until a
-   sweep changes nothing. *)
+   sweep changes nothing, or [None] if sweeps keep changing something. *)
 let sweep ~topo ~policy_of ~own =
   let rib = Hashtbl.create 64 in
   let current a = Option.join (Hashtbl.find_opt rib a) in
   let rec go k =
-    if k > 4 * List.length (Topology.asns topo) then QCheck.Test.fail_report "sweep diverged";
-    let changed =
-      List.fold_left
-        (fun changed a ->
-          let e = select ~topo ~policy_of ~own ~current a in
-          if e = current a then changed else (Hashtbl.replace rib a e; true))
-        false (Topology.asns topo)
-    in
-    if changed then go (k + 1) else current
+    if k > 4 * List.length (Topology.asns topo) then None
+    else
+      let changed =
+        List.fold_left
+          (fun changed a ->
+            let e = select ~topo ~policy_of ~own ~current a in
+            if e = current a then changed else (Hashtbl.replace rib a e; true))
+          false (Topology.asns topo)
+      in
+      if changed then go (k + 1) else Some current
   in
   go 0
 
+(* One propagation input: a generated graph, one prefix's origins with
+   their validity (0 valid, 1 unknown, 2 invalid), and one policy for
+   every AS or one drawn per AS from [seed].  Returns the topology, the
+   policies, the classified announcements and each AS's own originations. *)
+let propagation_case (spec, origins, policies, seed) =
+  let topo = As_graph.topology (As_graph.generate spec) in
+  let rng = Random.State.make [| seed |] in
+  let mixed = Hashtbl.create 64 in
+  List.iter
+    (fun a -> Hashtbl.replace mixed a (List.nth Policy.all (Random.State.int rng 3)))
+    (Topology.asns topo);
+  let policy_of a =
+    match policies with `Uniform p -> List.nth Policy.all p | `Mixed -> Hashtbl.find mixed a
+  in
+  let classified =
+    List.map
+      (fun (origin, v) ->
+        ({ Propagation.prefix; origin }, List.nth Origin_validation.[ Valid; Unknown; Invalid ] v))
+      origins
+  in
+  let own a =
+    List.filter_map
+      (fun ((ann : Propagation.announcement), validity) ->
+        if ann.Propagation.origin = a then
+          Some { Propagation.ann; path = [ a ]; learned = Propagation.Self_originated; validity }
+        else None)
+      classified
+  in
+  (topo, policy_of, classified, own)
+
+(* Do the ASes rank the announcements differently?  Only if some AS ranks
+   validity first ([Drop_invalid], [Depref_invalid]), some AS ignores it,
+   and the announcements differ in validity.  Otherwise every AS orders
+   the routes it may take alike, and Gao-Rexford's conditions hold. *)
+let ranks_differ ~topo ~policy_of classified =
+  let policies = List.map policy_of (Topology.asns topo) in
+  List.mem Policy.Ignore_rpki policies
+  && List.exists (fun p -> p <> Policy.Ignore_rpki) policies
+  && List.length (List.sort_uniq compare (List.map snd classified)) > 1
+
+(* On an input that settles, every AS holds the best route on offer (and,
+   with one policy for all, the route the sweep reference settles on).  An
+   input may oscillate only if its ASes rank the announcements
+   differently; one that does is pinned below. *)
 let prop_propagation_stable =
   let gen =
     QCheck.Gen.(
@@ -649,50 +723,69 @@ let prop_propagation_stable =
       seed
   in
   QCheck.Test.make ~name:"every AS holds the best route on offer" ~count:1000
-    (QCheck.make ~print gen) (fun (spec, origins, policies, seed) ->
-      let topo = As_graph.topology (As_graph.generate spec) in
-      let rng = Random.State.make [| seed |] in
-      let mixed = Hashtbl.create 64 in
-      List.iter
-        (fun a -> Hashtbl.replace mixed a (List.nth Policy.all (Random.State.int rng 3)))
-        (Topology.asns topo);
-      let policy_of a =
-        match policies with `Uniform p -> List.nth Policy.all p | `Mixed -> Hashtbl.find mixed a
-      in
-      let prefix = V4.p "10.0.0.0/16" in
-      let classified =
-        List.map
-          (fun (origin, v) ->
-            ( { Propagation.prefix; origin },
-              List.nth Origin_validation.[ Valid; Unknown; Invalid ] v ))
-          origins
-      in
-      let own a =
-        List.filter_map
-          (fun ((ann : Propagation.announcement), validity) ->
-            if ann.Propagation.origin = a then
-              Some
-                { Propagation.ann; path = [ a ]; learned = Propagation.Self_originated; validity }
-            else None)
-          classified
-      in
-      let rib =
-        Propagation.compute_classified ~topo ~policy:(Propagation.policy_vector ~topo ~policy_of)
-          classified
-      in
-      let current = Propagation.route rib in
-      let reference =
-        match policies with `Uniform _ -> Some (sweep ~topo ~policy_of ~own) | `Mixed -> None
-      in
-      List.iter
-        (fun a ->
-          if current a <> select ~topo ~policy_of ~own ~current a then
-            QCheck.Test.fail_reportf "AS%d does not hold the best route on offer" a;
-          match reference with
-          | Some r when current a <> r a -> QCheck.Test.fail_reportf "AS%d differs from the sweep" a
-          | _ -> ())
-        (Topology.asns topo);
+    (QCheck.make ~print gen) (fun ((_, _, policies, _) as case) ->
+      let topo, policy_of, classified, own = propagation_case case in
+      (match
+         Propagation.compute_classified ~topo
+           ~policy:(Propagation.policy_vector ~topo ~policy_of) classified
+       with
+      | Propagation.Oscillating ->
+        if not (ranks_differ ~topo ~policy_of classified) then
+          QCheck.Test.fail_report "oscillated though every AS ranks the routes alike"
+      | Propagation.Stable rib ->
+        let current = Propagation.route rib in
+        let reference =
+          match policies with
+          | `Uniform _ ->
+            let r = sweep ~topo ~policy_of ~own in
+            if Option.is_none r then QCheck.Test.fail_report "sweep diverged";
+            r
+          | `Mixed -> None
+        in
+        List.iter
+          (fun a ->
+            if current a <> select ~topo ~policy_of ~own ~current a then
+              QCheck.Test.fail_reportf "AS%d does not hold the best route on offer" a;
+            match reference with
+            | Some r when current a <> r a ->
+              QCheck.Test.fail_reportf "AS%d differs from the sweep" a
+            | _ -> ())
+          (Topology.asns topo));
       true)
+
+(* A dispute wheel the property drew (QCHECK_SEED=997852551): ASes that
+   rank validity first beside ASes that ignore it, one unknown and one
+   valid origin.  The worklist is still busy at its step cap, and at a
+   hundred times that cap.  A stable state exists, since sweeping the ASes
+   in ASN order reaches one, but the order in which the worklist wakes
+   them never does: whether such a wheel settles depends on timing.  The
+   data plane installs the prefix nowhere. *)
+let test_dispute_wheel () =
+  let case =
+    ( { As_graph.ases = 25; tier1 = 4; attach = 1;
+        peer_fraction = 0x1.43a158a71a9e9p-3 (* 0.158 *); seed = 998150; first_asn = 1 },
+      [ (22, 1); (4, 0) ], `Mixed, 636026 )
+  in
+  let topo, policy_of, classified, own = propagation_case case in
+  Alcotest.(check bool) "the ASes rank the routes differently" true
+    (ranks_differ ~topo ~policy_of classified);
+  Alcotest.(check bool) "oscillates" true
+    (Propagation.compute_classified ~topo ~policy:(Propagation.policy_vector ~topo ~policy_of)
+       classified
+    = Propagation.Oscillating);
+  Alcotest.(check bool) "sweeping in ASN order settles" true
+    (Option.is_some (sweep ~topo ~policy_of ~own));
+  let validity_of (r : Route.t) =
+    List.assoc { Propagation.prefix = r.Route.prefix; origin = r.Route.origin } classified
+  in
+  let net = Data_plane.build ~topo ~policy_of ~validity_of (List.map fst classified) in
+  Alcotest.(check (list string)) "oscillating prefixes" [ "10.0.0.0/16" ]
+    (List.map V4.Prefix.to_string (Data_plane.oscillating net));
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) (Printf.sprintf "AS%d forwards nowhere" a) true
+        (Data_plane.forwarding_entry net ~asn:a ~addr:(V4.Prefix.addr prefix) = None))
+    (Topology.asns topo)
 
 let () =
   Alcotest.run "bgp"
@@ -706,7 +799,8 @@ let () =
           Alcotest.test_case "prefers shorter" `Quick test_propagation_prefers_shorter;
           Alcotest.test_case "drop invalid" `Quick test_drop_invalid_blocks;
           Alcotest.test_case "depref picks valid" `Quick test_depref_prefers_valid;
-          QCheck_alcotest.to_alcotest prop_propagation_stable ] );
+          QCheck_alcotest.to_alcotest prop_propagation_stable;
+          Alcotest.test_case "dispute wheel oscillates" `Quick test_dispute_wheel ] );
       ( "data-plane",
         [ Alcotest.test_case "LPM forwarding" `Quick test_lpm_forwarding;
           Alcotest.test_case "no route" `Quick test_no_route;

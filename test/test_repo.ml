@@ -305,6 +305,173 @@ let test_keys_change_nothing () =
     (Invalid_argument "Authority: keys made for Child (520 bits), not Child (512 bits)") (fun () ->
       ignore (build ~child_keys:(Authority.make_keys ~name:"Child" ~key_bits:520) ()))
 
+(* --- batched issuance publishes the bytes of one operation at a time ---
+
+   A random history on a CA under a trust anchor (ROAs issued, revoked,
+   renewed and expired, refreshes, skipped and regressed manifest numbers,
+   a child CA with a history of its own), then a batch.  Both sides replay
+   the same history from the same keys, so any difference is the batch's. *)
+
+type step =
+  | Issue of int
+  | Revoke of int (* the [k mod n]-th current ROA *)
+  | Renew of int
+  | Expire of int
+  | Refresh
+  | Skip of int
+  | Regress of int
+  | Child (* create the child CA, once *)
+
+let history_keys =
+  lazy
+    (List.map
+       (fun name -> (name, Authority.make_keys ~name ~key_bits:Rpki_crypto.Rsa.default_bits))
+       [ "TA"; "CA"; "Sub" ])
+
+let roa_prefix k = V4.Prefix.make ((20 lsl 24) lor ((k land 0xffff) lsl 8)) 24
+
+(* Replay a history; each step runs at its own tick, on the child CA when
+   it is flagged and exists.  Returns the CA, the child if made, and the
+   next tick. *)
+let replay history =
+  let keys name = List.assoc name (Lazy.force history_keys) in
+  let universe = Universe.create () in
+  let res = Resources.of_v4_strings [ "20.0.0.0/8" ] in
+  let ta =
+    Authority.create_trust_anchor ~name:"TA" ~resources:res ~uri:"rsync://ta/repo" ~addr:1
+      ~host_asn:1 ~now:0 ~universe ~keys:(keys "TA") ()
+  in
+  let ca =
+    Authority.create_child ta ~name:"CA" ~resources:res ~uri:"rsync://ca/repo" ~addr:2
+      ~host_asn:2 ~now:0 ~universe ~keys:(keys "CA") ()
+  in
+  let sub = ref None in
+  List.iteri
+    (fun i (on_sub, step) ->
+      let now = i + 1 in
+      let a = match !sub with Some s when on_sub -> s | _ -> ca in
+      let nth k f =
+        match Authority.roas a with
+        | [] -> ()
+        | roas -> f (fst (List.nth roas (k mod List.length roas)))
+      in
+      match step with
+      | Issue k ->
+        ignore (Authority.issue_simple_roa a ~asid:(64500 + k) ~prefix:(roa_prefix k) ~now ())
+      | Revoke k -> nth k (fun filename -> Authority.revoke_roa a ~filename ~now)
+      | Renew k -> nth k (fun filename -> ignore (Authority.renew_roa a ~filename ~now))
+      | Expire k -> nth k (fun filename -> Authority.expire_roa a ~filename ~now)
+      | Refresh -> Authority.refresh a ~now
+      | Skip gap -> Authority.skip_manifest_numbers a ~gap ~now
+      | Regress by -> Authority.regress_manifest_number a ~by ~now
+      | Child ->
+        if !sub = None then
+          sub :=
+            Some
+              (Authority.create_child ca ~name:"Sub" ~resources:res ~uri:"rsync://sub/repo"
+                 ~addr:3 ~host_asn:3 ~now ~universe ~keys:(keys "Sub") ()))
+    history;
+  (ca, !sub, List.length history + 1)
+
+(* Every file at the point, and every ROA the authority keeps, as bytes. *)
+let published a =
+  ( Pub_point.files (Authority.pub a),
+    List.map (fun (f, r) -> (f, Roa.encode r)) (Authority.roas a) )
+
+let history_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 25)
+      (pair bool
+         (frequency
+            [ (4, map (fun k -> Issue k) nat); (2, map (fun k -> Revoke k) nat);
+              (2, map (fun k -> Renew k) nat); (1, map (fun k -> Expire k) nat);
+              (1, return Refresh); (1, map (fun g -> Skip g) (int_range 0 5));
+              (1, map (fun b -> Regress b) (int_range 0 5)); (1, return Child) ])))
+
+let print_history h =
+  String.concat " "
+    (List.map
+       (fun (on_sub, step) ->
+         (if on_sub then "sub:" else "")
+         ^
+         match step with
+         | Issue k -> Printf.sprintf "issue %d" k
+         | Revoke k -> Printf.sprintf "revoke %d" k
+         | Renew k -> Printf.sprintf "renew %d" k
+         | Expire k -> Printf.sprintf "expire %d" k
+         | Refresh -> "refresh"
+         | Skip g -> Printf.sprintf "skip %d" g
+         | Regress b -> Printf.sprintf "regress %d" b
+         | Child -> "child")
+       h)
+
+(* The two sides must agree now, and after one further ROA and refresh,
+   which read the counters both left behind. *)
+let check_same ~now a b =
+  if published a <> published b then QCheck.Test.fail_report "published bytes differ";
+  List.iter
+    (fun x ->
+      ignore
+        (Authority.issue_simple_roa x ~asid:64499 ~prefix:(roa_prefix 4095) ~now:(now + 1) ());
+      Authority.refresh x ~now:(now + 2))
+    [ a; b ];
+  if published a <> published b then
+    QCheck.Test.fail_report "bytes differ after one more ROA and a refresh"
+
+let prop_batch_issue =
+  let gen =
+    QCheck.Gen.(
+      pair history_gen
+        (list_size (int_range 1 20)
+           (pair nat (list_size (int_range 1 2) (pair (int_range 0 4094) bool)))))
+  in
+  let print (h, specs) =
+    Printf.sprintf "history [%s]; batch of %d" (print_history h) (List.length specs)
+  in
+  QCheck.Test.make ~name:"a batch of ROAs publishes the bytes of one at a time" ~count:100
+    (QCheck.make ~print gen) (fun (history, specs) ->
+      let specs =
+        List.map
+          (fun (asid, entries) ->
+            ( asid,
+              List.map
+                (fun (k, loose) ->
+                  Roa.entry ?max_len:(if loose then Some 28 else None) (roa_prefix k))
+                entries ))
+          specs
+      in
+      let batched, _, now = replay history in
+      let single, _, _ = replay history in
+      let issued_batched = Authority.issue_roas batched ~now specs in
+      let issued_single =
+        List.map
+          (fun (asid, v4_entries) -> Authority.issue_roa single ~asid ~v4_entries ~now ())
+          specs
+      in
+      if
+        List.map (fun (f, r) -> (f, Roa.encode r)) issued_batched
+        <> List.map (fun (f, r) -> (f, Roa.encode r)) issued_single
+      then QCheck.Test.fail_report "issued ROAs differ";
+      check_same ~now batched single;
+      true)
+
+(* [maintain] on an authority with no child CA, against renewing its ROAs
+   one at a time and then refreshing: the child CA, when the history made
+   one, is that authority. *)
+let prop_batch_maintain =
+  QCheck.Test.make ~name:"maintain publishes the bytes of one renewal at a time" ~count:100
+    (QCheck.make ~print:print_history history_gen) (fun history ->
+      let leaf (ca, sub, now) = (Option.value sub ~default:ca, now) in
+      let maintained, now = leaf (replay history) in
+      let reference, _ = leaf (replay history) in
+      Authority.maintain maintained ~now;
+      List.iter
+        (fun (filename, _) -> ignore (Authority.renew_roa reference ~filename ~now))
+        (Authority.roas reference);
+      Authority.refresh reference ~now;
+      check_same ~now maintained reference;
+      true)
+
 let () =
   Alcotest.run "repo"
     [ ( "mechanics",
@@ -318,7 +485,9 @@ let () =
         [ Alcotest.test_case "issue and renew" `Quick test_issue_and_renew;
           Alcotest.test_case "expiry" `Quick test_roa_expiry;
           Alcotest.test_case "refresh" `Quick test_refresh_keeps_current;
-          Alcotest.test_case "stale manifest" `Quick test_stale_manifest_detected ] );
+          Alcotest.test_case "stale manifest" `Quick test_stale_manifest_detected;
+          QCheck_alcotest.to_alcotest prop_batch_issue;
+          QCheck_alcotest.to_alcotest prop_batch_maintain ] );
       ( "revocation",
         [ Alcotest.test_case "revoke ROA" `Quick test_revoke_roa;
           Alcotest.test_case "revoke child subtree" `Quick test_revoke_child_subtree;

@@ -61,13 +61,15 @@ let prop_deterministic =
 
 let reaches_everyone g origin =
   let topo = As_graph.topology g in
-  let rib =
+  match
     Propagation.compute ~topo
       ~policy_of:(fun _ -> Policy.Ignore_rpki)
       ~validity_of:all_valid
       [ { Propagation.prefix = Rpki_ip.V4.p "172.16.0.0/16"; origin } ]
-  in
-  List.for_all (fun asn -> Propagation.route rib asn <> None) (As_graph.asns g)
+  with
+  | Propagation.Stable rib ->
+    List.for_all (fun asn -> Propagation.route rib asn <> None) (As_graph.asns g)
+  | Propagation.Oscillating -> false
 
 let prop_stub_reaches_everyone =
   QCheck.Test.make ~name:"a random stub's route reaches every AS" ~count:20 spec_arb
@@ -301,10 +303,12 @@ let test_outcome_digests () =
   walk (ta, Sha256.digest (Cert.encode ta));
   Alcotest.(check int) "every CA reached" (List.length (Synthesis.cas w) + 1) (Hashtbl.length seen)
 
-(* Every byte a 200-AS world publishes, hashed in a fixed order: each
-   point's URI, then each file's name and contents, points and files
-   sorted.  The literal pins key generation, signing and synthesis order:
-   making keys ahead of time, on several Domains, must not move a byte. *)
+(* Every byte a world publishes, hashed in a fixed order: each point's URI,
+   then each file's name and contents, points and files sorted.  The
+   literals pin key generation, signing and synthesis order: making keys
+   ahead of time and issuing each CA's ROAs as one batch, both on several
+   Domains, must not move a byte.  The larger worlds are the benchmark's
+   sizes. *)
 let world_digest w =
   let module Sha256 = Rpki_crypto.Sha256 in
   let module Pub_point = Rpki_repo.Pub_point in
@@ -324,13 +328,12 @@ let world_digest w =
            (List.sort (fun (a, _) (b, _) -> String.compare a b) (Pub_point.files p)));
   Rpki_util.Hex.of_string (Sha256.finish ctx)
 
-let test_golden_world () =
+let test_golden_world ases digest () =
   let spec =
     { Synthesis.default_spec with
-      Synthesis.graph = { As_graph.default_spec with As_graph.ases = 200; seed = 11 } }
+      Synthesis.graph = { As_graph.default_spec with As_graph.ases; seed = 11 } }
   in
-  Alcotest.(check string) "200-AS world, seed 11"
-    "0110cacb61fea546320f59728a53653cdf196ca6e912814937e8502ed18cf93f"
+  Alcotest.(check string) (Printf.sprintf "%d-AS world, seed 11" ases) digest
     (world_digest (Synthesis.build spec))
 
 (* --- end-to-end: split-view detection on a generated world -------------- *)
@@ -461,7 +464,18 @@ let () =
       ( "synthesis",
         [ Alcotest.test_case "allocation and CA-hierarchy invariants" `Quick
             test_synthesis_invariants;
-          Alcotest.test_case "golden digest of a 200-AS world" `Quick test_golden_world;
+          Alcotest.test_case "golden digest of a 200-AS world" `Quick
+            (test_golden_world 200
+               "0110cacb61fea546320f59728a53653cdf196ca6e912814937e8502ed18cf93f");
+          Alcotest.test_case "golden digest of a 600-AS world" `Quick
+            (test_golden_world 600
+               "1b44e132b46dc1c9ee3e3eae40cb80d95847f54244d78ff73638b737246287fb");
+          Alcotest.test_case "golden digest of a 1000-AS world" `Quick
+            (test_golden_world 1000
+               "eeb90b0fc4a6bb8d3a75c22457c06810417aec3814ac9d7f2b162746472e0e13");
+          Alcotest.test_case "golden digest of a 2000-AS world" `Slow
+            (test_golden_world 2000
+               "c1f94f654f7a38815e6cd5febd59f34d4b49bf6b8fca76d46c8973d2f1f134ec");
           Alcotest.test_case "outcome digests equal recomputed ones" `Quick
             test_outcome_digests ] );
       ( "end-to-end",
