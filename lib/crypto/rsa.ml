@@ -44,33 +44,34 @@ let min_bytes = String.length sha256_digest_info + 32 + 11
 
 let min_bits = 8 * min_bytes
 
-(* Deterministic keygen from a DRBG-seeded RNG. *)
+(* Deterministic keygen from a DRBG-seeded RNG.  [Prime.pair] draws two
+   candidates and proves them only once [keypair] keeps them: distinct, 65537
+   invertible mod phi, and a modulus exactly [bits] wide (about 39% of pairs
+   come out one bit short). *)
 let generate ?(bits = default_bits) rng =
   if bits < min_bits then
     invalid_arg (Printf.sprintf "Rsa.generate: %d-bit modulus cannot carry SHA-256 PKCS#1 padding (min %d)" bits min_bits);
   let e = Nat.of_int 65537 in
   let half = bits / 2 in
-  let rec go () =
-    let p = Prime.generate rng ~bits:half in
-    let q = Prime.generate rng ~bits:(bits - half) in
-    if Nat.equal p q then go ()
+  let keypair p q =
+    if Nat.equal p q then None
     else begin
       let n = Nat.mul p q in
       let phi = Nat.mul (Nat.pred p) (Nat.pred q) in
       match Zint.mod_inverse e ~modulus:phi with
-      | None -> go ()
+      | None -> None
       | Some d ->
-        if Nat.num_bits n <> bits then go ()
+        if Nat.num_bits n <> bits then None
         else begin
           let pub = public ~n ~e in
           (* distinct primes are coprime, so q always has an inverse mod p *)
           let qinv = Option.get (Zint.mod_inverse q ~modulus:p) in
           let dp = Nat.rem d (Nat.pred p) and dq = Nat.rem d (Nat.pred q) in
-          { public = pub; private_ = { pub; p; q; dp; dq; qinv } }
+          Some { public = pub; private_ = { pub; p; q; dp; dq; qinv } }
         end
     end
   in
-  go ()
+  Prime.pair rng ~bits:(half, bits - half) ~keep:keypair
 
 (* EMSA-PKCS1-v1_5 encoding of a message digest into [len] bytes. *)
 let pkcs1_encode digest len =

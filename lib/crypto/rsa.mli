@@ -30,9 +30,16 @@ val modulus_bytes : public -> int
 (** Signature width in bytes. *)
 
 val generate : ?bits:int -> Rpki_util.Rng.t -> keypair
-(** Deterministic keygen from the given RNG; [e = 65537].
-    Raises [Invalid_argument] below 496 bits, the smallest modulus that
-    can carry PKCS#1 v1.5 + SHA-256 DigestInfo. *)
+(** Deterministic keygen from the given RNG; [e = 65537].  Draws a prime
+    pair of [bits / 2] and [bits - bits / 2] bits with {!Rpki_bignum.Prime.pair}
+    and keeps the first whose primes differ, leave 65537 invertible mod
+    (p-1)(q-1) and give a modulus exactly [bits] wide.  Both primes of the
+    key passed all 40 Miller–Rabin rounds, with bases drawn from [rng]; the
+    primes of a pair it throws away passed round 1 only.  The key, and
+    where [rng] stands after it, are those of a search that ran all 40
+    rounds on every prime it found, unless a composite passed round 1 on
+    the way.  Raises [Invalid_argument] below 496 bits, the smallest
+    modulus that can carry PKCS#1 v1.5 + SHA-256 DigestInfo. *)
 
 val sign : key:private_ -> string -> string
 (** Sign the SHA-256 digest of the message; the result is exactly

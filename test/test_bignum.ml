@@ -181,18 +181,44 @@ let test_mod_inverse () =
   Alcotest.(check bool) "non-invertible" true
     (Zint.mod_inverse (Nat.of_int 6) ~modulus:(Nat.of_int 9) = None)
 
+(* The last three are strong pseudoprimes, composites that pass Miller-Rabin
+   rounds on many small bases: 3215031751 = 151 * 751 * 28351 passes the
+   prime bases 2, 3, 5, 7, 19 and 37 (the sieve rejects it, for its factor
+   151), 3825123056546413051 every prime base up to 31, and
+   318665857834031151167461 every prime base up to 37 but not 41, so a
+   rounds loop that drops its last base passes it. *)
 let test_primes () =
   let rng = Rpki_util.Rng.create 99 in
   List.iter
     (fun (n, expect) ->
-      Alcotest.(check bool)
-        (string_of_int n) expect
-        (Prime.is_probably_prime rng (Nat.of_int n)))
-    [ (2, true); (3, true); (4, false); (17, true); (561, false) (* Carmichael *);
-      (7919, true); (7917, false); (1000003, true); (1000001, false) ];
+      Alcotest.(check bool) n expect (Prime.is_probably_prime rng (Nat.of_decimal n)))
+    [ ("2", true); ("3", true); ("4", false); ("17", true); ("561", false) (* Carmichael *);
+      ("7919", true); ("7917", false); ("1000003", true); ("1000001", false);
+      ("3215031751", false); ("3825123056546413051", false);
+      ("318665857834031151167461", false) ];
+  let n = Nat.of_decimal "318665857834031151167461" in
+  let bases = List.map Nat.of_int [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37 ] in
+  Alcotest.(check bool) "passes the prime bases 2..37" true (Prime.passes n ~bases);
+  Alcotest.(check bool) "rejected once 41 is added" false
+    (Prime.passes n ~bases:(bases @ [ Nat.of_int 41 ]));
   let p = Prime.generate rng ~bits:64 in
   Alcotest.(check int) "generated width" 64 (Nat.num_bits p);
   Alcotest.(check bool) "generated is prime" true (Prime.is_probably_prime rng p)
+
+(* [Prime.generate] against the search that ran all 40 rounds on every
+   number passing round 1 ([Keygen_ref]): five seeds at each width from 8 to
+   300 bits give the same prime and leave the stream at the same place. *)
+let test_generate_reference () =
+  for bits = 8 to 300 do
+    for seed = 1 to 5 do
+      let ours = Rpki_util.Rng.create ((bits * 8) + seed)
+      and theirs = Rpki_util.Rng.create ((bits * 8) + seed) in
+      let label = Printf.sprintf "%d bits, seed %d" bits seed in
+      check_eq label (Keygen_ref.generate theirs ~bits) (Prime.generate ours ~bits);
+      Alcotest.(check int) (label ^ ": next draw")
+        (Rpki_util.Rng.bits theirs 62) (Rpki_util.Rng.bits ours 62)
+    done
+  done
 
 (* --- properties --- *)
 
@@ -315,5 +341,8 @@ let () =
       ( "zint-unit",
         [ Alcotest.test_case "signed arithmetic" `Quick test_zint;
           Alcotest.test_case "mod_inverse" `Quick test_mod_inverse ] );
-      ("primes", [ Alcotest.test_case "miller-rabin" `Quick test_primes ]);
+      ( "primes",
+        [ Alcotest.test_case "miller-rabin" `Quick test_primes;
+          Alcotest.test_case "generate = reference, 8-300 bits" `Quick
+            test_generate_reference ] );
       ("properties", props) ]
