@@ -5,6 +5,7 @@ open Bechamel
 open Toolkit
 open Rpki_core
 open Rpki_ip
+module Nat = Rpki_bignum.Nat
 
 let drbg_rng seed = Rpki_crypto.Drbg.to_rng (Rpki_crypto.Drbg.create ~seed)
 
@@ -17,13 +18,33 @@ let keygen_seeds = List.init 16 (Printf.sprintf "bench-keygen-%d")
 let operations_per_run name =
   if String.ends_with ~suffix:"/rsa-keygen-512" name then List.length keygen_seeds else 1
 
+(* One [Nat.pow_mod] checked against [pow_mod_simple] before it is timed,
+   so a wrong kernel fails the bench, not only a slow one. *)
+let pow_mod_cell name ~base ~exp ~modulus =
+  Experiments.check
+    (Nat.equal (Nat.pow_mod ~base ~exp ~modulus) (Nat.pow_mod_simple ~base ~exp ~modulus))
+    "%s: pow_mod disagrees with pow_mod_simple" name;
+  Test.make ~name (Staged.stage (fun () -> Nat.pow_mod ~base ~exp ~modulus))
+
 let bench_crypto () =
   let keypair = Rpki_crypto.Rsa.generate (drbg_rng "bench-keypair") in
   let msg_1k = String.make 1024 'x' in
   let msg_64k = String.make 65536 'x' in
   let signature = Rpki_crypto.Rsa.sign ~key:keypair.Rpki_crypto.Rsa.private_ msg_1k in
+  (* a 256-bit odd modulus and a 255-bit exponent: one Miller-Rabin round
+     of a 512-bit key's prime, or half a CRT signature *)
+  let rng = Rpki_util.Rng.create 256 in
+  let m256 = Nat.random_bits rng ~bits:256 in
+  let m256 = if Nat.testbit m256 0 then m256 else Nat.succ m256 in
+  let g256 = Nat.random rng ~bound:m256 in
+  let e255 = Nat.random_bits rng ~bits:255 in
+  let public = keypair.Rpki_crypto.Rsa.public in
   Test.make_grouped ~name:"crypto"
-    [ Test.make ~name:"sha256-64B" (Staged.stage (fun () -> Rpki_crypto.Sha256.digest "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"));
+    [ pow_mod_cell "pow-mod-256" ~base:g256 ~exp:e255 ~modulus:m256;
+      (* one verification's exponentiation *)
+      pow_mod_cell "pow-mod-512-e65537" ~base:(Nat.of_bytes_be signature)
+        ~exp:public.Rpki_crypto.Rsa.e ~modulus:public.Rpki_crypto.Rsa.n;
+      Test.make ~name:"sha256-64B" (Staged.stage (fun () -> Rpki_crypto.Sha256.digest "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"));
       Test.make ~name:"sha256-1KiB" (Staged.stage (fun () -> Rpki_crypto.Sha256.digest msg_1k));
       Test.make ~name:"sha256-64KiB" (Staged.stage (fun () -> Rpki_crypto.Sha256.digest msg_64k));
       Test.make ~name:"rsa-sign-512" (Staged.stage (fun () -> Rpki_crypto.Rsa.sign ~key:keypair.Rpki_crypto.Rsa.private_ msg_1k));

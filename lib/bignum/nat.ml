@@ -7,11 +7,13 @@
 
    Most of the module favours clarity over speed.  The exception is the
    Montgomery kernel behind [pow_mod], where RSA key generation, signing and
-   verification spend nearly all their time: it works in scratch the caller
-   owns, squares with each cross product computed once, and skips bounds
-   checks in its three inner loops.  The other algorithmically interesting
-   parts are Knuth's Algorithm D for division and Karatsuba multiplication
-   above a fixed threshold. *)
+   verification spend nearly all their time: it scans each product by
+   output column, carrying once per column, on limbs of the widest width
+   (at most 29 bits) whose column sums cannot overflow a native int for
+   the modulus at hand, squares with each cross product computed once, and
+   skips bounds checks in its inner loops.  The other algorithmically
+   interesting parts are Knuth's Algorithm D for division and Karatsuba
+   multiplication above a fixed threshold. *)
 
 let limb_bits = 30
 let base = 1 lsl limb_bits
@@ -309,151 +311,192 @@ let pow_mod_simple ~base:g ~exp ~modulus:m =
 
 (* --- Montgomery modular arithmetic ---
 
-   For an odd modulus m of n limbs, work with residues x·R mod m where
-   R = (2^30)^n.  A Montgomery product computes a·b·R^-1 mod m with plain
-   limb arithmetic and shifts — no division — so a modular exponentiation
-   pays for one real division (computing R^2 mod m) up front and none in
-   the loop.
+   For an odd modulus m of n limbs of w bits, work with residues x·R mod m
+   where R = 2^(w·n).  A Montgomery product computes a·b·R^-1 mod m with
+   plain limb arithmetic and shifts — no division — so a modular
+   exponentiation pays for one real division (computing R^2 mod m) up front
+   and none in the loop.
 
-   Each product is separated operand scanning (SOS): form the whole 2n-limb
-   a·b in a caller-owned scratch [t] of 2n+1 limbs, then [redc] folds it
-   down.  A square needs each cross product a_i·a_j (i < j) only once: sum
-   them, double the sum and add the diagonal a_i², for n(n+1)/2 + n² limb
-   products (reduction included) instead of 2n².  Results go into an array
-   the caller passes in, written only after the scratch holds the whole
-   product, so the output may be an input: an exponentiation allocates its
-   scratch, one accumulator and its window table, and nothing per product.
+   Each product scans by output column (finely integrated product
+   scanning: Koç, Acar and Kaliski, "Analyzing and Comparing Montgomery
+   Multiplication Algorithms", IEEE Micro 1996).  Column k adds every
+   a_i·b_j and every u_i·m_j with i + j = k, and the carry out of column
+   k - 1, in one native int, and carries once.  Below n, the column then
+   picks u_k = -s·m^-1 mod 2^w, so that adding u_k·m_0 clears its low w
+   bits; from n up, its low w bits are limb k - n of the result, which is
+   below 2m, so one conditional subtraction of m finishes it.  A square
+   sums each cross product a_i·a_j (i < j) of a column once and doubles the
+   sum.  Column k reads operand limbs at k - n + 1 and above and writes
+   limb k - n, so the result may share its array with an input.
 
-   Carry bound: with 30-bit limbs every intermediate stays below 2^62.  A
-   multiply-accumulate step is at most (2^30-1)^2 + 2·(2^30-1) = 2^60 - 1,
-   so its carry stays below 2^30; the doubling step adds at most
-   2·(2^30-1) + (2^30-1)^2 + (2^30+1) < 2^61, carrying at most 2^30 + 1.
+   The limb width: the widest w <= 29 with n <= 2^(62-2w), where
+   n = ceil(bits(m) / w).  Column k < n holds k + 1 products of each kind
+   (u_k·m_0 included) and column k >= n fewer, so at most 2n products of at
+   most (2^w-1)^2 each.  If the carry c into a column is at most
+   2n·(2^w-1), the column's sum is at most 2n·(2^w-1)^2 + 2n·(2^w-1)
+   = 2n·(2^w-1)·2^w, so the carry out of it, the sum shifted right by w,
+   is again at most 2n·(2^w-1); the first carry is 0.  So every column sum
+   stays below 2n·2^(2w) <= 2^63: it fits a native int read as unsigned,
+   which is how [lsr] and [land] read it (OCaml adds mod 2^63).  A square's
+   doubled cross sum is part of the same sum, and u_k's product
+   (s mod 2^w)·m' stays below 2^58.  A 256-bit modulus (a prime or a CRT
+   half) takes 9 limbs of 29 bits, a 512-bit one 19 limbs of 28 bits, and
+   [Rsa]'s widest, 4096 bits, 152 limbs of 27 bits.
 
-   The three inner loops (product, cross products, reduction) skip bounds
-   checks.  Index invariant: [t] has 2n+1 limbs and every index into it is
-   i + j <= 2n - 2; operands and the modulus have n limbs (made by [fixed],
-   by [mont_init] or by the kernel itself) and are read at j < n. *)
+   An exponentiation repacks the modulus, the base and R^2 mod m into
+   w-bit limbs on entry and the result into 30-bit limbs on exit, and
+   allocates its context, one accumulator and its window table: nothing
+   per product.  The inner loops skip bounds checks.  Index invariant:
+   every array the kernel reads or writes (operands, result, modulus and
+   the context's [u]) has n limbs, and every index is i or k - i with
+   0 <= i, k - i <= n - 1. *)
 
 type mont = {
-  mm : int array; (* modulus, fixed width, mn limbs *)
-  mn : int;
-  m' : int; (* -m^-1 mod 2^30 *)
-  r2 : int array; (* R^2 mod m, fixed width *)
+  w : int; (* limb width in bits *)
+  wmask : int; (* 2^w - 1 *)
+  n : int; (* limbs in a residue *)
+  m : int array; (* the modulus *)
+  m' : int; (* -m^-1 mod 2^w *)
+  r2 : int array; (* R^2 mod m *)
+  u : int array; (* scratch: a product's multipliers u_0 .. u_(n-1) *)
 }
 
-(* Pad a canonical value (< 2^(30n)) out to a fixed n-limb array. *)
-let fixed (a : t) n =
+(* [a]'s bits, read as [src]-bit limbs, as [n] limbs of [dst] bits; the
+   value must fit them. *)
+let repack (a : int array) ~src ~dst n =
   let r = Array.make n 0 in
-  Array.blit a 0 r 0 (Array.length a);
+  let acc = ref 0 and have = ref 0 and k = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc lor (a.(i) lsl !have);
+    have := !have + src;
+    while !have >= dst && !k < n do
+      r.(!k) <- !acc land ((1 lsl dst) - 1);
+      acc := !acc lsr dst;
+      have := !have - dst;
+      incr k
+    done
+  done;
+  if !acc <> 0 then r.(!k) <- !acc;
   r
 
 let mont_init (m_nat : t) =
-  let mn = Array.length m_nat in
-  let m0 = m_nat.(0) in
-  (* Hensel-lift the inverse of m0 mod 2^30: x <- x(2 - m0·x) doubles the
+  let bits = num_bits m_nat in
+  let rec width w =
+    let n = (bits + w - 1) / w in
+    if n <= 1 lsl (62 - (2 * w)) then (w, n) else width (w - 1)
+  in
+  let w, n = width 29 in
+  let wmask = (1 lsl w) - 1 in
+  let m = repack m_nat ~src:limb_bits ~dst:w n in
+  let m0 = m.(0) in
+  (* Hensel-lift the inverse of m0 mod 2^w: x <- x(2 - m0·x) doubles the
      number of correct low bits each round, starting from 3 (odd m0 is its
      own inverse mod 8). *)
   let x = ref m0 in
   for _ = 1 to 5 do
-    let y = (2 - (m0 * !x)) land mask in
-    x := (!x * y) land mask
+    let y = (2 - (m0 * !x)) land wmask in
+    x := (!x * y) land wmask
   done;
-  let m' = (base - !x) land mask in
-  let r2 = rem (shift_left one (2 * limb_bits * mn)) m_nat in
-  { mm = Array.copy m_nat; mn; m'; r2 = fixed r2 mn }
+  let r2 = rem (shift_left one (2 * w * n)) m_nat in
+  { w; wmask; n; m; m' = (wmask + 1 - !x) land wmask;
+    r2 = repack r2 ~src:limb_bits ~dst:w n; u = Array.make n 0 }
 
-(* [r] <- t·R^-1 mod m for the 2n-limb t < m·R held in [t] (t[2n] = 0).
-   Row i adds u·m·B^i with u chosen so limb i cancels; the carry out of the
-   row's top limb is held in [c2] and added with the next row, so no carry
-   ever ripples further.  Destroys [t]. *)
-let redc ctx (t : int array) (r : int array) =
-  let n = ctx.mn and m = ctx.mm and m' = ctx.m' in
-  let c2 = ref 0 in
-  for i = 0 to n - 1 do
-    let u = (t.(i) * m') land mask in
-    let c = ref 0 in
-    for j = 0 to n - 1 do
-      let s = Array.unsafe_get t (i + j) + (u * Array.unsafe_get m j) + !c in
-      Array.unsafe_set t (i + j) (s land mask);
-      c := s lsr limb_bits
-    done;
-    let s = t.(i + n) + !c + !c2 in
-    t.(i + n) <- s land mask;
-    c2 := s lsr limb_bits
-  done;
-  t.(2 * n) <- !c2;
-  (* t[n..2n] = (t + U·m)/R < 2m: one conditional subtract restores the
-     range. *)
-  let ge_m =
-    t.(2 * n) <> 0
-    ||
-    let rec go i =
-      if i < 0 then true else if t.(n + i) <> m.(i) then t.(n + i) > m.(i) else go (i - 1)
-    in
-    go (n - 1)
-  in
-  if ge_m then begin
+(* Finish a product whose columns left limbs [r] and a carry [top] out of
+   the last one: r + top·R < 2m, so subtract m once if it is at least m. *)
+let final_subtract ctx (r : int array) top =
+  let n = ctx.n and m = ctx.m in
+  let i = ref (n - 1) in
+  while !i >= 0 && r.(!i) = m.(!i) do decr i done;
+  if top <> 0 || !i < 0 || r.(!i) > m.(!i) then begin
+    (* a borrow out of the top limb cancels [top] *)
     let borrow = ref 0 in
     for i = 0 to n - 1 do
-      let d = t.(n + i) - m.(i) - !borrow in
-      r.(i) <- d land mask;
+      let d = r.(i) - m.(i) - !borrow in
+      r.(i) <- d land ctx.wmask;
       borrow := if d < 0 then 1 else 0
     done
   end
-  else Array.blit t n r 0 n
 
-(* [r] <- a·b·R^-1 mod m, for fixed-width a, b < m. *)
-let mont_mul ctx t (a : int array) (b : int array) (r : int array) =
-  let n = ctx.mn in
-  Array.fill t 0 ((2 * n) + 1) 0;
-  for i = 0 to n - 1 do
-    let ai = a.(i) in
-    let c = ref 0 in
-    for j = 0 to n - 1 do
-      let s = Array.unsafe_get t (i + j) + (ai * Array.unsafe_get b j) + !c in
-      Array.unsafe_set t (i + j) (s land mask);
-      c := s lsr limb_bits
-    done;
-    t.(i + n) <- !c
-  done;
-  redc ctx t r
-
-(* [r] <- a²·R^-1 mod m, for a fixed-width a < m. *)
-let mont_sqr ctx t (a : int array) (r : int array) =
-  let n = ctx.mn in
-  Array.fill t 0 ((2 * n) + 1) 0;
-  for i = 0 to n - 2 do
-    let ai = a.(i) in
-    let c = ref 0 in
-    for j = i + 1 to n - 1 do
-      let s = Array.unsafe_get t (i + j) + (ai * Array.unsafe_get a j) + !c in
-      Array.unsafe_set t (i + j) (s land mask);
-      c := s lsr limb_bits
-    done;
-    t.(i + n) <- !c
-  done;
-  (* double the cross sum and add the diagonal; a² < B^2n, so no carry is
-     left over *)
+(* [r] <- a·b·R^-1 mod m, for a, b < m; [r] may be [a] or [b]. *)
+let mont_mul ctx (a : int array) (b : int array) (r : int array) =
+  let n = ctx.n and w = ctx.w and mask = ctx.wmask and m = ctx.m and m' = ctx.m' and u = ctx.u in
   let c = ref 0 in
-  for i = 0 to n - 1 do
-    let ai = a.(i) in
-    let s = (t.(2 * i) lsl 1) + (ai * ai) + !c in
-    t.(2 * i) <- s land mask;
-    let s = (t.((2 * i) + 1) lsl 1) + (s lsr limb_bits) in
-    t.((2 * i) + 1) <- s land mask;
-    c := s lsr limb_bits
+  for k = 0 to n - 1 do
+    let s = ref (!c + (a.(k) * b.(0))) in
+    for i = 0 to k - 1 do
+      s :=
+        !s
+        + (Array.unsafe_get a i * Array.unsafe_get b (k - i))
+        + (Array.unsafe_get u i * Array.unsafe_get m (k - i))
+    done;
+    let uk = (!s land mask) * m' land mask in
+    u.(k) <- uk;
+    c := (!s + (uk * m.(0))) lsr w
   done;
-  redc ctx t r
+  for k = n to (2 * n) - 2 do
+    let s = ref !c in
+    for i = k - n + 1 to n - 1 do
+      s :=
+        !s
+        + (Array.unsafe_get a i * Array.unsafe_get b (k - i))
+        + (Array.unsafe_get u i * Array.unsafe_get m (k - i))
+    done;
+    r.(k - n) <- !s land mask;
+    c := !s lsr w
+  done;
+  r.(n - 1) <- !c land mask;
+  final_subtract ctx r (!c lsr w)
+
+(* [r] <- a²·R^-1 mod m, for a < m; [r] may be [a].  Column k's cross
+   products are a_i·a_(k-i) for i < k - i, i.e. i <= (k - 1) asr 1; the
+   loop over them also adds the u_i·m_(k-i) of those i, and x holds the
+   cross sum until it is doubled. *)
+let mont_sqr ctx (a : int array) (r : int array) =
+  let n = ctx.n and w = ctx.w and mask = ctx.wmask and m = ctx.m and m' = ctx.m' and u = ctx.u in
+  let c = ref 0 in
+  for k = 0 to n - 1 do
+    let half = (k - 1) asr 1 in
+    let x = ref 0 and s = ref !c in
+    for i = 0 to half do
+      x := !x + (Array.unsafe_get a i * Array.unsafe_get a (k - i));
+      s := !s + (Array.unsafe_get u i * Array.unsafe_get m (k - i))
+    done;
+    s := !s + (!x lsl 1);
+    if k land 1 = 0 then s := !s + (a.(k lsr 1) * a.(k lsr 1));
+    for i = half + 1 to k - 1 do
+      s := !s + (Array.unsafe_get u i * Array.unsafe_get m (k - i))
+    done;
+    let uk = (!s land mask) * m' land mask in
+    u.(k) <- uk;
+    c := (!s + (uk * m.(0))) lsr w
+  done;
+  for k = n to (2 * n) - 2 do
+    let half = (k - 1) asr 1 in
+    let x = ref 0 and s = ref !c in
+    for i = k - n + 1 to half do
+      x := !x + (Array.unsafe_get a i * Array.unsafe_get a (k - i));
+      s := !s + (Array.unsafe_get u i * Array.unsafe_get m (k - i))
+    done;
+    s := !s + (!x lsl 1);
+    if k land 1 = 0 then s := !s + (a.(k lsr 1) * a.(k lsr 1));
+    for i = half + 1 to n - 1 do
+      s := !s + (Array.unsafe_get u i * Array.unsafe_get m (k - i))
+    done;
+    r.(k - n) <- !s land mask;
+    c := !s lsr w
+  done;
+  r.(n - 1) <- !c land mask;
+  final_subtract ctx r (!c lsr w)
 
 (* 4-bit sliding-window exponentiation over Montgomery products.  Requires
    an odd modulus > 1. *)
 let pow_mod_mont ~base:g ~exp ~modulus:m_nat =
   let ctx = mont_init m_nat in
-  let n = ctx.mn in
-  let t = Array.make ((2 * n) + 1) 0 in
+  let n = ctx.n in
+  let of_nat a = repack a ~src:limb_bits ~dst:ctx.w n in
   let product a b =
     let r = Array.make n 0 in
-    mont_mul ctx t a b r;
+    mont_mul ctx a b r;
     r
   in
   (* the exponent's windows, most significant first: each runs from a set
@@ -473,19 +516,19 @@ let pow_mod_mont ~base:g ~exp ~modulus:m_nat =
     end
   in
   let windows = windows_from (num_bits exp - 1) [] in
-  let gm = product (fixed (rem g m_nat) n) ctx.r2 in
+  let gm = product (of_nat (rem g m_nat)) ctx.r2 in
   (* odd powers g^1, g^3, ... up to the largest window value, in Montgomery
      form: e = 65537 reads only g^1 *)
   let width = List.fold_left (fun acc (_, w) -> max acc ((w + 1) / 2)) 1 windows in
   let table = Array.make width gm in
   if width > 1 then begin
     let g2 = Array.make n 0 in
-    mont_sqr ctx t gm g2;
+    mont_sqr ctx gm g2;
     for k = 1 to width - 1 do
       table.(k) <- product table.(k - 1) g2
     done
   end;
-  let one_f = fixed one n in
+  let one_f = of_nat one in
   let acc = product ctx.r2 one_f (* R mod m, i.e. 1 in-domain *) in
   (* square once per bit, and multiply in each window's power after its
      lowest bit *)
@@ -493,17 +536,17 @@ let pow_mod_mont ~base:g ~exp ~modulus:m_nat =
     List.fold_left
       (fun next (l, w) ->
         for _ = l to next do
-          mont_sqr ctx t acc acc
+          mont_sqr ctx acc acc
         done;
-        mont_mul ctx t acc table.((w - 1) / 2) acc;
+        mont_mul ctx acc table.((w - 1) / 2) acc;
         l - 1)
       (num_bits exp - 1) windows
   in
   for _ = 0 to next do
-    mont_sqr ctx t acc acc
+    mont_sqr ctx acc acc
   done;
-  mont_mul ctx t acc one_f acc;
-  normalize acc
+  mont_mul ctx acc one_f acc;
+  normalize (repack acc ~src:ctx.w ~dst:limb_bits (((n * ctx.w) + limb_bits - 1) / limb_bits))
 
 let pow_mod ~base:g ~exp ~modulus:m =
   if is_zero m then raise Division_by_zero;

@@ -55,9 +55,12 @@ val rem : t -> t -> t
 val gcd : t -> t -> t
 
 val pow_mod : base:t -> exp:t -> modulus:t -> t
-(** Modular exponentiation.  Odd moduli with non-trivial exponents use a
-    4-bit sliding window over Montgomery multiplication; even moduli and
-    tiny exponents fall back to {!pow_mod_simple}.  The two always agree.
+(** Modular exponentiation.  Odd moduli with exponents of 8 bits or more
+    use a 4-bit sliding window over product-scanning Montgomery
+    multiplication, on limbs of the widest width up to 29 bits whose column
+    sums fit a native int for the modulus at hand (29 bits up to 464-bit
+    moduli, 28 up to 1792, 27 up to 6912, ...); even moduli and tiny
+    exponents fall back to {!pow_mod_simple}.  The two always agree.
     Raises [Division_by_zero] on a zero modulus. *)
 
 val pow_mod_simple : base:t -> exp:t -> modulus:t -> t

@@ -102,9 +102,10 @@ type t = {
   verdicts : (string, verdict) Hashtbl.t;
   points : (string, outcome) Hashtbl.t;
   mutable digest : string; [@warning "-69"]
-      (* the current tick's universe digest.  Nothing reads it; it goes
-         with [begin_tick]'s [~digest] in the benchmark re-baseline
-         (ROADMAP item 1), since benchmark/ still passes it *)
+      (* the universe digest the current tick's [begin_tick] was given,
+         if any ([Loop.step] gives none).  Nothing reads it; it goes with
+         [begin_tick]'s [?digest] in the benchmark re-baseline (ROADMAP
+         item 1), since benchmark/ still passes it *)
   mutable totals : stats;        (* cumulative since creation *)
   mutable tick_base : stats;     (* totals at the last [begin_tick] *)
   pending : (string, unit) Hashtbl.t;
@@ -243,11 +244,9 @@ let end_tick t ~now = evict t ~now
 
 (* --- the batch scheduler's tick boundary --- *)
 
-(* One digest of the whole publication universe, computed once per tick by
-   the simulation loop and handed to every vantage: the walk plan all
-   vantages share.  (Per-vantage views can still diverge below it — the
-   digest is over the universe's honest contents, and per-vantage transport
-   forks are applied at fetch time.) *)
+(* One digest of the whole publication universe's honest contents.  Only
+   the benchmark's tick replica computes it, for [begin_tick]'s [?digest];
+   both go in the benchmark re-baseline (ROADMAP item 1). *)
 let universe_digest universe =
   Rpki_crypto.Sha256.digest
     (String.concat "\n"
@@ -255,6 +254,6 @@ let universe_digest universe =
           (fun pp -> Pub_point.uri pp ^ " " ^ Pub_point.fingerprint pp)
           (Universe.points universe)))
 
-let begin_tick t ~digest =
+let begin_tick ?(digest = "") t =
   t.digest <- digest;
   t.tick_base <- t.totals

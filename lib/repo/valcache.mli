@@ -90,15 +90,14 @@ val verify : t -> key:Rpki_crypto.Rsa.public -> signature:string -> string -> bo
 (** {2 The batch scheduler's tick boundary} *)
 
 val universe_digest : Universe.t -> string
-(** One digest over every publication point's URI and content fingerprint —
-    the tick's walk plan, computed once by the loop and shared by all
-    vantages rather than recomputed per vantage. *)
+(** One digest over every publication point's URI and content fingerprint.
+    Only the benchmark's tick replica computes it, for {!begin_tick}. *)
 
-val begin_tick : t -> digest:string -> unit
-(** Mark a tick boundary: record the universe digest for this tick and
-    snapshot the statistics baseline {!tick_stats} diffs against.  Memoized
-    content is kept — entries are content-addressed, so stale ones can only
-    miss. *)
+val begin_tick : ?digest:string -> t -> unit
+(** Mark a tick boundary: snapshot the statistics baseline {!tick_stats}
+    diffs against, and record [digest] (default [""]), which nothing
+    reads.  Memoized content is kept — entries are content-addressed, so
+    stale ones can only miss. *)
 
 (** {2 Epoch-based eviction} *)
 

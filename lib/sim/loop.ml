@@ -341,13 +341,8 @@ let regression_uri = function
 let step t ~now =
   Universe.refresh_mirrors t.universe;
   Universe.refresh_rrdp t.universe;
-  (* batch scheduling: one universe digest for the whole tick — the walk
-     plan every vantage shares — computed here rather than once per
-     vantage.  The shared plane's per-tick statistics baseline is reset at
-     the same boundary. *)
-  (match t.valcache with
-  | Some vc -> Valcache.begin_tick vc ~digest:(Valcache.universe_digest t.universe)
-  | None -> ());
+  (* the shared plane's per-tick statistics baseline *)
+  Option.iter Valcache.begin_tick t.valcache;
   let verifies_before = Rpki_crypto.Rsa.verification_count () in
   let primary_alive = not (is_dead t (Relying_party.name t.rp)) in
   let result =

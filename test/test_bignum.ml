@@ -137,28 +137,42 @@ let test_pow_mod_variants () =
   Alcotest.check_raises "zero modulus simple" Division_by_zero (fun () ->
       ignore (Nat.pow_mod_simple ~base:Nat.one ~exp:Nat.one ~modulus:Nat.zero))
 
-(* Moduli whose limbs are all 2^30-1 (m = 2^(30k) - 1, so R = m + 1 and
-   every residue is its own Montgomery form) with bases next to m drive the
-   carries of the squaring, its doubling and the reduction to their maxima,
-   which random inputs almost never do.  Exponents 2^j - 1 take the widest
-   window every time; 2^j are all squarings. *)
+(* All-ones moduli m = 2^b - 1 with bases next to m drive the kernel's
+   column sums to their largest.  When b is a multiple of the limb width w
+   the kernel picks, every limb of m is 2^w - 1, R = m + 1 and every
+   residue is its own Montgomery form: b = 464, 1792 and 6912 are the
+   widest moduli that 29-, 28- and 27-bit limbs take (16, 64 and 256
+   limbs), and b one past each takes the next narrower width.  The moduli
+   2^(30k) - 1, k = 1..40, take 2 to 43 limbs (k = 28 is 30 limbs of 28
+   bits, all saturated).  Exponents 2^j - 1 take the widest window every
+   time; 2^j are all squarings.  The widest moduli take short exponents
+   only, to keep [pow_mod_simple] quick. *)
 let test_pow_mod_carry_edges () =
-  for k = 1 to 40 do
-    let m = Nat.pred (Nat.shift_left Nat.one (30 * k)) in
+  let check_modulus m js =
     List.iter
-      (fun g ->
+      (fun (gname, g) ->
         List.iter
           (fun j ->
             List.iter
-              (fun e ->
+              (fun (ename, e) ->
                 check_eq
-                  (Printf.sprintf "k=%d g=%s e=%s" k (Nat.to_hex g) (Nat.to_hex e))
+                  (Printf.sprintf "m=2^%d-1 g=%s e=%s" (Nat.num_bits m) gname ename)
                   (Nat.pow_mod_simple ~base:g ~exp:e ~modulus:m)
                   (Nat.pow_mod ~base:g ~exp:e ~modulus:m))
-              [ Nat.pred (Nat.shift_left Nat.one j); Nat.shift_left Nat.one j ])
-          [ 7; 8; 15; 16; 30; 31; 61; 128; 599; 600 ])
-      [ Nat.zero; Nat.one; Nat.sub m Nat.two; Nat.pred m ]
-  done
+              [ (Printf.sprintf "2^%d-1" j, Nat.pred (Nat.shift_left Nat.one j));
+                (Printf.sprintf "2^%d" j, Nat.shift_left Nat.one j) ])
+          js)
+      [ ("0", Nat.zero); ("1", Nat.one); ("m-2", Nat.sub m Nat.two); ("m-1", Nat.pred m) ]
+  in
+  let all_ones b = Nat.pred (Nat.shift_left Nat.one b) in
+  let long = [ 7; 8; 15; 16; 30; 31; 61; 128; 599; 600 ] in
+  for k = 1 to 40 do
+    check_modulus (all_ones (30 * k)) long
+  done;
+  List.iter
+    (fun (b, js) -> check_modulus (all_ones b) js)
+    [ (464, long); (465, long); (1792, [ 7; 8; 15; 16; 30; 31; 61 ]);
+      (1793, [ 7; 8; 15; 16; 30; 31; 61 ]); (6912, [ 7; 8; 15 ]); (6913, [ 7; 8; 15 ]) ]
 
 let test_gcd () =
   check_eq "gcd" (Nat.of_int 6) (Nat.gcd (Nat.of_int 48) (Nat.of_int 18));
@@ -222,32 +236,58 @@ let test_generate_reference () =
 
 (* --- properties --- *)
 
-(* Odd moduli of 1 to 70 limbs, each limb 0, 2^30 - 1 or random, so runs of
-   saturated limbs (the carry edge cases) are common. *)
+(* Odd moduli built from limbs of w bits, for each width w the kernel picks
+   for moduli up to 2160 bits: 1-16 limbs of 29 bits, 17-64 of 28 and 67-80
+   of 27.  The top limb's high bit is set, so the kernel picks w and its
+   limbs are these; each limb is 0, 2^w - 1 or random, so runs of saturated
+   limbs (the carry edge cases) are common. *)
 let arb_mont =
-  let limb_max = (1 lsl 30) - 1 in
-  let limbs n =
-    QCheck.Gen.(
-      list_repeat n
-        (frequency [ (1, return 0); (2, return limb_max); (2, int_bound limb_max) ]))
-  in
-  let of_limbs l =
-    List.fold_right (fun x acc -> Nat.add (Nat.shift_left acc 30) (Nat.of_int x)) l Nat.zero
-  in
   let gen =
     QCheck.Gen.(
-      let* n = int_range 1 70 in
+      let* w, n =
+        oneof
+          [ pair (return 29) (int_range 1 16);
+            pair (return 28) (int_range 17 64);
+            pair (return 27) (int_range 67 80) ]
+      in
+      let limb_max = (1 lsl w) - 1 in
+      let limbs n =
+        list_repeat n (frequency [ (1, return 0); (2, return limb_max); (2, int_bound limb_max) ])
+      in
+      let of_limbs l =
+        List.fold_right (fun x acc -> Nat.add (Nat.shift_left acc w) (Nat.of_int x)) l Nat.zero
+      in
       let* low = limbs (n - 1) in
-      let* top = int_range 1 limb_max in
+      let* top =
+        frequency [ (1, return limb_max); (2, int_range (1 lsl (w - 1)) limb_max) ]
+      in
       let* g = limbs n in
       let* e = gen_nat_bits 160 in
-      let m = of_limbs (List.mapi (fun i x -> if i = 0 then x lor 1 else x) (low @ [ top ])) in
+      let m =
+        of_limbs (List.mapi (fun i x -> if i = 0 then x lor 1 else x) (low @ [ top ]))
+      in
       return (of_limbs g, Nat.add e (Nat.of_int 128), m))
   in
   QCheck.make
     ~print:(fun (g, e, m) ->
       Printf.sprintf "g=%s e=%s m=%s" (Nat.to_hex g) (Nat.to_hex e) (Nat.to_hex m))
     gen
+
+(* The shape RSA uses: an odd modulus of 200-1100 bits, a base below it and
+   an exponent as wide as the modulus. *)
+let arb_rsa_shaped =
+  QCheck.make
+    ~print:(fun (g, e, m) ->
+      Printf.sprintf "g=%s e=%s m=%s" (Nat.to_hex g) (Nat.to_hex e) (Nat.to_hex m))
+    QCheck.Gen.(
+      map2
+        (fun seed bits ->
+          let rng = Rpki_util.Rng.create seed in
+          let m = Nat.random_bits rng ~bits in
+          let m = if Nat.testbit m 0 then m else Nat.succ m in
+          let e = Nat.random_bits rng ~bits in
+          (Nat.random rng ~bound:m, e, m))
+        int (int_range 200 1100))
 
 let prop name arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:200 ~name arb f)
 
@@ -318,6 +358,12 @@ let props =
           (Nat.pow_mod_simple ~base:g ~exp:e ~modulus:m));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:100 ~name:"pow_mod on saturated-limb odd moduli" arb_mont
+         (fun (g, e, m) ->
+           Nat.equal
+             (Nat.pow_mod ~base:g ~exp:e ~modulus:m)
+             (Nat.pow_mod_simple ~base:g ~exp:e ~modulus:m)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100 ~name:"pow_mod on RSA-shaped operands" arb_rsa_shaped
          (fun (g, e, m) ->
            Nat.equal
              (Nat.pow_mod ~base:g ~exp:e ~modulus:m)

@@ -329,6 +329,28 @@ let test_verification_count_two_domains () =
   Alcotest.(check int) "verifications counted" (2 * calls)
     (Rsa.verification_count () - before)
 
+(* RSA on two Domains at once: each exponentiation keeps its Montgomery
+   scratch to itself.  64 (key, message) pairs, each signed, verified and
+   put through one full-width [pow_mod] on two Domains, give the results
+   of a sequential [Array.map]. *)
+let test_rsa_two_domains () =
+  let keys =
+    Array.init 8 (fun i ->
+        Rsa.generate (Drbg.to_rng (Drbg.create ~seed:(Printf.sprintf "two-domain-key-%d" i))))
+  in
+  let pairs = Array.init 64 (fun i -> (keys.(i mod 8), Printf.sprintf "message %d" i)) in
+  let work ((kp : Rsa.keypair), msg) =
+    let signature = Rsa.sign ~key:kp.Rsa.private_ msg in
+    let n = kp.Rsa.public.Rsa.n in
+    ( signature,
+      Rsa.verify ~key:kp.Rsa.public ~signature msg,
+      Nat.to_hex
+        (Nat.pow_mod ~base:(Nat.of_bytes_be (Sha256.digest msg)) ~exp:(Nat.pred n) ~modulus:n) )
+  in
+  Alcotest.(check (array (triple string bool string)))
+    "two Domains = sequential" (Array.map work pairs)
+    (Rpki_util.Par.map ~domains:2 work pairs)
+
 let test_par_map_is_array_map () =
   List.iter
     (fun domains ->
@@ -398,5 +420,6 @@ let () =
         [ Alcotest.test_case "hashing on two Domains at once" `Quick test_two_domains;
           Alcotest.test_case "verifications counted on two Domains" `Quick
             test_verification_count_two_domains;
+          Alcotest.test_case "RSA on two Domains at once" `Quick test_rsa_two_domains;
           Alcotest.test_case "Par.map equals Array.map" `Quick test_par_map_is_array_map;
           Alcotest.test_case "Par.map re-raises the lowest index" `Quick test_par_map_raises ] ) ]
