@@ -148,6 +148,94 @@ let bench_bgp () =
         (Staged.stage (fun () ->
              Rpki_bgp.Data_plane.build ~prev:warm ~topo ~policy_of ~validity_of plane_anns)) ]
 
+(* Fetch pricing on a generated 200-AS world with four monitors: each run
+   prices every (vantage, publication point) pair through the loop's
+   transports, after two ticks.  [fetch-prices-cold] swaps in, each run,
+   the other of two data planes built afresh from the same inputs: they
+   forward alike but share no forwarding state, so every price is a trace.
+   [fetch-prices-warm] keeps one data plane, so every price is a hit in
+   the transports' kept hop counts.  Each first checks every price against
+   a fresh trace. *)
+let bench_pricing () =
+  let open Rpki_repo in
+  let module Loop = Rpki_sim.Loop in
+  let rig =
+    Rpki_sim.Scenario.build
+      { Rpki_sim.Scenario.default with
+        source =
+          Rpki_sim.Scenario.World
+            (Rpki_world.Synthesis.build
+               { Rpki_world.Synthesis.default_spec with
+                 Rpki_world.Synthesis.graph =
+                   { Rpki_bgp.As_graph.default_spec with Rpki_bgp.As_graph.ases = 200 } });
+        monitors = 4 }
+  in
+  let sim = rig.Rpki_sim.Scenario.sim in
+  for now = 1 to 2 do
+    ignore (Rpki_sim.Scenario.step rig ~now)
+  done;
+  let transports =
+    List.map
+      (fun v -> (Relying_party.asn v.Gossip.v_rp, v.Gossip.v_transport))
+      sim.Loop.vantages
+  in
+  let points = Universe.points sim.Loop.universe in
+  let price_all () =
+    List.iter
+      (fun (_, tr) ->
+        List.iter (fun point -> ignore (Transport.probe tr ~point ~timeout:max_int)) points)
+      transports
+  in
+  let fresh () =
+    let idx = Rpki_rtr.Session.cache_index (Rpki_rtr.Server.cache (Loop.rtr_server sim)) in
+    Rpki_bgp.Data_plane.build ~topo:sim.Loop.topo ~policy_of:(fun _ -> sim.Loop.policy)
+      ~validity_of:(Origin_validation.classify idx) sim.Loop.announcements
+  in
+  let a = fresh () and b = fresh () in
+  let check_prices name net =
+    sim.Loop.net <- Some net;
+    List.iter
+      (fun (src, tr) ->
+        List.iter
+          (fun point ->
+            let expected =
+              match Rpki_bgp.Data_plane.trace net ~src ~addr:(Pub_point.addr point) with
+              | Rpki_bgp.Data_plane.Delivered { origin; hops }
+                when origin = Pub_point.host_asn point ->
+                Some (List.length hops)
+              | _ -> None
+            in
+            let priced =
+              match Transport.probe tr ~point ~timeout:max_int with
+              | `Ok hops -> Some hops
+              | `Stalled _ | `Unroutable _ -> None
+            in
+            Experiments.check (priced = expected) "%s: AS%d's price of %s is not its trace" name
+              src (Pub_point.uri point))
+          points)
+      transports
+  in
+  Experiments.check
+    (List.length transports = 5 && not (Rpki_bgp.Data_plane.same_forwarding a b))
+    "fetch-prices: %d transports, or two fresh data planes share forwarding state"
+    (List.length transports);
+  (* [b], then [a]: each drops the kept hop counts and traces every pair;
+     [a] again hits every one *)
+  check_prices "fetch-prices-cold" b;
+  check_prices "fetch-prices-cold" a;
+  check_prices "fetch-prices-warm" a;
+  let flip = ref false in
+  Test.make_grouped ~name:"pricing"
+    [ Test.make ~name:"fetch-prices-cold"
+        (Staged.stage (fun () ->
+             flip := not !flip;
+             sim.Loop.net <- Some (if !flip then b else a);
+             price_all ()));
+      Test.make ~name:"fetch-prices-warm"
+        (Staged.stage (fun () ->
+             sim.Loop.net <- Some a;
+             price_all ())) ]
+
 let bench_attack () =
   let m = Rpki_repo.Model.build () in
   Test.make_grouped ~name:"attack"
@@ -447,7 +535,7 @@ let run ~quick =
   let tests =
     Test.make_grouped ~name:"rpki-mra"
       [ bench_crypto (); bench_objects (); bench_origin_validation (); bench_bgp ();
-        bench_attack (); bench_issuance (); bench_rp (); bench_rtr (); bench_rrdp ();
+        bench_pricing (); bench_attack (); bench_issuance (); bench_rp (); bench_rtr (); bench_rrdp ();
         bench_transparency (); bench_gossip (); bench_persist () ]
   in
   let ols =

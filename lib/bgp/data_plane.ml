@@ -44,7 +44,10 @@ let group_by_prefix (classified : (Propagation.announcement * Origin_validation.
 (* Compute RIBs for every distinct announced prefix.  With [prev] built
    over the same topology (same object, same version) and the same policy
    vector, a prefix whose classified announcements are unchanged keeps
-   [prev]'s outcome: it is a pure function of exactly those inputs.  An
+   [prev]'s outcome: it is a pure function of exactly those inputs.  When
+   every prefix of [prev] kept its outcome and none was added or dropped,
+   the trie would hold [prev]'s RIBs under [prev]'s prefixes, so [prev]'s
+   trie is kept as it is: [same_forwarding] reads that sharing.  An
    oscillating prefix gets no forwarding entry anywhere, as route-flap
    damping (RFC 2439) would in time suppress it. *)
 let build ?prev ~topo ~policy_of ~validity_of (anns : Propagation.announcement list) =
@@ -76,16 +79,24 @@ let build ?prev ~topo ~policy_of ~validity_of (anns : Propagation.announcement l
   in
   let slots = go reusable (group_by_prefix (Propagation.classify ~validity_of anns)) in
   let lpm =
-    List.fold_left
-      (fun lpm s ->
-        match s.outcome with
-        | Propagation.Stable rib -> V4.Trie.insert lpm s.prefix rib
-        | Propagation.Oscillating -> lpm)
-      V4.Trie.empty slots
+    match prev with
+    (* nothing recomputed, so each slot is one of [prev]'s: equal lengths
+       mean the same prefixes *)
+    | Some p when !recomputed = 0 && List.compare_lengths slots p.slots = 0 -> p.lpm
+    | _ ->
+      List.fold_left
+        (fun lpm s ->
+          match s.outcome with
+          | Propagation.Stable rib -> V4.Trie.insert lpm s.prefix rib
+          | Propagation.Oscillating -> lpm)
+        V4.Trie.empty slots
   in
   { topo; version; policy; slots; lpm; recomputed = !recomputed }
 
 let recomputed net = net.recomputed
+
+(* [trace] reads only the trie, and a trie is never mutated *)
+let same_forwarding a b = a.lpm == b.lpm
 
 let oscillating net =
   List.filter_map

@@ -26,12 +26,21 @@ val build :
     vector, every prefix whose announcements and validity states are
     unchanged reuses [prev]'s RIB; the result equals a build without
     [prev].  A prefix whose propagation is {!Propagation.Oscillating}
-    gets no forwarding entry at any AS (see {!oscillating}). *)
+    gets no forwarding entry at any AS (see {!oscillating}).  A build that
+    recomputed no RIB over [prev]'s prefix list shares [prev]'s forwarding
+    state (see {!same_forwarding}). *)
 
 val recomputed : network -> int
 (** How many RIBs {!build} computed for this network rather than reused
     from [prev]: every prefix on a build without [prev], only the prefixes
     whose inputs changed on one with it.  Deterministic. *)
+
+val same_forwarding : network -> network -> bool
+(** [same_forwarding a b]: [a] and [b] share one forwarding state, so every
+    {!trace}, {!forwarding_entry} and {!reaches} answers alike on both.
+    True of a network and one built from it with [~prev] that recomputed
+    no RIB over the same prefixes, and of chains of such builds; false of
+    two builds without [~prev], even from equal inputs.  O(1). *)
 
 val oscillating : network -> V4.Prefix.t list
 (** The announced prefixes, ascending, whose propagation did not settle.

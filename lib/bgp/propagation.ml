@@ -97,16 +97,20 @@ let build_adjacency (topo : Topology.t) : adjacency =
 
 (* A few adjacencies are memoized, keyed by physical topology identity: a
    data plane build runs one [compute_classified] per changed prefix, and
-   the loop builds one every tick over the same topology object. *)
-let adjacency_memo : (Topology.t * adjacency) list ref = ref []
+   the loop builds one every tick over the same topology object.  Each
+   Domain keeps its own memo, so builds on several Domains at once share
+   no mutable state; a Domain that ends takes its memo with it. *)
+let adjacency_memo : (Topology.t * adjacency) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 let adjacency_of (topo : Topology.t) : adjacency =
-  match List.find_opt (fun (t, _) -> t == topo) !adjacency_memo with
+  let memo = Domain.DLS.get adjacency_memo in
+  match List.find_opt (fun (t, _) -> t == topo) !memo with
   | Some (_, adj) when adj.adj_version = Topology.version topo -> adj
   | _ ->
     let adj = build_adjacency topo in
-    let others = List.filter (fun (t, _) -> t != topo) !adjacency_memo in
-    adjacency_memo := (topo, adj) :: List.filteri (fun i _ -> i < 3) others;
+    let others = List.filter (fun (t, _) -> t != topo) !memo in
+    memo := (topo, adj) :: List.filteri (fun i _ -> i < 3) others;
     adj
 
 (* Every AS's best route for one prefix, by dense index.  Immutable once

@@ -529,9 +529,15 @@ let pow_mod_mont ~base:g ~exp ~modulus:m_nat =
     done
   end;
   let one_f = of_nat one in
-  let acc = product ctx.r2 one_f (* R mod m, i.e. 1 in-domain *) in
-  (* square once per bit, and multiply in each window's power after its
-     lowest bit *)
+  (* the accumulator starts as the first window's power, which is what
+     squaring 1 (R mod m in-domain) through that window and multiplying the
+     power in would give; then square once per bit, and multiply in each
+     later window's power after its lowest bit *)
+  let acc, next, windows =
+    match windows with
+    | (l, w) :: rest -> (Array.copy table.((w - 1) / 2), l - 1, rest)
+    | [] -> (product ctx.r2 one_f, -1, []) (* exp = 0 *)
+  in
   let next =
     List.fold_left
       (fun next (l, w) ->
@@ -540,7 +546,7 @@ let pow_mod_mont ~base:g ~exp ~modulus:m_nat =
         done;
         mont_mul ctx acc table.((w - 1) / 2) acc;
         l - 1)
-      (num_bits exp - 1) windows
+      next windows
   in
   for _ = 0 to next do
     mont_sqr ctx acc acc

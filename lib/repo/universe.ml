@@ -11,28 +11,31 @@ type rrdp_endpoint = {
 }
 
 type t = {
-  mutable points : (string * Pub_point.t) list;
+  mutable points : Pub_point.t list;        (* newest first *)
+  index : (string, Pub_point.t) Hashtbl.t;  (* the same points by URI: every
+                                               fetch looks one up *)
   mutable mirrors : (string * Pub_point.t) list; (* primary uri -> mirror point *)
   mutable rrdp : (string * rrdp_endpoint) list;  (* primary uri -> RRDP service *)
 }
 
-let create () = { points = []; mirrors = []; rrdp = [] }
+let create () = { points = []; index = Hashtbl.create 64; mirrors = []; rrdp = [] }
 
 let add t (p : Pub_point.t) =
   let uri = Pub_point.uri p in
-  if List.mem_assoc uri t.points then
+  if Hashtbl.mem t.index uri then
     invalid_arg (Printf.sprintf "Universe.add: duplicate uri %s" uri);
-  t.points <- (uri, p) :: t.points
+  Hashtbl.replace t.index uri p;
+  t.points <- p :: t.points
 
-let find t uri = List.assoc_opt uri t.points
-let points t = List.map snd t.points
+let find t uri = Hashtbl.find_opt t.index uri
+let points t = t.points
 
 (* Register a mirror of [of_uri] (draft-ietf-sidr-multiple-publication-points:
    the same objects served from a second location, ideally hosted outside
    the address space the objects themselves validate).  The mirror must be
    refreshed explicitly — mirrors lag reality, like real ones. *)
 let add_mirror t ~of_uri (mirror : Pub_point.t) =
-  if not (List.mem_assoc of_uri t.points) then
+  if not (Hashtbl.mem t.index of_uri) then
     invalid_arg (Printf.sprintf "Universe.add_mirror: no primary at %s" of_uri);
   t.mirrors <- (of_uri, mirror) :: t.mirrors
 

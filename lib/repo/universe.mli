@@ -13,8 +13,12 @@ val add : t -> Pub_point.t -> unit
 (** Raises [Invalid_argument] on a duplicate URI. *)
 
 val find : t -> string -> Pub_point.t option
+(** The point at a URI, from a hash index kept beside {!points}. *)
+
 val find_exn : t -> string -> Pub_point.t
+
 val points : t -> Pub_point.t list
+(** Every point, the most recently added first. *)
 
 val add_mirror : t -> of_uri:string -> Pub_point.t -> unit
 (** Register a mirror of an existing point

@@ -98,19 +98,44 @@ and tick_record = {
   unsafe_count : int;           (* unsafe VRPs the primary's sync reported *)
 }
 
-(* Latency of one request to a publication point, from the data plane the
-   previous tick produced: one transport tick per forwarding hop — the
-   Section 6 circularity as time, not just a boolean.  Traffic delivered to
-   the wrong origin (a hijacker) is no route at all.  Before the first tick
-   routing works and nothing has been priced yet. *)
-let latency_from t ~asn (pp : Pub_point.t) =
-  match t.net with
-  | None -> Some 0
-  | Some net -> (
-    match Data_plane.trace net ~src:asn ~addr:(Pub_point.addr pp) with
-    | Data_plane.Delivered { origin; hops } when origin = Pub_point.host_asn pp ->
-      Some (List.length hops)
-    | Data_plane.Delivered _ | Data_plane.No_route _ | Data_plane.Loop _ -> None)
+(* The latency oracle of a transport whose requests leave from AS [src ()]:
+   one transport tick per forwarding hop on the data plane the previous
+   tick produced — the Section 6 circularity as time, not just a boolean.
+   Traffic delivered to the wrong origin (a hijacker) is no route at all.
+   Before the first tick routing works and nothing has been priced yet.
+
+   The oracle keeps what it has traced, the origin reached and the hop
+   count per source AS and destination address, while the data plane keeps
+   the forwarding state it traced them on ([Data_plane.same_forwarding]),
+   as a quiet tick's incremental build does; any other data plane drops
+   them.  The host AS is checked on every call.  Each transport has its
+   own oracle, and syncs and gossip plans run on one Domain. *)
+let latency_oracle t ~src =
+  let traced = Hashtbl.create 16 and under = ref None in
+  fun (pp : Pub_point.t) ->
+    match t.net with
+    | None -> Some 0
+    | Some net as current -> (
+      (match !under with
+      | Some n when Data_plane.same_forwarding n net -> ()
+      | _ -> Hashtbl.reset traced);
+      under := current;
+      let src = src () and addr = Pub_point.addr pp in
+      let reached =
+        match Hashtbl.find_opt traced (src, addr) with
+        | Some r -> r
+        | None ->
+          let r =
+            match Data_plane.trace net ~src ~addr with
+            | Data_plane.Delivered { origin; hops } -> Some (origin, List.length hops)
+            | Data_plane.No_route _ | Data_plane.Loop _ -> None
+          in
+          Hashtbl.add traced (src, addr) r;
+          r
+      in
+      match reached with
+      | Some (origin, hops) when origin = Pub_point.host_asn pp -> Some hops
+      | Some _ | None -> None)
 
 let create ~universe ~topo ~policy ~rp ~announcements ~probes =
   let t =
@@ -123,8 +148,8 @@ let create ~universe ~topo ~policy ~rp ~announcements ~probes =
       valcache = Some (Valcache.create ()); valcache_evict = true;
       compact_every = 0; save_full = false; keep_history = true }
   in
-  Transport.set_latency_of t.transport (fun pp ->
-      latency_from t ~asn:(Relying_party.asn t.rp) pp);
+  Transport.set_latency_of t.transport
+    (latency_oracle t ~src:(fun () -> Relying_party.asn t.rp));
   t
 
 let rtr_server t = t.rtr
@@ -211,7 +236,8 @@ let configure t (c : Config.t) =
          AS: its transport prices every request off the previous tick's
          data plane as seen from [rp]'s seat *)
       let tr = Transport.create () in
-      Transport.set_latency_of tr (latency_from t ~asn:(Relying_party.asn rp));
+      let asn = Relying_party.asn rp in
+      Transport.set_latency_of tr (latency_oracle t ~src:(fun () -> asn));
       add_vantage t { Gossip.v_name = name; v_rp = rp; v_endpoint = endpoint; v_transport = tr })
     c.Config.vantages;
   Option.iter

@@ -40,7 +40,12 @@ type t = {
   announcements : Propagation.announcement list;
   probes : probe list;
   transport : Transport.t;                   (** priced off the previous tick's
-                                                 data plane *)
+                                                 data plane, one transport tick
+                                                 per hop; each transport keeps
+                                                 the hop counts it traced while
+                                                 the data plane keeps their
+                                                 forwarding state
+                                                 ({!Data_plane.same_forwarding}) *)
   mutable fetch_policy : Relying_party.fetch_policy;
   mutable net : Data_plane.network option;
   mutable history : tick_record list;

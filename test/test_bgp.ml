@@ -445,6 +445,27 @@ let prop_incremental_equals_fresh =
                 (Data_plane.recomputed chained) expected;
             if Data_plane.oscillating chained <> Data_plane.oscillating fresh then
               QCheck.Test.fail_reportf "step %d: oscillating prefixes differ" i;
+            (* the chained build shares [prev]'s forwarding state exactly
+               when it recomputed nothing: never across a link or a policy
+               flip, and a sharing network traces as [prev] does *)
+            Option.iter
+              (fun prev ->
+                let shares = Data_plane.same_forwarding chained prev in
+                if shares <> (Data_plane.recomputed chained = 0) then
+                  QCheck.Test.fail_reportf "step %d: same_forwarding is %b with %d RIBs recomputed"
+                    i shares (Data_plane.recomputed chained);
+                if shares then
+                  List.iter
+                    (fun src ->
+                      List.iter
+                        (fun addr ->
+                          if Data_plane.trace chained ~src ~addr <> Data_plane.trace prev ~src ~addr
+                          then
+                            QCheck.Test.fail_reportf
+                              "step %d: a sharing network traces from AS%d unlike prev" i src)
+                        probes)
+                    (Topology.asns topo))
+              prev;
             List.iter
               (fun src ->
                 List.iter
@@ -787,6 +808,48 @@ let test_dispute_wheel () =
         (Data_plane.forwarding_entry net ~asn:a ~addr:(V4.Prefix.addr prefix) = None))
     (Topology.asns topo)
 
+(* --- data planes on two Domains at once ----------------------------------
+
+   Each Domain keeps its own adjacency memo, so data planes built and
+   traced on two Domains at once must answer as on one.  The tasks
+   alternate between two generated topologies, so each Domain's memo meets
+   both, and cycle through the three policies and three VRP sets; each
+   traces from every AS to every announced /16 and /24. *)
+let test_two_domains () =
+  let graphs =
+    Array.map
+      (fun seed -> As_graph.generate { As_graph.default_spec with ases = 150; seed })
+      [| 5; 6 |]
+  in
+  let task i =
+    let g = graphs.(i mod 2) in
+    let topo = As_graph.topology g in
+    let asns = Array.of_list (As_graph.asns g) in
+    let origin k = asns.((7 * k) + i mod Array.length asns) in
+    let base k = V4.Prefix.make ((10 lsl 24) lor (k lsl 16)) 16 in
+    let anns =
+      List.init 4 (fun k -> { Propagation.prefix = base k; origin = origin k })
+      @ [ { Propagation.prefix = V4.Prefix.make ((10 lsl 24) lor 0x0100) 24; origin = origin 9 } ]
+    in
+    let vrps =
+      List.filteri (fun k _ -> (k + i) mod 3 <> 0)
+        (List.init 4 (fun k -> Vrp.make ~max_len:16 (base k) (origin k)))
+    in
+    let idx = Origin_validation.build vrps in
+    let policy = List.nth Policy.all (i mod 3) in
+    let net =
+      Data_plane.build ~topo ~policy_of:(fun _ -> policy)
+        ~validity_of:(Origin_validation.classify idx) anns
+    in
+    let probes = List.init 4 (fun k -> V4.Prefix.addr (base k) lor 0x0101) in
+    List.concat_map
+      (fun src -> List.map (fun addr -> Data_plane.trace net ~src ~addr) probes)
+      (Topology.asns topo)
+  in
+  let tasks = Array.init 12 Fun.id in
+  Alcotest.(check bool) "two Domains trace as one" true
+    (Rpki_util.Par.map ~domains:2 task tasks = Array.map task tasks)
+
 let () =
   Alcotest.run "bgp"
     [ ( "topology",
@@ -805,7 +868,8 @@ let () =
         [ Alcotest.test_case "LPM forwarding" `Quick test_lpm_forwarding;
           Alcotest.test_case "no route" `Quick test_no_route;
           QCheck_alcotest.to_alcotest prop_incremental_equals_fresh;
-          QCheck_alcotest.to_alcotest prop_lpm_index_equals_scan ] );
+          QCheck_alcotest.to_alcotest prop_lpm_index_equals_scan;
+          Alcotest.test_case "two Domains at once" `Quick test_two_domains ] );
       ("hijack", [ Alcotest.test_case "validation" `Quick test_hijack_validation ]);
       ("topo-gen", [ Alcotest.test_case "generated topology" `Quick test_topo_gen ]);
       ("table-6", [ Alcotest.test_case "policy tradeoff" `Quick test_table6 ]) ]

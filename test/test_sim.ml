@@ -125,11 +125,58 @@ let small_world =
     Rpki_world.Synthesis.graph = { As_graph.default_spec with As_graph.ases = 120; seed = 3 };
     ca_min_cone = 10 }
 
+(* The price of a request from [src] to [pp] from a fresh trace: one
+   transport tick per hop, no route unless the point's host AS is reached. *)
+let traced_price net ~src (pp : Rpki_repo.Pub_point.t) =
+  match Data_plane.trace net ~src ~addr:(Rpki_repo.Pub_point.addr pp) with
+  | Data_plane.Delivered { origin; hops } when origin = Rpki_repo.Pub_point.host_asn pp ->
+    Some (List.length hops)
+  | Data_plane.Delivered _ | Data_plane.No_route _ | Data_plane.Loop _ -> None
+
+(* Every transport of the loop must price every publication point (its
+   mirrors and RRDP endpoints too) as a fresh trace on the loop's data
+   plane does, from the transport's own AS and with its faults applied:
+   [Transport.probe] answers alike on it and on a transport with the same
+   faults whose oracle traces afresh on every call. *)
+let check_pricing (t : Loop.t) ~now =
+  let open Rpki_repo in
+  let net = Option.get t.Loop.net in
+  let u = t.Loop.universe in
+  let points =
+    List.concat_map
+      (fun pp ->
+        let uri = Pub_point.uri pp in
+        (pp :: Universe.mirrors_of u uri)
+        @ Option.to_list (Option.map fst (Universe.rrdp_of u uri)))
+      (Universe.points u)
+  in
+  let transports =
+    (Relying_party.asn t.Loop.rp, Loop.transport t)
+    :: List.filter_map
+         (fun v ->
+           if v.Gossip.v_transport == Loop.transport t then None
+           else Some (Relying_party.asn v.Gossip.v_rp, v.Gossip.v_transport))
+         t.Loop.vantages
+  in
+  List.iter
+    (fun (src, tr) ->
+      let reference = Transport.create ~latency_of:(traced_price net ~src) () in
+      List.iter (fun (uri, f) -> Transport.set_fault reference ~uri f) (Transport.faults tr);
+      List.iter
+        (fun point ->
+          if Transport.probe tr ~point ~timeout:max_int
+             <> Transport.probe reference ~point ~timeout:max_int
+          then
+            Alcotest.failf "t%d: AS%d's price of %s differs from a fresh trace" now src
+              (Pub_point.uri point))
+        points)
+    transports
+
 (* The loop's data plane, rebuilt each tick from the previous one, must
    route exactly like a fresh build from the RTR cache's VRPs: the same
    probe verdicts, and the same trace from every vantage to every
-   publication point.  Returns (RIBs recomputed by the loop, by a fresh
-   build). *)
+   publication point; and every transport prices from it.  Returns (RIBs
+   recomputed by the loop, by a fresh build). *)
 let check_against_fresh (t : Loop.t) ~now =
   let net = Option.get t.Loop.net in
   let idx =
@@ -165,6 +212,7 @@ let check_against_fresh (t : Loop.t) ~now =
               (Rpki_repo.Pub_point.uri pp))
         (Rpki_repo.Universe.points t.Loop.universe))
     sources;
+  check_pricing t ~now;
   (Data_plane.recomputed net, Data_plane.recomputed fresh)
 
 (* The first tick builds every RIB; some later tick rebuilds only a part. *)
@@ -216,6 +264,42 @@ let test_incremental_fault_mix () =
   in
   check_reuse counts
 
+(* A transport's kept hop counts are keyed by the AS the request leaves
+   from: a primary restarted at another AS, over the same forwarding
+   state, is priced from its new seat.  Two monitors bring vantage
+   transports into every check. *)
+let test_pricing_follows_the_primary () =
+  let open Rpki_repo in
+  let rig =
+    Scenario.build
+      { Scenario.default with
+        source = Scenario.World (Rpki_world.Synthesis.build small_world); monitors = 2 }
+  in
+  let t = rig.Scenario.sim in
+  List.iter
+    (fun now ->
+      ignore (Scenario.step rig ~now);
+      check_pricing t ~now)
+    [ 1; 2; 3 ];
+  let net = Option.get t.Loop.net in
+  let name = Relying_party.name t.Loop.rp and seat = Relying_party.asn t.Loop.rp in
+  let prices src = List.map (traced_price net ~src) (Universe.points t.Loop.universe) in
+  (* the first AS that pays other prices than the seat does *)
+  let other =
+    List.find (fun a -> prices a <> prices seat) (Topology.asns t.Loop.topo)
+  in
+  Loop.kill_vantage t ~name;
+  ignore
+    (Loop.restart_vantage t ~name ~now:3 ~make:(fun ~log_epoch ->
+         Relying_party.create ~name ~asn:other
+           ~tals:[ Relying_party.tal_of_authority rig.Scenario.root ] ~log_epoch ()));
+  check_pricing t ~now:3;
+  List.iter
+    (fun now ->
+      ignore (Scenario.step rig ~now);
+      check_pricing t ~now)
+    [ 4; 5 ]
+
 let () =
   Alcotest.run "sim"
     [ ( "side-effect-7",
@@ -235,4 +319,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deployment_deterministic ] );
       ( "incremental-data-plane",
         [ Alcotest.test_case "split view on a world" `Quick test_incremental_split_view;
-          Alcotest.test_case "fault mix on a world" `Quick test_incremental_fault_mix ] ) ]
+          Alcotest.test_case "fault mix on a world" `Quick test_incremental_fault_mix;
+          Alcotest.test_case "pricing follows the primary" `Quick
+            test_pricing_follows_the_primary ] ) ]
