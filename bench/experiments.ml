@@ -1311,9 +1311,7 @@ let multivantage ~quick =
    The sweep drives a deterministic churn workload through
    [Rpki_rtr.Server] at increasing session counts, checks after every
    batched notify that all sessions converged to the cache's exact VRP set
-   (a mid-run hold included), and closes with a per-session baseline arm
-   and a Domain sweep that must not change a single accounting byte and
-   times [flush ~domains:1/2/4] on a mid-sized cell and on the largest. *)
+   (a mid-run hold included), and closes with a per-session baseline arm. *)
 let rtr ~quick =
   let module Server = Rpki_rtr.Server in
   let module Session = Rpki_rtr.Session in
@@ -1331,11 +1329,11 @@ let rtr ~quick =
         Vrp.make (V4.Prefix.make ((10 lsl 24) lor (i lsl 8)) 24) asn)
   in
   let hold_prefix = V4.Prefix.make (10 lsl 24) 24 in
-  let run_cell ~sessions ~churn ~domains =
+  let run_cell ~sessions ~churn =
     let server = Server.create () in
     let _ = List.init sessions (fun _ -> Server.attach server) in
     Server.publish server (set_at ~churn 0);
-    ignore (Server.flush ~domains server);
+    ignore (Server.flush server);
     let converge_ms = ref 0. in
     for t = 1 to ticks do
       Server.publish server (set_at ~churn t);
@@ -1344,7 +1342,7 @@ let rtr ~quick =
         Server.hold server ~prefix:hold_prefix
           ~vrps:[ Vrp.make hold_prefix 9999 ];
       if t = (3 * ticks) / 4 then Server.release server ~prefix:hold_prefix;
-      let _, ms = time_ms (fun () -> Server.flush ~domains server) in
+      let _, ms = time_ms (fun () -> Server.flush server) in
       converge_ms := !converge_ms +. ms;
       check (Server.all_synced server) "sessions diverged after flush (sessions=%d tick=%d)"
         sessions t
@@ -1383,7 +1381,7 @@ let rtr ~quick =
   let cells =
     List.concat_map
       (fun sessions ->
-        List.map (fun churn -> (sessions, churn, run_cell ~sessions ~churn ~domains:1))
+        List.map (fun churn -> (sessions, churn, run_cell ~sessions ~churn))
           churn_levels)
       session_counts
   in
@@ -1447,46 +1445,6 @@ let rtr ~quick =
     "\nper-session baseline at %d sessions: %d bytes encoded vs %d shared (%.0fx)\n"
     big baseline_bytes server_bytes reduction;
   check (not (reduction < 50.)) "only %.1fx encode reduction at %d sessions" reduction big;
-  (* Domains must be invisible in the accounting: same stats to the byte.
-     The sweep also times them, on a mid-sized cell and on the largest. *)
-  let domain_counts = [ 1; 2; 4 ] in
-  let sweep_cells = [ (min big 256, churn0); (last session_counts, last churn_levels) ] in
-  let sweep =
-    List.map
-      (fun (sessions, churn) ->
-        let runs =
-          List.map (fun domains -> run_cell ~sessions ~churn ~domains) domain_counts
-        in
-        let st1, _ = List.hd runs in
-        List.iter2
-          (fun domains (st, _) ->
-            check (st = st1) "accounting changed under %d domains (%d sessions, churn %d)" domains
-              sessions churn)
-          domain_counts runs;
-        let ms_per_batch =
-          List.map
-            (fun ((st : Server.stats), ms) ->
-              ms /. float_of_int (max 1 st.Server.notify_batches))
-            runs
-        in
-        (sessions, churn, ms_per_batch))
-      sweep_cells
-  in
-  let dt =
-    Table.create
-      ~aligns:(List.init (2 + List.length domain_counts) (fun _ -> Table.Right))
-      ("sessions" :: "churn"
-       :: List.map (Printf.sprintf "ms/batch @%d dom") domain_counts)
-  in
-  List.iter
-    (fun (sessions, churn, ms) ->
-      Table.add_row dt
-        (string_of_int sessions :: string_of_int churn
-         :: List.map (Printf.sprintf "%.2f") ms))
-    sweep;
-  Printf.printf "\ndomain sweep (%s): accounting identical to the byte\n\n"
-    (String.concat "/" (List.map string_of_int domain_counts));
-  Table.print dt;
   let open Json in
   let cell (sessions, churn, ((st : Server.stats), ms)) =
     let batches = max 1 st.Server.notify_batches in
@@ -1501,11 +1459,6 @@ let rtr ~quick =
         ( "session_syncs_per_sec",
           Fixed (0, float_of_int (sessions * batches) /. (max 1e-6 ms /. 1000.)) ) ]
   in
-  let sweep_cell (sessions, churn, ms) =
-    Object
-      [ ("sessions", Int sessions); ("churn", Int churn);
-        ("ms_per_batch", list (fun x -> Fixed (3, x)) ms) ]
-  in
   Some
     (Object
        [ ("experiment", String "rtr"); ("ticks", Int ticks); ("universe", Int universe);
@@ -1513,11 +1466,8 @@ let rtr ~quick =
          ( "baseline",
            Object
              [ ("sessions", Int big); ("bytes_encoded", Int baseline_bytes);
-               ("server_bytes_encoded", Int server_bytes); ("reduction", Fixed (1, reduction)) ] );
-         ( "domain_sweep",
-           Object
-             [ ("domains", list int domain_counts); ("identical", Bool true);
-               ("cells", list sweep_cell sweep) ] ) ])
+               ("server_bytes_encoded", Int server_bytes);
+               ("reduction", Fixed (1, reduction)) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* Soak: long-run endurance                                            *)
@@ -1972,7 +1922,7 @@ let faultmix ~quick =
   let rig0 =
     Scenario.build
       { Scenario.section6 with
-        fault_mix = Some { Scenario.seed = 0x5eed; rate = 0.; repair_after = None } }
+        fault_mix = Some { Scenario.seed = 0x5eed; rate = 0. } }
   in
   let with_engine = List.init ticks (fun i -> snd (Scenario.step rig0 ~now:(i + 1))) in
   let sim0 = (Scenario.build Scenario.section6).Scenario.sim in
@@ -1993,7 +1943,7 @@ let faultmix ~quick =
         { Scenario.section6 with
           fetch_policy =
             Some { (List.assoc "no-stale" fetch_policies) with Relying_party.unsafe };
-          fault_mix = Some { Scenario.seed = 7; rate; repair_after = None } }
+          fault_mix = Some { Scenario.seed = 7; rate } }
     in
     let records = List.init mix_ticks (fun i -> snd (Scenario.step rig ~now:(i + 1))) in
     let engine = Option.get rig.Scenario.engine in

@@ -470,12 +470,13 @@ let bench_persist () =
        ~v4_entries:(List.init 7 (fun i -> Roa.entry (slash24 ~b:170 ~c:(i + 1))))
        ());
   let policy =
-    { Relying_party.default_policy with Relying_party.use_mirrors = false; use_rrdp = false }
+    { Relying_party.default_policy with
+      Relying_party.use_mirrors = false; use_rrdp = false; use_stale = false }
   in
   let etb = Pub_point.uri (Authority.pub m.Model.etb) in
   (* a vantage and the sync that flips ETB's point dark or back *)
   let vantage () =
-    let rp = Model.relying_party ~use_stale:false m in
+    let rp = Model.relying_party m in
     let transport = Transport.instant () in
     let dark = ref false in
     let flip () =

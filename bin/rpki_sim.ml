@@ -276,7 +276,7 @@ let faultmix_cmd =
       Scenario.build
         { Scenario.section6 with
           fetch_policy = Some { Relying_party.default_policy with Relying_party.unsafe };
-          fault_mix = Some { Scenario.seed; rate; repair_after = None } }
+          fault_mix = Some { Scenario.seed; rate } }
     in
     let all_issues = ref [] in
     for now = 1 to ticks do
@@ -661,14 +661,10 @@ let rtr_cmd =
     Arg.(value & opt int 16
          & info [ "churn" ] ~doc:"VRPs that change origin every round.")
   in
-  let domains =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~doc:"Domains for the flush fan-out.")
-  in
-  let run sessions ticks churn domains =
+  let run sessions ticks churn =
     within
       [ (sessions >= 1, "--sessions must be >= 1"); (ticks >= 1, "--ticks must be >= 1");
-        (churn >= 0, "--churn must be >= 0"); (domains >= 1, "--domains must be >= 1") ]
+        (churn >= 0, "--churn must be >= 0") ]
     @@ fun () ->
     let module Server = Rpki_rtr.Server in
     let universe = max 64 (4 * churn) in
@@ -679,12 +675,11 @@ let rtr_cmd =
     in
     let server = Server.create () in
     let _ = List.init sessions (fun _ -> Server.attach server) in
-    Printf.printf
-      "%d sessions against one cache (%d VRPs, %d churned per round, %d domain%s)\n\n"
-      sessions universe churn domains (if domains = 1 then "" else "s");
+    Printf.printf "%d sessions against one cache (%d VRPs, %d churned per round)\n\n"
+      sessions universe churn;
     for t = 0 to ticks - 1 do
       Server.publish server (set_at t);
-      let rep = Server.flush ~domains server in
+      let rep = Server.flush server in
       Printf.printf
         "t%-3d serial %-4d notified %-5d delta %-5d reset %-4d skip %-5d %s\n" t
         rep.Server.fr_serial rep.Server.fr_notified rep.Server.fr_advanced
@@ -705,7 +700,7 @@ let rtr_cmd =
     (Cmd.info "rtr"
        ~doc:"Fan one RTR cache out to many router sessions: encode-once deltas, \
              one batched serial-notify per round")
-    Term.(ret (const run $ sessions $ ticks $ churn $ domains))
+    Term.(ret (const run $ sessions $ ticks $ churn))
 
 (* --- soak: long-run endurance --- *)
 

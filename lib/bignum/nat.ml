@@ -110,7 +110,9 @@ let sub (a : t) (b : t) : t =
   if !borrow <> 0 then invalid_arg "Nat.sub: negative result";
   normalize r
 
-let mul_schoolbook (a : t) (b : t) : t =
+(* Schoolbook only: every key the simulations make is 512 bits, so every
+   product on the key path has operands of at most 18 limbs. *)
+let mul (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
   else begin
@@ -133,35 +135,6 @@ let mul_schoolbook (a : t) (b : t) : t =
       done
     done;
     normalize r
-  end
-
-let karatsuba_threshold = 32
-
-(* Split [a] at limb position [k] into (low, high). *)
-let split_at (a : t) k =
-  let n = Array.length a in
-  if n <= k then (a, zero)
-  else (normalize (Array.sub a 0 k), normalize (Array.sub a k (n - k)))
-
-let shift_limbs (a : t) k =
-  if is_zero a then zero
-  else begin
-    let n = Array.length a in
-    let r = Array.make (n + k) 0 in
-    Array.blit a 0 r k n;
-    r
-  end
-
-let rec mul (a : t) (b : t) : t =
-  let la = Array.length a and lb = Array.length b in
-  if la < karatsuba_threshold || lb < karatsuba_threshold then mul_schoolbook a b
-  else begin
-    let k = (max la lb + 1) / 2 in
-    let a0, a1 = split_at a k and b0, b1 = split_at b k in
-    let z0 = mul a0 b0 in
-    let z2 = mul a1 b1 in
-    let z1 = sub (mul (add a0 a1) (add b0 b1)) (add z0 z2) in
-    add (add z0 (shift_limbs z1 k)) (shift_limbs z2 (2 * k))
   end
 
 let shift_left (a : t) bits =

@@ -39,10 +39,7 @@ val sub : t -> t -> t
 (** Raises [Invalid_argument] when the result would be negative. *)
 
 val mul : t -> t -> t
-(** Karatsuba above the threshold, schoolbook below. *)
-
-val mul_schoolbook : t -> t -> t
-(** Always-quadratic multiplication, exposed for cross-checking. *)
+(** Schoolbook multiplication, O(n·m) limb products. *)
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t

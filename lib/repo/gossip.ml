@@ -10,11 +10,12 @@
 
    Three layers keep a round cheap at scale:
    - the Overlay selects O(n·k) edges instead of the full O(n²) mesh;
-   - a per-round cache signs each served head once, verifies each distinct
-     (peer, head, signature) once, builds each Merkle proof once per
-     (tree root, range) and checks each proof once per (leaf, index, size,
-     root, proof) — honest vantages hold identical logs, so one proof and
-     one check serve every receiver of the same delta;
+   - each relying party signs its head once per tree, and a per-round
+     cache verifies each distinct (peer, head, signature) once, builds
+     each Merkle proof once per (tree root, range) and checks each proof
+     once per (leaf, index, size, root, proof) — honest vantages hold
+     identical logs, so one proof and one check serve every receiver of
+     the same delta;
    - the round plans its pulls first, then signs and checks every fresh
      head an answered pull will serve on every core ([sign_fresh_heads]),
      before the pulls run in order on one Domain. *)
@@ -375,21 +376,21 @@ let fork_key uri serial a b =
   let x, y = if a < b then (a, b) else (b, a) in
   Printf.sprintf "fork:%s:%d:%s:%s" uri serial x y
 
-(* Per-round work sharing.  The STH memo is keyed on the RP *instance*
-   (physical equality) — an equivocator serves different instances under
-   one name, and each must sign its own head.  The verify memo is keyed on
-   the full (peer, head bytes, signature) triple, so two different heads
-   served under one name each get their own verification.  Proofs are
-   keyed on the committing root + range: a Merkle root pins the tree
-   content, so identical logs (every honest vantage) share proofs.  Proof
-   checks are keyed on every input of the check ({!Merkle.Verdicts}), so
-   they are shared the same way; what stays per receiver is everything
+(* Per-round work sharing.  Each RP *instance* keeps its own signed head
+   ([Relying_party.signed_tree_head] re-signs only when its tree changes),
+   so an equivocator's instances under one name each sign their own, and
+   every pull of one instance in a round serves one head.  The verify memo
+   is keyed on the full (peer, head bytes, signature) triple, so two
+   different heads served under one name each get their own verification.
+   Proofs are keyed on the committing root + range: a Merkle root pins the
+   tree content, so identical logs (every honest vantage) share proofs.
+   Proof checks are keyed on every input of the check ({!Merkle.Verdicts}),
+   so they are shared the same way; what stays per receiver is everything
    else a pull does (log id and size order, baselines, cross-checks,
    alarms).  [rc_checked] holds the verdicts [sign_fresh_heads] computed,
    keyed by signer name, head bytes and signature; the verify memo's first
    miss on such a head takes its verdict in place of checking again. *)
 type round_ctx = {
-  rc_sths : (Relying_party.t * Log.signed_head) list ref;
   rc_checked : (string, bool) Hashtbl.t;
   rc_heads : (string, bool) Hashtbl.t;
   rc_proofs : (string, Merkle.proof) Hashtbl.t;
@@ -401,18 +402,10 @@ type round_ctx = {
 }
 
 let new_round_ctx () =
-  { rc_sths = ref []; rc_checked = Hashtbl.create 16; rc_heads = Hashtbl.create 64;
+  { rc_checked = Hashtbl.create 16; rc_heads = Hashtbl.create 64;
     rc_proofs = Hashtbl.create 256;
     rc_verdicts = Merkle.Verdicts.create (); rc_verifies = 0;
     rc_verifies_saved = 0; rc_proofs_built = 0; rc_proofs_reused = 0 }
-
-let sth_once ctx ~now rp =
-  match List.find_opt (fun (r, _) -> r == rp) !(ctx.rc_sths) with
-  | Some (_, sth) -> sth
-  | None ->
-    let sth = Relying_party.signed_tree_head rp ~now in
-    ctx.rc_sths := (rp, sth) :: !(ctx.rc_sths);
-    sth
 
 (* What a head's check depends on: the signer (its key comes from its
    name), the head and the signature. *)
@@ -476,10 +469,10 @@ type planned =
    that has no signature for its current tree (DESIGN.md §15), one task
    per instance.  A task touches only its own relying party: its kept
    head, its key and its log's tree.  The pulls then find the signed heads
-   in [rc_sths] and the verdicts in [rc_checked].  Instances that sign
-   byte-identical heads (an equivocator's shadow before its log diverges)
-   are each signed, and checked once, as the verify memo would check
-   them. *)
+   kept on their instances and the verdicts in [rc_checked].  Instances
+   that sign byte-identical heads (an equivocator's shadow before its log
+   diverges) are each signed, and checked once, as the verify memo would
+   check them. *)
 let sign_fresh_heads ctx ~now (plan : planned list) =
   let served =
     List.fold_left
@@ -516,7 +509,6 @@ let sign_fresh_heads ctx ~now (plan : planned list) =
   Array.iteri
     (fun i (rp, _) ->
       let sth, verdict = signed.(i) in
-      ctx.rc_sths := (rp, sth) :: !(ctx.rc_sths);
       Option.iter (Hashtbl.replace ctx.rc_checked (check_key rp sth)) verdict)
     tasks
 
@@ -534,7 +526,7 @@ let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served probe =
   | `Ok _ ->
     let peer_log = Relying_party.transparency_log served in
     let own_log = Relying_party.transparency_log receiver.v_rp in
-    let sth = sth_once ctx ~now served in
+    let sth = Relying_party.signed_tree_head served ~now in
     let new_head = sth.Log.sh_head in
     let seen_key = (receiver.v_name, peer.v_name) in
     let prior_head = Hashtbl.find_opt t.last_seen seen_key in
@@ -631,7 +623,7 @@ let pull t ctx ~now ~(receiver : vantage) ~(peer : vantage) ~served probe =
                  point, same manifest number, different content = fork *)
               (match Log.find own_log ~uri:ob.Log.ob_uri ~serial:ob.Log.ob_serial with
               | Some (own_i, own_ob) when not (Log.observation_equal own_ob ob) ->
-                let own_sth = sth_once ctx ~now receiver.v_rp in
+                let own_sth = Relying_party.signed_tree_head receiver.v_rp ~now in
                 let own_head = own_sth.Log.sh_head in
                 let left =
                   { att_vantage = receiver.v_name; att_obs = own_ob; att_index = own_i;

@@ -40,7 +40,8 @@
     A full pairwise mesh is O(n²) pulls per round — the per-tick hot path
     at high vantage counts.  {!Overlay} replaces it with partial meshes
     (O(n·k) pulls), and a round-level cache makes each pull cheaper: every
-    served log signs its head once per round, every distinct (peer, head,
+    served log signs its head once per tree
+    ({!Relying_party.signed_tree_head}), every distinct (peer, head,
     signature) triple is verified once per round, Merkle proofs are built
     once per (tree root, range), and each inclusion or consistency check is
     made once per round for its exact inputs ({!Merkle.Verdicts}) — honest

@@ -125,9 +125,8 @@ let add_fig5_right_roa t ~now =
        ~now ())
 
 (* A relying party configured with ARIN as its single trust anchor. *)
-let relying_party ?(name = "rp0") ?(asn = 7018) ?use_stale ?grace t =
-  Relying_party.create ~name ~asn ~tals:[ Relying_party.tal_of_authority t.arin ] ?use_stale
-    ?grace ()
+let relying_party ?(name = "rp0") ?(asn = 7018) ?grace t =
+  Relying_party.create ~name ~asn ~tals:[ Relying_party.tal_of_authority t.arin ] ?grace ()
 
 (* Print the hierarchy — the textual rendering of Figure 2. *)
 let render t =

@@ -45,8 +45,7 @@ val add_fig5_right_roa : t -> now:Rtime.t -> string
     (right) / Side Effect 5 trigger.  Returns its filename. *)
 
 val relying_party :
-  ?name:string -> ?asn:int -> ?use_stale:bool -> ?grace:int ->
-  t -> Relying_party.t
+  ?name:string -> ?asn:int -> ?grace:int -> t -> Relying_party.t
 (** A relying party configured with ARIN as its single trust anchor. *)
 
 val render : t -> string

@@ -79,7 +79,7 @@ type fetch_policy = {
   backoff : int;            (* base backoff between retries; 0 = none *)
   use_mirrors : bool;
   use_rrdp : bool;
-  use_stale : bool;         (* combined with the RP's own use_stale flag *)
+  use_stale : bool;         (* fall back to the last good copy *)
   unsafe : unsafe_policy;   (* what to do with VRPs overlapping failed CAs *)
 }
 
@@ -212,7 +212,6 @@ type t = {
   name : string;
   asn : int; (* the AS where this relying party sits *)
   tals : tal list;
-  use_stale : bool;
   grace : int option;
   (* Suspenders-style fail-safe (Kent & Mandelberg, the paper's ref [25]):
      when set, a VRP that disappears keeps being used for this many ticks
@@ -278,8 +277,8 @@ type t = {
      degrades to pinning nothing, which is fail-closed. *)
 }
 
-let create ~name ~asn ~tals ?(use_stale = true) ?grace ?(log_epoch = 0) () =
-  { name; asn; tals; use_stale; grace; cache = Hashtbl.create 16;
+let create ~name ~asn ~tals ?grace ?(log_epoch = 0) () =
+  { name; asn; tals; grace; cache = Hashtbl.create 16;
     rrdp_clients = Hashtbl.create 4; memo = Hashtbl.create 64; walked = []; union = [];
     vrp_memory = Hashtbl.create 64; seen = []; seen_at = Rtime.epoch; last_result = None;
     effective_vrps = [];
@@ -580,7 +579,7 @@ let fetch run uri =
       Some copy
     | Error (kind, why) -> (
       match Hashtbl.find_opt run.rp.cache uri with
-      | Some cp when run.policy.use_stale && run.rp.use_stale ->
+      | Some cp when run.policy.use_stale ->
         record Stale_cache "cache" (Rtime.diff run.now cp.cp_at);
         problem run ~uri kind (Printf.sprintf "publication point %s; using stale cache" why);
         Some (cp.cp_files, cp.cp_fp)

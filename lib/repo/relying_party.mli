@@ -76,7 +76,8 @@ type fetch_policy = {
   backoff : int;        (** base backoff between retries; 0 disables it *)
   use_mirrors : bool;
   use_rrdp : bool;
-  use_stale : bool;     (** ANDed with the RP's own [use_stale] flag *)
+  use_stale : bool;     (** fall back to the last good copy of a point
+                            that could not be fetched *)
   unsafe : unsafe_policy;  (** unsafe-VRP handling; [Unsafe_accept] in every
                                canned policy *)
 }
@@ -182,8 +183,7 @@ type t
 (** Opaque relying-party state. *)
 
 val create :
-  name:string -> asn:int -> tals:tal list -> ?use_stale:bool -> ?grace:int ->
-  ?log_epoch:int -> unit -> t
+  name:string -> asn:int -> tals:tal list -> ?grace:int -> ?log_epoch:int -> unit -> t
 (** [grace] is the Suspenders-style fail-safe (the paper's ref [25]): when
     set, a VRP that disappears keeps being used for this many ticks after it
     was last seen — softening Side Effects 6 and 7 at the price of delaying

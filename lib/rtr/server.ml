@@ -18,19 +18,13 @@
    installs its result in every session that held that state: sessions on
    one path decode once and share one table.  Sessions that reached equal
    tables by different paths hold different values and stay apart until
-   their next reset.
-
-   The fan-out that follows only accounts bytes and installs states.
-   [flush ~domains:n] still spreads it across Domains, each session
-   touched by exactly one Domain and per-Domain accounting reduced in
-   Domain order, so every byte counter is identical for any [domains]. *)
+   their next reset.  The fan-out that follows only accounts bytes and
+   installs states, in one pass on the calling Domain. *)
 
 open Rpki_core
 
 type session = {
   router : Session.router;
-  mutable tx : int;     (* query bytes sent to the server *)
-  mutable rx : int;     (* notify + response bytes received *)
   mutable resets : int; (* Cache Reset PDUs acted upon *)
   mutable live : bool;
 }
@@ -144,7 +138,7 @@ let restore t ~serial ~vrps =
 (* --- sessions --- *)
 
 let attach t =
-  let s = { router = Session.create_router (); tx = 0; rx = 0; resets = 0; live = true } in
+  let s = { router = Session.create_router (); resets = 0; live = true } in
   t.sessions <- s :: t.sessions;
   s
 
@@ -180,23 +174,6 @@ type plan =
   | Reset_stale         (* serial query answered Cache Reset, then snapshot *)
   | Reset_fresh         (* no session yet: straight to Reset Query + snapshot *)
 
-(* Per-chunk accounting, reduced in domain order after the joins. *)
-type acct = {
-  mutable a_sent : int;
-  mutable a_received : int;
-  mutable a_replays : int;
-  mutable a_resets : int;
-  mutable a_advanced : int;
-  mutable a_reset_count : int;
-  mutable a_skipped : int;
-}
-
-let fresh_acct () =
-  { a_sent = 0; a_received = 0; a_replays = 0; a_resets = 0; a_advanced = 0;
-    a_reset_count = 0; a_skipped = 0 }
-
-let encode_response pdus = String.concat "" (List.map Pdu.encode pdus)
-
 (* One flush's transitions, keyed by the physical identity of the router
    state and of the response bytes.  The hash is the length of the bytes
    alone: hashing the state reads into its table, which on 512 sessions
@@ -210,13 +187,13 @@ module Transitions = Hashtbl.Make (struct
   let hash (_, bytes) = String.length bytes
 end)
 
-let flush ?(domains = 1) t =
+(* [?domains] is ignored: the flush runs on the calling Domain.  It stays
+   only because benchmark/'s replica of [Loop.step] passes it, and goes
+   with that replica's re-baseline (ROADMAP item 1, Stage B). *)
+let flush ?domains:_ t =
   let cache = t.cache in
   let current = Session.cache_serial cache in
   let sid = Session.cache_session_id cache in
-  let sessions = Array.of_list (List.rev t.sessions) in
-  let n = Array.length sessions in
-  let notifying = t.dirty && n > 0 in
   (* 1. classify every session; memoize the window composition per distinct
      base serial so a thousand sessions at the same serial cost one
      [changes_since], not a thousand. *)
@@ -229,89 +206,60 @@ let flush ?(domains = 1) t =
       Hashtbl.replace window base r;
       r
   in
-  let plans =
-    Array.map
-      (fun s ->
-        match Session.router_session s.router with
-        | Some rsid when rsid = sid && not t.reset_all ->
-          let base = Session.router_serial s.router in
-          if base = current then Skip
-          else (match changes base with Some _ -> Delta base | None -> Reset_stale)
-        | Some _ -> Reset_stale
-        | None -> Reset_fresh)
-      sessions
+  let plan s =
+    match Session.router_session s.router with
+    | Some rsid when rsid = sid && not t.reset_all ->
+      let base = Session.router_serial s.router in
+      if base = current then Skip
+      else (match changes base with Some _ -> Delta base | None -> Reset_stale)
+    | Some _ -> Reset_stale
+    | None -> Reset_fresh
   in
+  let plans = List.map (fun s -> (s, plan s)) t.sessions in
   (* Nothing pending and everyone synced: a zero report, no traffic. *)
-  if (not t.dirty) && Array.for_all (fun p -> p = Skip) plans then
+  if (not t.dirty) && List.for_all (fun (_, p) -> p = Skip) plans then
     { fr_serial = current; fr_notified = 0; fr_advanced = 0; fr_resets = 0;
       fr_skipped = 0; fr_coalesced = 0 }
   else begin
-    (* 2. pre-encode every buffer the transitions will read, exactly once. *)
-    let need_snapshot = ref false in
-    let missing = Hashtbl.create 8 in
-    Array.iter
-      (fun p ->
-        match p with
-        | Delta base -> if not (Hashtbl.mem t.buffers base) then Hashtbl.replace missing base ()
-        | Reset_stale | Reset_fresh -> need_snapshot := true
-        | Skip -> ())
-      plans;
-    let bases = Hashtbl.fold (fun b () acc -> b :: acc) missing [] in
-    let bases = Array.of_list (List.sort compare bases) in
-    let encoded =
-      (* distinct bases are rare (most sessions share one), but a restart
-         storm can leave many: the encode pipeline itself fans out *)
-      Rpki_util.Par.map ~domains
-        (fun base ->
-          let announced, withdrawn =
-            match changes base with Some aw -> aw | None -> assert false
-          in
-          let body =
-            (Pdu.Cache_response { session_id = sid }
-             :: List.map (Pdu.of_vrp ~flags:Pdu.Announce) announced)
-            @ List.map (Pdu.of_vrp ~flags:Pdu.Withdraw) withdrawn
-            @ [ Pdu.End_of_data { session_id = sid; serial = current } ]
-          in
-          (base, encode_response body))
-        bases
-    in
-    Array.iter
-      (fun (base, bytes) ->
-        Hashtbl.replace t.buffers base bytes;
-        t.encode_calls <- t.encode_calls + 1;
-        t.bytes_encoded <- t.bytes_encoded + String.length bytes)
-      encoded;
-    if !need_snapshot && t.snapshot = None then begin
-      let body =
-        (Pdu.Cache_response { session_id = sid }
-        :: List.map Pdu.of_vrp (Session.cache_vrps cache))
-        @ [ Pdu.End_of_data { session_id = sid; serial = current } ]
-      in
-      let bytes = encode_response body in
-      t.snapshot <- Some bytes;
+    (* 2. every response the plans read is encoded once, on first use: a
+       delta buffer per base serial and the snapshot, both kept until the
+       serial moves, and this batch's Serial Notify. *)
+    let encoded bytes =
       t.encode_calls <- t.encode_calls + 1;
-      t.bytes_encoded <- t.bytes_encoded + String.length bytes
-    end;
-    let notify_bytes =
-      if notifying then begin
-        let b = Pdu.encode (Session.notify cache) in
-        t.encode_calls <- t.encode_calls + 1;
-        t.bytes_encoded <- t.bytes_encoded + String.length b;
-        b
-      end
-      else ""
+      t.bytes_encoded <- t.bytes_encoded + String.length bytes;
+      bytes
     in
-    let notify_len = String.length notify_bytes in
-    (* read only by the reset plans, which had it encoded above *)
-    let snapshot = Option.value t.snapshot ~default:"" in
-    (* 3. every distinct (state, response) transition, once.  A transition
-       is a pure function of the state and the bytes, so the physical
-       identity of both is key enough: every session holding that state
-       value and receiving that buffer gets the one result.  The table
-       lives for this flush only and keeps no state or buffer alive.  Each
-       result is checked as the fan-out checked each session's: a delta or
-       a snapshot must leave the router synced, the Cache Reset must be
-       taken, and anything else is a server bug. *)
+    let delta base =
+      match Hashtbl.find_opt t.buffers base with
+      | Some bytes -> bytes
+      | None ->
+        let aw = match changes base with Some aw -> aw | None -> assert false in
+        let bytes = encoded (Session.response cache aw) in
+        Hashtbl.replace t.buffers base bytes;
+        bytes
+    in
+    let snapshot () =
+      match t.snapshot with
+      | Some bytes -> bytes
+      | None ->
+        let bytes = encoded (Session.response cache (Session.cache_vrps cache, [])) in
+        t.snapshot <- Some bytes;
+        bytes
+    in
+    let n = List.length t.sessions in
+    let notifying = t.dirty && n > 0 in
+    let notify_len =
+      if notifying then String.length (encoded (Pdu.encode (Session.notify cache))) else 0
+    in
+    (* 3. every distinct (state, response) transition, once, before any
+       session is touched.  A transition is a pure function of the state
+       and the bytes, so the physical identity of both is key enough:
+       every session holding that state value and receiving that buffer
+       gets the one result.  The table lives for this flush only and keeps
+       no state or buffer alive.  Each result is checked as the fan-out
+       checked each session's: a delta or a snapshot must leave the router
+       synced, the Cache Reset must be taken, and anything else is a
+       server bug. *)
     let memo = Transitions.create 8 in
     let step state bytes expect =
       match Transitions.find_opt memo (state, bytes) with
@@ -332,73 +280,46 @@ let flush ?(domains = 1) t =
       let state = Session.router_state s.router in
       match plan with
       | Skip -> state
-      | Delta base -> step state (Hashtbl.find t.buffers base) `Synced
+      | Delta base -> step state (delta base) `Synced
       | Reset_stale ->
         (* the router acts on the shared Cache Reset, then starts over *)
         ignore (step state t.reset_bytes `Reset_required);
-        step Session.fresh snapshot `Synced
-      | Reset_fresh -> step Session.fresh snapshot `Synced
+        step Session.fresh (snapshot ()) `Synced
+      | Reset_fresh -> step Session.fresh (snapshot ()) `Synced
     in
-    let next = Array.map2 next_state sessions plans in
-    (* 4. the fan-out: every session accounts the bytes of its exchange and
-       takes its new state.  Every Serial Query has one length, and so
-       does every Reset Query: each is encoded once. *)
+    let moves = List.map (fun (s, plan) -> (s, plan, next_state s plan)) plans in
+    (* 4. the fan-out: account each session's exchange and install its new
+       state.  Every Serial Query has one length, and so does every Reset
+       Query: each is encoded once. *)
     let serial_query =
       String.length (Pdu.encode (Pdu.Serial_query { session_id = sid; serial = 0 }))
     in
     let reset_query = String.length (Pdu.encode Pdu.Reset_query) in
-    let serve_one acct i =
-      let s = sessions.(i) in
-      if notifying then s.rx <- s.rx + notify_len;
-      let exchange ~query ~response =
-        s.tx <- s.tx + query;
-        acct.a_received <- acct.a_received + query;
-        s.rx <- s.rx + String.length response;
-        acct.a_sent <- acct.a_sent + String.length response;
-        acct.a_replays <- acct.a_replays + 1
-      in
-      (match plans.(i) with
-      | Skip -> acct.a_skipped <- acct.a_skipped + 1
-      | Delta base ->
-        exchange ~query:serial_query ~response:(Hashtbl.find t.buffers base);
-        acct.a_advanced <- acct.a_advanced + 1
-      | Reset_stale | Reset_fresh as plan ->
-        (* a stale session asks from where it was and is answered with the
-           shared Cache Reset before its Reset Query *)
-        if plan = Reset_stale then begin
-          exchange ~query:serial_query ~response:t.reset_bytes;
-          s.resets <- s.resets + 1;
-          acct.a_resets <- acct.a_resets + 1
-        end;
-        exchange ~query:reset_query ~response:snapshot;
-        acct.a_reset_count <- acct.a_reset_count + 1);
-      Session.set_router_state s.router next.(i)
-    in
-    (* one contiguous chunk of sessions per Domain, each with its own
-       accounts; with one Domain this is a plain loop *)
-    let chunks = max 1 (min domains n) in
-    let size = (n + chunks - 1) / chunks in
-    let accts =
-      Rpki_util.Par.map ~domains
-        (fun c ->
-          let acct = fresh_acct () in
-          for i = c * size to min n ((c + 1) * size) - 1 do
-            serve_one acct i
-          done;
-          acct)
-        (Array.init chunks Fun.id)
+    let exchange ~query ~response =
+      t.bytes_received <- t.bytes_received + query;
+      t.bytes_sent <- t.bytes_sent + String.length response;
+      t.replays <- t.replays + 1
     in
     let advanced = ref 0 and reset_count = ref 0 and skipped = ref 0 in
-    Array.iter
-      (fun a ->
-        t.bytes_sent <- t.bytes_sent + a.a_sent;
-        t.bytes_received <- t.bytes_received + a.a_received;
-        t.replays <- t.replays + a.a_replays;
-        t.resets <- t.resets + a.a_resets;
-        advanced := !advanced + a.a_advanced;
-        reset_count := !reset_count + a.a_reset_count;
-        skipped := !skipped + a.a_skipped)
-      accts;
+    List.iter
+      (fun ((s : session), plan, next) ->
+        (match plan with
+        | Skip -> incr skipped
+        | Delta base ->
+          exchange ~query:serial_query ~response:(delta base);
+          incr advanced
+        | Reset_stale | Reset_fresh ->
+          (* a stale session asks from where it was and is answered with
+             the shared Cache Reset before its Reset Query *)
+          if plan = Reset_stale then begin
+            exchange ~query:serial_query ~response:t.reset_bytes;
+            s.resets <- s.resets + 1;
+            t.resets <- t.resets + 1
+          end;
+          exchange ~query:reset_query ~response:(snapshot ());
+          incr reset_count);
+        Session.set_router_state s.router next)
+      moves;
     if notifying then begin
       t.bytes_sent <- t.bytes_sent + (notify_len * n);
       t.notify_batches <- t.notify_batches + 1

@@ -14,15 +14,12 @@
       {!flush} fans a single Serial Notify out to every session, rapid
       republishes between flushes coalescing into one batch;
     - tracks each session as nothing more than its embedded
-      {!Session.router} state plus tx/rx byte accounting;
+      {!Session.router} state and the Cache Resets it took; and
     - {e applies each response once per distinct router state}: a
       router's state is one immutable {!Session.state} and a response moves
       it by the pure {!Session.transition}, so every session holding the
       same state value that receives the same buffer shares one decode,
-      one merge and one resulting table; and
-    - optionally spreads the per-session accounting and installation
-      across {e Domains} ([flush ~domains:n]) without changing a single
-      byte of the accounting.
+      one merge and one resulting table.
 
     The underlying cache state machine is unchanged and reachable via
     {!cache} for code that predates the server (the loop's persistence
@@ -37,8 +34,8 @@ type t
 (** A multiplexed RTR server over one {!Session.cache}. *)
 
 type session
-(** A registered router session: embedded router state machine, byte
-    accounting, reset count.  Handles stay valid until {!detach}. *)
+(** A registered router session: embedded router state machine and reset
+    count.  Handles stay valid until {!detach}. *)
 
 val create : ?history_limit:int -> unit -> t
 (** A server over a fresh cache (same defaults as
@@ -121,10 +118,10 @@ type flush_report = {
 val flush : ?domains:int -> t -> flush_report
 (** One batched notify fan-out: encode the Serial Notify once, deliver it
     to every session, and drive each session back to convergence from the
-    shared buffers — encoding each needed response exactly once, replaying
-    bytes for every further session at the same serial.  A no-op report
-    (all zeros except [fr_serial]) when nothing is {!pending} and every
-    session is synced.
+    shared buffers — encoding each needed response exactly once
+    ({!Session.response}), replaying bytes for every further session at
+    the same serial.  A no-op report (all zeros except [fr_serial]) when
+    nothing is {!pending} and every session is synced.
 
     Each distinct transition — a router state value and the response
     buffer it receives, told apart by physical identity — is computed once,
@@ -132,13 +129,15 @@ val flush : ?domains:int -> t -> flush_report
     held that state.  Sessions attached together therefore share one state
     from then on; sessions that reached equal tables by different paths
     hold distinct values until their next reset.  Nothing is kept from one
-    flush to the next.
+    flush to the next.  The flush then accounts each session's exchange
+    and installs its new state, in one pass on the calling Domain.
 
-    [domains > 1] runs the per-session accounting and installation on that
-    many Domains.  Sessions are touched by exactly one domain each, and
-    per-domain accounting is reduced in deterministic order — the report,
-    the counters and every session's state are identical whatever
-    [domains] is. *)
+    [domains] is ignored.  Once the transitions are shared, the fan-out
+    only adds up byte counts and installs states, and spreading it across
+    Domains cost more than it saved at every session count measured
+    (EXPERIMENTS.md, rtr).  The parameter stays only because the
+    benchmark's replica of [Loop.step] still passes it; it goes when that
+    replica is re-baselined. *)
 
 val all_synced : t -> bool
 (** Every attached session is {!session_synced}. *)

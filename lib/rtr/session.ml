@@ -183,32 +183,33 @@ let changes_since cache ~serial =
     Some (List.sort Vrp.compare announced, List.sort Vrp.compare withdrawn)
   end
 
+(* The response that brings a router from some serial to the cache's:
+   Cache Response, an announcement per [announced] and a withdrawal per
+   [withdrawn] VRP, and End of Data, encoded.  The snapshot announces the
+   whole current set. *)
+let response cache (announced, withdrawn) =
+  let b = Buffer.create 256 in
+  let add pdu = Buffer.add_string b (Pdu.encode pdu) in
+  add (Pdu.Cache_response { session_id = cache.session_id });
+  List.iter (fun v -> add (Pdu.of_vrp ~flags:Pdu.Announce v)) announced;
+  List.iter (fun v -> add (Pdu.of_vrp ~flags:Pdu.Withdraw v)) withdrawn;
+  add (Pdu.End_of_data { session_id = cache.session_id; serial = cache.serial });
+  Buffer.contents b
+
 (* Serve one client request; returns the response PDU sequence (as bytes). *)
 let serve cache (request_bytes : string) =
-  let respond pdus = String.concat "" (List.map Pdu.encode pdus) in
   match Pdu.decode request_bytes with
-  | Pdu.Reset_query ->
-    respond
-      ((Pdu.Cache_response { session_id = cache.session_id }
-       :: List.map Pdu.of_vrp cache.current)
-      @ [ Pdu.End_of_data { session_id = cache.session_id; serial = cache.serial } ])
-  | Pdu.Serial_query { session_id; serial } ->
-    if session_id <> cache.session_id then respond [ Pdu.Cache_reset ]
-    else begin
-      match changes_since cache ~serial with
-      | None -> respond [ Pdu.Cache_reset ] (* too old: client must reset *)
-      | Some (announced, withdrawn) ->
-        respond
-          ((Pdu.Cache_response { session_id = cache.session_id }
-           :: List.map (Pdu.of_vrp ~flags:Pdu.Announce) announced)
-          @ List.map (Pdu.of_vrp ~flags:Pdu.Withdraw) withdrawn
-          @ [ Pdu.End_of_data { session_id = cache.session_id; serial = cache.serial } ])
-    end
+  | Pdu.Reset_query -> response cache (cache.current, [])
+  | Pdu.Serial_query { session_id; serial } when session_id = cache.session_id -> (
+    match changes_since cache ~serial with
+    | Some changes -> response cache changes
+    | None -> Pdu.encode Pdu.Cache_reset (* too old: client must reset *))
+  | Pdu.Serial_query _ -> Pdu.encode Pdu.Cache_reset
   | _ ->
-    respond
-      [ Pdu.Error_report { error_code = Pdu.err_invalid_request; message = "unexpected PDU" } ]
+    Pdu.encode
+      (Pdu.Error_report { error_code = Pdu.err_invalid_request; message = "unexpected PDU" })
   | exception Pdu.Parse_error m ->
-    respond [ Pdu.Error_report { error_code = Pdu.err_corrupt_data; message = m } ]
+    Pdu.encode (Pdu.Error_report { error_code = Pdu.err_corrupt_data; message = m })
 
 (* --- router (client) side --- *)
 

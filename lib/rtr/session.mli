@@ -108,16 +108,24 @@ val changes_since : cache -> serial:int -> (Vrp.t list * Vrp.t list) option
     the RFC 1982 distance [(cache serial - serial) mod 2^32], so a router
     just before a wrap gets a delta across it. *)
 
+val response : cache -> Vrp.t list * Vrp.t list -> string
+(** [response cache (announced, withdrawn)]: the encoded response that
+    brings a router to the cache's serial — Cache Response, an announcing
+    prefix PDU per [announced] VRP, a withdrawing one per [withdrawn] VRP,
+    and End of Data at the cache's serial.  The pair {!changes_since}
+    answers gives a delta, [(cache_vrps cache, [])] the full snapshot.
+    {!serve} and {!Server.flush} build every response this way. *)
+
 val serve : cache -> string -> string
 (** Handle one encoded client request, returning the encoded response
     sequence (Cache Response … End of Data, or Cache Reset, or an Error
     Report).
 
     This is the one-session path: every call re-encodes the response from
-    scratch.  Serving many routers from one cache goes through {!Server},
-    which encodes each serial diff exactly once and replays the bytes;
-    [serve] is kept as the single-router compatibility shim and as the
-    reference the multiplexed plane is tested against. *)
+    scratch with {!response}.  Serving many routers from one cache goes
+    through {!Server}, which encodes each serial diff exactly once and
+    replays the bytes; [serve] is kept as the single-router path and as
+    the reference the multiplexed plane is tested against. *)
 
 (** {2 Router (client) side} *)
 

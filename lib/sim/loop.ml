@@ -31,7 +31,9 @@ type t = {
   mutable rp : Relying_party.t;   (* mutable: a restart replaces the instance *)
   rtr : Rpki_rtr.Server.t;        (* the serving plane: fed one serial delta per
                                      changed tick, flushed once per tick *)
-  mutable rtr_domains : int;      (* Domains for the flush fan-out *)
+  mutable rtr_domains : int;      (* ignored: benchmark/ reads it to pass
+                                     [Server.flush ?domains] (ROADMAP item 1,
+                                     Stage B) *)
   announcements : Propagation.announcement list;
   probes : probe list;
   transport : Transport.t;        (* priced off the previous tick's data plane *)
@@ -223,7 +225,6 @@ let configure t (c : Config.t) =
   t.compact_every <- max 0 c.Config.compact_every;
   t.save_full <- c.Config.save_full;
   t.keep_history <- c.Config.keep_history;
-  t.rtr_domains <- max 1 c.Config.rtr_domains;
   Option.iter
     (fun endpoint ->
       add_vantage t
@@ -517,14 +518,22 @@ let step t ~now =
   | None -> ()
   | Some r ->
     let regressed = List.map regression_uri regressions in
-    List.iter
-      (fun (uri, _) ->
-        if (not (List.mem_assoc uri t.held_uris)) && not (List.mem uri regressed)
-        then
-          t.point_good <-
-            (uri, Relying_party.point_vrps t.rp ~uri)
-            :: List.remove_assoc uri t.point_good)
-      r.Relying_party.fetches);
+    (* each fetched point once (the trust anchor's is fetched twice), then
+       the rest of the memory in one pass *)
+    let fresh = Hashtbl.create 64 in
+    let updated =
+      List.filter_map
+        (fun (uri, _) ->
+          if Hashtbl.mem fresh uri || List.mem_assoc uri t.held_uris || List.mem uri regressed
+          then None
+          else begin
+            Hashtbl.replace fresh uri ();
+            Some (uri, Relying_party.point_vrps t.rp ~uri)
+          end)
+        r.Relying_party.fetches
+    in
+    t.point_good <-
+      updated @ List.filter (fun (uri, _) -> not (Hashtbl.mem fresh uri)) t.point_good);
   (* durable state is snapshotted after gossip, so the peer heads verified
      this round are part of the baseline a restart gets back *)
   if Option.is_some t.disk then begin
@@ -555,7 +564,7 @@ let step t ~now =
   (* one batched notify per tick: the sync's publish and every hold taken
      this tick (local regressions and gossip-verified evidence) coalesce
      into a single Serial Notify fan-out to the attached sessions *)
-  ignore (Rpki_rtr.Server.flush ~domains:t.rtr_domains t.rtr);
+  ignore (Rpki_rtr.Server.flush t.rtr);
   let record =
     { time = now;
       vrp_count =

@@ -36,7 +36,10 @@ type t = {
                                                  delta per changed tick, flushed
                                                  (one batched notify) at tick
                                                  end *)
-  mutable rtr_domains : int;                 (** Domains for the flush fan-out *)
+  mutable rtr_domains : int;
+      (** ignored: {!step} flushes on the calling Domain.  It stays while
+          the benchmark's replica of {!step} reads it, and goes with that
+          replica's re-baseline *)
   announcements : Propagation.announcement list;
   probes : probe list;
   transport : Transport.t;                   (** priced off the previous tick's
@@ -138,7 +141,10 @@ module Config : sig
     valcache : bool;         (** shared validation plane; default [true] *)
     valcache_evict : bool;   (** epoch-based eviction at tick end; default
                                  [true].  Pure memo — results identical off *)
-    rtr_domains : int;       (** Domains for the RTR flush fan-out; default 1 *)
+    rtr_domains : int;
+        (** ignored: the RTR flush runs on the calling Domain.  It stays
+            while the benchmark sets it, and goes with the benchmark's
+            re-baseline; default 1 *)
     primary_endpoint : Pub_point.t option;
         (** register the loop's own RP as a gossip vantage at this endpoint *)
     vantages : vantage_spec list;  (** extra vantages, in registration order *)
@@ -160,7 +166,7 @@ module Config : sig
 
   val default : t
   (** No vantages, no gossip, no persistence; default fetch policy,
-      valcache on, 1 Domain. *)
+      valcache on. *)
 end
 
 val configure : t -> Config.t -> unit
@@ -176,7 +182,7 @@ val rtr_server : t -> Rpki_rtr.Server.t
 (** The RTR serving plane fed by the loop: attach router sessions with
     {!Rpki_rtr.Server.attach}; every {!step} ends with one batched
     {!Rpki_rtr.Server.flush} (publish + any holds coalesce into a single
-    notify), run on {!Config.rtr_domains} Domains. *)
+    notify), on the calling Domain. *)
 
 val transport : t -> Transport.t
 (** The loop's transport.  Its latency oracle is wired to the previous

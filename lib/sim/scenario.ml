@@ -34,7 +34,6 @@ type source = Section6 of section6 | World of World.world
 type fault_mix = {
   seed : int;
   rate : float;
-  repair_after : int option;
 }
 
 type spec = {
@@ -253,7 +252,7 @@ let build spec =
   { sim; model; root; authorities; victim_ca; victim_roa; monitor_names = List.map (fun (name, _, _) -> name) site.seats; disk;
     engine =
       Option.map
-        (fun f -> Fault_mix.create ~seed:f.seed ~rate:f.rate ?repair_after:f.repair_after ())
+        (fun f -> Fault_mix.create ~seed:f.seed ~rate:f.rate ())
         spec.fault_mix;
     respawn }
 

@@ -52,9 +52,9 @@ type source =
 type fault_mix = {
   seed : int;
   rate : float;
-  repair_after : int option;
 }
-(** Arguments of {!Rpki_repo.Fault_mix.create}. *)
+(** Arguments of {!Rpki_repo.Fault_mix.create}; faults are repaired after
+    its default interval. *)
 
 type spec = {
   source : source;

@@ -304,8 +304,6 @@ let props =
         QCheck.assume (not (Nat.is_zero b));
         let q, r = Nat.divmod a b in
         Nat.equal a (Nat.add (Nat.mul q b) r) && Nat.lt r b);
-    prop "karatsuba matches schoolbook" (QCheck.pair arb_nat_big arb_nat_big) (fun (a, b) ->
-        Nat.equal (Nat.mul a b) (Nat.mul_schoolbook a b));
     prop "decimal roundtrip" arb_nat (fun a -> Nat.equal a (Nat.of_decimal (Nat.to_decimal a)));
     prop "bytes roundtrip" arb_nat (fun a -> Nat.equal a (Nat.of_bytes_be (Nat.to_bytes_be a)));
     (* the linear of_bytes_be against the shift-and-add fold it replaced,

@@ -216,7 +216,7 @@ let test_rate0_identical () =
   let rig =
     Scenario.build
       { Scenario.section6 with
-        fault_mix = Some { Scenario.seed = 0x5eed; rate = 0.; repair_after = None } }
+        fault_mix = Some { Scenario.seed = 0x5eed; rate = 0. } }
   in
   let with_engine = List.init ticks (fun i -> snd (Scenario.step rig ~now:(i + 1))) in
   let sim = (Scenario.build Scenario.section6).Scenario.sim in

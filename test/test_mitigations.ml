@@ -69,11 +69,12 @@ let test_mirror_serves_when_primary_down () =
   in
   Universe.add_mirror m.Model.universe ~of_uri:(Pub_point.uri primary) mirror;
   Universe.refresh_mirrors m.Model.universe;
-  let rp = Model.relying_party ~use_stale:false m in
+  let rp = Model.relying_party m in
   let unreachable (pp : Pub_point.t) = (Pub_point.uri pp) <> (Pub_point.uri primary) in
   let r =
     Relying_party.sync rp ~now:1 ~universe:m.Model.universe
-      ~transport:(Transport.of_oracle unreachable) ()
+      ~transport:(Transport.of_oracle unreachable)
+      ~policy:{ Relying_party.default_policy with Relying_party.use_stale = false } ()
   in
   Alcotest.(check int) "all VRPs via mirror" 8 (List.length r.Relying_party.vrps);
   Alcotest.(check bool) "mirror fetch recorded" true

@@ -10,9 +10,9 @@ let shared = lazy (Model.build ())
 
 let fresh_model () = Model.build ()
 
-let sync ?reachable ?(now = 1) (m : Model.t) rp =
+let sync ?reachable ?policy ?(now = 1) (m : Model.t) rp =
   let transport = Option.map Transport.of_oracle reachable in
-  Relying_party.sync rp ~now ~universe:m.Model.universe ?transport ()
+  Relying_party.sync rp ~now ~universe:m.Model.universe ?transport ?policy ()
 
 let sync_indexed ?(now = 1) (m : Model.t) rp =
   let r = Relying_party.sync rp ~now ~universe:m.Model.universe () in
@@ -233,10 +233,11 @@ let test_unreachable_uses_stale_cache () =
 
 let test_unreachable_without_cache () =
   let m = fresh_model () in
-  let rp = Model.relying_party ~use_stale:false m in
-  let _ = sync m rp in
+  let rp = Model.relying_party m in
+  let policy = { Relying_party.default_policy with Relying_party.use_stale = false } in
+  let _ = sync ~policy m rp in
   let unreachable (pp : Pub_point.t) = (Pub_point.uri pp) <> "rsync://rpki.continental.net/repo" in
-  let r = sync ~reachable:unreachable ~now:2 m rp in
+  let r = sync ~reachable:unreachable ~policy ~now:2 m rp in
   Alcotest.(check int) "continental VRPs lost" 3 (List.length r.Relying_party.vrps)
 
 let test_flush_cache () =

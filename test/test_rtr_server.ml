@@ -5,8 +5,8 @@
    publish sequence and each serving one router — same final VRP sets, same
    serials, same Cache Reset decisions when serials fall off the delta
    window, holds visible identically.  The server is an optimisation
-   (encode-once buffers, batched notify, Domains) and must not be a
-   semantic change. *)
+   (encode-once buffers, batched notify, shared transitions) and must not
+   be a semantic change. *)
 
 open Rpki_core
 open Rpki_rtr
@@ -106,7 +106,7 @@ let scenario_arb =
    session one Cache Reset at its next sync (the rule [Server.restore]
    documents): the reference acts on the Cache Reset bytes, then syncs
    afresh. *)
-let check_observational_identity ?(domains = 1) ops =
+let check_observational_identity ops =
   let n_max = 6 and history_limit = 4 in
   let server = Server.create ~history_limit () in
   let refs =
@@ -117,7 +117,7 @@ let check_observational_identity ?(domains = 1) ops =
   let sessions = ref [] in (* (server session, reference index), newest first *)
   let attached = ref 0 in
   let sync_all () =
-    ignore (Server.flush ~domains server);
+    ignore (Server.flush server);
     List.iter
       (fun (_, i) ->
         let c, r, resets = refs.(i) in
@@ -196,13 +196,10 @@ let check_observational_identity ?(domains = 1) ops =
        (Session.cache_vrps (Server.cache server))
        (Session.cache_vrps c0)
 
-let prop_identity ~count domains =
-  let name = "multiplexed server == N independent caches" in
+let prop_identity =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count
-       ~name:(if domains = 1 then name else Printf.sprintf "%s (%d domains)" name domains)
-       scenario_arb
-       (check_observational_identity ~domains))
+    (QCheck.Test.make ~count:150 ~name:"multiplexed server == N independent caches"
+       scenario_arb check_observational_identity)
 
 (* --- unit tests --- *)
 
@@ -233,17 +230,27 @@ let test_notify_coalescing () =
   Alcotest.(check int) "no-op notify" 0 rep2.Server.fr_notified;
   Alcotest.(check int) "no-op bytes" sent (Server.stats server).Server.bytes_sent
 
+(* [n] sessions through a fresh attach, a one-VRP delta and a restore
+   that moves the serial; the stats after each of the three flushes. *)
+let schedule n =
+  let server = Server.create () in
+  let ss = List.init n (fun _ -> Server.attach server) in
+  Server.publish server [ v "10.0.0.0/8" 1 ];
+  ignore (Server.flush server);
+  let attached = Server.stats server in
+  Server.publish server [ v "10.0.0.0/8" 1; v "192.0.2.0/24" 2 ];
+  ignore (Server.flush server);
+  let delta = Server.stats server in
+  Server.restore server ~serial:42 ~vrps:[ v "198.51.100.0/24" 3 ];
+  ignore (Server.flush server);
+  (server, ss, (attached, delta, Server.stats server))
+
 let test_encode_once () =
   (* the same publish schedule against 1 session and against 64 must encode
      exactly the same bytes; only delivery grows with the session count *)
   let run n =
-    let server = Server.create () in
-    let _ = List.init n (fun _ -> Server.attach server) in
-    Server.publish server [ v "10.0.0.0/8" 1 ];
-    ignore (Server.flush server);
-    Server.publish server [ v "10.0.0.0/8" 1; v "192.0.2.0/24" 2 ];
-    ignore (Server.flush server);
-    Server.stats server
+    let _, _, (_, _, restored) = schedule n in
+    restored
   in
   let one = run 1 and many = run 64 in
   Alcotest.(check int) "bytes encoded flat" one.Server.bytes_encoded many.Server.bytes_encoded;
@@ -372,24 +379,48 @@ let test_serial_wraps () =
     ss;
   Alcotest.(check bool) "synced" true (Server.all_synced server)
 
-let test_domains_parity () =
-  (* the same schedule on 1 domain and on 4 must leave identical stats and
-     identical session states — the fan-out is an implementation detail *)
-  let run domains =
-    let server = Server.create ~history_limit:2 () in
-    let ss = List.init 32 (fun _ -> Server.attach server) in
-    for i = 1 to 6 do
-      Server.publish server (List.init (1 + (i mod 3)) (fun j -> v "10.0.0.0/8" (10 + i + j)));
-      if i mod 2 = 0 then ignore (Server.flush ~domains server)
-    done;
-    Server.hold server ~prefix:(V4.p "10.0.0.0/8") ~vrps:[ v "10.0.0.0/8" 99 ];
-    ignore (Server.flush ~domains server);
-    (Server.stats server, List.map Server.session_vrps ss)
+(* The fan-out's counters, each summed by hand from the length of every
+   PDU a session exchanges: at the attach, a Serial Notify, then a Reset
+   Query answered by the snapshot; at the delta, a Serial Notify, then a
+   Serial Query answered by the delta; at the restore, a Serial Notify,
+   then a Serial Query answered by a Cache Reset and a Reset Query answered
+   by the new snapshot. *)
+let test_exact_accounting () =
+  let n = 3 in
+  let server, ss, (attached, delta, restored) = schedule n in
+  let sid = Session.cache_session_id (Server.cache server) in
+  let len pdu = String.length (Pdu.encode pdu) in
+  let response ~serial vrps =
+    len (Pdu.Cache_response { session_id = sid })
+    + List.fold_left (fun acc x -> acc + len (Pdu.of_vrp x)) 0 vrps
+    + len (Pdu.End_of_data { session_id = sid; serial })
   in
-  let st1, vrps1 = run 1 and st4, vrps4 = run 4 in
-  Alcotest.(check bool) "stats identical" true (st1 = st4);
-  Alcotest.(check bool) "session states identical" true
-    (List.for_all2 (List.equal Vrp.equal) vrps1 vrps4)
+  let notify serial = len (Pdu.Serial_notify { session_id = sid; serial }) in
+  let serial_query = len (Pdu.Serial_query { session_id = sid; serial = 0 }) in
+  let reset_query = len Pdu.Reset_query in
+  let snapshot1 = response ~serial:1 [ v "10.0.0.0/8" 1 ] in
+  let delta2 = response ~serial:2 [ v "192.0.2.0/24" 2 ] in
+  let snapshot42 = response ~serial:42 [ v "198.51.100.0/24" 3 ] in
+  (* the stats are cumulative *)
+  let check what (st : Server.stats) ~sent ~received ~replays ~resets ~encoded =
+    let field name want got = Alcotest.(check int) (what ^ ": " ^ name) want got in
+    field "bytes sent" sent st.Server.bytes_sent;
+    field "bytes received" received st.Server.bytes_received;
+    field "replays" replays st.Server.replays;
+    field "resets" resets st.Server.resets;
+    field "bytes encoded" encoded st.Server.bytes_encoded
+  in
+  let sent1 = n * (notify 1 + snapshot1) and encoded1 = notify 1 + snapshot1 in
+  check "attach" attached ~sent:sent1 ~received:(n * reset_query) ~replays:n ~resets:0
+    ~encoded:encoded1;
+  let sent2 = sent1 + (n * (notify 2 + delta2)) and encoded2 = encoded1 + notify 2 + delta2 in
+  check "delta" delta ~sent:sent2 ~received:(n * (reset_query + serial_query)) ~replays:(2 * n)
+    ~resets:0 ~encoded:encoded2;
+  check "restore" restored
+    ~sent:(sent2 + (n * (notify 42 + len Pdu.Cache_reset + snapshot42)))
+    ~received:(n * (2 * (reset_query + serial_query)))
+    ~replays:(4 * n) ~resets:n ~encoded:(encoded2 + notify 42 + snapshot42);
+  List.iter (fun s -> Alcotest.(check int) "one Cache Reset each" 1 (Server.session_resets s)) ss
 
 (* --- one transition per distinct router state --- *)
 
@@ -472,9 +503,8 @@ let () =
           Alcotest.test_case "restore refuses a serial past 32 bits" `Quick
             test_restore_refuses_wide_serial;
           Alcotest.test_case "serial wraps mod 2^32" `Quick test_serial_wraps;
-          Alcotest.test_case "domains parity" `Quick test_domains_parity;
+          Alcotest.test_case "exact accounting" `Quick test_exact_accounting;
           Alcotest.test_case "one transition per router state" `Quick
             test_one_transition_per_state;
           Alcotest.test_case "two lineages until a reset" `Quick test_two_lineages ] );
-      ( "property",
-        [ prop_identity ~count:150 1; prop_identity ~count:40 2; prop_identity ~count:40 4 ] ) ]
+      ("property", [ prop_identity ]) ]

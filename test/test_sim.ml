@@ -253,7 +253,7 @@ let test_incremental_fault_mix () =
       { Scenario.default with
         source = Scenario.World (Rpki_world.Synthesis.build small_world); monitors = 0;
         fetch_policy = Some Rpki_repo.Relying_party.default_policy;
-        fault_mix = Some { Scenario.seed = 7; rate = 0.5; repair_after = None } }
+        fault_mix = Some { Scenario.seed = 7; rate = 0.5 } }
   in
   let counts =
     List.map
